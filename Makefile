@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test tier1 vet race fuzz chaos elastic-chaos obs jobs bench cluster gate stat durable kernels lint-metrics ci
+.PHONY: build test tier1 vet race fuzz chaos elastic-chaos obs jobs bench benchmod cluster gate stat durable kernels lint-metrics ci
 
 build:
 	$(GO) build ./...
@@ -52,12 +52,22 @@ fuzz:
 	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzBinaryDecode -fuzztime 10s
 	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzBinaryRoundTrip -fuzztime 10s
 
-# bench smoke-runs the hot-path benchmarks (wire codecs, matmul
-# kernels) at -benchtime 100x: enough to catch a broken benchmark or a
-# pathological regression without turning CI into a perf lab.
+# bench smoke-runs the hot-path benchmarks (wire codecs, matmul and
+# elementwise kernels, a token's forward/backward at the train-compute
+# and train-comm shapes, the conv passes) at -benchtime 100x: enough to
+# catch a broken benchmark or a pathological regression without turning
+# CI into a perf lab.
 bench:
 	$(GO) test ./internal/transport/ -run xxx -bench 'BenchmarkCodec' -benchtime 100x
-	$(GO) test ./internal/tensor/ -run xxx -bench 'BenchmarkMatMul' -benchtime 100x
+	$(GO) test ./internal/tensor/ -run xxx -bench 'BenchmarkMatMul|BenchmarkReLU' -benchtime 100x
+	$(GO) test ./internal/minidnn/ -run xxx -bench 'BenchmarkToken|BenchmarkConv' -benchtime 100x
+
+# benchmod covers the regression benchmark, a module of its own under
+# bench/ that ./... does not reach: static analysis and the harness's
+# own tests (≈3 s). Tier-1 already compiles and vets it
+# (TestBenchModuleBuilds in the root package).
+benchmod:
+	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 
 # cluster smoke-runs the cluster-mode experiment (100-job Poisson trace
 # against a TokenDelay pool, one pass per scheduling configuration) and
@@ -94,13 +104,15 @@ durable:
 	$(GO) test ./cmd/felaserver/ -race -run TestServerDurableSessionResume -count=1 -v
 	$(GO) test ./cmd/felaworker/ -race -run TestReconnect -count=1 -v
 
-# kernels runs the parallel compute-kernel and gradient-compression
-# suites under the race detector: bit-identity across fan-out widths,
-# the fp16/int8/topk codec properties with their golden v2 frames and
+# kernels runs the compute-kernel and gradient-compression suites under
+# the race detector: bit-pattern identity with the naive kernels across
+# tile tails, special values and fan-out widths, layer-buffer ownership
+# and two networks sharing the kernel pool (all of minidnn), the
+# fp16/int8/topk codec properties with their golden v2 frames and
 # hostile-header cases, and the negotiated end-to-end TCP sessions.
 kernels:
 	$(GO) test ./internal/tensor/ -race -count=1 -v
-	$(GO) test ./internal/minidnn/ -race -run 'TestConv|TestParallel' -count=1 -v
+	$(GO) test ./internal/minidnn/ -race -count=1 -v
 	$(GO) test ./internal/transport/ -race -run 'TestFP16|TestInt8|TestTopK|TestCompress|TestParamsStayExact' -count=1 -v
 	$(GO) test ./internal/rt/ -race -run 'TestCompress' -count=1 -v
 
@@ -114,7 +126,8 @@ lint-metrics:
 	$(GO) test ./cmd/felastat/ -run TestFelastatLiveTwoShardCluster -count=1
 
 # ci is the full gate: tier-1, static analysis, race detector, the
-# multi-tenant suite, the benchmark smoke pass, the cluster-mode smoke
-# run, the serving-gateway suite, the observability aggregator, the
-# durability plane, and the compute-kernel/compression suite.
-ci: tier1 vet race jobs bench cluster gate stat durable kernels
+# multi-tenant suite, the benchmark smoke pass, the regression-benchmark
+# module, the cluster-mode smoke run, the serving-gateway suite, the
+# observability aggregator, the durability plane, and the
+# compute-kernel/compression suite.
+ci: tier1 vet race jobs bench benchmod cluster gate stat durable kernels

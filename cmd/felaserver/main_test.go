@@ -379,14 +379,34 @@ func TestServerJobsMode(t *testing.T) {
 
 	const poolWorkers = 3
 	workersDone := make(chan error, poolWorkers)
+	connected := make(chan struct{}, poolWorkers)
 	dial := func() (transport.Conn, error) {
-		return transport.DialRetry(addr, 50, 20*time.Millisecond)
+		c, err := transport.DialRetry(addr, 50, 20*time.Millisecond)
+		if err == nil {
+			select {
+			case connected <- struct{}{}:
+			default:
+			}
+		}
+		return c, err
 	}
 	for i := 0; i < poolWorkers; i++ {
 		go func() {
 			_, err := jobs.RunPoolWorker(dial, jobs.PoolWorkerOptions{})
 			workersDone <- err
 		}()
+	}
+	// Submit only once every worker has reached the pool. Both jobs
+	// together last a few milliseconds, less than a worker's first 20 ms
+	// backoff: one whose first dial beat the listener would wake to a
+	// server that has already drained and closed, and — never having
+	// been in the pool — rightly report it unreachable.
+	for i := 0; i < poolWorkers; i++ {
+		select {
+		case <-connected:
+		case <-time.After(30 * time.Second):
+			t.Fatal("pool workers never connected")
+		}
 	}
 
 	specs := []transport.JobSpec{

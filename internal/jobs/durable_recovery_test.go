@@ -175,6 +175,13 @@ func TestManagerCrashRecovery(t *testing.T) {
 		mustMatchReference(t, r, r.Spec.Name)
 	}
 
+	// Status is a snapshot the manager republishes at most every 20 ms,
+	// and OnJobDone fires before the republish: wait for the last
+	// completion to show instead of counting on the reference
+	// computations above to take longer than that.
+	for deadline := time.Now().Add(5 * time.Second); mgr2.Status().Completed != 5 && time.Now().Before(deadline); {
+		time.Sleep(2 * time.Millisecond)
+	}
 	if st2 := mgr2.Status(); st2.Completed != 5 {
 		t.Fatalf("Completed = %d after restore, want 5 (1 carried + 4 run)", st2.Completed)
 	}

@@ -30,6 +30,8 @@ type Conv2D struct {
 	// products along a row therefore replay the naive addition
 	// sequence, including the no-op adds of w·0 at padded taps.
 	cols []float32
+
+	out, dx *tensor.Tensor // reused buffers
 }
 
 // NewConv2D builds a convolution layer with N(0, 1/(InC·K²))
@@ -52,7 +54,18 @@ func NewConv2D(rng *rand.Rand, inC, outC, k, pad, inH, inW int) *Conv2D {
 func (c *Conv2D) OutH() int { return c.InH + 2*c.Pad - c.K + 1 }
 func (c *Conv2D) OutW() int { return c.InW + 2*c.Pad - c.K + 1 }
 
-// at returns x[n][ch][i][j] honouring zero padding.
+// grow returns s resized to n elements of unspecified content, reusing
+// its backing array when that is large enough: the grow-only scratch of
+// a layer (tensor.Reuse for plain slices).
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// at returns x[n][ch][i][j] honouring zero padding (the accessor of the
+// naive references).
 func (c *Conv2D) at(x *tensor.Tensor, n, ch, i, j int) float32 {
 	if i < 0 || j < 0 || i >= c.InH || j >= c.InW {
 		return 0
@@ -60,72 +73,102 @@ func (c *Conv2D) at(x *tensor.Tensor, n, ch, i, j int) float32 {
 	return x.Data[((n*c.InC+ch)*c.InH+i)*c.InW+j]
 }
 
+// im2col fills rows — span consecutive rows of cols — with the
+// receptive fields of output pixels (i, j) … (i, j+span-1) of one sample,
+// each in (ic,ki,kj) order, from the sample's (InC,InH,InW) planes x.
+// For a fixed (ic,ki) a pixel's K taps are consecutive elements of one
+// input row: a straight copy where the window lies inside the image,
+// and tap by tap, with literal zeros for the padding, where it hangs
+// over an edge.
+func (c *Conv2D) im2col(rows, x []float32, i, j, span int) {
+	k, rf := c.K, c.InC*c.K*c.K
+	for g := 0; g < c.InC*k; g++ { // g = ic·K + ki: one run of K taps
+		ii := i - c.Pad + g%k
+		var src []float32 // input row ii of channel ic; nil when it is padding
+		if ii >= 0 && ii < c.InH {
+			src = x[(g/k*c.InH+ii)*c.InW:][:c.InW]
+		}
+		for s := 0; s < span; s++ {
+			taps := rows[s*rf+g*k:][:k]
+			j0 := j + s - c.Pad // input column of tap kj = 0
+			if src != nil && j0 >= 0 && j0+k <= len(src) {
+				copy(taps, src[j0:])
+				continue
+			}
+			for kj := range taps {
+				if jj := j0 + kj; src != nil && jj >= 0 && jj < len(src) {
+					taps[kj] = src[jj]
+				} else {
+					taps[kj] = 0
+				}
+			}
+		}
+	}
+}
+
 // Forward implements Layer. The input is (batch, InC*InH*InW) flattened
 // row-major; the output is (batch, OutC*OutH*OutW).
 //
 // Each output pixel row of the im2col matrix is built and consumed by
 // the same band, so the pass parallelizes over (n,i,j) rows with no
-// shared writes. The accumulator is seeded with the bias — the naive
-// kernel folds products onto B[oc], and float addition is not
+// shared writes. A band goes one output row at a time: its im2col rows
+// are built, then dotted against four filters at a time (tensor.Dot4:
+// four independent accumulators sharing the row's loads), with a scalar
+// loop for the OutC%4 tail. Every accumulator is seeded with its bias —
+// the naive kernel folds products onto B[oc], and float addition is not
 // associative, so summing first and adding the bias last would change
 // the bits.
 func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	if x.Dims() != 2 || x.Shape[1] != c.InC*c.InH*c.InW {
-		panic(fmt.Sprintf("minidnn: conv input shape %v, want (*,%d)", x.Shape, c.InC*c.InH*c.InW))
+	inLen := c.InC * c.InH * c.InW
+	if x.Dims() != 2 || x.Shape[1] != inLen {
+		panic(fmt.Sprintf("minidnn: conv input shape %v, want (*,%d)", x.Shape, inLen))
 	}
 	c.lastX = x
 	batch := x.Shape[0]
-	oh, ow := c.OutH(), c.OutW()
+	hw, ow := c.OutH()*c.OutW(), c.OutW()
 	rf := c.InC * c.K * c.K // receptive-field size: one im2col row
-	rows := batch * oh * ow
-	if need := rows * rf; cap(c.cols) < need {
-		c.cols = make([]float32, need)
-	} else {
-		c.cols = c.cols[:need]
-	}
-	out := tensor.New(batch, c.OutC*oh*ow)
+	rows := batch * hw
+	c.cols = grow(c.cols, rows*rf)
+	c.out = tensor.Reuse(c.out, batch, c.OutC*hw)
+	out, w, bias := c.out.Data, c.W.Data, c.B.Data
 	flops := int64(rows) * int64(rf) * int64(c.OutC)
 	tensor.ParallelRows(rows, flops, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			n := r / (oh * ow)
-			i := r / ow % oh
-			j := r % ow
-			row := c.cols[r*rf : (r+1)*rf]
-			idx := 0
-			for ic := 0; ic < c.InC; ic++ {
-				for ki := 0; ki < c.K; ki++ {
-					ii := i - c.Pad + ki
-					for kj := 0; kj < c.K; kj++ {
-						row[idx] = c.at(x, n, ic, ii, j-c.Pad+kj)
-						idx++
+		for r := lo; r < hi; {
+			n, ij := r/hw, r%hw
+			span := min(ow-ij%ow, hi-r) // to the end of the output row or the band
+			cols := c.cols[r*rf : (r+span)*rf]
+			c.im2col(cols, x.Data[n*inLen:(n+1)*inLen], ij/ow, ij%ow, span)
+			o := out[n*c.OutC*hw+ij:] // o[oc·hw+s] is output pixel (n,oc,i,j+s)
+			oc := 0
+			for ; oc+4 <= c.OutC; oc += 4 {
+				o0, o1, o2, o3 := o[oc*hw:][:span], o[(oc+1)*hw:][:span], o[(oc+2)*hw:][:span], o[(oc+3)*hw:][:span]
+				for s := range o0 {
+					o0[s], o1[s], o2[s], o3[s] = tensor.Dot4(
+						cols[s*rf:(s+1)*rf], w[oc*rf:], rf, bias[oc], bias[oc+1], bias[oc+2], bias[oc+3])
+				}
+			}
+			for ; oc < c.OutC; oc++ {
+				wrow := w[oc*rf : (oc+1)*rf]
+				for s := 0; s < span; s++ {
+					sum := bias[oc]
+					for p, v := range cols[s*rf : (s+1)*rf] {
+						sum += wrow[p] * v
 					}
+					o[oc*hw+s] = sum
 				}
 			}
-			for oc := 0; oc < c.OutC; oc++ {
-				w := c.W.Data[oc*rf : (oc+1)*rf]
-				sum := c.B.Data[oc]
-				for p, wv := range w {
-					sum += wv * row[p]
-				}
-				out.Data[(n*c.OutC+oc)*oh*ow+i*ow+j] = sum
-			}
+			r += span
 		}
 	})
-	return out
+	return c.out
 }
 
 // Backward implements Layer. Two band-parallel passes replace the naive
-// single pass, each preserving the naive accumulation order:
-//
-//   - dx is parallel over samples — a sample's dx rows are touched by
-//     no other sample, and within one sample the loops below are the
-//     naive loops verbatim;
-//   - gW/gB are parallel over output channels — channel oc owns gW row
-//     oc and gB[oc] alone, and for a fixed oc the naive kernel visits
-//     contributions in ascending (n,i,j) order, which is exactly this
-//     loop's order. The weight-gradient dot rides the im2col rows
-//     cached by Forward (identical values to the strided gathers,
-//     including the padding zeros).
+// single pass, each preserving the naive accumulation order: the input
+// gradient here, the parameter gradients in backwardParams. dx is
+// parallel over samples — a sample's dx rows are touched by no other
+// sample, and within one sample the loops below are the naive loops
+// verbatim.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if c.lastX == nil {
 		panic("minidnn: conv Backward before Forward")
@@ -133,9 +176,12 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	batch := c.lastX.Shape[0]
 	oh, ow := c.OutH(), c.OutW()
 	rf := c.InC * c.K * c.K
+	inLen := c.InC * c.InH * c.InW
 	flops := int64(batch) * int64(oh*ow) * int64(rf) * int64(c.OutC)
-	dx := tensor.New(batch, c.InC*c.InH*c.InW)
+	c.dx = tensor.Reuse(c.dx, batch, inLen)
+	dx := c.dx
 	tensor.ParallelRows(batch, flops, func(nLo, nHi int) {
+		clear(dx.Data[nLo*inLen : nHi*inLen])
 		for n := nLo; n < nHi; n++ {
 			for oc := 0; oc < c.OutC; oc++ {
 				for i := 0; i < oh; i++ {
@@ -165,27 +211,63 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	})
+	c.backwardParams(grad)
+	return dx
+}
+
+// backwardParams implements paramGrader: gW and gB only, the whole
+// backward pass of a first layer. It is parallel over output channels —
+// channel oc owns gW row oc and gB[oc] alone, and for a fixed oc the
+// naive kernel visits contributions in ascending (n,i,j) order,
+// skipping zero gradients, which is exactly the order of the two loops
+// below. The weight gradient rides the im2col rows cached by Forward
+// (identical values to the strided gathers, including the padding
+// zeros): per sample it is gW[oc] += Σ g(n,oc,i,j)·cols[(n,i,j)], the
+// zero-skipping row accumulation of tensor.AccumRows.
+func (c *Conv2D) backwardParams(grad *tensor.Tensor) {
+	if c.lastX == nil {
+		panic("minidnn: conv Backward before Forward")
+	}
+	batch := c.lastX.Shape[0]
+	hw := c.OutH() * c.OutW()
+	rf := c.InC * c.K * c.K
+	flops := int64(batch) * int64(hw) * int64(rf) * int64(c.OutC)
 	tensor.ParallelRows(c.OutC, flops, func(ocLo, ocHi int) {
 		for oc := ocLo; oc < ocHi; oc++ {
 			gw := c.gW.Data[oc*rf : (oc+1)*rf]
+			gb := c.gB.Data[oc]
 			for n := 0; n < batch; n++ {
-				for i := 0; i < oh; i++ {
-					for j := 0; j < ow; j++ {
-						g := grad.Data[(n*c.OutC+oc)*oh*ow+i*ow+j]
-						if g == 0 {
-							continue
-						}
-						c.gB.Data[oc] += g
-						row := c.cols[((n*oh+i)*ow+j)*rf : ((n*oh+i)*ow+j+1)*rf]
-						for p, v := range row {
-							gw[p] += g * v
-						}
-					}
-				}
+				plane := grad.Data[(n*c.OutC+oc)*hw:][:hw]
+				gb = sumNonZero(gb, plane)
+				tensor.AccumRows(gw, plane, 1, c.cols[n*hw*rf:(n+1)*hw*rf])
 			}
+			c.gB.Data[oc] = gb
 		}
 	})
-	return dx
+}
+
+// sumNonZero returns sum advanced by the non-zero elements of g, one
+// add at a time in order. The elements are compacted first — an
+// unconditional store, only the count depends on the value — because a
+// post-ReLU gradient is zero or not at the toss of a coin, which a
+// branch around the add would mispredict.
+func sumNonZero(sum float32, g []float32) float32 {
+	var nz [256]float32
+	for len(g) > 0 {
+		chunk := g[:min(len(g), len(nz))]
+		g = g[len(chunk):]
+		cnt := 0
+		for _, v := range chunk {
+			nz[cnt&(len(nz)-1)] = v
+			if v != 0 {
+				cnt++
+			}
+		}
+		for _, v := range nz[:cnt] {
+			sum += v
+		}
+	}
+	return sum
 }
 
 // forwardNaive and backwardNaive are the original direct-loop kernels,
@@ -273,7 +355,8 @@ type MaxPool2D struct {
 	C, InH, InW, K int
 
 	lastX   *tensor.Tensor
-	argmaxI []int // flat input index chosen per output element
+	argmax  []int32        // flat input index chosen per output element; reused
+	out, dx *tensor.Tensor // reused buffers
 }
 
 // NewMaxPool2D builds the layer; the input spatial dims must divide by K.
@@ -288,39 +371,48 @@ func NewMaxPool2D(c, inH, inW, k int) *MaxPool2D {
 func (p *MaxPool2D) OutH() int { return p.InH / p.K }
 func (p *MaxPool2D) OutW() int { return p.InW / p.K }
 
-// Forward implements Layer.
+// Forward implements Layer. A window's maximum is the first tap (in
+// ki,kj order) that no later tap exceeds: the running maximum starts at
+// the first tap and moves only on a strict `>`, so ties keep the
+// earliest tap, and a window of NaNs or of -Inf — a diverged activation
+// — still has an argmax inside the window (its first tap) instead of
+// none. The move is a masked select of index and value bits on the
+// comparison's 0/1 outcome, not a branch: which of two activations is
+// larger is a coin toss to a branch predictor.
 func (p *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if x.Dims() != 2 || x.Shape[1] != p.C*p.InH*p.InW {
 		panic(fmt.Sprintf("minidnn: pool input shape %v, want (*,%d)", x.Shape, p.C*p.InH*p.InW))
 	}
 	p.lastX = x
-	batch := x.Shape[0]
 	oh, ow := p.OutH(), p.OutW()
-	out := tensor.New(batch, p.C*oh*ow)
-	p.argmaxI = make([]int, out.Len())
-	for n := 0; n < batch; n++ {
-		for ch := 0; ch < p.C; ch++ {
-			for i := 0; i < oh; i++ {
-				for j := 0; j < ow; j++ {
-					best := float32(math.Inf(-1))
-					bestIdx := -1
-					for ki := 0; ki < p.K; ki++ {
-						for kj := 0; kj < p.K; kj++ {
-							idx := ((n*p.C+ch)*p.InH+i*p.K+ki)*p.InW + j*p.K + kj
-							if v := x.Data[idx]; v > best {
-								best = v
-								bestIdx = idx
-							}
+	planes := x.Shape[0] * p.C
+	p.out = tensor.Reuse(p.out, x.Shape[0], p.C*oh*ow)
+	p.argmax = grow(p.argmax, p.out.Len())
+	in, k, inW := x.Data, p.K, p.InW
+	oIdx := 0
+	for pl := 0; pl < planes; pl++ {
+		for i := 0; i < oh; i++ {
+			for j := 0; j < ow; j++ {
+				first := (pl*p.InH+i*k)*inW + j*k
+				best, bestBits := first, math.Float32bits(in[first])
+				for ki := 0; ki < k; ki++ {
+					rowIdx := first + ki*inW
+					for kj, v := range in[rowIdx : rowIdx+k] {
+						gt := 0
+						if v > math.Float32frombits(bestBits) {
+							gt = 1
 						}
+						best += (rowIdx + kj - best) & -gt
+						bestBits ^= (bestBits ^ math.Float32bits(v)) & uint32(-gt)
 					}
-					oIdx := (n*p.C+ch)*oh*ow + i*ow + j
-					out.Data[oIdx] = best
-					p.argmaxI[oIdx] = bestIdx
 				}
+				p.out.Data[oIdx] = math.Float32frombits(bestBits)
+				p.argmax[oIdx] = int32(best)
+				oIdx++
 			}
 		}
 	}
-	return out
+	return p.out
 }
 
 // Backward implements Layer: the gradient routes to each window's argmax.
@@ -328,11 +420,12 @@ func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if p.lastX == nil {
 		panic("minidnn: pool Backward before Forward")
 	}
-	dx := tensor.New(p.lastX.Shape...)
-	for oIdx, inIdx := range p.argmaxI {
-		dx.Data[inIdx] += grad.Data[oIdx]
+	p.dx = tensor.Reuse(p.dx, p.lastX.Shape...)
+	clear(p.dx.Data)
+	for oIdx, inIdx := range p.argmax {
+		p.dx.Data[inIdx] += grad.Data[oIdx]
 	}
-	return dx
+	return p.dx
 }
 
 // Params implements Layer.

@@ -1,0 +1,356 @@
+package minidnn
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"fela/internal/tensor"
+)
+
+// wantBits fails unless got and want hold the same bit patterns — signed
+// zeros, denormals and infinities exactly, a NaN exactly where the
+// reference has one (which NaN is the compiler's choice of destination
+// register; see the helper of the same name in internal/tensor).
+func wantBits(t *testing.T, what string, got, want *tensor.Tensor) {
+	t.Helper()
+	if fmt.Sprint(got.Shape) != fmt.Sprint(want.Shape) {
+		t.Fatalf("%s: shape %v, want %v", what, got.Shape, want.Shape)
+	}
+	for i, w := range want.Data {
+		g := got.Data[i]
+		if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
+			t.Fatalf("%s: element %d is %v (%#08x), want %v (%#08x)",
+				what, i, g, math.Float32bits(g), w, math.Float32bits(w))
+		}
+	}
+}
+
+func wantAllBits(t *testing.T, what string, got, want []*tensor.Tensor) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d tensors, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		wantBits(t, fmt.Sprintf("%s[%d]", what, i), got[i], want[i])
+	}
+}
+
+var (
+	negZero = math.Float32frombits(0x80000000)
+	denorm  = math.Float32frombits(1)
+	negInf  = float32(math.Inf(-1))
+	nan     = float32(math.NaN())
+)
+
+// salted returns normal values with about a quarter replaced by ±0 and
+// denormals (which keep results finite, so every output element tests
+// them) and `wild` entries by ±Inf or NaN. Zeros make up an eighth: the
+// gradient kernels skip them.
+func salted(rng *rand.Rand, wild int, rows, cols int) *tensor.Tensor {
+	t := tensor.New(rows, cols).Randn(rng, 1)
+	special := []float32{0, 0, negZero, negZero, denorm, -denorm}
+	for i := range t.Data {
+		if rng.Intn(4) == 0 {
+			t.Data[i] = special[rng.Intn(len(special))]
+		}
+	}
+	for ; wild > 0; wild-- {
+		t.Data[rng.Intn(len(t.Data))] = []float32{-negInf, negInf, nan}[rng.Intn(3)]
+	}
+	return t
+}
+
+// checkConv compares Forward, Backward and the parameter-only backward
+// of one geometry against the naive loops, bit pattern for bit pattern.
+// The gradients start from a non-zero gW/gB: the kernels accumulate onto
+// what is there.
+func checkConv(t *testing.T, name string, rng *rand.Rand, wild, batch, inC, outC, k, pad, h, w int) {
+	t.Helper()
+	newLayer := func() *Conv2D {
+		c := NewConv2D(rand.New(rand.NewSource(9)), inC, outC, k, pad, h, w)
+		c.B.Randn(rand.New(rand.NewSource(10)), 1)
+		c.gW.Randn(rand.New(rand.NewSource(11)), 1)
+		c.gB.Randn(rand.New(rand.NewSource(12)), 1)
+		return c
+	}
+	x := salted(rng, wild, batch, inC*h*w)
+	ref := newLayer()
+	wantOut := ref.forwardNaive(x)
+	grad := salted(rng, wild, batch, wantOut.Shape[1])
+	wantDx := ref.backwardNaive(grad)
+
+	full := newLayer()
+	wantBits(t, name+" Forward", full.Forward(x), wantOut)
+	wantBits(t, name+" Backward dx", full.Backward(grad), wantDx)
+	wantBits(t, name+" Backward gW", full.gW, ref.gW)
+	wantBits(t, name+" Backward gB", full.gB, ref.gB)
+
+	params := newLayer()
+	params.Forward(x)
+	params.backwardParams(grad)
+	wantBits(t, name+" backwardParams gW", params.gW, ref.gW)
+	wantBits(t, name+" backwardParams gB", params.gB, ref.gB)
+}
+
+// TestConvBitPatterns covers what TestConvParallelBitIdentical's one
+// geometry does not: output-channel counts around the 4-wide tile of
+// the forward pass, windows that hang over (or miss) the image on every
+// side, planes longer than sumNonZero's chunk, operands salted with ±0,
+// denormals, ±Inf and NaN — and, sized to clear the parallel cutoff,
+// fan-out 1, 2 and 8 for every channel count.
+func TestConvBitPatterns(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	geoms := []struct{ inC, k, pad, h, w int }{
+		{3, 3, 1, 7, 6},   // the CNN's geometry
+		{2, 5, 2, 6, 9},   // two taps of padding
+		{1, 2, 0, 5, 5},   // no padding, even kernel
+		{2, 3, 3, 4, 5},   // pad ≥ k: windows that miss the image
+		{1, 3, 1, 1, 1},   // kernel wider than the image
+		{1, 1, 0, 20, 20}, // 400-pixel planes: two sumNonZero chunks
+	}
+	for _, g := range geoms {
+		for _, outC := range []int{1, 3, 4, 5, 11} {
+			for _, wild := range []int{0, 3} {
+				name := fmt.Sprintf("c%dk%dp%d_%dx%d/outC%d/wild%d", g.inC, g.k, g.pad, g.h, g.w, outC, wild)
+				checkConv(t, name, rng, wild, 3, g.inC, outC, g.k, g.pad, g.h, g.w)
+			}
+		}
+	}
+	t.Cleanup(func() { tensor.SetParallelism(0) })
+	for _, par := range []int{1, 2, 8} {
+		tensor.SetParallelism(par)
+		for _, outC := range []int{1, 3, 4, 5, 11} {
+			// 15×17 output pixels × 27 taps per sample: enough samples
+			// that batch·hw·rf·outC clears the 2²⁰-MAC parallel cutoff.
+			batch := (1<<20)/(15*17*27*outC) + 2
+			checkConv(t, fmt.Sprintf("par%d/outC%d", par, outC), rng, 2, batch, 3, outC, 3, 1, 15, 17)
+		}
+	}
+}
+
+// TestConvZeroGradientIsSkippedNotAdded: a zero output gradient adds
+// nothing — not even +0, which would turn a -0 accumulator into +0. The
+// one way to see the difference is to start gW and gB at -0.
+func TestConvZeroGradientIsSkippedNotAdded(t *testing.T) {
+	c := NewConv2D(rand.New(rand.NewSource(1)), 1, 5, 3, 1, 4, 4)
+	for _, g := range c.Grads() {
+		for i := range g.Data {
+			g.Data[i] = negZero
+		}
+	}
+	out := c.Forward(tensor.New(2, 16).Randn(rand.New(rand.NewSource(2)), 1))
+	grad := tensor.New(out.Shape...)
+	for i := range grad.Data {
+		if i%3 == 0 {
+			grad.Data[i] = negZero
+		}
+	}
+	c.Backward(grad)
+	for _, g := range c.Grads() {
+		for i, v := range g.Data {
+			if math.Float32bits(v) != math.Float32bits(negZero) {
+				t.Fatalf("gradient element %d is %v (%#08x) after an all-zero backward pass, want -0", i, v, math.Float32bits(v))
+			}
+		}
+	}
+}
+
+// poolNaive is the max-pool loop as it was before the first-tap seed: a
+// -Inf running maximum that a tap replaces on a strict `>`. On windows
+// that hold anything above -Inf in a place a NaN does not precede, the
+// two agree — the new kernel must pick the same earliest maximum.
+func poolNaive(p *MaxPool2D, x *tensor.Tensor) (out *tensor.Tensor, argmax []int32) {
+	oh, ow := p.OutH(), p.OutW()
+	out = tensor.New(x.Shape[0], p.C*oh*ow)
+	for pl := 0; pl < x.Shape[0]*p.C; pl++ {
+		for i := 0; i < oh; i++ {
+			for j := 0; j < ow; j++ {
+				best, bestIdx := negInf, -1
+				for ki := 0; ki < p.K; ki++ {
+					for kj := 0; kj < p.K; kj++ {
+						idx := (pl*p.InH+i*p.K+ki)*p.InW + j*p.K + kj
+						if v := x.Data[idx]; v > best {
+							best, bestIdx = v, idx
+						}
+					}
+				}
+				out.Data[len(argmax)] = best
+				argmax = append(argmax, int32(bestIdx))
+			}
+		}
+	}
+	return out, argmax
+}
+
+// TestMaxPoolDivergedWindow: a window that is all -Inf or all NaN used
+// to leave argmax at -1 (nothing is `>` the -Inf seed) and Backward
+// then indexed dx[-1]. Seeded from its first tap, such a window routes
+// its gradient to that tap and the divergence shows in the loss instead
+// of as a crash; a NaN in first place holds it, a later NaN never wins.
+func TestMaxPoolDivergedWindow(t *testing.T) {
+	p := NewMaxPool2D(1, 4, 4, 2)
+	x := tensor.FromSlice([]float32{
+		negInf, negInf, nan, nan,
+		negInf, negInf, nan, nan,
+		nan, 5, 1, nan,
+		7, 9, 3, 2,
+	}, 1, 16)
+	out := p.Forward(x)
+	wantArg := []int32{0, 2, 8, 14}
+	for o, want := range wantArg {
+		if p.argmax[o] != want {
+			t.Errorf("window %d: argmax %d, want %d", o, p.argmax[o], want)
+		}
+	}
+	if out.Data[0] != negInf || out.Data[1] == out.Data[1] || out.Data[2] == out.Data[2] || out.Data[3] != 3 {
+		t.Errorf("pooled values %v, want [-Inf NaN NaN 3]", out.Data)
+	}
+	dx := p.Backward(tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 4))
+	for o, in := range wantArg {
+		if dx.Data[in] != float32(o+1) {
+			t.Errorf("gradient of window %d not at input %d: %v", o, in, dx.Data)
+		}
+	}
+}
+
+// TestMaxPoolEarliestMaximum: on ordinary windows — ties, ReLU zeros,
+// signed zeros included — the branch-free select picks the tap the
+// branching loop picks, for square windows of several sizes.
+func TestMaxPoolEarliestMaximum(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for _, k := range []int{1, 2, 3} {
+		p := NewMaxPool2D(3, 6*k, 4*k, k)
+		x := tensor.New(5, 3*6*k*4*k)
+		for i := range x.Data {
+			// Small integers tie often; half are clipped to ±0 as a
+			// ReLU would.
+			if v := float32(rng.Intn(7) - 3); v > 0 {
+				x.Data[i] = v
+			} else if rng.Intn(2) == 0 {
+				x.Data[i] = negZero
+			}
+		}
+		wantOut, wantArg := poolNaive(p, x)
+		wantBits(t, fmt.Sprintf("k%d out", k), p.Forward(x), wantOut)
+		for o, want := range wantArg {
+			if p.argmax[o] != want {
+				t.Fatalf("k%d window %d: argmax %d, want %d", k, o, p.argmax[o], want)
+			}
+		}
+	}
+}
+
+// netCases are the two network families at sizes whose kernels cross
+// the 4-wide tiles with a tail (5 filters, 7 hidden units, 3 classes).
+type netCase struct {
+	name string
+	net  func() *Network
+	ds   *Dataset
+}
+
+func netCases() []netCase {
+	return []netCase{
+		{"mlp", func() *Network { return NewMLP(5, 10, 7, 3) }, SyntheticBlobs(6, 40, 10, 3)},
+		{"cnn", func() *Network { return NewCNN(5, 2, 6, 6, 5, 7, 3) }, SyntheticImages(6, 40, 2, 6, 6, 3)},
+	}
+}
+
+// TestLossSkipsOnlyTheInputGradient: Loss asks layer 0 for parameter
+// gradients alone; the gradients it leaves must be bit-identical to a
+// full Backward chain over every layer, and Backward called directly
+// must still return the input gradient.
+func TestLossSkipsOnlyTheInputGradient(t *testing.T) {
+	for _, tc := range netCases() {
+		x, labels := tc.ds.Batch(0, 16)
+		a := tc.net()
+		lossA := a.Loss(x, labels)
+
+		b := tc.net()
+		logits := b.Forward(x)
+		lossB, grad := tensor.SoftmaxCrossEntropy(logits, labels)
+		for i := len(b.Layers) - 1; i >= 0; i-- {
+			grad = b.Layers[i].Backward(grad)
+		}
+		if lossA != lossB {
+			t.Errorf("%s: loss %v with the skip, %v without", tc.name, lossA, lossB)
+		}
+		wantAllBits(t, tc.name+" grads", a.Grads(), b.Grads())
+		if grad.Shape[0] != 16 || grad.Shape[1] != x.Shape[1] {
+			t.Errorf("%s: input gradient shape %v", tc.name, grad.Shape)
+		}
+		if _, ok := a.Layers[0].(paramGrader); !ok {
+			t.Errorf("%s: layer 0 does not implement the skip", tc.name)
+		}
+	}
+}
+
+// TestLayerBuffersCarryNothingOver: the layers' grow-only buffers are
+// reshaped, never reallocated, when the batch shrinks, and an Accuracy
+// pass over the whole dataset leaves them larger than any token needs.
+// Whatever ran before, a token's gradients must be those of a fresh
+// network.
+func TestLayerBuffersCarryNothingOver(t *testing.T) {
+	for _, tc := range netCases() {
+		fresh := func(lo, hi int) (float64, []*tensor.Tensor) {
+			n := tc.net()
+			x, labels := tc.ds.Batch(lo, hi)
+			return n.Loss(x, labels), n.Grads()
+		}
+		used := tc.net()
+		step := func(lo, hi int) {
+			t.Helper()
+			x, labels := tc.ds.Batch(lo, hi)
+			used.ZeroGrads()
+			loss := used.Loss(x, labels)
+			wantLoss, want := fresh(lo, hi)
+			if loss != wantLoss {
+				t.Errorf("%s rows [%d,%d): loss %v, fresh network %v", tc.name, lo, hi, loss, wantLoss)
+			}
+			wantAllBits(t, fmt.Sprintf("%s rows [%d,%d)", tc.name, lo, hi), used.Grads(), want)
+		}
+		step(0, 16)
+		step(16, 20)
+		if acc, want := used.Accuracy(tc.ds.X, tc.ds.Labels), tc.net().Accuracy(tc.ds.X, tc.ds.Labels); acc != want {
+			t.Errorf("%s: accuracy %v on used buffers, %v fresh", tc.name, acc, want)
+		}
+		step(20, 36)
+		step(39, 40)
+	}
+}
+
+// TestNetworksRunConcurrently: a Network is single-goroutine, but two
+// of them share nothing except the tensor kernel pool. Run under -race
+// (make kernels); the CNN is train-compute's, whose kernels fan out.
+func TestNetworksRunConcurrently(t *testing.T) {
+	ds := SyntheticImages(2, 32, 3, 32, 32, 10)
+	newNet := func() *Network { return NewCNN(1, 3, 32, 32, 16, 64, 10) }
+	want := make([][]*tensor.Tensor, 2)
+	for g := range want {
+		n := newNet()
+		x, labels := ds.Batch(16*g, 16*g+16)
+		n.Loss(x, labels)
+		want[g] = n.Grads()
+	}
+	var wg sync.WaitGroup
+	got := make([][]*tensor.Tensor, 2)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			n := newNet()
+			x, labels := ds.Batch(16*g, 16*g+16)
+			for rep := 0; rep < 3; rep++ {
+				n.ZeroGrads()
+				n.Loss(x, labels)
+			}
+			got[g] = n.Grads()
+		}()
+	}
+	wg.Wait()
+	for g := range want {
+		wantAllBits(t, fmt.Sprintf("network %d", g), got[g], want[g])
+	}
+}

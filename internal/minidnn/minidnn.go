@@ -21,6 +21,14 @@ import (
 // tensor; Backward consumes the gradient with respect to the output of
 // the most recent Forward and returns the gradient with respect to its
 // input, accumulating parameter gradients internally.
+//
+// Buffer ownership: a layer computes into grow-only buffers it owns
+// (tensor.Reuse), so a token's forward/backward allocates nothing once
+// the buffers have grown to the batch size. The tensor a layer returns
+// is therefore valid until that layer's next Forward or Backward; a
+// caller that needs it longer clones it. A layer keeps a reference to,
+// and never writes, the input of its last Forward. A Network and its
+// layers are single-goroutine; distinct networks may run concurrently.
 type Layer interface {
 	// Forward computes the layer output for the batch.
 	Forward(x *tensor.Tensor) *tensor.Tensor
@@ -36,11 +44,20 @@ type Layer interface {
 	ZeroGrads()
 }
 
+// paramGrader is the optional half of Backward: accumulate the parameter
+// gradients and compute no input gradient. Network.Loss calls it on
+// layer 0, whose input gradient nobody reads.
+type paramGrader interface {
+	backwardParams(grad *tensor.Tensor)
+}
+
 // Dense is a fully connected layer with bias: y = x·W + b.
 type Dense struct {
 	W, B   *tensor.Tensor
 	gW, gB *tensor.Tensor
 	lastX  *tensor.Tensor
+
+	out, dx *tensor.Tensor // reused buffers
 }
 
 // NewDense returns a Dense layer with Xavier-style N(0, 1/in)
@@ -57,7 +74,8 @@ func NewDense(rng *rand.Rand, in, out int) *Dense {
 // Forward implements Layer.
 func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
 	d.lastX = x
-	out := tensor.MatMul(x, d.W)
+	out := tensor.MatMulInto(d.out, x, d.W)
+	d.out = out
 	cols := d.B.Len()
 	for i := 0; i < out.Shape[0]; i++ {
 		for j := 0; j < cols; j++ {
@@ -69,17 +87,23 @@ func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 // Backward implements Layer.
 func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	d.backwardParams(grad)
+	d.dx = tensor.MatMulBTInto(d.dx, grad, d.W)
+	return d.dx
+}
+
+// backwardParams implements paramGrader.
+func (d *Dense) backwardParams(grad *tensor.Tensor) {
 	if d.lastX == nil {
 		panic("minidnn: Backward before Forward")
 	}
-	d.gW.Add(tensor.MatMulAT(d.lastX, grad))
+	tensor.MatMulATAdd(d.gW, d.lastX, grad)
 	cols := d.B.Len()
 	for i := 0; i < grad.Shape[0]; i++ {
 		for j := 0; j < cols; j++ {
 			d.gB.Data[j] += grad.Data[i*cols+j]
 		}
 	}
-	return tensor.MatMulBT(grad, d.W)
 }
 
 // Params implements Layer.
@@ -97,12 +121,14 @@ func (d *Dense) ZeroGrads() {
 // ReLU is a parameter-free rectifier layer.
 type ReLU struct {
 	lastX *tensor.Tensor
+	out   *tensor.Tensor // reused buffer: the output, then its input gradient
 }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 	r.lastX = x
-	return tensor.ReLU(x)
+	r.out = tensor.ReLUInto(r.out, x)
+	return r.out
 }
 
 // Backward implements Layer.
@@ -110,7 +136,11 @@ func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if r.lastX == nil {
 		panic("minidnn: Backward before Forward")
 	}
-	return tensor.ReLUGrad(r.lastX, grad)
+	// The output of the last Forward has had its one reader by now (the
+	// next layer's Backward ran first), so its buffer takes the input
+	// gradient: same shape, and one activation-sized buffer less.
+	r.out = tensor.ReLUGradInto(r.out, r.lastX, grad)
+	return r.out
 }
 
 // Params implements Layer.
@@ -154,12 +184,20 @@ func (n *Network) Forward(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Loss computes mean cross-entropy and backpropagates, accumulating
-// parameter gradients. It returns the loss.
+// parameter gradients. It returns the loss. The gradient with respect
+// to the network input has no reader, so layer 0 is asked for its
+// parameter gradients only when it can tell the two apart (paramGrader):
+// the same gW/gB, without the input-gradient kernel.
 func (n *Network) Loss(x *tensor.Tensor, labels []int) float64 {
 	logits := n.Forward(x)
 	loss, grad := tensor.SoftmaxCrossEntropy(logits, labels)
 	for i := len(n.Layers) - 1; i >= 0; i-- {
-		grad = n.Layers[i].Backward(grad)
+		l := n.Layers[i]
+		if pg, ok := l.(paramGrader); ok && i == 0 {
+			pg.backwardParams(grad)
+		} else {
+			grad = l.Backward(grad)
+		}
 	}
 	return loss
 }
@@ -287,9 +325,12 @@ func SyntheticBlobs(seed int64, n, dim, k int) *Dataset {
 	return &Dataset{X: x, Labels: labels}
 }
 
-// Batch returns rows [lo, hi) of the dataset.
+// Batch returns rows [lo, hi) of the dataset as a view: the tensor
+// shares the dataset's storage (a token's forward/backward only reads
+// it) and must not be written.
 func (d *Dataset) Batch(lo, hi int) (*tensor.Tensor, []int) {
-	return d.X.Rows(lo, hi), d.Labels[lo:hi]
+	cols := d.X.Shape[1]
+	return tensor.FromSlice(d.X.Data[lo*cols:hi*cols], hi-lo, cols), d.Labels[lo:hi]
 }
 
 // Len returns the number of samples.

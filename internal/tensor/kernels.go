@@ -1,0 +1,146 @@
+package tensor
+
+import "math"
+
+// This file holds the register-tile primitives under the matmul and
+// convolution kernels, and the branch-free elementwise kernels. A tile
+// changes how many output elements are in flight at once, never the
+// sequence of additions any one of them sees: a float32 add has a
+// latency of several cycles, so a loop that feeds one accumulator runs
+// at one add per latency, while four independent accumulators (Dot4) or
+// one accumulator per output column carried through four products
+// (AccumRows) keep the adder busy.
+
+// Dot4 advances four running sums by the dot products of x with four
+// rows of w — row t is w[t·stride : t·stride+len(x)] — and returns them.
+// Sum t takes x[p]·row_t[p] for p = 0, 1, … one add at a time, exactly
+// the chain a scalar loop over that row alone would run from the same
+// seed; the four chains only share the load of x[p].
+func Dot4(x, w []float32, stride int, s0, s1, s2, s3 float32) (float32, float32, float32, float32) {
+	k := len(x)
+	w0 := w[:k]
+	w1 := w[stride:][:k]
+	w2 := w[2*stride:][:k]
+	w3 := w[3*stride:][:k]
+	for p, xv := range x {
+		s0 += xv * w0[p]
+		s1 += xv * w1[p]
+		s2 += xv * w2[p]
+		s3 += xv * w3[p]
+	}
+	return s0, s1, s2, s3
+}
+
+// AccumRows adds Σ_p a[p·as] · b[p·n : (p+1)·n] into c, for n = len(c)
+// and p over the len(b)/n rows of b. Every c[j] takes its products one
+// add at a time in ascending p, and a product whose multiplier a[p·as]
+// is zero is never added — the arithmetic of the naive axpy loop with
+// its zero-skip. What changes is the memory traffic and the branches:
+// the non-zero multipliers of a chunk are first compacted into a list
+// (the store is unconditional and only the list length depends on the
+// value, so there is no branch for a ReLU-sparse operand to mispredict),
+// then taken four at a time, in order, with c[j] held in a register
+// across the four adds instead of stored and reloaded after each.
+func AccumRows(c, a []float32, as int, b []float32) {
+	n := len(c)
+	np := len(b) / n
+	// Up to three multipliers left over from one chunk are carried into
+	// the next, so only the last chunk's remainder goes one at a time.
+	var (
+		av  [accumChunk + 3]float32 // non-zero multipliers, ascending p
+		row [accumChunk + 3]int     // their rows' offsets in b
+		cnt int
+	)
+	for p0 := 0; p0 < np; p0 += accumChunk {
+		for p := p0; p < min(p0+accumChunk, np); p++ {
+			v := a[p*as]
+			av[cnt], row[cnt] = v, p*n
+			if v != 0 {
+				cnt++
+			}
+		}
+		t := 0
+		for ; t+4 <= cnt; t += 4 {
+			axpy4(c, b[row[t]:], b[row[t+1]:], b[row[t+2]:], b[row[t+3]:], av[t], av[t+1], av[t+2], av[t+3])
+		}
+		for r := t; r < cnt; r++ {
+			av[r-t], row[r-t] = av[r], row[r]
+		}
+		cnt -= t
+	}
+	for t := 0; t < cnt; t++ {
+		axpy1(c, b[row[t]:], av[t])
+	}
+}
+
+// accumChunk is how many multipliers AccumRows compacts at a time: large
+// enough to amortize the pass, small enough that zeroing the two
+// on-stack lists costs a sub-cutoff matmul nothing it would notice.
+const accumChunk = 16
+
+func axpy4(c, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
+	b0, b1, b2, b3 = b0[:len(c)], b1[:len(c)], b2[:len(c)], b3[:len(c)]
+	for j, s := range c {
+		s += a0 * b0[j]
+		s += a1 * b1[j]
+		s += a2 * b2[j]
+		s += a3 * b3[j]
+		c[j] = s
+	}
+}
+
+func axpy1(c, b []float32, a float32) {
+	b = b[:len(c)]
+	for j := range c {
+		c[j] += a * b[j]
+	}
+}
+
+// ReLUInto writes max(0, x) element-wise into dst (see Reuse) and
+// returns it: dst[i] is 0 where x[i] < 0 and x[i] otherwise.
+//
+// The comparison is done on the bit patterns so the loop has no
+// data-dependent branch (activations are negative about half the time,
+// which a branch predictor cannot learn). x < 0 holds exactly for the
+// patterns 0x80000001 … 0xff800000: sign set, not -0, not a NaN. -0 and
+// NaNs of either sign pass through unchanged, as `x < 0` being false
+// lets them.
+func ReLUInto(dst, x *Tensor) *Tensor {
+	out := Reuse(dst, x.Shape...)
+	o := out.Data[:len(x.Data)]
+	for i, v := range x.Data {
+		b := math.Float32bits(v)
+		o[i] = math.Float32frombits(b & keepUnless(isNegative(b)))
+	}
+	return out
+}
+
+// ReLUGradInto writes the upstream gradient masked by the forward
+// input's sign into dst (see Reuse) and returns it: dst[i] is 0 where
+// x[i] <= 0 and grad[i] otherwise. Branch-free like ReLUInto; x <= 0
+// adds the two zeros to the x < 0 patterns, and a NaN input still lets
+// the gradient through.
+func ReLUGradInto(dst, x, grad *Tensor) *Tensor {
+	if x.Len() != grad.Len() {
+		panic("tensor: ReLUGrad size mismatch")
+	}
+	out := Reuse(dst, grad.Shape...)
+	g, o := grad.Data[:len(x.Data)], out.Data[:len(x.Data)]
+	for i, v := range x.Data {
+		b := math.Float32bits(v)
+		zero := (uint64(b&0x7fffffff) - 1) >> 63 // 1 for ±0
+		o[i] = math.Float32frombits(math.Float32bits(g[i]) & keepUnless(isNegative(b)|zero))
+	}
+	return out
+}
+
+// isNegative returns 1 when the float32 with bit pattern b compares
+// below zero and 0 otherwise: b - 0x80000001 wraps the negative
+// non-NaN, non-zero patterns onto [0, 0x7f800000).
+func isNegative(b uint32) uint64 {
+	return (uint64(b-0x80000001) - 0x7f800000) >> 63
+}
+
+// keepUnless turns a 0/1 flag into an AND mask: all ones for 0, zero
+// for 1.
+func keepUnless(flag uint64) uint32 { return uint32(flag - 1) }

@@ -110,3 +110,15 @@ func BenchmarkMatMulBTNaive(b *testing.B) {
 		matMulBTNaive(x, y)
 	}
 }
+
+// BenchmarkMatMulSmall is the sub-cutoff matmul of the scheduling
+// workloads (the regression benchmark's tensor.small_matmul_us): at
+// 1024 multiply-accumulates, per-call overhead is what it measures.
+func BenchmarkMatMulSmall(b *testing.B) {
+	rng := rand.New(rand.NewSource(13))
+	x, y := New(2, 16).Randn(rng, 1), New(16, 32).Randn(rng, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		MatMul(x, y)
+	}
+}

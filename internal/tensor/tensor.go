@@ -140,32 +140,64 @@ func (t *Tensor) MaxAbsDiff(x *Tensor) float64 {
 	return m
 }
 
+// Reuse returns a tensor of the given shape whose every element the
+// caller is about to overwrite: t itself, reshaped in place, when its
+// backing array is large enough, and a fresh tensor when t is nil or too
+// small. The contents are unspecified, and reshaping invalidates what t
+// held before — this is the grow-only buffer the …Into kernels and the
+// minidnn layers fill on every call instead of allocating.
+func Reuse(t *Tensor, shape ...int) *Tensor {
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	if t == nil || cap(t.Data) < n || n <= 0 {
+		return New(shape...) // New rejects non-positive dimensions
+	}
+	t.Shape = append(t.Shape[:0], shape...)
+	t.Data = t.Data[:n]
+	return t
+}
+
 // matmulBlock is the cache-tile edge for the blocked matmul kernels: a
 // 64×64 float32 tile is 16 KiB, two of which sit comfortably in a
 // typical 32 KiB L1d.
 const matmulBlock = 64
 
-// The blocked kernels below reorder only the *traversal*, never the
-// per-element arithmetic: for every output element (i,j) the additions
-// still happen in ascending p order, accumulating into a single running
-// value, so results are bitwise identical to the naive kernels (the
-// repo-wide bit-reproducibility guarantee). The naive kernels are kept
-// as unexported references that the correctness tests compare against.
+// The kernels below reorder only the *traversal*, never the per-element
+// arithmetic: every output element is still one running value that
+// takes its products one add at a time in ascending p order, so results
+// are bitwise identical to the naive kernels (the repo-wide
+// bit-reproducibility guarantee). The naive kernels are kept as
+// unexported references that the correctness tests compare against.
+// Three rules keep that true (DESIGN.md §15.1):
 //
-// Each public kernel dispatches through ParallelRows (parallel.go):
-// above the flops cutoff the output rows are split into disjoint bands
-// claimed by pool workers, and the band kernels below run unchanged
-// inside each band. Banding the i dimension never moves an output
-// element between workers, so parallel results are bitwise identical to
-// serial ones too.
+//   - disjoint output rows per goroutine: each public kernel dispatches
+//     through ParallelRows (parallel.go), which splits the output rows
+//     into bands claimed by pool workers; banding never moves an output
+//     element between workers;
+//   - unchanged addition order inside a register tile: Dot4 runs four
+//     dot products side by side and AccumRows carries one output element
+//     through four products before storing it, but each element's own
+//     chain of adds is the naive one (kernels.go);
+//   - zero-skip preserved: a product the naive kernel skips because its
+//     multiplier is zero is never added (x + 0·y is not x for y = ±Inf or
+//     NaN, nor for x = -0).
+//
+// MatMul and MatMulBT have an …Into form that fills a Reuse'd caller
+// buffer, MatMulAT an accumulating one (MatMulATAdd); the plain forms
+// are the same kernels on a fresh tensor.
 
 // MatMul computes C = A·B for A (m×k) and B (k×n).
-func MatMul(a, b *Tensor) *Tensor {
+func MatMul(a, b *Tensor) *Tensor { return MatMulInto(nil, a, b) }
+
+// MatMulInto computes C = A·B into dst (see Reuse) and returns it.
+func MatMulInto(dst, a, b *Tensor) *Tensor {
 	if a.Dims() != 2 || b.Dims() != 2 || a.Shape[1] != b.Shape[0] {
 		panic(fmt.Sprintf("tensor: MatMul shapes %v x %v", a.Shape, b.Shape))
 	}
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
-	c := New(m, n)
+	c := Reuse(dst, m, n)
 	flops := int64(m) * int64(k) * int64(n)
 	ParallelRows(m, flops, func(lo, hi int) { matMulRows(a, b, c, lo, hi) })
 	return c
@@ -175,42 +207,15 @@ func MatMul(a, b *Tensor) *Tensor {
 // traversal: a band of matmulBlock rows of B stays cache-resident while
 // the band's rows of A sweep it, so B is pulled from memory once
 // instead of once per row of A. p ascends across and within blocks, so
-// each (i,j) sees the naive addition order. A single-tile k skips the
-// blocking overhead entirely (the naive row loop, same arithmetic).
+// each (i,j) sees the naive addition order.
 func matMulRows(a, b, c *Tensor, lo, hi int) {
 	k, n := a.Shape[1], b.Shape[1]
-	if k <= matmulBlock {
-		for i := lo; i < hi; i++ {
-			arow := a.Data[i*k : (i+1)*k]
-			crow := c.Data[i*n : (i+1)*n]
-			for p := 0; p < k; p++ {
-				av := arow[p]
-				if av == 0 {
-					continue
-				}
-				brow := b.Data[p*n : (p+1)*n]
-				for j, bv := range brow {
-					crow[j] += av * bv
-				}
-			}
-		}
-		return
-	}
+	clear(c.Data[lo*n : hi*n])
 	for pb := 0; pb < k; pb += matmulBlock {
 		pe := min(pb+matmulBlock, k)
+		bblock := b.Data[pb*n : pe*n]
 		for i := lo; i < hi; i++ {
-			arow := a.Data[i*k : (i+1)*k]
-			crow := c.Data[i*n : (i+1)*n]
-			for p := pb; p < pe; p++ {
-				av := arow[p]
-				if av == 0 {
-					continue
-				}
-				brow := b.Data[p*n : (p+1)*n]
-				for j, bv := range brow {
-					crow[j] += av * bv
-				}
-			}
+			AccumRows(c.Data[i*n:(i+1)*n], a.Data[i*k+pb:i*k+pe], 1, bblock)
 		}
 	}
 }
@@ -237,38 +242,62 @@ func matMulNaive(a, b *Tensor) *Tensor {
 
 // MatMulAT computes C = Aᵀ·B for A (k×m) and B (k×n).
 func MatMulAT(a, b *Tensor) *Tensor {
-	if a.Dims() != 2 || b.Dims() != 2 || a.Shape[0] != b.Shape[0] {
+	if a.Dims() != 2 || b.Dims() != 2 {
 		panic(fmt.Sprintf("tensor: MatMulAT shapes %v x %v", a.Shape, b.Shape))
 	}
-	k, m, n := a.Shape[0], a.Shape[1], b.Shape[1]
-	c := New(m, n)
-	flops := int64(k) * int64(m) * int64(n)
-	ParallelRows(m, flops, func(lo, hi int) { matMulATRows(a, b, c, lo, hi) })
+	// Adding the product to zeros leaves its bits alone: a sum that
+	// starts at +0 is never -0, the one value 0 + x does not preserve.
+	c := New(a.Shape[1], b.Shape[1])
+	MatMulATAdd(c, a, b)
 	return c
 }
 
-// matMulATRows computes rows [lo, hi) of C = Aᵀ·B with the i-blocked
-// traversal: a tile of matmulBlock rows of C stays cache-resident for
-// the entire p sweep instead of the naive kernel's full C re-walk per
-// p. Within a tile p remains the outer loop, so each (i,j) still
-// accumulates in ascending p order.
-func matMulATRows(a, b, c *Tensor, lo, hi int) {
+// MatMulATAdd adds Aᵀ·B to dst (m×n), for A (k×m) and B (k×n). Each
+// product element is first summed on its own, from zero and in
+// ascending p, and then added to dst once — dst + (Σ_p …), the value a
+// caller adding MatMulAT's result to dst would get, not the differently
+// rounded ((dst + …) + …). This is the weight-gradient accumulation of
+// a dense layer, done without a product-sized buffer.
+func MatMulATAdd(dst, a, b *Tensor) {
+	if a.Dims() != 2 || b.Dims() != 2 || dst.Dims() != 2 || a.Shape[0] != b.Shape[0] ||
+		dst.Shape[0] != a.Shape[1] || dst.Shape[1] != b.Shape[1] {
+		panic(fmt.Sprintf("tensor: MatMulAT shapes %v x %v into %v", a.Shape, b.Shape, dst.Shape))
+	}
 	k, m, n := a.Shape[0], a.Shape[1], b.Shape[1]
-	for ib := lo; ib < hi; ib += matmulBlock {
-		ie := min(ib+matmulBlock, hi)
-		for p := 0; p < k; p++ {
-			arow := a.Data[p*m : (p+1)*m]
-			brow := b.Data[p*n : (p+1)*n]
-			for i := ib; i < ie; i++ {
-				av := arow[i]
-				if av == 0 {
-					continue
-				}
-				crow := c.Data[i*n : (i+1)*n]
-				for j, bv := range brow {
-					crow[j] += av * bv
-				}
+	flops := int64(k) * int64(m) * int64(n)
+	ParallelRows(m, flops, func(lo, hi int) { matMulATAddRows(a, b, dst, lo, hi) })
+}
+
+// matMulATAddRows adds rows [lo, hi) of Aᵀ·B to c tile by tile: the
+// products of a few rows are summed in an on-stack scratch tile while
+// blocks of matmulBlock rows of B sweep it — instead of the naive
+// kernel's full re-walk of C per p — and the finished tile is added to
+// c. Row i's multipliers are column i of A (stride m); p ascends across
+// and within blocks, so each (i,j) still accumulates in ascending p
+// order. The tile is 4 KiB: zeroing more than that on entry shows in a
+// sub-cutoff matmul's time, and a row wider than the tile (no model here
+// has one) falls back to a heap row.
+func matMulATAddRows(a, b, c *Tensor, lo, hi int) {
+	k, m, n := a.Shape[0], a.Shape[1], b.Shape[1]
+	var buf [1024]float32
+	tile := buf[:]
+	if n > len(tile) {
+		tile = make([]float32, n)
+	}
+	rows := len(tile) / n
+	for ib := lo; ib < hi; ib += rows {
+		ie := min(ib+rows, hi)
+		prod, crows := tile[:(ie-ib)*n], c.Data[ib*n:ie*n]
+		clear(prod)
+		for pb := 0; pb < k; pb += matmulBlock {
+			pe := min(pb+matmulBlock, k)
+			bblock := b.Data[pb*n : pe*n]
+			for i := range ie - ib {
+				AccumRows(prod[i*n:(i+1)*n], a.Data[pb*m+ib+i:], m, bblock)
 			}
+		}
+		for j, v := range prod {
+			crows[j] += v
 		}
 	}
 }
@@ -294,12 +323,15 @@ func matMulATNaive(a, b *Tensor) *Tensor {
 }
 
 // MatMulBT computes C = A·Bᵀ for A (m×k) and B (n×k).
-func MatMulBT(a, b *Tensor) *Tensor {
+func MatMulBT(a, b *Tensor) *Tensor { return MatMulBTInto(nil, a, b) }
+
+// MatMulBTInto computes C = A·Bᵀ into dst (see Reuse) and returns it.
+func MatMulBTInto(dst, a, b *Tensor) *Tensor {
 	if a.Dims() != 2 || b.Dims() != 2 || a.Shape[1] != b.Shape[1] {
 		panic(fmt.Sprintf("tensor: MatMulBT shapes %v x %v", a.Shape, b.Shape))
 	}
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[0]
-	c := New(m, n)
+	c := Reuse(dst, m, n)
 	flops := int64(m) * int64(k) * int64(n)
 	ParallelRows(m, flops, func(lo, hi int) { matMulBTRows(a, b, c, lo, hi) })
 	return c
@@ -308,32 +340,22 @@ func MatMulBT(a, b *Tensor) *Tensor {
 // matMulBTRows computes rows [lo, hi) of C = A·Bᵀ with the j-blocked
 // traversal: a band of matmulBlock rows of B stays cache-resident while
 // the band's rows of A dot against it, so B is pulled from memory once
-// per band of A rows instead of once per row. Each dot product is still
-// one left-to-right pass over p — the naive addition sequence exactly.
-// A single-tile n skips the blocking.
+// per band of A rows instead of once per row. Inside a band four output
+// columns share each pass over the row of A (Dot4), with a scalar tail;
+// every dot product is still one left-to-right pass over p from a zero
+// sum — the naive addition sequence exactly.
 func matMulBTRows(a, b, c *Tensor, lo, hi int) {
 	k, n := a.Shape[1], b.Shape[0]
-	if n <= matmulBlock {
-		for i := lo; i < hi; i++ {
-			arow := a.Data[i*k : (i+1)*k]
-			crow := c.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				brow := b.Data[j*k : (j+1)*k]
-				var sum float32
-				for p, av := range arow {
-					sum += av * brow[p]
-				}
-				crow[j] = sum
-			}
-		}
-		return
-	}
 	for jb := 0; jb < n; jb += matmulBlock {
 		je := min(jb+matmulBlock, n)
 		for i := lo; i < hi; i++ {
 			arow := a.Data[i*k : (i+1)*k]
 			crow := c.Data[i*n : (i+1)*n]
-			for j := jb; j < je; j++ {
+			j := jb
+			for ; j+4 <= je; j += 4 {
+				crow[j], crow[j+1], crow[j+2], crow[j+3] = Dot4(arow, b.Data[j*k:], k, 0, 0, 0, 0)
+			}
+			for ; j < je; j++ {
 				brow := b.Data[j*k : (j+1)*k]
 				var sum float32
 				for p, av := range arow {
@@ -364,29 +386,10 @@ func matMulBTNaive(a, b *Tensor) *Tensor {
 }
 
 // ReLU applies max(0, x) element-wise, returning a new tensor.
-func ReLU(x *Tensor) *Tensor {
-	out := x.Clone()
-	for i, v := range out.Data {
-		if v < 0 {
-			out.Data[i] = 0
-		}
-	}
-	return out
-}
+func ReLU(x *Tensor) *Tensor { return ReLUInto(nil, x) }
 
 // ReLUGrad masks the upstream gradient by the forward input's sign.
-func ReLUGrad(x, grad *Tensor) *Tensor {
-	if x.Len() != grad.Len() {
-		panic("tensor: ReLUGrad size mismatch")
-	}
-	out := grad.Clone()
-	for i := range out.Data {
-		if x.Data[i] <= 0 {
-			out.Data[i] = 0
-		}
-	}
-	return out
-}
+func ReLUGrad(x, grad *Tensor) *Tensor { return ReLUGradInto(nil, x, grad) }
 
 // SoftmaxCrossEntropy computes the mean cross-entropy loss of logits
 // (batch×classes) against integer labels, and the gradient with respect
@@ -397,6 +400,7 @@ func SoftmaxCrossEntropy(logits *Tensor, labels []int) (loss float64, grad *Tens
 	}
 	batch, classes := logits.Shape[0], logits.Shape[1]
 	grad = New(batch, classes)
+	exps := make([]float64, classes)
 	for i := 0; i < batch; i++ {
 		row := logits.Data[i*classes : (i+1)*classes]
 		max := row[0]
@@ -406,7 +410,6 @@ func SoftmaxCrossEntropy(logits *Tensor, labels []int) (loss float64, grad *Tens
 			}
 		}
 		var sum float64
-		exps := make([]float64, classes)
 		for j, v := range row {
 			exps[j] = math.Exp(float64(v - max))
 			sum += exps[j]
