@@ -44,13 +44,15 @@ jobs:
 	$(GO) test ./cmd/felaserver/ -race -run TestServerJobsMode -v
 	$(GO) test ./examples/multijob/ -race -count=1
 
-# fuzz runs each wire-codec fuzz target for a short budget on top of the
-# committed corpus (which plain `go test` already replays).
+# fuzz runs each wire-codec fuzz target, and the top-k selection against
+# its sort-based reference, for a short budget on top of the committed
+# corpus (which plain `go test` already replays).
 fuzz:
 	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzWireDecode -fuzztime 10s
 	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzWireRoundTrip -fuzztime 10s
 	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzBinaryDecode -fuzztime 10s
 	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzBinaryRoundTrip -fuzztime 10s
+	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzTopKSelect -fuzztime 10s
 
 # bench smoke-runs the hot-path benchmarks (wire codecs, matmul and
 # elementwise kernels, a token's forward/backward at the train-compute

@@ -1,7 +1,9 @@
 package rt
 
 import (
+	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,6 +16,26 @@ import (
 // coordinator and worker configs and returns the result plus the
 // coordinator-side registry.
 func runTCPSession(t *testing.T, coCfg, wCfg Config, seed func() *minidnn.Network, ds *minidnn.Dataset) (*Result, *obs.Registry) {
+	t.Helper()
+	res, reg, workerErrs, err := runFaultyTCPSession(t, coCfg, wCfg, seed, ds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range workerErrs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return res, reg
+}
+
+// runFaultyTCPSession is runTCPSession for sessions scripted to go
+// wrong: wrap, when set, sits between each worker and its socket (a
+// transport.FaultConn script), and the coordinator's and every worker's
+// outcome is returned rather than asserted — a killed worker, or a
+// coordinator whose checkpoint hook fails, ends in an error by design.
+func runFaultyTCPSession(t *testing.T, coCfg, wCfg Config, seed func() *minidnn.Network, ds *minidnn.Dataset,
+	wrap func(wid int, c transport.Conn) transport.Conn) (*Result, *obs.Registry, []error, error) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	coCfg.Metrics = reg
@@ -48,6 +70,9 @@ func runTCPSession(t *testing.T, coCfg, wCfg Config, seed func() *minidnn.Networ
 				return
 			}
 			defer c.Close()
+			if wrap != nil {
+				c = wrap(wid, c)
+			}
 			workerErrs <- NewWorker(wid, seed(), ds, wCfg).Run(c)
 		}()
 	}
@@ -59,16 +84,18 @@ func runTCPSession(t *testing.T, coCfg, wCfg Config, seed func() *minidnn.Networ
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := co.Run(serverConns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < coCfg.Workers; i++ {
-		if err := <-workerErrs; err != nil {
-			t.Fatal(err)
+	res, runErr := co.Run(serverConns)
+	if runErr != nil {
+		// An aborted coordinator is a dead process: its sockets go with it.
+		for _, c := range serverConns {
+			c.Close()
 		}
 	}
-	return res, reg
+	errs := make([]error, coCfg.Workers)
+	for i := range errs {
+		errs[i] = <-workerErrs
+	}
+	return res, reg, errs, runErr
 }
 
 // compressedWireBytes sums the coordinator-side decoded wire bytes for
@@ -175,4 +202,103 @@ func TestCompressionNegotiatedExactStaysBitIdentical(t *testing.T) {
 			t.Fatalf("parameter tensor %d differs from Sequential under negotiated-exact", i)
 		}
 	}
+}
+
+// assertSameSession holds a disturbed lossy session to the undisturbed
+// one: a token's encoding is a pure function of its gradient and the
+// coordinator aggregates in Seq order, so who trained which token, and
+// in how many coordinator lifetimes, must not show in a single bit.
+func assertSameSession(t *testing.T, got, want *Result) {
+	t.Helper()
+	if !minidnn.ParamsEqual(got.Params, want.Params) {
+		t.Fatal("parameters differ from the undisturbed session")
+	}
+	if !slices.Equal(got.Losses, want.Losses) {
+		t.Fatalf("loss history differs from the undisturbed session:\n got %v\nwant %v", got.Losses, want.Losses)
+	}
+}
+
+// TestCompressTopKWorkerKillMatchesUndisturbed: a top-k session over TCP
+// in which a worker's connection dies on the report of a token it holds
+// — the token is reassigned and re-encoded by a survivor — ends bit for
+// bit where the same session ends with nobody dying, just as an exact
+// session under faults ends where Sequential does.
+func TestCompressTopKWorkerKillMatchesUndisturbed(t *testing.T) {
+	dumpFlightOnFailure(t)
+	cfg := chaosCfg()
+	cfg.Compress = transport.CompressTopK
+	const bad = 2
+	throttleHealthy(&cfg, bad)
+
+	want, reg := runTCPSession(t, cfg, cfg, mlp, blobs())
+	if compressedWireBytes(reg, "topk") == 0 {
+		t.Fatal("no top-k report bytes decoded: negotiation failed to engage")
+	}
+	seq, err := Sequential(mlp(), blobs(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if minidnn.ParamsEqual(seq.Params, want.Params) {
+		t.Fatal("top-k session is bit-identical to Sequential: nothing was dropped, the crossing proves nothing")
+	}
+
+	// Sends 0..4 of a worker the others leave the pool to: register,
+	// request, report, request, report. The second report never leaves.
+	got, _, _, err := runFaultyTCPSession(t, cfg, cfg, mlp, blobs(), func(wid int, c transport.Conn) transport.Conn {
+		if wid == bad {
+			return transport.NewFaultConn(c, 1).CloseAfterSends(4)
+		}
+		return c
+	})
+	if err != nil {
+		t.Fatalf("coordinator failed: %v", err)
+	}
+	if len(got.DeadWorkers) != 1 || got.DeadWorkers[0] != bad {
+		t.Fatalf("DeadWorkers = %v, want [%d]", got.DeadWorkers, bad)
+	}
+	if got.Reassigned == 0 {
+		t.Fatal("the dead worker held a token but nothing was reassigned")
+	}
+	assertSameSession(t, got, want)
+}
+
+// TestCompressTopKResumeMatchesUndisturbed: a top-k session whose
+// coordinator dies right after committing the iteration-3 checkpoint,
+// restarted from that checkpoint through Config.Resume with fresh
+// workers, ends bit for bit where the uninterrupted session ends.
+// Momentum makes the velocity part of the state that must survive.
+func TestCompressTopKResumeMatchesUndisturbed(t *testing.T) {
+	dumpFlightOnFailure(t)
+	cfg := baseCfg()
+	cfg.Momentum = 0.9
+	cfg.Compress = transport.CompressTopK
+
+	want, reg := runTCPSession(t, cfg, cfg, mlp, blobs())
+	if compressedWireBytes(reg, "topk") == 0 {
+		t.Fatal("no top-k report bytes decoded: negotiation failed to engage")
+	}
+
+	const dieAfter = 3
+	var saved *Resume
+	crashed := errors.New("coordinator killed")
+	phase1 := cfg
+	phase1.CheckpointEvery = 2
+	phase1.Checkpoint = func(iter int, params, vel [][]float32, losses []float64) error {
+		saved = &Resume{Iter: iter, Params: params, Vel: vel, Losses: losses}
+		if iter == dieAfter {
+			return crashed
+		}
+		return nil
+	}
+	if _, _, _, err := runFaultyTCPSession(t, phase1, cfg, mlp, blobs(), nil); !errors.Is(err, crashed) {
+		t.Fatalf("phase 1 ended with %v, want the scripted crash", err)
+	}
+	if saved == nil || saved.Iter != dieAfter {
+		t.Fatalf("phase 1 left checkpoint %+v, want iteration %d", saved, dieAfter)
+	}
+
+	phase2 := cfg
+	phase2.Resume = saved
+	got, _ := runTCPSession(t, phase2, cfg, mlp, blobs())
+	assertSameSession(t, got, want)
 }

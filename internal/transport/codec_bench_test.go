@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -95,6 +96,70 @@ func BenchmarkCodecBinaryEncodeSmall(b *testing.B) {
 		}
 		*bp = buf[:0]
 		framePool.Put(bp)
+	}
+}
+
+// benchReport builds a report with train-comm's gradient tensors
+// (NewMLP(·,1024,1024,16): 1024×1024, 1024, 1024×16, 16), filled by f.
+func benchReport(codec Compression, f func(i int) float32) *Message {
+	m := &Message{Kind: KindReport, WID: 1, Iter: 3, Token: TokenInfo{ID: 2, Seq: 2, Lo: 2, Hi: 3}, Loss: 0.5}
+	for _, n := range []int{1024 * 1024, 1024, 1024 * 16, 16} {
+		m.Grads = append(m.Grads, fill(n, f))
+	}
+	m.SetGradCodec(codec)
+	return m
+}
+
+// BenchmarkCodecReport is a report frame's encode and decode under each
+// gradient codec at train-comm's size; MB/s counts dense gradient bytes,
+// so codecs compare directly, and wire_B/op is what they ship. topk-equal
+// is top-k on an all-equal gradient — the input that made a sort- or
+// pivot-based selection degenerate; it must cost what topk costs.
+func BenchmarkCodecReport(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	grad := func(int) float32 { return float32(rng.NormFloat64() * 1e-3) }
+	cases := []struct {
+		name string
+		msg  *Message
+	}{
+		{"exact", benchReport(CompressExact, grad)},
+		{"fp16", benchReport(CompressFP16, grad)},
+		{"int8", benchReport(CompressInt8, grad)},
+		{"topk", benchReport(CompressTopK, grad)},
+		{"topk-equal", benchReport(CompressTopK, func(int) float32 { return 1e-3 })},
+	}
+	for _, c := range cases {
+		raw := 0
+		for _, g := range c.msg.Grads {
+			raw += 4 * len(g)
+		}
+		frame, err := EncodeBinary(c.msg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name+"/encode", func(b *testing.B) {
+			b.SetBytes(int64(raw))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf, err := EncodeBinaryPooled(c.msg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ReleaseFrame(buf)
+			}
+			b.ReportMetric(float64(len(frame)), "wire_B/op")
+		})
+		b.Run(c.name+"/decode", func(b *testing.B) {
+			b.SetBytes(int64(raw))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, err := DecodeBinary(frame)
+				if err != nil {
+					b.Fatal(err)
+				}
+				m.Release()
+			}
+		})
 	}
 }
 

@@ -35,8 +35,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
-	"sync"
 )
 
 // Compression identifies the codec a frame's Grads section is encoded
@@ -226,58 +226,136 @@ func topKCount(n int) int {
 // fails before any allocation.
 const topkMagLimit = 16
 
-// topkScratch pools the magnitude copies the top-k threshold selection
-// sorts.
-var topkScratch = sync.Pool{New: func() any { s := make([]float32, 0, 1024); return &s }}
+// The top-k selection orders values by the integer key
+// min(bits(v) &^ signbit, topkInf): the sign-cleared bit pattern is
+// monotone in |v| (denormals included, ±0 both 0), and clamping at +Inf's
+// pattern makes every NaN tie with Inf as the largest — a pathological
+// gradient is always kept and k is always met (a frame that silently
+// dropped NaNs would decode to a different k than it declared). The hot
+// loops work on the unclamped magnitude and account for the clamp where
+// they compare (topKThreshold, appendTopK).
+const topkInf = 0x7f800000
 
-// keyMag is the selection magnitude: |v|, with NaN treated as the
-// largest so a pathological gradient is always kept and k is always
-// met (a frame that silently dropped NaNs would decode to a different
-// k than it declared).
-func keyMag(v float32) float32 {
-	if v != v {
-		return float32(math.Inf(1))
-	}
-	return float32(math.Abs(float64(v)))
-}
+func topkMag(v float32) uint32 { return math.Float32bits(v) &^ (1 << 31) }
 
-// topKSelect appends the indices of the k largest-magnitude entries of
-// s to idx, in ascending index order. Ties break to the lowest index,
-// so the selection is deterministic for a given slice.
-func topKSelect(s []float32, k int, idx []int) []int {
-	sp := topkScratch.Get().(*[]float32)
-	mag := (*sp)[:0]
-	for _, v := range s {
-		mag = append(mag, keyMag(v))
-	}
-	slices.Sort(mag)
-	thr := mag[len(mag)-k]
-	// Entries strictly above the threshold are all kept; entries equal
-	// to it fill the remainder in index order.
-	atThr := k
-	for _, m := range mag[len(mag)-k:] {
-		if m > thr {
-			atThr--
-		}
-	}
-	*sp = mag[:0]
-	topkScratch.Put(sp)
+// topkCount is one radix level: it counts into hist[0], by the width-bit
+// digit at shift, the magnitudes of s whose bits above that digit equal
+// prefix. Odd entries are counted in hist[1] and added in at the end, so
+// that a run of equal magnitudes is not one chain of increments each
+// waiting on the last one's store.
+func topkCount(hist *[2][1 << 11]uint32, s []float32, prefix uint32, shift, width uint) {
+	// The &31 and the second mask change no value; they tell the compiler
+	// the shifts and the index are in range.
+	above, mask := (shift+width)&31, uint32(1)<<width-1
 	for i, v := range s {
-		m := keyMag(v)
-		if m > thr {
-			idx = append(idx, i)
-		} else if m == thr && atThr > 0 {
-			idx = append(idx, i)
-			atThr--
+		if m := topkMag(v); m>>above == prefix {
+			hist[i&1][m>>(shift&31)&mask&(1<<11-1)]++
 		}
 	}
-	return idx
+	for d := range hist[0] {
+		hist[0][d] += hist[1][d]
+	}
 }
 
-// topkIdxScratch pools the index buffers topKSelect fills.
-var topkIdxScratch = sync.Pool{New: func() any { s := make([]int, 0, 1024); return &s }}
+// topKThreshold finds the k-th largest key of s (1 ≤ k ≤ len(s)) without
+// sorting or copying: an MSB-first radix select over the 31 key bits,
+// one counting pass a level into a histogram on the stack, each later
+// level counting only keys under the prefix chosen so far. The widest
+// digit goes first — the more the first level narrows, the rarer, and the
+// better predicted, a prefix match is in the other two. Time is
+// O(len(s)) whatever the values are; nothing is allocated.
+//
+// The survivors are every entry with key > thr plus the first ties
+// entries, by index, with key == thr. When a level's bucket is taken
+// whole the search stops there and thr is the bucket's lower bound, which
+// selects the same entries.
+func topKThreshold(s []float32, k int) (thr uint32, ties int) {
+	var hist [2][1 << 11]uint32
+	prefix, need := uint32(0), uint32(k)
+	shift := uint(31)
+	for _, width := range [...]uint{11, 10, 10} {
+		shift -= width
+		hist = [2][1 << 11]uint32{}
+		topkCount(&hist, s, prefix, shift, width)
+		d := uint32(1)<<width - 1
+		for hist[0][d] < need {
+			need -= hist[0][d]
+			d--
+		}
+		prefix = prefix<<width | d
+		if prefix<<shift >= topkInf {
+			// Only the first level gets here, its walk ending among the
+			// Inf and NaN patterns: the k-th largest key is the clamp
+			// itself, and everything at or above it ties.
+			return topkInf, k
+		}
+		if hist[0][d] == need {
+			break
+		}
+	}
+	return prefix << shift, int(need)
+}
 
 // ---- encoding ----
+
+// uvarintLen is the number of bytes binary.PutUvarint writes for x.
+func uvarintLen(x uint64) int {
+	return (bits.Len64(x|1) + 6) / 7
+}
+
+// appendTopK appends s's top-k entries (k = topKCount(len(s)) ≥ 1): the
+// index deltas, then the values.
+func appendTopK(dst []byte, s []float32, k int) []byte {
+	thr, ties := topKThreshold(s, k)
+	// On unclamped magnitudes: above hi survives outright, thr to hi ties.
+	hi := thr
+	if thr == topkInf {
+		hi = math.MaxUint32
+	}
+	// One growth covers the slice: no index delta reaches len(s), so each
+	// takes at most iw bytes. Indices and values are written in the same
+	// index-order pass, the values starting iw·k bytes in, and moved down
+	// once the indices' true length is known.
+	iw := uvarintLen(uint64(len(s) - 1))
+	off := len(dst)
+	dst = slices.Grow(dst, k*(iw+4))[:off+k*(iw+4)]
+	ib, vb := dst[off:], dst[off+k*iw:]
+	in, vn, prev := 0, 0, -1
+	// A block's survivors are first compacted into keep — the store is
+	// unconditional and only the list length depends on the value, so one
+	// survivor in eight is not one mispredicted branch in eight — then
+	// encoded. The pass ends with the k-th survivor.
+	var keep [256]uint8
+	for base := 0; vn < 4*k; base += len(keep) {
+		blk := s[base:min(base+len(keep), len(s))]
+		c := 0
+		for i, v := range blk {
+			m := topkMag(v)
+			keep[c&(len(keep)-1)] = uint8(i)
+			if m > hi {
+				c++
+			}
+			if m-thr <= hi-thr && ties > 0 {
+				ties--
+				c++
+			}
+		}
+		for _, j := range keep[:c] {
+			i := base + int(j)
+			d := uint64(i - prev - 1)
+			prev = i
+			if d < 0x80 { // one survivor in eight: nearly every delta
+				ib[in] = byte(d)
+				in++
+			} else {
+				in += binary.PutUvarint(ib[in:], d)
+			}
+			binary.LittleEndian.PutUint32(vb[vn:], math.Float32bits(blk[j]))
+			vn += 4
+		}
+	}
+	return dst[:off+in+copy(ib[in:], vb[:vn])]
+}
 
 // appendCompressedSlices encodes ss as one grads section under a
 // non-exact codec (the exact section is appendSlices).
@@ -308,18 +386,7 @@ func appendCompressedSlices(dst []byte, ss [][]float32, codec Compression) []byt
 			if k == 0 {
 				continue
 			}
-			ip := topkIdxScratch.Get().(*[]int)
-			idx := topKSelect(s, k, (*ip)[:0])
-			prev := -1
-			for _, i := range idx {
-				dst = binary.AppendUvarint(dst, uint64(i-prev-1))
-				prev = i
-			}
-			for _, i := range idx {
-				dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(s[i]))
-			}
-			*ip = idx[:0]
-			topkIdxScratch.Put(ip)
+			dst = appendTopK(dst, s, k)
 		}
 	}
 	return dst
@@ -427,14 +494,29 @@ func (r *payloadReader) compressedSlicesInto(arena *[]float32, codec Compression
 			if r.err != nil {
 				return nil
 			}
-			for j := range dst {
-				dst[j] = 0
+			clear(dst)
+			// Two cursors, no index list: vr runs ahead to the values,
+			// which start after the k-th byte without a continuation bit
+			// (the scan pass has already walked both sections, so it
+			// cannot run short), and r decodes each index as its value is
+			// scattered.
+			vr := *r
+			for n := 0; n < k && vr.off < len(vr.data); vr.off++ {
+				if vr.data[vr.off] < 0x80 {
+					n++
+				}
 			}
-			idx := make([]int, k)
+			src := vr.bytes(k * 4)
+			if vr.err != nil {
+				r.err = vr.err
+				return nil
+			}
 			prev := -1
 			for j := 0; j < k; j++ {
-				d := r.uvarint()
-				if r.err != nil {
+				d := uint64(r.data[r.off]) // in range: vr found k terminators ahead
+				if d < 0x80 {
+					r.off++
+				} else if d = r.uvarint(); r.err != nil {
 					return nil
 				}
 				next := prev + 1 + int(d)
@@ -442,16 +524,10 @@ func (r *payloadReader) compressedSlicesInto(arena *[]float32, codec Compression
 					r.fail("top-k index %d out of range %d", next, ln)
 					return nil
 				}
-				idx[j] = next
+				dst[next] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*j:]))
 				prev = next
 			}
-			src := r.bytes(k * 4)
-			if r.err != nil {
-				return nil
-			}
-			for j, ix := range idx {
-				dst[ix] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*j:]))
-			}
+			r.off = vr.off
 		}
 		out[i] = dst
 	}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"fela/internal/obs"
@@ -120,8 +121,13 @@ func TestInt8QuantErrorBound(t *testing.T) {
 // lowest index, is deterministic, and always keeps NaNs.
 func TestTopKSelectProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 100; trial++ {
+	for trial := 0; trial < 200; trial++ {
+		// Mostly short slices, where k steps with every eighth entry;
+		// one in ten long enough to give every radix level real counts.
 		n := 1 + rng.Intn(64)
+		if trial%10 == 9 {
+			n = 1 + rng.Intn(1<<15)
+		}
 		s := make([]float32, n)
 		for i := range s {
 			s[i] = float32(rng.NormFloat64())
@@ -130,7 +136,7 @@ func TestTopKSelectProperties(t *testing.T) {
 			}
 		}
 		k := topKCount(n)
-		idx := topKSelect(s, k, nil)
+		idx := topKIndices(t, s)
 		if len(idx) != k {
 			t.Fatalf("trial %d: selected %d indices, want k=%d", trial, len(idx), k)
 		}
@@ -152,21 +158,31 @@ func TestTopKSelectProperties(t *testing.T) {
 				t.Fatalf("trial %d: dropped |%v| at %d while keeping magnitude %v", trial, v, i, minKept)
 			}
 		}
-		again := topKSelect(s, k, nil)
-		for i := range idx {
-			if idx[i] != again[i] {
-				t.Fatalf("trial %d: selection not deterministic: %v vs %v", trial, idx, again)
+		// Among entries at the smallest kept magnitude, a dropped one
+		// never precedes a kept one.
+		droppedTie := false
+		for i, v := range s {
+			if keyMag(v) != minKept {
+				continue
 			}
+			if !kept[i] {
+				droppedTie = true
+			} else if droppedTie {
+				t.Fatalf("trial %d: tie at %d kept after an earlier one was dropped", trial, i)
+			}
+		}
+		if again := topKIndices(t, s); !slices.Equal(idx, again) {
+			t.Fatalf("trial %d: selection not deterministic: %v vs %v", trial, idx, again)
 		}
 	}
 	// Ties break to the lowest index.
-	idx := topKSelect([]float32{1, -1, 1, 1, 1, 1, 1, 1, 1}, 2, nil)
+	idx := topKIndices(t, []float32{1, -1, 1, 1, 1, 1, 1, 1, 1})
 	if idx[0] != 0 || idx[1] != 1 {
 		t.Fatalf("tie break selected %v, want [0 1]", idx)
 	}
 	// A NaN gradient must always be kept so the declared k is met.
 	s := []float32{0.5, float32(math.NaN()), 9, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13, 14}
-	idx = topKSelect(s, 2, nil)
+	idx = topKIndices(t, s)
 	foundNaN := false
 	for _, ix := range idx {
 		if s[ix] != s[ix] {
@@ -244,7 +260,7 @@ func TestCompressedRoundTrips(t *testing.T) {
 					k := topKCount(len(ws))
 					nonzero := 0
 					keptIdx := map[int]bool{}
-					for _, ix := range topKSelect(ws, k, nil) {
+					for _, ix := range refTopKSelect(ws, k) {
 						keptIdx[ix] = true
 					}
 					for j, v := range gs {
@@ -473,6 +489,19 @@ func TestTopKHostileLengths(t *testing.T) {
 	arena := make([]float32, 0, 8)
 	if r.compressedSlicesInto(&arena, CompressTopK); r.err == nil {
 		t.Fatal("out-of-range top-k index decoded without error")
+	}
+	// A valid index section followed by fewer than 4·k value bytes: both
+	// the scan and the decode pass's value cursor must refuse it.
+	s16 := fill(16, func(i int) float32 { return float32(i) })
+	short := appendCompressedSlices(nil, [][]float32{s16}, CompressTopK)
+	short = short[:len(short)-1] // cnt, len=16, k=2, two deltas, 7 of 8 value bytes
+	if _, err := build(short).scanCompressedSlices(CompressTopK); err == nil {
+		t.Fatal("short top-k value section scanned without error")
+	}
+	r = build(short)
+	arena = make([]float32, 0, 16)
+	if out := r.compressedSlicesInto(&arena, CompressTopK); out != nil || Classify(r.err) != ClassCodec {
+		t.Fatalf("short top-k value section decoded to %v, err %v", out, r.err)
 	}
 }
 

@@ -1,0 +1,254 @@
+package transport
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"slices"
+	"strconv"
+	"testing"
+)
+
+// The reference the radix selection is held to: the codec's original
+// sort-based selection and varint-at-a-time encoder, kept verbatim minus
+// their pools. Every top-k frame must match refTopKSection byte for byte.
+
+// keyMag is the selection magnitude: |v|, with NaN treated as the
+// largest.
+func keyMag(v float32) float32 {
+	if v != v {
+		return float32(math.Inf(1))
+	}
+	return float32(math.Abs(float64(v)))
+}
+
+// refTopKSelect returns the indices of the k largest-magnitude entries
+// of s in ascending index order, ties to the lowest index, by sorting a
+// magnitude copy.
+func refTopKSelect(s []float32, k int) []int {
+	if k == 0 {
+		return nil
+	}
+	mag := make([]float32, len(s))
+	for i, v := range s {
+		mag[i] = keyMag(v)
+	}
+	slices.Sort(mag)
+	thr := mag[len(mag)-k]
+	atThr := k
+	for _, m := range mag[len(mag)-k:] {
+		if m > thr {
+			atThr--
+		}
+	}
+	idx := make([]int, 0, k)
+	for i, v := range s {
+		m := keyMag(v)
+		if m > thr {
+			idx = append(idx, i)
+		} else if m == thr && atThr > 0 {
+			idx = append(idx, i)
+			atThr--
+		}
+	}
+	return idx
+}
+
+// refTopKSection is the one-slice top-k grads section built from
+// refTopKSelect.
+func refTopKSection(s []float32) []byte {
+	k := topKCount(len(s))
+	dst := binary.AppendUvarint(nil, 1)
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	dst = binary.AppendUvarint(dst, uint64(k))
+	if k == 0 {
+		return dst
+	}
+	idx := refTopKSelect(s, k)
+	prev := -1
+	for _, i := range idx {
+		dst = binary.AppendUvarint(dst, uint64(i-prev-1))
+		prev = i
+	}
+	for _, i := range idx {
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(s[i]))
+	}
+	return dst
+}
+
+// topKIndices runs the real encoder on one slice and reads the kept
+// indices back out of the section's delta-varints.
+func topKIndices(t testing.TB, s []float32) []int {
+	t.Helper()
+	r := &payloadReader{data: appendCompressedSlices(nil, [][]float32{s}, CompressTopK)}
+	if cnt, ln := r.uvarint(), r.uvarint(); cnt != 1 || ln != uint64(len(s)) {
+		t.Fatalf("section header cnt=%d len=%d, want 1, %d", cnt, ln, len(s))
+	}
+	idx := make([]int, r.uvarint())
+	prev := -1
+	for j := range idx {
+		prev += 1 + int(r.uvarint())
+		idx[j] = prev
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	return idx
+}
+
+// checkTopKAgainstReference holds the encoder to the reference on one
+// slice — same frame bytes, hence same index list — and the decoder to
+// the survivors: kept entries bit-exact, everything else +0.
+func checkTopKAgainstReference(t testing.TB, s []float32) {
+	t.Helper()
+	want := refTopKSection(s)
+	// A dirty prefix with no spare capacity: the section must append, and
+	// grow, correctly.
+	got := appendCompressedSlices([]byte{0xa5}, [][]float32{s}, CompressTopK)
+	if got[0] != 0xa5 || !bytes.Equal(got[1:], want) {
+		t.Fatalf("n=%d: top-k section differs from the sort-based reference (%d vs %d bytes)", len(s), len(got)-1, len(want))
+	}
+	r := &payloadReader{data: want}
+	total, err := r.scanCompressedSlices(CompressTopK)
+	if err != nil || total != len(s) {
+		t.Fatalf("n=%d: scan = %d, %v", len(s), total, err)
+	}
+	arena := make([]float32, 0, total)
+	out := r.compressedSlicesInto(&arena, CompressTopK)
+	if r.err != nil || r.remaining() != 0 || len(out) != 1 || len(out[0]) != len(s) {
+		t.Fatalf("n=%d: decode err=%v, %d bytes left, %d slices", len(s), r.err, r.remaining(), len(out))
+	}
+	wantBits := make([]uint32, len(s))
+	for _, ix := range refTopKSelect(s, topKCount(len(s))) {
+		wantBits[ix] = math.Float32bits(s[ix])
+	}
+	for i, v := range out[0] {
+		if math.Float32bits(v) != wantBits[i] {
+			t.Fatalf("n=%d: decoded[%d] = %#08x, want %#08x", len(s), i, math.Float32bits(v), wantBits[i])
+		}
+	}
+}
+
+// nanMix is entry i of a slice whose every every-th entry cycles through
+// Inf and NaN patterns of both signs and both ends of the payload range,
+// the rest alternating between the largest finite magnitude and 1.
+func nanMix(i, every int) float32 {
+	specials := [...]uint32{0x7f800001, 0xff800000, 0x7fffffff, 0x7f800000, 0xffc00000, 0x7f8fffff, 0xff900000}
+	if i%every == 0 {
+		return math.Float32frombits(specials[i/every%len(specials)])
+	}
+	return math.Float32frombits([...]uint32{0xff7fffff, 0x3f800000, 0x7f7fffff}[i%3])
+}
+
+// fill returns n floats produced by f.
+func fill(n int, f func(i int) float32) []float32 {
+	s := make([]float32, n)
+	for i := range s {
+		s[i] = f(i)
+	}
+	return s
+}
+
+// TestTopKMatchesSortReference: the radix selection against the
+// sort-based one on the inputs chosen to break it — every radix level's
+// early exit and full descent, ties on both sides of the threshold,
+// special values, and lengths around the k = ⌈n/8⌉ steps.
+func TestTopKMatchesSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	negZero := float32(math.Copysign(0, -1))
+	negNaN := math.Float32frombits(0xffc00001)
+	cases := map[string][]float32{
+		"empty":      {},
+		"all-equal":  fill(1000, func(int) float32 { return -0.5 }),
+		"all-zero":   make([]float32, 1000),
+		"mixed-zero": fill(999, func(i int) float32 { return []float32{0, negZero}[i%2] }),
+		"all-nan":    fill(100, func(i int) float32 { return []float32{nan, negNaN}[i%2] }),
+		"denormals": fill(5000, func(int) float32 {
+			return math.Float32frombits(uint32(rng.Intn(1<<23)) | uint32(rng.Intn(2))<<31)
+		}),
+		// NaN and ±Inf share the top key and tie by index; more of them
+		// than k, then fewer.
+		"inf-nan-many": fill(64, func(i int) float32 { return []float32{inf, nan, -inf, negNaN, 1}[i%5] }),
+		"inf-nan-few":  fill(64, func(i int) float32 { return []float32{1, 2, 3, 4, 5, 6, 7, 8, 9, nan, 3, 2, 1, -inf, 0, 1}[i%16] }),
+		// Every NaN pattern selects as +Inf, wherever its payload puts it
+		// among the first level's top eight buckets: fewer specials than k
+		// = 8 over a tie run at the largest finite value, exactly k, and
+		// more than k (the first k by index win, Inf or NaN alike).
+		"nan-payloads-few":   fill(64, func(i int) float32 { return nanMix(i, 21) }),
+		"nan-payloads-exact": fill(64, func(i int) float32 { return nanMix(i, 8) }),
+		"nan-payloads-many":  fill(64, func(i int) float32 { return nanMix(i, 3) }),
+		// k = 13 of 100; 5 entries above a run of 40 equal ones that
+		// therefore straddles the threshold.
+		"tie-run-straddles": fill(100, func(i int) float32 {
+			switch {
+			case i%20 == 7:
+				return -3
+			case i >= 30 && i < 70:
+				return 0.25
+			}
+			return 0.125
+		}),
+		// Keys that share the upper radix digits, so the threshold is only
+		// found at the last level, or the middle one.
+		"low-digit-only": fill(4096, func(int) float32 { return math.Float32frombits(0x3f800000 | uint32(rng.Intn(1<<10))) }),
+		"mid-digit-only": fill(4096, func(int) float32 { return math.Float32frombits(0x3f800000 | uint32(rng.Intn(1<<10))<<10) }),
+		"low-digit-ties": fill(4096, func(int) float32 { return math.Float32frombits(0xbf800000 | uint32(rng.Intn(4))) }),
+		// Index deltas on both sides of the uvarint length steps: spikes
+		// over a zero background whose ties fill the rest of k from index 0.
+		"delta-varint-steps": func() []float32 {
+			s := make([]float32, 1<<18)
+			at := 40000
+			for _, gap := range []int{1, 127, 128, 129, 16383, 16384, 16385, 2} {
+				at += gap
+				s[at-1] = -7
+			}
+			return s
+		}(),
+		"ascending":  fill(1<<12, func(i int) float32 { return float32(i) }),
+		"descending": fill(1<<12, func(i int) float32 { return -float32(1<<12 - i) }),
+	}
+	for _, n := range []int{1, 2, 7, 8, 9, 15, 16, 17, 1<<16 - 1, 1 << 16, 1<<16 + 1} {
+		cases["normal-"+strconv.Itoa(n)] = fill(n, func(int) float32 { return float32(rng.NormFloat64()) })
+		cases["ties-"+strconv.Itoa(n)] = fill(n, func(int) float32 { return float32(rng.Intn(5)-2) * 0.5 })
+	}
+	for name, s := range cases {
+		t.Run(name, func(t *testing.T) { checkTopKAgainstReference(t, s) })
+	}
+}
+
+// TestTopKMatchesSortReferenceLarge: train-comm's largest tensor, 1M
+// gradient-like values (the magnitudes a 2048-bucket first level spreads
+// thinly), then the same length with heavy ties.
+func TestTopKMatchesSortReferenceLarge(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	checkTopKAgainstReference(t, fill(1<<20, func(int) float32 {
+		return float32(rng.NormFloat64() * math.Exp(4*rng.NormFloat64()))
+	}))
+	checkTopKAgainstReference(t, fill(1<<20, func(int) float32 { return float32(rng.Intn(64)) - 32 }))
+}
+
+// FuzzTopKSelect reinterprets the input as little-endian float32s —
+// every bit pattern, so NaN payloads, denormals and both zeros turn up —
+// and holds encoder and decoder to the sort-based reference.
+func FuzzTopKSelect(f *testing.F) {
+	le := func(vs ...uint32) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint32(b, v)
+		}
+		return b
+	}
+	f.Add(le())
+	f.Add(le(0x3f800000))
+	f.Add(le(0x7fc00000, 0xff800000, 0x7f800000, 0xffc00001, 0, 0x80000000, 1, 0x80000001, 0x3f800000))
+	f.Add(le(0x3f800001, 0x3f800000, 0x3f800001, 0xbf800001, 0x3f800400, 0x3f800000, 0x3f900000, 0x3f800001, 0x3f800001, 0x3f800001))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := make([]float32, len(data)/4)
+		for i := range s {
+			s[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+		}
+		checkTopKAgainstReference(t, s)
+	})
+}
