@@ -17,10 +17,12 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# chaos runs the fault-injection suite alone, repeated to shake out
-# scheduling-dependent behaviour.
+# chaos runs the fault-injection suite alone (worker faults, coordinator
+# kills, and the fold-order sessions that park reports behind a gap)
+# under the race detector, repeated to shake out scheduling-dependent
+# behaviour.
 chaos:
-	$(GO) test ./internal/rt/ -run 'TestChaos' -count=3 -v
+	$(GO) test ./internal/rt/ -run 'TestChaos' -race -count=3 -v
 
 # elastic-chaos runs the live-membership suite (scripted joins, drains,
 # evictions, drain-racing-death) under the race detector, repeated to

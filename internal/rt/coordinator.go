@@ -13,6 +13,7 @@ import (
 	"fela/internal/metrics"
 	"fela/internal/minidnn"
 	"fela/internal/obs"
+	"fela/internal/tensor"
 	"fela/internal/trace"
 	"fela/internal/transport"
 )
@@ -75,12 +76,11 @@ type Coordinator struct {
 	waiting    []*workerState // parked pull requests, FIFO
 	iterTokens map[int]int    // tokens reported per worker this iteration
 
-	// gradViews[seq] are the per-tensor views every report's gradients
-	// are copied into, all carved from one session-long arena. Copying
-	// at report time (instead of keeping m.Grads until the barrier) is
-	// what lets pooled transport messages be released immediately, and
-	// it hoists the per-report slice allocations out of the hot loop.
-	gradViews [][][]float32
+	// acc is the iteration's gradient sum: tokens[:folded] have been
+	// added into it, each weighted by frac, in seq order (see fold).
+	acc    []*tensor.Tensor
+	frac   float32
+	folded int
 
 	// Telemetry (internal/obs). tele instruments are nil-safe no-ops
 	// when Config.Metrics is nil; status is the atomically published
@@ -131,8 +131,11 @@ type tokenState struct {
 	info     transport.TokenInfo
 	assigned bool
 	done     bool
-	grads    [][]float32
-	loss     float64
+	// report is the validated report of a done token that is not folded
+	// yet: it arrived ahead of a lower seq and waits, pooled payload and
+	// all, for its turn. nil before the report and after the fold.
+	report *transport.Message
+	loss   float64
 	// span is the coordinator-side round-trip span of the current
 	// assignment (nil when tracing is off); its context rode to the
 	// worker inside the assign message.
@@ -158,6 +161,9 @@ type workerState struct {
 	// Reports must arrive under this codec or exact (transports without
 	// codec support degrade to exact, which is always legal).
 	codec transport.Compression
+	// tokens is the worker's fela_rt_tokens_total series, looked up once
+	// at registration or admission instead of on every report.
+	tokens *obs.Counter
 }
 
 // errWorkerHung marks a deadline expiry on an assigned token.
@@ -264,10 +270,9 @@ func (co *Coordinator) Run(conns []transport.Conn) (*Result, error) {
 	co.tele.live.Set(float64(co.trainableCount()))
 
 	nTok := co.cfg.tokensPerIter()
-	frac := float32(co.cfg.TokenBatch) / float32(co.cfg.TotalBatch)
+	co.frac = float32(co.cfg.TokenBatch) / float32(co.cfg.TotalBatch)
 	vel := zerosLike(co.net.Params())
-	acc := zerosLike(co.net.Params())
-	co.initGradArena(nTok)
+	co.acc = zerosLike(co.net.Params())
 
 	// Restore a checkpointed session: install the barrier state, replay
 	// the loss history, and start the loop at the next iteration. The
@@ -292,22 +297,14 @@ func (co *Coordinator) Run(conns []transport.Conn) (*Result, error) {
 		if err := co.runIteration(nTok); err != nil {
 			return nil, err
 		}
-		// Canonical-order aggregation: identical arithmetic to
-		// Sequential, so results match bitwise. Gradient sizes were
-		// validated when each report arrived (see the KindReport case),
-		// so every view here matches its accumulator.
+		// Every gradient is already in co.acc, folded in seq order as the
+		// reports arrived (see fold); the losses sum in the same order.
 		barrierStart := time.Now()
-		zeroAll(acc)
 		var loss float64
 		for _, tok := range co.tokens {
 			loss += tok.loss / float64(nTok)
-			for i := range acc {
-				for j, g := range tok.grads[i] {
-					acc[i].Data[j] += frac * g
-				}
-			}
 		}
-		applyUpdate(co.net, vel, acc, co.cfg)
+		applyUpdate(co.net, vel, co.acc, co.cfg)
 		co.res.Losses = append(co.res.Losses, loss)
 		if co.cfg.checkpointDue(co.it) {
 			// The hook gets copies (flatten allocates): the checkpoint
@@ -473,6 +470,7 @@ wait:
 			ws.conn = ev.conn
 			ws.alive = true
 			ws.codec = co.negotiate(wid, ev.msg.GradCodec())
+			ws.tokens = co.tokenCounter(wid)
 			co.byConn[ev.conn] = ws
 			resolved++
 		case <-deadline:
@@ -494,30 +492,9 @@ wait:
 	return nil
 }
 
-// initGradArena carves nTok sets of per-tensor gradient views out of one
-// flat float32 arena sized to the whole iteration's gradient volume. The
-// arena lives for the session and is overwritten every iteration —
-// reports are copied into their token's views as they arrive, replacing
-// the old pattern of retaining every report's freshly allocated slices
-// until the barrier.
-func (co *Coordinator) initGradArena(nTok int) {
-	params := co.net.Params()
-	per := 0
-	for _, t := range params {
-		per += t.Len()
-	}
-	arena := make([]float32, nTok*per)
-	co.gradViews = make([][][]float32, nTok)
-	off := 0
-	for seq := range co.gradViews {
-		views := make([][]float32, len(params))
-		for i, t := range params {
-			n := t.Len()
-			views[i] = arena[off : off+n : off+n]
-			off += n
-		}
-		co.gradViews[seq] = views
-	}
+// tokenCounter is worker wid's fela_rt_tokens_total series.
+func (co *Coordinator) tokenCounter(wid int) *obs.Counter {
+	return co.cfg.Metrics.Counter(MetricTokensTotal, "worker", strconv.Itoa(wid))
 }
 
 // connIndex locates a connection among the initial slots (-1 for
@@ -555,6 +532,8 @@ func (co *Coordinator) runIteration(nTok int) error {
 			Owner: owners[seq],
 		}}
 	}
+	zeroAll(co.acc)
+	co.folded = 0
 	co.waiting = co.waiting[:0]
 	co.iterTokens = map[int]int{}
 	// One root span per iteration; its context rides in the iter-start
@@ -673,22 +652,19 @@ func (co *Coordinator) runIteration(nTok int) error {
 				if rc := m.GradCodec(); rc != transport.CompressExact && rc != ws.codec {
 					return fmt.Errorf("rt: worker %d reported with codec %v, negotiated %v", ws.wid, rc, ws.codec)
 				}
-				// Validate and copy the gradients into the token's arena
-				// views now, so the (possibly pooled) message can be
-				// released instead of retained until the barrier.
-				views := co.gradViews[seq]
-				if len(m.Grads) != len(views) {
-					return fmt.Errorf("rt: report for token %d carries %d gradient tensors, want %d", seq, len(m.Grads), len(views))
+				// Validate the shapes on arrival: the report may be folded
+				// only after later ones, and it must fail here if at all.
+				if len(m.Grads) != len(co.acc) {
+					return fmt.Errorf("rt: report for token %d carries %d gradient tensors, want %d", seq, len(m.Grads), len(co.acc))
 				}
 				for i, g := range m.Grads {
-					if len(g) != len(views[i]) {
+					if len(g) != len(co.acc[i].Data) {
 						return fmt.Errorf("rt: gradient %d size mismatch", i)
 					}
-					copy(views[i], g)
 				}
 				tok := co.tokens[seq]
 				tok.done = true
-				tok.grads = views
+				tok.report = m
 				tok.loss = m.Loss
 				if assignedAt, ok := ws.outstanding[seq]; ok {
 					// The round-trip span's context makes the worst token
@@ -701,13 +677,13 @@ func (co *Coordinator) runIteration(nTok int) error {
 				delete(ws.outstanding, seq)
 				co.res.TokensByWorker[ws.wid]++
 				co.iterTokens[ws.wid]++
-				co.cfg.Metrics.Counter(MetricTokensTotal, "worker", strconv.Itoa(ws.wid)).Inc()
+				ws.tokens.Inc()
 				if tok.info.Owner != ws.wid {
 					co.res.Steals++
 					co.tele.steals.Inc()
 				}
 				remaining--
-				m.Release() // gradients are copied out; recycle the codec arena
+				co.fold()
 			case transport.KindLeave:
 				if !co.elastic() {
 					detail := fmt.Errorf("%w: worker %d sent leave without elastic mode", errProtocol, ws.wid)
@@ -756,6 +732,23 @@ func (co *Coordinator) runIteration(nTok int) error {
 		}
 	}
 	return nil
+}
+
+// fold adds every done token from the cursor upward into acc and
+// releases its report. It performs Sequential's arithmetic — acc +=
+// frac·g through the same AddScaled, one token at a time in seq order —
+// so the sum is bit-identical whatever order the reports arrive in; a
+// report ahead of a gap stays parked until a later call closes it.
+func (co *Coordinator) fold() {
+	for ; co.folded < len(co.tokens) && co.tokens[co.folded].done; co.folded++ {
+		tok := co.tokens[co.folded]
+		for i, g := range tok.report.Grads {
+			view := tensor.Tensor{Shape: co.acc[i].Shape, Data: g}
+			co.acc[i].AddScaled(&view, co.frac)
+		}
+		tok.report.Release()
+		tok.report = nil
+	}
 }
 
 // strayEvent handles traffic from connections that are not (yet)
@@ -848,6 +841,7 @@ func (co *Coordinator) applyMembership(iterTime time.Duration) {
 		wid := len(co.workers)
 		ws := &workerState{wid: wid, conn: conn, alive: true, outstanding: map[int]time.Time{}}
 		ws.codec = co.negotiate(wid, co.pendingJoinReq[conn])
+		ws.tokens = co.tokenCounter(wid)
 		delete(co.pendingJoinReq, conn)
 		co.workers = append(co.workers, ws)
 		co.byConn[conn] = ws

@@ -369,10 +369,10 @@ func InstallFlat(ts []*tensor.Tensor, flat [][]float32) error {
 
 // flatten copies the tensors' data into per-tensor slices carved from
 // one flat backing array: a single allocation for the whole model
-// instead of one per tensor. The copy is deliberate — the result must
-// not alias live network state, because the in-memory transport delivers
-// it by reference and a zombie worker may still read it after the
-// coordinator has moved on to the next barrier.
+// instead of one per tensor. Its two callers need a snapshot that does
+// not alias live state: the iter-start broadcast, which jobs.asyncConn
+// queues and encodes lazily, possibly after the next optimizer step, and
+// the checkpoint hook, which may keep what it is handed.
 func flatten(ts []*tensor.Tensor) [][]float32 {
 	total := 0
 	for _, t := range ts {

@@ -309,11 +309,19 @@ func (w *Worker) train(tok transport.TokenInfo) (*transport.Message, error) {
 	x, labels := w.ds.Batch(tok.Lo, tok.Hi)
 	w.net.ZeroGrads()
 	loss := w.net.Loss(x, labels)
+	// The report carries views of the live gradient tensors, not a copy:
+	// Conn.Send captures the payload before it returns, and the next
+	// ZeroGrads comes after that.
+	grads := w.net.Grads()
+	views := make([][]float32, len(grads))
+	for i, g := range grads {
+		views[i] = g.Data
+	}
 	m := &transport.Message{
 		Kind:  transport.KindReport,
 		WID:   w.wid,
 		Token: tok,
-		Grads: flatten(w.net.Grads()),
+		Grads: views,
 		Loss:  loss,
 	}
 	m.SetGradCodec(w.codec)

@@ -7,8 +7,10 @@ package transport
 // and the per-token gradient report (KindReport) — whose payloads are
 // megabytes of float32. Reflection-driven gob encodes those one value at
 // a time and allocates a fresh tree on every decode; the binary codec
-// copies them 4 bytes at a time from (and into) pooled buffers, so the
-// wire path stays bandwidth-bound instead of codec- and GC-bound.
+// copies each float section as one memmove (on little-endian hosts,
+// whose float32 memory already is the wire's byte order) from and into
+// pooled buffers, so the wire path stays bandwidth-bound instead of
+// codec- and GC-bound.
 //
 // Frame layout (version 1, DESIGN.md §10):
 //
@@ -52,6 +54,7 @@ import (
 	"slices"
 	"sync"
 	"time"
+	"unsafe"
 
 	"fela/internal/obs"
 )
@@ -257,12 +260,13 @@ func getFloatArena(n int) *[]float32 {
 // Release returns the message's pooled float backing (if any) to the
 // codec pool and clears Grads/Params. Only the binary decoder attaches
 // pooled backing, so Release is a safe no-op on messages built by hand,
-// decoded from gob, or delivered by reference over the in-memory
-// transport. Ownership rule: the goroutine that consumed the payload —
-// the coordinator after folding a report into its gradient arena, the
-// worker after installing broadcast parameters — calls Release exactly
-// once; the Grads/Params slices must not be used afterwards. Messages
-// that are never released are simply garbage collected.
+// decoded from gob, or copied by the in-memory transport. Ownership
+// rule: the goroutine that consumed the payload — the coordinator after
+// folding a report into its accumulator (late, for a report parked
+// behind a lower seq), the worker after installing broadcast
+// parameters — calls Release exactly once; the Grads/Params slices must
+// not be used afterwards. Messages that are never released are simply
+// garbage collected.
 func (m *Message) Release() {
 	if m == nil || m.pooled == nil {
 		return
@@ -273,16 +277,43 @@ func (m *Message) Release() {
 	floatPool.Put(p)
 }
 
-// appendUvarint/appendVarint wrap encoding/binary's append helpers for
-// symmetry with the reader below.
+// nativeLittleEndian reports whether this host stores a float32 in the
+// wire's byte order, which makes a float section's bytes its memory.
+var nativeLittleEndian = func() bool {
+	x := uint16(1)
+	return *(*byte)(unsafe.Pointer(&x)) == 1
+}()
+
+// floatBytes is fs's memory viewed as bytes.
+func floatBytes(fs []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(fs))), 4*len(fs))
+}
+
+// appendFloats appends fs as little-endian float32 bits: one memmove on
+// little-endian hosts, putFloats elsewhere.
 func appendFloats(dst []byte, fs []float32) []byte {
 	off := len(dst)
 	dst = slices.Grow(dst, 4*len(fs))[:off+4*len(fs)]
-	buf := dst[off:]
-	for i, f := range fs {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(f))
+	if nativeLittleEndian {
+		copy(dst[off:], floatBytes(fs))
+	} else {
+		putFloats(dst[off:], fs)
 	}
 	return dst
+}
+
+// putFloats and getFloats are the per-element float section codec: the
+// big-endian path, and the oracle the memmove is tested against.
+func putFloats(dst []byte, fs []float32) {
+	for i, f := range fs {
+		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(f))
+	}
+}
+
+func getFloats(dst []float32, src []byte) {
+	for j := range dst {
+		dst[j] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*j:]))
+	}
 }
 
 func appendSlices(dst []byte, ss [][]float32) []byte {
@@ -553,8 +584,10 @@ func (r *payloadReader) slicesInto(arena *[]float32) [][]float32 {
 		start := len(*arena)
 		*arena = (*arena)[:start+int(ln)]
 		dst := (*arena)[start : start+int(ln) : start+int(ln)]
-		for j := range dst {
-			dst[j] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*j:]))
+		if nativeLittleEndian {
+			copy(floatBytes(dst), src)
+		} else {
+			getFloats(dst, src)
 		}
 		out[i] = dst
 	}
@@ -652,7 +685,7 @@ func decodePayload(kind Kind, payload []byte) (*Message, error) {
 // recipient (including elastic joiners snapshotting at the same barrier)
 // receives the identical cached bytes. Transports without a reusable
 // frame representation (gob streams carry per-stream type state, the
-// in-memory pair delivers pointers) fall back to an ordinary Send of
+// in-memory pair never serializes) fall back to an ordinary Send of
 // Msg. The cached frame is immutable once built and is garbage collected
 // with the Broadcast — it is deliberately not pooled, because queued
 // async senders may still reference it after the fan-out loop returns.

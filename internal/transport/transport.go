@@ -214,6 +214,12 @@ func (m *Message) WireSize() int {
 // Conn is a bidirectional, ordered message pipe.
 type Conn interface {
 	// Send writes one message; it is safe for one concurrent sender.
+	// Send captures the message's float payload (Grads, Params) before
+	// it returns — encoded onto the wire, or copied by the in-memory
+	// pair — so the caller may overwrite those slices as soon as it
+	// returns: workers report straight from their live gradient
+	// tensors. A wrapper that delivers later (jobs.asyncConn) must
+	// only ever be handed payloads nobody mutates again.
 	Send(*Message) error
 	// Recv blocks for the next message; io errors or closure return an
 	// error.
@@ -365,6 +371,7 @@ func (c *memConn) Send(m *Message) error {
 		return ErrClosed
 	default:
 	}
+	m = m.payloadCopy()
 	send, _ := c.timeouts()
 	if send <= 0 {
 		select {
@@ -384,6 +391,42 @@ func (c *memConn) Send(m *Message) error {
 	case <-tm.C:
 		return fmt.Errorf("transport: send: %w", ErrTimeout)
 	}
+}
+
+// payloadCopy gives the in-memory pair the wire's value semantics (the
+// Conn.Send contract): a message carrying floats is delivered as a copy
+// whose Grads and Params are carved from one fresh allocation. The copy
+// never carries the original's pooled arena, so releasing both is safe.
+// Messages without floats are delivered as they are.
+func (m *Message) payloadCopy() *Message {
+	total := 0
+	for _, s := range m.Grads {
+		total += len(s)
+	}
+	for _, s := range m.Params {
+		total += len(s)
+	}
+	if total == 0 {
+		return m
+	}
+	cp := *m
+	cp.pooled = nil
+	backing := make([]float32, total)
+	carve := func(ss [][]float32) [][]float32 {
+		if ss == nil {
+			return nil
+		}
+		out := make([][]float32, len(ss))
+		for i, s := range ss {
+			out[i] = backing[:len(s):len(s)]
+			copy(out[i], s)
+			backing = backing[len(s):]
+		}
+		return out
+	}
+	cp.Grads = carve(m.Grads)
+	cp.Params = carve(m.Params)
+	return &cp
 }
 
 func (c *memConn) Recv() (*Message, error) {

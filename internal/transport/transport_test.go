@@ -1,9 +1,13 @@
 package transport
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"fela/internal/obs"
 )
 
 func TestPairRoundTrip(t *testing.T) {
@@ -233,5 +237,205 @@ func TestPairConcurrentTraffic(t *testing.T) {
 	wg.Wait()
 	if got != n {
 		t.Fatalf("received %d/%d", got, n)
+	}
+}
+
+// tcpPair connects two TCP conns speaking codec over loopback.
+func tcpPair(t *testing.T, codec string) (Conn, Conn) {
+	t.Helper()
+	l, err := ListenCodec("127.0.0.1:0", codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	accepted := make(chan Conn, 1)
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			t.Error(err)
+		}
+		accepted <- c
+	}()
+	a, err := DialCodec(l.Addr(), codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := <-accepted
+	if b == nil {
+		t.FailNow()
+	}
+	t.Cleanup(func() { a.Close(); b.Close() })
+	return a, b
+}
+
+// TestSendCapturesPayload is the Conn.Send contract workers rely on when
+// they report from live gradient tensors: once Send returns, overwriting
+// the sender's Grads/Params never changes what Recv returns.
+func TestSendCapturesPayload(t *testing.T) {
+	cases := []struct {
+		name string
+		pair func(t *testing.T) (Conn, Conn)
+	}{
+		{"mem", func(*testing.T) (Conn, Conn) { a, b := Pair(); return a, b }},
+		{"tcp-binary", func(t *testing.T) (Conn, Conn) { return tcpPair(t, CodecBinary) }},
+		{"tcp-gob", func(t *testing.T) (Conn, Conn) { return tcpPair(t, CodecGob) }},
+		{"instrument", func(*testing.T) (Conn, Conn) {
+			a, b := Pair()
+			return Instrument(a, obs.NewRegistry()), b
+		}},
+		{"fault", func(t *testing.T) (Conn, Conn) {
+			a, b := tcpPair(t, CodecBinary)
+			return NewFaultConn(a, 1).DelayBy(2 * time.Millisecond), b
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := tc.pair(t)
+			backing := []float32{1, 2, 3, 4, 5, 6}
+			for _, m := range []*Message{
+				{Kind: KindReport, Grads: [][]float32{backing[0:3], backing[3:4]}},
+				{Kind: KindIterStart, Params: [][]float32{backing[4:6], backing[0:1]}},
+			} {
+				want := [][]float32{}
+				for _, s := range append(m.Grads, m.Params...) {
+					want = append(want, append([]float32(nil), s...))
+				}
+				if err := a.Send(m); err != nil {
+					t.Fatal(err)
+				}
+				for i := range backing {
+					backing[i] = -99
+				}
+				got, err := b.Recv()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !equalSlices(append(got.Grads, got.Params...), want) {
+					t.Fatalf("%v: received %v %v, sent %v", m.Kind, got.Grads, got.Params, want)
+				}
+				got.Release()
+				copy(backing, []float32{1, 2, 3, 4, 5, 6})
+			}
+		})
+	}
+}
+
+// TestMemConnCopyReleases: the in-memory pair's copy of a pooled
+// message owns its payload — it carries no arena, releasing it is a
+// no-op, and releasing the original (whose arena the next decode then
+// reuses) leaves the copy intact.
+func TestMemConnCopyReleases(t *testing.T) {
+	data, err := EncodeBinary(&Message{Kind: KindReport, Grads: [][]float32{{1, 2, 3}}, Params: [][]float32{{4}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig, err := DecodeBinary(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := Pair()
+	defer a.Close()
+	if err := a.Send(orig); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := b.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp == orig || cp.pooled != nil {
+		t.Fatal("memConn delivered the pooled original instead of a copy")
+	}
+	orig.Release()
+	for i := 0; i < 4; i++ { // recycle the original's arena
+		m, err := DecodeBinary(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Grads[0][0] = -1
+		m.Release()
+	}
+	cp.Release()
+	cp.Release()
+	if !equalSlices(cp.Grads, [][]float32{{1, 2, 3}}) || !equalSlices(cp.Params, [][]float32{{4}}) {
+		t.Fatalf("copy changed after the original was released: %v %v", cp.Grads, cp.Params)
+	}
+	// A payload-free message has nothing to copy.
+	ctl := &Message{Kind: KindRequest, WID: 1}
+	if err := a.Send(ctl); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := b.Recv(); got.WID != 1 || got.Grads != nil || got.Params != nil {
+		t.Fatalf("control message mangled: %+v", got)
+	}
+}
+
+// specialFloats are the bit patterns a float section must carry
+// unchanged: signed zeros, denormals, infinities, and quiet and
+// signalling NaNs with payloads.
+func specialFloats() []float32 {
+	bits := []uint32{
+		0x00000000, 0x80000000, // ±0
+		0x00000001, 0x007fffff, 0x80000001, 0x807fffff, // denormals
+		0x7f800000, 0xff800000, // ±Inf
+		0x7fc00000, 0xffc00001, 0x7fffffff, // quiet NaNs
+		0x7f800001, 0xff800001, 0x7fa00000, // signalling NaNs
+		0x3f800000, 0xc2f6e979, 0x7f7fffff, 0x00800000, // normals
+	}
+	out := make([]float32, len(bits))
+	for i, b := range bits {
+		out[i] = math.Float32frombits(b)
+	}
+	return out
+}
+
+// TestFloatSectionBulkMatchesLoop holds the memmove float codec to the
+// per-element loop, bit for bit, over special values, lengths 0, 1 and
+// odd, and float sections starting at odd frame offsets.
+func TestFloatSectionBulkMatchesLoop(t *testing.T) {
+	special := specialFloats()
+	for _, n := range []int{0, 1, 3, 7, len(special), 33, 1001} {
+		fs := make([]float32, n)
+		for i := range fs {
+			fs[i] = special[(i*7)%len(special)]
+		}
+		for _, prefix := range []int{0, 1, 3, 5} {
+			head := make([]byte, prefix)
+			for i := range head {
+				head[i] = byte(0xa0 + i)
+			}
+			want := append([]byte(nil), head...)
+			want = append(want, make([]byte, 4*n)...)
+			putFloats(want[prefix:], fs)
+			got := appendFloats(append([]byte(nil), head...), fs)
+			if string(got) != string(want) {
+				t.Fatalf("n=%d offset=%d: appendFloats differs from the per-element loop", n, prefix)
+			}
+
+			// Decode the section back out of a frame with the same odd
+			// offset: a group of one slice of n floats.
+			payload := append([]byte(nil), head...)
+			payload = appendSlices(payload, [][]float32{fs})
+			r := &payloadReader{data: payload, off: prefix}
+			arena := getFloatArena(n)
+			dec := r.slicesInto(arena)
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			oracle := make([]float32, n)
+			getFloats(oracle, want[prefix:])
+			if n == 0 {
+				if dec != nil && len(dec[0]) != 0 {
+					t.Fatalf("n=0 decoded %v", dec)
+				}
+				continue
+			}
+			for i := range oracle {
+				if math.Float32bits(dec[0][i]) != math.Float32bits(oracle[i]) ||
+					math.Float32bits(oracle[i]) != math.Float32bits(fs[i]) {
+					t.Fatalf("n=%d offset=%d element %d: bulk %#08x loop %#08x sent %#08x", n, prefix, i,
+						math.Float32bits(dec[0][i]), math.Float32bits(oracle[i]), math.Float32bits(fs[i]))
+				}
+			}
+		}
 	}
 }
