@@ -113,11 +113,13 @@ durable:
 # tile tails, special values and fan-out widths, layer-buffer ownership
 # and two networks sharing the kernel pool (all of minidnn), the
 # fp16/int8/topk codec properties with their golden v2 frames and
-# hostile-header cases, and the negotiated end-to-end TCP sessions.
+# hostile-header cases, top-k encoders sharing the scratch pool
+# (TestTopKConcurrentEncoders) and the FuzzTopKSelect corpus replayed,
+# and the negotiated end-to-end TCP sessions.
 kernels:
 	$(GO) test ./internal/tensor/ -race -count=1 -v
 	$(GO) test ./internal/minidnn/ -race -count=1 -v
-	$(GO) test ./internal/transport/ -race -run 'TestFP16|TestInt8|TestTopK|TestCompress|TestParamsStayExact' -count=1 -v
+	$(GO) test ./internal/transport/ -race -run 'TestFP16|TestInt8|TestTopK|FuzzTopKSelect|TestCompress|TestParamsStayExact' -count=1 -v
 	$(GO) test ./internal/rt/ -race -run 'TestCompress' -count=1 -v
 
 # lint-metrics is the exposition-conformance gate: every e2e test that

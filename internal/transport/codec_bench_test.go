@@ -110,11 +110,49 @@ func benchReport(codec Compression, f func(i int) float32) *Message {
 	return m
 }
 
+// benchRank1Report is benchReport's top-k report filled the way backprop
+// through NewMLP(·,1024,1024,16) fills it on one sample: a weight
+// gradient (in×out) is the outer product of the layer's input and its
+// output delta, so the hidden ReLU, which zeroes half the units, zeroes
+// half the columns of the first and half the rows of the second.
+func benchRank1Report(rng *rand.Rand) *Message {
+	m := benchReport(CompressTopK, func(int) float32 { return 0 })
+	live := make([]bool, 1024)
+	for _, u := range rng.Perm(1024)[:512] {
+		live[u] = true
+	}
+	relu := func(u int, v float64) float32 {
+		if !live[u] {
+			return 0
+		}
+		return float32(v)
+	}
+	x := fill(1024, func(int) float32 { return float32(rng.NormFloat64()) })
+	h := fill(1024, func(u int) float32 { return relu(u, rng.ExpFloat64()) })
+	d1 := fill(1024, func(u int) float32 { return relu(u, rng.NormFloat64()*1e-3) })
+	d2 := fill(16, func(int) float32 { return float32(rng.NormFloat64() * 1e-2) })
+	outer := func(dst, in, out []float32) {
+		for i, a := range in {
+			for j, b := range out {
+				dst[i*len(out)+j] = a * b
+			}
+		}
+	}
+	outer(m.Grads[0], x, d1)
+	copy(m.Grads[1], d1)
+	outer(m.Grads[2], h, d2)
+	copy(m.Grads[3], d2)
+	return m
+}
+
 // BenchmarkCodecReport is a report frame's encode and decode under each
 // gradient codec at train-comm's size; MB/s counts dense gradient bytes,
-// so codecs compare directly, and wire_B/op is what they ship. topk-equal
-// is top-k on an all-equal gradient — the input that made a sort- or
-// pivot-based selection degenerate; it must cost what topk costs.
+// so codecs compare directly, and wire_B/op is what they ship. topk is
+// Gaussian noise; topk-rank1 is what a train-comm token reports, so it
+// prices the selection on the keys the run sees. topk-equal is top-k on
+// an all-equal gradient, the degenerate input: every entry reaches the
+// sampled bound and is a candidate. It may cost at most 1.25× a radix
+// select and emit over the whole slice, which it cost without the bound.
 func BenchmarkCodecReport(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	grad := func(int) float32 { return float32(rng.NormFloat64() * 1e-3) }
@@ -126,6 +164,7 @@ func BenchmarkCodecReport(b *testing.B) {
 		{"fp16", benchReport(CompressFP16, grad)},
 		{"int8", benchReport(CompressInt8, grad)},
 		{"topk", benchReport(CompressTopK, grad)},
+		{"topk-rank1", benchRank1Report(rng)},
 		{"topk-equal", benchReport(CompressTopK, func(int) float32 { return 1e-3 })},
 	}
 	for _, c := range cases {

@@ -26,6 +26,14 @@ package transport
 //	       ascending: idx₀ = δ₀, idxᵢ₊₁ = idxᵢ + 1 + δᵢ₊₁), then
 //	       4·k bytes of the kept values; everything else decodes to 0
 //
+// Top-k encoding costs one pass over a slice plus work in its survivors:
+// keys sampled at fixed pseudo-random positions place a lower bound a
+// little under the k-th largest magnitude, one branch-free pass compacts
+// the entries reaching it, and the exact radix select and the emit run
+// over those candidates alone. The frame is the one a full sort selects,
+// for every input; the sample decides how much work is done, never what
+// is sent.
+//
 // Decoding is as strict as the exact path: a two-pass scan validates
 // every length (k ≤ len ≤ 16·k for top-k, totals capped at
 // MaxFrameBytes worth of floats) before the pooled arena is sized, so a
@@ -37,6 +45,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 )
 
 // Compression identifies the codec a frame's Grads section is encoded
@@ -184,29 +193,36 @@ func f16tof32(h uint16) float32 {
 
 // int8Scale returns the per-slice quantization step: maxAbs/127, so the
 // full int8 range covers the slice. NaN/Inf poison the scale exactly as
-// they would poison training — the codec does not try to outguess them.
+// they would poison training — the codec does not try to outguess them:
+// an Inf makes it Inf and a NaN makes it NaN, and either way the whole
+// slice decodes as NaN (0·Inf or 0·NaN, quantInt8 giving 0 for every
+// entry).
 func int8Scale(s []float32) float32 {
-	var maxAbs float32
+	// The sign-cleared bit patterns order as |v| does, and every NaN's
+	// lies above +Inf's, so the largest pattern is maxAbs, or a NaN if the
+	// slice holds one.
+	var maxAbs uint32
 	for _, v := range s {
-		if a := float32(math.Abs(float64(v))); a > maxAbs {
-			maxAbs = a
-		}
+		maxAbs = max(maxAbs, math.Float32bits(v)&^(1<<31))
 	}
-	return maxAbs / 127
+	return math.Float32frombits(maxAbs) / 127
 }
 
-// quantInt8 rounds v/scale half away from zero, clamped to ±127.
+// quantInt8 rounds v/scale half away from zero, clamped to ±127. A
+// non-finite quotient (a zero scale, a NaN scale, an Inf over an Inf
+// scale) gives 0 explicitly: Go leaves int8 of a NaN to the
+// implementation.
 func quantInt8(v, scale float32) int8 {
-	if scale == 0 {
-		return 0
-	}
 	q := math.Round(float64(v) / float64(scale))
-	if q > 127 {
-		q = 127
-	} else if q < -127 {
-		q = -127
+	switch {
+	case q >= -127 && q <= 127:
+		return int8(q)
+	case math.IsNaN(q) || math.IsInf(q, 0):
+		return 0
+	case q > 0:
+		return 127
 	}
-	return int8(q)
+	return -127
 }
 
 // ---- top-k ----
@@ -233,10 +249,19 @@ const topkMagLimit = 16
 // gradient is always kept and k is always met (a frame that silently
 // dropped NaNs would decode to a different k than it declared). The hot
 // loops work on the unclamped magnitude and account for the clamp where
-// they compare (topKThreshold, appendTopK).
+// they compare (topKThreshold, topkScratch.compact, appendTopK).
 const topkInf = 0x7f800000
 
 func topkMag(v float32) uint32 { return math.Float32bits(v) &^ (1 << 31) }
+
+// topkHi is the largest unclamped magnitude whose key is key: key itself,
+// or, for the clamp, every NaN pattern above it.
+func topkHi(key uint32) uint32 {
+	if key == topkInf {
+		return math.MaxUint32
+	}
+	return key
+}
 
 // topkCount is one radix level: it counts into hist[0], by the width-bit
 // digit at shift, the magnitudes of s whose bits above that digit equal
@@ -303,15 +328,132 @@ func uvarintLen(x uint64) int {
 	return (bits.Len64(x|1) + 6) / 7
 }
 
-// appendTopK appends s's top-k entries (k = topKCount(len(s)) ≥ 1): the
-// index deltas, then the values.
-func appendTopK(dst []byte, s []float32, k int) []byte {
-	thr, ties := topKThreshold(s, k)
-	// On unclamped magnitudes: above hi survives outright, thr to hi ties.
-	hi := thr
-	if thr == topkInf {
-		hi = math.MaxUint32
+// topkScratch is one encoder's working set: the sampled keys and the
+// candidates' indices and values, index-ordered. Pooled, so a report
+// encodes without allocating once a scratch has grown to its largest
+// candidate set.
+type topkScratch struct {
+	sample [topkSamples]float32
+	idx    []uint32
+	val    []float32
+}
+
+var topkPool = sync.Pool{New: func() any { return new(topkScratch) }}
+
+const (
+	// topkSamples is how many keys topkLowerBound reads.
+	topkSamples = 4096
+	// topkSampleCutoff is the longest slice compacted whole without a
+	// sample, which would read an eighth of it or more.
+	topkSampleCutoff = 8 * topkSamples
+	// topkBlock is how many entries compact reads between checks that the
+	// scratch has room for all of them.
+	topkBlock = 4096
+)
+
+// topkLowerBound guesses a key that a few more than k of s's keys reach,
+// so that compacting the entries at or above it keeps every survivor and
+// little else. It reads topkSamples keys at xorshift positions — a fixed
+// stride would alias with the rows of a rank-1 outer-product gradient —
+// and returns the key of rank ⌈E + 4√E⌉ + 1 among them, E = topkSamples·k/n
+// being the survivors the sample holds on average: four standard
+// deviations of slack. It returns 0, which every key reaches, for a slice
+// of at most topkSampleCutoff entries or a rank past the sample. The bound
+// only decides how much work the selection does, never what it selects.
+func topkLowerBound(s []float32, k int, sample *[topkSamples]float32) uint32 {
+	n := len(s)
+	if n <= topkSampleCutoff {
+		return 0
 	}
+	e := float64(topkSamples) * float64(k) / float64(n)
+	r := int(math.Ceil(e+4*math.Sqrt(e))) + 1
+	if r > topkSamples {
+		return 0
+	}
+	x := uint32(0x9e3779b9)
+	for i := range sample {
+		x ^= x << 13
+		x ^= x >> 17
+		x ^= x << 5
+		sample[i] = s[uint64(x)*uint64(n)>>32]
+	}
+	// At or below the r-th largest sampled key (topKThreshold may stop at
+	// its bucket's lower bound): a looser bound, never a wrong one.
+	lb, _ := topKThreshold(sample[:], r)
+	return lb
+}
+
+// compact copies the index and value of every entry of s whose key
+// reaches lb into sc.idx and sc.val, in index order, and returns how many
+// it copied and how many of those lie strictly above lb. The store is
+// unconditional and only the counts depend on the value, so the pass has
+// no branch to mispredict. Keys are compared unclamped: lb never exceeds
+// topkInf, so a NaN reaches it exactly when its clamped key does, and
+// none counts as above topkInf.
+func (sc *topkScratch) compact(s []float32, lb uint32) (n, above int) {
+	hi := topkHi(lb)
+	for base := 0; base < len(s); base += topkBlock {
+		blk := s[base:min(base+topkBlock, len(s))]
+		if len(sc.idx) < n+len(blk) {
+			sc.grow(n, n+len(blk), len(s))
+		}
+		idx, val := sc.idx[n:n+len(blk)], sc.val[n:n+len(blk)]
+		c := 0
+		for i, v := range blk {
+			m := topkMag(v)
+			idx[c] = uint32(base + i)
+			val[c] = v
+			if m >= lb {
+				c++
+			}
+			if m > hi {
+				above++
+			}
+		}
+		n += c
+	}
+	return n, above
+}
+
+// grow reallocates the scratch to hold at least need candidates of a
+// slice of n, keeping the first keep. It starts at a quarter of the
+// slice, which holds the ≈15 % a sampled bound lets through, and doubles
+// from there, never past the whole slice.
+func (sc *topkScratch) grow(keep, need, n int) {
+	c := min(max(need, 2*len(sc.idx), n/4), n)
+	idx, val := make([]uint32, c), make([]float32, c)
+	copy(idx, sc.idx[:keep])
+	copy(val, sc.val[:keep])
+	sc.idx, sc.val = idx, val
+}
+
+// appendTopK appends s's top-k entries (k = topKCount(len(s)) ≥ 1): the
+// index deltas, then the values. It selects among candidates, the entries
+// whose key reaches topkLowerBound's guess, compacted from s in one pass;
+// should fewer than k reach it, the guess drops to 0 and every entry is a
+// candidate. Either way every entry with a key at or above the k-th
+// largest is a candidate, and candidates keep their index order, so
+// selecting among them — ties to the lowest index — picks exactly what
+// selecting over s would: the sample moves the work, never the frame.
+func appendTopK(dst []byte, s []float32, k int) []byte {
+	sc := topkPool.Get().(*topkScratch)
+	defer topkPool.Put(sc)
+	lb := topkLowerBound(s, k, &sc.sample)
+	nc, above := sc.compact(s, lb)
+	if nc < k {
+		lb = 0
+		nc, above = sc.compact(s, lb)
+	}
+	idx, val := sc.idx[:nc], sc.val[:nc]
+
+	// With fewer than k keys above the bound, the k-th largest is the
+	// bound itself — an all-equal or mostly-zero slice needs no select.
+	thr, ties := lb, k-above
+	if above >= k {
+		thr, ties = topKThreshold(val, k)
+	}
+	// On unclamped magnitudes: above hi survives outright, thr to hi ties.
+	hi := topkHi(thr)
 	// One growth covers the slice: no index delta reaches len(s), so each
 	// takes at most iw bytes. Indices and values are written in the same
 	// index-order pass, the values starting iw·k bytes in, and moved down
@@ -322,12 +464,12 @@ func appendTopK(dst []byte, s []float32, k int) []byte {
 	ib, vb := dst[off:], dst[off+k*iw:]
 	in, vn, prev := 0, 0, -1
 	// A block's survivors are first compacted into keep — the store is
-	// unconditional and only the list length depends on the value, so one
-	// survivor in eight is not one mispredicted branch in eight — then
-	// encoded. The pass ends with the k-th survivor.
+	// unconditional and only the list length depends on the value, so a
+	// survivor is not a mispredicted branch — then encoded at their
+	// stored indices. The pass ends with the k-th survivor.
 	var keep [256]uint8
 	for base := 0; vn < 4*k; base += len(keep) {
-		blk := s[base:min(base+len(keep), len(s))]
+		blk := val[base:min(base+len(keep), len(val))]
 		c := 0
 		for i, v := range blk {
 			m := topkMag(v)
@@ -341,7 +483,7 @@ func appendTopK(dst []byte, s []float32, k int) []byte {
 			}
 		}
 		for _, j := range keep[:c] {
-			i := base + int(j)
+			i := int(idx[base+int(j)])
 			d := uint64(i - prev - 1)
 			prev = i
 			if d < 0x80 { // one survivor in eight: nearly every delta

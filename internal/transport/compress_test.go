@@ -116,6 +116,61 @@ func TestInt8QuantErrorBound(t *testing.T) {
 	}
 }
 
+// TestInt8NonFinitePoisonsSlice: a NaN or Inf anywhere in a slice makes
+// its int8 scale NaN or Inf and the whole slice decode as NaN — a NaN
+// never decodes as 0 beside finite neighbours — while the report's other
+// slices decode as usual. The committed int8 golden frame holds no
+// non-finite value, so its bytes are what they were before NaN was kept.
+func TestInt8NonFinitePoisonsSlice(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	for _, s := range [][]float32{
+		{0.5, nan, -1}, {nan, 0.5, -1}, {0.5, -1, nan}, {inf, nan}, {nan, -inf},
+		{0.5, inf, -1}, {0.5, -1, -inf},
+	} {
+		scale := float64(int8Scale(s))
+		hasNaN := slices.ContainsFunc(s, func(v float32) bool { return v != v })
+		if hasNaN && !math.IsNaN(scale) || !hasNaN && !math.IsInf(scale, 1) {
+			t.Fatalf("%v: scale %v, want NaN with a NaN in the slice, else +Inf", s, scale)
+		}
+		m := &Message{Kind: KindReport, Grads: [][]float32{s, {127, -64}}}
+		m.SetGradCodec(CompressInt8)
+		data, err := EncodeBinary(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeBinary(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, v := range got.Grads[0] {
+			if v == v {
+				t.Fatalf("%v: entry %d decoded as %v, want NaN", s, j, v)
+			}
+		}
+		if g := got.Grads[1]; g[0] != 127 || g[1] != -64 { // scale 1: exact
+			t.Fatalf("%v: finite slice decoded as %v", s, g)
+		}
+		got.Release()
+	}
+
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden", "binary-report-int8.frame"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := DecodeBinary(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release()
+	for _, g := range m.Grads {
+		for _, v := range g {
+			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+				t.Fatalf("int8 golden frame decodes a non-finite value: %v", g)
+			}
+		}
+	}
+}
+
 // TestTopKSelectProperties: the selection returns exactly k strictly
 // increasing indices, keeps only largest magnitudes, breaks ties to the
 // lowest index, is deterministic, and always keeps NaNs.

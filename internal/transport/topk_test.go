@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"strconv"
+	"sync"
 	"testing"
 )
 
@@ -150,10 +151,32 @@ func fill(n int, f func(i int) float32) []float32 {
 	return s
 }
 
+// tile repeats s (non-empty) until it is longer than topkSampleCutoff, so
+// that the encoder compacts it against a sampled bound.
+func tile(s []float32) []float32 {
+	out := make([]float32, 0, (topkSampleCutoff/len(s)+1)*len(s))
+	for len(out) <= topkSampleCutoff {
+		out = append(out, s...)
+	}
+	return out
+}
+
+// boundCounts runs the encoder's first two steps on s: the sampled bound,
+// and how many keys reach it and how many lie strictly above it.
+func boundCounts(s []float32) (lb uint32, reach, above int) {
+	var sample [topkSamples]float32
+	lb = topkLowerBound(s, topKCount(len(s)), &sample)
+	reach, above = new(topkScratch).compact(s, lb)
+	return lb, reach, above
+}
+
 // TestTopKMatchesSortReference: the radix selection against the
 // sort-based one on the inputs chosen to break it — every radix level's
 // early exit and full descent, ties on both sides of the threshold,
-// special values, and lengths around the k = ⌈n/8⌉ steps.
+// special values, and lengths around the k = ⌈n/8⌉ steps. Every case
+// short enough to be compacted whole runs again tiled past the sampling
+// cutoff, where the same values meet a sampled bound; the longer ones
+// meet it already.
 func TestTopKMatchesSortReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	nan, inf := float32(math.NaN()), float32(math.Inf(1))
@@ -179,6 +202,9 @@ func TestTopKMatchesSortReference(t *testing.T) {
 		"nan-payloads-few":   fill(64, func(i int) float32 { return nanMix(i, 21) }),
 		"nan-payloads-exact": fill(64, func(i int) float32 { return nanMix(i, 8) }),
 		"nan-payloads-many":  fill(64, func(i int) float32 { return nanMix(i, 3) }),
+		// A tenth NaN and a tenth -Inf: more specials than k but fewer
+		// NaNs, so that tiled, the sampled bound is the clamp itself.
+		"inf-nan-at-bound": fill(1000, func(i int) float32 { return []float32{nan, 1, 2, 1, 2, -inf, 1, 2, 1, 2}[i%10] }),
 		// k = 13 of 100; 5 entries above a run of 40 equal ones that
 		// therefore straddles the threshold.
 		"tie-run-straddles": fill(100, func(i int) float32 {
@@ -215,23 +241,112 @@ func TestTopKMatchesSortReference(t *testing.T) {
 	}
 	for name, s := range cases {
 		t.Run(name, func(t *testing.T) { checkTopKAgainstReference(t, s) })
+		if len(s) > 0 && len(s) <= topkSampleCutoff {
+			t.Run(name+"-tiled", func(t *testing.T) { checkTopKAgainstReference(t, tile(s)) })
+		}
 	}
+}
+
+// TestTopKSampledBoundOvershoots: the slice's largest values sit exactly
+// where the sampler reads, so the sampled bound is one that fewer than k
+// keys reach, and the encoder must fall back to taking every entry as a
+// candidate.
+func TestTopKSampledBoundOvershoots(t *testing.T) {
+	const n = 1 << 17
+	// The sampler's positions: sample a slice whose entries are their own
+	// indices (exact in float32 below 2^24).
+	var sample [topkSamples]float32
+	topkLowerBound(fill(n, func(i int) float32 { return float32(i) }), topKCount(n), &sample)
+	rng := rand.New(rand.NewSource(23))
+	s := fill(n, func(int) float32 { return rng.Float32() })
+	for j, p := range sample {
+		s[int(p)] = 100 + float32(j)
+	}
+	if lb, reach, _ := boundCounts(s); reach >= topKCount(n) {
+		t.Fatalf("bound %#x is reached by %d keys, want fewer than k = %d", lb, reach, topKCount(n))
+	}
+	checkTopKAgainstReference(t, s)
+}
+
+// TestTopKTieRunStraddlesSampledBound: the sampled bound lands on a run
+// of equal values that the k-th largest key also falls in, so fewer than
+// k keys lie above the bound, the bound is the threshold, and the run is
+// cut at the first k survivors by index.
+func TestTopKTieRunStraddlesSampledBound(t *testing.T) {
+	const n = 1 << 17
+	k := topKCount(n)
+	s := fill(n, func(i int) float32 {
+		switch {
+		case i%10 == 0:
+			return -3 // a tenth of the slice, above the run
+		case i >= n/4 && i < n/2:
+			return 2 // the run
+		}
+		return 1
+	})
+	if lb, reach, above := boundCounts(s); lb != topkMag(2) || above >= k || reach < k {
+		t.Fatalf("bound %#x reached by %d keys, %d above it; want the run's key %#x, fewer than k = %d above, k reached",
+			lb, reach, above, topkMag(2), k)
+	}
+	checkTopKAgainstReference(t, s)
+}
+
+// TestTopKConcurrentEncoders: eight goroutines encode different slices at
+// once through the shared scratch pool — sampled and whole, selected and
+// cut at the bound, each a different length so a scratch is handed from
+// a longer slice to a shorter one and back — and every frame must match
+// the reference.
+func TestTopKConcurrentEncoders(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	ss := make([][]float32, 8)
+	want := make([][]byte, len(ss))
+	for g := range ss {
+		n := topkSampleCutoff/2 + rng.Intn(4*topkSampleCutoff)
+		if g%2 == 0 {
+			ss[g] = fill(n, func(int) float32 { return float32(rng.NormFloat64()) })
+		} else {
+			ss[g] = fill(n, func(int) float32 { return float32(rng.Intn(5)-2) * 0.5 })
+		}
+		want[g] = refTopKSection(ss[g])
+	}
+	var wg sync.WaitGroup
+	for g, s := range ss {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 4; rep++ {
+				if got := appendCompressedSlices(nil, [][]float32{s}, CompressTopK); !bytes.Equal(got, want[g]) {
+					t.Errorf("goroutine %d, encode %d: n=%d frame differs from the sort-based reference", g, rep, len(s))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestTopKMatchesSortReferenceLarge: train-comm's largest tensor, 1M
 // gradient-like values (the magnitudes a 2048-bucket first level spreads
-// thinly), then the same length with heavy ties.
+// thinly), the same length with heavy ties, and the rank-1 outer product
+// a train-comm token reports, whose candidates must go through the
+// select.
 func TestTopKMatchesSortReferenceLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	checkTopKAgainstReference(t, fill(1<<20, func(int) float32 {
 		return float32(rng.NormFloat64() * math.Exp(4*rng.NormFloat64()))
 	}))
 	checkTopKAgainstReference(t, fill(1<<20, func(int) float32 { return float32(rng.Intn(64)) - 32 }))
+	rank1 := benchRank1Report(rng).Grads[0]
+	if lb, reach, above := boundCounts(rank1); above < topKCount(len(rank1)) {
+		t.Fatalf("rank-1: bound %#x reached by %d keys, %d above it; want at least k = %d above", lb, reach, above, topKCount(len(rank1)))
+	}
+	checkTopKAgainstReference(t, rank1)
 }
 
 // FuzzTopKSelect reinterprets the input as little-endian float32s —
 // every bit pattern, so NaN payloads, denormals and both zeros turn up —
-// and holds encoder and decoder to the sort-based reference.
+// and holds encoder and decoder to the sort-based reference, on the
+// slice itself and tiled past the sampling cutoff.
 func FuzzTopKSelect(f *testing.F) {
 	le := func(vs ...uint32) []byte {
 		var b []byte
@@ -250,5 +365,8 @@ func FuzzTopKSelect(f *testing.F) {
 			s[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
 		}
 		checkTopKAgainstReference(t, s)
+		if len(s) > 0 {
+			checkTopKAgainstReference(t, tile(s))
+		}
 	})
 }
