@@ -11,8 +11,10 @@ test:
 # tier1 is the contract every change must keep green.
 tier1: build test
 
+# vet also fails when any Go file is not gofmt-clean.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l: $$unformatted"; exit 1; fi
 
 race:
 	$(GO) test -race ./...

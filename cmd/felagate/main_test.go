@@ -155,6 +155,19 @@ func TestRunDrainShedsSubmissions(t *testing.T) {
 	waitHealthy(t, base)
 
 	sig <- syscall.SIGTERM
+	// The drain starts once run reads the signal; /healthz turns 503 then.
+	// A submission sent earlier is rightly accepted.
+	for {
+		resp, err := http.Get(base + "/healthz")
+		if err != nil {
+			break // listener already down
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
 	// With nothing in flight the drain races us to shutdown; a refused
 	// connection is as correct as a 503.
 	for {

@@ -21,7 +21,7 @@ import (
 	"fela/internal/transport"
 )
 
-func mk() *minidnn.Network  { return minidnn.NewMLP(42, 16, 32, 4) }
+func mk() *minidnn.Network   { return minidnn.NewMLP(42, 16, 32, 4) }
 func data() *minidnn.Dataset { return minidnn.SyntheticBlobs(7, 256, 16, 4) }
 
 func main() {

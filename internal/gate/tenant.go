@@ -142,7 +142,7 @@ func (t *tenants) snapshot(objective float64, now time.Time) []TenantStatus {
 	for name, ts := range t.m {
 		out = append(out, TenantStatus{
 			Tenant: name, Inflight: ts.inflight,
-			Admitted:  ts.admitted, Shed: ts.shed,
+			Admitted: ts.admitted, Shed: ts.shed,
 			SLOBurn5m: ts.slo.Burn(5*time.Minute, objective, now),
 			SLOBurn1h: ts.slo.Burn(time.Hour, objective, now),
 		})

@@ -20,9 +20,10 @@ import (
 
 // Coordinator is the real-time Token Server plus the BSP parameter
 // synchronizer. It owns the master copy of the model, seeds one STB per
-// worker each iteration, serves pull requests (own shard first, then
-// stealing from the largest backlog), and applies the canonical-order
-// gradient aggregation that makes the run bit-equal to Sequential.
+// worker each iteration, serves pull requests (own shard first, the next
+// own token one ahead, then stealing from the largest backlog one token
+// at a time), and applies the canonical-order gradient aggregation that
+// makes the run bit-equal to Sequential.
 //
 // With Config.WorkerTimeout set, the coordinator is fault tolerant: a
 // worker whose connection errors, or that sits on an assigned token past
@@ -616,65 +617,44 @@ func (co *Coordinator) runIteration(nTok int) error {
 				if ws.draining {
 					continue // request in flight raced the leave announcement
 				}
-				tok := pick(co.tokens, ws.wid)
-				if tok == nil {
-					// Nothing assignable now. Park the request so a
-					// token freed by a later death can be re-served;
-					// otherwise the worker waits for the next
-					// iter-start and re-requests itself.
-					co.waiting = append(co.waiting, ws)
-					continue
-				}
-				if err := co.sendAssign(ws, tok); err != nil {
-					if !co.faultTolerant() {
-						return fmt.Errorf("rt: assign to worker %d: %w", ws.wid, err)
-					}
-					if co.elastic() {
-						// The conn may have closed because a leave is in
-						// flight; revert the token and let the recv pump
-						// deliver the real verdict (leave or death) in
-						// message order instead of ruling death here.
-						co.unassign(ws, tok)
-					} else {
-						co.markDead(ws, "iteration", err)
-					}
+				if _, failed, err := co.serve(ws); err != nil {
+					return err
+				} else if failed {
 					if err := co.serveWaiting(); err != nil {
 						return err
 					}
 				}
 			case transport.KindReport:
-				seq := m.Token.Seq
-				if seq < 0 || seq >= nTok || co.tokens[seq].done {
-					return fmt.Errorf("rt: bogus report for token seq %d", seq)
-				}
-				// Exact is always legal (codec-blind transports degrade to
-				// it losslessly); anything else must match the negotiation.
-				if rc := m.GradCodec(); rc != transport.CompressExact && rc != ws.codec {
-					return fmt.Errorf("rt: worker %d reported with codec %v, negotiated %v", ws.wid, rc, ws.codec)
-				}
-				// Validate the shapes on arrival: the report may be folded
-				// only after later ones, and it must fail here if at all.
-				if len(m.Grads) != len(co.acc) {
-					return fmt.Errorf("rt: report for token %d carries %d gradient tensors, want %d", seq, len(m.Grads), len(co.acc))
-				}
-				for i, g := range m.Grads {
-					if len(g) != len(co.acc[i].Data) {
-						return fmt.Errorf("rt: gradient %d size mismatch", i)
+				if err := co.checkReport(ws, m); err != nil {
+					if !co.faultTolerant() {
+						return err
 					}
+					m.Release()
+					co.markDead(ws, "iteration", err)
+					if err := co.serveWaiting(); err != nil {
+						return err
+					}
+					continue
 				}
+				seq := m.Token.Seq
 				tok := co.tokens[seq]
 				tok.done = true
 				tok.report = m
 				tok.loss = m.Loss
-				if assignedAt, ok := ws.outstanding[seq]; ok {
-					// The round-trip span's context makes the worst token
-					// the histogram's exemplar — follow trace_id from a
-					// /metrics scrape straight into the trace.
-					co.tele.tokenLat.ObserveExemplar(time.Since(assignedAt).Seconds(), tok.span.Context())
-				}
+				now := time.Now()
+				// The round-trip span's context makes the worst token the
+				// histogram's exemplar — follow trace_id from a /metrics
+				// scrape straight into the trace.
+				co.tele.tokenLat.ObserveExemplar(now.Sub(ws.outstanding[seq]).Seconds(), tok.span.Context())
 				tok.span.End()
 				tok.span = nil
 				delete(ws.outstanding, seq)
+				// The token queued behind this one starts now: its clock
+				// restarts so WorkerTimeout and the latency histogram
+				// time one token, not one plus its wait in the queue.
+				for s := range ws.outstanding {
+					ws.outstanding[s] = now
+				}
 				co.res.TokensByWorker[ws.wid]++
 				co.iterTokens[ws.wid]++
 				ws.tokens.Inc()
@@ -749,6 +729,30 @@ func (co *Coordinator) fold() {
 		tok.report.Release()
 		tok.report = nil
 	}
+}
+
+// checkReport holds a report to the protocol: it must be for a token its
+// sender holds (which also rules out repeats and other workers' tokens),
+// under the negotiated codec or exact — codec-blind transports degrade to
+// exact losslessly — and in the model's shapes. Shapes are checked on
+// arrival because the report may be folded only after later ones.
+func (co *Coordinator) checkReport(ws *workerState, m *transport.Message) error {
+	seq := m.Token.Seq
+	if _, held := ws.outstanding[seq]; !held {
+		return fmt.Errorf("%w: worker %d reported token seq %d, which it does not hold", errProtocol, ws.wid, seq)
+	}
+	if rc := m.GradCodec(); rc != transport.CompressExact && rc != ws.codec {
+		return fmt.Errorf("%w: worker %d reported with codec %v, negotiated %v", errProtocol, ws.wid, rc, ws.codec)
+	}
+	if len(m.Grads) != len(co.acc) {
+		return fmt.Errorf("%w: worker %d reported %d gradient tensors for token seq %d, want %d", errProtocol, ws.wid, len(m.Grads), seq, len(co.acc))
+	}
+	for i, g := range m.Grads {
+		if len(g) != len(co.acc[i].Data) {
+			return fmt.Errorf("%w: worker %d reported gradient %d with %d elements, want %d", errProtocol, ws.wid, i, len(g), len(co.acc[i].Data))
+		}
+	}
+	return nil
 }
 
 // strayEvent handles traffic from connections that are not (yet)
@@ -1037,27 +1041,68 @@ func (co *Coordinator) serveWaiting() error {
 			if !ws.alive || ws.draining {
 				continue
 			}
-			tok := pick(co.tokens, ws.wid)
-			if tok == nil {
-				co.waiting = append(co.waiting, ws)
-				continue
+			parked, _, err := co.serve(ws)
+			if err != nil {
+				return err
 			}
-			if err := co.sendAssign(ws, tok); err != nil {
-				if !co.faultTolerant() {
-					return fmt.Errorf("rt: assign to worker %d: %w", ws.wid, err)
-				}
-				if co.elastic() {
-					co.unassign(ws, tok) // same deferral as the direct path
-				} else {
-					co.markDead(ws, "iteration", err)
-				}
-			}
-			progress = true
+			progress = progress || !parked
 		}
 		if !progress {
 			return nil
 		}
 	}
+}
+
+// serve answers a pull request from ws. A worker holding no token gets
+// pick's choice; when nothing is assignable the request is parked, so a
+// token freed by a later death can be re-served (otherwise the worker
+// waits for the next iter-start and re-requests itself). Then, if ws
+// holds exactly one token and its own shard still has two or more
+// unassigned, the lower of them is assigned too: the next own token
+// rides one ahead, so the worker finds it waiting when it reports, and
+// its request is answered by the token it already holds. The shard's
+// last unassigned token is never queued, so it stays stealable, and
+// steals stay one at a time. failed reports an assign that could not be
+// sent (see assign); the caller then re-serves parked requests.
+func (co *Coordinator) serve(ws *workerState) (parked, failed bool, err error) {
+	if len(ws.outstanding) == 0 {
+		tok := pick(co.tokens, ws.wid)
+		if tok == nil {
+			co.waiting = append(co.waiting, ws)
+			return true, false, nil
+		}
+		if ok, err := co.assign(ws, tok); !ok {
+			return false, true, err
+		}
+	}
+	if len(ws.outstanding) == 1 {
+		if tok := ahead(co.tokens, ws.wid); tok != nil {
+			ok, err := co.assign(ws, tok)
+			return false, !ok, err
+		}
+	}
+	return false, false, nil
+}
+
+// assign ships tok to ws and reports whether it went out. A failed send
+// is an error in strict mode. In fault-tolerant mode it kills the worker,
+// except under elasticity: the conn may have closed because a leave is
+// in flight, so the token is reverted and the recv pump delivers the
+// real verdict (leave or death) in message order.
+func (co *Coordinator) assign(ws *workerState, tok *tokenState) (bool, error) {
+	err := co.sendAssign(ws, tok)
+	if err == nil {
+		return true, nil
+	}
+	if !co.faultTolerant() {
+		return false, fmt.Errorf("rt: assign to worker %d: %w", ws.wid, err)
+	}
+	if co.elastic() {
+		co.unassign(ws, tok)
+	} else {
+		co.markDead(ws, "iteration", err)
+	}
+	return false, nil
 }
 
 // trainableCount reports how many workers can still train tokens (alive
@@ -1135,4 +1180,21 @@ func pick(tokens []*tokenState, wid int) *tokenState {
 		return nil
 	}
 	return backlog[best][0]
+}
+
+// ahead returns the own token to queue behind the one wid holds: the
+// lowest-seq unassigned token of wid's shard, provided the shard has at
+// least two, so its last unassigned token is never queued.
+func ahead(tokens []*tokenState, wid int) *tokenState {
+	var first *tokenState
+	for _, t := range tokens {
+		if t.info.Owner != wid || t.assigned || t.done {
+			continue
+		}
+		if first != nil {
+			return first
+		}
+		first = t
+	}
+	return nil
 }

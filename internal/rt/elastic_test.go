@@ -92,6 +92,14 @@ func newElasticHarness(t *testing.T, cfg Config, joiners int) *elasticHarness {
 			h.joinWID <- wid
 		}()
 	}
+	// Wait until every join request sits in the coordinator's event queue
+	// (nothing drains it before Run), so each is pending before the first
+	// barrier however fast the session trains.
+	for deadline := time.Now().Add(10 * time.Second); len(co.events) < joiners; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("join requests never reached the coordinator")
+		}
+	}
 	return h
 }
 
@@ -302,6 +310,9 @@ func TestElasticFullScaleStory(t *testing.T) {
 		return iter >= 5 && (wid == 0 || wid == 2 || wid == 3)
 	}
 	delayWIDs(&cfg, 0, 1)
+	// Every token sleeps a moment, so neither joiner can train whole
+	// iterations while the other's goroutine waits to be scheduled.
+	cfg.TokenDelay = func(iter, wid int) time.Duration { return time.Millisecond }
 	h := newElasticHarness(t, cfg, 2)
 	res := h.run(t)
 	assertElasticOutcome(t, cfg, res,

@@ -11,14 +11,17 @@ import (
 // Coordinator-side metric names. Worker-side names live in worker.go.
 const (
 	// MetricTokenSeconds is the assign→report round-trip per token: the
-	// live analog of the paper's per-token compute+fetch time.
+	// live analog of the paper's per-token compute+fetch time. A token
+	// queued behind another is timed from that one's report, when the
+	// worker starts it.
 	MetricTokenSeconds = "fela_rt_token_seconds"
 	// MetricIterSeconds is the wall-clock duration of one BSP iteration
 	// (the denominator of Eq. 3's live estimate).
 	MetricIterSeconds = "fela_rt_iter_seconds"
 	// MetricBarrierSeconds is the time spent between the last token
-	// report and the next iteration's seeding: canonical-order
-	// aggregation, the optimizer step and the membership barrier.
+	// report and the next iteration's seeding: the loss sum, the
+	// optimizer step, the checkpoint and the membership barrier.
+	// Gradients are already aggregated, folded as the reports arrived.
 	MetricBarrierSeconds = "fela_rt_barrier_seconds"
 	// MetricLiveWorkers gauges the trainable worker count.
 	MetricLiveWorkers = "fela_rt_live_workers"
@@ -61,9 +64,9 @@ type coTelemetry struct {
 }
 
 func newCoTelemetry(reg *obs.Registry) coTelemetry {
-	reg.Help(MetricTokenSeconds, "Token assign-to-report round-trip latency in seconds.")
+	reg.Help(MetricTokenSeconds, "Token assign-to-report latency in seconds (a queued token counts from the previous report).")
 	reg.Help(MetricIterSeconds, "Wall-clock duration of one BSP iteration in seconds.")
-	reg.Help(MetricBarrierSeconds, "Aggregation + membership-barrier time between iterations in seconds.")
+	reg.Help(MetricBarrierSeconds, "Loss sum + optimizer step + checkpoint + membership-barrier time between iterations in seconds.")
 	reg.Help(MetricLiveWorkers, "Trainable (alive, non-draining) worker count.")
 	reg.Help(MetricIteration, "Most recently completed iteration.")
 	reg.Help(MetricTokensTotal, "Tokens reported, by worker id.")

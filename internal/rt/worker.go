@@ -252,16 +252,19 @@ func (w *Worker) loop(conn transport.Conn) error {
 			w.compute.Observe(w.lastCompute)
 			w.observeKernels()
 			report.Span = m.Span // tie the report to the same trace
+			report.SetMore(true)
 			if err := conn.Send(report); err != nil {
 				return err
 			}
 			w.trained++
 			w.tokens.Inc()
 			w.publishStatus(false)
-			// Report and request are combined (§III-D): ask for the next
-			// token in the same breath. Best-effort for the same reason
-			// as above.
-			_ = conn.Send(&transport.Message{Kind: transport.KindRequest, WID: w.wid})
+			// Report and request are combined (§III-D): the request for
+			// the next token leaves in the same write as the report held
+			// above, so a failed write lost the report too.
+			if err := conn.Send(&transport.Message{Kind: transport.KindRequest, WID: w.wid}); err != nil {
+				return err
+			}
 		case transport.KindReassign:
 			// Asked to migrate to another job: answer with a normal
 			// leave and drain out — the same path as a scripted drain,

@@ -1,0 +1,248 @@
+package transport
+
+// Held frames: a message marked SetMore waits on a binary TCP conn and
+// leaves in the same write as the next frame. These tests read the far
+// end of the socket raw, so they see exactly which bytes are on the wire
+// and when.
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"net"
+	"sync"
+	"testing"
+	"time"
+
+	"fela/internal/obs"
+)
+
+// rawPair returns a binary tcpConn and the raw socket at its far end.
+func rawPair(t *testing.T) (*tcpConn, net.Conn) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			t.Error(err)
+		}
+		accepted <- c
+	}()
+	d, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := <-accepted
+	if raw == nil {
+		t.FailNow()
+	}
+	c := newTCPConn(d, CodecBinary)
+	t.Cleanup(func() { c.Close(); raw.Close() })
+	return c, raw
+}
+
+// expectSilence fails if any byte arrives on raw within d.
+func expectSilence(t *testing.T, raw net.Conn, d time.Duration) {
+	t.Helper()
+	raw.SetReadDeadline(time.Now().Add(d))
+	var b [1]byte
+	n, err := raw.Read(b[:])
+	var ne net.Error
+	if n != 0 || !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("read %d bytes (err %v) from a conn that should be silent", n, err)
+	}
+}
+
+// readExactly reads len(want) bytes from raw and compares them to want.
+func readExactly(t *testing.T, raw net.Conn, want []byte) {
+	t.Helper()
+	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got := make([]byte, len(want))
+	if _, err := io.ReadFull(raw, got); err != nil {
+		t.Fatalf("reading %d bytes: %v", len(want), err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("wire bytes differ from two separate frames")
+	}
+}
+
+// frames is the concatenated binary encoding of ms: what separate Sends
+// put on the wire.
+func frames(t *testing.T, ms ...*Message) []byte {
+	t.Helper()
+	var out []byte
+	for _, m := range ms {
+		var err error
+		if out, err = AppendFrame(out, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// heldReport is a small report marked as followed by another Send.
+func heldReport() *Message {
+	m := &Message{Kind: KindReport, WID: 1, Token: TokenInfo{ID: 9, Seq: 3, Lo: 24, Hi: 32, Owner: 1},
+		Grads: [][]float32{{1, 2, 3}, {4}}, Loss: 0.5}
+	m.SetMore(true)
+	return m
+}
+
+func request() *Message { return &Message{Kind: KindRequest, WID: 1} }
+
+// TestHeldFrameWaitsForNextSend: a marked frame is not on the wire until
+// the next Send, which writes both, in order, byte for byte what two
+// separate Sends write — also through Instrument and FaultConn, which
+// forward the same message.
+func TestHeldFrameWaitsForNextSend(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		wrap func(Conn) Conn
+	}{
+		{"tcp", func(c Conn) Conn { return c }},
+		{"instrument", func(c Conn) Conn { return Instrument(c, obs.NewRegistry()) }},
+		{"fault", func(c Conn) Conn { return NewFaultConn(c, 1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc0, raw := rawPair(t)
+			c := tc.wrap(tc0)
+			rep := heldReport()
+			want := frames(t, rep, request())
+			if err := c.Send(rep); err != nil {
+				t.Fatal(err)
+			}
+			expectSilence(t, raw, 50*time.Millisecond)
+			if err := c.Send(request()); err != nil {
+				t.Fatal(err)
+			}
+			readExactly(t, raw, want)
+		})
+	}
+}
+
+// writeCounter counts the writes that reach the socket.
+type writeCounter struct {
+	net.Conn
+	mu     sync.Mutex
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	w.writes++
+	w.mu.Unlock()
+	return w.Conn.Write(p)
+}
+
+// TestHeldFrameSharesOneWrite: the held frame and the next one reach the
+// socket in a single write.
+func TestHeldFrameSharesOneWrite(t *testing.T) {
+	a, b := net.Pipe()
+	defer b.Close()
+	wc := &writeCounter{Conn: a}
+	c := newTCPConn(wc, CodecBinary)
+	defer c.Close()
+	want := frames(t, heldReport(), request())
+	got := make(chan []byte, 1)
+	go func() {
+		buf := make([]byte, len(want))
+		_, err := io.ReadFull(b, buf)
+		if err != nil {
+			t.Error(err)
+		}
+		got <- buf
+	}()
+	if err := c.Send(heldReport()); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Send(request()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(<-got, want) {
+		t.Fatal("wire bytes differ from two separate frames")
+	}
+	if wc.writes != 1 {
+		t.Fatalf("%d writes for a held frame and its follower, want 1", wc.writes)
+	}
+}
+
+// TestHeldFrameLargeWrittenAtOnce: a marked frame of maxHeldBytes or more
+// is written at once.
+func TestHeldFrameLargeWrittenAtOnce(t *testing.T) {
+	c, raw := rawPair(t)
+	m := &Message{Kind: KindReport, Grads: [][]float32{make([]float32, maxHeldBytes/4)}}
+	m.SetMore(true)
+	want := frames(t, m)
+	if len(want) < maxHeldBytes {
+		t.Fatalf("frame is %d bytes, want at least %d", len(want), maxHeldBytes)
+	}
+	if err := c.Send(m); err != nil {
+		t.Fatal(err)
+	}
+	readExactly(t, raw, want)
+}
+
+// TestHeldFrameDroppedOnClose: Close discards a held frame; the peer
+// reads EOF and no byte of it.
+func TestHeldFrameDroppedOnClose(t *testing.T) {
+	c, raw := rawPair(t)
+	if err := c.Send(heldReport()); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got, err := io.ReadAll(raw)
+	if err != nil || len(got) != 0 {
+		t.Fatalf("peer read %d bytes, err %v; want EOF and nothing", len(got), err)
+	}
+}
+
+// TestHeldFrameBeforeBroadcast: SendBroadcast after a held frame writes
+// both, the held one first.
+func TestHeldFrameBeforeBroadcast(t *testing.T) {
+	c, raw := rawPair(t)
+	start := &Message{Kind: KindIterStart, Iter: 4, Params: [][]float32{{1, 2}, {3}}}
+	rep := heldReport()
+	want := frames(t, rep, start)
+	if err := c.Send(rep); err != nil {
+		t.Fatal(err)
+	}
+	if err := SendBroadcast(c, NewBroadcast(start)); err != nil {
+		t.Fatal(err)
+	}
+	readExactly(t, raw, want)
+}
+
+// TestHeldFrameIgnoredElsewhere: the in-memory pair and the gob stream
+// deliver a marked message without waiting for another Send.
+func TestHeldFrameIgnoredElsewhere(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pair func(t *testing.T) (Conn, Conn)
+	}{
+		{"mem", func(*testing.T) (Conn, Conn) { a, b := Pair(); return a, b }},
+		{"tcp-gob", func(t *testing.T) (Conn, Conn) { return tcpPair(t, CodecGob) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := tc.pair(t)
+			SetTimeouts(b, 0, 5*time.Second)
+			if err := a.Send(heldReport()); err != nil {
+				t.Fatal(err)
+			}
+			m, err := b.Recv()
+			if err != nil {
+				t.Fatalf("marked message not delivered on its own: %v", err)
+			}
+			if m.Kind != KindReport || m.Token.Seq != 3 {
+				t.Fatalf("got %+v", m)
+			}
+		})
+	}
+}

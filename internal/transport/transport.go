@@ -187,7 +187,20 @@ type Message struct {
 	// answer — and so hand-built messages default to exact. Set and
 	// read through SetGradCodec/GradCodec.
 	gradCodec Compression
+
+	// more promises that another Send on the same conn follows at once;
+	// see SetMore. Unexported for the same reasons as gradCodec.
+	more bool
 }
+
+// SetMore marks the message as followed at once by another Send on the
+// same conn, like MSG_MORE. The binary TCP conn then holds a frame
+// smaller than 64 KiB and writes it together with the next frame,
+// in one write; the bytes on the wire are those of two separate Sends.
+// Larger frames are written at once. Other transports ignore the mark.
+// A worker marks its report, so the report leaves in the same write as
+// the request that follows it.
+func (m *Message) SetMore(more bool) { m.more = more }
 
 // WireSize estimates the message's encoded size in bytes: the float
 // payloads dominate (4 bytes each), everything else is a small fixed
@@ -219,7 +232,8 @@ type Conn interface {
 	// pair — so the caller may overwrite those slices as soon as it
 	// returns: workers report straight from their live gradient
 	// tensors. A wrapper that delivers later (jobs.asyncConn) must
-	// only ever be handed payloads nobody mutates again.
+	// only ever be handed payloads nobody mutates again. A message marked
+	// SetMore may reach the wire only with the next Send.
 	Send(*Message) error
 	// Recv blocks for the next message; io errors or closure return an
 	// error.
@@ -518,6 +532,10 @@ type tcpConn struct {
 	br *bufio.Reader
 
 	mu sync.Mutex // serializes Send
+	// held is the pooled buffer of frames marked SetMore and not yet
+	// written: the next Send or SendBroadcast writes them first, in the
+	// same write. nil when nothing is held. Guarded by mu.
+	held *[]byte
 
 	tmu         sync.Mutex
 	sendTimeout time.Duration
@@ -559,15 +577,18 @@ func (c *tcpConn) timeouts() (send, recv time.Duration) {
 	return c.sendTimeout, c.recvTimeout
 }
 
+// maxHeldBytes bounds what a binary conn holds for SetMore: a marked
+// frame that would take the held bytes to this size or beyond is written
+// at once, so only control-sized frames ever wait.
+const maxHeldBytes = 64 << 10
+
 func (c *tcpConn) Send(m *Message) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if send, _ := c.timeouts(); send > 0 {
-		if err := c.conn.SetWriteDeadline(time.Now().Add(send)); err != nil {
+	if c.enc != nil {
+		if err := c.setWriteDeadline(); err != nil {
 			return err
 		}
-	}
-	if c.enc != nil {
 		st := c.stats.Load()
 		start := time.Now()
 		before := c.cw.n
@@ -579,18 +600,46 @@ func (c *tcpConn) Send(m *Message) error {
 	}
 	st := c.stats.Load()
 	start := time.Now()
-	bp := framePool.Get().(*[]byte)
-	buf, gi, err := appendFrameMeta((*bp)[:0], m)
+	// Encode after the held frames, if any, so one write carries them all.
+	bp, off := c.held, 0
+	if bp != nil {
+		c.held, off = nil, len(*bp)
+	} else {
+		bp = framePool.Get().(*[]byte)
+	}
+	buf, gi, err := appendFrameMeta((*bp)[:off], m)
 	if err != nil {
-		framePool.Put(bp)
+		// *bp still holds exactly the held frames, if there were any.
+		if off > 0 {
+			c.held = bp
+		} else {
+			framePool.Put(bp)
+		}
 		return err
 	}
-	st.encoded(m.Kind, len(buf), start)
+	st.encoded(m.Kind, len(buf)-off, start)
 	st.compressed(0, gi)
-	_, werr := c.conn.Write(buf)
+	*bp = buf
+	if m.more && len(buf) < maxHeldBytes {
+		c.held = bp
+		return nil
+	}
+	err = c.setWriteDeadline()
+	if err == nil {
+		_, err = c.conn.Write(buf)
+	}
 	*bp = buf[:0]
 	framePool.Put(bp)
-	return werr
+	return err
+}
+
+// setWriteDeadline arms the per-message send deadline, if any, for the
+// write about to happen.
+func (c *tcpConn) setWriteDeadline() error {
+	if send, _ := c.timeouts(); send > 0 {
+		return c.conn.SetWriteDeadline(time.Now().Add(send))
+	}
+	return nil
 }
 
 // SendBroadcast writes the broadcast's shared frame. On the binary
@@ -607,12 +656,20 @@ func (c *tcpConn) SendBroadcast(b *Broadcast) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if send, _ := c.timeouts(); send > 0 {
-		if err := c.conn.SetWriteDeadline(time.Now().Add(send)); err != nil {
-			return err
-		}
+	if err := c.setWriteDeadline(); err != nil {
+		return err
 	}
-	_, err = c.conn.Write(frame)
+	if c.held == nil {
+		_, err = c.conn.Write(frame)
+		return err
+	}
+	// Held frames go first, in the same write (writev on a TCP socket).
+	bp := c.held
+	c.held = nil
+	bufs := net.Buffers{*bp, frame}
+	_, err = bufs.WriteTo(c.conn)
+	*bp = (*bp)[:0]
+	framePool.Put(bp)
 	return err
 }
 
@@ -688,7 +745,19 @@ func (c *tcpConn) recvBinary() (*Message, error) {
 	return m, nil
 }
 
-func (c *tcpConn) Close() error { return c.conn.Close() }
+// Close tears the socket down and discards any held frame. The socket
+// closes first, so a Send blocked in a write (holding mu) returns.
+func (c *tcpConn) Close() error {
+	err := c.conn.Close()
+	c.mu.Lock()
+	if bp := c.held; bp != nil {
+		c.held = nil
+		*bp = (*bp)[:0]
+		framePool.Put(bp)
+	}
+	c.mu.Unlock()
+	return err
+}
 
 // decodeFrom decodes one message, converting codec failures (including
 // any decoder panic on hostile input) into *CodecError while passing
