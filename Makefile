@@ -48,24 +48,27 @@ jobs:
 	$(GO) test ./cmd/felaserver/ -race -run TestServerJobsMode -v
 	$(GO) test ./examples/multijob/ -race -count=1
 
-# fuzz runs each wire-codec fuzz target, and the top-k selection against
-# its sort-based reference, for a short budget on top of the committed
-# corpus (which plain `go test` already replays).
+# fuzz runs each wire-codec fuzz target, the top-k selection against
+# its sort-based reference, and a binary conn's Recv against
+# DecodeBinary, for a short budget on top of the committed corpus
+# (which plain `go test` already replays).
 fuzz:
 	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzWireDecode -fuzztime 10s
 	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzWireRoundTrip -fuzztime 10s
 	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzBinaryDecode -fuzztime 10s
 	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzBinaryRoundTrip -fuzztime 10s
 	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzTopKSelect -fuzztime 10s
+	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzRecvBinary -fuzztime 10s
 
-# bench smoke-runs the hot-path benchmarks (wire codecs, matmul and
-# elementwise kernels, a token's forward/backward at the train-compute
-# and train-comm shapes, the conv passes) at -benchtime 100x: enough to
+# bench smoke-runs the hot-path benchmarks (wire codecs, a 4 MB report
+# over loopback TCP, matmul and elementwise kernels, the fold's
+# AddScaled, a token's forward/backward at the train-compute and
+# train-comm shapes, the conv passes) at -benchtime 100x: enough to
 # catch a broken benchmark or a pathological regression without turning
 # CI into a perf lab.
 bench:
-	$(GO) test ./internal/transport/ -run xxx -bench 'BenchmarkCodec' -benchtime 100x
-	$(GO) test ./internal/tensor/ -run xxx -bench 'BenchmarkMatMul|BenchmarkReLU' -benchtime 100x
+	$(GO) test ./internal/transport/ -run xxx -bench 'BenchmarkCodec|BenchmarkTCPReport' -benchtime 100x
+	$(GO) test ./internal/tensor/ -run xxx -bench 'BenchmarkMatMul|BenchmarkReLU|BenchmarkAddScaled' -benchtime 100x
 	$(GO) test ./internal/minidnn/ -run xxx -bench 'BenchmarkToken|BenchmarkConv' -benchtime 100x
 
 # benchmod covers the regression benchmark, a module of its own under
@@ -117,11 +120,13 @@ durable:
 # fp16/int8/topk codec properties with their golden v2 frames and
 # hostile-header cases, top-k encoders sharing the scratch pool
 # (TestTopKConcurrentEncoders) and the FuzzTopKSelect corpus replayed,
+# the zero-copy float path (sections written from the sender's slice,
+# received as aligned views of the frame, checkptr-checked under -race),
 # and the negotiated end-to-end TCP sessions.
 kernels:
 	$(GO) test ./internal/tensor/ -race -count=1 -v
 	$(GO) test ./internal/minidnn/ -race -count=1 -v
-	$(GO) test ./internal/transport/ -race -run 'TestFP16|TestInt8|TestTopK|FuzzTopKSelect|TestCompress|TestParamsStayExact' -count=1 -v
+	$(GO) test ./internal/transport/ -race -run 'TestFP16|TestInt8|TestTopK|FuzzTopKSelect|TestCompress|TestParamsStayExact|TestView|TestSendCapturesPayload|TestRecvHeaderAlone|FuzzRecvBinary' -count=1 -v
 	$(GO) test ./internal/rt/ -race -run 'TestCompress' -count=1 -v
 
 # lint-metrics is the exposition-conformance gate: every e2e test that

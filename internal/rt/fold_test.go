@@ -15,6 +15,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"fela/internal/metrics"
 	"fela/internal/minidnn"
@@ -27,6 +28,10 @@ type arrival struct {
 	// arena is the report's first gradient element, which identifies the
 	// buffer the transport decoded it into.
 	arena *float32
+	// viewed is set when the first two gradient sections are not
+	// back to back, as sections carved one after another from one arena
+	// are: the first is then a view of the received frame.
+	viewed bool
 }
 
 // arrivalLog records every report a session's coordinator receives, per
@@ -41,6 +46,9 @@ func (l *arrivalLog) add(m *transport.Message) {
 	a := arrival{seq: m.Token.Seq}
 	if len(m.Grads) > 0 && len(m.Grads[0]) > 0 {
 		a.arena = &m.Grads[0][0]
+	}
+	if len(m.Grads) > 1 && len(m.Grads[1]) > 0 {
+		a.viewed = unsafe.Pointer(&m.Grads[1][0]) != unsafe.Add(unsafe.Pointer(a.arena), 4*len(m.Grads[0]))
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -79,9 +87,26 @@ func (l *arrivalLog) parked() int {
 	return n
 }
 
+// viewed counts the reports whose first gradient section was a view of
+// the received frame.
+func (l *arrivalLog) viewed() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, as := range l.iters {
+		for _, a := range as {
+			if a.viewed {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // checkArenas asserts that no report arriving while an earlier one was
 // parked was decoded into the parked one's buffer: a parked report keeps
-// its pooled arena until it is folded.
+// its pooled arena, or the frame its sections are views of, until it is
+// folded.
 func (l *arrivalLog) checkArenas(t *testing.T) {
 	t.Helper()
 	l.mu.Lock()
@@ -126,6 +151,12 @@ func (c logConn) Recv() (*transport.Message, error) {
 // sits between a worker and its conn. The coordinator's error is
 // returned, not asserted.
 func runFoldSession(t *testing.T, cfg Config, tcp bool, wrap func(wid int, c transport.Conn) transport.Conn) (*Result, *arrivalLog, error) {
+	t.Helper()
+	return runFoldSessionOn(t, mlp, cfg, tcp, wrap)
+}
+
+// runFoldSessionOn is runFoldSession on replicas built by model.
+func runFoldSessionOn(t *testing.T, model func() *minidnn.Network, cfg Config, tcp bool, wrap func(wid int, c transport.Conn) transport.Conn) (*Result, *arrivalLog, error) {
 	t.Helper()
 	dumpFlightOnFailure(t)
 	log := &arrivalLog{nTok: cfg.tokensPerIter()}
@@ -174,7 +205,7 @@ func runFoldSession(t *testing.T, cfg Config, tcp bool, wrap func(wid int, c tra
 			if wrap != nil {
 				c = wrap(wid, c)
 			}
-			workerErrs <- NewWorker(wid, mlp(), blobs(), cfg).Run(c)
+			workerErrs <- NewWorker(wid, model(), blobs(), cfg).Run(c)
 		}(wid, client)
 	}
 	if tcp {
@@ -192,7 +223,7 @@ func runFoldSession(t *testing.T, cfg Config, tcp bool, wrap func(wid int, c tra
 	}
 
 	var err error
-	if co, err = NewCoordinator(mlp(), cfg); err != nil {
+	if co, err = NewCoordinator(model(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	type outcome struct {
@@ -241,7 +272,14 @@ func slowWorker0(cfg *Config) {
 // parameters and the same loss history, bit for bit.
 func assertMatchesSequential(t *testing.T, cfg Config, res *Result) {
 	t.Helper()
-	seq, err := Sequential(mlp(), blobs(), cfg)
+	assertMatchesSequentialOn(t, mlp, cfg, res)
+}
+
+// assertMatchesSequentialOn is assertMatchesSequential for a session
+// on replicas built by model.
+func assertMatchesSequentialOn(t *testing.T, model func() *minidnn.Network, cfg Config, res *Result) {
+	t.Helper()
+	seq, err := Sequential(model(), blobs(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,6 +426,35 @@ func TestChaosFoldTCPParkedArena(t *testing.T) {
 	assertMatchesSequential(t, cfg, res)
 	if log.parked() == 0 {
 		t.Fatal("every report arrived in seq order: nothing was parked, the test proves nothing")
+	}
+	log.checkArenas(t)
+}
+
+// wideMLP has a first layer of 32 Ki weights, past the transport's
+// 16 Ki-float threshold: over TCP that gradient section arrives as a
+// view of the received frame instead of a copy.
+func wideMLP() *minidnn.Network { return minidnn.NewMLP(42, 8, 4096, 4) }
+
+// TestChaosFoldTCPParkedView is TestChaosFoldTCPParkedArena with reports
+// whose first section is a view of the frame it arrived in: a parked
+// report keeps that frame until it is folded, so no report received
+// while it waits is read into the same buffer, and the result is
+// Sequential's. Were the frame recycled at arrival, the next report
+// would overwrite the parked one's gradients.
+func TestChaosFoldTCPParkedView(t *testing.T) {
+	cfg := baseCfg()
+	cfg.Iterations = 4
+	slowWorker0(&cfg)
+	res, log, err := runFoldSessionOn(t, wideMLP, cfg, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesSequentialOn(t, wideMLP, cfg, res)
+	if log.parked() == 0 {
+		t.Fatal("every report arrived in seq order: nothing was parked, the test proves nothing")
+	}
+	if n := log.viewed(); n != cfg.Iterations*cfg.tokensPerIter() {
+		t.Fatalf("%d of %d reports arrived as frame views", n, cfg.Iterations*cfg.tokensPerIter())
 	}
 	log.checkArenas(t)
 }

@@ -261,6 +261,55 @@ func TestReuse(t *testing.T) {
 	Reuse(buf, 0, 3)
 }
 
+// addScaledNaive is AddScaled's reference: one element per pass.
+func addScaledNaive(t, x *Tensor, a float32) {
+	for i, v := range x.Data {
+		t.Data[i] += a * v
+	}
+}
+
+// TestAddScaledBitPatterns holds the unrolled AddScaled to the naive
+// loop, bit for bit, over lengths 0–9 (every tail of the 4-wide pass)
+// and one of 1 Mi+3, operands salted with ±0, denormals, ±Inf and NaN,
+// and a scale of 0, −0, 1 and −lr.
+func TestAddScaledBitPatterns(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	special := append(append([]float32(nil), finiteSpecials...), nonFinite...)
+	operand := func(n int) *Tensor {
+		x := &Tensor{Shape: []int{n}, Data: make([]float32, n)}
+		for i := range x.Data {
+			if rng.Intn(3) == 0 {
+				x.Data[i] = special[rng.Intn(len(special))]
+			} else {
+				x.Data[i] = float32(rng.NormFloat64())
+			}
+		}
+		return x
+	}
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1<<20 + 3} {
+		for _, a := range []float32{0, negZero, 1, -0.05} {
+			dst, x := operand(n), operand(n)
+			want := &Tensor{Shape: dst.Shape, Data: append([]float32(nil), dst.Data...)}
+			addScaledNaive(want, x, a)
+			dst.AddScaled(x, a)
+			wantBits(t, fmt.Sprintf("n=%d a=%v", n, a), dst, want)
+		}
+	}
+}
+
+// BenchmarkAddScaled is the fold of one train-comm report: 1 Mi floats
+// added into the iteration's gradient sum.
+func BenchmarkAddScaled(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	dst, x := New(1<<20).Randn(rng, 1), New(1<<20).Randn(rng, 1)
+	b.SetBytes(3 * 4 << 20) // read dst and x, write dst
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst.AddScaled(x, 0.5)
+	}
+}
+
 func BenchmarkReLU(b *testing.B) {
 	// The activation of train-compute's token: 16 × 16 × 32 × 32.
 	x := New(16, 16*32*32).Randn(rand.New(rand.NewSource(3)), 1)

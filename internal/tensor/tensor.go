@@ -91,13 +91,27 @@ func (t *Tensor) Randn(rng *rand.Rand, std float64) *Tensor {
 	return t
 }
 
-// AddScaled adds a*x element-wise into t (t += a*x).
+// AddScaled adds a*x element-wise into t (t += a*x). Each element is
+// the naive loop's d[i] += a*x[i], four to a pass over subslices the
+// compiler needs no bounds check for, so the sum runs at memory speed
+// and every caller (the fold, the optimizer step, Sequential) gets the
+// same bits.
 func (t *Tensor) AddScaled(x *Tensor, a float32) {
 	if t.Len() != x.Len() {
 		panic("tensor: AddScaled size mismatch")
 	}
-	for i, v := range x.Data {
-		t.Data[i] += a * v
+	s := x.Data
+	d := t.Data[:len(s)]
+	for len(d) >= 4 && len(s) >= 4 {
+		d4, s4 := d[:4:4], s[:4:4]
+		d4[0] += a * s4[0]
+		d4[1] += a * s4[1]
+		d4[2] += a * s4[2]
+		d4[3] += a * s4[3]
+		d, s = d[4:], s[4:]
+	}
+	for i := range d {
+		d[i] += a * s[i]
 	}
 }
 

@@ -6,11 +6,14 @@ package transport
 // message families — the per-iteration parameter broadcast (KindIterStart)
 // and the per-token gradient report (KindReport) — whose payloads are
 // megabytes of float32. Reflection-driven gob encodes those one value at
-// a time and allocates a fresh tree on every decode; the binary codec
-// copies each float section as one memmove (on little-endian hosts,
-// whose float32 memory already is the wire's byte order) from and into
-// pooled buffers, so the wire path stays bandwidth-bound instead of
-// codec- and GC-bound.
+// a time and allocates a fresh tree on every decode. The binary codec
+// moves a float section as raw bytes, because on a little-endian host a
+// float32's memory already is the wire's byte order. A section of
+// viewFloats or more crosses user space without a copy: tcpConn.Send
+// writes it by writev straight from the sender's slice, and Recv hands
+// it out as an aligned view of the frame buffer it was read into. A
+// smaller section is one memmove from and into pooled buffers. So the
+// wire path stays bandwidth-bound instead of codec- and GC-bound.
 //
 // Frame layout (version 1, DESIGN.md §10):
 //
@@ -44,7 +47,8 @@ package transport
 // are actually present before anything is allocated, so a corrupted or
 // hostile length can never cause an oversized allocation — it returns a
 // *CodecError (ClassCodec) instead. Decoded float payloads live in
-// pooled arenas; see Message.Release for the ownership rule.
+// pooled arenas or in the received frame; see Message.Release for the
+// ownership rule.
 
 import (
 	"encoding/binary"
@@ -96,6 +100,13 @@ const (
 // rejected before any allocation happens, so a garbled or hostile header
 // cannot make the decoder reserve unbounded memory.
 const MaxFrameBytes = 1 << 28 // 256 MiB
+
+// viewFloats is the one threshold of the zero-copy float path: an exact
+// section of at least this many floats (64 KiB, maxHeldBytes) leaves a
+// tcpConn by writev from the sender's slice and arrives as a view of
+// the receiver's frame buffer. A frame carrying one is never held for
+// SetMore.
+const viewFloats = maxHeldBytes / 4
 
 // Telemetry metric names for codec work (the instrumented-conn traffic
 // metrics live in instrument.go). Encode ops count actual
@@ -227,20 +238,23 @@ func (s *codecStats) decoded(k Kind, n int, start time.Time) {
 	s.decSecs.Observe(time.Since(start).Seconds())
 }
 
-// framePool recycles encode scratch space and inbound frame buffers.
-var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+// framePool recycles encode scratch space, recvPool inbound frame
+// buffers. They are kept apart because a Send that cuts its large
+// sections needs only small scratch, while a received frame is as large
+// as the frame: from one pool, Sends would take the large buffers and
+// Recv would allocate new ones.
+var (
+	framePool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+	recvPool  = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+)
 
-func getFrameBuf(n int) *[]byte {
-	bp := framePool.Get().(*[]byte)
-	if cap(*bp) < n {
-		b := make([]byte, n, 1<<bits.Len(uint(n-1)))
-		*bp = b
+// putRecvBuf returns an inbound frame buffer, if any, to recvPool.
+func putRecvBuf(bp *[]byte) {
+	if bp != nil {
+		*bp = (*bp)[:0]
+		recvPool.Put(bp)
 	}
-	*bp = (*bp)[:n]
-	return bp
 }
-
-func putFrameBuf(bp *[]byte) { framePool.Put(bp) }
 
 // floatPool recycles the flat arenas decoded Grads/Params slices are
 // carved from. One Get per decoded message, returned by
@@ -257,24 +271,30 @@ func getFloatArena(n int) *[]float32 {
 	return sp
 }
 
-// Release returns the message's pooled float backing (if any) to the
-// codec pool and clears Grads/Params. Only the binary decoder attaches
-// pooled backing, so Release is a safe no-op on messages built by hand,
-// decoded from gob, or copied by the in-memory transport. Ownership
-// rule: the goroutine that consumed the payload — the coordinator after
-// folding a report into its accumulator (late, for a report parked
-// behind a lower seq), the worker after installing broadcast
-// parameters — calls Release exactly once; the Grads/Params slices must
-// not be used afterwards. Messages that are never released are simply
-// garbage collected.
+// Release returns the message's pooled float backing to the codec pools
+// and clears Grads/Params. That backing is the arena the copied float
+// sections were carved from and, for a message received on a binary
+// tcpConn, the frame buffer its large sections are views of. Only the
+// binary decoder attaches pooled backing, so Release is a safe no-op on
+// messages built by hand, decoded from gob, or copied by the in-memory
+// transport. Ownership rule: the goroutine that consumed the payload —
+// the coordinator after folding a report into its accumulator (late,
+// for a report parked behind a lower seq), the worker after installing
+// broadcast parameters — calls Release exactly once; the Grads/Params
+// slices must not be used afterwards, because the next frame may be
+// read into the same buffer. Messages that are never released are
+// simply garbage collected.
 func (m *Message) Release() {
-	if m == nil || m.pooled == nil {
+	if m == nil || (m.pooled == nil && m.frame == nil) {
 		return
 	}
-	p := m.pooled
-	m.pooled = nil
+	p, f := m.pooled, m.frame
+	m.pooled, m.frame = nil, nil
 	m.Grads, m.Params = nil, nil
-	floatPool.Put(p)
+	if p != nil {
+		floatPool.Put(p)
+	}
+	putRecvBuf(f)
 }
 
 // nativeLittleEndian reports whether this host stores a float32 in the
@@ -316,13 +336,38 @@ func getFloats(dst []float32, src []byte) {
 	}
 }
 
-func appendSlices(dst []byte, ss [][]float32) []byte {
+// floatCut is a float section left out of an encoded frame: its bytes
+// belong on the wire at offset off of the encoded bytes.
+type floatCut struct {
+	off int
+	fs  []float32
+}
+
+// appendSlices appends one [][]float32 group. With a cut list, each
+// section of viewFloats or more is recorded there instead of copied.
+func appendSlices(dst []byte, ss [][]float32, cuts *[]floatCut) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(ss)))
 	for _, s := range ss {
 		dst = binary.AppendUvarint(dst, uint64(len(s)))
+		if cuts != nil && len(s) >= viewFloats {
+			*cuts = append(*cuts, floatCut{len(dst), s})
+			continue
+		}
 		dst = appendFloats(dst, s)
 	}
 	return dst
+}
+
+// cutBytes is the wire size of the sections in the cut list.
+func cutBytes(cuts *[]floatCut) int {
+	if cuts == nil {
+		return 0
+	}
+	n := 0
+	for _, c := range *cuts {
+		n += 4 * len(c.fs)
+	}
+	return n
 }
 
 func appendString(dst []byte, s string) []byte {
@@ -334,20 +379,27 @@ func appendString(dst []byte, s string) []byte {
 // (which may be nil). The hot path passes pooled scratch buffers here;
 // EncodeBinary is the allocating convenience wrapper.
 func AppendFrame(dst []byte, m *Message) ([]byte, error) {
-	out, _, err := appendFrameMeta(dst, m)
+	out, _, err := appendFrameMeta(dst, m, nil)
 	return out, err
 }
 
 // appendFrameMeta is AppendFrame plus the gradient-payload accounting
 // the compression telemetry records (gradInfo.raw == 0 when the frame
-// carries no gradients).
-func appendFrameMeta(dst []byte, m *Message) ([]byte, gradInfo, error) {
+// carries no gradients). A non-nil cuts, empty on entry, makes it
+// leave every exact section of viewFloats or more out of dst and append
+// it to *cuts; the header and gradInfo count those bytes as if they
+// were in place. A big-endian host cuts nothing: its wire bytes are not
+// its memory.
+func appendFrameMeta(dst []byte, m *Message, cuts *[]floatCut) ([]byte, gradInfo, error) {
 	var gi gradInfo
 	if m.Kind < 0 || m.Kind > 255 {
 		return dst, gi, &CodecError{fmt.Errorf("kind %d does not fit the wire's kind byte", int(m.Kind))}
 	}
 	if !m.gradCodec.Valid() {
 		return dst, gi, &CodecError{fmt.Errorf("unknown gradient codec %d", uint8(m.gradCodec))}
+	}
+	if !nativeLittleEndian {
+		cuts = nil
 	}
 	base := len(dst)
 	header := frameHeader
@@ -368,16 +420,16 @@ func appendFrameMeta(dst []byte, m *Message) ([]byte, gradInfo, error) {
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(m.Loss))
 	gradStart := len(dst)
 	if m.gradCodec == CompressExact {
-		dst = appendSlices(dst, m.Grads)
+		dst = appendSlices(dst, m.Grads, cuts)
 	} else {
 		dst = appendCompressedSlices(dst, m.Grads, m.gradCodec)
 	}
 	gi.codec = m.gradCodec
-	gi.wire = len(dst) - gradStart
+	gi.wire = len(dst) - gradStart + cutBytes(cuts)
 	for _, g := range m.Grads {
 		gi.raw += 4 * len(g)
 	}
-	dst = appendSlices(dst, m.Params)
+	dst = appendSlices(dst, m.Params, cuts)
 	dst = appendString(dst, m.Err)
 	if m.Job == (JobSpec{}) {
 		dst = append(dst, 0)
@@ -398,8 +450,11 @@ func appendFrameMeta(dst []byte, m *Message) ([]byte, gradInfo, error) {
 	dst = binary.AppendVarint(dst, int64(m.JobID))
 	dst = binary.LittleEndian.AppendUint64(dst, m.Span.TraceID)
 	dst = binary.LittleEndian.AppendUint64(dst, m.Span.SpanID)
-	payload := len(dst) - base - header
+	payload := len(dst) - base - header + cutBytes(cuts)
 	if payload > MaxFrameBytes {
+		if cuts != nil {
+			*cuts = (*cuts)[:0]
+		}
 		return dst[:base], gi, &CodecError{fmt.Errorf("payload %d exceeds MaxFrameBytes %d", payload, MaxFrameBytes)}
 	}
 	binary.LittleEndian.PutUint32(dst[base+4:base+8], uint32(payload))
@@ -470,7 +525,7 @@ func DecodeBinary(data []byte) (*Message, error) {
 	if uint64(n) != uint64(len(data)-header) {
 		return nil, &CodecError{fmt.Errorf("payload length %d does not match %d frame bytes", n, len(data)-header)}
 	}
-	m, _, err := decodePayloadMeta(Kind(data[3]), codec, data[header:])
+	m, _, err := decodePayloadMeta(Kind(data[3]), codec, data[header:], nil)
 	return m, err
 }
 
@@ -480,6 +535,9 @@ type payloadReader struct {
 	data []byte
 	off  int
 	err  error
+	// alias lets float sections be views of data; viewed records that
+	// one was.
+	alias, viewed bool
 }
 
 func (r *payloadReader) fail(format string, args ...any) {
@@ -557,33 +615,87 @@ func (r *payloadReader) str() string {
 	return string(r.bytes(int(n)))
 }
 
-// slicesInto decodes one [][]float32 group, carving each slice out of
-// the shared arena. Lengths are checked against the remaining payload
-// before the arena grows, so the arena's capacity (remaining/4) is
-// always sufficient and hostile lengths fail before allocation.
-func (r *payloadReader) slicesInto(arena *[]float32) [][]float32 {
-	cnt := r.uvarint()
-	if r.err != nil || cnt == 0 {
-		return nil
+// sliceLen reads the length of the group's next float section and
+// checks it against the bytes remaining.
+func (r *payloadReader) sliceLen() int {
+	ln := r.uvarint()
+	if r.err == nil && ln > uint64(r.remaining())/4 {
+		r.fail("slice of %d floats with %d bytes remaining", ln, r.remaining())
 	}
-	if cnt > uint64(r.remaining()) {
+	if r.err != nil {
+		return 0
+	}
+	return int(ln)
+}
+
+// groupLen reads a group's slice count and checks it against the bytes
+// remaining.
+func (r *payloadReader) groupLen() int {
+	cnt := r.uvarint()
+	if r.err == nil && cnt > uint64(r.remaining()) {
 		r.fail("%d slices declared with %d bytes remaining", cnt, r.remaining())
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(cnt)
+}
+
+// viewable reports whether the ln-float section at the reader's offset
+// is decoded as a view of the payload: the reader may alias it, the
+// section is at least viewFloats long, and it starts 4-aligned. The
+// length is already checked against the bytes remaining.
+func (r *payloadReader) viewable(ln int) bool {
+	return r.alias && nativeLittleEndian && ln >= viewFloats &&
+		uintptr(unsafe.Pointer(&r.data[r.off]))%4 == 0
+}
+
+// copiedFloats walks one [][]float32 group and returns how many of its
+// floats slicesInto will copy into the arena rather than view. It stops
+// at the first bad length; slicesInto then fails at the same place,
+// having copied no more than was counted.
+func (r *payloadReader) copiedFloats() int {
+	n := 0
+	for i := r.groupLen(); i > 0 && r.err == nil; i-- {
+		ln := r.sliceLen()
+		if r.err == nil && !r.viewable(ln) {
+			n += ln
+		}
+		r.bytes(4 * ln)
+	}
+	return n
+}
+
+// slicesInto decodes one [][]float32 group: a viewable section (see
+// viewable) becomes a view of the payload, and every other one is
+// copied into the shared arena, which copiedFloats has sized. Lengths
+// are checked against the remaining payload first, so hostile lengths
+// fail before anything is carved.
+func (r *payloadReader) slicesInto(arena *[]float32) [][]float32 {
+	cnt := r.groupLen()
+	if cnt == 0 {
 		return nil
 	}
 	out := make([][]float32, cnt)
 	for i := range out {
-		ln := r.uvarint()
+		ln := r.sliceLen()
 		if r.err != nil {
 			return nil
 		}
-		if ln > uint64(r.remaining())/4 {
-			r.fail("slice of %d floats with %d bytes remaining", ln, r.remaining())
+		if r.viewable(ln) {
+			out[i] = unsafe.Slice((*float32)(unsafe.Pointer(&r.data[r.off])), ln)
+			r.off += 4 * ln
+			r.viewed = true
+			continue
+		}
+		start := len(*arena)
+		if start+ln > cap(*arena) {
+			r.fail("slice of %d floats overflows the decode arena", ln)
 			return nil
 		}
-		src := r.bytes(int(ln) * 4)
-		start := len(*arena)
-		*arena = (*arena)[:start+int(ln)]
-		dst := (*arena)[start : start+int(ln) : start+int(ln)]
+		src := r.bytes(4 * ln)
+		*arena = (*arena)[:start+ln]
+		dst := (*arena)[start : start+ln : start+ln]
 		if nativeLittleEndian {
 			copy(floatBytes(dst), src)
 		} else {
@@ -597,10 +709,13 @@ func (r *payloadReader) slicesInto(arena *[]float32) [][]float32 {
 // decodePayloadMeta decodes a frame body whose header already
 // validated, expanding a compressed grads section to dense floats when
 // codec is non-exact. The returned gradInfo feeds the compression
-// telemetry.
-func decodePayloadMeta(kind Kind, codec Compression, payload []byte) (*Message, gradInfo, error) {
+// telemetry. frame, when non-nil, is the pooled buffer holding payload,
+// and the decode takes it over: large aligned float sections become
+// views of it and the message keeps it for Release, or, when nothing
+// was viewed, it goes back to the pool before decode returns.
+func decodePayloadMeta(kind Kind, codec Compression, payload []byte, frame *[]byte) (*Message, gradInfo, error) {
 	var gi gradInfo
-	r := &payloadReader{data: payload}
+	r := &payloadReader{data: payload, alias: frame != nil}
 	m := &Message{Kind: kind, gradCodec: codec}
 	m.WID = int(r.varint())
 	m.Iter = int(r.varint())
@@ -613,9 +728,10 @@ func decodePayloadMeta(kind Kind, codec Compression, payload []byte) (*Message, 
 	gradStart := r.off
 	var arena *[]float32
 	if codec == CompressExact {
-		// The arena is capacity-bounded by the payload itself: every
-		// float still to be decoded costs at least 4 payload bytes.
-		arena = getFloatArena(r.remaining() / 4)
+		// A scan pass on a copy of the reader sizes the arena to exactly
+		// the floats both groups copy: views take none of it.
+		s := *r
+		arena = getFloatArena(s.copiedFloats() + s.copiedFloats())
 		m.Grads = r.slicesInto(arena)
 	} else if r.err == nil {
 		// Compressed floats cost less than 4 wire bytes each, so the
@@ -624,6 +740,7 @@ func decodePayloadMeta(kind Kind, codec Compression, payload []byte) (*Message, 
 		// that follow stay exact.
 		total, err := r.scanCompressedSlices(codec)
 		if err != nil {
+			putRecvBuf(frame)
 			return nil, gi, err
 		}
 		arena = getFloatArena(total + r.remaining()/4)
@@ -666,17 +783,17 @@ func decodePayloadMeta(kind Kind, codec Compression, payload []byte) (*Message, 
 	if r.err == nil && r.remaining() != 0 {
 		r.fail("%d trailing payload bytes", r.remaining())
 	}
+	// Every field is read: the frame is kept only if sections view it.
+	if r.viewed && r.err == nil {
+		m.frame = frame
+	} else {
+		putRecvBuf(frame)
+	}
 	if r.err != nil {
 		m.Release()
 		return nil, gi, r.err
 	}
 	return m, gi, nil
-}
-
-// decodePayload decodes an exact (version-1) frame body.
-func decodePayload(kind Kind, payload []byte) (*Message, error) {
-	m, _, err := decodePayloadMeta(kind, CompressExact, payload)
-	return m, err
 }
 
 // Broadcast wraps a message whose encoded frame is shared across many

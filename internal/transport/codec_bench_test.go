@@ -202,6 +202,40 @@ func BenchmarkCodecReport(b *testing.B) {
 	}
 }
 
+// BenchmarkTCPReport is one exact train-comm report over loopback TCP:
+// Send on one end, Recv and Release on the other. MB/s counts the
+// report's float bytes, and allocs/op covers both ends.
+func BenchmarkTCPReport(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	m := benchReport(CompressExact, func(int) float32 { return float32(rng.NormFloat64() * 1e-3) })
+	raw := 0
+	for _, g := range m.Grads {
+		raw += 4 * len(g)
+	}
+	tx, rx := tcpPair(b, CodecBinary)
+	sent := make(chan error, 1)
+	b.SetBytes(int64(raw))
+	b.ReportAllocs()
+	b.ResetTimer()
+	go func() {
+		var err error
+		for i := 0; i < b.N && err == nil; i++ {
+			err = tx.Send(m)
+		}
+		sent <- err
+	}()
+	for i := 0; i < b.N; i++ {
+		got, err := rx.Recv()
+		if err != nil {
+			b.Fatal(err)
+		}
+		got.Release()
+	}
+	if err := <-sent; err != nil {
+		b.Fatal(err)
+	}
+}
+
 // TestBenchHelpersShape sanity-checks the benchmark payload builder so a
 // silent change there cannot skew codec comparisons.
 func TestBenchHelpersShape(t *testing.T) {

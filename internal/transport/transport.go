@@ -24,10 +24,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"fela/internal/obs"
 )
@@ -175,10 +177,13 @@ type Message struct {
 	// distributed trace per token round-trip. Zero when tracing is off.
 	Span obs.SpanContext
 
-	// pooled, when non-nil, is the codec arena the Grads/Params slices
-	// were carved from; Release returns it. Unexported so gob ignores
-	// it and hand-built messages are never mistaken for pooled ones.
+	// pooled, when non-nil, is the codec arena the copied Grads/Params
+	// slices were carved from, and frame the received frame buffer the
+	// others are views of; Release returns both. Unexported so gob
+	// ignores them and hand-built messages are never mistaken for pooled
+	// ones.
 	pooled *[]float32
+	frame  *[]byte
 
 	// gradCodec selects the gradient compression applied to the Grads
 	// section on the binary wire (compress.go); zero is the exact
@@ -228,12 +233,14 @@ func (m *Message) WireSize() int {
 type Conn interface {
 	// Send writes one message; it is safe for one concurrent sender.
 	// Send captures the message's float payload (Grads, Params) before
-	// it returns — encoded onto the wire, or copied by the in-memory
+	// it returns — written to the socket, or copied by the in-memory
 	// pair — so the caller may overwrite those slices as soon as it
 	// returns: workers report straight from their live gradient
-	// tensors. A wrapper that delivers later (jobs.asyncConn) must
-	// only ever be handed payloads nobody mutates again. A message marked
-	// SetMore may reach the wire only with the next Send.
+	// tensors. The binary TCP conn writes a section of 64 KiB or more
+	// from the caller's slice itself, by writev, and returns only once
+	// that write is done. A wrapper that delivers later (jobs.asyncConn)
+	// must only ever be handed payloads nobody mutates again. A message
+	// marked SetMore may reach the wire only with the next Send.
 	Send(*Message) error
 	// Recv blocks for the next message; io errors or closure return an
 	// error.
@@ -424,7 +431,7 @@ func (m *Message) payloadCopy() *Message {
 		return m
 	}
 	cp := *m
-	cp.pooled = nil
+	cp.pooled, cp.frame = nil, nil
 	backing := make([]float32, total)
 	carve := func(ss [][]float32) [][]float32 {
 		if ss == nil {
@@ -536,6 +543,11 @@ type tcpConn struct {
 	// written: the next Send or SendBroadcast writes them first, in the
 	// same write. nil when nothing is held. Guarded by mu.
 	held *[]byte
+	// cuts are the float sections Send left out of its encoded bytes,
+	// and iov the writev list that splices them back in; wv is what
+	// WriteTo consumes. Reused across Sends and guarded by mu.
+	cuts    []floatCut
+	iov, wv net.Buffers
 
 	tmu         sync.Mutex
 	sendTimeout time.Duration
@@ -607,7 +619,7 @@ func (c *tcpConn) Send(m *Message) error {
 	} else {
 		bp = framePool.Get().(*[]byte)
 	}
-	buf, gi, err := appendFrameMeta((*bp)[:off], m)
+	buf, gi, err := appendFrameMeta((*bp)[:off], m, &c.cuts)
 	if err != nil {
 		// *bp still holds exactly the held frames, if there were any.
 		if off > 0 {
@@ -617,19 +629,47 @@ func (c *tcpConn) Send(m *Message) error {
 		}
 		return err
 	}
-	st.encoded(m.Kind, len(buf)-off, start)
+	size := len(buf) - off + cutBytes(&c.cuts)
+	st.encoded(m.Kind, size, start)
 	st.compressed(0, gi)
 	*bp = buf
-	if m.more && len(buf) < maxHeldBytes {
+	if m.more && size < maxHeldBytes {
 		c.held = bp
 		return nil
 	}
 	err = c.setWriteDeadline()
 	if err == nil {
-		_, err = c.conn.Write(buf)
+		err = c.write(buf)
 	}
+	clear(c.cuts) // drop the references to the caller's slices
+	c.cuts = c.cuts[:0]
 	*bp = buf[:0]
 	framePool.Put(bp)
+	return err
+}
+
+// write puts buf on the wire with the cut sections spliced back in at
+// their offsets: one write, or one writev when any section was cut.
+func (c *tcpConn) write(buf []byte) error {
+	if len(c.cuts) == 0 {
+		_, err := c.conn.Write(buf)
+		return err
+	}
+	prev := 0
+	for _, cut := range c.cuts {
+		c.iov = append(c.iov, buf[prev:cut.off], floatBytes(cut.fs))
+		prev = cut.off
+	}
+	c.iov = append(c.iov, buf[prev:])
+	return c.writev()
+}
+
+// writev writes c.iov in one writev on a TCP socket and empties it.
+func (c *tcpConn) writev() error {
+	c.wv = c.iov // WriteTo consumes its receiver; iov keeps the array
+	_, err := c.wv.WriteTo(c.conn)
+	clear(c.iov)
+	c.iov = c.iov[:0]
 	return err
 }
 
@@ -663,11 +703,11 @@ func (c *tcpConn) SendBroadcast(b *Broadcast) error {
 		_, err = c.conn.Write(frame)
 		return err
 	}
-	// Held frames go first, in the same write (writev on a TCP socket).
+	// Held frames go first, in the same write.
 	bp := c.held
 	c.held = nil
-	bufs := net.Buffers{*bp, frame}
-	_, err = bufs.WriteTo(c.conn)
+	c.iov = append(c.iov, *bp, frame)
+	err = c.writev()
 	*bp = (*bp)[:0]
 	framePool.Put(bp)
 	return err
@@ -731,18 +771,93 @@ func (c *tcpConn) recvBinary() (*Message, error) {
 	if n > MaxFrameBytes {
 		return nil, &CodecError{fmt.Errorf("payload length %d exceeds MaxFrameBytes %d", n, MaxFrameBytes)}
 	}
-	bp := getFrameBuf(int(n))
-	defer putFrameBuf(bp)
-	if _, err := io.ReadFull(c.br, *bp); err != nil {
+	bp, payload, err := c.readPayload(int(n), codec == CompressExact)
+	if err != nil {
 		return nil, err
 	}
-	m, gi, err := decodePayloadMeta(Kind(hdr[3]), codec, *bp)
+	m, gi, err := decodePayloadMeta(Kind(hdr[3]), codec, payload, bp)
 	if err != nil {
 		return nil, err
 	}
 	st.decoded(m.Kind, header+int(n), start)
 	st.compressed(1, gi)
 	return m, nil
+}
+
+// firstChunk is how much of a payload must have arrived before the
+// receiver allocates a frame buffer larger than that: a header alone
+// cannot make it reserve what the header claims.
+const firstChunk = 1 << 20
+
+// readPayload reads an n-byte payload into a pooled frame buffer, which
+// the caller then owns. A pooled buffer that is big enough is used as it
+// is. For an exact frame large enough to carry a section of viewFloats,
+// the payload starts 0–3 bytes into the buffer, so that its first float
+// section is 4-aligned and can be decoded as a view.
+func (c *tcpConn) readPayload(n int, exact bool) (*[]byte, []byte, error) {
+	first, need := -1, n
+	if exact && n >= 4*viewFloats {
+		if first = c.firstSection(n); first >= 0 {
+			need += 3
+		}
+	}
+	bp := recvPool.Get().(*[]byte)
+	var head []byte // payload bytes read before the buffer was allocated
+	if cap(*bp) < need {
+		if n > firstChunk {
+			head = *bp
+			if cap(head) < firstChunk {
+				head = make([]byte, firstChunk)
+			}
+			head = head[:firstChunk]
+			if _, err := io.ReadFull(c.br, head); err != nil {
+				putRecvBuf(bp)
+				return nil, nil, err
+			}
+		}
+		// The buffer too small is dropped, so the pool keeps the large.
+		*bp = make([]byte, 0, 1<<bits.Len(uint(need-1)))
+	}
+	buf := (*bp)[:need]
+	shift := 0
+	if first >= 0 {
+		shift = int(-(uintptr(unsafe.Pointer(&buf[0])) + uintptr(first)) & 3)
+	}
+	payload := buf[shift : shift+n]
+	k := copy(payload, head)
+	if _, err := io.ReadFull(c.br, payload[k:]); err != nil {
+		putRecvBuf(bp)
+		return nil, nil, err
+	}
+	*bp = buf
+	return bp, payload, nil
+}
+
+// prefixMax bounds the payload bytes before the first float section:
+// seven varints, the loss, and three uvarints at most (the Grads count,
+// the Params count when Grads is empty, the first slice's length).
+const prefixMax = 10*binary.MaxVarintLen64 + 8
+
+// firstSection returns the payload offset of an exact frame's first
+// float section, or -1 if it has none. It parses the payload's prefix
+// in bufio, waiting only for bytes of this frame; a prefix that does
+// not parse gives -1, and decode reports the error.
+func (c *tcpConn) firstSection(n int) int {
+	p, _ := c.br.Peek(min(n, prefixMax))
+	r := payloadReader{data: p}
+	for range 7 {
+		r.varint()
+	}
+	r.bytes(8)
+	for range 2 { // Grads, then Params
+		if r.uvarint() > 0 {
+			if r.uvarint(); r.err != nil {
+				return -1
+			}
+			return r.off
+		}
+	}
+	return -1
 }
 
 // Close tears the socket down and discards any held frame. The socket

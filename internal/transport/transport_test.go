@@ -241,7 +241,7 @@ func TestPairConcurrentTraffic(t *testing.T) {
 }
 
 // tcpPair connects two TCP conns speaking codec over loopback.
-func tcpPair(t *testing.T, codec string) (Conn, Conn) {
+func tcpPair(t testing.TB, codec string) (Conn, Conn) {
 	t.Helper()
 	l, err := ListenCodec("127.0.0.1:0", codec)
 	if err != nil {
@@ -291,10 +291,19 @@ func TestSendCapturesPayload(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			a, b := tc.pair(t)
-			backing := []float32{1, 2, 3, 4, 5, 6}
+			// The tail of backing is a section long enough for the binary
+			// conn to write it from this slice instead of copying it.
+			backing := make([]float32, 6+viewFloats)
+			reset := func() {
+				for i := range backing {
+					backing[i] = float32(i + 1)
+				}
+			}
+			reset()
 			for _, m := range []*Message{
 				{Kind: KindReport, Grads: [][]float32{backing[0:3], backing[3:4]}},
 				{Kind: KindIterStart, Params: [][]float32{backing[4:6], backing[0:1]}},
+				{Kind: KindReport, Grads: [][]float32{backing[6:], backing[0:2]}},
 			} {
 				want := [][]float32{}
 				for _, s := range append(m.Grads, m.Params...) {
@@ -311,10 +320,10 @@ func TestSendCapturesPayload(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !equalSlices(append(got.Grads, got.Params...), want) {
-					t.Fatalf("%v: received %v %v, sent %v", m.Kind, got.Grads, got.Params, want)
+					t.Fatalf("%v: received a payload that differs from the one sent", m.Kind)
 				}
 				got.Release()
-				copy(backing, []float32{1, 2, 3, 4, 5, 6})
+				reset()
 			}
 		})
 	}
@@ -414,7 +423,7 @@ func TestFloatSectionBulkMatchesLoop(t *testing.T) {
 			// Decode the section back out of a frame with the same odd
 			// offset: a group of one slice of n floats.
 			payload := append([]byte(nil), head...)
-			payload = appendSlices(payload, [][]float32{fs})
+			payload = appendSlices(payload, [][]float32{fs}, nil)
 			r := &payloadReader{data: payload, off: prefix}
 			arena := getFloatArena(n)
 			dec := r.slicesInto(arena)

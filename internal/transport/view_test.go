@@ -1,0 +1,311 @@
+package transport
+
+// The zero-copy float path: a binary tcpConn writes each exact section
+// of viewFloats or more by writev from the sender's slice, and Recv
+// hands it out as an aligned view of the frame buffer. These tests hold
+// both ends to the bytes AppendFrame writes and DecodeBinary reads.
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"math"
+	"net"
+	"runtime"
+	"testing"
+	"time"
+	"unsafe"
+
+	"fela/internal/obs"
+)
+
+// viewReport is a report whose gradient sections have the given
+// lengths, each filled with a pattern of its own.
+func viewReport(wid int, lens ...int) *Message {
+	m := &Message{Kind: KindReport, WID: wid, Iter: 2, Token: TokenInfo{ID: 5, Seq: 1, Lo: 8, Hi: 9, Owner: 1}, Loss: 0.25}
+	for i, n := range lens {
+		m.Grads = append(m.Grads, fill(n, func(j int) float32 { return float32(i*131+j%977) * 0.5 }))
+	}
+	return m
+}
+
+// TestViewCutWireBytes: the cut sections go on the wire where AppendFrame
+// puts them, byte for byte — around the threshold, with several cut
+// sections in both groups, after a held frame, and through Instrument
+// and FaultConn.
+func TestViewCutWireBytes(t *testing.T) {
+	several := viewReport(3, viewFloats, 3, viewFloats+1, 1)
+	several.Params = [][]float32{fill(viewFloats+5, func(j int) float32 { return float32(-j) })}
+	cases := []struct {
+		name string
+		cuts int
+		msgs []*Message
+	}{
+		{"below", 0, []*Message{viewReport(1, viewFloats-1)}},
+		{"at", 1, []*Message{viewReport(1, viewFloats)}},
+		{"above", 1, []*Message{viewReport(1, viewFloats+1)}},
+		{"several", 3, []*Message{several}},
+		{"after-held", 1, []*Message{heldReport(), viewReport(1, viewFloats)}},
+	}
+	wraps := []struct {
+		name string
+		wrap func(Conn) Conn
+	}{
+		{"tcp", func(c Conn) Conn { return c }},
+		{"instrument", func(c Conn) Conn { return Instrument(c, obs.NewRegistry()) }},
+		{"fault", func(c Conn) Conn { return NewFaultConn(c, 1) }},
+	}
+	for _, tc := range cases {
+		last := tc.msgs[len(tc.msgs)-1]
+		var cuts []floatCut
+		if _, _, err := appendFrameMeta(nil, last, &cuts); err != nil {
+			t.Fatal(err)
+		}
+		if len(cuts) != tc.cuts {
+			t.Fatalf("%s: %d sections cut, want %d", tc.name, len(cuts), tc.cuts)
+		}
+		for _, w := range wraps {
+			t.Run(tc.name+"/"+w.name, func(t *testing.T) {
+				tc0, raw := rawPair(t)
+				c := w.wrap(tc0)
+				want := frames(t, tc.msgs...)
+				sent := make(chan error, 1)
+				go func() {
+					var err error
+					for _, m := range tc.msgs {
+						if err == nil {
+							err = c.Send(m)
+						}
+					}
+					sent <- err
+				}()
+				readExactly(t, raw, want)
+				if err := <-sent; err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// sameMessage reports whether two decoded messages carry the same
+// fields, bit for bit (a NaN loss or float included): whether they
+// encode to the same frame.
+func sameMessage(t *testing.T, a, b *Message) bool {
+	t.Helper()
+	x, err := EncodeBinary(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := EncodeBinary(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Equal(x, y)
+}
+
+// inFrame reports whether s is a view of m's frame buffer.
+func inFrame(m *Message, s []float32) bool {
+	if m.frame == nil || len(s) == 0 {
+		return false
+	}
+	f := *m.frame
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(f)))
+	p := uintptr(unsafe.Pointer(&s[0]))
+	return p >= lo && p+4*uintptr(len(s)) <= lo+uintptr(cap(f))
+}
+
+// firstOffset is the payload offset of frame's first float section.
+func firstOffset(t *testing.T, frame []byte) int {
+	t.Helper()
+	payload := frame[frameHeader:]
+	c := &tcpConn{br: bufio.NewReader(bytes.NewReader(payload))}
+	off := c.firstSection(len(payload))
+	if off < 0 {
+		t.Fatal("frame has no float section")
+	}
+	return off
+}
+
+// TestViewRecvAligned: whatever offset mod 4 the first float section
+// has in the payload (the varint widths before it vary), Recv decodes
+// the frame to what DecodeBinary does, and the large section is a view
+// of the frame while the small one is copied.
+func TestViewRecvAligned(t *testing.T) {
+	a, b := tcpPair(t, CodecBinary)
+	SetTimeouts(b, 0, 5*time.Second)
+	residues := map[int]bool{}
+	for _, wid := range []int{0, 64, 8192, 1 << 20} {
+		for _, params := range []bool{false, true} {
+			m := viewReport(wid, viewFloats+1, 5)
+			if params {
+				m.Kind, m.Params, m.Grads = KindIterStart, m.Grads, nil
+			}
+			data, err := EncodeBinary(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			residues[firstOffset(t, data)%4] = true
+			want, err := DecodeBinary(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Send(m); err != nil {
+				t.Fatal(err)
+			}
+			got, err := b.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameMessage(t, got, want) {
+				t.Fatalf("wid %d params %v: Recv and DecodeBinary disagree", wid, params)
+			}
+			ss := append(got.Grads, got.Params...)
+			if !inFrame(got, ss[0]) || inFrame(got, ss[1]) {
+				t.Fatalf("wid %d params %v: want the large section viewed and the small one copied", wid, params)
+			}
+			if want.frame != nil {
+				t.Fatal("DecodeBinary took a view of bytes it does not own")
+			}
+			got.Release()
+			want.Release()
+		}
+	}
+	if len(residues) != 4 {
+		t.Fatalf("first sections landed at offsets mod 4 %v, want all four", residues)
+	}
+}
+
+// TestViewReleaseReturnsFrame: Release hands a viewed message's frame
+// back to the pool and clears its payload; a frame nothing was viewed
+// from goes back before Recv returns.
+func TestViewReleaseReturnsFrame(t *testing.T) {
+	a, b := tcpPair(t, CodecBinary)
+	SetTimeouts(b, 0, 5*time.Second)
+	if err := a.Send(viewReport(1, viewFloats, 2)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := b.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := got.frame
+	if fp == nil || len(*fp) == 0 {
+		t.Fatal("a viewed message does not own its frame")
+	}
+	got.Release()
+	if got.frame != nil || got.pooled != nil || got.Grads != nil || got.Params != nil {
+		t.Fatal("Release left the payload in place")
+	}
+	if len(*fp) != 0 {
+		t.Fatal("Release did not return the frame to the pool")
+	}
+	got.Release() // idempotent
+	if err := a.Send(viewReport(1, viewFloats-1)); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = b.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	if got.frame != nil || got.pooled == nil {
+		t.Fatal("a frame below the threshold was viewed instead of copied")
+	}
+	got.Release()
+}
+
+// TestRecvHeaderAloneAllocatesLittle: a header claiming MaxFrameBytes,
+// followed by EOF, costs the receiver no more than a first chunk — not
+// the 256 MiB the header claims — and fails as the torn stream it is.
+func TestRecvHeaderAloneAllocatesLittle(t *testing.T) {
+	for _, version := range []byte{frameVersion, frameVersion2} {
+		a, b := net.Pipe()
+		c := newTCPConn(a, CodecBinary)
+		hdr := []byte{frameMagic0, frameMagic1, version, byte(KindReport), 0, 0, 0, 0, byte(CompressTopK), 0, 0, 0}
+		binary.LittleEndian.PutUint32(hdr[4:8], MaxFrameBytes)
+		if version == frameVersion {
+			hdr = hdr[:frameHeader]
+		}
+		go func() {
+			b.Write(hdr)
+			b.Close()
+		}()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := c.Recv()
+		runtime.ReadMemStats(&after)
+		c.Close()
+		if Classify(err) != ClassPeerGone {
+			t.Fatalf("v%d: header then EOF gave %v (%v), want peer-gone", version, err, Classify(err))
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+			t.Fatalf("v%d: a lone header cost %d bytes of allocation, want at most 4 MiB", version, got)
+		}
+	}
+}
+
+// FuzzRecvBinary feeds bytes through a pipe into a binary conn's Recv,
+// which must reach DecodeBinary's verdict on the same frame: a frame
+// Recv accepts decodes to the same message, and a frame DecodeBinary
+// accepts is received. Seeds include frames large enough to be viewed.
+func FuzzRecvBinary(f *testing.F) {
+	seed := func(m *Message) []byte {
+		data, err := EncodeBinary(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
+	for _, m := range sampleMessages() {
+		data := seed(m)
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+		f.Add(append(bytes.Clone(data), 0xfe, 0x7a))
+	}
+	c := compressedSample()
+	c.SetGradCodec(CompressTopK)
+	f.Add(seed(c))
+	f.Add(seed(&Message{Kind: KindReport, Loss: math.NaN(), Grads: [][]float32{{float32(math.NaN())}}}))
+	for _, wid := range []int{0, 64, 8192} {
+		data := seed(viewReport(wid, viewFloats+1, 3))
+		f.Add(data)
+		f.Add(data[:len(data)-1])
+		mut := bytes.Clone(data)
+		mut[len(mut)-20] ^= 0xff // in the span ids: still a valid frame
+		f.Add(mut)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, b := net.Pipe()
+		conn := newTCPConn(a, CodecBinary)
+		defer conn.Close()
+		go func() {
+			b.Write(data)
+			b.Close()
+		}()
+		got, rerr := conn.Recv()
+		want, derr := DecodeBinary(data)
+		defer want.Release()
+		if rerr != nil {
+			if derr == nil {
+				t.Fatalf("Recv refused a frame DecodeBinary accepts: %v", rerr)
+			}
+			if cl := Classify(rerr); cl != ClassCodec && cl != ClassPeerGone {
+				t.Fatalf("Recv error classified %v: %v", cl, rerr)
+			}
+			return
+		}
+		defer got.Release()
+		header := frameHeader
+		if data[2] == frameVersion2 {
+			header = frameHeaderV2
+		}
+		n := header + int(binary.LittleEndian.Uint32(data[4:8]))
+		one, err := DecodeBinary(data[:n])
+		if err != nil {
+			t.Fatalf("Recv accepted a frame DecodeBinary refuses: %v", err)
+		}
+		defer one.Release()
+		if !sameMessage(t, got, one) {
+			t.Fatalf("Recv and DecodeBinary disagree:\n got %+v\nwant %+v", got, one)
+		}
+	})
+}
