@@ -228,6 +228,13 @@ func TestSubmitBadRequests(t *testing.T) {
 	if w := do(t, g, "POST", "/v1/jobs", "", `{"total_batch": 10, "token_batch": 3}`, nil); w.Code != http.StatusBadRequest {
 		t.Fatalf("invalid spec: %d", w.Code)
 	}
+	// A negative total batch cannot train: refused at the edge as
+	// invalid_spec, so it never reaches a shard and leases no worker.
+	w := do(t, g, "POST", "/v1/jobs", "", `{"iterations": 4, "total_batch": -64, "token_batch": 8}`, nil)
+	var eb errBody
+	if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil || w.Code != http.StatusBadRequest || eb.Code != "invalid_spec" {
+		t.Fatalf("negative total batch: code %d body %s", w.Code, w.Body.String())
+	}
 	if g.Status().Submitted != 0 {
 		t.Fatal("bad requests must not reach a shard")
 	}

@@ -58,9 +58,11 @@ func (q *queuedConn) SetMetrics(reg *obs.Registry) {
 }
 
 // asyncSendBuffer bounds the per-connection coordinator→worker send
-// queue. The iteration barrier keeps the genuine in-flight volume to a
-// few dozen messages, so a backlog this deep means the worker has
-// stopped consuming entirely and is treated as a connection failure.
+// backlog: the sends queued behind the batch the forwarder is delivering.
+// The iteration barrier keeps the genuine in-flight volume to a few
+// dozen messages, so a backlog this deep means the worker has stopped
+// consuming entirely and is treated as a connection failure. It is a
+// bound only; the queue grows with the backlog.
 const asyncSendBuffer = 4096
 
 // asyncConn decouples a coordinator's sends from the worker's
@@ -80,14 +82,20 @@ const asyncSendBuffer = 4096
 // and closes the inner conn immediately; an undelivered final shutdown
 // is indistinguishable from a conn close to the worker, and pool
 // workers treat both as "session over, rejoin".
+//
+// Sends append to queue; the forwarder takes the whole queue at each
+// wake-up and leaves its emptied previous batch in its place, so the
+// two slices trade places and, once grown to the conn's usual backlog,
+// no send allocates.
 type asyncConn struct {
 	inner transport.Conn
-	queue chan sendItem
+	wake  chan struct{} // capacity 1: the queue has items; wake-ups coalesce
 	stop  chan struct{}
 	once  sync.Once
 
-	mu  sync.Mutex
-	err error
+	mu    sync.Mutex
+	queue []sendItem
+	err   error
 }
 
 // sendItem is one queued outbound unit: an ordinary message, or a shared
@@ -101,7 +109,7 @@ type sendItem struct {
 func newAsyncConn(c transport.Conn) *asyncConn {
 	a := &asyncConn{
 		inner: c,
-		queue: make(chan sendItem, asyncSendBuffer),
+		wake:  make(chan struct{}, 1),
 		stop:  make(chan struct{}),
 	}
 	go a.forward()
@@ -109,17 +117,24 @@ func newAsyncConn(c transport.Conn) *asyncConn {
 }
 
 func (a *asyncConn) forward() {
+	var batch []sendItem
 	for {
 		select {
 		case <-a.stop:
 			return
-		case it := <-a.queue:
+		case <-a.wake:
+		}
+		a.mu.Lock()
+		batch, a.queue = a.queue, batch[:0]
+		a.mu.Unlock()
+		for i, it := range batch {
 			var err error
 			if it.b != nil {
 				err = transport.SendBroadcast(a.inner, it.b)
 			} else {
 				err = a.inner.Send(it.m)
 			}
+			batch[i] = sendItem{} // the slot is reused; the message is not
 			if err != nil {
 				a.mu.Lock()
 				a.err = err
@@ -144,17 +159,32 @@ func (a *asyncConn) SendBroadcast(b *transport.Broadcast) error {
 func (a *asyncConn) enqueue(it sendItem) error {
 	a.mu.Lock()
 	err := a.err
+	switch {
+	case err != nil:
+	case a.closed():
+		err = transport.ErrClosed
+	case len(a.queue) >= asyncSendBuffer:
+		err = fmt.Errorf("jobs: worker send backlog exceeded %d messages", asyncSendBuffer)
+	default:
+		a.queue = append(a.queue, it)
+	}
 	a.mu.Unlock()
 	if err != nil {
 		return err
 	}
 	select {
-	case a.queue <- it:
-		return nil
+	case a.wake <- struct{}{}:
+	default: // a wake-up is already pending; it will take this item too
+	}
+	return nil
+}
+
+func (a *asyncConn) closed() bool {
+	select {
 	case <-a.stop:
-		return transport.ErrClosed
+		return true
 	default:
-		return fmt.Errorf("jobs: worker send backlog exceeded %d messages", asyncSendBuffer)
+		return false
 	}
 }
 

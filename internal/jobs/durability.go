@@ -159,7 +159,7 @@ func (m *Manager) restoreJob(jr *durable.JobRestore) {
 // the old process; OnJobDone is the delivery path that survives.
 func (m *Manager) settleRestored(j *job, ckpt *durable.Checkpoint) {
 	var res *rt.Result
-	mk, _, err := BuildSession(j.spec)
+	mk, err := buildNet(j.spec)
 	if err == nil {
 		net := mk()
 		if err = rt.InstallFlat(net.Params(), ckpt.Params); err == nil {

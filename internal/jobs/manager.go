@@ -821,7 +821,7 @@ func (m *Manager) startJob(j *job, n int) {
 		return
 	}
 
-	mk, _, err := BuildSession(j.spec)
+	mk, err := buildNet(j.spec)
 	if err == nil {
 		var ctrl *elastic.Controller
 		ctrl, err = elastic.NewController(elastic.Config{

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -177,12 +178,27 @@ func TestNormalizeSpec(t *testing.T) {
 	if spec.Model != DefaultModel || spec.TotalBatch != 64 || spec.TokenBatch != 8 || spec.LR != 0.05 || spec.MinWorkers != 1 {
 		t.Fatalf("defaults not applied: %+v", spec)
 	}
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	// Specs that cannot train must be refused before a lease, not
+	// settle later with an rt error (or, for a NaN rate, as a success
+	// with NaN losses).
 	bad := []transport.JobSpec{
 		{},                                   // no iterations
 		{Iterations: 5, Model: "nope"},       // unknown preset
 		{Iterations: 5, TotalBatch: 65},      // indivisible
 		{Iterations: 5, TotalBatch: 1 << 20}, // exceeds dataset
 		{Iterations: 5, MinWorkers: 3, MaxWorkers: 2},
+		{Iterations: 5, TotalBatch: -64, TokenBatch: 8},
+		{Iterations: 5, TotalBatch: 64, TokenBatch: -8},
+		{Iterations: 5, TotalBatch: -64, TokenBatch: -8},
+		{Iterations: 5, LR: -0.05},
+		{Iterations: 5, LR: nan},
+		{Iterations: 5, LR: inf},
+		{Iterations: 5, LR: -inf},
+		{Iterations: 5, Momentum: nan},
+		{Iterations: 5, Momentum: inf},
+		{Iterations: 5, Momentum: -0.5},
+		{Iterations: 5, MaxWorkers: -3},
 	}
 	for i, s := range bad {
 		if _, err := NormalizeSpec(s); err == nil {

@@ -23,6 +23,7 @@ package jobs
 
 import (
 	"fmt"
+	"math"
 
 	"fela/internal/minidnn"
 	"fela/internal/rt"
@@ -51,30 +52,53 @@ func seeds(spec transport.JobSpec) (netSeed, dataSeed int64) {
 	return spec.Seed, spec.Seed + 101
 }
 
-// BuildSession resolves a spec's model preset into a network builder
-// and dataset, both deterministic functions of the spec — the worker
-// and the manager reconstruct identical replicas independently.
-func BuildSession(spec transport.JobSpec) (func() *minidnn.Network, *minidnn.Dataset, error) {
-	netSeed, dataSeed := seeds(spec)
-	model := spec.Model
-	if model == "" {
-		model = DefaultModel
-	}
-	var mk func() *minidnn.Network
+// presetHidden returns a model preset's hidden width; empty names the
+// default. It builds nothing, so validation costs no allocation.
+func presetHidden(model string) (int, error) {
 	switch model {
-	case "mlp-small":
-		mk = func() *minidnn.Network { return minidnn.NewMLP(netSeed, presetDim, 32, presetClasses) }
+	case "", "mlp-small":
+		return 32, nil
 	case "mlp-wide":
-		mk = func() *minidnn.Network { return minidnn.NewMLP(netSeed, presetDim, 64, presetClasses) }
-	default:
-		return nil, nil, fmt.Errorf("jobs: unknown model preset %q", model)
+		return 64, nil
 	}
-	return mk, minidnn.SyntheticBlobs(dataSeed, presetSamples, presetDim, presetClasses), nil
+	return 0, fmt.Errorf("jobs: unknown model preset %q", model)
+}
+
+// buildNet resolves a spec's model preset into its network builder
+// alone: a coordinator never reads data, so the manager needs no more.
+func buildNet(spec transport.JobSpec) (func() *minidnn.Network, error) {
+	hidden, err := presetHidden(spec.Model)
+	if err != nil {
+		return nil, err
+	}
+	netSeed, _ := seeds(spec)
+	return func() *minidnn.Network { return minidnn.NewMLP(netSeed, presetDim, hidden, presetClasses) }, nil
+}
+
+// BuildSession resolves a spec's model preset into a network builder
+// and dataset, both deterministic functions of the spec — every worker
+// and the sequential reference reconstruct identical replicas
+// independently. The dataset holds only the rows a session reads,
+// [0, TotalBatch): the preset's blobs draw their centers before their
+// rows, so these rows are bit-identical to the same prefix of the full
+// presetSamples-row dataset. A TotalBatch outside (0, presetSamples]
+// (an unnormalized spec) builds all of it.
+func BuildSession(spec transport.JobSpec) (func() *minidnn.Network, *minidnn.Dataset, error) {
+	mk, err := buildNet(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	_, dataSeed := seeds(spec)
+	rows := spec.TotalBatch
+	if rows <= 0 || rows > presetSamples {
+		rows = presetSamples
+	}
+	return mk, minidnn.SyntheticBlobs(dataSeed, rows, presetDim, presetClasses), nil
 }
 
 // NormalizeSpec fills a spec's defaults and validates it, returning the
 // canonical form every other layer (manager, workers, bench baselines)
-// derives its session from.
+// derives its session from. It builds neither network nor dataset.
 func NormalizeSpec(spec transport.JobSpec) (transport.JobSpec, error) {
 	if spec.Model == "" {
 		spec.Model = DefaultModel
@@ -91,11 +115,17 @@ func NormalizeSpec(spec transport.JobSpec) (transport.JobSpec, error) {
 	if spec.MinWorkers <= 0 {
 		spec.MinWorkers = 1
 	}
-	if _, _, err := BuildSession(spec); err != nil {
+	if _, err := presetHidden(spec.Model); err != nil {
 		return spec, err
 	}
 	if spec.Iterations <= 0 {
 		return spec, fmt.Errorf("jobs: iterations must be positive")
+	}
+	if spec.TotalBatch <= 0 {
+		return spec, fmt.Errorf("jobs: total batch %d must be positive", spec.TotalBatch)
+	}
+	if spec.TokenBatch <= 0 {
+		return spec, fmt.Errorf("jobs: token batch %d must be positive", spec.TokenBatch)
 	}
 	if spec.TotalBatch%spec.TokenBatch != 0 {
 		return spec, fmt.Errorf("jobs: token batch %d must divide total batch %d", spec.TokenBatch, spec.TotalBatch)
@@ -103,13 +133,25 @@ func NormalizeSpec(spec transport.JobSpec) (transport.JobSpec, error) {
 	if spec.TotalBatch > presetSamples {
 		return spec, fmt.Errorf("jobs: total batch %d exceeds the preset dataset (%d samples)", spec.TotalBatch, presetSamples)
 	}
-	if spec.LR < 0 {
-		return spec, fmt.Errorf("jobs: learning rate must be positive")
+	if !finite(spec.LR) || spec.LR <= 0 {
+		return spec, fmt.Errorf("jobs: learning rate %v must be finite and positive", spec.LR)
+	}
+	if !finite(spec.Momentum) || spec.Momentum < 0 {
+		return spec, fmt.Errorf("jobs: momentum %v must be finite and non-negative", spec.Momentum)
+	}
+	if spec.MaxWorkers < 0 {
+		return spec, fmt.Errorf("jobs: max workers %d must not be negative", spec.MaxWorkers)
 	}
 	if spec.MaxWorkers > 0 && spec.MinWorkers > spec.MaxWorkers {
 		return spec, fmt.Errorf("jobs: min workers %d exceeds max workers %d", spec.MinWorkers, spec.MaxWorkers)
 	}
 	return spec, nil
+}
+
+// finite reports whether v is neither NaN nor an infinity.
+func finite(v float32) bool {
+	f := float64(v)
+	return !math.IsNaN(f) && !math.IsInf(f, 0)
 }
 
 // specTokens is the total token-gradient count a spec represents —

@@ -123,8 +123,11 @@ func (k Kind) String() string {
 type JobSpec struct {
 	// Name labels the job in logs, /statusz and reports.
 	Name string
-	// Model names a deterministic model/dataset preset (internal/jobs
-	// BuildSession); empty selects the default preset.
+	// Model names a deterministic model/dataset preset; empty selects
+	// the default preset. Validating it builds nothing; the manager
+	// builds only the preset's network, and a worker the network plus
+	// the first TotalBatch rows of the dataset (internal/jobs
+	// BuildSession).
 	Model string
 	// Seed derives the model-init and dataset seeds (0 = defaults).
 	Seed int64
