@@ -63,14 +63,16 @@ fuzz:
 # bench smoke-runs the hot-path benchmarks (wire codecs, a 4 MB report
 # over loopback TCP, matmul and elementwise kernels, the fold's
 # AddScaled, a token's forward/backward at the train-compute and
-# train-comm shapes, the conv passes, a small pooled job from submit to
-# settle and the spec validation in front of it) at -benchtime 100x:
+# train-comm shapes, the conv passes, a train-sched-shaped session over
+# loopback TCP, a small pooled job from submit to settle and the spec
+# validation in front of it) at -benchtime 100x:
 # enough to catch a broken benchmark or a pathological regression
 # without turning CI into a perf lab.
 bench:
 	$(GO) test ./internal/transport/ -run xxx -bench 'BenchmarkCodec|BenchmarkTCPReport' -benchtime 100x
 	$(GO) test ./internal/tensor/ -run xxx -bench 'BenchmarkMatMul|BenchmarkReLU|BenchmarkAddScaled' -benchtime 100x
 	$(GO) test ./internal/minidnn/ -run xxx -bench 'BenchmarkToken|BenchmarkConv' -benchtime 100x
+	$(GO) test ./internal/rt/ -run xxx -bench 'BenchmarkSchedSession' -benchtime 100x
 	$(GO) test ./internal/jobs/ -run xxx -bench 'BenchmarkPoolJob|BenchmarkNormalizeSpec' -benchtime 100x
 
 # benchmod covers the regression benchmark, a module of its own under

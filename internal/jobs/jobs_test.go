@@ -420,6 +420,47 @@ func TestWireSubmission(t *testing.T) {
 	wg.Wait()
 }
 
+// TestPoolJobWindowOverTCP: a pool job of many one-sample tokens over
+// TCP, where each lease's asyncConn forwards the coordinator's batched
+// assigns and the binary conn holds all but the last of each batch,
+// is bit-identical to its solo reference.
+func TestPoolJobWindowOverTCP(t *testing.T) {
+	m := NewManager(testConfig(FairShare{}))
+	ln, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			m.Admit(c)
+		}
+	}()
+	dial := func() (transport.Conn, error) { return transport.Dial(ln.Addr()) }
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := RunPoolWorker(dial, PoolWorkerOptions{}); err != nil {
+				t.Errorf("pool worker: %v", err)
+			}
+		}()
+	}
+	waitIdle(t, m, 2)
+
+	ch, err := m.Submit(transport.JobSpec{Name: "window", Iterations: 12, TotalBatch: 128, TokenBatch: 1, Momentum: 0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustMatchReference(t, awaitResult(t, ch, "window"), "window")
+	stopAndWait(t, m, wg.Wait)
+}
+
 // TestManagerStopIdleWorkers: stopping an idle pool releases the
 // workers cleanly with zero jobs served.
 func TestManagerStopIdleWorkers(t *testing.T) {

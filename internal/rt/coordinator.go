@@ -20,10 +20,10 @@ import (
 
 // Coordinator is the real-time Token Server plus the BSP parameter
 // synchronizer. It owns the master copy of the model, seeds one STB per
-// worker each iteration, serves pull requests (own shard first, the next
-// own token one ahead, then stealing from the largest backlog one token
-// at a time), and applies the canonical-order gradient aggregation that
-// makes the run bit-equal to Sequential.
+// worker each iteration, serves pull requests (own shard first, queued a
+// window ahead, then stealing from the largest backlog one token at a
+// time), and applies the canonical-order gradient aggregation that makes
+// the run bit-equal to Sequential.
 //
 // With Config.WorkerTimeout set, the coordinator is fault tolerant: a
 // worker whose connection errors, or that sits on an assigned token past
@@ -82,6 +82,11 @@ type Coordinator struct {
 	acc    []*tensor.Tensor
 	frac   float32
 	folded int
+
+	// backlog and batch are serve's scratch space (see selectBatch):
+	// unassigned tokens per owner wid, and the batch being assigned.
+	backlog []int
+	batch   []*tokenState
 
 	// Telemetry (internal/obs). tele instruments are nil-safe no-ops
 	// when Config.Metrics is nil; status is the atomically published
@@ -154,9 +159,14 @@ type workerState struct {
 	// departed marks a planned removal (drain or eviction) as opposed
 	// to a death; departed workers never appear in DeadWorkers.
 	departed bool
-	// outstanding maps assigned-but-unreported token seqs to their
-	// assignment time, the basis for hang detection.
-	outstanding map[int]time.Time
+	// outstanding is the set of assigned-but-unreported token seqs, and
+	// progress the worker's last sign of progress on them: the assign
+	// that gave it work when it held none, or its latest report. Hang
+	// detection and the token-latency histogram time from progress, so a
+	// token queued behind others counts from when the worker can start
+	// it, not from its assign.
+	outstanding map[int]struct{}
+	progress    time.Time
 	// codec is the gradient codec negotiated at registration: the
 	// worker's request when it matches Config.Compress, exact otherwise.
 	// Reports must arrive under this codec or exact (transports without
@@ -249,7 +259,7 @@ func (co *Coordinator) Run(conns []transport.Conn) (*Result, error) {
 	co.res = &Result{TokensByWorker: make([]int, co.cfg.Workers)}
 	co.workers = make([]*workerState, co.cfg.Workers)
 	for wid := range co.workers {
-		co.workers[wid] = &workerState{wid: wid, outstanding: map[int]time.Time{}}
+		co.workers[wid] = &workerState{wid: wid, outstanding: map[int]struct{}{}}
 	}
 	// Wrap every connection with telemetry (a no-op pass-through when
 	// Config.Metrics is nil); the wrapped handle is the identity used in
@@ -535,6 +545,9 @@ func (co *Coordinator) runIteration(nTok int) error {
 	}
 	zeroAll(co.acc)
 	co.folded = 0
+	if len(co.backlog) != len(co.workers) {
+		co.backlog = make([]int, len(co.workers))
+	}
 	co.waiting = co.waiting[:0]
 	co.iterTokens = map[int]int{}
 	// One root span per iteration; its context rides in the iter-start
@@ -645,16 +658,12 @@ func (co *Coordinator) runIteration(nTok int) error {
 				// The round-trip span's context makes the worst token the
 				// histogram's exemplar — follow trace_id from a /metrics
 				// scrape straight into the trace.
-				co.tele.tokenLat.ObserveExemplar(now.Sub(ws.outstanding[seq]).Seconds(), tok.span.Context())
+				co.tele.tokenLat.ObserveExemplar(now.Sub(ws.progress).Seconds(), tok.span.Context())
 				tok.span.End()
 				tok.span = nil
 				delete(ws.outstanding, seq)
-				// The token queued behind this one starts now: its clock
-				// restarts so WorkerTimeout and the latency histogram
-				// time one token, not one plus its wait in the queue.
-				for s := range ws.outstanding {
-					ws.outstanding[s] = now
-				}
+				// The token queued behind this one starts now.
+				ws.progress = now
 				co.res.TokensByWorker[ws.wid]++
 				co.iterTokens[ws.wid]++
 				ws.tokens.Inc()
@@ -696,11 +705,8 @@ func (co *Coordinator) runIteration(nTok int) error {
 				if !ws.alive || ws.draining {
 					continue
 				}
-				for _, at := range ws.outstanding {
-					if now.Sub(at) > co.cfg.WorkerTimeout {
-						co.markDead(ws, "iteration", errWorkerHung)
-						break
-					}
+				if len(ws.outstanding) > 0 && now.Sub(ws.progress) > co.cfg.WorkerTimeout {
+					co.markDead(ws, "iteration", errWorkerHung)
 				}
 			}
 			if err := co.serveWaiting(); err != nil {
@@ -843,7 +849,7 @@ func (co *Coordinator) applyMembership(iterTime time.Duration) {
 		conn := co.pendingJoins[0]
 		co.pendingJoins = co.pendingJoins[1:]
 		wid := len(co.workers)
-		ws := &workerState{wid: wid, conn: conn, alive: true, outstanding: map[int]time.Time{}}
+		ws := &workerState{wid: wid, conn: conn, alive: true, outstanding: map[int]struct{}{}}
 		ws.codec = co.negotiate(wid, co.pendingJoinReq[conn])
 		ws.tokens = co.tokenCounter(wid)
 		delete(co.pendingJoinReq, conn)
@@ -964,13 +970,14 @@ func validDistribution(d []int, nTok int, live []int) bool {
 	return true
 }
 
-// sendAssign reserves the token for the worker and ships it. The assign
-// carries a fresh child span of the iteration span; the worker's compute
-// span continues the same trace on the other side of the wire.
-func (co *Coordinator) sendAssign(ws *workerState, tok *tokenState) error {
+// sendAssign reserves the token for the worker and ships it, marked
+// SetMore when more of its batch follows. The assign carries a fresh
+// child span of the iteration span; the worker's compute span continues
+// the same trace on the other side of the wire.
+func (co *Coordinator) sendAssign(ws *workerState, tok *tokenState, more bool) error {
 	tok.assigned = true
 	tok.span = co.cfg.Spans.StartChild("token-roundtrip", ws.wid, co.iterSpan.Context())
-	ws.outstanding[tok.info.Seq] = time.Now()
+	ws.outstanding[tok.info.Seq] = struct{}{}
 	co.recordFlight("token.assign", ws.wid, tok.span.Context().TraceHex(),
 		"seq="+strconv.Itoa(tok.info.Seq))
 	// Every assign restates the negotiated codec, so a worker that
@@ -981,6 +988,7 @@ func (co *Coordinator) sendAssign(ws *workerState, tok *tokenState) error {
 		Kind: transport.KindAssign, Iter: co.it, Token: tok.info, Span: tok.span.Context(),
 	}
 	am.SetGradCodec(ws.codec)
+	am.SetMore(more)
 	return ws.conn.Send(am)
 }
 
@@ -997,16 +1005,22 @@ func (co *Coordinator) unassign(ws *workerState, tok *tokenState) {
 // shared return path for deaths, hangs and graceful drains.
 func (co *Coordinator) reclaimTokens(ws *workerState) {
 	for seq := range ws.outstanding {
-		if co.tokens != nil && !co.tokens[seq].done {
-			co.recordFlight("token.return", ws.wid, co.tokens[seq].span.Context().TraceHex(),
-				"seq="+strconv.Itoa(seq))
-			co.tokens[seq].assigned = false
-			co.tokens[seq].span = nil // round trip never completed
-			co.res.Reassigned++
-			co.tele.reassigned.Inc()
-		}
-		delete(ws.outstanding, seq)
+		co.reclaim(ws, seq)
 	}
+}
+
+// reclaim takes token seq back from a worker that may hold it and, unless
+// it is already reported, returns it to the pool as reassigned.
+func (co *Coordinator) reclaim(ws *workerState, seq int) {
+	if co.tokens != nil && !co.tokens[seq].done {
+		co.recordFlight("token.return", ws.wid, co.tokens[seq].span.Context().TraceHex(),
+			"seq="+strconv.Itoa(seq))
+		co.tokens[seq].assigned = false
+		co.tokens[seq].span = nil // round trip never completed
+		co.res.Reassigned++
+		co.tele.reassigned.Inc()
+	}
+	delete(ws.outstanding, seq)
 }
 
 // markDead declares the worker lost: its connection is closed, its
@@ -1053,44 +1067,67 @@ func (co *Coordinator) serveWaiting() error {
 	}
 }
 
-// serve answers a pull request from ws. A worker holding no token gets
-// pick's choice; when nothing is assignable the request is parked, so a
-// token freed by a later death can be re-served (otherwise the worker
-// waits for the next iter-start and re-requests itself). Then, if ws
-// holds exactly one token and its own shard still has two or more
-// unassigned, the lower of them is assigned too: the next own token
-// rides one ahead, so the worker finds it waiting when it reports, and
-// its request is answered by the token it already holds. The shard's
-// last unassigned token is never queued, so it stays stealable, and
-// steals stay one at a time. failed reports an assign that could not be
-// sent (see assign); the caller then re-serves parked requests.
+// queueBudget is how much of its own shard a worker may hold
+// unreported, in time at its measured token rate (see depth).
+const queueBudget = time.Millisecond
+
+// depth is how many unreported tokens worker wid may hold: queueBudget's
+// worth at its EWMA token rate, and at least two — the token it trains
+// and the next one riding ahead. A worker without a rate (its first
+// iteration, a fresh joiner) gets two, and so does any worker whose
+// tokens take queueBudget or longer.
+func (co *Coordinator) depth(wid int) int {
+	return max(2, int(co.rates[wid]*queueBudget.Seconds()))
+}
+
+// serve answers a pull request from ws. A worker that holds more than
+// half its depth is still busy with its window and gets nothing: its
+// request is answered by the tokens it already holds. Otherwise it is
+// topped up to depth by selectBatch's batch, sent in one write. A worker
+// holding no token when nothing is assignable is parked, so a token freed
+// by a later death can be re-served (otherwise the worker waits for the
+// next iter-start and re-requests itself). failed reports a batch that
+// could not be sent (see assign); the caller then re-serves parked
+// requests.
 func (co *Coordinator) serve(ws *workerState) (parked, failed bool, err error) {
-	if len(ws.outstanding) == 0 {
-		tok := pick(co.tokens, ws.wid)
-		if tok == nil {
+	held, depth := len(ws.outstanding), co.depth(ws.wid)
+	if held > depth/2 {
+		return false, false, nil
+	}
+	co.batch = selectBatch(co.tokens, ws.wid, held, depth, co.backlog, co.batch)
+	if len(co.batch) == 0 {
+		if held == 0 {
 			co.waiting = append(co.waiting, ws)
 			return true, false, nil
 		}
-		if ok, err := co.assign(ws, tok); !ok {
-			return false, true, err
-		}
+		return false, false, nil
 	}
-	if len(ws.outstanding) == 1 {
-		if tok := ahead(co.tokens, ws.wid); tok != nil {
-			ok, err := co.assign(ws, tok)
-			return false, !ok, err
-		}
-	}
-	return false, false, nil
+	ok, err := co.assign(ws, co.batch)
+	clear(co.batch)
+	return false, !ok, err
 }
 
-// assign ships tok to ws and reports whether it went out. A failed send
-// is an error in strict mode. In fault-tolerant mode it kills the worker,
-// except under elasticity: the conn may have closed because a leave is
-// in flight, so the token is reverted and the recv pump delivers the
-// real verdict (leave or death) in message order.
-func (co *Coordinator) assign(ws *workerState, tok *tokenState) (bool, error) {
-	err := co.sendAssign(ws, tok)
+// assign ships batch to ws, every assign but the last marked SetMore so
+// the batch leaves in one write, and reports whether it went out. A
+// failed send fails the whole batch, and no token of it stays assigned:
+// the assigns before the failed one may be held frames that went down
+// with the failed write, or may have reached the worker already. In
+// strict mode a failure is an error. In fault-tolerant mode it kills the
+// worker, which returns the batch to the pool, except under elasticity:
+// the conn may have closed because a leave is in flight, so the earlier
+// assigns are reclaimed as a leaver's would be, the failed one is
+// reverted, and the recv pump delivers the real verdict (leave or death)
+// in message order.
+func (co *Coordinator) assign(ws *workerState, batch []*tokenState) (bool, error) {
+	if len(ws.outstanding) == 0 {
+		ws.progress = time.Now()
+	}
+	var err error
+	sent := 0
+	for sent < len(batch) && err == nil {
+		err = co.sendAssign(ws, batch[sent], sent < len(batch)-1)
+		sent++
+	}
 	if err == nil {
 		return true, nil
 	}
@@ -1098,7 +1135,10 @@ func (co *Coordinator) assign(ws *workerState, tok *tokenState) (bool, error) {
 		return false, fmt.Errorf("rt: assign to worker %d: %w", ws.wid, err)
 	}
 	if co.elastic() {
-		co.unassign(ws, tok)
+		for _, tok := range batch[:sent-1] {
+			co.reclaim(ws, tok.info.Seq)
+		}
+		co.unassign(ws, batch[sent-1])
 	} else {
 		co.markDead(ws, "iteration", err)
 	}
@@ -1157,44 +1197,53 @@ func (co *Coordinator) recordScale(kind string, wid, effectIter int) {
 	co.recordFlight("scale."+kind, wid, "", "effect_iter="+strconv.Itoa(effectIter))
 }
 
-// pick chooses a token for the worker: own shard first (HF own-STB), then
-// the unassigned token of the owner with the largest backlog (helper
-// prioritization); within an owner, lowest sequence first.
-func pick(tokens []*tokenState, wid int) *tokenState {
-	backlog := map[int][]*tokenState{}
+// selectBatch chooses the tokens to assign to worker wid, which holds
+// held unreported tokens and may hold depth. A worker holding none gets
+// one token in hand: its own shard's lowest unassigned seq, or else a
+// steal, the lowest unassigned seq of the owner with the largest backlog
+// (ties go to the lower wid). Behind that, or behind what it holds, its
+// own shard's next seqs are queued up to depth, but never the shard's
+// last unassigned token, which stays stealable; steals stay one at a
+// time. One pass over the tokens counts each owner's backlog into
+// backlog, indexed by wid, and collects the own tokens into batch; a
+// steal scans once more for its token. Both are scratch space the caller
+// keeps, so selection allocates nothing; the batch is returned.
+func selectBatch(tokens []*tokenState, wid, held, depth int, backlog []int, batch []*tokenState) []*tokenState {
+	clear(backlog)
+	batch = batch[:0]
 	for _, t := range tokens {
-		if !t.assigned && !t.done {
-			backlog[t.info.Owner] = append(backlog[t.info.Owner], t)
+		if t.assigned || t.done {
+			continue
+		}
+		backlog[t.info.Owner]++
+		if t.info.Owner == wid && len(batch) < depth-held {
+			batch = append(batch, t)
 		}
 	}
-	if own := backlog[wid]; len(own) > 0 {
-		return own[0]
+	own := backlog[wid]
+	if own > 0 {
+		k := min(len(batch), own-1)
+		if held == 0 {
+			k = max(k, 1)
+		}
+		return batch[:k]
+	}
+	if held > 0 {
+		return batch
 	}
 	best := -1
-	for owner, ts := range backlog {
-		if best == -1 || len(ts) > len(backlog[best]) || (len(ts) == len(backlog[best]) && owner < best) {
+	for owner, n := range backlog {
+		if n > 0 && (best == -1 || n > backlog[best]) {
 			best = owner
 		}
 	}
 	if best == -1 {
-		return nil
+		return batch
 	}
-	return backlog[best][0]
-}
-
-// ahead returns the own token to queue behind the one wid holds: the
-// lowest-seq unassigned token of wid's shard, provided the shard has at
-// least two, so its last unassigned token is never queued.
-func ahead(tokens []*tokenState, wid int) *tokenState {
-	var first *tokenState
 	for _, t := range tokens {
-		if t.info.Owner != wid || t.assigned || t.done {
-			continue
+		if t.info.Owner == best && !t.assigned && !t.done {
+			return append(batch, t)
 		}
-		if first != nil {
-			return first
-		}
-		first = t
 	}
-	return nil
+	return batch
 }

@@ -28,6 +28,7 @@ package rt
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"fela/internal/metrics"
@@ -98,8 +99,9 @@ type Config struct {
 	// and surviving workers finish the iteration. Zero keeps the
 	// strict mode where any worker fault aborts the session. The
 	// timeout must comfortably exceed the slowest single-token compute
-	// time (plus any injected Delay), or healthy stragglers will be
-	// shot.
+	// time plus the coordinator's 1 ms queue budget (a worker with short
+	// tokens may hold a report that long before it leaves), plus any
+	// injected Delay, or healthy stragglers will be shot.
 	WorkerTimeout time.Duration
 	// Trace, when set, receives a Fault point event per detected
 	// worker fault (wall-clock seconds since session start).
@@ -163,8 +165,11 @@ func (c Config) validate() error {
 	if c.Iterations <= 0 {
 		return fmt.Errorf("rt: iterations must be positive")
 	}
-	if c.LR <= 0 {
-		return fmt.Errorf("rt: learning rate must be positive")
+	if !finite(c.LR) || c.LR <= 0 {
+		return fmt.Errorf("rt: learning rate %v must be finite and positive", c.LR)
+	}
+	if !finite(c.Momentum) || c.Momentum < 0 {
+		return fmt.Errorf("rt: momentum %v must be finite and non-negative", c.Momentum)
 	}
 	if c.WorkerTimeout < 0 {
 		return fmt.Errorf("rt: worker timeout must not be negative")
@@ -181,6 +186,12 @@ func (c Config) validate() error {
 		}
 	}
 	return nil
+}
+
+// finite reports whether v is neither NaN nor an infinity.
+func finite(v float32) bool {
+	f := float64(v)
+	return !math.IsNaN(f) && !math.IsInf(f, 0)
 }
 
 // checkpointEvery resolves the checkpoint interval (see

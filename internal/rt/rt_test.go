@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -205,6 +206,45 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := Train(mlp, blobs(), cfg); err == nil {
 			t.Errorf("config %d: expected error", i)
 		}
+	}
+}
+
+// TestConfigRejectsUntrainableRates: a learning rate that is not finite
+// and positive, or a momentum that is not finite and non-negative, cannot
+// train, so Train, Sequential and NewCoordinator refuse it up front
+// instead of returning NaN losses.
+func TestConfigRejectsUntrainableRates(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	for _, tc := range []struct {
+		name         string
+		lr, momentum float32
+	}{
+		{"lr-nan", nan, 0},
+		{"lr+inf", inf, 0},
+		{"lr-inf", -inf, 0},
+		{"lr-negative", -0.05, 0},
+		{"momentum-nan", 0.05, nan},
+		{"momentum+inf", 0.05, inf},
+		{"momentum-negative", 0.05, -0.5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := baseCfg()
+			cfg.LR, cfg.Momentum = tc.lr, tc.momentum
+			if _, err := Train(mlp, blobs(), cfg); err == nil {
+				t.Error("Train accepted the config")
+			}
+			if _, err := Sequential(mlp(), blobs(), cfg); err == nil {
+				t.Error("Sequential accepted the config")
+			}
+			if _, err := NewCoordinator(mlp(), cfg); err == nil {
+				t.Error("NewCoordinator accepted the config")
+			}
+		})
+	}
+	cfg := baseCfg()
+	cfg.Momentum = 0.9
+	if err := cfg.validate(); err != nil {
+		t.Fatalf("finite positive rates rejected: %v", err)
 	}
 }
 

@@ -261,8 +261,14 @@ func (w *Worker) loop(conn transport.Conn) error {
 			w.publishStatus(false)
 			// Report and request are combined (§III-D): the request for
 			// the next token leaves in the same write as the report held
-			// above, so a failed write lost the report too.
-			if err := conn.Send(&transport.Message{Kind: transport.KindRequest, WID: w.wid}); err != nil {
+			// above, so a failed write lost the report too. After a token
+			// shorter than queueBudget the request is held as well, until
+			// this conn's Recv would block: a worker going through a window
+			// of queued assigns sends its reports when the window runs
+			// dry, in one write. A slow token's report leaves at once.
+			req := &transport.Message{Kind: transport.KindRequest, WID: w.wid}
+			req.SetMore(w.lastCompute < queueBudget.Seconds())
+			if err := conn.Send(req); err != nil {
 				return err
 			}
 		case transport.KindReassign:

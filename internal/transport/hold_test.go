@@ -246,3 +246,181 @@ func TestHeldFrameIgnoredElsewhere(t *testing.T) {
 		})
 	}
 }
+
+// viaWrappers runs a held-frame case on a bare binary conn and through
+// Instrument and FaultConn, which forward Send and Recv to it.
+func viaWrappers(t *testing.T, run func(t *testing.T, tc *tcpConn, c Conn, raw net.Conn)) {
+	for _, tc := range []struct {
+		name string
+		wrap func(Conn) Conn
+	}{
+		{"tcp", func(c Conn) Conn { return c }},
+		{"instrument", func(c Conn) Conn { return Instrument(c, obs.NewRegistry()) }},
+		{"fault", func(c Conn) Conn { return NewFaultConn(c, 1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc0, raw := rawPair(t)
+			run(t, tc0, tc.wrap(tc0), raw)
+		})
+	}
+}
+
+// assign is a small frame for the raw end to send the conn under test.
+func assign(seq int) *Message {
+	return &Message{Kind: KindAssign, Iter: 2, Token: TokenInfo{ID: 64 + seq, Seq: seq, Lo: 2 * seq, Hi: 2*seq + 2, Owner: 1}}
+}
+
+// recvAsync runs c.Recv in the background.
+func recvAsync(c Conn) <-chan *Message {
+	got := make(chan *Message, 1)
+	go func() {
+		m, _ := c.Recv()
+		got <- m
+	}()
+	return got
+}
+
+// TestHeldFrameLeavesWhenRecvBlocks: a Recv with nothing to read writes
+// the held frames before it waits, with no further Send.
+func TestHeldFrameLeavesWhenRecvBlocks(t *testing.T) {
+	viaWrappers(t, func(t *testing.T, _ *tcpConn, c Conn, raw net.Conn) {
+		rep, req := heldReport(), request()
+		req.SetMore(true)
+		want := frames(t, rep, req)
+		for _, m := range []*Message{rep, req} {
+			if err := c.Send(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		expectSilence(t, raw, 20*time.Millisecond)
+		got := recvAsync(c)
+		readExactly(t, raw, want)
+		if _, err := raw.Write(frames(t, assign(5))); err != nil {
+			t.Fatal(err)
+		}
+		if m := <-got; m == nil || m.Kind != KindAssign || m.Token.Seq != 5 {
+			t.Fatalf("Recv returned %+v, want the assign", m)
+		}
+	})
+}
+
+// TestHeldFrameWaitsWhileFrameBuffered: a Recv that finds a whole frame
+// already buffered returns it and writes nothing; the next Recv, with
+// nothing left to read, writes the held frames.
+func TestHeldFrameWaitsWhileFrameBuffered(t *testing.T) {
+	viaWrappers(t, func(t *testing.T, tc *tcpConn, c Conn, raw net.Conn) {
+		// Two small assigns in one loopback write arrive together, so the
+		// first Recv buffers both.
+		if _, err := raw.Write(frames(t, assign(3), assign(5))); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(10 * time.Millisecond)
+		if m, err := c.Recv(); err != nil || m.Token.Seq != 3 {
+			t.Fatalf("first Recv: %+v, %v", m, err)
+		}
+		if !tc.frameBuffered() {
+			t.Fatal("the second assign is not buffered after the first Recv")
+		}
+		rep := heldReport()
+		if err := c.Send(rep); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := c.Recv(); err != nil || m.Token.Seq != 5 {
+			t.Fatalf("second Recv: %+v, %v", m, err)
+		}
+		expectSilence(t, raw, 20*time.Millisecond)
+		got := recvAsync(c)
+		readExactly(t, raw, frames(t, rep))
+		raw.Write(frames(t, &Message{Kind: KindShutdown}))
+		<-got
+	})
+}
+
+// TestHeldFramesBounded: marked frames are held only up to maxHeldBytes
+// in total; the frame that would reach it is written at once, with every
+// frame held before it.
+func TestHeldFramesBounded(t *testing.T) {
+	c, raw := rawPair(t)
+	var want []byte
+	for len(want) < maxHeldBytes {
+		rep := heldReport()
+		want = append(want, frames(t, rep)...)
+		if err := c.Send(rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readExactly(t, raw, want)
+	expectSilence(t, raw, 20*time.Millisecond)
+}
+
+// TestRecvSkipsSendLockWhenNothingHeld: with nothing held, Recv never
+// takes the send mutex, so a Send blocked in a write cannot stall it.
+func TestRecvSkipsSendLockWhenNothingHeld(t *testing.T) {
+	c, raw := rawPair(t)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	got := recvAsync(c)
+	if _, err := raw.Write(frames(t, assign(7))); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m := <-got:
+		if m == nil || m.Token.Seq != 7 {
+			t.Fatalf("Recv returned %+v, want the assign", m)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Recv waited for the send mutex with nothing held")
+	}
+}
+
+// TestHeldFramesConcurrentRecv: a Recv on one goroutine writes what Send
+// holds on another, as on the coordinator's conns, where the receive
+// pump runs beside the loop that sends batches. Every frame reaches the
+// peer once and in order.
+func TestHeldFramesConcurrentRecv(t *testing.T) {
+	a, b := tcpPair(t, CodecBinary)
+	SetTimeouts(a, 0, 10*time.Second)
+	SetTimeouts(b, 0, 10*time.Second)
+	const n = 2000
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() { // the batching sender
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			m := assign(i)
+			m.SetMore(i%7 != 6 && i != n-1)
+			if err := a.Send(m); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() { // the receive pump on the same conn
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			if _, err := a.Recv(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() { // the peer answers every frame
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			m, err := b.Recv()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if m.Token.Seq != i {
+				t.Errorf("frame %d carries seq %d", i, m.Token.Seq)
+				return
+			}
+			if err := b.Send(request()); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+}

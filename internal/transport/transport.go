@@ -196,18 +196,20 @@ type Message struct {
 	// read through SetGradCodec/GradCodec.
 	gradCodec Compression
 
-	// more promises that another Send on the same conn follows at once;
-	// see SetMore. Unexported for the same reasons as gradCodec.
+	// more lets the conn hold the frame; see SetMore. Unexported for the
+	// same reasons as gradCodec.
 	more bool
 }
 
-// SetMore marks the message as followed at once by another Send on the
-// same conn, like MSG_MORE. The binary TCP conn then holds a frame
-// smaller than 64 KiB and writes it together with the next frame,
-// in one write; the bytes on the wire are those of two separate Sends.
-// Larger frames are written at once. Other transports ignore the mark.
-// A worker marks its report, so the report leaves in the same write as
-// the request that follows it.
+// SetMore marks the message as one the conn may hold, like MSG_MORE: the
+// binary TCP conn keeps it until the next Send or until this conn's Recv
+// would block, and then writes every held frame in one write. The bytes
+// on the wire are those of separate Sends. A frame that would take the
+// held bytes to 64 KiB or beyond is written at once, with those held
+// before it. Other transports ignore the mark. The coordinator marks all
+// but the last assign of a batch, so the batch leaves in one write; a
+// worker marks its report, and its request after a short token, so they
+// leave together when it next waits for an assign.
 func (m *Message) SetMore(more bool) { m.more = more }
 
 // WireSize estimates the message's encoded size in bytes: the float
@@ -243,10 +245,11 @@ type Conn interface {
 	// from the caller's slice itself, by writev, and returns only once
 	// that write is done. A wrapper that delivers later (jobs.asyncConn)
 	// must only ever be handed payloads nobody mutates again. A message
-	// marked SetMore may reach the wire only with the next Send.
+	// marked SetMore may reach the wire only with the next Send, or when
+	// Recv on the same conn would block.
 	Send(*Message) error
 	// Recv blocks for the next message; io errors or closure return an
-	// error.
+	// error. Before it blocks, it writes any frames Send held.
 	Recv() (*Message, error)
 	// Close tears the connection down; pending Recv calls fail.
 	Close() error
@@ -544,7 +547,8 @@ type tcpConn struct {
 	mu sync.Mutex // serializes Send
 	// held is the pooled buffer of frames marked SetMore and not yet
 	// written: the next Send or SendBroadcast writes them first, in the
-	// same write. nil when nothing is held. Guarded by mu.
+	// same write, and a Recv that would block writes them alone. nil
+	// when nothing is held. Guarded by mu; holding mirrors it.
 	held *[]byte
 	// cuts are the float sections Send left out of its encoded bytes,
 	// and iov the writev list that splices them back in; wv is what
@@ -557,6 +561,11 @@ type tcpConn struct {
 	recvTimeout time.Duration
 
 	stats atomic.Pointer[codecStats]
+
+	// holding mirrors held != nil so that Recv can look without taking
+	// mu. It sits last: placed beside held, it moved the fields after it
+	// and train-comm ran 8 % slower in paired runs on a 2-vCPU Xeon.
+	holding atomic.Bool
 }
 
 func newTCPConn(c net.Conn, codec string) *tcpConn {
@@ -597,6 +606,40 @@ func (c *tcpConn) timeouts() (send, recv time.Duration) {
 // at once, so only control-sized frames ever wait.
 const maxHeldBytes = 64 << 10
 
+// hold makes bp the held frames. Callers hold mu.
+func (c *tcpConn) hold(bp *[]byte) {
+	c.held = bp
+	c.holding.Store(true)
+}
+
+// takeHeld removes and returns the held frames, nil if there are none.
+// Callers hold mu.
+func (c *tcpConn) takeHeld() *[]byte {
+	bp := c.held
+	if bp != nil {
+		c.held = nil
+		c.holding.Store(false)
+	}
+	return bp
+}
+
+// flushHeld writes the held frames, if any, on their own.
+func (c *tcpConn) flushHeld() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	bp := c.takeHeld()
+	if bp == nil {
+		return nil
+	}
+	err := c.setWriteDeadline()
+	if err == nil {
+		_, err = c.conn.Write(*bp)
+	}
+	*bp = (*bp)[:0]
+	framePool.Put(bp)
+	return err
+}
+
 func (c *tcpConn) Send(m *Message) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -616,9 +659,9 @@ func (c *tcpConn) Send(m *Message) error {
 	st := c.stats.Load()
 	start := time.Now()
 	// Encode after the held frames, if any, so one write carries them all.
-	bp, off := c.held, 0
+	bp, off := c.takeHeld(), 0
 	if bp != nil {
-		c.held, off = nil, len(*bp)
+		off = len(*bp)
 	} else {
 		bp = framePool.Get().(*[]byte)
 	}
@@ -626,7 +669,7 @@ func (c *tcpConn) Send(m *Message) error {
 	if err != nil {
 		// *bp still holds exactly the held frames, if there were any.
 		if off > 0 {
-			c.held = bp
+			c.hold(bp)
 		} else {
 			framePool.Put(bp)
 		}
@@ -636,8 +679,8 @@ func (c *tcpConn) Send(m *Message) error {
 	st.encoded(m.Kind, size, start)
 	st.compressed(0, gi)
 	*bp = buf
-	if m.more && size < maxHeldBytes {
-		c.held = bp
+	if m.more && off+size < maxHeldBytes {
+		c.hold(bp)
 		return nil
 	}
 	err = c.setWriteDeadline()
@@ -702,13 +745,12 @@ func (c *tcpConn) SendBroadcast(b *Broadcast) error {
 	if err := c.setWriteDeadline(); err != nil {
 		return err
 	}
-	if c.held == nil {
+	bp := c.takeHeld()
+	if bp == nil {
 		_, err = c.conn.Write(frame)
 		return err
 	}
 	// Held frames go first, in the same write.
-	bp := c.held
-	c.held = nil
 	c.iov = append(c.iov, *bp, frame)
 	err = c.writev()
 	*bp = (*bp)[:0]
@@ -733,7 +775,30 @@ func (c *tcpConn) Recv() (*Message, error) {
 		st.decoded(m.Kind, int(c.cr.n-before), start)
 		return m, nil
 	}
+	// Held frames leave when this Recv would wait: not while a whole
+	// frame is already buffered, so a peer working through a batch holds
+	// its replies until the batch is done.
+	if c.holding.Load() && !c.frameBuffered() {
+		if err := c.flushHeld(); err != nil {
+			return nil, err
+		}
+	}
 	return c.recvBinary()
+}
+
+// frameBuffered reports whether a whole binary frame is already in the
+// read buffer, so that decoding it cannot block.
+func (c *tcpConn) frameBuffered() bool {
+	n := c.br.Buffered()
+	if n < frameHeader {
+		return false
+	}
+	hdr, _ := c.br.Peek(frameHeader)
+	header := frameHeader
+	if hdr[2] == frameVersion2 {
+		header = frameHeaderV2
+	}
+	return n >= header+int(binary.LittleEndian.Uint32(hdr[4:8]))
 }
 
 // recvBinary reads and decodes one binary frame. The header is
@@ -868,8 +933,7 @@ func (c *tcpConn) firstSection(n int) int {
 func (c *tcpConn) Close() error {
 	err := c.conn.Close()
 	c.mu.Lock()
-	if bp := c.held; bp != nil {
-		c.held = nil
+	if bp := c.takeHeld(); bp != nil {
 		*bp = (*bp)[:0]
 		framePool.Put(bp)
 	}
