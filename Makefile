@@ -48,13 +48,11 @@ jobs:
 	$(GO) test ./cmd/felaserver/ -race -run TestServerJobsMode -v
 	$(GO) test ./examples/multijob/ -race -count=1
 
-# fuzz runs each wire-codec fuzz target, the top-k selection against
-# its sort-based reference, and a binary conn's Recv against
-# DecodeBinary, for a short budget on top of the committed corpus
-# (which plain `go test` already replays).
+# fuzz runs the binary frame decoder and its round trip, the top-k
+# selection against its sort-based reference, and a TCP conn's Recv
+# against DecodeBinary, for a short budget on top of the committed
+# corpus (which plain `go test` already replays).
 fuzz:
-	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzWireDecode -fuzztime 10s
-	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzWireRoundTrip -fuzztime 10s
 	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzBinaryDecode -fuzztime 10s
 	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzBinaryRoundTrip -fuzztime 10s
 	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzTopKSelect -fuzztime 10s

@@ -38,7 +38,6 @@ import (
 type gateOpts struct {
 	addr     string
 	poolAddr string
-	codec    string
 	shards   int
 
 	alloc     string
@@ -57,8 +56,6 @@ func main() {
 	var o gateOpts
 	flag.StringVar(&o.addr, "addr", "127.0.0.1:8080", "HTTP address to serve the gateway API on")
 	flag.StringVar(&o.poolAddr, "pool-addr", "127.0.0.1:7070", "TCP address pool workers register on")
-	flag.StringVar(&o.codec, "codec", transport.DefaultCodec,
-		"wire codec for pool workers (binary or gob); must match felaworker -codec")
 	flag.IntVar(&o.shards, "shards", 2, "number of job-manager shards behind the gateway")
 	flag.StringVar(&o.alloc, "alloc", "fair-share",
 		"per-shard worker allocation policy (fair-share, priority, throughput-max, oasis)")
@@ -94,9 +91,6 @@ func main() {
 func run(o gateOpts, sig <-chan os.Signal) error {
 	if o.shards < 1 {
 		return fmt.Errorf("-shards must be at least 1")
-	}
-	if !transport.ValidCodec(o.codec) {
-		return fmt.Errorf("unknown codec %q (want %s or %s)", o.codec, transport.CodecBinary, transport.CodecGob)
 	}
 	pol, ok := jobs.PolicyByName(o.alloc)
 	if !ok {
@@ -141,7 +135,7 @@ func run(o gateOpts, sig <-chan os.Signal) error {
 
 	// Pool workers register over TCP and are dealt round-robin across
 	// the shards; each shard rebalances its own slice of the pool.
-	poolL, err := transport.ListenCodec(o.poolAddr, o.codec)
+	poolL, err := transport.Listen(o.poolAddr)
 	if err != nil {
 		stopManagers(5 * time.Second)
 		return err

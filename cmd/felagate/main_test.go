@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -32,7 +33,7 @@ func startPoolWorkers(t *testing.T, addr string, n int) {
 	for i := 0; i < n; i++ {
 		go func() {
 			dial := func() (transport.Conn, error) {
-				return transport.DialRetryCodec(addr, 50, 20*time.Millisecond, transport.DefaultCodec)
+				return transport.DialRetry(addr, 50, 20*time.Millisecond)
 			}
 			_, _ = jobs.RunPoolWorker(dial, jobs.PoolWorkerOptions{})
 		}()
@@ -64,7 +65,6 @@ func TestRunServesAndDrains(t *testing.T) {
 	o := gateOpts{
 		addr:         freeAddr(t),
 		poolAddr:     freeAddr(t),
-		codec:        transport.DefaultCodec,
 		shards:       2,
 		alloc:        "fair-share",
 		drainTimeout: 20 * time.Second,
@@ -143,7 +143,6 @@ func TestRunDrainShedsSubmissions(t *testing.T) {
 	o := gateOpts{
 		addr:         freeAddr(t),
 		poolAddr:     freeAddr(t),
-		codec:        transport.DefaultCodec,
 		shards:       1,
 		alloc:        "fair-share",
 		drainTimeout: 10 * time.Second,
@@ -192,13 +191,13 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run(gateOpts{shards: 0}, nil); err == nil {
 		t.Fatal("shards=0 accepted")
 	}
-	if err := run(gateOpts{shards: 1, codec: "nope"}, nil); err == nil {
-		t.Fatal("bad codec accepted")
+	if err := run(gateOpts{addr: "127.0.0.1:0", poolAddr: "127.0.0.1:0", shards: 1, alloc: "fair-share", tenantRate: math.NaN()}, nil); err == nil {
+		t.Fatal("NaN tenant rate accepted")
 	}
-	if err := run(gateOpts{shards: 1, codec: transport.DefaultCodec, alloc: "nope"}, nil); err == nil {
+	if err := run(gateOpts{shards: 1, alloc: "nope"}, nil); err == nil {
 		t.Fatal("bad alloc accepted")
 	}
-	o := gateOpts{shards: 1, codec: transport.DefaultCodec, alloc: "fair-share", admission: "nope"}
+	o := gateOpts{shards: 1, alloc: "fair-share", admission: "nope"}
 	if err := run(o, nil); err == nil {
 		t.Fatal("bad admission accepted")
 	}
@@ -212,7 +211,6 @@ func TestRunDrainDeadlineWithStuckJob(t *testing.T) {
 	o := gateOpts{
 		addr:         freeAddr(t),
 		poolAddr:     freeAddr(t),
-		codec:        transport.DefaultCodec,
 		shards:       1,
 		alloc:        "fair-share",
 		drainTimeout: 500 * time.Millisecond,

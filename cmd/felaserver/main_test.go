@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -73,7 +74,7 @@ func TestServerStrictSession(t *testing.T) {
 	for wid := 0; wid < workers; wid++ {
 		startWorker(t, addr, wid, workers, iters, cfg, &wg)
 	}
-	if err := run(addr, transport.DefaultCodec, workers, iters, 0, elasticOpts{}, obsOpts{}, durableOpts{}, nil, 0, transport.CompressExact); err != nil {
+	if err := run(addr, workers, iters, 0, elasticOpts{}, obsOpts{}, durableOpts{}, nil, 0, transport.CompressExact); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -128,7 +129,7 @@ func TestServerElasticSession(t *testing.T) {
 		joined <- assigned
 	}()
 
-	if err := run(addr, transport.DefaultCodec, workers, iters, 2*time.Second, elasticOpts{enabled: true, minWorkers: 1}, obsOpts{}, durableOpts{}, nil, 0, transport.CompressExact); err != nil {
+	if err := run(addr, workers, iters, 2*time.Second, elasticOpts{enabled: true, minWorkers: 1}, obsOpts{}, durableOpts{}, nil, 0, transport.CompressExact); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -139,7 +140,7 @@ func TestServerElasticSession(t *testing.T) {
 
 // TestServerElasticValidation: nonsensical elastic bounds fail fast.
 func TestServerElasticValidation(t *testing.T) {
-	err := run(freeAddr(t), transport.DefaultCodec, 2, 4, time.Second, elasticOpts{enabled: true, minWorkers: 5, maxWorkers: 2}, obsOpts{}, durableOpts{}, nil, 0, transport.CompressExact)
+	err := run(freeAddr(t), 2, 4, time.Second, elasticOpts{enabled: true, minWorkers: 5, maxWorkers: 2}, obsOpts{}, durableOpts{}, nil, 0, transport.CompressExact)
 	if err == nil {
 		t.Fatal("min-workers > max-workers accepted")
 	}
@@ -208,7 +209,7 @@ func TestServerObservabilityE2E(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		done <- run(addr, transport.DefaultCodec, workers, iters, 2*time.Second,
+		done <- run(addr, workers, iters, 2*time.Second,
 			elasticOpts{enabled: true, minWorkers: 1},
 			obsOpts{statusAddr: statusAddr, traceJSON: traceJSON}, durableOpts{}, nil, 0, transport.CompressExact)
 	}()
@@ -373,7 +374,7 @@ func TestServerJobsMode(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		done <- runJobs(addr, transport.DefaultCodec,
+		done <- runJobs(addr,
 			jobsOpts{alloc: "throughput-max", maxJobs: 2}, 2*time.Second, obsOpts{}, durableOpts{}, nil, 0)
 	}()
 
@@ -457,6 +458,40 @@ func TestServerJobsMode(t *testing.T) {
 	}
 }
 
+// TestJobsModeRejectsBadTraceScale: with a trace set, a NaN, infinite
+// or non-positive -trace-scale is refused before anything is served:
+// Replay maps only non-positive scales to 1, so a NaN would replay the
+// trace with no pacing at all.
+func TestJobsModeRejectsBadTraceScale(t *testing.T) {
+	tr, err := workload.Synthesize(
+		workload.Poisson{Rate: 4}, workload.DefaultMix(time.Millisecond), 3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	if err := tr.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	for _, scale := range []float64{math.NaN(), math.Inf(1), 0, -2} {
+		sig := make(chan os.Signal, 1)
+		done := make(chan error, 1)
+		go func() {
+			done <- runJobs(freeAddr(t), jobsOpts{alloc: "fair-share", trace: path, traceScale: scale},
+				0, obsOpts{}, durableOpts{}, sig, 100*time.Millisecond)
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("trace scale %v: runJobs returned nil", scale)
+			}
+		case <-time.After(2 * time.Second):
+			sig <- syscall.SIGTERM
+			<-done
+			t.Errorf("trace scale %v accepted: runJobs served the trace", scale)
+		}
+	}
+}
+
 // TestServerClusterTrace drives `felaserver -jobs -cluster-trace` end
 // to end: a synthesized 4-job trace on disk is replayed (sped up)
 // against two TCP pool workers under OASiS admission, and the server
@@ -477,7 +512,7 @@ func TestServerClusterTrace(t *testing.T) {
 	addr := freeAddr(t)
 	done := make(chan error, 1)
 	go func() {
-		done <- runJobs(addr, transport.DefaultCodec, jobsOpts{
+		done <- runJobs(addr, jobsOpts{
 			alloc: "oasis", admission: "oasis", trace: path, traceScale: 4,
 		}, 2*time.Second, obsOpts{}, durableOpts{}, nil, 0)
 	}()
@@ -567,7 +602,7 @@ func TestJobsModeGracefulShutdown(t *testing.T) {
 	sig := make(chan os.Signal, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- runJobs(addr, transport.DefaultCodec, jobsOpts{alloc: "fair-share"},
+		done <- runJobs(addr, jobsOpts{alloc: "fair-share"},
 			2*time.Second, obsOpts{}, durableOpts{}, sig, 10*time.Second)
 	}()
 
@@ -605,7 +640,7 @@ func TestSessionModeSignalBeforeWorkers(t *testing.T) {
 	sig := make(chan os.Signal, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- run(addr, transport.DefaultCodec, 4, 4, 0, elasticOpts{}, obsOpts{}, durableOpts{}, sig, time.Second, transport.CompressExact)
+		done <- run(addr, 4, 4, 0, elasticOpts{}, obsOpts{}, durableOpts{}, sig, time.Second, transport.CompressExact)
 	}()
 	// Wait until the listener is up so the signal lands mid-wait.
 	deadline := time.Now().Add(5 * time.Second)
@@ -659,7 +694,7 @@ func TestServerDurableSessionResume(t *testing.T) {
 	for wid := 0; wid < 2; wid++ {
 		startWorker(t, addr, wid, 2, 4, cfg4, &wg)
 	}
-	if err := run(addr, transport.DefaultCodec, 2, 4, 0, elasticOpts{}, obsOpts{}, du, nil, 0, transport.CompressExact); err != nil {
+	if err := run(addr, 2, 4, 0, elasticOpts{}, obsOpts{}, du, nil, 0, transport.CompressExact); err != nil {
 		t.Fatalf("phase 1: %v", err)
 	}
 	wg.Wait()
@@ -676,7 +711,7 @@ func TestServerDurableSessionResume(t *testing.T) {
 	statusAddr := freeAddr(t)
 	done := make(chan error, 1)
 	go func() {
-		done <- run(addr, transport.DefaultCodec, 2, 8, 0, elasticOpts{}, obsOpts{statusAddr: statusAddr}, du, nil, 0, transport.CompressExact)
+		done <- run(addr, 2, 8, 0, elasticOpts{}, obsOpts{statusAddr: statusAddr}, du, nil, 0, transport.CompressExact)
 	}()
 
 	// Before any worker reconnects the health gate must hold: 503 with
@@ -734,7 +769,7 @@ func TestServerDurableSessionResume(t *testing.T) {
 		t.Fatalf("ledger history: joins=%d barriers=%d last=%d, want 4 joins, >=3 barriers ending at 7",
 			joins, barriers, lastBarrier)
 	}
-	if err := run(freeAddr(t), transport.DefaultCodec, 2, 8, 0, elasticOpts{}, obsOpts{}, du, nil, 0, transport.CompressExact); err != nil {
+	if err := run(freeAddr(t), 2, 8, 0, elasticOpts{}, obsOpts{}, du, nil, 0, transport.CompressExact); err != nil {
 		t.Fatalf("phase 3: %v", err)
 	}
 }

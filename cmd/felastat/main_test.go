@@ -49,7 +49,7 @@ func startCluster(t *testing.T, poolWorkers int) (base, statusAddr string) {
 		}
 	})
 
-	poolL, err := transport.ListenCodec("127.0.0.1:0", transport.DefaultCodec)
+	poolL, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func startCluster(t *testing.T, poolWorkers int) (base, statusAddr string) {
 	for i := 0; i < poolWorkers; i++ {
 		go func() {
 			dial := func() (transport.Conn, error) {
-				return transport.DialRetryCodec(poolL.Addr(), 50, 20*time.Millisecond, transport.DefaultCodec)
+				return transport.DialRetry(poolL.Addr(), 50, 20*time.Millisecond)
 			}
 			_, _ = jobs.RunPoolWorker(dial, jobs.PoolWorkerOptions{})
 		}()

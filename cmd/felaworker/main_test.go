@@ -40,7 +40,7 @@ func TestReconnectSurvivesCoordinatorRestart(t *testing.T) {
 
 	workerDone := make(chan error, 1)
 	go func() {
-		workerDone <- run(addr, transport.DefaultCodec, 0, 1, 3, 0, 50, false, -1, true, "", transport.CompressExact)
+		workerDone <- run(addr, 0, 1, 3, 0, 50, false, -1, true, "", transport.CompressExact)
 	}()
 
 	// Incarnation one: take the registration, then die.

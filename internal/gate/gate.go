@@ -71,8 +71,9 @@ type Config struct {
 	// Shards are the scheduling backends (at least one).
 	Shards []Shard
 	// TenantRate is each tenant's sustained submit budget in
-	// submissions/sec (0 = unlimited); TenantBurst is the bucket depth
-	// (default ceil(TenantRate), min 1).
+	// submissions/sec (0 = unlimited; NaN, infinite or negative is
+	// refused); TenantBurst is the bucket depth (default
+	// ceil(TenantRate), min 1).
 	TenantRate  float64
 	TenantBurst int
 	// TenantQuota caps one tenant's admitted-but-unsettled jobs
@@ -161,6 +162,9 @@ type gateJob struct {
 func New(cfg Config) (*Gateway, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, errors.New("gate: at least one shard required")
+	}
+	if r := cfg.TenantRate; math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
+		return nil, fmt.Errorf("gate: tenant rate %v must be finite and non-negative", r)
 	}
 	if cfg.AdmitWait <= 0 {
 		cfg.AdmitWait = 25 * time.Millisecond

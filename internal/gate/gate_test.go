@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -440,6 +441,32 @@ func TestRouterAffinityAndSpill(t *testing.T) {
 	}
 	if _, ok := r.pick("hot", 20); ok {
 		t.Fatal("pick admitted past the bound")
+	}
+}
+
+// TestNewRejectsBadTenantRate: a NaN, infinite or negative rate would
+// build a bucket that refuses every submission forever (NaN) or that
+// means nothing, so New refuses it; zero and positive rates build.
+func TestNewRejectsBadTenantRate(t *testing.T) {
+	for _, tc := range []struct {
+		rate float64
+		ok   bool
+	}{
+		{0, true},
+		{1e-6, true},
+		{500, true},
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+		{-1, false},
+	} {
+		g, err := New(Config{Shards: []Shard{newFakeShard()}, TenantRate: tc.rate})
+		if (err == nil) != tc.ok {
+			t.Errorf("TenantRate %v: err = %v, want ok = %v", tc.rate, err, tc.ok)
+		}
+		if g != nil {
+			g.Close()
+		}
 	}
 }
 

@@ -5,15 +5,14 @@ package transport
 // exists because the hot path of a training session is dominated by two
 // message families — the per-iteration parameter broadcast (KindIterStart)
 // and the per-token gradient report (KindReport) — whose payloads are
-// megabytes of float32. Reflection-driven gob encodes those one value at
-// a time and allocates a fresh tree on every decode. The binary codec
-// moves a float section as raw bytes, because on a little-endian host a
-// float32's memory already is the wire's byte order. A section of
-// viewFloats or more crosses user space without a copy: tcpConn.Send
-// writes it by writev straight from the sender's slice, and Recv hands
-// it out as an aligned view of the frame buffer it was read into. A
-// smaller section is one memmove from and into pooled buffers. So the
-// wire path stays bandwidth-bound instead of codec- and GC-bound.
+// megabytes of float32. The codec moves a float section as raw bytes,
+// because on a little-endian host a float32's memory already is the
+// wire's byte order. A section of viewFloats or more crosses user space
+// without a copy: tcpConn.Send writes it by writev straight from the
+// sender's slice, and Recv hands it out as an aligned view of the frame
+// buffer it was read into. A smaller section is one memmove from and
+// into pooled buffers. So the wire path stays bandwidth-bound instead of
+// codec- and GC-bound.
 //
 // Frame layout (version 1, DESIGN.md §10):
 //
@@ -63,23 +62,9 @@ import (
 	"fela/internal/obs"
 )
 
-// Codec names accepted by ListenCodec/DialCodec and the cmds' -codec
-// flag.
-const (
-	// CodecBinary is the length-prefixed binary frame format above —
-	// the default.
-	CodecBinary = "binary"
-	// CodecGob is the reflection-driven gob stream the transport
-	// originally shipped with. It stays reachable so old fuzz corpora
-	// and cross-version runs remain exercisable.
-	CodecGob = "gob"
-)
-
-// DefaultCodec is what Listen and Dial use.
-const DefaultCodec = CodecBinary
-
-// ValidCodec reports whether name names a supported wire codec.
-func ValidCodec(name string) bool { return name == CodecBinary || name == CodecGob }
+// CodecBinary names the frame format above: the value of the codec
+// metric label, and the one codec ListenCodec and DialCodec accept.
+const CodecBinary = "binary"
 
 const (
 	frameMagic0  = 0xFE
@@ -149,13 +134,14 @@ type codecStats struct {
 	compRatio         [compressCount]*obs.Gauge
 }
 
-func newCodecStats(reg *obs.Registry, codec string) *codecStats {
+func newCodecStats(reg *obs.Registry) *codecStats {
 	if reg == nil {
 		return nil
 	}
 	reg.Help(MetricCodecOps, "Codec encode/decode invocations by op, codec and message kind.")
 	reg.Help(MetricCodecBytes, "Wire bytes encoded/decoded by op and codec.")
 	reg.Help(MetricCodecSecs, "Codec encode/decode latency in seconds by op and codec.")
+	const codec = CodecBinary
 	s := &codecStats{
 		encOps:   make([]*obs.Counter, len(kindNames)+1),
 		decOps:   make([]*obs.Counter, len(kindNames)+1),
@@ -273,17 +259,16 @@ func getFloatArena(n int) *[]float32 {
 
 // Release returns the message's pooled float backing to the codec pools
 // and clears Grads/Params. That backing is the arena the copied float
-// sections were carved from and, for a message received on a binary
-// tcpConn, the frame buffer its large sections are views of. Only the
-// binary decoder attaches pooled backing, so Release is a safe no-op on
-// messages built by hand, decoded from gob, or copied by the in-memory
-// transport. Ownership rule: the goroutine that consumed the payload —
-// the coordinator after folding a report into its accumulator (late,
-// for a report parked behind a lower seq), the worker after installing
-// broadcast parameters — calls Release exactly once; the Grads/Params
-// slices must not be used afterwards, because the next frame may be
-// read into the same buffer. Messages that are never released are
-// simply garbage collected.
+// sections were carved from and, for a message received on a tcpConn,
+// the frame buffer its large sections are views of. Only the decoder
+// attaches pooled backing, so Release is a safe no-op on messages built
+// by hand or copied by the in-memory transport. Ownership rule: the
+// goroutine that consumed the payload — the coordinator after folding a
+// report into its accumulator (late, for a report parked behind a lower
+// seq), the worker after installing broadcast parameters — calls
+// Release exactly once; the Grads/Params slices must not be used
+// afterwards, because the next frame may be read into the same buffer.
+// Messages that are never released are simply garbage collected.
 func (m *Message) Release() {
 	if m == nil || (m.pooled == nil && m.frame == nil) {
 		return
@@ -798,14 +783,13 @@ func decodePayloadMeta(kind Kind, codec Compression, payload []byte, frame *[]by
 
 // Broadcast wraps a message whose encoded frame is shared across many
 // sends — the coordinator's per-iteration parameter broadcast. The first
-// binary-codec send encodes the frame exactly once; every other
-// recipient (including elastic joiners snapshotting at the same barrier)
-// receives the identical cached bytes. Transports without a reusable
-// frame representation (gob streams carry per-stream type state, the
-// in-memory pair never serializes) fall back to an ordinary Send of
-// Msg. The cached frame is immutable once built and is garbage collected
-// with the Broadcast — it is deliberately not pooled, because queued
-// async senders may still reference it after the fan-out loop returns.
+// TCP send encodes the frame exactly once; every other recipient
+// (including elastic joiners snapshotting at the same barrier) receives
+// the identical cached bytes. A conn that never serializes (the
+// in-memory pair) falls back to an ordinary Send of Msg. The cached
+// frame is immutable once built and is garbage collected with the
+// Broadcast — it is deliberately not pooled, because queued async
+// senders may still reference it after the fan-out loop returns.
 type Broadcast struct {
 	// Msg is the underlying message; it must not be mutated after the
 	// first send.
@@ -836,8 +820,7 @@ func (b *Broadcast) binaryFrame(st *codecStats) ([]byte, error) {
 // pre-encoded frame.
 type BroadcastConn interface {
 	Conn
-	// SendBroadcast writes the broadcast, reusing its cached frame when
-	// the wire format allows.
+	// SendBroadcast writes the broadcast, reusing its cached frame.
 	SendBroadcast(*Broadcast) error
 }
 

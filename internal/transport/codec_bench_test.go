@@ -56,31 +56,6 @@ func BenchmarkCodecBinaryDecode(b *testing.B) {
 	}
 }
 
-func BenchmarkCodecGobEncode(b *testing.B) {
-	m := benchIterStart(benchFloats)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := EncodeFrame(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCodecGobDecode(b *testing.B) {
-	data, err := EncodeFrame(benchIterStart(benchFloats))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeFrame(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkCodecBinaryEncodeSmall covers the tiny control messages
 // (request/assign/report headers) where fixed overhead, not bulk float
 // copying, dominates.
@@ -212,7 +187,7 @@ func BenchmarkTCPReport(b *testing.B) {
 	for _, g := range m.Grads {
 		raw += 4 * len(g)
 	}
-	tx, rx := tcpPair(b, CodecBinary)
+	tx, rx := tcpPair(b)
 	sent := make(chan error, 1)
 	b.SetBytes(int64(raw))
 	b.ReportAllocs()

@@ -564,26 +564,7 @@ func TestTopKHostileLengths(t *testing.T) {
 // must record raw and wire gradient bytes on both ends and a
 // compression ratio gauge consistent with the codec.
 func TestCompressionTelemetry(t *testing.T) {
-	l, err := ListenCodec("127.0.0.1:0", CodecBinary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	accepted := make(chan Conn, 1)
-	go func() {
-		c, err := l.Accept()
-		if err == nil {
-			accepted <- c
-		}
-	}()
-	cli, err := DialCodec(l.Addr(), CodecBinary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	srv := <-accepted
-	defer srv.Close()
-
+	cli, srv := tcpPair(t)
 	encReg, decReg := obs.NewRegistry(), obs.NewRegistry()
 	if !SetConnMetrics(cli, encReg) || !SetConnMetrics(srv, decReg) {
 		t.Fatal("tcp conns did not accept metrics")

@@ -1,9 +1,8 @@
-// Command gencorpus regenerates the committed fuzz corpora for the
-// transport wire codecs under internal/transport/testdata/fuzz: one
-// valid frame per protocol kind, plus truncated and bit-flipped
-// variants of each — for the gob decoder (FuzzWireDecode) and the
-// binary decoder (FuzzBinaryDecode, which also gets oversized-length
-// seeds). Run from the repo root:
+// Command gencorpus regenerates the committed FuzzBinaryDecode corpus
+// under internal/transport/testdata/fuzz: one valid frame per protocol
+// kind, truncated and bit-flipped variants of each, and hostile headers
+// (oversized lengths, bad magic or version, bad compressed sections).
+// Run from the repo root:
 //
 //	go run ./internal/transport/gencorpus
 package main
@@ -27,9 +26,8 @@ func main() {
 		{Kind: transport.KindIterStart, Iter: 7, Params: [][]float32{{3, 1, 4}, {1, 5}}},
 		{Kind: transport.KindShutdown},
 	}
-	total := 0
-	writeCorpus := func(target string, encode func(*transport.Message) ([]byte, error), extra map[string][]byte) {
-		dir := filepath.Join("internal", "transport", "testdata", "fuzz", target)
+	writeCorpus := func(extra map[string][]byte) {
+		dir := filepath.Join("internal", "transport", "testdata", "fuzz", "FuzzBinaryDecode")
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			fatal(err)
 		}
@@ -42,7 +40,7 @@ func main() {
 			n++
 		}
 		for _, m := range msgs {
-			data, err := encode(m)
+			data, err := transport.EncodeBinary(m)
 			if err != nil {
 				fatal(err)
 			}
@@ -59,7 +57,6 @@ func main() {
 			emit(name, data)
 		}
 		fmt.Printf("gencorpus: wrote %d corpus entries to %s\n", n, dir)
-		total += n
 	}
 	binExtra := map[string][]byte{
 		// A header whose declared payload length is far beyond the bytes
@@ -114,9 +111,7 @@ func main() {
 		1, // k = 1
 	)
 	binExtra["compressed-topk-oversized"] = hostile
-	writeCorpus("FuzzWireDecode", transport.EncodeFrame, nil)
-	writeCorpus("FuzzBinaryDecode", transport.EncodeBinary, binExtra)
-	_ = total
+	writeCorpus(binExtra)
 }
 
 func fatal(err error) {

@@ -2,10 +2,8 @@
 // coordinator (Token Server) and workers in the real-time engine
 // (internal/rt). Two transports are provided: an in-memory pair for
 // single-process training and tests, and TCP for genuinely distributed
-// runs (cmd/felaserver, cmd/felaworker). TCP connections speak one of
-// two wire codecs: the length-prefixed binary frame format (codec.go,
-// the default) or the original reflection-driven gob stream, kept as a
-// fallback for old corpora and cross-version runs.
+// runs (cmd/felaserver, cmd/felaworker). TCP connections speak the
+// length-prefixed binary frame format of codec.go.
 //
 // Fault model: connections can time out (per-message send/receive
 // deadlines via SetTimeouts), lose their peer (process crash, network
@@ -18,9 +16,7 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -182,18 +178,15 @@ type Message struct {
 
 	// pooled, when non-nil, is the codec arena the copied Grads/Params
 	// slices were carved from, and frame the received frame buffer the
-	// others are views of; Release returns both. Unexported so gob
-	// ignores them and hand-built messages are never mistaken for pooled
-	// ones.
+	// others are views of; Release returns both. Unexported so
+	// hand-built messages are never mistaken for pooled ones.
 	pooled *[]float32
 	frame  *[]byte
 
 	// gradCodec selects the gradient compression applied to the Grads
 	// section on the binary wire (compress.go); zero is the exact
-	// encoding. Unexported so gob drops it — a gob session silently
-	// degrades to exact, which the negotiation treats as a valid
-	// answer — and so hand-built messages default to exact. Set and
-	// read through SetGradCodec/GradCodec.
+	// encoding. Unexported so hand-built messages default to exact. Set
+	// and read through SetGradCodec/GradCodec.
 	gradCodec Compression
 
 	// more lets the conn hold the frame; see SetMore. Unexported for the
@@ -202,7 +195,7 @@ type Message struct {
 }
 
 // SetMore marks the message as one the conn may hold, like MSG_MORE: the
-// binary TCP conn keeps it until the next Send or until this conn's Recv
+// TCP conn keeps it until the next Send or until this conn's Recv
 // would block, and then writes every held frame in one write. The bytes
 // on the wire are those of separate Sends. A frame that would take the
 // held bytes to 64 KiB or beyond is written at once, with those held
@@ -220,7 +213,7 @@ func (m *Message) WireSize() int {
 	if m == nil {
 		return 0
 	}
-	n := 64 // kind, ids, token info, span context, gob framing
+	n := 64 // frame header, kind, ids, token info, span context
 	n += len(m.Err)
 	if m.Job != (JobSpec{}) {
 		n += 48 + len(m.Job.Name) + len(m.Job.Model)
@@ -241,7 +234,7 @@ type Conn interface {
 	// it returns — written to the socket, or copied by the in-memory
 	// pair — so the caller may overwrite those slices as soon as it
 	// returns: workers report straight from their live gradient
-	// tensors. The binary TCP conn writes a section of 64 KiB or more
+	// tensors. The TCP conn writes a section of 64 KiB or more
 	// from the caller's slice itself, by writev, and returns only once
 	// that write is done. A wrapper that delivers later (jobs.asyncConn)
 	// must only ever be handed payloads nobody mutates again. A message
@@ -503,47 +496,15 @@ func (c *memConn) Close() error {
 	return nil
 }
 
-// countingWriter and countingReader give the gob path real wire byte
-// counts for the codec telemetry (the binary path knows its frame sizes
-// exactly).
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (cr *countingReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.n += int64(n)
-	return n, err
-}
-
-// tcpConn wraps a net.Conn with a wire codec: the binary frame format
-// (codec.go, the default) or the original gob stream.
+// tcpConn wraps a net.Conn with the binary frame format (codec.go).
+//
+// The field order is measured, not arbitrary. It sets how many bytes of
+// machine code this package's methods take, and with that the 64-byte
+// phase of the tensor and rt code the linker places after it (go tool
+// nm shows it). On a 2-vCPU Xeon, train-comm's median ran 2–18 %
+// slower in three rounds of paired runs with that code shifted by 32
+// bytes; this order keeps its phase.
 type tcpConn struct {
-	conn  net.Conn
-	codec string
-
-	// gob path: stream encoders with byte accounting.
-	enc *gob.Encoder
-	dec *gob.Decoder
-	cw  *countingWriter
-	cr  *countingReader
-
-	// binary path: buffered header reads; writes go straight to the
-	// socket from a pooled frame buffer.
-	br *bufio.Reader
-
 	mu sync.Mutex // serializes Send
 	// held is the pooled buffer of frames marked SetMore and not yet
 	// written: the next Send or SendBroadcast writes them first, in the
@@ -556,6 +517,11 @@ type tcpConn struct {
 	cuts    []floatCut
 	iov, wv net.Buffers
 
+	conn net.Conn
+	// br buffers header reads; writes go straight to the socket from a
+	// pooled frame buffer.
+	br *bufio.Reader
+
 	tmu         sync.Mutex
 	sendTimeout time.Duration
 	recvTimeout time.Duration
@@ -563,29 +529,18 @@ type tcpConn struct {
 	stats atomic.Pointer[codecStats]
 
 	// holding mirrors held != nil so that Recv can look without taking
-	// mu. It sits last: placed beside held, it moved the fields after it
-	// and train-comm ran 8 % slower in paired runs on a 2-vCPU Xeon.
+	// mu.
 	holding atomic.Bool
 }
 
-func newTCPConn(c net.Conn, codec string) *tcpConn {
-	tc := &tcpConn{conn: c, codec: codec}
-	switch codec {
-	case CodecGob:
-		tc.cw = &countingWriter{w: c}
-		tc.cr = &countingReader{r: c}
-		tc.enc = gob.NewEncoder(tc.cw)
-		tc.dec = gob.NewDecoder(tc.cr)
-	default:
-		tc.br = bufio.NewReaderSize(c, 1<<16)
-	}
-	return tc
+func newTCPConn(c net.Conn) *tcpConn {
+	return &tcpConn{conn: c, br: bufio.NewReaderSize(c, 1<<16)}
 }
 
 // SetMetrics attaches a registry the conn's codec work is recorded into
 // (per-kind encode/decode ops, wire bytes, latency).
 func (c *tcpConn) SetMetrics(reg *obs.Registry) {
-	c.stats.Store(newCodecStats(reg, c.codec))
+	c.stats.Store(newCodecStats(reg))
 }
 
 // SetTimeouts bounds each subsequent Send and Recv via socket deadlines.
@@ -601,7 +556,7 @@ func (c *tcpConn) timeouts() (send, recv time.Duration) {
 	return c.sendTimeout, c.recvTimeout
 }
 
-// maxHeldBytes bounds what a binary conn holds for SetMore: a marked
+// maxHeldBytes bounds what a conn holds for SetMore: a marked
 // frame that would take the held bytes to this size or beyond is written
 // at once, so only control-sized frames ever wait.
 const maxHeldBytes = 64 << 10
@@ -643,19 +598,6 @@ func (c *tcpConn) flushHeld() error {
 func (c *tcpConn) Send(m *Message) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.enc != nil {
-		if err := c.setWriteDeadline(); err != nil {
-			return err
-		}
-		st := c.stats.Load()
-		start := time.Now()
-		before := c.cw.n
-		if err := c.enc.Encode(m); err != nil {
-			return err
-		}
-		st.encoded(m.Kind, int(c.cw.n-before), start)
-		return nil
-	}
 	st := c.stats.Load()
 	start := time.Now()
 	// Encode after the held frames, if any, so one write carries them all.
@@ -728,14 +670,10 @@ func (c *tcpConn) setWriteDeadline() error {
 	return nil
 }
 
-// SendBroadcast writes the broadcast's shared frame. On the binary
-// codec the frame is encoded once (by whichever conn sends first) and
-// the cached bytes are written verbatim; gob streams carry per-stream
-// type state and cannot share frames, so they re-encode via Send.
+// SendBroadcast writes the broadcast's shared frame: it is encoded once
+// (by whichever conn sends first) and the cached bytes are written
+// verbatim.
 func (c *tcpConn) SendBroadcast(b *Broadcast) error {
-	if c.enc != nil {
-		return c.Send(b.Msg)
-	}
 	frame, err := b.binaryFrame(c.stats.Load())
 	if err != nil {
 		return err
@@ -763,17 +701,6 @@ func (c *tcpConn) Recv() (*Message, error) {
 		if err := c.conn.SetReadDeadline(time.Now().Add(recv)); err != nil {
 			return nil, err
 		}
-	}
-	if c.dec != nil {
-		st := c.stats.Load()
-		start := time.Now()
-		before := c.cr.n
-		m, err := decodeFrom(c.dec)
-		if err != nil {
-			return nil, err
-		}
-		st.decoded(m.Kind, int(c.cr.n-before), start)
-		return m, nil
 	}
 	// Held frames leave when this Recv would wait: not while a whole
 	// frame is already buffered, so a peer working through a batch holds
@@ -941,67 +868,25 @@ func (c *tcpConn) Close() error {
 	return err
 }
 
-// decodeFrom decodes one message, converting codec failures (including
-// any decoder panic on hostile input) into *CodecError while passing
-// io/net errors through for classification.
-func decodeFrom(dec *gob.Decoder) (m *Message, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			m, err = nil, &CodecError{fmt.Errorf("decode panic: %v", r)}
-		}
-	}()
-	var msg Message
-	if err := dec.Decode(&msg); err != nil {
-		if Classify(err) == ClassUnknown {
-			// Not an io/net condition: the bytes themselves are bad.
-			return nil, &CodecError{err}
-		}
-		return nil, err
-	}
-	return &msg, nil
-}
+// Listener accepts TCP protocol connections.
+type Listener struct{ l net.Listener }
 
-// EncodeFrame renders one message in the wire format (fuzzing, corpus
-// generation, diagnostics).
-func EncodeFrame(m *Message) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeFrame decodes one message from raw wire bytes. Truncated or
-// garbled input returns an error (never panics) — the property the
-// transport fuzz target locks in.
-func DecodeFrame(data []byte) (*Message, error) {
-	return decodeFrom(gob.NewDecoder(bytes.NewReader(data)))
-}
-
-// Listener accepts TCP protocol connections, all speaking one codec.
-type Listener struct {
-	l     net.Listener
-	codec string
-}
-
-// Listen binds a TCP listener, e.g. on "127.0.0.1:0", speaking
-// DefaultCodec.
+// Listen binds a TCP listener, e.g. on "127.0.0.1:0".
 func Listen(addr string) (*Listener, error) {
-	return ListenCodec(addr, DefaultCodec)
-}
-
-// ListenCodec binds a TCP listener whose accepted connections speak the
-// named wire codec (CodecBinary or CodecGob). Both ends of a connection
-// must agree on the codec.
-func ListenCodec(addr, codec string) (*Listener, error) {
-	if !ValidCodec(codec) {
-		return nil, fmt.Errorf("transport: unknown codec %q", codec)
-	}
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	return &Listener{l: l, codec: codec}, nil
+	return &Listener{l: l}, nil
+}
+
+// ListenCodec is Listen for a caller that names the codec, which must be
+// CodecBinary. It exists for the bench module, which calls it.
+func ListenCodec(addr, codec string) (*Listener, error) {
+	if codec != CodecBinary {
+		return nil, fmt.Errorf("transport: unknown codec %q", codec)
+	}
+	return Listen(addr)
 }
 
 // Addr returns the bound address.
@@ -1013,40 +898,35 @@ func (l *Listener) Accept() (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newTCPConn(c, l.codec), nil
+	return newTCPConn(c), nil
 }
 
 // Close stops the listener.
 func (l *Listener) Close() error { return l.l.Close() }
 
-// Dial connects to a coordinator at addr speaking DefaultCodec.
+// Dial connects to a coordinator at addr.
 func Dial(addr string) (Conn, error) {
-	return DialCodec(addr, DefaultCodec)
-}
-
-// DialCodec connects to a coordinator at addr speaking the named wire
-// codec; it must match the listener's.
-func DialCodec(addr, codec string) (Conn, error) {
-	if !ValidCodec(codec) {
-		return nil, fmt.Errorf("transport: unknown codec %q", codec)
-	}
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	return newTCPConn(c, codec), nil
+	return newTCPConn(c), nil
 }
 
-// DialRetry dials addr with DefaultCodec, retrying with exponential
-// backoff (doubling from backoff, capped at 2s) until a connection
-// succeeds or attempts run out. It is how workers ride out a
-// coordinator that has not bound its port yet.
+// DialCodec is Dial for a caller that names the codec, which must be
+// CodecBinary. It exists for the bench module, which calls it.
+func DialCodec(addr, codec string) (Conn, error) {
+	if codec != CodecBinary {
+		return nil, fmt.Errorf("transport: unknown codec %q", codec)
+	}
+	return Dial(addr)
+}
+
+// DialRetry dials addr, retrying with exponential backoff (doubling from
+// backoff, capped at 2s) until a connection succeeds or attempts run
+// out. It is how workers ride out a coordinator that has not bound its
+// port yet.
 func DialRetry(addr string, attempts int, backoff time.Duration) (Conn, error) {
-	return DialRetryCodec(addr, attempts, backoff, DefaultCodec)
-}
-
-// DialRetryCodec is DialRetry with an explicit wire codec.
-func DialRetryCodec(addr string, attempts int, backoff time.Duration, codec string) (Conn, error) {
 	if attempts <= 0 {
 		attempts = 1
 	}
@@ -1060,7 +940,7 @@ func DialRetryCodec(addr string, attempts int, backoff time.Duration, codec stri
 			}
 		}
 		var c Conn
-		if c, err = DialCodec(addr, codec); err == nil {
+		if c, err = Dial(addr); err == nil {
 			return c, nil
 		}
 	}

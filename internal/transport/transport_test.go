@@ -2,6 +2,7 @@ package transport
 
 import (
 	"math"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -155,9 +156,51 @@ func TestDialFailure(t *testing.T) {
 	}
 }
 
+// TestCodecNamesOtherThanBinaryRefused: ListenCodec and DialCodec accept
+// only CodecBinary, and refuse any other name before touching the
+// network — the refused listen binds no port and the refused dial opens
+// no connection.
+func TestCodecNamesOtherThanBinaryRefused(t *testing.T) {
+	probe, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := probe.Addr().String()
+	probe.Close()
+	for _, name := range []string{"gob", ""} {
+		if l, err := ListenCodec(addr, name); err == nil {
+			l.Close()
+			t.Fatalf("ListenCodec(%q) accepted", name)
+		}
+	}
+	l, err := Listen(addr)
+	if err != nil {
+		t.Fatalf("a refused ListenCodec left %s bound: %v", addr, err)
+	}
+	defer l.Close()
+	if l, err := ListenCodec("127.0.0.1:0", CodecBinary); err != nil {
+		t.Fatalf("ListenCodec(binary): %v", err)
+	} else {
+		l.Close()
+	}
+
+	raw := l.l.(*net.TCPListener)
+	for _, name := range []string{"gob", ""} {
+		if c, err := DialCodec(addr, name); err == nil {
+			c.Close()
+			t.Fatalf("DialCodec(%q) accepted", name)
+		}
+	}
+	raw.SetDeadline(time.Now().Add(50 * time.Millisecond))
+	if c, err := raw.Accept(); err == nil {
+		c.Close()
+		t.Fatal("a refused DialCodec opened a connection")
+	}
+}
+
 // TestKindTable is the single source of truth for protocol-kind
 // coverage: one row per kind, checked against Kinds(), Kind.String and
-// the fuzz corpus' sampleMessages — a future kind added to the enum but
+// sampleMessages — a future kind added to the enum but
 // forgotten anywhere else fails here.
 func TestKindTable(t *testing.T) {
 	table := []struct {
@@ -240,10 +283,10 @@ func TestPairConcurrentTraffic(t *testing.T) {
 	}
 }
 
-// tcpPair connects two TCP conns speaking codec over loopback.
-func tcpPair(t testing.TB, codec string) (Conn, Conn) {
+// tcpPair connects two TCP conns over loopback.
+func tcpPair(t testing.TB) (Conn, Conn) {
 	t.Helper()
-	l, err := ListenCodec("127.0.0.1:0", codec)
+	l, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +299,7 @@ func tcpPair(t testing.TB, codec string) (Conn, Conn) {
 		}
 		accepted <- c
 	}()
-	a, err := DialCodec(l.Addr(), codec)
+	a, err := Dial(l.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,14 +320,13 @@ func TestSendCapturesPayload(t *testing.T) {
 		pair func(t *testing.T) (Conn, Conn)
 	}{
 		{"mem", func(*testing.T) (Conn, Conn) { a, b := Pair(); return a, b }},
-		{"tcp-binary", func(t *testing.T) (Conn, Conn) { return tcpPair(t, CodecBinary) }},
-		{"tcp-gob", func(t *testing.T) (Conn, Conn) { return tcpPair(t, CodecGob) }},
+		{"tcp-binary", func(t *testing.T) (Conn, Conn) { return tcpPair(t) }},
 		{"instrument", func(*testing.T) (Conn, Conn) {
 			a, b := Pair()
 			return Instrument(a, obs.NewRegistry()), b
 		}},
 		{"fault", func(t *testing.T) (Conn, Conn) {
-			a, b := tcpPair(t, CodecBinary)
+			a, b := tcpPair(t)
 			return NewFaultConn(a, 1).DelayBy(2 * time.Millisecond), b
 		}},
 	}

@@ -132,7 +132,7 @@ func firstOffset(t *testing.T, frame []byte) int {
 // the frame to what DecodeBinary does, and the large section is a view
 // of the frame while the small one is copied.
 func TestViewRecvAligned(t *testing.T) {
-	a, b := tcpPair(t, CodecBinary)
+	a, b := tcpPair(t)
 	SetTimeouts(b, 0, 5*time.Second)
 	residues := map[int]bool{}
 	for _, wid := range []int{0, 64, 8192, 1 << 20} {
@@ -180,7 +180,7 @@ func TestViewRecvAligned(t *testing.T) {
 // back to the pool and clears its payload; a frame nothing was viewed
 // from goes back before Recv returns.
 func TestViewReleaseReturnsFrame(t *testing.T) {
-	a, b := tcpPair(t, CodecBinary)
+	a, b := tcpPair(t)
 	SetTimeouts(b, 0, 5*time.Second)
 	if err := a.Send(viewReport(1, viewFloats, 2)); err != nil {
 		t.Fatal(err)
@@ -219,7 +219,7 @@ func TestViewReleaseReturnsFrame(t *testing.T) {
 func TestRecvHeaderAloneAllocatesLittle(t *testing.T) {
 	for _, version := range []byte{frameVersion, frameVersion2} {
 		a, b := net.Pipe()
-		c := newTCPConn(a, CodecBinary)
+		c := newTCPConn(a)
 		hdr := []byte{frameMagic0, frameMagic1, version, byte(KindReport), 0, 0, 0, 0, byte(CompressTopK), 0, 0, 0}
 		binary.LittleEndian.PutUint32(hdr[4:8], MaxFrameBytes)
 		if version == frameVersion {
@@ -275,7 +275,7 @@ func FuzzRecvBinary(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, b := net.Pipe()
-		conn := newTCPConn(a, CodecBinary)
+		conn := newTCPConn(a)
 		defer conn.Close()
 		go func() {
 			b.Write(data)
