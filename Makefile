@@ -20,11 +20,13 @@ race:
 	$(GO) test -race ./...
 
 # chaos runs the fault-injection suite alone (worker faults, coordinator
-# kills, and the fold-order sessions that park reports behind a gap)
-# under the race detector, repeated to shake out scheduling-dependent
-# behaviour.
+# kills, the fold-order sessions that park reports behind a gap, and the
+# sessions whose iter-start is delivered after the next barrier by a
+# stalled asyncConn forwarder) under the race detector, repeated to shake
+# out scheduling-dependent behaviour.
 chaos:
 	$(GO) test ./internal/rt/ -run 'TestChaos' -race -count=3 -v
+	$(GO) test ./internal/jobs/ -run 'TestAsyncConnBroadcastSnapshotOutlivesBarrier|TestSlowPoolWorkerMatchesReference' -race -count=3 -v
 
 # elastic-chaos runs the live-membership suite (scripted joins, drains,
 # evictions, drain-racing-death) under the race detector, repeated to
@@ -41,8 +43,9 @@ obs:
 	$(GO) test ./cmd/felaserver/ -race -run TestServerObservabilityE2E -v
 
 # jobs runs the multi-tenant suite under the race detector: the manager
-# unit/integration tests (including the migration chaos tests), the
-# felaserver -jobs TCP e2e path, and the multijob example.
+# unit/integration tests (including the migration chaos tests and the
+# sessions whose iter-start outlives the next barrier in an asyncConn
+# queue), the felaserver -jobs TCP e2e path, and the multijob example.
 jobs:
 	$(GO) test ./internal/jobs/ -race -count=1 -v
 	$(GO) test ./cmd/felaserver/ -race -run TestServerJobsMode -v
@@ -62,15 +65,17 @@ fuzz:
 # over loopback TCP, matmul and elementwise kernels, the fold's
 # AddScaled, a token's forward/backward at the train-compute and
 # train-comm shapes, the conv passes, a train-sched-shaped session over
-# loopback TCP, a small pooled job from submit to settle and the spec
-# validation in front of it) at -benchtime 100x:
+# loopback TCP, the coordinator's receive-and-fold of an exact and a
+# top-k train-comm report and its iter-start fan-out to two conns, a
+# small pooled job from submit to settle and the spec validation in
+# front of it) at -benchtime 100x:
 # enough to catch a broken benchmark or a pathological regression
 # without turning CI into a perf lab.
 bench:
 	$(GO) test ./internal/transport/ -run xxx -bench 'BenchmarkCodec|BenchmarkTCPReport' -benchtime 100x
 	$(GO) test ./internal/tensor/ -run xxx -bench 'BenchmarkMatMul|BenchmarkReLU|BenchmarkAddScaled' -benchtime 100x
 	$(GO) test ./internal/minidnn/ -run xxx -bench 'BenchmarkToken|BenchmarkConv' -benchtime 100x
-	$(GO) test ./internal/rt/ -run xxx -bench 'BenchmarkSchedSession' -benchtime 100x
+	$(GO) test ./internal/rt/ -run xxx -bench 'BenchmarkSchedSession|BenchmarkFoldReport|BenchmarkIterStart' -benchtime 100x
 	$(GO) test ./internal/jobs/ -run xxx -bench 'BenchmarkPoolJob|BenchmarkNormalizeSpec' -benchtime 100x
 
 # benchmod covers the regression benchmark, a module of its own under

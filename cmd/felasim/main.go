@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -49,13 +50,26 @@ func run(modelName, system, weightsFlag, stragKind, metricsOut string, batch, it
 	if err != nil {
 		return err
 	}
+	// A delay that is not a finite non-negative number of seconds, or a
+	// probability outside [0, 1], would not run the scenario asked for:
+	// the simulator would panic on a NaN time or silently run another.
+	badDelay := math.IsNaN(d) || math.IsInf(d, 0) || d < 0
 	var scen fela.Scenario
 	switch stragKind {
 	case "none":
 		scen = nil
 	case "rr":
+		if badDelay {
+			return fmt.Errorf("straggler delay -d %v is not a finite, non-negative number of seconds", d)
+		}
 		scen = fela.RoundRobinStraggler(d, fela.Testbed8().N)
 	case "prob":
+		if badDelay {
+			return fmt.Errorf("straggler delay -d %v is not a finite, non-negative number of seconds", d)
+		}
+		if !(p >= 0 && p <= 1) {
+			return fmt.Errorf("straggler probability -p %v is outside [0, 1]", p)
+		}
 		scen = fela.ProbabilityStraggler(p, d)
 	default:
 		return fmt.Errorf("unknown straggler scenario %q", stragKind)

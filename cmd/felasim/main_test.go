@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestRunSystems(t *testing.T) {
 	for _, sys := range []string{"fela", "dp", "mp", "hp"} {
@@ -39,6 +42,41 @@ func TestRunErrors(t *testing.T) {
 	for _, tc := range cases {
 		if err := tc.fn(); err == nil {
 			t.Errorf("%s: expected error", tc.name)
+		}
+	}
+}
+
+// TestRunStragglerParams: a straggler delay that is NaN, infinite or
+// negative, or a probability outside [0, 1] (NaN included), fails the
+// run for every system whenever the scenario uses it, instead of
+// panicking or running another scenario; -straggler none ignores both.
+func TestRunStragglerParams(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		straggler string
+		d, p      float64
+		ok        bool
+	}{
+		{"rr", nan, 0.3, false},
+		{"rr", inf, 0.3, false},
+		{"rr", -5, 0.3, false},
+		{"rr", 0, nan, true}, // rr has no probability
+		{"prob", nan, 0.3, false},
+		{"prob", -5, 0.3, false},
+		{"prob", 1, nan, false},
+		{"prob", 1, -1, false},
+		{"prob", 1, 2, false},
+		{"prob", 0, 0, true},
+		{"prob", 1, 1, true},
+		{"none", nan, nan, true},
+		{"none", -5, 2, true},
+	}
+	for _, sys := range []string{"fela", "dp"} {
+		for _, tc := range cases {
+			err := run("GoogLeNet", sys, "", tc.straggler, "", 128, 2, 0, 0, tc.d, tc.p)
+			if (err == nil) != tc.ok {
+				t.Errorf("%s -straggler %s -d %v -p %v: err %v, want ok=%v", sys, tc.straggler, tc.d, tc.p, err, tc.ok)
+			}
 		}
 	}
 }

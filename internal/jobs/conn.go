@@ -98,9 +98,9 @@ type asyncConn struct {
 	err   error
 }
 
-// sendItem is one queued outbound unit: an ordinary message, or a shared
-// broadcast whose cached frame the forwarder fans out via the transport's
-// encode-once path.
+// sendItem is one queued outbound unit: an ordinary message, or a
+// broadcast's snapshot, which the forwarder sends through the
+// transport's encode-once path.
 type sendItem struct {
 	m *transport.Message
 	b *transport.Broadcast
@@ -149,11 +149,14 @@ func (a *asyncConn) Send(m *transport.Message) error {
 	return a.enqueue(sendItem{m: m})
 }
 
-// SendBroadcast queues the shared broadcast; the cached frame survives
-// the queue, so the encode-once property holds even though delivery is
-// deferred to the forwarding goroutine.
+// SendBroadcast queues the broadcast's snapshot. The coordinator's
+// parameters may change once the fan-out returns, and the forwarder may
+// write after that, so it must not be handed the live tensors; the
+// snapshot is taken here, in the coordinator's goroutine, once for all
+// the broadcast's conns, and shares the broadcast's encoding, so the
+// encode-once property holds though delivery is deferred.
 func (a *asyncConn) SendBroadcast(b *transport.Broadcast) error {
-	return a.enqueue(sendItem{b: b})
+	return a.enqueue(sendItem{b: b.Snapshot()})
 }
 
 func (a *asyncConn) enqueue(it sendItem) error {

@@ -3,11 +3,15 @@ package jobs
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"fela/internal/minidnn"
+	"fela/internal/rt"
 	"fela/internal/transport"
 )
 
@@ -228,4 +232,169 @@ func TestAsyncConnSteadyStateAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, round); allocs != 0 {
 		t.Fatalf("enqueue+forward allocates %v times per message, want 0", allocs)
 	}
+}
+
+// paramsConn is a worker's end of a session that keeps, per iteration,
+// a copy of the parameters its iter-start carried and when it arrived.
+// A listenOnly conn swallows the worker's token requests, so the worker
+// receives every iter-start but never holds a token.
+type paramsConn struct {
+	transport.Conn
+	listenOnly bool
+	mu         sync.Mutex
+	params     map[int][][]float32
+	at         map[int]time.Time
+}
+
+func newParamsConn(c transport.Conn, listenOnly bool) *paramsConn {
+	return &paramsConn{Conn: c, listenOnly: listenOnly, params: map[int][][]float32{}, at: map[int]time.Time{}}
+}
+
+func (c *paramsConn) Send(m *transport.Message) error {
+	if c.listenOnly && m.Kind == transport.KindRequest {
+		return nil
+	}
+	return c.Conn.Send(m)
+}
+
+func (c *paramsConn) Recv() (*transport.Message, error) {
+	m, err := c.Conn.Recv()
+	if err == nil && m.Kind == transport.KindIterStart {
+		c.mu.Lock()
+		c.at[m.Iter] = time.Now()
+		for _, p := range m.Params {
+			c.params[m.Iter] = append(c.params[m.Iter], slices.Clone(p))
+		}
+		c.mu.Unlock()
+	}
+	return m, err
+}
+
+// TestAsyncConnBroadcastSnapshotOutlivesBarrier: a worker whose
+// coordinator-side asyncConn delivers through a FaultConn that delays
+// every send gets iteration i's iter-start after the coordinator has
+// stepped the model and broadcast iteration i+1 to a fast worker, and
+// the parameters it gets are still iteration i's, bit for bit the ones
+// the fast worker got. The stalled worker never asks for a token (a
+// worker holding one would hold the barrier back until it had its
+// iter-start), so the fast one trains them all. The first layer
+// (32×512) is large enough that the TCP conns write it by writev. The
+// session stays bit-identical to rt.Sequential.
+func TestAsyncConnBroadcastSnapshotOutlivesBarrier(t *testing.T) {
+	cfg := rt.Config{Workers: 2, TotalBatch: 16, TokenBatch: 4, Iterations: 6, LR: 0.05}
+	net := func() *minidnn.Network { return minidnn.NewMLP(71, 32, 512, 4) }
+	ds := minidnn.SyntheticBlobs(72, 16, 32, 4)
+	l, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	const slow, fast = 0, 1
+	coConns := make([]transport.Conn, cfg.Workers)
+	workers := make([]*paramsConn, cfg.Workers)
+	errs := make(chan error, cfg.Workers)
+	for wid := range coConns {
+		c, err := transport.Dial(l.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		server, err := l.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wid == slow {
+			// Seeded: the first iter-start waits 133 ms, the rest 6–110.
+			server = transport.NewFaultConn(server, 73).DelayBy(200 * time.Millisecond)
+		}
+		a := newAsyncConn(server)
+		defer a.Close()
+		coConns[wid] = a
+		workers[wid] = newParamsConn(c, wid == slow)
+		w := rt.NewWorker(wid, net(), ds, cfg)
+		go func() { errs <- w.Run(workers[wid]) }()
+	}
+	co, err := rt.NewCoordinator(net(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := co.Run(coConns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range coConns {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := rt.Sequential(net(), ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !minidnn.ParamsEqual(res.Params, want.Params) {
+		t.Fatal("session differs from rt.Sequential")
+	}
+	s, f := workers[slow], workers[fast]
+	late := 0
+	for it := range cfg.Iterations {
+		if len(s.params[it]) == 0 || !slices.EqualFunc(s.params[it], f.params[it], sameBits) {
+			t.Fatalf("iteration %d: the stalled worker got other parameters than the fast one", it)
+		}
+		if it+1 < cfg.Iterations && s.at[it].After(f.at[it+1]) {
+			late++
+		}
+	}
+	if late == 0 {
+		t.Fatal("no iter-start reached the stalled worker after the next barrier: the stall proved nothing")
+	}
+}
+
+// sameBits reports whether two float slices are equal bit for bit.
+func sameBits(a, b []float32) bool {
+	return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
+}
+
+// TestSlowPoolWorkerMatchesReference: a job over in-memory pairs in
+// which one pool worker's conn delays every message the manager's side
+// sends it, so that the others train the tokens while its asyncConn
+// forwarder still sleeps on iteration i's iter-start, past the barrier
+// that steps the model. The forwarder must send the broadcast's
+// snapshot, and the job still ends bit-identical to its solo reference.
+// Under -race (make jobs), a broadcast read after the fan-out also shows
+// as a race with the step.
+func TestSlowPoolWorkerMatchesReference(t *testing.T) {
+	m := NewManager(testConfig(FairShare{}))
+	var wg sync.WaitGroup
+	errs := make(chan error, 3)
+	for i := range 3 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := RunPoolWorker(func() (transport.Conn, error) {
+				server, client := transport.Pair()
+				if i == 0 {
+					server = transport.NewFaultConn(server, 74).DelayBy(20 * time.Millisecond)
+				}
+				m.Admit(server)
+				return client, nil
+			}, PoolWorkerOptions{})
+			errs <- err
+		}()
+	}
+	waitIdle(t, m, 3)
+	ch, err := m.Submit(transport.JobSpec{Name: "slow", Iterations: 8, MinWorkers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := awaitResult(t, ch, "slow")
+	mustMatchReference(t, res, "slow")
+	stopAndWait(t, m, func() {
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Errorf("pool worker: %v", err)
+			}
+		}
+	})
 }

@@ -1,8 +1,13 @@
 package rt
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -301,4 +306,56 @@ func TestCompressTopKResumeMatchesUndisturbed(t *testing.T) {
 	phase2.Resume = saved
 	got, _ := runTCPSession(t, phase2, cfg, mlp, blobs())
 	assertSameSession(t, got, want)
+}
+
+// sessionDigest is a session's bits in two strings: the SHA-256 of every
+// final parameter's float32 bits, in tensor order, and the loss history
+// as float64 bit patterns.
+func sessionDigest(res *Result) (params, losses string) {
+	h := sha256.New()
+	for _, p := range res.Params {
+		for _, v := range p.Data {
+			h.Write(binary.LittleEndian.AppendUint32(nil, math.Float32bits(v)))
+		}
+	}
+	var b strings.Builder
+	for i, l := range res.Losses {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%016x", math.Float64bits(l))
+	}
+	return hex.EncodeToString(h.Sum(nil)), b.String()
+}
+
+// TestCompressTopKGoldenSession pins a small top-k session over TCP to
+// the bits it ended with before top-k reports were folded from their
+// sparse sections: the final parameters' hash and every loss. The
+// first-layer weight (64×512) is large enough that its report section
+// and its iter-start section both take the large-section paths. The
+// values are amd64's; Go may fuse a multiply-add elsewhere.
+func TestCompressTopKGoldenSession(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden bits are pinned on amd64")
+	}
+	cfg := Config{
+		Workers: 3, TotalBatch: 48, TokenBatch: 4, Iterations: 5,
+		LR: 0.01, Momentum: 0.9, Compress: transport.CompressTopK,
+	}
+	seed := func() *minidnn.Network { return minidnn.NewMLP(11, 64, 512, 4) }
+	res, reg := runTCPSession(t, cfg, cfg, seed, minidnn.SyntheticBlobs(13, 48, 64, 4))
+	if compressedWireBytes(reg, "topk") == 0 {
+		t.Fatal("no top-k report bytes decoded: negotiation failed to engage")
+	}
+	const (
+		wantParams = "3a96c021d793fd41aab9cfd456fbe5cd720aba4139a907260b4ffa400cd87020"
+		wantLosses = "3ff26201162df076 3fd2649a8a3ac38f 3fa5709692949ad8 3f7c64dcf63b0824 3f572ba286985273"
+	)
+	params, losses := sessionDigest(res)
+	if params != wantParams {
+		t.Errorf("final parameters hash %s, want %s", params, wantParams)
+	}
+	if losses != wantLosses {
+		t.Errorf("loss bits\n got %s\nwant %s", losses, wantLosses)
+	}
 }

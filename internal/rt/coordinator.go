@@ -553,24 +553,8 @@ func (co *Coordinator) runIteration(nTok int) error {
 	// One root span per iteration; its context rides in the iter-start
 	// broadcast so worker-side fetch/compute spans join the same trace.
 	co.iterSpan = co.cfg.Spans.StartRoot("iteration", 0)
-	params := flatten(co.net.Params())
-	start := &transport.Message{Kind: transport.KindIterStart, Iter: co.it, Params: params, Span: co.iterSpan.Context()}
-	// Encode-once fan-out: over the binary codec the parameter payload
-	// is serialized exactly once per iteration and every worker —
-	// including joiners admitted at this barrier — receives the same
-	// cached frame. Transports without shareable frames fall back to a
-	// plain send of the same message.
-	bc := transport.NewBroadcast(start)
-	for _, ws := range co.workers {
-		if !ws.alive || ws.draining {
-			continue
-		}
-		if err := transport.SendBroadcast(ws.conn, bc); err != nil {
-			if !co.faultTolerant() {
-				return fmt.Errorf("rt: iter-start to worker %d: %w", ws.wid, err)
-			}
-			co.markDead(ws, "iteration", err)
-		}
+	if err := co.broadcast(); err != nil {
+		return err
 	}
 	if co.trainableCount() == 0 {
 		return fmt.Errorf("rt: all workers lost at iteration %d start", co.it)
@@ -720,14 +704,52 @@ func (co *Coordinator) runIteration(nTok int) error {
 	return nil
 }
 
+// broadcast sends the iteration's parameters to every trainable worker,
+// joiners admitted at this barrier included. The iter-start message
+// carries the live parameter tensors themselves: nothing changes them
+// until the next barrier's optimizer step, and the fan-out is over by
+// then. Over TCP the frame is encoded once and each conn writes the
+// tensors by writev; a conn that sends later, or that copies instead
+// (jobs.asyncConn, the in-memory pair), sends the Broadcast's one
+// snapshot, which it takes here, during the fan-out.
+func (co *Coordinator) broadcast() error {
+	ps := co.net.Params()
+	params := make([][]float32, len(ps))
+	for i, p := range ps {
+		params[i] = p.Data
+	}
+	bc := transport.NewBroadcast(&transport.Message{
+		Kind: transport.KindIterStart, Iter: co.it, Params: params, Span: co.iterSpan.Context(),
+	})
+	for _, ws := range co.workers {
+		if !ws.alive || ws.draining {
+			continue
+		}
+		if err := transport.SendBroadcast(ws.conn, bc); err != nil {
+			if !co.faultTolerant() {
+				return fmt.Errorf("rt: iter-start to worker %d: %w", ws.wid, err)
+			}
+			co.markDead(ws, "iteration", err)
+		}
+	}
+	return nil
+}
+
 // fold adds every done token from the cursor upward into acc and
 // releases its report. It performs Sequential's arithmetic — acc +=
-// frac·g through the same AddScaled, one token at a time in seq order —
-// so the sum is bit-identical whatever order the reports arrive in; a
-// report ahead of a gap stays parked until a later call closes it.
+// frac·g, one token at a time in seq order — so the sum is
+// bit-identical whatever order the reports arrive in; a report ahead of
+// a gap stays parked until a later call closes it. A dense report goes
+// through Sequential's own AddScaled. A top-k report adds frac·v at its
+// kept indices only: its other entries are +0, and acc, cleared to +0
+// and only added to, never holds −0 or a signalling NaN, so adding
+// frac·(+0) would change no bit of it (TopKSection.AddScaledTo).
 func (co *Coordinator) fold() {
 	for ; co.folded < len(co.tokens) && co.tokens[co.folded].done; co.folded++ {
 		tok := co.tokens[co.folded]
+		for i, s := range tok.report.TopK() {
+			s.AddScaledTo(co.acc[i].Data, co.frac)
+		}
 		for i, g := range tok.report.Grads {
 			view := tensor.Tensor{Shape: co.acc[i].Shape, Data: g}
 			co.acc[i].AddScaled(&view, co.frac)
@@ -750,12 +772,12 @@ func (co *Coordinator) checkReport(ws *workerState, m *transport.Message) error 
 	if rc := m.GradCodec(); rc != transport.CompressExact && rc != ws.codec {
 		return fmt.Errorf("%w: worker %d reported with codec %v, negotiated %v", errProtocol, ws.wid, rc, ws.codec)
 	}
-	if len(m.Grads) != len(co.acc) {
-		return fmt.Errorf("%w: worker %d reported %d gradient tensors for token seq %d, want %d", errProtocol, ws.wid, len(m.Grads), seq, len(co.acc))
+	if n := m.NumGrads(); n != len(co.acc) {
+		return fmt.Errorf("%w: worker %d reported %d gradient tensors for token seq %d, want %d", errProtocol, ws.wid, n, seq, len(co.acc))
 	}
-	for i, g := range m.Grads {
-		if len(g) != len(co.acc[i].Data) {
-			return fmt.Errorf("%w: worker %d reported gradient %d with %d elements, want %d", errProtocol, ws.wid, i, len(g), len(co.acc[i].Data))
+	for i, a := range co.acc {
+		if n := m.GradLen(i); n != len(a.Data) {
+			return fmt.Errorf("%w: worker %d reported gradient %d with %d elements, want %d", errProtocol, ws.wid, i, n, len(a.Data))
 		}
 	}
 	return nil

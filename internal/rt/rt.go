@@ -380,10 +380,9 @@ func InstallFlat(ts []*tensor.Tensor, flat [][]float32) error {
 
 // flatten copies the tensors' data into per-tensor slices carved from
 // one flat backing array: a single allocation for the whole model
-// instead of one per tensor. Its two callers need a snapshot that does
-// not alias live state: the iter-start broadcast, which jobs.asyncConn
-// queues and encodes lazily, possibly after the next optimizer step, and
-// the checkpoint hook, which may keep what it is handed.
+// instead of one per tensor. The checkpoint hook is handed these
+// copies, because it may keep what it is handed and must not alias live
+// state the next iteration mutates.
 func flatten(ts []*tensor.Tensor) [][]float32 {
 	total := 0
 	for _, t := range ts {

@@ -46,7 +46,8 @@ package transport
 // are actually present before anything is allocated, so a corrupted or
 // hostile length can never cause an oversized allocation — it returns a
 // *CodecError (ClassCodec) instead. Decoded float payloads live in
-// pooled arenas or in the received frame; see Message.Release for the
+// pooled arenas or in the received frame, and a top-k grads section
+// stays as the frame's bytes (TopKSection); see Message.Release for the
 // ownership rule.
 
 import (
@@ -258,24 +259,26 @@ func getFloatArena(n int) *[]float32 {
 }
 
 // Release returns the message's pooled float backing to the codec pools
-// and clears Grads/Params. That backing is the arena the copied float
-// sections were carved from and, for a message received on a tcpConn,
-// the frame buffer its large sections are views of. Only the decoder
+// and clears Grads, Params and TopK. That backing is the arena the
+// copied float sections were carved from and, for a message received on
+// a tcpConn or a top-k one from DecodeBinary, the frame buffer its large
+// sections and its top-k sections are views of. Only the decoder
 // attaches pooled backing, so Release is a safe no-op on messages built
-// by hand or copied by the in-memory transport. Ownership rule: the
-// goroutine that consumed the payload — the coordinator after folding a
-// report into its accumulator (late, for a report parked behind a lower
-// seq), the worker after installing broadcast parameters — calls
-// Release exactly once; the Grads/Params slices must not be used
-// afterwards, because the next frame may be read into the same buffer.
-// Messages that are never released are simply garbage collected.
+// by hand, copied by the in-memory transport, or shared by a Broadcast
+// snapshot. Ownership rule: the goroutine that consumed the payload —
+// the coordinator after folding a report into its accumulator (late,
+// for a report parked behind a lower seq), the worker after installing
+// broadcast parameters — calls Release exactly once; the Grads, Params
+// and TopK sections must not be used afterwards, because the next frame
+// may be read into the same buffer. Messages that are never released
+// are simply garbage collected.
 func (m *Message) Release() {
 	if m == nil || (m.pooled == nil && m.frame == nil) {
 		return
 	}
 	p, f := m.pooled, m.frame
 	m.pooled, m.frame = nil, nil
-	m.Grads, m.Params = nil, nil
+	m.Grads, m.Params, m.topk = nil, nil, nil
 	if p != nil {
 		floatPool.Put(p)
 	}
@@ -404,16 +407,17 @@ func appendFrameMeta(dst []byte, m *Message, cuts *[]floatCut) ([]byte, gradInfo
 	dst = binary.AppendVarint(dst, int64(m.Token.Owner))
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(m.Loss))
 	gradStart := len(dst)
-	if m.gradCodec == CompressExact {
+	switch {
+	case m.gradCodec == CompressExact:
 		dst = appendSlices(dst, m.Grads, cuts)
-	} else {
+	case m.topk != nil:
+		dst = appendTopKSections(dst, m.topk)
+	default:
 		dst = appendCompressedSlices(dst, m.Grads, m.gradCodec)
 	}
 	gi.codec = m.gradCodec
 	gi.wire = len(dst) - gradStart + cutBytes(cuts)
-	for _, g := range m.Grads {
-		gi.raw += 4 * len(g)
-	}
+	gi.raw = m.gradFloats() * 4
 	dst = appendSlices(dst, m.Params, cuts)
 	dst = appendString(dst, m.Err)
 	if m.Job == (JobSpec{}) {
@@ -476,7 +480,8 @@ func ReleaseFrame(buf []byte) {
 // DecodeBinary decodes one complete binary frame. Truncated, corrupted
 // or oversized-length input returns a *CodecError (never panics, never
 // allocates beyond the bytes actually present). The returned message's
-// float payloads are pooled; see Message.Release.
+// float payloads are pooled, and a top-k one keeps a pooled copy of the
+// frame; see Message.Release.
 func DecodeBinary(data []byte) (*Message, error) {
 	if len(data) < frameHeader {
 		return nil, &CodecError{fmt.Errorf("frame shorter than %d-byte header", frameHeader)}
@@ -510,7 +515,16 @@ func DecodeBinary(data []byte) (*Message, error) {
 	if uint64(n) != uint64(len(data)-header) {
 		return nil, &CodecError{fmt.Errorf("payload length %d does not match %d frame bytes", n, len(data)-header)}
 	}
-	m, _, err := decodePayloadMeta(Kind(data[3]), codec, data[header:], nil)
+	var frame *[]byte
+	payload := data[header:]
+	if codec == CompressTopK {
+		// Top-k sections view the payload they arrived in, so they get a
+		// pooled copy: the message never aliases data.
+		frame = recvPool.Get().(*[]byte)
+		*frame = append((*frame)[:0], payload...)
+		payload = *frame
+	}
+	m, _, err := decodePayloadMeta(Kind(data[3]), codec, payload, frame)
 	return m, err
 }
 
@@ -692,12 +706,14 @@ func (r *payloadReader) slicesInto(arena *[]float32) [][]float32 {
 }
 
 // decodePayloadMeta decodes a frame body whose header already
-// validated, expanding a compressed grads section to dense floats when
-// codec is non-exact. The returned gradInfo feeds the compression
-// telemetry. frame, when non-nil, is the pooled buffer holding payload,
-// and the decode takes it over: large aligned float sections become
-// views of it and the message keeps it for Release, or, when nothing
-// was viewed, it goes back to the pool before decode returns.
+// validated: an fp16 or int8 grads section expands to dense floats, and
+// a top-k one becomes TopKSections viewing the payload. The returned
+// gradInfo feeds the compression telemetry. frame, when non-nil, is the
+// pooled buffer holding payload, and the decode takes it over: large
+// aligned float sections and top-k sections become views of it and the
+// message keeps it for Release, or, when nothing was viewed, it goes
+// back to the pool before decode returns. A top-k payload must come
+// with its frame.
 func decodePayloadMeta(kind Kind, codec Compression, payload []byte, frame *[]byte) (*Message, gradInfo, error) {
 	var gi gradInfo
 	r := &payloadReader{data: payload, alias: frame != nil}
@@ -721,23 +737,27 @@ func decodePayloadMeta(kind Kind, codec Compression, payload []byte, frame *[]by
 	} else if r.err == nil {
 		// Compressed floats cost less than 4 wire bytes each, so the
 		// payload no longer bounds the arena — a scan pass sizes the
-		// gradient expansion (validating every length) and the params
-		// that follow stay exact.
+		// gradient expansion (validating every length and top-k index)
+		// and the params that follow stay exact.
 		total, err := r.scanCompressedSlices(codec)
 		if err != nil {
 			putRecvBuf(frame)
 			return nil, gi, err
 		}
-		arena = getFloatArena(total + r.remaining()/4)
-		m.Grads = r.compressedSlicesInto(arena, codec)
+		if codec == CompressTopK {
+			m.topk = r.topKSections()
+			r.viewed = len(m.topk) > 0
+			arena = getFloatArena(r.remaining() / 4)
+		} else {
+			arena = getFloatArena(total + r.remaining()/4)
+			m.Grads = r.compressedSlicesInto(arena, codec)
+		}
 	} else {
 		arena = getFloatArena(0)
 	}
 	gi.codec = codec
 	gi.wire = r.off - gradStart
-	for _, g := range m.Grads {
-		gi.raw += 4 * len(g)
-	}
+	gi.raw = m.gradFloats() * 4
 	m.Params = r.slicesInto(arena)
 	if len(*arena) > 0 {
 		m.pooled = arena
@@ -781,52 +801,116 @@ func decodePayloadMeta(kind Kind, codec Compression, payload []byte, frame *[]by
 	return m, gi, nil
 }
 
-// Broadcast wraps a message whose encoded frame is shared across many
-// sends — the coordinator's per-iteration parameter broadcast. The first
-// TCP send encodes the frame exactly once; every other recipient
-// (including elastic joiners snapshotting at the same barrier) receives
-// the identical cached bytes. A conn that never serializes (the
-// in-memory pair) falls back to an ordinary Send of Msg. The cached
-// frame is immutable once built and is garbage collected with the
-// Broadcast — it is deliberately not pooled, because queued async
-// senders may still reference it after the fan-out loop returns.
+// Broadcast is one message sent to many conns: the coordinator's
+// per-iteration parameter broadcast. Msg's float sections may be the
+// sender's live tensors. They must not change until the fan-out
+// returns, and may change after it, because a sender that writes later
+// works from Snapshot.
+//
+// The frame is encoded once, by whichever TCP conn sends first, with
+// every exact section of viewFloats or more cut out as tcpConn.Send cuts
+// it. Each TCP conn then writes that small header by writev with the
+// sections spliced back in straight from Msg, and returns once the write
+// is done. So every recipient (elastic joiners admitted at the same
+// barrier included) receives identical bytes, and no per-iteration copy
+// of the parameters is made. A sender that delivers after the fan-out
+// returns (jobs.asyncConn), or that never writes a frame (the in-memory
+// pair), sends Snapshot instead.
 type Broadcast struct {
 	// Msg is the underlying message; it must not be mutated after the
 	// first send.
 	Msg *Message
 
-	once  sync.Once
-	frame []byte
-	err   error
+	enc  *broadcastFrame // shared with the snapshot
+	once sync.Once
+	snap *Broadcast
+}
+
+// broadcastFrame is a broadcast's encoding: the frame with its large
+// sections left out, and the offsets they go back in at, in section
+// order. It is immutable once built. A queued sender may still write it
+// after the fan-out returns, so it is left to the GC rather than pooled;
+// it is a few hundred bytes plus the sections too short to cut.
+type broadcastFrame struct {
+	once sync.Once
+	head []byte
+	cuts []int
+	err  error
 }
 
 // NewBroadcast prepares m for encode-once fan-out.
-func NewBroadcast(m *Message) *Broadcast { return &Broadcast{Msg: m} }
+func NewBroadcast(m *Message) *Broadcast { return &Broadcast{Msg: m, enc: new(broadcastFrame)} }
 
-// binaryFrame returns the cached binary frame, encoding it on first use
-// (counted against st, the stats of whichever conn got there first).
-func (b *Broadcast) binaryFrame(st *codecStats) ([]byte, error) {
+// Snapshot returns a Broadcast of an immutable copy of Msg's floats
+// that shares b's encoding, so the frame is still encoded once. The copy
+// is made on the first call, at most once per Broadcast, and that call
+// must come during the fan-out, while Msg's floats are still unchanged.
+// A snapshot is its own snapshot.
+func (b *Broadcast) Snapshot() *Broadcast {
 	b.once.Do(func() {
-		start := time.Now()
-		b.frame, b.err = EncodeBinary(b.Msg)
-		if b.err == nil {
-			st.encoded(b.Msg.Kind, len(b.frame), start)
+		if b.snap == nil {
+			b.snap = &Broadcast{Msg: b.Msg.payloadCopy(), enc: b.enc}
+			b.snap.snap = b.snap
 		}
 	})
-	return b.frame, b.err
+	return b.snap
+}
+
+// frame returns the broadcast's encoding, building it on first use
+// (counted against st, the stats of whichever conn got there first, at
+// the frame's full wire size).
+func (b *Broadcast) frame(st *codecStats) (*broadcastFrame, error) {
+	e := b.enc
+	e.once.Do(func() {
+		start := time.Now()
+		var cuts []floatCut
+		if e.head, _, e.err = appendFrameMeta(nil, b.Msg, &cuts); e.err != nil {
+			return
+		}
+		e.cuts = make([]int, len(cuts))
+		for i, c := range cuts {
+			e.cuts[i] = c.off
+		}
+		st.encoded(b.Msg.Kind, len(e.head)+cutBytes(&cuts), start)
+	})
+	return e, e.err
+}
+
+// cutsOf appends to dst the cut list for sending m under this encoding:
+// its offsets paired with m's sections of viewFloats or more, which
+// appendFrameMeta cut in this order. m is the encoded message or its
+// snapshot, whose sections have the same lengths.
+func (e *broadcastFrame) cutsOf(m *Message, dst []floatCut) []floatCut {
+	if len(e.cuts) == 0 {
+		return dst // a big-endian host, or no large section
+	}
+	i := 0
+	for g, ss := range [2][][]float32{m.Grads, m.Params} {
+		if g == 0 && m.gradCodec != CompressExact {
+			continue // a compressed grads section is never cut
+		}
+		for _, s := range ss {
+			if len(s) >= viewFloats {
+				dst = append(dst, floatCut{e.cuts[i], s})
+				i++
+			}
+		}
+	}
+	return dst
 }
 
 // BroadcastConn is implemented by connections that can fan out a shared
-// pre-encoded frame.
+// broadcast.
 type BroadcastConn interface {
 	Conn
-	// SendBroadcast writes the broadcast, reusing its cached frame.
+	// SendBroadcast sends the broadcast, reusing its encoding; see
+	// Broadcast for which of Msg and Snapshot it may send.
 	SendBroadcast(*Broadcast) error
 }
 
 // SendBroadcast sends b over c, using the encode-once fast path when the
 // connection supports it and falling back to a plain Send of b.Msg
-// otherwise.
+// otherwise, which captures the payload before it returns.
 func SendBroadcast(c Conn, b *Broadcast) error {
 	if bc, ok := c.(BroadcastConn); ok {
 		return bc.SendBroadcast(b)

@@ -122,7 +122,12 @@ func benchRank1Report(rng *rand.Rand) *Message {
 
 // BenchmarkCodecReport is a report frame's encode and decode under each
 // gradient codec at train-comm's size; MB/s counts dense gradient bytes,
-// so codecs compare directly, and wire_B/op is what they ship. topk is
+// so codecs compare directly, and wire_B/op is what they ship. A top-k
+// decode expands nothing: it is DecodeBinary's copy of the frame into a
+// pooled buffer, the scan that validates every length and index, and
+// the sections that view the copy; the coordinator's fold of them is
+// rt's BenchmarkFoldReport. exact, fp16 and int8 decode to dense floats.
+// topk is
 // Gaussian noise; topk-rank1 is what a train-comm token reports, so it
 // prices the selection on the keys the run sees. topk-equal is top-k on
 // an all-equal gradient, the degenerate input: every entry reaches the

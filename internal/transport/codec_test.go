@@ -230,22 +230,31 @@ func TestReleaseSemantics(t *testing.T) {
 	}
 }
 
-// TestBroadcastEncodeOnce: the broadcast cache serializes its message
-// exactly once no matter how many conns fan it out, and every fan-out
-// writes identical bytes.
+// TestBroadcastEncodeOnce: the broadcast serializes its message exactly
+// once no matter how many conns fan it out or whether they send its
+// snapshot, and the encoding, its cut sections spliced back in, is the
+// message's frame.
 func TestBroadcastEncodeOnce(t *testing.T) {
 	reg := obs.NewRegistry()
 	st := newCodecStats(reg)
-	b := NewBroadcast(&Message{Kind: KindIterStart, Iter: 3, Params: [][]float32{{1, 2, 3, 4}}})
-	var first []byte
+	big := make([]float32, viewFloats)
+	for i := range big {
+		big[i] = float32(i) / 7
+	}
+	b := NewBroadcast(&Message{Kind: KindIterStart, Iter: 3, Params: [][]float32{{1, 2, 3, 4}, big}})
+	var first *broadcastFrame
 	for i := 0; i < 8; i++ {
-		frame, err := b.binaryFrame(st)
+		src := b
+		if i%2 == 1 {
+			src = b.Snapshot()
+		}
+		e, err := src.frame(st)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if first == nil {
-			first = frame
-		} else if &first[0] != &frame[0] {
+			first = e
+		} else if e != first || &e.head[0] != &first.head[0] {
 			t.Fatal("broadcast frame re-encoded instead of cached")
 		}
 	}
@@ -253,8 +262,20 @@ func TestBroadcastEncodeOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(first, want) {
-		t.Fatal("cached broadcast frame differs from a direct encode")
+	for _, src := range []*Broadcast{b, b.Snapshot()} {
+		var got []byte
+		prev := 0
+		for _, c := range first.cutsOf(src.Msg, nil) {
+			got = append(append(got, first.head[prev:c.off]...), floatBytes(c.fs)...)
+			prev = c.off
+		}
+		got = append(got, first.head[prev:]...)
+		if !bytes.Equal(got, want) {
+			t.Fatal("broadcast encoding with its sections spliced in differs from a direct encode")
+		}
+	}
+	if nativeLittleEndian && len(first.cuts) != 1 {
+		t.Fatalf("broadcast cut %d sections, want the one of viewFloats", len(first.cuts))
 	}
 	encodes := int64(0)
 	for labels, v := range reg.CounterValues(MetricCodecOps) {
@@ -323,7 +344,10 @@ func containsAll(s string, subs ...string) bool {
 
 // FuzzBinaryDecode feeds arbitrary bytes to the binary decoder. It must
 // never panic and never over-allocate; successfully decoded messages
-// must re-encode and release cleanly.
+// must re-encode and release cleanly. A top-k frame is also held to
+// refTopKDecode, the dense decoder top-k had before its reports were
+// folded sparse: its grads section decodes to sections that expand to
+// the reference's floats, or both refuse it as a codec error.
 func FuzzBinaryDecode(f *testing.F) {
 	for _, m := range sampleMessages() {
 		data, err := EncodeBinary(m)
@@ -360,6 +384,7 @@ func FuzzBinaryDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeBinary(data)
+		checkTopKFrame(t, data, m, err)
 		if err != nil {
 			if m != nil {
 				t.Fatal("error with non-nil message")
@@ -374,6 +399,56 @@ func FuzzBinaryDecode(f *testing.F) {
 		}
 		m.Release()
 	})
+}
+
+// checkTopKFrame holds DecodeBinary's verdict on data, when data has a
+// top-k frame's header, to refTopKDecode's on its grads section: both
+// accept it, at the same length and with the sections expanding to the
+// reference's floats, or both refuse it as a codec error.
+func checkTopKFrame(t *testing.T, data []byte, m *Message, err error) {
+	t.Helper()
+	if len(data) < frameHeaderV2 || data[0] != frameMagic0 || data[1] != frameMagic1 ||
+		data[2] != frameVersion2 || Compression(data[8]) != CompressTopK ||
+		binary.LittleEndian.Uint32(data[4:8]) != uint32(len(data)-frameHeaderV2) {
+		return
+	}
+	prefix := payloadReader{data: data[frameHeaderV2:]}
+	for range 7 {
+		prefix.varint()
+	}
+	prefix.bytes(8)
+	ref := prefix
+	want := refTopKDecode(&ref)
+	got := prefix
+	secs, secErr := decodeTopKSection(&got)
+	if (ref.err == nil) != (secErr == nil) || (ref.err != nil && Classify(secErr) != ClassCodec) {
+		t.Fatalf("top-k section: reference verdict %v, decoder's %v", ref.err, secErr)
+	}
+	if ref.err != nil {
+		if err == nil {
+			t.Fatalf("decoded a top-k frame whose grads section the reference refuses (%v)", ref.err)
+		}
+		return
+	}
+	if got.off != ref.off {
+		t.Fatalf("top-k section ends at %d, the reference's at %d", got.off, ref.off)
+	}
+	dense := make([][]float32, 0, len(secs))
+	for _, sec := range secs {
+		dense = append(dense, expandTopK(sec))
+	}
+	if !sameBits(dense, want) {
+		t.Fatal("top-k sections expand to other floats than the reference decoder's")
+	}
+	if err == nil {
+		dense = dense[:0]
+		for _, sec := range m.TopK() {
+			dense = append(dense, expandTopK(sec))
+		}
+		if m.Grads != nil || !sameBits(dense, want) {
+			t.Fatal("decoded top-k report differs from the reference decoder's")
+		}
+	}
 }
 
 // FuzzBinaryRoundTrip builds a message from fuzzed fields, encodes it

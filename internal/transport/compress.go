@@ -24,7 +24,7 @@ package transport
 //	topk:  count; per slice: full len, k (the ⌈len/8⌉ largest |g|,
 //	       ties to the lowest index), k index deltas (strictly
 //	       ascending: idx₀ = δ₀, idxᵢ₊₁ = idxᵢ + 1 + δᵢ₊₁), then
-//	       4·k bytes of the kept values; everything else decodes to 0
+//	       4·k bytes of the kept values; everything else stands for 0
 //
 // Top-k encoding costs one pass over a slice plus work in its survivors:
 // keys sampled at fixed pseudo-random positions place a lower bound a
@@ -34,10 +34,13 @@ package transport
 // for every input; the sample decides how much work is done, never what
 // is sent.
 //
-// Decoding is as strict as the exact path: a two-pass scan validates
-// every length (k ≤ len ≤ 16·k for top-k, totals capped at
-// MaxFrameBytes worth of floats) before the pooled arena is sized, so a
-// hostile count can never cause an oversized allocation.
+// Decoding is as strict as the exact path: a scan pass validates every
+// length (k ≤ len ≤ 16·k for top-k, totals capped at MaxFrameBytes
+// worth of floats) and every top-k index before anything is allocated,
+// so a hostile count can never cause an oversized allocation. fp16 and
+// int8 sections then expand into a pooled arena; a top-k section is
+// never expanded: it decodes to a TopKSection viewing the frame, and
+// the coordinator adds its kept entries straight into its accumulator.
 
 import (
 	"encoding/binary"
@@ -537,9 +540,12 @@ func appendCompressedSlices(dst []byte, ss [][]float32, codec Compression) []byt
 // ---- decoding ----
 
 // scanCompressedSlices walks the grads section ahead of the real decode
-// and returns the total dense float count it will expand to, validating
+// and returns the total dense float count it stands for, validating
 // every length against the bytes present so the arena can be sized
-// before anything is allocated. The reader copy is discarded; the
+// before anything is allocated. For top-k it also decodes every index
+// delta, by the scatter's one-byte fast path, and checks each index
+// against the dense length, so a section that passes the scan can be
+// folded without another check. The reader copy is discarded; the
 // caller's reader is untouched.
 func (r *payloadReader) scanCompressedSlices(codec Compression) (int, error) {
 	s := *r // shallow copy: same payload, independent offset
@@ -577,8 +583,21 @@ func (r *payloadReader) scanCompressedSlices(codec Compression) (int, error) {
 			case k > uint64(s.remaining()):
 				s.fail("top-k count %d with %d bytes remaining", k, s.remaining())
 			}
+			// next is the lowest index the next entry may take.
+			next := uint64(0)
 			for j := uint64(0); j < k && s.err == nil; j++ {
-				s.uvarint()
+				var d uint64
+				if s.off < len(s.data) && s.data[s.off] < 0x80 {
+					d = uint64(s.data[s.off])
+					s.off++
+				} else if d = s.uvarint(); s.err != nil {
+					break
+				}
+				if d >= ln-next {
+					s.fail("top-k index %d out of range %d", next+d, ln)
+					break
+				}
+				next += d + 1
 			}
 			s.bytes(int(k) * 4)
 		default:
@@ -595,10 +614,9 @@ func (r *payloadReader) scanCompressedSlices(codec Compression) (int, error) {
 	return int(total), nil
 }
 
-// compressedSlicesInto decodes one compressed grads section into dense
+// compressedSlicesInto decodes one fp16 or int8 grads section into dense
 // float32 slices carved from the arena, which scanCompressedSlices has
-// already sized. Structural errors were caught by the scan; this pass
-// still validates index monotonicity for top-k.
+// already sized and whose checks it has already made.
 func (r *payloadReader) compressedSlicesInto(arena *[]float32, codec Compression) [][]float32 {
 	cnt := r.uvarint()
 	if r.err != nil || cnt == 0 {
@@ -631,47 +649,88 @@ func (r *payloadReader) compressedSlicesInto(arena *[]float32, codec Compression
 			for j := range dst {
 				dst[j] = float32(int8(src[j])) * scale
 			}
-		case CompressTopK:
-			k := int(r.uvarint())
-			if r.err != nil {
-				return nil
-			}
-			clear(dst)
-			// Two cursors, no index list: vr runs ahead to the values,
-			// which start after the k-th byte without a continuation bit
-			// (the scan pass has already walked both sections, so it
-			// cannot run short), and r decodes each index as its value is
-			// scattered.
-			vr := *r
-			for n := 0; n < k && vr.off < len(vr.data); vr.off++ {
-				if vr.data[vr.off] < 0x80 {
-					n++
-				}
-			}
-			src := vr.bytes(k * 4)
-			if vr.err != nil {
-				r.err = vr.err
-				return nil
-			}
-			prev := -1
-			for j := 0; j < k; j++ {
-				d := uint64(r.data[r.off]) // in range: vr found k terminators ahead
-				if d < 0x80 {
-					r.off++
-				} else if d = r.uvarint(); r.err != nil {
-					return nil
-				}
-				next := prev + 1 + int(d)
-				if d > uint64(ln) || next >= ln {
-					r.fail("top-k index %d out of range %d", next, ln)
-					return nil
-				}
-				dst[next] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*j:]))
-				prev = next
-			}
-			r.off = vr.off
 		}
 		out[i] = dst
 	}
 	return out
+}
+
+// TopKSection is one top-k gradient slice as it arrived: its dense
+// length, and the wire bytes of its k index deltas and k kept values,
+// views of the received frame. A report decoded under CompressTopK
+// carries these instead of dense Grads (Message.TopK); they are valid
+// until the message's Release, and the decode has already checked every
+// index against the dense length.
+type TopKSection struct {
+	n        int
+	idx, val []byte
+}
+
+// Len is the dense length the section stands for.
+func (s *TopKSection) Len() int { return s.n }
+
+// AddScaledTo adds a·v into dst at each kept index, in index order, by
+// the same dst[i] += a*v that tensor.AddScaled does. dst must hold Len
+// floats. Every other entry of the dense section is +0, and so is a·(+0)
+// for a finite a > 0. An accumulator cleared to +0 and only added to
+// never holds −0 (a sum is −0 only when both terms are) nor a
+// signalling NaN, and x + (+0) is then x, bit for bit, NaN included; so
+// adding only the kept entries gives the bits adding the expanded
+// section gives.
+func (s *TopKSection) AddScaledTo(dst []float32, a float32) {
+	dst = dst[:s.n]
+	idx, val := s.idx, s.val
+	at, next := 0, 0
+	for j := 0; j < len(val); j += 4 {
+		d := int(idx[at])
+		if d < 0x80 { // one survivor in eight: nearly every delta
+			at++
+		} else {
+			u, n := binary.Uvarint(idx[at:])
+			d, at = int(u), at+n
+		}
+		i := next + d
+		dst[i] += a * math.Float32frombits(binary.LittleEndian.Uint32(val[j:]))
+		next = i + 1
+	}
+}
+
+// topKSections decodes one top-k grads section, which scanCompressedSlices
+// has validated, into sections that view the payload: it finds where
+// each index run ends and allocates nothing per float.
+func (r *payloadReader) topKSections() []TopKSection {
+	cnt := r.uvarint()
+	if r.err != nil || cnt == 0 {
+		return nil
+	}
+	out := make([]TopKSection, cnt)
+	for i := range out {
+		s := &out[i]
+		s.n = int(r.uvarint())
+		k := int(r.uvarint())
+		start := r.off
+		for n := 0; n < k; r.off++ {
+			if r.data[r.off] < 0x80 { // each delta ends in one such byte
+				n++
+			}
+		}
+		s.idx = r.data[start:r.off]
+		s.val = r.bytes(4 * k)
+		if r.err != nil {
+			return nil
+		}
+	}
+	return out
+}
+
+// appendTopKSections re-emits decoded top-k sections byte for byte.
+func appendTopKSections(dst []byte, ss []TopKSection) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(ss)))
+	for _, s := range ss {
+		dst = binary.AppendUvarint(dst, uint64(s.n))
+		dst = binary.AppendUvarint(dst, uint64(len(s.val)/4))
+		dst = append(dst, s.idx...)
+		dst = append(dst, s.val...)
+	}
+	return dst
 }

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"fela/internal/obs"
@@ -252,8 +254,9 @@ func TestTopKSelectProperties(t *testing.T) {
 // TestCompressedRoundTrips pushes a report through each lossy codec and
 // checks the frame version, the decoded codec tag, and the per-codec
 // reconstruction guarantee (fp16 quantization, int8 error bound, top-k
-// exact survivors + zeros elsewhere). Non-gradient fields and Params
-// must survive exactly under every codec.
+// exact survivors + zeros elsewhere, from sections that re-encode to the
+// same frame). Non-gradient fields and Params must survive exactly under
+// every codec.
 func TestCompressedRoundTrips(t *testing.T) {
 	for _, codec := range []Compression{CompressFP16, CompressInt8, CompressTopK} {
 		t.Run(codec.String(), func(t *testing.T) {
@@ -289,11 +292,27 @@ func TestCompressedRoundTrips(t *testing.T) {
 				t.Fatalf("non-gradient fields mangled: %+v", got)
 			}
 			want := compressedSample().Grads
-			if len(got.Grads) != len(want) {
-				t.Fatalf("grads slice count %d, want %d", len(got.Grads), len(want))
+			grads := got.Grads
+			if codec == CompressTopK {
+				if grads != nil {
+					t.Fatal("top-k report decoded to dense grads")
+				}
+				for _, sec := range got.TopK() {
+					grads = append(grads, expandTopK(sec))
+				}
+				again, err := EncodeBinary(got)
+				if err != nil || !bytes.Equal(again, data) {
+					t.Fatalf("decoded top-k report re-encodes to other bytes (err %v)", err)
+				}
+			}
+			if len(grads) != len(want) || got.NumGrads() != len(want) {
+				t.Fatalf("grads slice count %d (NumGrads %d), want %d", len(grads), got.NumGrads(), len(want))
 			}
 			for si, ws := range want {
-				gs := got.Grads[si]
+				gs := grads[si]
+				if got.GradLen(si) != len(ws) {
+					t.Fatalf("slice %d GradLen %d, want %d", si, got.GradLen(si), len(ws))
+				}
 				if len(gs) != len(ws) {
 					t.Fatalf("slice %d length %d, want %d", si, len(gs), len(ws))
 				}
@@ -502,9 +521,9 @@ func TestCompressedHostileHeaders(t *testing.T) {
 }
 
 // TestTopKHostileLengths: a top-k section claiming a dense length far
-// beyond what its kept count justifies (or a count beyond the length)
-// must fail in the pre-allocation scan, and out-of-range delta-coded
-// indices must fail the decode pass.
+// beyond what its kept count justifies (or a count beyond the length),
+// or delta-coded indices out of range, must fail in the pre-allocation
+// scan, as the reference decoder fails on them.
 func TestTopKHostileLengths(t *testing.T) {
 	build := func(section []byte) *payloadReader {
 		return &payloadReader{data: section}
@@ -534,30 +553,65 @@ func TestTopKHostileLengths(t *testing.T) {
 	if _, err := build(hostile).scanCompressedSlices(CompressTopK); err == nil {
 		t.Fatal("dense total beyond MaxFrameBytes scanned without error")
 	}
-	// Index delta walking past the dense length fails the decode pass.
+	// Index deltas walking past the dense length: by a one-byte delta, by
+	// a multi-byte one, and by a second index that lands on the length.
+	// Section: cnt=1, len=8, k=1, delta, value; then cnt=1, len=16, k=2,
+	// two deltas, two values.
 	valid := appendCompressedSlices(nil, [][]float32{{1, 2, 3, 4, 5, 6, 7, 8}}, CompressTopK)
-	// Section: cnt=1, len=8, k=1, delta, value. Corrupt the delta (offset
-	// 3) to point past the slice.
-	mut := bytes.Clone(valid)
-	mut[3] = 200
-	r = build(mut)
-	arena := make([]float32, 0, 8)
-	if r.compressedSlicesInto(&arena, CompressTopK); r.err == nil {
-		t.Fatal("out-of-range top-k index decoded without error")
-	}
-	// A valid index section followed by fewer than 4·k value bytes: both
-	// the scan and the decode pass's value cursor must refuse it.
 	s16 := fill(16, func(i int) float32 { return float32(i) })
-	short := appendCompressedSlices(nil, [][]float32{s16}, CompressTopK)
-	short = short[:len(short)-1] // cnt, len=16, k=2, two deltas, 7 of 8 value bytes
-	if _, err := build(short).scanCompressedSlices(CompressTopK); err == nil {
-		t.Fatal("short top-k value section scanned without error")
+	valid16 := appendCompressedSlices(nil, [][]float32{s16}, CompressTopK)
+	oneByte := bytes.Clone(valid)
+	oneByte[3] = 8
+	multiByte := slices.Concat(valid[:3], []byte{0x80, 0x01}, valid[4:])
+	second := bytes.Clone(valid16)
+	second[4] = byte(len(s16) - int(valid16[3]) - 1) // index len(s16)
+	for name, mut := range map[string][]byte{"one-byte": oneByte, "multi-byte": multiByte, "second": second} {
+		if _, err := build(mut).scanCompressedSlices(CompressTopK); Classify(err) != ClassCodec {
+			t.Fatalf("%s: out-of-range top-k index scanned with err %v", name, err)
+		}
+		if r := build(mut); refTopKDecode(r) != nil || r.err == nil {
+			t.Fatalf("%s: the reference decoder accepts the index the scan refuses", name)
+		}
 	}
-	r = build(short)
-	arena = make([]float32, 0, 16)
-	if out := r.compressedSlicesInto(&arena, CompressTopK); out != nil || Classify(r.err) != ClassCodec {
-		t.Fatalf("short top-k value section decoded to %v, err %v", out, r.err)
+	// A valid index section followed by fewer than 4·k value bytes: the
+	// scan must refuse it.
+	short := valid16[:len(valid16)-1] // cnt, len=16, k=2, two deltas, 7 of 8 value bytes
+	if out, err := decodeTopKSection(build(short)); out != nil || Classify(err) != ClassCodec {
+		t.Fatalf("short top-k value section decoded to %v, err %v", out, err)
 	}
+}
+
+// TestTopKCorpusSeedsRejected: the two hostile top-k seeds of the
+// FuzzBinaryDecode corpus — an index past the dense length, an index run
+// short of its k terminators — fail at decode as codec errors, and the
+// first decodes once its index is in range, so the index is its only
+// fault.
+func TestTopKCorpusSeedsRejected(t *testing.T) {
+	seed := func(name string) []byte {
+		t.Helper()
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzBinaryDecode", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+		data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if !ok || err != nil {
+			t.Fatalf("%s: not a one-[]byte corpus file (%v)", name, err)
+		}
+		return []byte(data)
+	}
+	for _, name := range []string{"compressed-topk-index-past-end", "compressed-topk-missing-terminators"} {
+		if m, err := DecodeBinary(seed(name)); m != nil || Classify(err) != ClassCodec {
+			t.Fatalf("%s: decoded to %v, err %v; want a codec error", name, m, err)
+		}
+	}
+	data := seed("compressed-topk-index-past-end")
+	data[frameHeaderV2+7+8+3] = 7 // index 7 of 8
+	m, err := DecodeBinary(data)
+	if err != nil {
+		t.Fatalf("the past-end seed with its index in range: %v", err)
+	}
+	m.Release()
 }
 
 // TestCompressionTelemetry: a compressed exchange over a real TCP pair

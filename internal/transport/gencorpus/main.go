@@ -111,6 +111,29 @@ func main() {
 		1, // k = 1
 	)
 	binExtra["compressed-topk-oversized"] = hostile
+	// Two top-k sections the decoder's scan must refuse, each in a report
+	// whose other fields are zero. One keeps index 8 of a dense length of
+	// 8, followed by its value and the frame's remaining fields; the
+	// other declares k = 2, and its index run has one terminator before
+	// the payload ends.
+	topkReport := func(section ...byte) []byte {
+		payload := append(make([]byte, 7+8), section...) // WID..Owner varints + loss
+		return append([]byte{
+			0xFE, 0x7A, 2, 3, byte(len(payload)), 0, 0, 0,
+			byte(transport.CompressTopK), 0, 0, 0,
+		}, payload...)
+	}
+	binExtra["compressed-topk-index-past-end"] = topkReport(append([]byte{
+		1,       // one slice
+		8, 1, 8, // dense length 8, k = 1, index 8
+		0, 0, 0, 0, // its value
+		0, 0, 0, 0, // no params, no error, no job, JobID 0
+	}, make([]byte, 16)...)...) // span
+	binExtra["compressed-topk-missing-terminators"] = topkReport(
+		1,        // one slice
+		16, 2, 3, // dense length 16, k = 2, index 3
+		0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, // no second terminator
+	)
 	writeCorpus(binExtra)
 }
 

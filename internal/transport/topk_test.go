@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+
+	"fela/internal/tensor"
 )
 
 // The reference the radix selection is held to: the codec's original
@@ -98,9 +100,121 @@ func topKIndices(t testing.TB, s []float32) []int {
 	return idx
 }
 
+// refTopKDecode is the dense top-k decoder the codec had before reports
+// were folded from their sparse sections, kept as the reference the
+// sections are held to: a scan that validates lengths and walks the
+// index deltas, then a scatter into zeroed dense slices that checks each
+// index as it goes. It decodes one grads section at r and leaves r past
+// it, or fails with r.err set.
+func refTopKDecode(r *payloadReader) [][]float32 {
+	s := *r
+	cnt := s.uvarint()
+	if cnt > uint64(s.remaining()) {
+		s.fail("%d compressed slices declared with %d bytes remaining", cnt, s.remaining())
+	}
+	total := int64(0)
+	for i := uint64(0); i < cnt && s.err == nil; i++ {
+		ln := s.uvarint()
+		k := s.uvarint()
+		if s.err != nil {
+			break
+		}
+		switch {
+		case k > ln:
+			s.fail("top-k count %d exceeds dense length %d", k, ln)
+		case ln > topkMagLimit*k && ln > 0:
+			s.fail("top-k dense length %d too large for count %d", ln, k)
+		case k > uint64(s.remaining()):
+			s.fail("top-k count %d with %d bytes remaining", k, s.remaining())
+		}
+		for j := uint64(0); j < k && s.err == nil; j++ {
+			s.uvarint()
+		}
+		s.bytes(int(k) * 4)
+		if total += int64(ln); total > MaxFrameBytes/4 {
+			s.fail("compressed grads expand to %d floats (limit %d)", total, MaxFrameBytes/4)
+		}
+	}
+	if s.err != nil {
+		r.err = s.err
+		return nil
+	}
+	cnt = r.uvarint()
+	if cnt == 0 {
+		return nil
+	}
+	out := make([][]float32, cnt)
+	for i := range out {
+		ln := int(r.uvarint())
+		k := int(r.uvarint())
+		dst := make([]float32, ln)
+		// Two cursors: vr runs ahead to the values, which start after the
+		// k-th byte without a continuation bit, and r decodes each index
+		// as its value is scattered.
+		vr := *r
+		for n := 0; n < k && vr.off < len(vr.data); vr.off++ {
+			if vr.data[vr.off] < 0x80 {
+				n++
+			}
+		}
+		src := vr.bytes(k * 4)
+		if vr.err != nil {
+			r.err = vr.err
+			return nil
+		}
+		prev := -1
+		for j := 0; j < k; j++ {
+			d := r.uvarint()
+			next := prev + 1 + int(d)
+			if r.err == nil && (d > uint64(ln) || next >= ln) {
+				r.fail("top-k index %d out of range %d", next, ln)
+			}
+			if r.err != nil {
+				return nil
+			}
+			dst[next] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*j:]))
+			prev = next
+		}
+		r.off = vr.off
+		out[i] = dst
+	}
+	return out
+}
+
+// expandTopK reads a section's entries back out of its bytes, on its
+// own, into dense floats: kept values bit for bit, +0 elsewhere.
+func expandTopK(s TopKSection) []float32 {
+	out := make([]float32, s.Len())
+	r := &payloadReader{data: s.idx}
+	at := -1
+	for j := range len(s.val) / 4 {
+		at += 1 + int(r.uvarint())
+		out[at] = math.Float32frombits(binary.LittleEndian.Uint32(s.val[4*j:]))
+	}
+	return out
+}
+
+// decodeTopKSection runs the codec's top-k decode — the scan, then the
+// sections — on one grads section at r.
+func decodeTopKSection(r *payloadReader) ([]TopKSection, error) {
+	if _, err := r.scanCompressedSlices(CompressTopK); err != nil {
+		return nil, err
+	}
+	return r.topKSections(), r.err
+}
+
+// sameBits reports whether two sets of dense slices are equal bit for
+// bit.
+func sameBits(a, b [][]float32) bool {
+	return slices.EqualFunc(a, b, func(x, y []float32) bool {
+		return slices.EqualFunc(x, y, func(u, v float32) bool { return math.Float32bits(u) == math.Float32bits(v) })
+	})
+}
+
 // checkTopKAgainstReference holds the encoder to the reference on one
 // slice — same frame bytes, hence same index list — and the decoder to
-// the survivors: kept entries bit-exact, everything else +0.
+// the survivors: kept entries bit-exact, everything else +0, as the
+// reference decoder has them.
 func checkTopKAgainstReference(t testing.TB, s []float32) {
 	t.Helper()
 	want := refTopKSection(s)
@@ -111,23 +225,22 @@ func checkTopKAgainstReference(t testing.TB, s []float32) {
 		t.Fatalf("n=%d: top-k section differs from the sort-based reference (%d vs %d bytes)", len(s), len(got)-1, len(want))
 	}
 	r := &payloadReader{data: want}
-	total, err := r.scanCompressedSlices(CompressTopK)
-	if err != nil || total != len(s) {
-		t.Fatalf("n=%d: scan = %d, %v", len(s), total, err)
+	out, err := decodeTopKSection(r)
+	if err != nil || r.remaining() != 0 || len(out) != 1 || out[0].Len() != len(s) {
+		t.Fatalf("n=%d: decode err=%v, %d bytes left, %d slices", len(s), err, r.remaining(), len(out))
 	}
-	arena := make([]float32, 0, total)
-	out := r.compressedSlicesInto(&arena, CompressTopK)
-	if r.err != nil || r.remaining() != 0 || len(out) != 1 || len(out[0]) != len(s) {
-		t.Fatalf("n=%d: decode err=%v, %d bytes left, %d slices", len(s), r.err, r.remaining(), len(out))
-	}
+	dense := expandTopK(out[0])
 	wantBits := make([]uint32, len(s))
 	for _, ix := range refTopKSelect(s, topKCount(len(s))) {
 		wantBits[ix] = math.Float32bits(s[ix])
 	}
-	for i, v := range out[0] {
+	for i, v := range dense {
 		if math.Float32bits(v) != wantBits[i] {
 			t.Fatalf("n=%d: decoded[%d] = %#08x, want %#08x", len(s), i, math.Float32bits(v), wantBits[i])
 		}
+	}
+	if ref := refTopKDecode(&payloadReader{data: want}); !sameBits(ref, [][]float32{dense}) {
+		t.Fatalf("n=%d: sections expand to other floats than the reference decoder's", len(s))
 	}
 }
 
@@ -369,4 +482,81 @@ func FuzzTopKSelect(f *testing.F) {
 			checkTopKAgainstReference(t, tile(s))
 		}
 	})
+}
+
+// TestTopKFoldMatchesDenseFold is the property the coordinator's sparse
+// fold rests on: adding a top-k report's sections into an accumulator
+// with AddScaledTo gives the bits that adding the reference decoder's
+// dense expansion with tensor.AddScaled gives. Accumulators start at +0,
+// as the coordinator's do, or at values a sum can hold — never −0, and
+// never a signalling NaN, which any addition quiets — and take a run of
+// reports in turn. Reports mix NaN, ±Inf, −0 and subnormals into
+// random values, or are mostly zero, so that ties select zeros of both
+// signs; scales include ones that underflow a product to −0 and
+// overflow it to ±Inf.
+func TestTopKFoldMatchesDenseFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	special := specialFloats()
+	salted := func(n int) []float32 {
+		return fill(n, func(int) float32 {
+			if rng.Intn(4) == 0 {
+				return special[rng.Intn(len(special))]
+			}
+			return float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(80)-40)))
+		})
+	}
+	sparse := func(n int) []float32 {
+		return fill(n, func(int) float32 {
+			switch rng.Intn(20) {
+			case 0:
+				return float32(rng.NormFloat64())
+			case 1, 2, 3:
+				return float32(math.Copysign(0, -1))
+			}
+			return 0
+		})
+	}
+	sums := func(n int) []float32 {
+		s := salted(n)
+		for i, v := range s {
+			if b := math.Float32bits(v); b == 1<<31 {
+				s[i] = 0
+			} else if v != v {
+				s[i] = math.Float32frombits(b | 1<<22) // quiet
+			}
+		}
+		return s
+	}
+	fracs := []float32{0.125, 1, 1.0 / 3, 1e-38, 3e38}
+	for _, n := range []int{1, 7, 64, 1000, 40000} {
+		for _, start := range []string{"zero", "salted"} {
+			for _, frac := range fracs {
+				dense := tensor.New(n)
+				if start == "salted" {
+					copy(dense.Data, sums(n))
+				}
+				acc := slices.Clone(dense.Data)
+				for rep := 0; rep < 6; rep++ {
+					g := salted(n)
+					if rep%2 == 1 {
+						g = sparse(n)
+					}
+					section := appendCompressedSlices(nil, [][]float32{g}, CompressTopK)
+					secs, err := decodeTopKSection(&payloadReader{data: section})
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref := refTopKDecode(&payloadReader{data: section})
+					secs[0].AddScaledTo(acc, frac)
+					dense.AddScaled(&tensor.Tensor{Shape: []int{n}, Data: ref[0]}, frac)
+					for i := range acc {
+						if math.Float32bits(acc[i]) != math.Float32bits(dense.Data[i]) {
+							t.Fatalf("n=%d start=%s frac=%g report %d: acc[%d] = %#08x sparse, %#08x dense",
+								n, start, frac, rep, i, math.Float32bits(acc[i]), math.Float32bits(dense.Data[i]))
+						}
+					}
+				}
+			}
+		}
+	}
 }

@@ -178,10 +178,13 @@ type Message struct {
 
 	// pooled, when non-nil, is the codec arena the copied Grads/Params
 	// slices were carved from, and frame the received frame buffer the
-	// others are views of; Release returns both. Unexported so
-	// hand-built messages are never mistaken for pooled ones.
+	// others, and topk, are views of; Release returns both. Unexported
+	// so hand-built messages are never mistaken for pooled ones.
 	pooled *[]float32
 	frame  *[]byte
+	// topk holds a report decoded under CompressTopK in place of Grads;
+	// see TopK.
+	topk []TopKSection
 
 	// gradCodec selects the gradient compression applied to the Grads
 	// section on the binary wire (compress.go); zero is the exact
@@ -218,11 +221,41 @@ func (m *Message) WireSize() int {
 	if m.Job != (JobSpec{}) {
 		n += 48 + len(m.Job.Name) + len(m.Job.Model)
 	}
-	for _, g := range m.Grads {
-		n += 4 * len(g)
-	}
+	n += 4 * m.gradFloats()
 	for _, p := range m.Params {
 		n += 4 * len(p)
+	}
+	return n
+}
+
+// TopK returns the gradient sections of a report decoded under
+// CompressTopK, which carries these instead of Grads: the kept entries
+// as they arrived, never expanded to dense floats. It is nil for every
+// other message.
+func (m *Message) TopK() []TopKSection { return m.topk }
+
+// NumGrads is how many gradient sections the message carries, dense
+// (Grads) or top-k (TopK).
+func (m *Message) NumGrads() int {
+	if m.topk != nil {
+		return len(m.topk)
+	}
+	return len(m.Grads)
+}
+
+// GradLen is the dense length of gradient section i.
+func (m *Message) GradLen(i int) int {
+	if m.topk != nil {
+		return m.topk[i].n
+	}
+	return len(m.Grads[i])
+}
+
+// gradFloats is the dense float count of all gradient sections.
+func (m *Message) gradFloats() int {
+	n := 0
+	for i := range m.NumGrads() {
+		n += m.GradLen(i)
 	}
 	return n
 }
@@ -237,7 +270,8 @@ type Conn interface {
 	// tensors. The TCP conn writes a section of 64 KiB or more
 	// from the caller's slice itself, by writev, and returns only once
 	// that write is done. A wrapper that delivers later (jobs.asyncConn)
-	// must only ever be handed payloads nobody mutates again. A message
+	// must only ever be handed payloads nobody mutates again, such as a
+	// Broadcast's Snapshot. A message
 	// marked SetMore may reach the wire only with the next Send, or when
 	// Recv on the same conn would block.
 	Send(*Message) error
@@ -384,6 +418,19 @@ func (c *memConn) timeouts() (send, recv time.Duration) {
 }
 
 func (c *memConn) Send(m *Message) error {
+	return c.deliver(m.payloadCopy())
+}
+
+// SendBroadcast delivers the broadcast's snapshot: one immutable copy of
+// the floats, shared by every in-memory recipient instead of a copy
+// each. Recipients only read a broadcast's Params.
+func (c *memConn) SendBroadcast(b *Broadcast) error {
+	m := *b.Snapshot().Msg
+	return c.deliver(&m)
+}
+
+// deliver puts m, which the receiver may keep, into the peer's inbox.
+func (c *memConn) deliver(m *Message) error {
 	// Check closure first: with a buffered channel the select below
 	// could otherwise accept a message after Close.
 	select {
@@ -391,7 +438,6 @@ func (c *memConn) Send(m *Message) error {
 		return ErrClosed
 	default:
 	}
-	m = m.payloadCopy()
 	send, _ := c.timeouts()
 	if send <= 0 {
 		select {
@@ -586,10 +632,7 @@ func (c *tcpConn) flushHeld() error {
 	if bp == nil {
 		return nil
 	}
-	err := c.setWriteDeadline()
-	if err == nil {
-		_, err = c.conn.Write(*bp)
-	}
+	err := c.write(*bp)
 	*bp = (*bp)[:0]
 	framePool.Put(bp)
 	return err
@@ -625,31 +668,36 @@ func (c *tcpConn) Send(m *Message) error {
 		c.hold(bp)
 		return nil
 	}
-	err = c.setWriteDeadline()
-	if err == nil {
-		err = c.write(buf)
-	}
-	clear(c.cuts) // drop the references to the caller's slices
-	c.cuts = c.cuts[:0]
+	err = c.write(buf)
 	*bp = buf[:0]
 	framePool.Put(bp)
 	return err
 }
 
-// write puts buf on the wire with the cut sections spliced back in at
-// their offsets: one write, or one writev when any section was cut.
+// write arms the send deadline and puts buf on the wire after whatever
+// c.iov already holds, with the cut sections spliced back in at their
+// offsets: one write, or one writev when there is more than buf. It
+// empties the cut list and iov either way.
 func (c *tcpConn) write(buf []byte) error {
-	if len(c.cuts) == 0 {
-		_, err := c.conn.Write(buf)
-		return err
+	err := c.setWriteDeadline()
+	switch {
+	case err != nil:
+		clear(c.iov)
+		c.iov = c.iov[:0]
+	case len(c.cuts) == 0 && len(c.iov) == 0:
+		_, err = c.conn.Write(buf)
+	default:
+		prev := 0
+		for _, cut := range c.cuts {
+			c.iov = append(c.iov, buf[prev:cut.off], floatBytes(cut.fs))
+			prev = cut.off
+		}
+		c.iov = append(c.iov, buf[prev:])
+		err = c.writev()
 	}
-	prev := 0
-	for _, cut := range c.cuts {
-		c.iov = append(c.iov, buf[prev:cut.off], floatBytes(cut.fs))
-		prev = cut.off
-	}
-	c.iov = append(c.iov, buf[prev:])
-	return c.writev()
+	clear(c.cuts) // drop the references to the caller's slices
+	c.cuts = c.cuts[:0]
+	return err
 }
 
 // writev writes c.iov in one writev on a TCP socket and empties it.
@@ -670,29 +718,27 @@ func (c *tcpConn) setWriteDeadline() error {
 	return nil
 }
 
-// SendBroadcast writes the broadcast's shared frame: it is encoded once
-// (by whichever conn sends first) and the cached bytes are written
-// verbatim.
+// SendBroadcast writes the broadcast's shared encoding, built by
+// whichever conn sends first, with its large sections spliced in by
+// writev straight from b.Msg, and returns once they are written.
 func (c *tcpConn) SendBroadcast(b *Broadcast) error {
-	frame, err := b.binaryFrame(c.stats.Load())
+	e, err := b.frame(c.stats.Load())
 	if err != nil {
 		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.setWriteDeadline(); err != nil {
-		return err
-	}
-	bp := c.takeHeld()
-	if bp == nil {
-		_, err = c.conn.Write(frame)
-		return err
-	}
 	// Held frames go first, in the same write.
-	c.iov = append(c.iov, *bp, frame)
-	err = c.writev()
-	*bp = (*bp)[:0]
-	framePool.Put(bp)
+	bp := c.takeHeld()
+	if bp != nil {
+		c.iov = append(c.iov, *bp)
+	}
+	c.cuts = e.cutsOf(b.Msg, c.cuts)
+	err = c.write(e.head)
+	if bp != nil {
+		*bp = (*bp)[:0]
+		framePool.Put(bp)
+	}
 	return err
 }
 
