@@ -163,6 +163,7 @@ func main() {
 	obs.FlightDumpOnSIGQUIT("felaserver")
 
 	tensor.SetParallelism(*kernelPar)
+	fmt.Printf("felaserver: compute kernels on the %s path, fan-out %d\n", tensor.KernelPath(), tensor.Parallelism())
 
 	oo := obsOpts{statusAddr: *statusAddr, traceJSON: *traceJSON}
 	var err error

@@ -184,11 +184,18 @@ func TestServerObservabilityE2E(t *testing.T) {
 	}
 
 	// A joiner dials in mid-session (felaworker -join) so /statusz has a
-	// membership change to report.
+	// membership change to report. It waits until a poll below has seen
+	// the two-worker phase: on a timer it could be admitted before any
+	// poll landed there, as it was under `go test -race ./...`.
+	twoLive, polled := make(chan struct{}), make(chan struct{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		time.Sleep(50 * time.Millisecond)
+		select {
+		case <-twoLive:
+		case <-polled: // the session ended first; the count check reports it
+			return
+		}
 		conn, err := transport.DialRetry(addr, 5, 10*time.Millisecond)
 		if err != nil {
 			t.Errorf("joiner dial: %v", err)
@@ -219,6 +226,7 @@ func TestServerObservabilityE2E(t *testing.T) {
 	var lastMetrics, lastFlight string
 	healthOK := false
 	liveSeen := map[int]bool{}
+	joinerGo := false
 	client := &http.Client{Timeout: time.Second}
 	deadline := time.After(30 * time.Second)
 	var runErr error
@@ -237,6 +245,10 @@ poll:
 			resp.Body.Close()
 			if err == nil {
 				liveSeen[len(st.LiveWorkers)] = true
+				if len(st.LiveWorkers) == 2 && !joinerGo {
+					close(twoLive)
+					joinerGo = true
+				}
 			}
 		}
 		if resp, err := client.Get("http://" + statusAddr + "/metrics"); err == nil {
@@ -260,6 +272,7 @@ poll:
 			}
 		}
 	}
+	close(polled)
 	if runErr != nil {
 		t.Fatal(runErr)
 	}

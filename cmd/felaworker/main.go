@@ -90,6 +90,7 @@ func main() {
 	obs.FlightDumpOnSIGQUIT("felaworker")
 
 	tensor.SetParallelism(*kernelPar)
+	fmt.Printf("felaworker: compute kernels on the %s path, fan-out %d\n", tensor.KernelPath(), tensor.Parallelism())
 
 	var err error
 	compress, cerr := transport.ParseCompression(*compressName)

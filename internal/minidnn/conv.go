@@ -9,10 +9,10 @@ import (
 )
 
 // Conv2D is a real 2-D convolution layer (NCHW, square kernels, stride
-// 1, symmetric zero padding). Forward and backward run over an im2col
-// expansion of the input — contiguous dot products instead of strided
-// gather loops — parallelized over disjoint row bands via the shared
-// tensor kernel pool. Both passes reproduce the direct naive loops
+// 1, symmetric zero padding). Forward and backward run over im2col
+// expansions of the input — contiguous row accumulations instead of
+// strided gather loops — parallelized over disjoint row bands via the
+// shared tensor kernel pool. Both passes reproduce the direct naive loops
 // (kept below as test references) bit for bit: accumulation order per
 // output element is unchanged, only the traversal moves.
 type Conv2D struct {
@@ -26,9 +26,9 @@ type Conv2D struct {
 	// cols is the grow-only im2col scratch from the last Forward: row
 	// (n·OutH + i)·OutW + j holds output pixel (n,i,j)'s receptive
 	// field in (ic,ki,kj) order — the exact order the naive loops walk,
-	// with literal zeros where the window hangs over the padding. Dot
-	// products along a row therefore replay the naive addition
-	// sequence, including the no-op adds of w·0 at padded taps.
+	// with literal zeros where the window hangs over the padding. The
+	// weight gradient's row accumulations over it therefore replay the
+	// naive addition sequence.
 	cols []float32
 
 	out, dx *tensor.Tensor // reused buffers
@@ -73,51 +73,20 @@ func (c *Conv2D) at(x *tensor.Tensor, n, ch, i, j int) float32 {
 	return x.Data[((n*c.InC+ch)*c.InH+i)*c.InW+j]
 }
 
-// im2col fills rows — span consecutive rows of cols — with the
-// receptive fields of output pixels (i, j) … (i, j+span-1) of one sample,
-// each in (ic,ki,kj) order, from the sample's (InC,InH,InW) planes x.
-// For a fixed (ic,ki) a pixel's K taps are consecutive elements of one
-// input row: a straight copy where the window lies inside the image,
-// and tap by tap, with literal zeros for the padding, where it hangs
-// over an edge.
-func (c *Conv2D) im2col(rows, x []float32, i, j, span int) {
-	k, rf := c.K, c.InC*c.K*c.K
-	for g := 0; g < c.InC*k; g++ { // g = ic·K + ki: one run of K taps
-		ii := i - c.Pad + g%k
-		var src []float32 // input row ii of channel ic; nil when it is padding
-		if ii >= 0 && ii < c.InH {
-			src = x[(g/k*c.InH+ii)*c.InW:][:c.InW]
-		}
-		for s := 0; s < span; s++ {
-			taps := rows[s*rf+g*k:][:k]
-			j0 := j + s - c.Pad // input column of tap kj = 0
-			if src != nil && j0 >= 0 && j0+k <= len(src) {
-				copy(taps, src[j0:])
-				continue
-			}
-			for kj := range taps {
-				if jj := j0 + kj; src != nil && jj >= 0 && jj < len(src) {
-					taps[kj] = src[jj]
-				} else {
-					taps[kj] = 0
-				}
-			}
-		}
-	}
-}
-
 // Forward implements Layer. The input is (batch, InC*InH*InW) flattened
 // row-major; the output is (batch, OutC*OutH*OutW).
 //
-// Each output pixel row of the im2col matrix is built and consumed by
-// the same band, so the pass parallelizes over (n,i,j) rows with no
-// shared writes. A band goes one output row at a time: its im2col rows
-// are built, then dotted against four filters at a time (tensor.Dot4:
-// four independent accumulators sharing the row's loads), with a scalar
-// loop for the OutC%4 tail. Every accumulator is seeded with its bias —
-// the naive kernel folds products onto B[oc], and float addition is not
-// associative, so summing first and adding the bias last would change
-// the bits.
+// The pass parallelizes over output pixels (n,i,j), and a band goes a
+// chunk of one sample's pixels at a time. For a chunk it fills a
+// channel-major panel on the band's stack, whose row t holds tap t — in
+// (ic,ki,kj) order — of every pixel of the chunk, and stores its
+// transpose as the chunk's pixel-major rows of cols for the backward
+// pass. Each filter's outputs over the chunk are then one row
+// accumulation (tensor.AddRows), lanes across the chunk's pixels:
+// seeded with the bias, since the naive kernel folds its products onto
+// B[oc] and float addition is not associative, then advanced by
+// W[oc][t] · panel[t] for every t in order. Every multiplier is added,
+// zero weights included, as in the naive loop.
 func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	inLen := c.InC * c.InH * c.InW
 	if x.Dims() != 2 || x.Shape[1] != inLen {
@@ -133,34 +102,94 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	out, w, bias := c.out.Data, c.W.Data, c.B.Data
 	flops := int64(rows) * int64(rf) * int64(c.OutC)
 	tensor.ParallelRows(rows, flops, func(lo, hi int) {
+		var buf [panelLen]float32
+		panel := buf[:]
+		if rf > len(buf) { // a field wider than the panel: one pixel at a time
+			panel = make([]float32, rf)
+		}
+		// A chunk is a whole number of 8-float vectors when the panel
+		// holds one.
+		maxSpan := len(panel) / rf
+		if maxSpan >= 8 {
+			maxSpan &^= 7
+		}
 		for r := lo; r < hi; {
 			n, ij := r/hw, r%hw
-			span := min(ow-ij%ow, hi-r) // to the end of the output row or the band
-			cols := c.cols[r*rf : (r+span)*rf]
-			c.im2col(cols, x.Data[n*inLen:(n+1)*inLen], ij/ow, ij%ow, span)
-			o := out[n*c.OutC*hw+ij:] // o[oc·hw+s] is output pixel (n,oc,i,j+s)
-			oc := 0
-			for ; oc+4 <= c.OutC; oc += 4 {
-				o0, o1, o2, o3 := o[oc*hw:][:span], o[(oc+1)*hw:][:span], o[(oc+2)*hw:][:span], o[(oc+3)*hw:][:span]
-				for s := range o0 {
-					o0[s], o1[s], o2[s], o3[s] = tensor.Dot4(
-						cols[s*rf:(s+1)*rf], w[oc*rf:], rf, bias[oc], bias[oc+1], bias[oc+2], bias[oc+3])
-				}
+			span := min(maxSpan, hw-ij, hi-r)
+			xn := x.Data[n*inLen : (n+1)*inLen]
+			p := panel[:rf*span]
+			for s := 0; s < span; { // one output row's pixels at a time
+				i, j := (ij+s)/ow, (ij+s)%ow
+				seg := min(ow-j, span-s)
+				c.fillPanel(p, span, s, xn, i, j, seg)
+				s += seg
 			}
-			for ; oc < c.OutC; oc++ {
-				wrow := w[oc*rf : (oc+1)*rf]
-				for s := 0; s < span; s++ {
-					sum := bias[oc]
-					for p, v := range cols[s*rf : (s+1)*rf] {
-						sum += wrow[p] * v
-					}
-					o[oc*hw+s] = sum
+			transpose(c.cols[r*rf:(r+span)*rf], p, rf, span)
+			o := out[n*c.OutC*hw+ij:] // o[oc·hw+s] is output pixel (n,oc,ij+s)
+			for oc, b := range bias {
+				orow := o[oc*hw:][:span]
+				for s := range orow {
+					orow[s] = b
 				}
+				tensor.AddRows(orow, w[oc*rf:(oc+1)*rf], p, span)
 			}
 			r += span
 		}
 	})
 	return c.out
+}
+
+// transpose writes the rows×cols matrix src into dst as cols×rows.
+func transpose(dst, src []float32, rows, cols int) {
+	dst = dst[:rows*cols]
+	i := 0
+	for ; i+4 <= rows; i += 4 { // four source rows per pass: four adjacent stores
+		s0, s1 := src[i*cols:][:cols], src[(i+1)*cols:][:cols]
+		s2, s3 := src[(i+2)*cols:][:cols], src[(i+3)*cols:][:cols]
+		for j, v := range s0 {
+			d := dst[j*rows+i:][:4:4]
+			d[0], d[1], d[2], d[3] = v, s1[j], s2[j], s3[j]
+		}
+	}
+	for ; i < rows; i++ {
+		for j, v := range src[i*cols : (i+1)*cols] {
+			dst[j*rows+i] = v
+		}
+	}
+}
+
+// panelLen is the size in floats of Forward's per-band panel, 16 KiB on
+// the band's stack: 144 pixels of the CNN's 27-tap fields.
+const panelLen = 4096
+
+// fillPanel writes columns s0 … s0+seg-1 of the channel-major panel p,
+// whose rows are stride floats apart: the taps of output pixels (i, j)
+// … (i, j+seg-1) of one sample, from its (InC,InH,InW) planes x. For a
+// fixed tap (ic,ki,kj) the pixels' values are consecutive elements of
+// one input row, so a panel row segment is a straight copy with literal
+// zeros where the window hangs over the padding.
+func (c *Conv2D) fillPanel(p []float32, stride, s0 int, x []float32, i, j, seg int) {
+	k := c.K
+	for g := 0; g < c.InC*k; g++ { // g = ic·K + ki
+		ii := i - c.Pad + g%k
+		var src []float32 // input row ii of channel ic; nil when it is padding
+		if ii >= 0 && ii < c.InH {
+			src = x[(g/k*c.InH+ii)*c.InW:][:c.InW]
+		}
+		for kj := 0; kj < k; kj++ {
+			dst := p[(g*k+kj)*stride+s0:][:seg]
+			if src == nil {
+				clear(dst)
+				continue
+			}
+			j0 := j - c.Pad + kj // input column of the segment's first pixel
+			sLo := min(max(0, -j0), seg)
+			sHi := max(sLo, min(seg, c.InW-j0))
+			clear(dst[:sLo])
+			copy(dst[sLo:sHi], src[j0+sLo:])
+			clear(dst[sHi:])
+		}
+	}
 }
 
 // Backward implements Layer. Two band-parallel passes replace the naive
@@ -202,7 +231,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 										continue
 									}
 									wIdx := oc*rf + (ic*c.K+ki)*c.K + kj
-									dx.Data[((n*c.InC+ic)*c.InH+ii)*c.InW+jj] += g * c.W.Data[wIdx]
+									dx.Data[((n*c.InC+ic)*c.InH+ii)*c.InW+jj] += float32(g * c.W.Data[wIdx])
 								}
 							}
 						}
@@ -259,15 +288,20 @@ func sumNonZero(sum float32, g []float32) float32 {
 		cnt := 0
 		for _, v := range chunk {
 			nz[cnt&(len(nz)-1)] = v
-			if v != 0 {
-				cnt++
-			}
+			cnt += nonZero(v)
 		}
 		for _, v := range nz[:cnt] {
 			sum += v
 		}
 	}
 	return sum
+}
+
+// nonZero is 1 when v != 0 and 0 otherwise, from the bits: the
+// compiler turns `if v != 0 { cnt++ }` into the very branch the
+// compaction exists to avoid.
+func nonZero(v float32) int {
+	return int((uint64(math.Float32bits(v)&0x7fffffff) + 0x7fffffff) >> 31)
 }
 
 // forwardNaive and backwardNaive are the original direct-loop kernels,
@@ -290,7 +324,7 @@ func (c *Conv2D) forwardNaive(x *tensor.Tensor) *tensor.Tensor {
 						for ki := 0; ki < c.K; ki++ {
 							for kj := 0; kj < c.K; kj++ {
 								w := c.W.Data[oc*c.InC*c.K*c.K+(ic*c.K+ki)*c.K+kj]
-								sum += w * c.at(x, n, ic, i-c.Pad+ki, j-c.Pad+kj)
+								sum += float32(w * c.at(x, n, ic, i-c.Pad+ki, j-c.Pad+kj))
 							}
 						}
 					}
@@ -323,9 +357,9 @@ func (c *Conv2D) backwardNaive(grad *tensor.Tensor) *tensor.Tensor {
 							for kj := 0; kj < c.K; kj++ {
 								ii, jj := i-c.Pad+ki, j-c.Pad+kj
 								wIdx := oc*c.InC*c.K*c.K + (ic*c.K+ki)*c.K + kj
-								c.gW.Data[wIdx] += g * c.at(c.lastX, n, ic, ii, jj)
+								c.gW.Data[wIdx] += float32(g * c.at(c.lastX, n, ic, ii, jj))
 								if ii >= 0 && jj >= 0 && ii < c.InH && jj < c.InW {
-									dx.Data[((n*c.InC+ic)*c.InH+ii)*c.InW+jj] += g * c.W.Data[wIdx]
+									dx.Data[((n*c.InC+ic)*c.InH+ii)*c.InW+jj] += float32(g * c.W.Data[wIdx])
 								}
 							}
 						}
@@ -378,7 +412,10 @@ func (p *MaxPool2D) OutW() int { return p.InW / p.K }
 // — still has an argmax inside the window (its first tap) instead of
 // none. The move is a masked select of index and value bits on the
 // comparison's 0/1 outcome, not a branch: which of two activations is
-// larger is a coin toss to a branch predictor.
+// larger is a coin toss to a branch predictor. A row of windows goes
+// tap by tap, every window of the row taking its tap t before any takes
+// tap t+1, so the running maxima of a row are independent chains in
+// flight together instead of one chain at a time.
 func (p *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if x.Dims() != 2 || x.Shape[1] != p.C*p.InH*p.InW {
 		panic(fmt.Sprintf("minidnn: pool input shape %v, want (*,%d)", x.Shape, p.C*p.InH*p.InW))
@@ -389,26 +426,23 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	p.out = tensor.Reuse(p.out, x.Shape[0], p.C*oh*ow)
 	p.argmax = grow(p.argmax, p.out.Len())
 	in, k, inW := x.Data, p.K, p.InW
-	oIdx := 0
-	for pl := 0; pl < planes; pl++ {
-		for i := 0; i < oh; i++ {
-			for j := 0; j < ow; j++ {
-				first := (pl*p.InH+i*k)*inW + j*k
-				best, bestBits := first, math.Float32bits(in[first])
-				for ki := 0; ki < k; ki++ {
-					rowIdx := first + ki*inW
-					for kj, v := range in[rowIdx : rowIdx+k] {
-						gt := 0
-						if v > math.Float32frombits(bestBits) {
-							gt = 1
-						}
-						best += (rowIdx + kj - best) & -gt
-						bestBits ^= (bestBits ^ math.Float32bits(v)) & uint32(-gt)
-					}
+	for r := 0; r < planes*oh; r++ { // r = plane·OutH + i: one row of windows
+		base := (r/oh*p.InH + r%oh*k) * inW // the row's first tap
+		o, arg := p.out.Data[r*ow:][:ow], p.argmax[r*ow:][:ow]
+		for j := range o {
+			o[j], arg[j] = in[base+j*k], int32(base+j*k)
+		}
+		for t := 1; t < k*k; t++ { // the windows' later taps, in (ki,kj) order
+			tap := base + t/k*inW + t%k
+			for j, cur := range o {
+				v := in[tap+j*k]
+				gt := 0
+				if v > cur {
+					gt = 1
 				}
-				p.out.Data[oIdx] = math.Float32frombits(bestBits)
-				p.argmax[oIdx] = int32(best)
-				oIdx++
+				arg[j] += (int32(tap+j*k) - arg[j]) & int32(-gt)
+				bits := math.Float32bits(cur)
+				o[j] = math.Float32frombits(bits ^ (bits^math.Float32bits(v))&uint32(-gt))
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package minidnn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -126,25 +127,18 @@ func TestConvParallelBitIdentical(t *testing.T) {
 		}
 	}
 	wantDx := ref.backwardNaive(grad)
-	for _, par := range []int{1, 2, 8} {
-		tensor.SetParallelism(par)
-		c := newLayer()
-		out := c.Forward(x)
-		if !out.Equal(wantOut) {
-			t.Errorf("par=%d: Forward diverges from naive (max |Δ| %g)", par, out.MaxAbsDiff(wantOut))
+	t.Cleanup(func() { tensor.SetParallelism(0) })
+	eachPath(func(path string) {
+		for _, par := range []int{1, 2, 8} {
+			tensor.SetParallelism(par)
+			name := fmt.Sprintf("%s/par%d", path, par)
+			c := newLayer()
+			wantBits(t, name+" Forward", c.Forward(x), wantOut)
+			wantBits(t, name+" Backward dx", c.Backward(grad), wantDx)
+			wantBits(t, name+" gW", c.gW, ref.gW)
+			wantBits(t, name+" gB", c.gB, ref.gB)
 		}
-		dx := c.Backward(grad)
-		if !dx.Equal(wantDx) {
-			t.Errorf("par=%d: Backward dx diverges from naive (max |Δ| %g)", par, dx.MaxAbsDiff(wantDx))
-		}
-		if !c.gW.Equal(ref.gW) {
-			t.Errorf("par=%d: gW diverges from naive (max |Δ| %g)", par, c.gW.MaxAbsDiff(ref.gW))
-		}
-		if !c.gB.Equal(ref.gB) {
-			t.Errorf("par=%d: gB diverges from naive (max |Δ| %g)", par, c.gB.MaxAbsDiff(ref.gB))
-		}
-	}
-	tensor.SetParallelism(0)
+	})
 }
 
 func TestMaxPool(t *testing.T) {

@@ -66,7 +66,9 @@ func salted(rng *rand.Rand, wild int, rows, cols int) *tensor.Tensor {
 // checkConv compares Forward, Backward and the parameter-only backward
 // of one geometry against the naive loops, bit pattern for bit pattern.
 // The gradients start from a non-zero gW/gB: the kernels accumulate onto
-// what is there.
+// what is there. About a quarter of the weights are ±0 and of the biases
+// -0: the forward pass adds a zero weight's product like any other (0·Inf
+// is NaN, and -0 + 0·x is +0), so a kernel that skipped it would show.
 func checkConv(t *testing.T, name string, rng *rand.Rand, wild, batch, inC, outC, k, pad, h, w int) {
 	t.Helper()
 	newLayer := func() *Conv2D {
@@ -74,6 +76,17 @@ func checkConv(t *testing.T, name string, rng *rand.Rand, wild, batch, inC, outC
 		c.B.Randn(rand.New(rand.NewSource(10)), 1)
 		c.gW.Randn(rand.New(rand.NewSource(11)), 1)
 		c.gB.Randn(rand.New(rand.NewSource(12)), 1)
+		zeros := rand.New(rand.NewSource(13))
+		for i := range c.W.Data {
+			if zeros.Intn(4) == 0 {
+				c.W.Data[i] = []float32{0, negZero}[zeros.Intn(2)]
+			}
+		}
+		for i := range c.B.Data {
+			if zeros.Intn(4) == 0 {
+				c.B.Data[i] = negZero
+			}
+		}
 		return c
 	}
 	x := salted(rng, wild, batch, inC*h*w)
@@ -96,11 +109,12 @@ func checkConv(t *testing.T, name string, rng *rand.Rand, wild, batch, inC, outC
 }
 
 // TestConvBitPatterns covers what TestConvParallelBitIdentical's one
-// geometry does not: output-channel counts around the 4-wide tile of
-// the forward pass, windows that hang over (or miss) the image on every
-// side, planes longer than sumNonZero's chunk, operands salted with ±0,
-// denormals, ±Inf and NaN — and, sized to clear the parallel cutoff,
-// fan-out 1, 2 and 8 for every channel count.
+// geometry does not: several output-channel counts, windows that hang
+// over (or miss) the image on every side, planes longer than
+// sumNonZero's chunk and than one panel of the forward pass, operands
+// salted with ±0, denormals, ±Inf and NaN — and, sized to clear the
+// parallel cutoff, fan-out 1, 2 and 8 for every channel count — on each
+// kernel path.
 func TestConvBitPatterns(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	geoms := []struct{ inC, k, pad, h, w int }{
@@ -110,52 +124,59 @@ func TestConvBitPatterns(t *testing.T) {
 		{2, 3, 3, 4, 5},   // pad ≥ k: windows that miss the image
 		{1, 3, 1, 1, 1},   // kernel wider than the image
 		{1, 1, 0, 20, 20}, // 400-pixel planes: two sumNonZero chunks
-	}
-	for _, g := range geoms {
-		for _, outC := range []int{1, 3, 4, 5, 11} {
-			for _, wild := range []int{0, 3} {
-				name := fmt.Sprintf("c%dk%dp%d_%dx%d/outC%d/wild%d", g.inC, g.k, g.pad, g.h, g.w, outC, wild)
-				checkConv(t, name, rng, wild, 3, g.inC, outC, g.k, g.pad, g.h, g.w)
-			}
-		}
+		{460, 3, 1, 2, 2}, // 4140 taps: a field larger than the forward panel
 	}
 	t.Cleanup(func() { tensor.SetParallelism(0) })
-	for _, par := range []int{1, 2, 8} {
-		tensor.SetParallelism(par)
-		for _, outC := range []int{1, 3, 4, 5, 11} {
-			// 15×17 output pixels × 27 taps per sample: enough samples
-			// that batch·hw·rf·outC clears the 2²⁰-MAC parallel cutoff.
-			batch := (1<<20)/(15*17*27*outC) + 2
-			checkConv(t, fmt.Sprintf("par%d/outC%d", par, outC), rng, 2, batch, 3, outC, 3, 1, 15, 17)
+	eachPath(func(path string) {
+		tensor.SetParallelism(0)
+		for _, g := range geoms {
+			for _, outC := range []int{1, 3, 4, 5, 11} {
+				for _, wild := range []int{0, 3} {
+					name := fmt.Sprintf("%s/c%dk%dp%d_%dx%d/outC%d/wild%d", path, g.inC, g.k, g.pad, g.h, g.w, outC, wild)
+					checkConv(t, name, rng, wild, 3, g.inC, outC, g.k, g.pad, g.h, g.w)
+				}
+			}
 		}
-	}
+		for _, par := range []int{1, 2, 8} {
+			tensor.SetParallelism(par)
+			for _, outC := range []int{1, 3, 4, 5, 11} {
+				// 15×17 output pixels × 27 taps per sample: enough samples
+				// that batch·hw·rf·outC clears the 2²⁰-MAC parallel cutoff.
+				batch := (1<<20)/(15*17*27*outC) + 2
+				checkConv(t, fmt.Sprintf("%s/par%d/outC%d", path, par, outC), rng, 2, batch, 3, outC, 3, 1, 15, 17)
+			}
+		}
+	})
 }
 
 // TestConvZeroGradientIsSkippedNotAdded: a zero output gradient adds
 // nothing — not even +0, which would turn a -0 accumulator into +0. The
 // one way to see the difference is to start gW and gB at -0.
 func TestConvZeroGradientIsSkippedNotAdded(t *testing.T) {
-	c := NewConv2D(rand.New(rand.NewSource(1)), 1, 5, 3, 1, 4, 4)
-	for _, g := range c.Grads() {
-		for i := range g.Data {
-			g.Data[i] = negZero
-		}
-	}
-	out := c.Forward(tensor.New(2, 16).Randn(rand.New(rand.NewSource(2)), 1))
-	grad := tensor.New(out.Shape...)
-	for i := range grad.Data {
-		if i%3 == 0 {
-			grad.Data[i] = negZero
-		}
-	}
-	c.Backward(grad)
-	for _, g := range c.Grads() {
-		for i, v := range g.Data {
-			if math.Float32bits(v) != math.Float32bits(negZero) {
-				t.Fatalf("gradient element %d is %v (%#08x) after an all-zero backward pass, want -0", i, v, math.Float32bits(v))
+	eachPath(func(path string) {
+		// 4×12 images: a 48-pixel plane fills whole vectors of the tile.
+		c := NewConv2D(rand.New(rand.NewSource(1)), 1, 5, 3, 1, 4, 12)
+		for _, g := range c.Grads() {
+			for i := range g.Data {
+				g.Data[i] = negZero
 			}
 		}
-	}
+		out := c.Forward(tensor.New(2, 48).Randn(rand.New(rand.NewSource(2)), 1))
+		grad := tensor.New(out.Shape...)
+		for i := range grad.Data {
+			if i%3 == 0 {
+				grad.Data[i] = negZero
+			}
+		}
+		c.Backward(grad)
+		for _, g := range c.Grads() {
+			for i, v := range g.Data {
+				if math.Float32bits(v) != math.Float32bits(negZero) {
+					t.Fatalf("%s: gradient element %d is %v (%#08x) after an all-zero backward pass, want -0", path, i, v, math.Float32bits(v))
+				}
+			}
+		}
+	})
 }
 
 // poolNaive is the max-pool loop as it was before the first-tap seed: a

@@ -9,7 +9,33 @@ import "math"
 // latency of several cycles, so a loop that feeds one accumulator runs
 // at one add per latency, while four independent accumulators (Dot4) or
 // one accumulator per output column carried through four products
-// (AccumRows) keep the adder busy.
+// (AccumRows, AddRows) keep the adder busy.
+//
+// The row tile has two implementations. The Go loops below are the
+// portable path and the reference; on amd64 CPUs with AVX2 the tile in
+// kernels_amd64.s runs eight output columns per instruction instead.
+// Both multiply and then add, each product rounded on its own — the Go
+// loops convert every product to float32 explicitly, which forbids the
+// compiler to fuse it into the add (Go fuses a*b+c on arm64 and may on
+// other targets) — so the two paths give the same bits.
+
+// useAVX2 selects the AVX2 tile. It is set once, from CPUID, and read
+// by every kernel call; tests flip it to run both paths.
+var useAVX2 = cpuHasAVX2()
+
+// vecLen is the AVX2 tile's width in float32 lanes. A row shorter than
+// one vector gains nothing from it and stays on the Go loops.
+const vecLen = 8
+
+// KernelPath names the inner loops this process runs: "avx2" when the
+// row tile runs on AVX2, "portable" when it runs as Go loops. The bits
+// are the same either way; only the speed differs.
+func KernelPath() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "portable"
+}
 
 // Dot4 advances four running sums by the dot products of x with four
 // rows of w — row t is w[t·stride : t·stride+len(x)] — and returns them.
@@ -23,10 +49,10 @@ func Dot4(x, w []float32, stride int, s0, s1, s2, s3 float32) (float32, float32,
 	w2 := w[2*stride:][:k]
 	w3 := w[3*stride:][:k]
 	for p, xv := range x {
-		s0 += xv * w0[p]
-		s1 += xv * w1[p]
-		s2 += xv * w2[p]
-		s3 += xv * w3[p]
+		s0 += float32(xv * w0[p])
+		s1 += float32(xv * w1[p])
+		s2 += float32(xv * w2[p])
+		s3 += float32(xv * w3[p])
 	}
 	return s0, s1, s2, s3
 }
@@ -52,25 +78,32 @@ func AccumRows(c, a []float32, as int, b []float32) {
 		cnt int
 	)
 	for p0 := 0; p0 < np; p0 += accumChunk {
-		for p := p0; p < min(p0+accumChunk, np); p++ {
-			v := a[p*as]
-			av[cnt], row[cnt] = v, p*n
-			if v != 0 {
-				cnt++
-			}
+		ai, off := p0*as, p0*n
+		for range min(accumChunk, np-p0) {
+			v := a[ai]
+			av[cnt], row[cnt] = v, off
+			cnt += nonZero(v)
+			ai, off = ai+as, off+n
 		}
-		t := 0
-		for ; t+4 <= cnt; t += 4 {
-			axpy4(c, b[row[t]:], b[row[t+1]:], b[row[t+2]:], b[row[t+3]:], av[t], av[t+1], av[t+2], av[t+3])
+		t := cnt &^ 3
+		if t > 0 {
+			axpyList(c, b, av[:t], row[:t])
 		}
 		for r := t; r < cnt; r++ {
 			av[r-t], row[r-t] = av[r], row[r]
 		}
 		cnt -= t
 	}
-	for t := 0; t < cnt; t++ {
-		axpy1(c, b[row[t]:], av[t])
+	if cnt > 0 {
+		axpyList(c, b, av[:cnt], row[:cnt])
 	}
+}
+
+// nonZero is 1 when v != 0 — NaNs included, ±0 not — and 0 otherwise,
+// computed from the bits: the compiler turns `if v != 0 { cnt++ }` into
+// a branch, which a ReLU-sparse operand mispredicts half the time.
+func nonZero(v float32) int {
+	return int((uint64(math.Float32bits(v)&0x7fffffff) + 0x7fffffff) >> 31)
 }
 
 // accumChunk is how many multipliers AccumRows compacts at a time: large
@@ -78,13 +111,53 @@ func AccumRows(c, a []float32, as int, b []float32) {
 // on-stack lists costs a sub-cutoff matmul nothing it would notice.
 const accumChunk = 16
 
+// AddRows adds Σ_p a[p] · b[p·bs : p·bs+n] into c, for n = len(c) and p
+// over every index of a: the row accumulation of AccumRows with every
+// multiplier added, zeros included. It is the arithmetic of a loop that
+// has no zero-skip to keep — a convolution's forward pass, a dense
+// layer's input gradient — and every c[j] takes its products one add at
+// a time in ascending p.
+func AddRows(c, a, b []float32, bs int) {
+	if len(a) == 0 || len(c) == 0 {
+		return
+	}
+	if bs < 0 || (len(a)-1)*bs+len(c) > len(b) {
+		panic("tensor: AddRows rows out of range")
+	}
+	if axpyStrideVec(c, a, b, bs) {
+		return
+	}
+	p := 0
+	for ; p+4 <= len(a); p += 4 {
+		axpy4(c, b[p*bs:], b[(p+1)*bs:], b[(p+2)*bs:], b[(p+3)*bs:], a[p], a[p+1], a[p+2], a[p+3])
+	}
+	for ; p < len(a); p++ {
+		axpy1(c, b[p*bs:], a[p])
+	}
+}
+
+// axpyList adds av[t] · b[off[t] : off[t]+len(c)] into c for each t in
+// order. The offsets ascend and every row lies inside b.
+func axpyList(c, b, av []float32, off []int) {
+	if axpyListVec(c, b, av, off) {
+		return
+	}
+	t := 0
+	for ; t+4 <= len(av); t += 4 {
+		axpy4(c, b[off[t]:], b[off[t+1]:], b[off[t+2]:], b[off[t+3]:], av[t], av[t+1], av[t+2], av[t+3])
+	}
+	for ; t < len(av); t++ {
+		axpy1(c, b[off[t]:], av[t])
+	}
+}
+
 func axpy4(c, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
 	b0, b1, b2, b3 = b0[:len(c)], b1[:len(c)], b2[:len(c)], b3[:len(c)]
 	for j, s := range c {
-		s += a0 * b0[j]
-		s += a1 * b1[j]
-		s += a2 * b2[j]
-		s += a3 * b3[j]
+		s += float32(a0 * b0[j])
+		s += float32(a1 * b1[j])
+		s += float32(a2 * b2[j])
+		s += float32(a3 * b3[j])
 		c[j] = s
 	}
 }
@@ -92,7 +165,7 @@ func axpy4(c, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
 func axpy1(c, b []float32, a float32) {
 	b = b[:len(c)]
 	for j := range c {
-		c[j] += a * b[j]
+		c[j] += float32(a * b[j])
 	}
 }
 

@@ -1,0 +1,11 @@
+//go:build !amd64
+
+package tensor
+
+// Off amd64 the Go loops of kernels.go are the only path.
+
+func cpuHasAVX2() bool { return false }
+
+func axpyListVec(c, b, av []float32, off []int) bool { return false }
+
+func axpyStrideVec(c, a, b []float32, bs int) bool { return false }

@@ -76,48 +76,67 @@ func stale() *Tensor {
 	return t
 }
 
+// eachPath runs f once per kernel path this CPU has — the AVX2 tile,
+// then the portable Go loops — and restores the path the process
+// started with.
+func eachPath(f func(path string)) {
+	saved := useAVX2
+	defer func() { useAVX2 = saved }()
+	for _, on := range []bool{true, false} {
+		if on && !cpuHasAVX2() {
+			continue
+		}
+		useAVX2 = on
+		f(KernelPath())
+	}
+}
+
 // tileSizes are the widths around the 4-wide register tile and the
-// 4-multiplier group: below it, at it, one over, and two tiles plus a
-// tail.
-var tileSizes = []int{1, 3, 4, 5, 11}
+// 4-multiplier group — below it, at it, one over, and two tiles plus a
+// tail — and around the 8-wide vector of the AVX2 tile: one vector plus
+// a tail, two plus one.
+var tileSizes = []int{1, 3, 4, 5, 11, 17}
 
 // TestKernelBitPatterns runs every matmul kernel against its naive
 // reference, comparing bit patterns, over tile tails in every dimension,
-// k spanning several AccumRows chunks and matmul blocks, operands salted with ±0,
-// denormals, ±Inf and NaN, at fan-out 1, 2 and 8 — through the …Into
-// forms, into stale oversized buffers, and through MatMulATAdd onto a
-// non-zero destination.
+// k spanning several AccumRows chunks and matmul blocks, MatMulBT on
+// both sides of btLanesMin, operands salted with ±0, denormals, ±Inf
+// and NaN, at fan-out 1, 2 and 8 — through the …Into forms, into stale
+// oversized buffers, and through MatMulATAdd onto a non-zero
+// destination — on each kernel path.
 func TestKernelBitPatterns(t *testing.T) {
 	forceParallel(t)
 	t.Cleanup(func() { SetParallelism(0) })
 	rng := rand.New(rand.NewSource(41))
 	ks := append([]int{matmulBlock + 2, 2*matmulBlock + 7}, tileSizes...)
-	for _, par := range []int{1, 2, 8} {
-		SetParallelism(par)
-		for _, wild := range []int{0, 2} {
-			for _, m := range []int{1, 5} {
-				for _, k := range ks {
-					for _, n := range tileSizes {
-						name := fmt.Sprintf("par%d/wild%d/%dx%dx%d", par, wild, m, k, n)
-						a := specialTensor(rng, wild, m, k)
-						b := specialTensor(rng, wild, k, n)
-						wantBits(t, name+" MatMul", MatMulInto(stale(), a, b), matMulNaive(a, b))
-						at := specialTensor(rng, wild, k, m)
-						wantBits(t, name+" MatMulAT", MatMulAT(at, b), matMulATNaive(at, b))
-						// The accumulating form adds that product, whole,
-						// to whatever dst holds.
-						acc := specialTensor(rng, wild, m, n)
-						sum := acc.Clone()
-						sum.Add(matMulATNaive(at, b))
-						MatMulATAdd(acc, at, b)
-						wantBits(t, name+" MatMulATAdd", acc, sum)
-						bt := specialTensor(rng, wild, n, k)
-						wantBits(t, name+" MatMulBT", MatMulBTInto(stale(), a, bt), matMulBTNaive(a, bt))
+	eachPath(func(path string) {
+		for _, par := range []int{1, 2, 8} {
+			SetParallelism(par)
+			for _, wild := range []int{0, 2} {
+				for _, m := range []int{1, 5, btLanesMin, 13} {
+					for _, k := range ks {
+						for _, n := range tileSizes {
+							name := fmt.Sprintf("%s/par%d/wild%d/%dx%dx%d", path, par, wild, m, k, n)
+							a := specialTensor(rng, wild, m, k)
+							b := specialTensor(rng, wild, k, n)
+							wantBits(t, name+" MatMul", MatMulInto(stale(), a, b), matMulNaive(a, b))
+							at := specialTensor(rng, wild, k, m)
+							wantBits(t, name+" MatMulAT", MatMulAT(at, b), matMulATNaive(at, b))
+							// The accumulating form adds that product, whole,
+							// to whatever dst holds.
+							acc := specialTensor(rng, wild, m, n)
+							sum := acc.Clone()
+							sum.Add(matMulATNaive(at, b))
+							MatMulATAdd(acc, at, b)
+							wantBits(t, name+" MatMulATAdd", acc, sum)
+							bt := specialTensor(rng, wild, n, k)
+							wantBits(t, name+" MatMulBT", MatMulBTInto(stale(), a, bt), matMulBTNaive(a, bt))
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestMatMulATWideRows: a product row wider than matMulATAddRows'
@@ -131,6 +150,19 @@ func TestMatMulATWideRows(t *testing.T) {
 	}
 }
 
+// TestMatMulBTTallStrips: a C taller than matMulBTCols' on-stack tile
+// is done in strips of the tile's height; one that just fits takes one
+// Cᵀ row per tile.
+func TestMatMulBTTallStrips(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	eachPath(func(path string) {
+		for _, m := range []int{1024, 1030} {
+			a, b := specialTensor(rng, 1, m, 6), specialTensor(rng, 1, 5, 6)
+			wantBits(t, fmt.Sprintf("%s/m%d", path, m), MatMulBT(a, b), matMulBTNaive(a, b))
+		}
+	})
+}
+
 // TestKernelZeroRuns: multipliers whose zeros come in runs that start
 // and end inside, at and across the groups of four AccumRows forms, and
 // across its chunk boundary, against rows of B that a wrongly added
@@ -138,34 +170,44 @@ func TestMatMulATWideRows(t *testing.T) {
 // k = 1 is the batch-1 MatMulAT of train-comm.
 func TestKernelZeroRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	for _, k := range []int{1, 2, 7, 8, 9, accumChunk, accumChunk + 5, 3 * accumChunk, matmulBlock + 5} {
-		for run := 1; run <= 6; run++ {
-			for phase := 0; phase < 5; phase++ {
-				a := New(2, k).Randn(rng, 1)
-				at := New(k, 2).Randn(rng, 1)
-				for p := 0; p < k; p++ {
-					if (p+phase)/run%2 == 1 { // alternate runs of zeros and non-zeros
-						z := float32(0)
-						if p%2 == 1 {
-							z = negZero
+	eachPath(func(path string) {
+		for _, k := range []int{1, 2, 7, 8, 9, accumChunk, accumChunk + 5, 3 * accumChunk, matmulBlock + 5} {
+			for run := 1; run <= 6; run++ {
+				for phase := 0; phase < 5; phase++ {
+					a := New(2, k).Randn(rng, 1)
+					at := New(k, 2).Randn(rng, 1)
+					for p := 0; p < k; p++ {
+						if (p+phase)/run%2 == 1 { // alternate runs of zeros and non-zeros
+							z := float32(0)
+							if p%2 == 1 {
+								z = negZero
+							}
+							a.Data[p], a.Data[k+p] = z, z
+							at.Data[2*p], at.Data[2*p+1] = z, z
 						}
-						a.Data[p], a.Data[k+p] = z, z
-						at.Data[2*p], at.Data[2*p+1] = z, z
+					}
+					// Rows of 5 stay on the Go loops; rows of 13 take
+					// the tile's vector and its scalar tail.
+					for _, n := range []int{5, 13} {
+						b := specialTensor(rng, k, k, n)
+						name := fmt.Sprintf("%s/k%d/run%d/phase%d/n%d", path, k, run, phase, n)
+						wantBits(t, name+" MatMul", MatMul(a, b), matMulNaive(a, b))
+						wantBits(t, name+" MatMulAT", MatMulAT(at, b), matMulATNaive(at, b))
 					}
 				}
-				b := specialTensor(rng, k, k, 5)
-				name := fmt.Sprintf("k%d/run%d/phase%d", k, run, phase)
-				wantBits(t, name+" MatMul", MatMul(a, b), matMulNaive(a, b))
-				wantBits(t, name+" MatMulAT", MatMulAT(at, b), matMulATNaive(at, b))
 			}
 		}
-	}
+	})
 }
 
 // TestDot4SeedsAndStride checks the tile primitive on its own: seeds are
 // the first addend of each chain (the convolution's bias), rows are
 // taken at the given stride, and the result is the scalar loop's.
 func TestDot4SeedsAndStride(t *testing.T) {
+	eachPath(func(path string) { testDot4SeedsAndStride(t, path) })
+}
+
+func testDot4SeedsAndStride(t *testing.T, path string) {
 	rng := rand.New(rand.NewSource(47))
 	for _, k := range []int{1, 2, 27, 64} {
 		for _, stride := range []int{k, k + 3} {
@@ -176,15 +218,48 @@ func TestDot4SeedsAndStride(t *testing.T) {
 			for r := range want {
 				sum := seeds[r]
 				for p := 0; p < k; p++ {
-					sum += x[p] * w[r*stride+p]
+					sum += float32(x[p] * w[r*stride+p])
 				}
 				want[r] = sum
 			}
 			var got [4]float32
 			got[0], got[1], got[2], got[3] = Dot4(x, w, stride, seeds[0], seeds[1], seeds[2], seeds[3])
-			wantBits(t, fmt.Sprintf("k%d/stride%d", k, stride), FromSlice(got[:], 4), FromSlice(want[:], 4))
+			wantBits(t, fmt.Sprintf("%s/k%d/stride%d", path, k, stride), FromSlice(got[:], 4), FromSlice(want[:], 4))
 		}
 	}
+}
+
+// TestAddRowsStride checks the every-multiplier row accumulation on its
+// own: rows taken at a stride with gaps between them, every multiplier
+// added — zeros and non-finite values included — and a row range that
+// overruns b refused.
+func TestAddRowsStride(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	eachPath(func(path string) {
+		for _, n := range tileSizes {
+			for _, k := range []int{1, 3, 4, 5, 27} {
+				for _, bs := range []int{n, n + 3} {
+					a := specialTensor(rng, 1, k).Data
+					b := specialTensor(rng, 1, (k-1)*bs+n).Data
+					got := specialTensor(rng, 0, n)
+					want := got.Clone()
+					for p, av := range a {
+						for j := range want.Data {
+							want.Data[j] += float32(av * b[p*bs+j])
+						}
+					}
+					AddRows(got.Data, a, b, bs)
+					wantBits(t, fmt.Sprintf("%s/n%d/k%d/bs%d", path, n, k, bs), got, want)
+				}
+			}
+		}
+	})
+	defer func() {
+		if recover() == nil {
+			t.Error("expected a panic for rows past the end of b")
+		}
+	}()
+	AddRows(make([]float32, 4), make([]float32, 3), make([]float32, 11), 4)
 }
 
 // reluNaive and reluGradNaive are the branching originals the mask
@@ -264,7 +339,7 @@ func TestReuse(t *testing.T) {
 // addScaledNaive is AddScaled's reference: one element per pass.
 func addScaledNaive(t, x *Tensor, a float32) {
 	for i, v := range x.Data {
-		t.Data[i] += a * v
+		t.Data[i] += float32(a * v)
 	}
 }
 
@@ -318,5 +393,52 @@ func BenchmarkReLU(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		out = ReLUInto(out, x)
 		dx = ReLUGradInto(dx, x, out)
+	}
+}
+
+// BenchmarkAccumRows and BenchmarkAddRows are the owner benchmarks of
+// the row tile, at the rows train-compute's CNN token gives it: the
+// conv weight gradient's 27-tap rows under 1024 ReLU-sparse
+// multipliers, the dense layer's 64-wide rows under a matmul block, the
+// conv forward's 144-pixel panel rows under 27 taps, and the dense
+// input gradient's 16-lane rows of Cᵀ under 64 multipliers.
+func BenchmarkAccumRows(b *testing.B) {
+	rng := rand.New(rand.NewSource(17))
+	for _, s := range []struct {
+		name    string
+		n, rows int
+		sparse  bool
+	}{{"conv-grad", 27, 1024, true}, {"dense-fwd", 64, matmulBlock, false}} {
+		a := New(s.rows).Randn(rng, 1)
+		if s.sparse {
+			for i := range a.Data {
+				if rng.Intn(2) == 0 {
+					a.Data[i] = 0
+				}
+			}
+		}
+		rows, c := New(s.rows, s.n).Randn(rng, 1), New(s.n)
+		b.Run(s.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				AccumRows(c.Data, a.Data, 1, rows.Data)
+			}
+		})
+	}
+}
+
+func BenchmarkAddRows(b *testing.B) {
+	rng := rand.New(rand.NewSource(19))
+	for _, s := range []struct {
+		name    string
+		n, rows int
+	}{{"conv-fwd", 144, 27}, {"dense-dx", 16, 64}} {
+		a, rows, c := New(s.rows).Randn(rng, 1), New(s.rows, s.n).Randn(rng, 1), New(s.n)
+		b.Run(s.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				AddRows(c.Data, a.Data, rows.Data, s.n)
+			}
+		})
 	}
 }

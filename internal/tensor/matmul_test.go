@@ -21,9 +21,10 @@ func randTensor(rng *rand.Rand, rows, cols int) *Tensor {
 
 // TestBlockedMatMulBitIdentical compares every blocked kernel against
 // its naive reference across shapes chosen to hit partial tiles, single
-// tiles and multi-tile paths. Equality is bitwise (Tensor.Equal), not
-// approximate: blocking may only reorder traversal, never arithmetic,
-// or the engine's bit-identical-to-Sequential guarantee breaks.
+// tiles and multi-tile paths, on each kernel path. Equality is bitwise
+// (wantBits), not approximate: blocking may only reorder traversal,
+// never arithmetic, or the engine's bit-identical-to-Sequential
+// guarantee breaks.
 func TestBlockedMatMulBitIdentical(t *testing.T) {
 	shapes := []struct{ m, k, n int }{
 		{1, 1, 1},
@@ -39,17 +40,13 @@ func TestBlockedMatMulBitIdentical(t *testing.T) {
 		t.Run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), func(t *testing.T) {
 			a := randTensor(rng, s.m, s.k)
 			b := randTensor(rng, s.k, s.n)
-			if got, want := MatMul(a, b), matMulNaive(a, b); !got.Equal(want) {
-				t.Errorf("MatMul diverges from naive kernel (max |Δ| %g)", got.MaxAbsDiff(want))
-			}
 			at := randTensor(rng, s.k, s.m)
-			if got, want := MatMulAT(at, b), matMulATNaive(at, b); !got.Equal(want) {
-				t.Errorf("MatMulAT diverges from naive kernel (max |Δ| %g)", got.MaxAbsDiff(want))
-			}
 			bt := randTensor(rng, s.n, s.k)
-			if got, want := MatMulBT(a, bt), matMulBTNaive(a, bt); !got.Equal(want) {
-				t.Errorf("MatMulBT diverges from naive kernel (max |Δ| %g)", got.MaxAbsDiff(want))
-			}
+			eachPath(func(path string) {
+				wantBits(t, path+" MatMul", MatMul(a, b), matMulNaive(a, b))
+				wantBits(t, path+" MatMulAT", MatMulAT(at, b), matMulATNaive(at, b))
+				wantBits(t, path+" MatMulBT", MatMulBT(a, bt), matMulBTNaive(a, bt))
+			})
 		})
 	}
 }

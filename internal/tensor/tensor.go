@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // Tensor is a dense row-major float32 tensor.
@@ -104,14 +105,14 @@ func (t *Tensor) AddScaled(x *Tensor, a float32) {
 	d := t.Data[:len(s)]
 	for len(d) >= 4 && len(s) >= 4 {
 		d4, s4 := d[:4:4], s[:4:4]
-		d4[0] += a * s4[0]
-		d4[1] += a * s4[1]
-		d4[2] += a * s4[2]
-		d4[3] += a * s4[3]
+		d4[0] += float32(a * s4[0])
+		d4[1] += float32(a * s4[1])
+		d4[2] += float32(a * s4[2])
+		d4[3] += float32(a * s4[3])
 		d, s = d[4:], s[4:]
 	}
 	for i := range d {
-		d[i] += a * s[i]
+		d[i] += float32(a * s[i])
 	}
 }
 
@@ -184,19 +185,25 @@ const matmulBlock = 64
 // are bitwise identical to the naive kernels (the repo-wide
 // bit-reproducibility guarantee). The naive kernels are kept as
 // unexported references that the correctness tests compare against.
-// Three rules keep that true (DESIGN.md §15.1):
+// Four rules keep that true (DESIGN.md §15.1):
 //
-//   - disjoint output rows per goroutine: each public kernel dispatches
-//     through ParallelRows (parallel.go), which splits the output rows
-//     into bands claimed by pool workers; banding never moves an output
+//   - disjoint output elements per goroutine: each public kernel
+//     dispatches through ParallelRows (parallel.go), which splits the
+//     rows of C — of Cᵀ for MatMulBT's lanes-across-rows form — into
+//     bands claimed by pool workers; banding never moves an output
 //     element between workers;
 //   - unchanged addition order inside a register tile: Dot4 runs four
-//     dot products side by side and AccumRows carries one output element
-//     through four products before storing it, but each element's own
-//     chain of adds is the naive one (kernels.go);
+//     dot products side by side, and the row tile (AccumRows, AddRows)
+//     carries one output element per lane through four products before
+//     storing it — eight lanes per instruction on AVX2 — but each
+//     element's own chain of adds is the naive one (kernels.go);
 //   - zero-skip preserved: a product the naive kernel skips because its
 //     multiplier is zero is never added (x + 0·y is not x for y = ±Inf or
-//     NaN, nor for x = -0).
+//     NaN, nor for x = -0), and one it adds is never skipped;
+//   - no fused multiply-add: every product is rounded to float32 before
+//     its add, in the Go loops (an explicit float32(a*b)) and in the
+//     assembly (VMULPS, then VADDPS), so the AVX2 and portable paths
+//     agree at any GOAMD64.
 //
 // MatMul and MatMulBT have an …Into form that fills a Reuse'd caller
 // buffer, MatMulAT an accumulating one (MatMulATAdd); the plain forms
@@ -247,7 +254,7 @@ func matMulNaive(a, b *Tensor) *Tensor {
 			}
 			brow := b.Data[p*n : (p+1)*n]
 			for j := 0; j < n; j++ {
-				crow[j] += av * brow[j]
+				crow[j] += float32(av * brow[j])
 			}
 		}
 	}
@@ -329,7 +336,7 @@ func matMulATNaive(a, b *Tensor) *Tensor {
 			}
 			crow := c.Data[i*n : (i+1)*n]
 			for j := 0; j < n; j++ {
-				crow[j] += av * brow[j]
+				crow[j] += float32(av * brow[j])
 			}
 		}
 	}
@@ -347,8 +354,71 @@ func MatMulBTInto(dst, a, b *Tensor) *Tensor {
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[0]
 	c := Reuse(dst, m, n)
 	flops := int64(m) * int64(k) * int64(n)
-	ParallelRows(m, flops, func(lo, hi int) { matMulBTRows(a, b, c, lo, hi) })
+	if m < btLanesMin {
+		ParallelRows(m, flops, func(lo, hi int) { matMulBTRows(a, b, c, lo, hi) })
+		return c
+	}
+	sp := scratch.Get().(*[]float32)
+	*sp = grow(*sp, k*m)
+	at := *sp
+	for i := 0; i < m; i++ {
+		for p, v := range a.Data[i*k : (i+1)*k] {
+			at[p*m+i] = v
+		}
+	}
+	ParallelRows(n, flops, func(lo, hi int) { matMulBTCols(at, b, c, lo, hi) })
+	scratch.Put(sp)
 	return c
+}
+
+// btLanesMin is the row count from which MatMulBT takes its lanes
+// across the rows of C: one full vector of the row tile. Below it — the
+// batch-1 and batch-2 tokens of the MLP workloads — the rows are too
+// few, and Dot4 runs along them instead.
+const btLanesMin = vecLen
+
+// scratch pools the transposed operands of MatMulBT: grow-only buffers
+// that a call borrows for its duration, so the steady state allocates
+// nothing.
+var scratch = sync.Pool{New: func() any { return new([]float32) }}
+
+// grow returns s resized to n elements of unspecified content, reusing
+// its backing array when that is large enough.
+func grow(s []float32, n int) []float32 {
+	if cap(s) < n {
+		return make([]float32, n)
+	}
+	return s[:n]
+}
+
+// matMulBTCols computes columns [lo, hi) of C = A·Bᵀ from at = Aᵀ
+// (k×m). Column j of C is a row of Cᵀ, Cᵀ[j] = Σ_p B[j][p] · Aᵀ[p]: a
+// row accumulation (AddRows) whose lanes are the rows of C. Every
+// product is added, from a +0 start and in ascending p — the naive dot
+// product's sequence — into an on-stack tile of Cᵀ rows that is then
+// written out as columns of C. Bands over j write disjoint elements of
+// C. A C taller than the tile is done a tile-high strip at a time.
+func matMulBTCols(at []float32, b, c *Tensor, lo, hi int) {
+	m, n, k := c.Shape[0], c.Shape[1], b.Shape[1]
+	var buf [1024]float32
+	for i0 := 0; i0 < m; i0 += len(buf) {
+		h := min(len(buf), m-i0)
+		per := len(buf) / h // Cᵀ rows per tile
+		for jb := lo; jb < hi; jb += per {
+			je := min(jb+per, hi)
+			tile := buf[:(je-jb)*h]
+			clear(tile)
+			for j := jb; j < je; j++ {
+				AddRows(tile[(j-jb)*h:][:h], b.Data[j*k:(j+1)*k], at[i0:], m)
+			}
+			for i := 0; i < h; i++ {
+				crow := c.Data[(i0+i)*n:][jb:je]
+				for jj := range crow {
+					crow[jj] = tile[jj*h+i]
+				}
+			}
+		}
+	}
 }
 
 // matMulBTRows computes rows [lo, hi) of C = A·Bᵀ with the j-blocked
@@ -373,7 +443,7 @@ func matMulBTRows(a, b, c *Tensor, lo, hi int) {
 				brow := b.Data[j*k : (j+1)*k]
 				var sum float32
 				for p, av := range arow {
-					sum += av * brow[p]
+					sum += float32(av * brow[p])
 				}
 				crow[j] = sum
 			}
@@ -391,7 +461,7 @@ func matMulBTNaive(a, b *Tensor) *Tensor {
 			brow := b.Data[j*k : (j+1)*k]
 			var sum float32
 			for p := 0; p < k; p++ {
-				sum += arow[p] * brow[p]
+				sum += float32(arow[p] * brow[p])
 			}
 			crow[j] = sum
 		}
