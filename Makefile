@@ -57,13 +57,15 @@ jobs:
 	$(GO) test ./cmd/felaserver/ -race -run TestServerJobsMode -v
 	$(GO) test ./examples/multijob/ -race -count=1
 
-# fuzz runs the AVX2 row tile against the scalar loop, the binary frame
+# fuzz runs the AVX2 row tile against the scalar loop, the key
+# compaction on both kernel paths against its spec, the binary frame
 # decoder and its round trip, the top-k selection against its
 # sort-based reference, and a TCP conn's Recv against DecodeBinary, for
 # a short budget on top of the committed corpus (which plain `go test`
 # already replays).
 fuzz:
 	$(GO) test ./internal/tensor/ -run xxx -fuzz FuzzAxpyTile -fuzztime 10s
+	$(GO) test ./internal/tensor/ -run xxx -fuzz FuzzCompactKeys -fuzztime 10s
 	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzBinaryDecode -fuzztime 10s
 	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzBinaryRoundTrip -fuzztime 10s
 	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzTopKSelect -fuzztime 10s
@@ -71,7 +73,7 @@ fuzz:
 
 # bench smoke-runs the hot-path benchmarks (wire codecs, a 4 MB report
 # over loopback TCP, matmul and elementwise kernels, the row tile under
-# them, the fold's AddScaled, a token's forward/backward at the
+# them, the key compaction under the top-k encoder, the fold's AddScaled, a token's forward/backward at the
 # train-compute and train-comm shapes, the conv passes, a
 # train-sched-shaped session over loopback TCP, the coordinator's
 # receive-and-fold of an exact and a top-k train-comm report and its
@@ -81,7 +83,7 @@ fuzz:
 # without turning CI into a perf lab.
 bench:
 	$(GO) test ./internal/transport/ -run xxx -bench 'BenchmarkCodec|BenchmarkTCPReport' -benchtime 100x
-	$(GO) test ./internal/tensor/ -run xxx -bench 'BenchmarkMatMul|BenchmarkAccumRows|BenchmarkAddRows|BenchmarkReLU|BenchmarkAddScaled' -benchtime 100x
+	$(GO) test ./internal/tensor/ -run xxx -bench 'BenchmarkMatMul|BenchmarkAccumRows|BenchmarkAddRows|BenchmarkCompactKeys|BenchmarkReLU|BenchmarkAddScaled' -benchtime 100x
 	$(GO) test ./internal/minidnn/ -run xxx -bench 'BenchmarkToken|BenchmarkConv' -benchtime 100x
 	$(GO) test ./internal/rt/ -run xxx -bench 'BenchmarkSchedSession|BenchmarkFoldReport|BenchmarkIterStart' -benchtime 100x
 	$(GO) test ./internal/jobs/ -run xxx -bench 'BenchmarkPoolJob|BenchmarkNormalizeSpec' -benchtime 100x
@@ -131,8 +133,11 @@ durable:
 # kernels runs the compute-kernel and gradient-compression suites under
 # the race detector: bit-pattern identity with the naive kernels across
 # tile tails, special values and fan-out widths, on the AVX2 and the
-# portable path, the tensor and minidnn suites once more built with
-# GOAMD64=v3 (where the compiler may use FMA), layer-buffer ownership
+# portable path, the key compaction against its spec on both, the
+# tensor and minidnn suites once more built with GOAMD64=v3 (where the
+# compiler may use FMA), the tensor and transport suites built for 386
+# (the portable path alone: every top-k frame against the sort-based
+# reference without the AVX2 compaction), layer-buffer ownership
 # and two networks sharing the kernel pool (all of minidnn), the
 # fp16/int8/topk codec properties with their golden v2 frames and
 # hostile-header cases, top-k encoders sharing the scratch pool
@@ -144,6 +149,7 @@ kernels:
 	$(GO) test ./internal/tensor/ -race -count=1 -v
 	$(GO) test ./internal/minidnn/ -race -count=1 -v
 	GOAMD64=v3 $(GO) test ./internal/tensor/ ./internal/minidnn/ -count=1
+	GOARCH=386 $(GO) test ./internal/tensor/ ./internal/transport/ -count=1
 	$(GO) test ./internal/transport/ -race -run 'TestFP16|TestInt8|TestTopK|FuzzTopKSelect|TestCompress|TestParamsStayExact|TestView|TestSendCapturesPayload|TestRecvHeaderAlone|FuzzRecvBinary' -count=1 -v
 	$(GO) test ./internal/rt/ -race -run 'TestCompress' -count=1 -v
 

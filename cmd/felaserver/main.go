@@ -181,6 +181,7 @@ func main() {
 					maxJobs:    *maxJobs,
 					trace:      *clusterTrace,
 					traceScale: *traceScale,
+					compress:   compress,
 				}
 				err = runJobs(*addr, jo, *workerTimeout, oo, du, nil, *drainTimeout)
 			} else {
@@ -263,6 +264,7 @@ type jobsOpts struct {
 	maxJobs    int
 	trace      string
 	traceScale float64
+	compress   transport.Compression
 }
 
 // signalChan returns sig as-is when tests inject their own channel,
@@ -285,8 +287,12 @@ func signalChan(sig <-chan os.Signal) (<-chan os.Signal, func()) {
 // SIGINT/SIGTERM) drains the manager, bounded by drainTimeout, and
 // returns nil for a clean exit. With du.plane set, every scheduling
 // decision write-aheads through the ledger and open jobs from a prior
-// incarnation are restored before the listener opens.
+// incarnation are restored before the listener opens. Jobs train exact:
+// a lossy -compress is refused rather than silently dropped.
 func runJobs(addr string, jo jobsOpts, workerTimeout time.Duration, oo obsOpts, du durableOpts, sig <-chan os.Signal, drainTimeout time.Duration) error {
+	if jo.compress != transport.CompressExact {
+		return fmt.Errorf("-compress %v is single-session only: -jobs mode trains every job exact", jo.compress)
+	}
 	if drainTimeout <= 0 {
 		drainTimeout = 30 * time.Second
 	}

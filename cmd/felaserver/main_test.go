@@ -505,6 +505,30 @@ func TestJobsModeRejectsBadTraceScale(t *testing.T) {
 	}
 }
 
+// TestJobsModeRefusesCompression: the job manager trains every job
+// exact, so `felaserver -jobs -compress <lossy>` must fail naming the
+// mode instead of starting and ignoring the codec.
+func TestJobsModeRefusesCompression(t *testing.T) {
+	for _, c := range []transport.Compression{transport.CompressFP16, transport.CompressInt8, transport.CompressTopK} {
+		sig := make(chan os.Signal, 1)
+		done := make(chan error, 1)
+		go func() {
+			done <- runJobs(freeAddr(t), jobsOpts{alloc: "fair-share", compress: c},
+				0, obsOpts{}, durableOpts{}, sig, 100*time.Millisecond)
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "-jobs") || !strings.Contains(err.Error(), c.String()) {
+				t.Errorf("-compress %v: runJobs returned %v, want an error naming -jobs and the codec", c, err)
+			}
+		case <-time.After(2 * time.Second):
+			sig <- syscall.SIGTERM
+			<-done
+			t.Errorf("-compress %v accepted: runJobs served the pool", c)
+		}
+	}
+}
+
 // TestServerClusterTrace drives `felaserver -jobs -cluster-trace` end
 // to end: a synthesized 4-job trace on disk is replayed (sped up)
 // against two TCP pool workers under OASiS admission, and the server

@@ -97,7 +97,7 @@ func main() {
 	if cerr != nil {
 		err = cerr
 	} else if *pool {
-		err = runPool(*addr, *sleepMS, *retries, *statusAddr)
+		err = runPool(*addr, *sleepMS, *retries, *statusAddr, compress)
 	} else {
 		err = run(*addr, *wid, *workers, *iters, *sleepMS, *retries, *join, *drainAfter, *reconnect, *statusAddr, compress)
 	}
@@ -110,8 +110,12 @@ func main() {
 // runPool registers with a felaserver -jobs pool and serves assigned
 // jobs until the pool shuts down, reconnecting between jobs and after
 // migrations. The session parameters come from each assignment's
-// JobSpec, so no -workers/-iters agreement is needed.
-func runPool(addr string, sleepMS, retries int, statusAddr string) error {
+// JobSpec, so no -workers/-iters agreement is needed. Pool jobs train
+// exact, so a lossy codec is refused rather than silently dropped.
+func runPool(addr string, sleepMS, retries int, statusAddr string, compress transport.Compression) error {
+	if compress != transport.CompressExact {
+		return fmt.Errorf("-compress %v is single-session only: -pool mode trains every job exact", compress)
+	}
 	opts := jobs.PoolWorkerOptions{
 		Log: func(format string, args ...any) {
 			fmt.Printf("felaworker: "+format+"\n", args...)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -22,6 +23,29 @@ func TestHealthFromStatus(t *testing.T) {
 	err := healthFromStatus(&rt.WorkerStatus{WID: 3, Draining: true})
 	if err == nil {
 		t.Fatal("draining worker: got nil, want error (503)")
+	}
+}
+
+// TestPoolRefusesCompression: pool jobs train exact, so `felaworker
+// -pool -compress <lossy>` must fail naming the mode, before it dials,
+// instead of serving jobs and ignoring the codec.
+func TestPoolRefusesCompression(t *testing.T) {
+	l, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for _, c := range []transport.Compression{transport.CompressFP16, transport.CompressInt8, transport.CompressTopK} {
+		done := make(chan error, 1)
+		go func() { done <- runPool(l.Addr(), 0, 1, "", c) }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "-pool") || !strings.Contains(err.Error(), c.String()) {
+				t.Errorf("-compress %v: runPool returned %v, want an error naming -pool and the codec", c, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("-compress %v accepted: runPool is serving the pool", c)
+		}
 	}
 }
 

@@ -3,23 +3,26 @@ package tensor
 import "math"
 
 // This file holds the register-tile primitives under the matmul and
-// convolution kernels, and the branch-free elementwise kernels. A tile
-// changes how many output elements are in flight at once, never the
-// sequence of additions any one of them sees: a float32 add has a
-// latency of several cycles, so a loop that feeds one accumulator runs
-// at one add per latency, while four independent accumulators (Dot4) or
-// one accumulator per output column carried through four products
+// convolution kernels, the branch-free elementwise kernels, and the key
+// compaction under the top-k gradient codec. A tile changes how many
+// output elements are in flight at once, never the sequence of
+// additions any one of them sees: a float32 add has a latency of
+// several cycles, so a loop that feeds one accumulator runs at one add
+// per latency, while four independent accumulators (Dot4) or one
+// accumulator per output column carried through four products
 // (AccumRows, AddRows) keep the adder busy.
 //
-// The row tile has two implementations. The Go loops below are the
-// portable path and the reference; on amd64 CPUs with AVX2 the tile in
-// kernels_amd64.s runs eight output columns per instruction instead.
-// Both multiply and then add, each product rounded on its own — the Go
-// loops convert every product to float32 explicitly, which forbids the
-// compiler to fuse it into the add (Go fuses a*b+c on arm64 and may on
-// other targets) — so the two paths give the same bits.
+// The row tile and the compaction have two implementations each. The
+// Go loops below are the portable path and the reference; on amd64 CPUs
+// with AVX2 the code in kernels_amd64.s takes eight lanes per
+// instruction instead. The tile multiplies and then adds, each product
+// rounded on its own — the Go loops convert every product to float32
+// explicitly, which forbids the compiler to fuse it into the add (Go
+// fuses a*b+c on arm64 and may on other targets) — so the two paths give
+// the same bits; the compaction does no arithmetic on values, and both
+// of its paths keep the same entries.
 
-// useAVX2 selects the AVX2 tile. It is set once, from CPUID, and read
+// useAVX2 selects the AVX2 code. It is set once, from CPUID, and read
 // by every kernel call; tests flip it to run both paths.
 var useAVX2 = cpuHasAVX2()
 
@@ -28,8 +31,8 @@ var useAVX2 = cpuHasAVX2()
 const vecLen = 8
 
 // KernelPath names the inner loops this process runs: "avx2" when the
-// row tile runs on AVX2, "portable" when it runs as Go loops. The bits
-// are the same either way; only the speed differs.
+// row tile and the compaction run on AVX2, "portable" when they run as
+// Go loops. The results are the same either way; only the speed differs.
 func KernelPath() string {
 	if useAVX2 {
 		return "avx2"
@@ -217,3 +220,115 @@ func isNegative(b uint32) uint64 {
 // keepUnless turns a 0/1 flag into an AND mask: all ones for 0, zero
 // for 1.
 func keepUnless(flag uint64) uint32 { return uint32(flag - 1) }
+
+// CompactKeys is a stream compaction on float32 keys: the key of a
+// value is its bit pattern with the sign bit cleared, which orders as
+// |v| does (±0 equal, denormals in place, every NaN above +Inf). It
+// copies the index and value of each entry of src whose key reaches lo
+// into idx and val, in order, and returns how many it kept and how many
+// of those have a key strictly above hi. An entry's index is srcIdx[i],
+// or base+i when srcIdx is nil. The kept keys in [lo, hi] are ties, of
+// which only the first ties are kept (ties < 0 keeps them all), and the
+// pass ends once it has kept stop entries. A hi of 1<<31-1 or more puts
+// no key above it.
+//
+// The store contract: idx and val must hold min(len(src), stop+7)
+// entries, because a step stores all eight of its lanes at the write
+// cursor — up to seven past the last entry kept — and only advances the
+// cursor past the kept ones. They may instead be srcIdx and src
+// themselves, a compaction in place: the write cursor never passes the
+// read cursor. The entries past the n kept are left undefined.
+//
+// The Go loop (compactKeysGo) is the portable path and the reference.
+// On AVX2 the vector path takes the slice eight entries a step, and
+// hands a step to the Go loop in two cases only: the tail of fewer than
+// eight, and the step in which the tie budget or the stop runs out.
+// Both paths keep the same entries.
+func CompactKeys(idx []uint32, val []float32, src []float32, srcIdx []uint32, base, lo, hi uint32, ties, stop int) (n, above int) {
+	stop = max(0, min(stop, len(src)))
+	if need := min(len(src), stop+7); len(idx) < need || len(val) < need || srcIdx != nil && len(srcIdx) < len(src) {
+		panic("tensor: CompactKeys slices too short")
+	}
+	// Keys are 31 bits: lo = 1<<31 keeps nothing, and nothing lies above
+	// 1<<31-1. A hi below lo-1 counts what lo-1 counts: every kept key.
+	lo, hi = min(lo, 1<<31), min(hi, 1<<31-1)
+	if lo > hi+1 {
+		hi = lo - 1
+	}
+	if ties < 0 {
+		ties = len(src)
+	}
+	for i := 0; i < len(src) && n < stop; {
+		if ties == 0 {
+			// The budget is spent: from here only keys above hi are kept.
+			lo = max(lo, hi+1)
+		}
+		end := len(src)
+		if useAVX2 {
+			r, c, a := compactAVX2(idx[n:], val[n:], src[i:], indexFrom(srcIdx, i, len(src)), base+uint32(i), lo, hi, ties, stop-n)
+			i, n, above, ties = i+r, n+c, above+a, ties-(c-a)
+			end = min(i+vecLen, len(src))
+		}
+		r, c, a := compactKeysGo(idx[n:], val[n:], src[i:end], indexFrom(srcIdx, i, end), base+uint32(i), lo, hi, ties, stop-n)
+		i, n, above, ties = i+r, n+c, above+a, ties-(c-a)
+	}
+	return n, above
+}
+
+// indexFrom is srcIdx[i:end], or nil for a nil srcIdx.
+func indexFrom(srcIdx []uint32, i, end int) []uint32 {
+	if srcIdx == nil {
+		return nil
+	}
+	return srcIdx[i:end]
+}
+
+// compactKeysGo is CompactKeys's Go loop, for lo ≤ 1<<31 and lo-1 ≤ hi
+// < 1<<31 (CompactKeys's clamps, which put every key above hi at or
+// above lo); like compactAVX2 it returns how many entries it read, kept,
+// and counted above hi. Where neither the budget nor the stop can run
+// out, and the indices count up from base, compactFree takes the slice;
+// elsewhere the loop takes one entry at a time.
+func compactKeysGo(idx []uint32, val []float32, src []float32, srcIdx []uint32, base, lo, hi uint32, ties, stop int) (read, n, above int) {
+	if srcIdx == nil && ties >= len(src) && stop >= len(src) {
+		n, above = compactFree(idx[:len(src)], val[:len(src)], src, base, lo, hi)
+		return len(src), n, above
+	}
+	for i, v := range src {
+		if n == stop {
+			return i, n, above
+		}
+		switch m := math.Float32bits(v) &^ (1 << 31); {
+		case m > hi:
+			above++
+		case m < lo || ties == 0:
+			continue
+		default:
+			ties--
+		}
+		ix := base + uint32(i)
+		if srcIdx != nil {
+			ix = srcIdx[i]
+		}
+		idx[n], val[n] = ix, v
+		n++
+	}
+	return len(src), n, above
+}
+
+// compactFree is compactKeysGo without a budget or a stop, branch-free
+// like AccumRows's compaction: every entry is stored at the write cursor
+// and only a kept one advances it, the counts computed from the bits —
+// keys and bounds lie below 1<<31, so a difference of two has its top
+// bit set exactly when it is negative. idx and val are as long as src.
+// A function of its own, it keeps its few variables in registers on
+// 386 too.
+func compactFree(idx []uint32, val []float32, src []float32, base, lo, hi uint32) (n, above int) {
+	for i, v := range src {
+		m := math.Float32bits(v) &^ (1 << 31)
+		idx[n], val[n] = base+uint32(i), v
+		n += int((m-lo)>>31 ^ 1)     // m ≥ lo
+		above += int((hi - m) >> 31) // m > hi
+	}
+	return n, above
+}

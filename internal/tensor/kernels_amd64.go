@@ -1,15 +1,16 @@
 package tensor
 
 // cpuHasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
-// registers across context switches: CPUID.1:ECX has OSXSAVE and AVX,
+// registers across context switches: CPUID.1:ECX has OSXSAVE and AVX
+// (and POPCNT, which the compaction steps use and every AVX2 CPU has),
 // XGETBV's XCR0 has the SSE and AVX state bits, and CPUID.7:EBX has
 // AVX2.
 func cpuHasAVX2() bool {
 	if maxID, _, _, _ := cpuid(0, 0); maxID < 7 {
 		return false
 	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
+	const popcnt, osxsave, avx = 1 << 23, 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&popcnt == 0 || ecx&osxsave == 0 || ecx&avx == 0 {
 		return false
 	}
 	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
@@ -38,7 +39,33 @@ func axpyStrideVec(c, a, b []float32, bs int) bool {
 	return true
 }
 
+// compactPerm[m] lists the lanes set in the 8-bit mask m, lowest first:
+// the VPERMD indices that move a step's kept lanes to its front. The
+// lanes past the kept ones are don't-cares, left 0.
+var compactPerm = func() (t [256][vecLen]uint8) {
+	for m := range t {
+		c := 0
+		for l := range vecLen {
+			if m>>l&1 != 0 {
+				t[m][c] = uint8(l)
+				c++
+			}
+		}
+	}
+	return t
+}()
+
 // Implemented in kernels_amd64.s.
+
+// compactAVX2 runs CompactKeys's steps of eight entries while a whole
+// step fits in src and neither the tie budget nor the stop runs out
+// inside it, and returns how many entries it read (a multiple of
+// eight), kept, and counted above hi. It takes lo ≤ 1<<31 and lo-1 ≤
+// hi < 1<<31 (CompactKeys's clamps: every key above hi is kept), ties ≥
+// 0, and srcIdx nil or as long as src.
+//
+//go:noescape
+func compactAVX2(idx []uint32, val []float32, src []float32, srcIdx []uint32, base, lo, hi uint32, ties, stop int) (read, n, above int)
 
 //go:noescape
 func axpyListAVX2(c, b, av []float32, off []int)

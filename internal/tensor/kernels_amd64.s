@@ -205,6 +205,157 @@ oneTail:
 oneDone:
 	RET
 
+// The compaction steps of CompactKeys. A step takes eight entries of
+// src: it clears their sign bits (VPAND), compares the keys with lo-1
+// and with hi (VPCMPGTD, signed: keys and bounds lie below 1<<31, and
+// lo-1 is -1 for lo = 0), takes both masks as bytes (VMOVMSKPS), moves
+// the kept lanes of the values and of the indices to the front through
+// compactPerm (VPERMD), stores all eight lanes of each at the write
+// cursor and advances it by the kept count (POPCNT). Where neither the
+// tie budget nor the stop can run out, and the indices count up from
+// base, the steps take no checks; elsewhere a step the budget or the
+// stop would run out in is not taken, and the function returns in front
+// of it.
+
+// lanes<> holds 0, 1, …, 7; signMask<> and eight<> are broadcast.
+DATA lanes<>+0(SB)/4, $0
+DATA lanes<>+4(SB)/4, $1
+DATA lanes<>+8(SB)/4, $2
+DATA lanes<>+12(SB)/4, $3
+DATA lanes<>+16(SB)/4, $4
+DATA lanes<>+20(SB)/4, $5
+DATA lanes<>+24(SB)/4, $6
+DATA lanes<>+28(SB)/4, $7
+GLOBL lanes<>(SB), RODATA|NOPTR, $32
+DATA signMask<>+0(SB)/4, $0x7fffffff
+GLOBL signMask<>(SB), RODATA|NOPTR, $4
+DATA eight<>+0(SB)/4, $8
+GLOBL eight<>(SB), RODATA|NOPTR, $4
+
+// Registers: SI src, DX srcIdx, DI idx, R8 val, CX compactPerm, R9
+// read, R10 kept, R11 above, R12 tie budget, R13 entries left before the
+// stop; Y0 the sign mask, Y1 lo-1, Y2 hi, Y3 the step's indices, Y4
+// eight in every lane.
+
+// COMPACT_MASKS loads the step at src[R9] into Y5 and leaves its kept
+// lanes' mask in AX, their count in R14 and the count above hi in BX.
+#define COMPACT_MASKS \
+	VMOVDQU   (SI)(R9*4), Y5 \
+	VPAND     Y0, Y5, Y6 \
+	VPCMPGTD  Y1, Y6, Y7 \
+	VPCMPGTD  Y2, Y6, Y8 \
+	VMOVMSKPS Y7, AX \
+	VMOVMSKPS Y8, BX \
+	POPCNTL   AX, R14 \
+	POPCNTL   BX, BX
+
+// COMPACT_CHECK returns in front of a step whose ties exceed the budget
+// or whose kept entries pass the stop, and takes its ties off the
+// budget otherwise.
+#define COMPACT_CHECK \
+	SUBQ BX, R14 \
+	CMPQ R14, R12 \
+	JGT  compactDone \
+	SUBQ R14, R12 \
+	ADDQ BX, R14 \
+	CMPQ R14, R13 \
+	JGT  compactDone
+
+// COMPACT_STORE stores the step's kept values and indices at the write
+// cursor and advances the cursors.
+#define COMPACT_STORE \
+	VPMOVZXBD (CX)(AX*8), Y9 \
+	VPERMD    Y5, Y9, Y5 \
+	VPERMD    Y3, Y9, Y10 \
+	VMOVDQU   Y5, (R8)(R10*4) \
+	VMOVDQU   Y10, (DI)(R10*4) \
+	ADDQ      R14, R10 \
+	ADDQ      BX, R11 \
+	ADDQ      $8, R9
+
+// func compactAVX2(idx []uint32, val []float32, src []float32, srcIdx []uint32, base, lo, hi uint32, ties, stop int) (read, n, above int)
+TEXT ·compactAVX2(SB), NOSPLIT, $0-152
+	MOVQ idx_base+0(FP), DI
+	MOVQ val_base+24(FP), R8
+	MOVQ src_base+48(FP), SI
+	MOVQ srcIdx_base+72(FP), DX
+	MOVQ ties+112(FP), R12
+	MOVQ stop+120(FP), R13
+	LEAQ ·compactPerm(SB), CX
+	VPBROADCASTD signMask<>(SB), Y0
+	MOVL lo+100(FP), AX
+	DECL AX
+	MOVL AX, X1
+	VPBROADCASTD X1, Y1
+	MOVL hi+104(FP), AX
+	MOVL AX, X2
+	VPBROADCASTD X2, Y2
+	MOVL base+96(FP), AX
+	MOVL AX, X3
+	VPBROADCASTD X3, Y3
+	VPADDD       lanes<>(SB), Y3, Y3
+	VPBROADCASTD eight<>(SB), Y4
+	XORQ R9, R9
+	XORQ R10, R10
+	XORQ R11, R11
+	MOVQ src_len+56(FP), AX
+	TESTQ DX, DX
+	JNE   fromIdx
+	CMPQ  R12, AX
+	JLT   fromBase
+	CMPQ  R13, AX
+	JLT   fromBase
+
+	// Neither limit can bind: R12 is the end of the whole steps.
+	MOVQ AX, R12
+	ANDQ $-8, R12
+	JMP  freeTest
+
+free:
+	COMPACT_MASKS
+	COMPACT_STORE
+	VPADDD Y4, Y3, Y3
+
+freeTest:
+	CMPQ R9, R12
+	JLT  free
+	JMP  compactDone
+
+// Indices base+i: Y3 counts up a step at a time.
+fromBase:
+	LEAQ 8(R9), AX
+	CMPQ AX, src_len+56(FP)
+	JGT  compactDone
+	TESTQ R13, R13
+	JEQ   compactDone
+	COMPACT_MASKS
+	COMPACT_CHECK
+	COMPACT_STORE
+	SUBQ   R14, R13
+	VPADDD Y4, Y3, Y3
+	JMP    fromBase
+
+// Indices srcIdx[i].
+fromIdx:
+	LEAQ 8(R9), AX
+	CMPQ AX, src_len+56(FP)
+	JGT  compactDone
+	TESTQ R13, R13
+	JEQ   compactDone
+	VMOVDQU (DX)(R9*4), Y3
+	COMPACT_MASKS
+	COMPACT_CHECK
+	COMPACT_STORE
+	SUBQ R14, R13
+	JMP  fromIdx
+
+compactDone:
+	MOVQ R9, read+128(FP)
+	MOVQ R10, n+136(FP)
+	MOVQ R11, above+144(FP)
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

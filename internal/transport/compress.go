@@ -28,11 +28,14 @@ package transport
 //
 // Top-k encoding costs one pass over a slice plus work in its survivors:
 // keys sampled at fixed pseudo-random positions place a lower bound a
-// little under the k-th largest magnitude, one branch-free pass compacts
-// the entries reaching it, and the exact radix select and the emit run
-// over those candidates alone. The frame is the one a full sort selects,
-// for every input; the sample decides how much work is done, never what
-// is sent.
+// little under the k-th largest magnitude, and one pass of
+// tensor.CompactKeys (eight entries a step on AVX2) copies the entries
+// reaching it into pooled scratch. The exact radix select counts those
+// candidates once and then only the bucket its first digit picks; a
+// second CompactKeys, in place, keeps the survivors; and the emit writes
+// their index deltas, then their values in one copy. The frame is the
+// one a full sort selects, for every input; the sample decides how much
+// work is done, never what is sent.
 //
 // Decoding is as strict as the exact path: a scan pass validates every
 // length (k ≤ len ≤ 16·k for top-k, totals capped at MaxFrameBytes
@@ -49,6 +52,8 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+
+	"fela/internal/tensor"
 )
 
 // Compression identifies the codec a frame's Grads section is encoded
@@ -252,7 +257,7 @@ const topkMagLimit = 16
 // gradient is always kept and k is always met (a frame that silently
 // dropped NaNs would decode to a different k than it declared). The hot
 // loops work on the unclamped magnitude and account for the clamp where
-// they compare (topKThreshold, topkScratch.compact, appendTopK).
+// they compare (threshold, CompactKeys in compact and appendTopK).
 const topkInf = 0x7f800000
 
 func topkMag(v float32) uint32 { return math.Float32bits(v) &^ (1 << 31) }
@@ -266,45 +271,51 @@ func topkHi(key uint32) uint32 {
 	return key
 }
 
-// topkCount is one radix level: it counts into hist[0], by the width-bit
-// digit at shift, the magnitudes of s whose bits above that digit equal
-// prefix. Odd entries are counted in hist[1] and added in at the end, so
-// that a run of equal magnitudes is not one chain of increments each
-// waiting on the last one's store.
-func topkCount(hist *[2][1 << 11]uint32, s []float32, prefix uint32, shift, width uint) {
+// topkCount is one radix level: it counts into hist[0] the magnitudes of
+// s by their width-bit digit at shift. Four entries in a row go to four
+// histograms, added up at the end, so that a run of magnitudes in one
+// bucket is not one chain of increments each waiting on the last one's
+// store.
+func topkCount(hist *[4][1 << 11]uint32, s []float32, shift, width uint) {
 	// The &31 and the second mask change no value; they tell the compiler
-	// the shifts and the index are in range.
-	above, mask := (shift+width)&31, uint32(1)<<width-1
-	for i, v := range s {
-		if m := topkMag(v); m>>above == prefix {
-			hist[i&1][m>>(shift&31)&mask&(1<<11-1)]++
-		}
+	// the shift and the index are in range.
+	shift, mask := shift&31, uint32(1)<<width-1
+	digit := func(v float32) uint32 { return topkMag(v) >> shift & mask & (1<<11 - 1) }
+	for ; len(s) >= 4; s = s[4:] {
+		hist[0][digit(s[0])]++
+		hist[1][digit(s[1])]++
+		hist[2][digit(s[2])]++
+		hist[3][digit(s[3])]++
+	}
+	for _, v := range s {
+		hist[0][digit(v)]++
 	}
 	for d := range hist[0] {
-		hist[0][d] += hist[1][d]
+		hist[0][d] += hist[1][d] + hist[2][d] + hist[3][d]
 	}
 }
 
-// topKThreshold finds the k-th largest key of s (1 ≤ k ≤ len(s)) without
-// sorting or copying: an MSB-first radix select over the 31 key bits,
-// one counting pass a level into a histogram on the stack, each later
-// level counting only keys under the prefix chosen so far. The widest
-// digit goes first — the more the first level narrows, the rarer, and the
-// better predicted, a prefix match is in the other two. Time is
-// O(len(s)) whatever the values are; nothing is allocated.
+// threshold finds the k-th largest key of s (1 ≤ k ≤ len(s)) without
+// sorting: an MSB-first radix select over the 31 key bits, 11, 10 and 10
+// at a time, one counting pass a level into histograms on the stack. The
+// widest digit goes first, over all of s; the entries under the prefix
+// chosen so far are then gathered into the bucket scratch, and the next
+// level counts that bucket alone. Time is O(len(s)) whatever the values
+// are, and after the first level it is O(bucket).
 //
 // The survivors are every entry with key > thr plus the first ties
 // entries, by index, with key == thr. When a level's bucket is taken
 // whole the search stops there and thr is the bucket's lower bound, which
 // selects the same entries.
-func topKThreshold(s []float32, k int) (thr uint32, ties int) {
-	var hist [2][1 << 11]uint32
+func (sc *topkScratch) threshold(s []float32, k int) (thr uint32, ties int) {
+	var hist [4][1 << 11]uint32
 	prefix, need := uint32(0), uint32(k)
 	shift := uint(31)
-	for _, width := range [...]uint{11, 10, 10} {
+	widths := [...]uint{11, 10, 10}
+	for level, width := range widths {
 		shift -= width
-		hist = [2][1 << 11]uint32{}
-		topkCount(&hist, s, prefix, shift, width)
+		hist = [4][1 << 11]uint32{}
+		topkCount(&hist, s, shift, width)
 		d := uint32(1)<<width - 1
 		for hist[0][d] < need {
 			need -= hist[0][d]
@@ -320,8 +331,30 @@ func topKThreshold(s []float32, k int) (thr uint32, ties int) {
 		if hist[0][d] == need {
 			break
 		}
+		if level+1 < len(widths) {
+			s = sc.gather(s, prefix, shift, int(hist[0][d]))
+		}
 	}
 	return prefix << shift, int(need)
+}
+
+// gather copies the n entries of s whose key lies under prefix — whose
+// bits from shift up equal it — into the bucket scratch, in order, and
+// returns them; s may be the bucket itself. The store is unconditional
+// and only the count depends on the key.
+func (sc *topkScratch) gather(s []float32, prefix uint32, shift uint, n int) []float32 {
+	if len(sc.bucket) <= n {
+		sc.bucket = make([]float32, n+1)
+	}
+	// Under the prefix is a key in [lo, lo + 1<<shift).
+	b, c, lo := sc.bucket, 0, prefix<<shift
+	for _, v := range s {
+		b[c] = v
+		if topkMag(v)-lo < 1<<shift {
+			c++
+		}
+	}
+	return b[:c]
 }
 
 // ---- encoding ----
@@ -331,31 +364,33 @@ func uvarintLen(x uint64) int {
 	return (bits.Len64(x|1) + 6) / 7
 }
 
-// topkScratch is one encoder's working set: the sampled keys and the
-// candidates' indices and values, index-ordered. Pooled, so a report
-// encodes without allocating once a scratch has grown to its largest
-// candidate set.
+// topkScratch is one encoder's working set: the sampled keys, the
+// candidates' indices and values, index-ordered, and the select's bucket.
+// Pooled, so a report encodes without allocating once a scratch has grown
+// to its largest candidate set.
 type topkScratch struct {
 	sample [topkSamples]float32
 	idx    []uint32
 	val    []float32
+	bucket []float32
 }
 
 var topkPool = sync.Pool{New: func() any { return new(topkScratch) }}
 
 const (
-	// topkSamples is how many keys topkLowerBound reads.
+	// topkSamples is how many keys lowerBound reads.
 	topkSamples = 4096
 	// topkSampleCutoff is the longest slice compacted whole without a
 	// sample, which would read an eighth of it or more.
 	topkSampleCutoff = 8 * topkSamples
 	// topkBlock is how many entries compact reads between checks that the
-	// scratch has room for all of them.
-	topkBlock = 4096
+	// scratch has room for all of them: a train-comm gradient is 16
+	// CompactKeys calls.
+	topkBlock = 1 << 16
 )
 
-// topkLowerBound guesses a key that a few more than k of s's keys reach,
-// so that compacting the entries at or above it keeps every survivor and
+// lowerBound guesses a key that a few more than k of s's keys reach, so
+// that compacting the entries at or above it keeps every survivor and
 // little else. It reads topkSamples keys at xorshift positions — a fixed
 // stride would alias with the rows of a rank-1 outer-product gradient —
 // and returns the key of rank ⌈E + 4√E⌉ + 1 among them, E = topkSamples·k/n
@@ -363,7 +398,7 @@ const (
 // deviations of slack. It returns 0, which every key reaches, for a slice
 // of at most topkSampleCutoff entries or a rank past the sample. The bound
 // only decides how much work the selection does, never what it selects.
-func topkLowerBound(s []float32, k int, sample *[topkSamples]float32) uint32 {
+func (sc *topkScratch) lowerBound(s []float32, k int) uint32 {
 	n := len(s)
 	if n <= topkSampleCutoff {
 		return 0
@@ -374,25 +409,24 @@ func topkLowerBound(s []float32, k int, sample *[topkSamples]float32) uint32 {
 		return 0
 	}
 	x := uint32(0x9e3779b9)
-	for i := range sample {
+	for i := range sc.sample {
 		x ^= x << 13
 		x ^= x >> 17
 		x ^= x << 5
-		sample[i] = s[uint64(x)*uint64(n)>>32]
+		sc.sample[i] = s[uint64(x)*uint64(n)>>32]
 	}
-	// At or below the r-th largest sampled key (topKThreshold may stop at
-	// its bucket's lower bound): a looser bound, never a wrong one.
-	lb, _ := topKThreshold(sample[:], r)
+	// At or below the r-th largest sampled key (threshold may stop at its
+	// bucket's lower bound): a looser bound, never a wrong one.
+	lb, _ := sc.threshold(sc.sample[:], r)
 	return lb
 }
 
 // compact copies the index and value of every entry of s whose key
 // reaches lb into sc.idx and sc.val, in index order, and returns how many
-// it copied and how many of those lie strictly above lb. The store is
-// unconditional and only the counts depend on the value, so the pass has
-// no branch to mispredict. Keys are compared unclamped: lb never exceeds
-// topkInf, so a NaN reaches it exactly when its clamped key does, and
-// none counts as above topkInf.
+// it copied and how many of those lie strictly above lb: tensor.CompactKeys
+// a block at a time, the scratch first grown to hold the whole block.
+// Keys are compared unclamped: lb never exceeds topkInf, so a NaN reaches
+// it exactly when its clamped key does, and none counts as above topkInf.
 func (sc *topkScratch) compact(s []float32, lb uint32) (n, above int) {
 	hi := topkHi(lb)
 	for base := 0; base < len(s); base += topkBlock {
@@ -400,20 +434,8 @@ func (sc *topkScratch) compact(s []float32, lb uint32) (n, above int) {
 		if len(sc.idx) < n+len(blk) {
 			sc.grow(n, n+len(blk), len(s))
 		}
-		idx, val := sc.idx[n:n+len(blk)], sc.val[n:n+len(blk)]
-		c := 0
-		for i, v := range blk {
-			m := topkMag(v)
-			idx[c] = uint32(base + i)
-			val[c] = v
-			if m >= lb {
-				c++
-			}
-			if m > hi {
-				above++
-			}
-		}
-		n += c
+		c, a := tensor.CompactKeys(sc.idx[n:], sc.val[n:], blk, nil, uint32(base), lb, hi, -1, len(blk))
+		n, above = n+c, above+a
 	}
 	return n, above
 }
@@ -432,7 +454,7 @@ func (sc *topkScratch) grow(keep, need, n int) {
 
 // appendTopK appends s's top-k entries (k = topKCount(len(s)) ≥ 1): the
 // index deltas, then the values. It selects among candidates, the entries
-// whose key reaches topkLowerBound's guess, compacted from s in one pass;
+// whose key reaches lowerBound's guess, compacted from s in one pass;
 // should fewer than k reach it, the guess drops to 0 and every entry is a
 // candidate. Either way every entry with a key at or above the k-th
 // largest is a candidate, and candidates keep their index order, so
@@ -441,7 +463,7 @@ func (sc *topkScratch) grow(keep, need, n int) {
 func appendTopK(dst []byte, s []float32, k int) []byte {
 	sc := topkPool.Get().(*topkScratch)
 	defer topkPool.Put(sc)
-	lb := topkLowerBound(s, k, &sc.sample)
+	lb := sc.lowerBound(s, k)
 	nc, above := sc.compact(s, lb)
 	if nc < k {
 		lb = 0
@@ -453,53 +475,28 @@ func appendTopK(dst []byte, s []float32, k int) []byte {
 	// bound itself — an all-equal or mostly-zero slice needs no select.
 	thr, ties := lb, k-above
 	if above >= k {
-		thr, ties = topKThreshold(val, k)
+		thr, ties = sc.threshold(val, k)
 	}
-	// On unclamped magnitudes: above hi survives outright, thr to hi ties.
-	hi := topkHi(thr)
-	// One growth covers the slice: no index delta reaches len(s), so each
-	// takes at most iw bytes. Indices and values are written in the same
-	// index-order pass, the values starting iw·k bytes in, and moved down
-	// once the indices' true length is known.
+	// The survivors, compacted in place: the candidates above thr (above
+	// hi, unclamped) and the first ties from thr to hi, the pass ending
+	// with the k-th.
+	tensor.CompactKeys(idx, val, val, idx, 0, thr, topkHi(thr), ties, k)
+	// No index delta reaches len(s), so each takes at most iw bytes.
 	iw := uvarintLen(uint64(len(s) - 1))
 	off := len(dst)
-	dst = slices.Grow(dst, k*(iw+4))[:off+k*(iw+4)]
-	ib, vb := dst[off:], dst[off+k*iw:]
-	in, vn, prev := 0, 0, -1
-	// A block's survivors are first compacted into keep — the store is
-	// unconditional and only the list length depends on the value, so a
-	// survivor is not a mispredicted branch — then encoded at their
-	// stored indices. The pass ends with the k-th survivor.
-	var keep [256]uint8
-	for base := 0; vn < 4*k; base += len(keep) {
-		blk := val[base:min(base+len(keep), len(val))]
-		c := 0
-		for i, v := range blk {
-			m := topkMag(v)
-			keep[c&(len(keep)-1)] = uint8(i)
-			if m > hi {
-				c++
-			}
-			if m-thr <= hi-thr && ties > 0 {
-				ties--
-				c++
-			}
-		}
-		for _, j := range keep[:c] {
-			i := int(idx[base+int(j)])
-			d := uint64(i - prev - 1)
-			prev = i
-			if d < 0x80 { // one survivor in eight: nearly every delta
-				ib[in] = byte(d)
-				in++
-			} else {
-				in += binary.PutUvarint(ib[in:], d)
-			}
-			binary.LittleEndian.PutUint32(vb[vn:], math.Float32bits(blk[j]))
-			vn += 4
+	dst = slices.Grow(dst, k*(iw+4))[:off+k*iw]
+	b, at, prev := dst[off:], 0, -1
+	for _, i := range idx[:k] {
+		d := uint64(int(i) - prev - 1)
+		prev = int(i)
+		if d < 0x80 { // one survivor in eight: nearly every delta
+			b[at] = byte(d)
+			at++
+		} else {
+			at += binary.PutUvarint(b[at:], d)
 		}
 	}
-	return dst[:off+in+copy(ib[in:], vb[:vn])]
+	return appendFloats(dst[:off+at], val[:k])
 }
 
 // appendCompressedSlices encodes ss as one grads section under a

@@ -277,9 +277,9 @@ func tile(s []float32) []float32 {
 // boundCounts runs the encoder's first two steps on s: the sampled bound,
 // and how many keys reach it and how many lie strictly above it.
 func boundCounts(s []float32) (lb uint32, reach, above int) {
-	var sample [topkSamples]float32
-	lb = topkLowerBound(s, topKCount(len(s)), &sample)
-	reach, above = new(topkScratch).compact(s, lb)
+	sc := new(topkScratch)
+	lb = sc.lowerBound(s, topKCount(len(s)))
+	reach, above = sc.compact(s, lb)
 	return lb, reach, above
 }
 
@@ -318,6 +318,16 @@ func TestTopKMatchesSortReference(t *testing.T) {
 		// A tenth NaN and a tenth -Inf: more specials than k but fewer
 		// NaNs, so that tiled, the sampled bound is the clamp itself.
 		"inf-nan-at-bound": fill(1000, func(i int) float32 { return []float32{nan, 1, 2, 1, 2, -inf, 1, 2, 1, 2}[i%10] }),
+		// k = 125 of 1000: the 100 entries of -3 are above, and the
+		// 25 ties at 1 that fill k end at index 27, lane 3 of an 8-entry
+		// step — the step in which the survivor pass's tie budget runs
+		// out.
+		"tie-budget-mid-step": fill(1000, func(i int) float32 {
+			if i%10 == 0 {
+				return -3
+			}
+			return 1
+		}),
 		// k = 13 of 100; 5 entries above a run of 40 equal ones that
 		// therefore straddles the threshold.
 		"tie-run-straddles": fill(100, func(i int) float32 {
@@ -368,11 +378,11 @@ func TestTopKSampledBoundOvershoots(t *testing.T) {
 	const n = 1 << 17
 	// The sampler's positions: sample a slice whose entries are their own
 	// indices (exact in float32 below 2^24).
-	var sample [topkSamples]float32
-	topkLowerBound(fill(n, func(i int) float32 { return float32(i) }), topKCount(n), &sample)
+	sc := new(topkScratch)
+	sc.lowerBound(fill(n, func(i int) float32 { return float32(i) }), topKCount(n))
 	rng := rand.New(rand.NewSource(23))
 	s := fill(n, func(int) float32 { return rng.Float32() })
-	for j, p := range sample {
+	for j, p := range sc.sample {
 		s[int(p)] = 100 + float32(j)
 	}
 	if lb, reach, _ := boundCounts(s); reach >= topKCount(n) {
@@ -384,24 +394,43 @@ func TestTopKSampledBoundOvershoots(t *testing.T) {
 // TestTopKTieRunStraddlesSampledBound: the sampled bound lands on a run
 // of equal values that the k-th largest key also falls in, so fewer than
 // k keys lie above the bound, the bound is the threshold, and the run is
-// cut at the first k survivors by index.
+// cut at the first k survivors by index. The run ends at a compaction
+// block's edge, or crosses one.
 func TestTopKTieRunStraddlesSampledBound(t *testing.T) {
 	const n = 1 << 17
 	k := topKCount(n)
-	s := fill(n, func(i int) float32 {
-		switch {
-		case i%10 == 0:
-			return -3 // a tenth of the slice, above the run
-		case i >= n/4 && i < n/2:
-			return 2 // the run
+	for _, start := range []int{n / 4, topkBlock - n/8} {
+		s := fill(n, func(i int) float32 {
+			switch {
+			case i%10 == 0:
+				return -3 // a tenth of the slice, above the run
+			case i >= start && i < start+n/4:
+				return 2 // the run
+			}
+			return 1
+		})
+		if lb, reach, above := boundCounts(s); lb != topkMag(2) || above >= k || reach < k {
+			t.Fatalf("run at %d: bound %#x reached by %d keys, %d above it; want the run's key %#x, fewer than k = %d above, k reached",
+				start, lb, reach, above, topkMag(2), k)
 		}
-		return 1
-	})
-	if lb, reach, above := boundCounts(s); lb != topkMag(2) || above >= k || reach < k {
-		t.Fatalf("bound %#x reached by %d keys, %d above it; want the run's key %#x, fewer than k = %d above, k reached",
-			lb, reach, above, topkMag(2), k)
+		checkTopKAgainstReference(t, s)
 	}
-	checkTopKAgainstReference(t, s)
+}
+
+// TestTopKEncodeAllocs: once the pooled scratch has grown for a report,
+// encoding it again into a frame with room allocates nothing — not the
+// candidates, the select's bucket, nor the survivors.
+func TestTopKEncodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random")
+	}
+	m := benchRank1Report(rand.New(rand.NewSource(38)))
+	frame := appendCompressedSlices(nil, m.Grads, CompressTopK)
+	if allocs := testing.AllocsPerRun(10, func() {
+		frame = appendCompressedSlices(frame[:0], m.Grads, CompressTopK)
+	}); allocs != 0 {
+		t.Fatalf("a warm top-k encode allocates %v times, want 0", allocs)
+	}
 }
 
 // TestTopKConcurrentEncoders: eight goroutines encode different slices at
