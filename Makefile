@@ -127,7 +127,7 @@ durable:
 	$(GO) test ./internal/durable/ -race -count=1 -v
 	$(GO) test ./internal/rt/ -race -run 'TestChaosCoordinatorKillEveryProtocolState|TestChaosKillAtEveryIteration' -count=1 -v
 	$(GO) test ./internal/jobs/ -race -run 'TestManagerCrashRecovery|TestManagerRestore|TestManagerSubmitRefused' -count=1 -v
-	$(GO) test ./cmd/felaserver/ -race -run TestServerDurableSessionResume -count=1 -v
+	$(GO) test ./cmd/felaserver/ -race -run TestServerDurable -count=1 -v
 	$(GO) test ./cmd/felaworker/ -race -run TestReconnect -count=1 -v
 
 # kernels runs the compute-kernel and gradient-compression suites under

@@ -8,8 +8,10 @@ import (
 	"time"
 
 	"fela/internal/durable"
+	"fela/internal/jobs"
 	"fela/internal/minidnn"
 	"fela/internal/rt"
+	"fela/internal/transport"
 )
 
 // durableOverheadEntry measures one checkpoint interval against the
@@ -34,13 +36,13 @@ type durableRecoveryEntry struct {
 }
 
 // durableReplayEntry measures raw ledger throughput: fsynced appends on
-// the write side, boot-time replay plus the Reduce fold on the read
-// side.
+// the write side; on the read side, boot-time replay, then the job
+// manager's fold of the replayed plane (NewManager).
 type durableReplayEntry struct {
 	Entries      int     `json:"entries"`
 	AppendPerSec float64 `json:"append_per_sec"`
 	ReplayPerSec float64 `json:"replay_per_sec"`
-	ReduceMS     float64 `json:"reduce_ms"`
+	FoldMS       float64 `json:"fold_ms"`
 }
 
 // durableBenchReport is the machine-readable BENCH_durable.json payload.
@@ -56,6 +58,10 @@ type durableBenchReport struct {
 	Recovery           []durableRecoveryEntry `json:"recovery"`
 	Replay             durableReplayEntry     `json:"replay"`
 }
+
+func rtBenchNet() *minidnn.Network       { return minidnn.NewMLP(42, 16, 32, 4) }
+func rtBenchData() *minidnn.Dataset      { return minidnn.SyntheticBlobs(7, 256, 16, 4) }
+func rtSecondsSince(t time.Time) float64 { return time.Since(t).Seconds() }
 
 // durableBenchConfig sizes the overhead workload. The per-token delay
 // simulates real compute: without it the arithmetic finishes in
@@ -202,6 +208,19 @@ func runDurableBench(quick bool, path string, out func(string)) error {
 	}
 
 	// Ledger throughput: fsynced appends, then boot-time replay + fold.
+	// Each job is one whole lifecycle, so the fold opens, leases,
+	// checkpoints and settles every job it reads.
+	spec, err := jobs.NormalizeSpec(transport.JobSpec{Name: "fold", Model: "mlp-small", Iterations: 40})
+	if err != nil {
+		return err
+	}
+	life := []durable.Entry{
+		{Op: durable.OpSubmit, Spec: spec},
+		{Op: durable.OpJobStart, N: 1},
+		{Op: durable.OpLeaseGrant, N: 1},
+		{Op: durable.OpBarrier, Iter: spec.Iterations - 1},
+		{Op: durable.OpJobDone, OK: true},
+	}
 	nEntries := 5000
 	if quick {
 		nEntries = 1000
@@ -211,10 +230,10 @@ func runDurableBench(quick bool, path string, out func(string)) error {
 	if err != nil {
 		return err
 	}
-	ops := []durable.Op{durable.OpSubmit, durable.OpJobStart, durable.OpLeaseGrant, durable.OpBarrier, durable.OpJobDone}
 	start = time.Now()
 	for i := 0; i < nEntries; i++ {
-		e := durable.Entry{Op: ops[i%len(ops)], JobID: i/len(ops) + 1, WID: -1, Iter: i % 40}
+		e := life[i%len(life)]
+		e.JobID, e.WID = i/len(life)+1, -1
 		if _, err := plane.Ledger.Append(e); err != nil {
 			plane.Close()
 			return fmt.Errorf("durable bench: append %d: %w", i, err)
@@ -230,10 +249,12 @@ func runDurableBench(quick bool, path string, out func(string)) error {
 		return err
 	}
 	replaySecs := rtSecondsSince(start)
-	start = time.Now()
-	durable.Reduce(plane.Entries)
-	reduceSecs := rtSecondsSince(start)
 	got := len(plane.Entries)
+	start = time.Now()
+	mgr := jobs.NewManager(jobs.Config{Durable: plane})
+	foldSecs := rtSecondsSince(start)
+	mgr.Stop()
+	<-mgr.Done()
 	if err := plane.Close(); err != nil {
 		return err
 	}
@@ -244,7 +265,7 @@ func runDurableBench(quick bool, path string, out func(string)) error {
 		Entries:      nEntries,
 		AppendPerSec: float64(nEntries) / appendSecs,
 		ReplayPerSec: float64(nEntries) / replaySecs,
-		ReduceMS:     reduceSecs * 1e3,
+		FoldMS:       foldSecs * 1e3,
 	}
 
 	data, err := json.MarshalIndent(report, "", "  ")
@@ -272,7 +293,7 @@ func renderDurableBench(r durableBenchReport, path string) string {
 		s += fmt.Sprintf("  %-10s %10d %7.2fms %7.2fms %8.2fms %7.2fms\n",
 			e.Model, e.Params, e.OpenMS, e.LoadMS, e.InstallMS, e.TotalMS)
 	}
-	s += fmt.Sprintf("ledger: %d entries, %.0f appends/s (fsynced), %.0f replayed/s, reduce %.2fms\n",
-		r.Replay.Entries, r.Replay.AppendPerSec, r.Replay.ReplayPerSec, r.Replay.ReduceMS)
+	s += fmt.Sprintf("ledger: %d entries, %.0f appends/s (fsynced), %.0f replayed/s, fold %.2fms\n",
+		r.Replay.Entries, r.Replay.AppendPerSec, r.Replay.ReplayPerSec, r.Replay.FoldMS)
 	return s
 }

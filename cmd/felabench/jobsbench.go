@@ -9,6 +9,7 @@ import (
 	"fela/internal/jobs"
 	"fela/internal/minidnn"
 	"fela/internal/obs"
+	"fela/internal/rt"
 	"fela/internal/transport"
 )
 
@@ -273,4 +274,42 @@ func renderJobsBench(r jobsBenchReport, path string) string {
 			e.Policy, e.MakespanSeconds, e.AggTokensPerSec, e.Fairness, runtimes, bits)
 	}
 	return s
+}
+
+// histQuantiles condenses one latency histogram for the report.
+type histQuantiles struct {
+	Count int64   `json:"count"`
+	Mean  float64 `json:"mean"`
+	P50   float64 `json:"p50"`
+	P90   float64 `json:"p90"`
+	P99   float64 `json:"p99"`
+}
+
+// rtObsSummary is the telemetry slice embedded per bench entry.
+type rtObsSummary struct {
+	TokenLatency   histQuantiles    `json:"token_latency_seconds"`
+	IterTime       histQuantiles    `json:"iter_time_seconds"`
+	BarrierTime    histQuantiles    `json:"barrier_time_seconds"`
+	MessagesByKind map[string]int64 `json:"messages_by_kind,omitempty"`
+	BytesByKind    map[string]int64 `json:"bytes_by_kind,omitempty"`
+}
+
+func quantiles(s obs.HistSnapshot) histQuantiles {
+	q := histQuantiles{Count: s.Count, P50: s.Quantile(0.5), P90: s.Quantile(0.9), P99: s.Quantile(0.99)}
+	if s.Count > 0 {
+		q.Mean = s.Sum / float64(s.Count)
+	}
+	return q
+}
+
+// summarizeObs condenses the registry a bench run recorded into. The
+// traffic maps are keyed by the rendered label set (dir/kind).
+func summarizeObs(reg *obs.Registry) *rtObsSummary {
+	return &rtObsSummary{
+		TokenLatency:   quantiles(reg.Histogram(rt.MetricTokenSeconds, nil).Snapshot()),
+		IterTime:       quantiles(reg.Histogram(rt.MetricIterSeconds, nil).Snapshot()),
+		BarrierTime:    quantiles(reg.Histogram(rt.MetricBarrierSeconds, nil).Snapshot()),
+		MessagesByKind: reg.CounterValues(transport.MetricMessages),
+		BytesByKind:    reg.CounterValues(transport.MetricBytes),
+	}
 }

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	felabench [-quick] [-experiment all|table1|...|extensions|rt|jobs|wire|cluster|gate]
+//	felabench [-quick] [-experiment all|table1|...|extensions|jobs|wire|cluster|gate|durable]
 //	felabench -csvdir out/    # also write plotting-ready CSV series
 package main
 
@@ -25,7 +25,7 @@ import (
 // they run under "all".
 var experimentNames = []string{
 	"all", "table1", "fig1", "table2", "fig5", "fig6", "fig7", "fig8",
-	"fig9", "fig10", "extensions", "rt", "jobs", "wire", "cluster", "gate",
+	"fig9", "fig10", "extensions", "jobs", "wire", "cluster", "gate",
 	"durable",
 }
 
@@ -41,7 +41,6 @@ func validExperiment(which string) bool {
 // benchPaths collects every output location the suite can write to.
 type benchPaths struct {
 	csvDir  string
-	rt      string
 	jobs    string
 	wire    string
 	cluster string
@@ -55,7 +54,6 @@ func main() {
 		"experiment to run ("+strings.Join(experimentNames, ", ")+")")
 	var p benchPaths
 	flag.StringVar(&p.csvDir, "csvdir", "", "also write each figure's data series as CSV files into this directory")
-	flag.StringVar(&p.rt, "rtjson", "BENCH_rt.json", "path for the rt experiment's machine-readable report")
 	flag.StringVar(&p.jobs, "jobsjson", "BENCH_jobs.json", "path for the jobs experiment's machine-readable report")
 	flag.StringVar(&p.wire, "wirejson", "BENCH_wire.json", "path for the wire experiment's machine-readable report")
 	flag.StringVar(&p.cluster, "clusterjson", "BENCH_cluster.json", "path for the cluster experiment's machine-readable report")
@@ -189,11 +187,6 @@ func run(ctx *experiments.Context, which string, p benchPaths, quick bool) error
 			return err
 		}
 		out(cb.Render())
-	}
-	if all || which == "rt" {
-		if err := runRTBench(quick, p.rt, out); err != nil {
-			return err
-		}
 	}
 	if all || which == "jobs" {
 		if err := runJobsBench(quick, p.jobs, out); err != nil {

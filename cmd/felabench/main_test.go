@@ -42,47 +42,6 @@ func TestCSVOutput(t *testing.T) {
 	}
 }
 
-func TestRTBenchJSON(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_rt.json")
-	if err := run(experiments.Quick(), "rt", benchPaths{rt: path}, true); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report rtBenchReport
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("BENCH_rt.json does not parse: %v", err)
-	}
-	if report.Name != "rt-engine" || !report.Quick {
-		t.Errorf("report header = %+v", report)
-	}
-	want := map[string]bool{
-		"sequential": false, "rt-1": false, "rt-2": false,
-		"rt-4": false, "rt-4-straggler": false, "rt-4-elastic": false,
-	}
-	for _, e := range report.Entries {
-		if _, ok := want[e.Policy]; !ok {
-			t.Errorf("unexpected policy %q", e.Policy)
-			continue
-		}
-		want[e.Policy] = true
-		if e.ItersPerSec <= 0 || e.TokensPerSec <= 0 {
-			t.Errorf("%s: non-positive throughput: %+v", e.Policy, e)
-		}
-		if !e.BitIdentical {
-			t.Errorf("%s: result not bit-identical to the sequential reference", e.Policy)
-		}
-	}
-	for policy, seen := range want {
-		if !seen {
-			t.Errorf("policy %q missing from report", policy)
-		}
-	}
-}
-
 func TestClusterBenchJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster bench replays a 100-job trace; skipped in -short")
@@ -297,7 +256,7 @@ func TestDurableBenchJSON(t *testing.T) {
 			t.Errorf("recovery %s: total %vms, want > 0", e.Model, e.TotalMS)
 		}
 	}
-	if report.Replay.Entries <= 0 || report.Replay.AppendPerSec <= 0 || report.Replay.ReplayPerSec <= 0 {
-		t.Errorf("replay = %+v, want positive throughput", report.Replay)
+	if r := report.Replay; r.Entries <= 0 || r.AppendPerSec <= 0 || r.ReplayPerSec <= 0 || r.FoldMS <= 0 {
+		t.Errorf("replay = %+v, want positive throughput and fold time", report.Replay)
 	}
 }

@@ -313,3 +313,19 @@ func renderWireBench(r wireBenchReport, path string) string {
 	}
 	return s
 }
+
+// rtBenchConfig builds the shared workload: a real MLP on a synthetic
+// blob dataset, sized so a full run takes seconds, not minutes.
+func rtBenchConfig(quick bool) rt.Config {
+	iters := 120
+	if quick {
+		iters = 24
+	}
+	return rt.Config{
+		Workers:    4,
+		TotalBatch: 64,
+		TokenBatch: 8,
+		Iterations: iters,
+		LR:         0.05,
+	}
+}

@@ -323,7 +323,6 @@ func runJobs(addr string, jo jobsOpts, workerTimeout time.Duration, oo obsOpts, 
 		cfg.Spans = obs.NewTracer("felaserver")
 	}
 
-	var mgr *jobs.Manager
 	// draining flips when shutdown begins (signal, -max-jobs, trace
 	// done); /healthz serves 503 from then on so orchestrators stop
 	// routing new work at the pool while it winds down. restoring is
@@ -331,20 +330,16 @@ func runJobs(addr string, jo jobsOpts, workerTimeout time.Duration, oo obsOpts, 
 	// again (or there is nothing to resume).
 	var draining, restoring atomic.Bool
 	if du.plane != nil {
-		cfg.Ledger = du.plane.Ledger
-		cfg.Store = du.plane.Store
+		cfg.Durable = du.plane
 		cfg.CheckpointEvery = du.every
-		st := durable.Reduce(du.plane.Entries)
-		cfg.Restore = &st
-		fmt.Printf("felaserver: durable: replayed %d ledger entries — %d open jobs to resume, %d settled, next id %d\n",
-			len(du.plane.Entries), len(st.Jobs), st.Finished+st.Canceled, st.NextID)
-		if len(st.Jobs) > 0 {
-			restoring.Store(true)
-		}
 	}
+	// full closes once -max-jobs completions have settled. The callback
+	// does not touch mgr: settlements a restart found reach it as soon
+	// as the loop runs, which can be before NewManager has returned.
+	full := make(chan struct{})
 	completedJobs := 0
 	cfg.OnJobDone = func(r jobs.JobResult) {
-		// Runs on the manager's event loop: serialized, and Stop is safe.
+		// Runs on the manager's event loop: serialized.
 		if r.Err != nil {
 			fmt.Printf("felaserver: job %d (%s) failed after %.2fs: %v\n",
 				r.ID, r.Spec.Name, r.Runtime.Seconds(), r.Err)
@@ -358,13 +353,27 @@ func runJobs(addr string, jo jobsOpts, workerTimeout time.Duration, oo obsOpts, 
 				r.QueueWait.Seconds(), r.Runtime.Seconds(), verified)
 		}
 		completedJobs++
-		if jo.maxJobs > 0 && completedJobs >= jo.maxJobs {
+		if jo.maxJobs > 0 && completedJobs == jo.maxJobs {
 			fmt.Printf("felaserver: %d jobs complete, draining\n", completedJobs)
 			draining.Store(true)
-			mgr.Stop()
+			close(full)
 		}
 	}
-	mgr = jobs.NewManager(cfg)
+	mgr := jobs.NewManager(cfg)
+	go func() {
+		select {
+		case <-full:
+			mgr.Stop()
+		case <-mgr.Done():
+		}
+	}()
+	if du.plane != nil {
+		st := mgr.Status()
+		open := st.Queued + st.Running
+		fmt.Printf("felaserver: durable: replayed %d ledger entries — %d open jobs to resume, %d settled\n",
+			len(du.plane.Entries), open, st.Completed)
+		restoring.Store(open > 0)
+	}
 	if restoring.Load() {
 		// The replayed jobs sit queued until pool workers reconnect
 		// through their own retry loops; /healthz flips healthy once the

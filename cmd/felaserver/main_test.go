@@ -810,3 +810,83 @@ func TestServerDurableSessionResume(t *testing.T) {
 		t.Fatalf("phase 3: %v", err)
 	}
 }
+
+// TestServerDurableJobsSettleOnRestart: a -jobs -durable-dir
+// server restarts over a ledger whose only job had already committed
+// its final checkpoint. The job settles at restore, with no pool
+// worker, and -max-jobs 1 then drains the server cleanly: the
+// settlement reaches OnJobDone from the manager's loop, and the
+// verdict compares the checkpointed model with solo training.
+func TestServerDurableJobsSettleOnRestart(t *testing.T) {
+	spec, err := jobs.NormalizeSpec(transport.JobSpec{Name: "done", Model: "mlp-small", Iterations: 4, MinWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := jobs.Reference(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	plane, err := openDurable(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []durable.Entry{
+		{Op: durable.OpSubmit, JobID: 1, WID: -1, Spec: spec},
+		{Op: durable.OpJobStart, JobID: 1, WID: -1, N: 1},
+		{Op: durable.OpBarrier, JobID: 1, WID: -1, Iter: spec.Iterations - 1},
+	} {
+		if _, err := plane.Ledger.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var params, vel [][]float32
+	for _, p := range ref.Params {
+		params = append(params, append([]float32(nil), p.Data...))
+		vel = append(vel, make([]float32, len(p.Data)))
+	}
+	ckpt := &durable.Checkpoint{JobID: 1, Iter: spec.Iterations - 1, Params: params, Vel: vel, Losses: ref.Losses}
+	if err := plane.Store.Save(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if err := plane.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	plane, err = openDurable(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plane.Close()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	out := make(chan string, 1)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	done := make(chan error, 1)
+	go func() {
+		done <- runJobs(freeAddr(t), jobsOpts{alloc: "fair-share", maxJobs: 1}, time.Second,
+			obsOpts{}, durableOpts{plane: plane, every: 2}, make(chan os.Signal, 1), 10*time.Second)
+	}()
+	var runErr error
+	select {
+	case runErr = <-done:
+	case <-time.After(15 * time.Second):
+		runErr = fmt.Errorf("runJobs did not return")
+	}
+	os.Stdout = stdout
+	w.Close()
+	printed := <-out
+	if runErr != nil {
+		t.Fatalf("restart: %v\n%s", runErr, printed)
+	}
+	if !strings.Contains(printed, "job 1 (done) done: 4 iters") || !strings.Contains(printed, "bit-identical to solo training") {
+		t.Fatalf("no bit-identical verdict for the restored job:\n%s", printed)
+	}
+}

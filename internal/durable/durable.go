@@ -1,8 +1,7 @@
 // Package durable is Fela's persistence plane: iteration-boundary
 // model checkpoints plus a write-ahead ledger of every manager and
 // coordinator decision, both stored as CRC-guarded, versioned binary
-// records on local disk (the Store interface keeps the backend
-// pluggable).
+// records on local disk.
 //
 // The two halves split the recovery problem the way Chicle splits the
 // elastic hand-off problem: iteration barriers are the only points
@@ -12,11 +11,12 @@
 // verdicts, lease grants, membership churn, barrier commits — is a
 // small decision record appended to the ledger and fsynced *before*
 // the decision is acknowledged to anyone. Restart is then mechanical:
-// replay the ledger (durable.Reduce) to rebuild the job/lease/SLO
-// ledgers, load each open job's latest checkpoint, and resume at the
-// barrier after it. Because the coordinator aggregates gradients in
-// canonical token order, a resumed run recomputes the uncheckpointed
-// tail deterministically and lands bit-identical to a run that never
+// the job manager folds the replayed entries through the same apply
+// its live decisions use (jobs.NewManager with Config.Durable), loads
+// each open job's latest checkpoint, and resumes at the barrier after
+// it. Because the coordinator aggregates gradients in canonical token
+// order, a resumed run recomputes the uncheckpointed tail
+// deterministically and lands bit-identical to a run that never
 // crashed — the invariant the recovery chaos suite replays coordinator
 // kills against.
 //
@@ -66,7 +66,7 @@ const (
 	MetricLedgerReplayed = "fela_durable_ledger_replayed_total"
 )
 
-// Options attaches telemetry to a Store, Ledger or Plane. Both fields
+// Options attaches telemetry to a DiskStore, Ledger or Plane. Both fields
 // are optional; a nil Flight records into the process-global ring.
 type Options struct {
 	Metrics *obs.Registry
@@ -88,8 +88,8 @@ type Plane struct {
 	Store *DiskStore
 	// Ledger is the open write-ahead ledger (Dir/ledger.wal).
 	Ledger *Ledger
-	// Entries is the history replayed at open, in append order; feed it
-	// to Reduce to rebuild manager state.
+	// Entries is the history replayed at open, in append order; the
+	// job manager folds it to rebuild its state.
 	Entries []Entry
 
 	lock *os.File

@@ -21,27 +21,13 @@ import (
 	"fela/internal/obs"
 )
 
-// Store is the pluggable checkpoint backend: latest-wins persistence
-// of one Checkpoint per job. Implementations must make Save atomic —
-// Load observes either the previous or the new checkpoint, never a
-// torn mix — and must return (nil, nil) from Load when the job has no
-// checkpoint yet.
-type Store interface {
-	// Save durably commits c as job c.JobID's latest checkpoint.
-	Save(c *Checkpoint) error
-	// Load returns the job's latest checkpoint, or (nil, nil) if none.
-	Load(jobID int) (*Checkpoint, error)
-	// List returns the job ids that have a checkpoint, ascending.
-	List() ([]int, error)
-}
-
 // ckptDirName is the checkpoint subdirectory inside a durable root.
 const ckptDirName = "ckpt"
 
-// DiskStore is the local-disk Store: one CRC-guarded record file per
-// job under <root>/ckpt, committed by atomic rename. Save is
-// serialized internally — every job coordinator checkpoints through
-// the same store.
+// DiskStore is the checkpoint store: latest-wins persistence of one
+// CRC-guarded record file per job under <root>/ckpt, committed by
+// atomic rename. Save is serialized internally — every job
+// coordinator checkpoints through the same store.
 type DiskStore struct {
 	dir  string
 	opts Options

@@ -1,21 +1,21 @@
 package jobs
 
-// The manager's durability integration. With Config.Ledger set, every
-// scheduling decision is appended to the write-ahead ledger before it
-// is acknowledged: submissions (and their rejections), job starts,
-// lease grants and releases, barrier-committed checkpoints,
-// cancellations, settlements and drains. With Config.Store set, each
-// job's coordinator persists an iteration-boundary checkpoint through
-// the store-before-ledger commit order (Save, then the OpBarrier
-// entry), so a replayed barrier always has its checkpoint on disk.
+// The manager's durability integration, one fold over its ledger.
+// Every scheduling decision — a submission or its rejection, a job
+// start, a lease grant or release, a barrier-committed checkpoint, a
+// cancellation, a settlement, a drain — is a durable.Entry. The live
+// manager appends the entry (with Config.Durable set) and then applies
+// it; a restarting manager applies the replayed entries in order. So
+// apply is the only code that turns a decision into restorable state,
+// and a restart rebuilds what the previous incarnation had decided.
 //
-// Restore inverts the ledger: NewManager(cfg with Restore) re-queues
-// every job the crash left open — started jobs resume from their
-// latest checkpoint, queued ones start fresh — continues the id
-// counter past everything ever assigned, and carries the settled-job
-// counters and SLO burn-window samples. Because gradients aggregate
-// in canonical token order, a resumed job's final model is
-// bit-identical to an uninterrupted run of the same spec.
+// Checkpoints follow store-before-ledger order: a job's coordinator
+// saves the frame, then appends its OpBarrier, so a replayed barrier
+// always has its checkpoint on disk. After the replay, reopen re-queues
+// every open job with zero leases (pool workers re-register through
+// their own reconnect loops); a started job resumes from its latest
+// checkpoint. Because gradients aggregate in canonical token order, a
+// resumed job's final model is bit-identical to an uninterrupted run.
 
 import (
 	"fmt"
@@ -25,138 +25,224 @@ import (
 	"fela/internal/rt"
 )
 
-// appendWAL lands one decision in the durable ledger, blocking until
-// it is fsynced. A nil ledger makes it a no-op. Callers on the ack
-// path (submission intake, checkpoint barriers) propagate the error;
-// everything else goes through walOr.
-func (m *Manager) appendWAL(e durable.Entry) error {
-	if m.cfg.Ledger == nil {
-		return nil
+// commit stamps a decision's entry, appends it to the ledger (blocking
+// until it is fsynced) and applies it once the ledger holds it.
+// Submission intake uses it directly: a submission the ledger cannot
+// take is refused.
+func (m *Manager) commit(e durable.Entry) error {
+	if e.TS == 0 {
+		e.TS = time.Now().UnixNano()
 	}
-	_, err := m.cfg.Ledger.Append(e)
-	return err
+	if p := m.cfg.Durable; p != nil && p.Ledger != nil {
+		var err error
+		if e, err = p.Ledger.Append(e); err != nil {
+			return err
+		}
+	}
+	m.apply(e)
+	return nil
 }
 
-// walOr appends a decision best-effort: on failure the manager keeps
-// scheduling (availability over durability for non-admission
-// decisions) and the miss lands in the flight recorder. The restore
-// path tolerates a ledger that ends early — it simply replays less.
-func (m *Manager) walOr(e durable.Entry) {
-	if err := m.appendWAL(e); err != nil {
+// decide is commit for every other decision: the manager keeps
+// scheduling when the ledger cannot take the entry (availability over
+// durability), the miss lands in the flight recorder, and the decision
+// is applied anyway. A restart then simply replays less.
+func (m *Manager) decide(e durable.Entry) {
+	if e.TS == 0 {
+		e.TS = time.Now().UnixNano()
+	}
+	if err := m.commit(e); err != nil {
 		m.recordFlight("ledger.error", e.JobID, err.Error())
+		m.apply(e)
 	}
 }
 
-// durableRTHooks attaches checkpoint persistence and resume state to
-// one job's session config. The checkpoint hook runs on the job
-// coordinator's goroutine: the store commits first, then the barrier
-// lands in the ledger, then the loop learns about it (evCkpt) for
-// /statusz. A failed commit aborts the session — the coordinator
-// must never run ahead of state it claims is durable.
-func (m *Manager) durableRTHooks(j *job, cfg *rt.Config) {
-	cfg.Resume = j.resume
-	if m.cfg.Store == nil {
-		return
+// apply folds one ledger entry into the manager's restorable state:
+// the job table and arrival order, each job's state, times and last
+// checkpoint, the queue counts and backlog, the settled-job counters,
+// the SLO burn window, the lease ledger and the id high-water mark.
+// Actions — sends, coordinator starts and stops, telemetry, replies —
+// stay with the decision that took them.
+func (m *Manager) apply(e durable.Entry) {
+	for cur := m.nextID.Load(); int64(e.JobID) > cur; cur = m.nextID.Load() {
+		if m.nextID.CompareAndSwap(cur, int64(e.JobID)) {
+			break
+		}
 	}
-	cfg.CheckpointEvery = m.cfg.CheckpointEvery
-	id := j.id
-	cfg.Checkpoint = func(iter int, params, vel [][]float32, losses []float64) error {
-		c := &durable.Checkpoint{JobID: id, Iter: iter, Params: params, Vel: vel, Losses: losses}
-		if err := m.cfg.Store.Save(c); err != nil {
-			return err
+	at := time.Unix(0, e.TS)
+	j := m.jobs[e.JobID]
+	switch e.Op {
+	case durable.OpSubmit:
+		j = &job{id: e.JobID, spec: e.Spec, slo: e.SLO, state: stateQueued, submitted: at, iter: -1, ckptIter: -1}
+		m.jobs[j.id] = j
+		m.led.add(j.id)
+		m.idx[j.id] = len(m.order)
+		m.order = append(m.order, j)
+		m.infos = append(m.infos, JobInfo{
+			ID: j.id, Seq: len(m.order) - 1, Priority: j.spec.Priority,
+			Min: j.spec.MinWorkers, Max: j.spec.MaxWorkers,
+		})
+		m.nQueued++
+		m.backlog += specTokens(j.spec)
+	case durable.OpReject:
+		// A rejection is an SLO miss the submitter experienced: it burns
+		// the pool's budget just like a blown deadline.
+		m.rejected++
+		m.sloWin.Observe(false, at)
+	case durable.OpJobStart:
+		if j == nil {
+			break
 		}
-		if err := m.appendWAL(durable.Entry{Op: durable.OpBarrier, JobID: id, WID: -1, Iter: iter}); err != nil {
-			return err
+		// A job a restart re-queued starts again later in the ledger.
+		if j.state == stateQueued {
+			m.nQueued--
+			m.nRunning++
 		}
-		m.push(evCkpt{jobID: id, iter: iter})
-		return nil
+		j.state = stateRunning
+		j.started = at
+		m.led.start(j.id, e.N)
+		m.refreshInfo(j)
+	case durable.OpLeaseGrant:
+		if j == nil {
+			break
+		}
+		for range e.N {
+			m.led.lease(j.id)
+		}
+		m.refreshInfo(j)
+	case durable.OpLeaseRelease:
+		if j == nil {
+			break
+		}
+		m.led.requestRelease(j.id, e.N)
+		m.refreshInfo(j)
+	case durable.OpBarrier:
+		if j != nil {
+			j.ckptIter = e.Iter
+		}
+	case durable.OpCancel:
+		// Cancellations are the submitter's choice and burn no budget.
+		if j == nil {
+			break
+		}
+		j.canceled = true
+		m.canceled++
+		m.settle(j, at)
+	case durable.OpJobDone:
+		if j == nil {
+			break
+		}
+		m.sloWin.Observe(e.OK, at)
+		m.settle(j, at)
+	case durable.OpJoin, durable.OpLeave, durable.OpDrain:
+		// Membership and drains restore nothing: pool workers re-register
+		// through their own reconnect loops, and a restarted manager
+		// serves again.
+	}
+	if m.applied != nil {
+		m.applied(m, e)
 	}
 }
 
-// restore rebuilds the manager from a reduced ledger. Runs inside
-// NewManager before the loop starts, so it may mutate loop-owned
-// state directly.
-func (m *Manager) restore(st *durable.State) {
-	if st.NextID > 1 {
-		m.nextID.Store(int64(st.NextID - 1))
+// settle moves a job from the schedule to the completed tail.
+func (m *Manager) settle(j *job, at time.Time) {
+	if j.state == stateRunning {
+		m.nRunning--
+	} else {
+		m.nQueued--
 	}
-	// The reducer counts cancellations separately; the manager's
-	// finished counter includes them (every cancellation also settles
-	// through finishJob).
-	m.finished = st.Finished + st.Canceled
-	m.rejected = st.Rejected
-	m.canceled = st.Canceled
-	for _, s := range st.SLOSamples {
-		m.sloWin.Observe(s.OK, s.At)
+	j.state = stateDone
+	j.finished = at
+	if j.started.IsZero() {
+		j.started = at
 	}
-	for i := range st.Jobs {
-		m.restoreJob(&st.Jobs[i])
+	if work := specTokens(j.spec) - j.tokensDone; work > 0 {
+		m.backlog = max(m.backlog-work, 0)
 	}
-	if len(st.Jobs) > 0 {
+	delete(m.jobs, j.id)
+	m.led.drop(j.id)
+	if i, ok := m.idx[j.id]; ok {
+		m.order = append(m.order[:i], m.order[i+1:]...)
+		m.infos = append(m.infos[:i], m.infos[i+1:]...)
+		delete(m.idx, j.id)
+		for k := i; k < len(m.order); k++ {
+			m.idx[m.order[k].id] = k
+			m.infos[k].Seq = k
+		}
+	}
+	m.doneTail = append(m.doneTail, j)
+	if len(m.doneTail) > 16 {
+		m.doneTail = m.doneTail[len(m.doneTail)-16:]
+	}
+	m.finished++
+}
+
+// reopen runs once after NewManager has applied a replayed ledger
+// ending at lastSeq: every job still open goes back to the queue with
+// zero leases, and a started one loads its latest checkpoint. The
+// store commits before the ledger barrier, so that checkpoint is at or
+// past the ledger's last barrier — resuming from either is
+// bit-identical.
+func (m *Manager) reopen(lastSeq uint64) {
+	open := append([]*job(nil), m.order...)
+	for _, j := range open {
+		started := j.state == stateRunning
+		if started {
+			m.nRunning--
+			m.nQueued++
+			j.state = stateQueued
+		}
+		m.led.drop(j.id)
+		m.led.add(j.id)
+		m.refreshInfo(j)
+		if started && m.cfg.Durable.Store != nil {
+			m.resume(j)
+		}
+		if j.state == stateDone {
+			continue
+		}
+		detail := "fresh"
+		if j.resume != nil {
+			detail = fmt.Sprintf("ckpt_iter=%d", j.ckptIter)
+		}
+		m.recordFlight("restore.job", j.id, detail)
+	}
+	if len(open) > 0 {
 		m.markPool("restore")
 	}
 	m.recordFlight("restore.done", -1,
-		fmt.Sprintf("open=%d finished=%d last_seq=%d", len(st.Jobs), st.Finished, st.LastSeq))
+		fmt.Sprintf("open=%d finished=%d last_seq=%d", len(m.order), m.finished, lastSeq))
 }
 
-// restoreJob re-queues one open job from the crash. A started job
-// loads its latest checkpoint: the store commits before the ledger
-// barrier, so the checkpoint on disk is at or past the ledger's
-// CkptIter — resuming from either is bit-identical. A checkpoint that
-// already covers the final iteration settles the job immediately; the
-// crash ate only its acknowledgement.
-func (m *Manager) restoreJob(jr *durable.JobRestore) {
-	j := &job{
-		id:        jr.ID,
-		spec:      jr.Spec,
-		slo:       jr.SLO,
-		state:     stateQueued,
-		submitted: jr.Submitted,
-		iter:      -1,
-		ckptIter:  -1,
+// resume loads a restored job's latest checkpoint into its rt.Resume.
+// A checkpoint that already covers the final iteration settles the
+// job instead: the crash ate only its acknowledgement.
+func (m *Manager) resume(j *job) {
+	j.ckptIter = -1
+	ckpt, err := m.cfg.Durable.Store.Load(j.id)
+	switch {
+	case err != nil:
+		// A corrupt checkpoint is real bit rot; the job restarts from
+		// scratch rather than from damaged state.
+		m.recordFlight("restore.ckpt_error", j.id, err.Error())
+	case ckpt == nil:
+		// Crashed before the first barrier committed.
+	case ckpt.Iter+1 >= j.spec.Iterations:
+		m.settleRestored(j, ckpt)
+	default:
+		j.resume = &rt.Resume{Iter: ckpt.Iter, Params: ckpt.Params, Vel: ckpt.Vel, Losses: ckpt.Losses}
+		j.iter = ckpt.Iter
+		j.ckptIter = ckpt.Iter
+		j.tokensDone = (ckpt.Iter + 1) * (j.spec.TotalBatch / j.spec.TokenBatch)
+		m.backlog -= j.tokensDone
 	}
-	if jr.Started && m.cfg.Store != nil {
-		switch ckpt, err := m.cfg.Store.Load(jr.ID); {
-		case err != nil:
-			// A corrupt checkpoint is real bit rot; the job restarts from
-			// scratch rather than from damaged state.
-			m.recordFlight("restore.ckpt_error", jr.ID, err.Error())
-		case ckpt == nil:
-			// Crashed before the first barrier committed.
-		case ckpt.Iter+1 >= jr.Spec.Iterations:
-			m.settleRestored(j, ckpt)
-			return
-		default:
-			j.resume = &rt.Resume{Iter: ckpt.Iter, Params: ckpt.Params, Vel: ckpt.Vel, Losses: ckpt.Losses}
-			j.iter = ckpt.Iter
-			j.ckptIter = ckpt.Iter
-		}
-	}
-	m.jobs[j.id] = j
-	m.led.add(j.id)
-	m.idx[j.id] = len(m.order)
-	m.order = append(m.order, j)
-	m.infos = append(m.infos, JobInfo{
-		ID: j.id, Seq: len(m.order) - 1, Priority: j.spec.Priority,
-		Min: j.spec.MinWorkers, Max: j.spec.MaxWorkers,
-	})
-	m.nQueued++
-	if j.ckptIter >= 0 {
-		j.tokensDone = (j.ckptIter + 1) * (j.spec.TotalBatch / j.spec.TokenBatch)
-	}
-	m.backlog += specTokens(j.spec) - j.tokensDone
-	detail := "fresh"
-	if j.resume != nil {
-		detail = fmt.Sprintf("ckpt_iter=%d", j.ckptIter)
-	}
-	m.recordFlight("restore.job", j.id, detail)
 }
 
 // settleRestored finishes a job whose final checkpoint committed
-// before the crash: the model is rebuilt from the checkpoint, the
-// settlement the crash ate is appended, and the job lands straight in
-// the completed tail. The original submitter's connection died with
-// the old process; OnJobDone is the delivery path that survives.
+// before the crash: the model is rebuilt from the checkpoint and the
+// settlement the crash ate is appended. The original submitter's
+// connection died with the old process; OnJobDone is the delivery path
+// that survives, and the loop makes that call once it runs.
 func (m *Manager) settleRestored(j *job, ckpt *durable.Checkpoint) {
 	var res *rt.Result
 	mk, err := buildNet(j.spec)
@@ -166,22 +252,43 @@ func (m *Manager) settleRestored(j *job, ckpt *durable.Checkpoint) {
 			res = &rt.Result{Params: net.Params(), Losses: ckpt.Losses}
 		}
 	}
-	j.state = stateDone
-	j.started = j.submitted
-	j.finished = time.Now()
 	j.iter = ckpt.Iter
 	j.ckptIter = ckpt.Iter
 	j.res, j.err = res, err
-	ok := err == nil && (j.slo == 0 || j.finished.Sub(j.submitted) <= j.slo)
-	m.walOr(durable.Entry{Op: durable.OpJobDone, JobID: j.id, WID: -1, OK: ok, Detail: "restored complete"})
-	m.finished++
-	m.sloWin.Observe(ok, j.finished)
-	m.doneTail = append(m.doneTail, j)
+	now := time.Now()
+	ok := err == nil && (j.slo == 0 || now.Sub(j.submitted) <= j.slo)
+	m.decide(durable.Entry{Op: durable.OpJobDone, JobID: j.id, WID: -1, OK: ok, Detail: "restored complete", TS: now.UnixNano()})
 	m.recordFlight("restore.complete", j.id, fmt.Sprintf("iter=%d", ckpt.Iter))
-	if m.cfg.OnJobDone != nil {
-		m.cfg.OnJobDone(JobResult{
-			ID: j.id, Spec: j.spec, SLO: j.slo, Result: res, Err: err,
-			Runtime: j.finished.Sub(j.started),
-		})
+	m.restored = append(m.restored, JobResult{
+		ID: j.id, Spec: j.spec, SLO: j.slo, Result: res, Err: err,
+		Runtime: j.finished.Sub(j.started),
+	})
+}
+
+// durableRTHooks attaches checkpoint persistence and resume state to
+// one job's session config. The checkpoint hook runs on the job
+// coordinator's goroutine: the store commits first, then the barrier
+// lands in the ledger, then the loop applies it (evCkpt). A failed
+// commit aborts the session — the coordinator must never run ahead of
+// state it claims is durable.
+func (m *Manager) durableRTHooks(j *job, cfg *rt.Config) {
+	cfg.Resume = j.resume
+	p := m.cfg.Durable
+	if p == nil || p.Store == nil || p.Ledger == nil {
+		return
+	}
+	cfg.CheckpointEvery = m.cfg.CheckpointEvery
+	id := j.id
+	cfg.Checkpoint = func(iter int, params, vel [][]float32, losses []float64) error {
+		c := &durable.Checkpoint{JobID: id, Iter: iter, Params: params, Vel: vel, Losses: losses}
+		if err := p.Store.Save(c); err != nil {
+			return err
+		}
+		e, err := p.Ledger.Append(durable.Entry{Op: durable.OpBarrier, JobID: id, WID: -1, Iter: iter})
+		if err != nil {
+			return err
+		}
+		m.push(evCkpt{entry: e})
+		return nil
 	}
 }

@@ -12,8 +12,7 @@ import (
 // durableConfig is testConfig plus a durability plane.
 func durableConfig(p *durable.Plane) Config {
 	cfg := testConfig(FairShare{})
-	cfg.Ledger = p.Ledger
-	cfg.Store = p.Store
+	cfg.Durable = p
 	cfg.CheckpointEvery = 2
 	return cfg
 }
@@ -93,6 +92,25 @@ func TestManagerCrashRecovery(t *testing.T) {
 	if jsA.CkptAgeSeconds <= 0 {
 		t.Fatalf("job %d checkpoint age not surfaced: %+v", idA, jsA)
 	}
+	// A and B run with live leases at the crash, within the pool; Q
+	// waits for a floor the pool cannot meet.
+	held := 0
+	for _, js := range pollStatus(t, mgr1, func(st *PoolStatus) bool { return st.Running == 2 }).Jobs {
+		switch js.ID {
+		case idA, idB:
+			if js.State != "running" || js.Workers < 1 {
+				t.Fatalf("job %d lease state at the crash: %+v", js.ID, js)
+			}
+			held += js.Workers
+		case idQ:
+			if js.State != "queued" || js.Workers != 0 {
+				t.Fatalf("queued job %d at the crash: %+v", js.ID, js)
+			}
+		}
+	}
+	if held > 4 {
+		t.Fatalf("leases exceed the pool at the crash: %d > 4", held)
+	}
 
 	// Crash: sever the durability plane first — nothing that happens in
 	// this process afterwards reaches the ledger, exactly as if the
@@ -109,43 +127,40 @@ func TestManagerCrashRecovery(t *testing.T) {
 	}
 	wait1()
 
-	// Replay and reduce: the ledger must show C settled and A, B, Q
-	// open — A and B started, with live lease state and checkpoints.
+	// Restart: the restored manager must show C settled and A, B, Q
+	// open in arrival order — A and B with their checkpoints, all three
+	// re-queued with no leases (workers re-register on their own).
+	// Restored jobs have no surviving submitter connection, so
+	// OnJobDone is the delivery path.
 	plane2, err := durable.Open(dir, durable.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := durable.Reduce(plane2.Entries)
-	if st.NextID != 5 {
-		t.Fatalf("NextID = %d, want 5", st.NextID)
-	}
-	if st.Finished != 1 || st.Canceled != 0 || len(st.SLOSamples) != 1 || !st.SLOSamples[0].OK {
-		t.Fatalf("settled counters after crash: %+v", st)
-	}
-	if len(st.Jobs) != 3 || st.Jobs[0].ID != idA || st.Jobs[1].ID != idB || st.Jobs[2].ID != idQ {
-		t.Fatalf("open jobs after crash: %+v", st.Jobs)
-	}
-	held := 0
-	for _, jr := range st.Jobs[:2] {
-		if !jr.Started || jr.Workers < 1 || jr.CkptIter < 3 {
-			t.Fatalf("job %d lease state after crash: %+v", jr.ID, jr)
-		}
-		held += jr.Workers
-	}
-	if held > 4 {
-		t.Fatalf("restored leases exceed the pool: %d > 4", held)
-	}
-	if st.Jobs[2].Started || st.Jobs[2].Workers != 0 || st.Jobs[2].CkptIter != -1 {
-		t.Fatalf("queued job restored as started: %+v", st.Jobs[2])
-	}
-
-	// Restart: restored jobs have no surviving submitter connection, so
-	// OnJobDone is the delivery path.
 	results := make(chan JobResult, 8)
 	cfg2 := durableConfig(plane2)
-	cfg2.Restore = &st
 	cfg2.OnJobDone = func(r JobResult) { results <- r }
 	mgr2 := NewManager(cfg2)
+	st := mgr2.Status()
+	if st.Completed != 1 || st.Canceled != 0 || st.Rejected != 0 || st.SLOBurn5m != 0 || st.SLOBurn1h != 0 {
+		t.Fatalf("settled counters after crash: %+v", st)
+	}
+	open := openJobs(st)
+	if len(open) != 3 || open[0].ID != idA || open[1].ID != idB || open[2].ID != idQ {
+		t.Fatalf("open jobs after crash: %+v", st.Jobs)
+	}
+	for _, js := range open {
+		if js.State != "queued" || js.Workers != 0 {
+			t.Fatalf("job %d restored with leases: %+v", js.ID, js)
+		}
+	}
+	for _, js := range open[:2] {
+		if js.CkptIter < 3 || js.Iter != js.CkptIter {
+			t.Fatalf("job %d resumes from iteration %d (checkpoint %d), want >= 3", js.ID, js.Iter, js.CkptIter)
+		}
+	}
+	if open[2].CkptIter != -1 || open[2].Iter != -1 {
+		t.Fatalf("queued job restored as started: %+v", open[2])
+	}
 	wait2 := startPool(t, mgr2, 6, slow)
 
 	// A brand-new submission must continue the id sequence past
@@ -195,9 +210,12 @@ func TestManagerCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer plane3.Close()
-	final := durable.Reduce(plane3.Entries)
-	if len(final.Jobs) != 0 || final.Finished != 5 || !final.Draining || final.NextID != 6 {
-		t.Fatalf("final ledger state: %+v", final)
+	final, next := replay(t, plane3.Entries)
+	if n := len(plane3.Entries); n == 0 || plane3.Entries[n-1].Op != durable.OpDrain {
+		t.Fatal("second incarnation's ledger does not end in a drain")
+	}
+	if final.Queued+final.Running != 0 || final.Completed != 5 || next != 6 {
+		t.Fatalf("final ledger state: %+v, next id %d", final, next)
 	}
 	_ = idC
 }
@@ -253,10 +271,8 @@ func TestManagerRestoreCompleteCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := durable.Reduce(plane2.Entries)
 	results := make(chan JobResult, 1)
 	cfg := durableConfig(plane2)
-	cfg.Restore = &st
 	cfg.OnJobDone = func(r JobResult) { results <- r }
 	m := NewManager(cfg)
 
@@ -298,9 +314,9 @@ func TestManagerRestoreCompleteCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer plane3.Close()
-	final := durable.Reduce(plane3.Entries)
-	if final.Finished != 1 || len(final.Jobs) != 0 || final.NextID != 2 {
-		t.Fatalf("settlement never reached the new ledger: %+v", final)
+	final, next := replay(t, plane3.Entries)
+	if final.Completed != 1 || final.Queued+final.Running != 0 || next != 2 {
+		t.Fatalf("settlement never reached the new ledger: %+v, next id %d", final, next)
 	}
 }
 

@@ -46,23 +46,17 @@ type Config struct {
 	// measure against (fraction of jobs that must finish OK within
 	// their SLO). Default 0.99.
 	SLOObjective float64
-	// Ledger, when set, receives a write-ahead entry for every manager
-	// decision before the decision is acknowledged (see durability.go).
-	Ledger *durable.Ledger
-	// Store, when set, persists each job's iteration-boundary
-	// checkpoints; its coordinators commit store-first, then the ledger
-	// barrier. Restored jobs resume from their latest checkpoint.
-	Store durable.Store
+	// Durable, when set, makes the manager crash-safe (see
+	// durability.go): every decision lands in Durable.Ledger before it
+	// is acknowledged, job coordinators checkpoint into Durable.Store,
+	// and NewManager first folds Durable.Entries — the history of a
+	// previous incarnation — to resume the jobs it left open. A plane
+	// with only Entries replays them and persists nothing.
+	Durable *durable.Plane
 	// CheckpointEvery is the checkpoint interval in iterations
 	// (0 = the rt default, durable.DefaultEvery). Meaningful only with
-	// Store.
+	// Durable.
 	CheckpointEvery int
-	// Restore, when set, is the reduced ledger of a previous
-	// incarnation (durable.Reduce over the replayed entries): open jobs
-	// are re-queued — started ones resume from their checkpoints —
-	// counters carry over, and job ids continue past everything ever
-	// assigned.
-	Restore *durable.State
 }
 
 // SubmitOptions carries per-submission extras.
@@ -131,15 +125,14 @@ type (
 	}
 	// evJobDone reports a coordinator's exit.
 	evJobDone struct {
-		jobID int
-		res   *rt.Result
-		err   error
+		job *job
+		res *rt.Result
+		err error
 	}
 	// evCkpt reports one durably committed checkpoint (store saved,
 	// ledger barrier appended) from a job coordinator's hook.
 	evCkpt struct {
-		jobID int
-		iter  int
+		entry durable.Entry
 	}
 )
 
@@ -177,12 +170,15 @@ type job struct {
 	// polRate is the rate the policy last evaluated; barriers mark the
 	// job dirty only when the EWMA has drifted materially past it, so
 	// steady-state training does not force a policy pass per barrier.
-	polRate  float64
+	polRate float64
+	// canceled marks a job its submitter canceled: it has left the
+	// schedule, and a running one settles when its coordinator exits.
 	canceled bool
 
 	// ckptIter/ckptAt track the last durably committed checkpoint
-	// (-1/zero before the first, or with durability off); resume seeds
-	// the coordinator when the job was restored from one.
+	// (-1/zero before the first, or with durability off; ckptAt stays
+	// zero for a commit a previous incarnation made); resume seeds the
+	// coordinator when the job was restored from one.
 	ckptIter int
 	ckptAt   time.Time
 	resume   *rt.Resume
@@ -230,6 +226,17 @@ type Manager struct {
 	canceled int
 	nRunning int
 	nQueued  int
+	// coordinators counts job sessions still running. A canceled job
+	// leaves the schedule before its coordinator exits, so a drain
+	// waits on this as well as on the schedule.
+	coordinators int
+	// restored holds the settlements the restart found (jobs whose
+	// final checkpoint had committed); the loop delivers them to
+	// OnJobDone before anything else.
+	restored []JobResult
+	// applied, when set, observes every entry right after apply folds
+	// it (a test seam for the ledger-fold invariant).
+	applied func(*Manager, durable.Entry)
 
 	led *ledger
 	// infos is the cached policy view, parallel to order (Seq = index);
@@ -260,8 +267,12 @@ type Manager struct {
 	sloWin *obs.Window
 }
 
-// NewManager starts a manager and its event loop.
-func NewManager(cfg Config) *Manager {
+// NewManager starts a manager and its event loop. With cfg.Durable
+// set it first folds the replayed ledger and resumes the jobs it left
+// open.
+func NewManager(cfg Config) *Manager { return newManager(cfg, nil) }
+
+func newManager(cfg Config, applied func(*Manager, durable.Entry)) *Manager {
 	if cfg.Policy == nil {
 		cfg.Policy = FairShare{}
 	}
@@ -287,9 +298,15 @@ func NewManager(cfg Config) *Manager {
 		tele:      newMgrTelemetry(cfg.Metrics),
 		flight:    obs.FlightOr(cfg.Flight),
 		sloWin:    obs.NewWindow(),
+		applied:   applied,
 	}
-	if cfg.Restore != nil {
-		m.restore(cfg.Restore)
+	if cfg.Durable != nil {
+		var lastSeq uint64
+		for _, e := range cfg.Durable.Entries {
+			m.apply(e)
+			lastSeq = e.Seq
+		}
+		m.reopen(lastSeq)
 	}
 	m.publish()
 	go m.loop()
@@ -390,6 +407,12 @@ func discard(ev any) {
 func (m *Manager) loop() {
 	tick := time.NewTicker(m.cfg.Tick)
 	defer tick.Stop()
+	if m.cfg.OnJobDone != nil {
+		for _, r := range m.restored {
+			m.cfg.OnJobDone(r)
+		}
+	}
+	m.restored = nil
 	quit := m.quit
 	for {
 		select {
@@ -418,9 +441,9 @@ func (m *Manager) loop() {
 			quit = nil
 			m.closing = true
 			m.changed = true
-			m.walOr(durable.Entry{Op: durable.OpDrain, WID: -1})
+			m.decide(durable.Entry{Op: durable.OpDrain, WID: -1})
 		}
-		if m.closing && len(m.order) == 0 {
+		if m.closing && len(m.order) == 0 && m.coordinators == 0 {
 			for _, c := range m.idle {
 				_ = c.Send(&transport.Message{Kind: transport.KindShutdown})
 				c.Close()
@@ -454,10 +477,11 @@ func (m *Manager) handle(ev any) {
 	case evBarrier:
 		m.atBarrier(e)
 	case evJobDone:
+		m.coordinators--
 		m.finishJob(e)
 	case evCkpt:
-		if j := m.jobs[e.jobID]; j != nil {
-			j.ckptIter = e.iter
+		m.apply(e.entry)
+		if j := m.jobs[e.entry.JobID]; j != nil {
 			j.ckptAt = time.Now()
 		}
 	}
@@ -500,7 +524,7 @@ func (m *Manager) classify(e evConn) {
 		if e.msg.JobID > 0 {
 			m.tele.returns.Inc()
 		}
-		m.walOr(durable.Entry{Op: durable.OpJoin, JobID: e.msg.JobID, WID: e.msg.WID})
+		m.decide(durable.Entry{Op: durable.OpJoin, JobID: e.msg.JobID, WID: e.msg.WID})
 		m.idle = append(m.idle, e.conn)
 		m.markPool("worker")
 	case transport.KindSubmitJob:
@@ -542,13 +566,9 @@ func (m *Manager) arrivalInfo(spec transport.JobSpec, slo time.Duration) Arrival
 func (m *Manager) enqueue(id int, spec transport.JobSpec, slo time.Duration, reply transport.Conn, done chan JobResult) {
 	if m.cfg.Admission != nil {
 		if ok, reason := m.cfg.Admission.Admit(m.arrivalInfo(spec, slo)); !ok {
-			m.rejected++
 			m.tele.admission(false)
-			// A rejection is an SLO miss the submitter experienced: it
-			// burns the pool's budget just like a blown deadline.
-			m.sloWin.Observe(false, time.Now())
 			m.recordFlight("reject", id, reason)
-			m.walOr(durable.Entry{Op: durable.OpReject, JobID: id, WID: -1, Detail: reason})
+			m.decide(durable.Entry{Op: durable.OpReject, JobID: id, WID: -1, Detail: reason})
 			err := fmt.Errorf("%w: %s", ErrRejected, reason)
 			if reply != nil {
 				m.reject(reply, err)
@@ -562,8 +582,9 @@ func (m *Manager) enqueue(id int, spec transport.JobSpec, slo time.Duration, rep
 	}
 	// Write-ahead: the submission must be on disk before the job can be
 	// scheduled or acknowledged. A ledger that cannot take the entry
-	// cannot promise durability, so the submission is refused.
-	if err := m.appendWAL(durable.Entry{Op: durable.OpSubmit, JobID: id, WID: -1, SLO: slo, Spec: spec}); err != nil {
+	// cannot promise durability, so the submission is refused (counted,
+	// but with no entry to fold it from).
+	if err := m.commit(durable.Entry{Op: durable.OpSubmit, JobID: id, WID: -1, SLO: slo, Spec: spec}); err != nil {
 		m.rejected++
 		m.recordFlight("reject", id, "ledger: "+err.Error())
 		err = fmt.Errorf("%w: ledger append: %v", ErrRejected, err)
@@ -575,54 +596,35 @@ func (m *Manager) enqueue(id int, spec transport.JobSpec, slo time.Duration, rep
 		}
 		return
 	}
-	j := &job{
-		id:        id,
-		spec:      spec,
-		slo:       slo,
-		state:     stateQueued,
-		submitted: time.Now(),
-		reply:     reply,
-		done:      done,
-		iter:      -1,
-		ckptIter:  -1,
-	}
-	m.jobs[j.id] = j
-	m.led.add(j.id)
-	m.idx[j.id] = len(m.order)
-	m.order = append(m.order, j)
-	m.infos = append(m.infos, JobInfo{
-		ID: j.id, Seq: len(m.order) - 1, Priority: spec.Priority,
-		Min: spec.MinWorkers, Max: spec.MaxWorkers,
-	})
-	m.nQueued++
-	m.backlog += specTokens(spec)
+	j := m.jobs[id]
+	j.reply, j.done = reply, done
 	m.tele.submitted.Inc()
 	m.recordFlight("submit", j.id, fmt.Sprintf("model=%s min=%d max=%d", spec.Model, spec.MinWorkers, spec.MaxWorkers))
 	m.markJob(j.id, "arrival")
 }
 
-// cancel terminates a job on the submitter's request.
+// cancel terminates a job on the submitter's request. The job leaves
+// the schedule at once (settled, finished and canceled jobs are no
+// longer in it); its submitter hears ErrCanceled immediately when it
+// was queued, and when its coordinator exits when it was running.
 func (m *Manager) cancel(id int) {
 	j := m.jobs[id]
-	if j == nil || j.state == stateDone || j.canceled {
+	if j == nil {
 		return
 	}
-	m.canceled++
+	running := j.state == stateRunning
 	m.tele.canceled.Inc()
 	m.recordFlight("cancel", id, string(j.state))
-	m.walOr(durable.Entry{Op: durable.OpCancel, JobID: id, WID: -1})
-	switch j.state {
-	case stateQueued:
-		j.canceled = true
-		m.finishJob(evJobDone{jobID: id, err: ErrCanceled})
-	case stateRunning:
-		// Closing every conn the coordinator holds makes it lose all
-		// workers and exit; the workers see peer-gone and re-register
-		// with the pool. finishJob then settles with ErrCanceled.
-		j.canceled = true
-		for _, c := range j.conns {
-			c.Close()
-		}
+	m.decide(durable.Entry{Op: durable.OpCancel, JobID: id, WID: -1})
+	if !running {
+		m.finishJob(evJobDone{job: j})
+		return
+	}
+	// Closing every conn the coordinator holds makes it lose all
+	// workers and exit; the workers see peer-gone and re-register with
+	// the pool.
+	for _, c := range j.conns {
+		c.Close()
 	}
 }
 
@@ -744,11 +746,9 @@ func (m *Manager) pass() {
 		}
 		if eff := m.led.eff(j.id); want < eff {
 			j.pol.requestRelease(eff - want)
-			m.led.requestRelease(j.id, eff-want)
-			m.refreshInfo(j)
 			m.tele.releases.Add(int64(eff - want))
 			m.recordFlight("lease.release", j.id, fmt.Sprintf("workers=%d", eff-want))
-			m.walOr(durable.Entry{Op: durable.OpLeaseRelease, JobID: j.id, WID: -1, N: eff - want})
+			m.decide(durable.Entry{Op: durable.OpLeaseRelease, JobID: j.id, WID: -1, N: eff - want})
 		}
 	}
 	// Starts: queued jobs in arrival order, only at or above their
@@ -847,17 +847,11 @@ func (m *Manager) startJob(j *job, n int) {
 			_ = c.Send(&transport.Message{Kind: transport.KindShutdown})
 			c.Close()
 		}
-		m.finishJob(evJobDone{jobID: j.id, err: err})
+		m.finishJob(evJobDone{job: j, err: err})
 		return
 	}
 
-	m.walOr(durable.Entry{Op: durable.OpJobStart, JobID: j.id, WID: -1, N: len(conns)})
-	j.state = stateRunning
-	j.started = time.Now()
-	m.led.start(j.id, len(conns))
-	m.nQueued--
-	m.nRunning++
-	m.refreshInfo(j)
+	m.decide(durable.Entry{Op: durable.OpJobStart, JobID: j.id, WID: -1, N: len(conns)})
 	m.tele.queueWait.Observe(j.started.Sub(j.submitted).Seconds())
 	m.tele.leased("initial", len(conns))
 	m.recordFlight("job.start", j.id, fmt.Sprintf("workers=%d", len(conns)))
@@ -872,10 +866,10 @@ func (m *Manager) startJob(j *job, n int) {
 		wrapped[i] = newQueuedConn(ac, &transport.Message{Kind: transport.KindRegister, WID: i})
 	}
 	co := j.co
-	id := j.id
+	m.coordinators++
 	go func() {
 		res, err := co.Run(wrapped)
-		m.push(evJobDone{jobID: id, res: res, err: err})
+		m.push(evJobDone{job: j, res: res, err: err})
 	}()
 }
 
@@ -896,60 +890,36 @@ func (m *Manager) lease(j *job) bool {
 		ac.Close()
 		return false
 	}
-	m.walOr(durable.Entry{Op: durable.OpLeaseGrant, JobID: j.id, WID: -1, N: 1})
-	m.led.lease(j.id)
+	m.decide(durable.Entry{Op: durable.OpLeaseGrant, JobID: j.id, WID: -1, N: 1})
 	j.conns = append(j.conns, ac)
-	m.refreshInfo(j)
 	m.tele.leased("join", 1)
 	m.recordFlight("lease.grant", j.id, "kind=join")
 	return true
 }
 
-// finishJob settles a terminal job: replies to its submitter, records
-// telemetry, drops it from the schedule and rebalances the freed
-// capacity.
+// finishJob settles a terminal job: it appends the settlement (a
+// canceled job's OpCancel already did), replies to its submitter,
+// records telemetry and rebalances the freed capacity.
 func (m *Manager) finishJob(e evJobDone) {
-	j := m.jobs[e.jobID]
-	if j == nil || j.state == stateDone {
-		return
+	j := e.job
+	outcome := "ok"
+	switch {
+	case j.canceled:
+		outcome = "canceled"
+		e.res, e.err = nil, ErrCanceled
+	case e.err != nil:
+		outcome = "error"
 	}
-	wasRunning := j.state == stateRunning
-	j.state = stateDone
-	j.finished = time.Now()
+	m.recordFlight("job.done", j.id, fmt.Sprintf("outcome=%s iters=%d", outcome, j.iter+1))
+	if !j.canceled {
+		// SLO attainment: a job is good when it finished OK within its
+		// target (jobs without one only need to finish OK). The entry is
+		// written ahead of the reply below.
+		now := time.Now()
+		ok := e.err == nil && (j.slo == 0 || now.Sub(j.submitted) <= j.slo)
+		m.decide(durable.Entry{Op: durable.OpJobDone, JobID: j.id, WID: -1, OK: ok, Detail: "outcome=" + outcome, TS: now.UnixNano()})
+	}
 	j.res, j.err = e.res, e.err
-	if j.canceled {
-		j.res, j.err = nil, ErrCanceled
-	}
-	if j.started.IsZero() {
-		j.started = j.finished
-	}
-	if wasRunning {
-		m.nRunning--
-	} else {
-		m.nQueued--
-	}
-	if work := specTokens(j.spec) - j.tokensDone; work > 0 {
-		m.backlog -= work
-		if m.backlog < 0 {
-			m.backlog = 0
-		}
-	}
-	delete(m.jobs, j.id)
-	m.led.drop(j.id)
-	if i, ok := m.idx[j.id]; ok {
-		m.order = append(m.order[:i], m.order[i+1:]...)
-		m.infos = append(m.infos[:i], m.infos[i+1:]...)
-		delete(m.idx, j.id)
-		for k := i; k < len(m.order); k++ {
-			m.idx[m.order[k].id] = k
-			m.infos[k].Seq = k
-		}
-	}
-	m.doneTail = append(m.doneTail, j)
-	if len(m.doneTail) > 16 {
-		m.doneTail = m.doneTail[len(m.doneTail)-16:]
-	}
-	m.finished++
 	m.tele.completed(j.err == nil)
 	// The session is over (Run returned); closing every conn the job
 	// ever held frees any worker the coordinator left behind — stranded
@@ -966,24 +936,6 @@ func (m *Manager) finishJob(e evJobDone) {
 		QueueWait:   j.started.Sub(j.submitted),
 		Runtime:     j.finished.Sub(j.started),
 		WorkerIters: j.workerIters,
-	}
-	outcome := "ok"
-	switch {
-	case j.canceled:
-		outcome = "canceled"
-	case j.err != nil:
-		outcome = "error"
-	}
-	m.recordFlight("job.done", j.id, fmt.Sprintf("outcome=%s iters=%d", outcome, j.iter+1))
-	// SLO attainment: a job is good when it finished OK within its
-	// target (jobs without one only need to finish OK). Cancellations
-	// are the submitter's choice and burn no budget — and their OpCancel
-	// entry already settled them in the ledger, so only genuine
-	// completions append an OpJobDone (write-ahead of the reply below).
-	if !j.canceled {
-		ok := j.err == nil && (j.slo == 0 || out.QueueWait+out.Runtime <= j.slo)
-		m.walOr(durable.Entry{Op: durable.OpJobDone, JobID: j.id, WID: -1, OK: ok, Detail: "outcome=" + outcome})
-		m.sloWin.Observe(ok, j.finished)
 	}
 	if j.reply != nil {
 		msg := &transport.Message{Kind: transport.KindJobDone, JobID: j.id}
