@@ -60,9 +60,11 @@ jobs:
 # fuzz runs the AVX2 row tile against the scalar loop, the key
 # compaction on both kernel paths against its spec, the binary frame
 # decoder and its round trip, the top-k selection against its
-# sort-based reference, and a TCP conn's Recv against DecodeBinary, for
-# a short budget on top of the committed corpus (which plain `go test`
-# already replays).
+# sort-based reference, a TCP conn's Recv against DecodeBinary, and the
+# durable record decoder, its round trip and ledger replay (which read
+# their fields with the wire codec's PayloadReader), for a short budget
+# on top of the committed corpus (which plain `go test` already
+# replays).
 fuzz:
 	$(GO) test ./internal/tensor/ -run xxx -fuzz FuzzAxpyTile -fuzztime 10s
 	$(GO) test ./internal/tensor/ -run xxx -fuzz FuzzCompactKeys -fuzztime 10s
@@ -70,6 +72,9 @@ fuzz:
 	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzBinaryRoundTrip -fuzztime 10s
 	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzTopKSelect -fuzztime 10s
 	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzRecvBinary -fuzztime 10s
+	$(GO) test ./internal/durable/ -run xxx -fuzz FuzzDurableDecode -fuzztime 10s
+	$(GO) test ./internal/durable/ -run xxx -fuzz FuzzDurableRoundTrip -fuzztime 10s
+	$(GO) test ./internal/durable/ -run xxx -fuzz FuzzLedgerReplay -fuzztime 10s
 
 # bench smoke-runs the hot-path benchmarks (wire codecs, a 4 MB report
 # over loopback TCP, matmul and elementwise kernels, the row tile under

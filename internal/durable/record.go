@@ -2,9 +2,12 @@ package durable
 
 // The durable record codec: every byte the persistence plane writes —
 // ledger entries and model checkpoints alike — is one self-delimiting
-// frame in the style of the transport's binary wire codec (DESIGN.md
-// §10), extended with a CRC so bit rot and torn writes are detected at
-// replay instead of silently corrupting a restore.
+// record. Its 12-byte header is durable's own, with a CRC so bit rot
+// and torn writes are detected at replay instead of silently corrupting
+// a restore. Its payload's fields are written and read by the
+// transport's field codec (AppendString, AppendJobSpec,
+// AppendFloatGroup, PayloadReader; DESIGN.md §10), the one home of the
+// layout wire frames use too.
 //
 // Record layout (version 1, DESIGN.md §14):
 //
@@ -26,18 +29,16 @@ package durable
 //	varint   SLO (nanoseconds)
 //	1B       OK flag (0 or 1)
 //	str      Detail
-//	1B       job-spec presence flag (0 or 1); if 1 the spec fields in
-//	         the transport codec's order: str Name, str Model, varint
-//	         Seed, Iterations, TotalBatch, TokenBatch, 4B LR, 4B
-//	         Momentum (float32 bits), varint MinWorkers, MaxWorkers,
-//	         Priority
+//	         job spec as transport.AppendJobSpec writes it: a presence
+//	         flag (0 or 1), then the spec's fields
 //
 // Checkpoint payload:
 //
 //	varint   JobID, Iter
-//	uvarint  len(Params); per tensor: uvarint length, then 4·len bytes
-//	         of float32 bits, little-endian
-//	uvarint  len(Vel); same encoding
+//	         Params, then Vel, each a float group as
+//	         transport.AppendFloatGroup writes it: uvarint tensor count;
+//	         per tensor a uvarint length, then 4·len bytes of float32
+//	         bits, little-endian
 //	uvarint  len(Losses); per loss 8 bytes of float64 bits
 //
 // Decoding is strict: the CRC is checked before any field is read,
@@ -49,7 +50,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"slices"
 	"time"
 
 	"fela/internal/transport"
@@ -222,30 +222,6 @@ func finishRecord(dst []byte, base int) ([]byte, error) {
 	return dst, nil
 }
 
-func appendStr(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func appendFloat32s(dst []byte, fs []float32) []byte {
-	off := len(dst)
-	dst = slices.Grow(dst, 4*len(fs))[:off+4*len(fs)]
-	buf := dst[off:]
-	for i, f := range fs {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(f))
-	}
-	return dst
-}
-
-func appendTensorGroup(dst []byte, ts [][]float32) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(ts)))
-	for _, t := range ts {
-		dst = binary.AppendUvarint(dst, uint64(len(t)))
-		dst = appendFloat32s(dst, t)
-	}
-	return dst
-}
-
 // AppendEntry encodes e as one durable record appended to dst.
 func AppendEntry(dst []byte, e *Entry) []byte {
 	dst, base := beginRecord(dst, RecordEntry)
@@ -262,23 +238,8 @@ func AppendEntry(dst []byte, e *Entry) []byte {
 		ok = 1
 	}
 	dst = append(dst, ok)
-	dst = appendStr(dst, e.Detail)
-	if e.Spec == (transport.JobSpec{}) {
-		dst = append(dst, 0)
-	} else {
-		dst = append(dst, 1)
-		dst = appendStr(dst, e.Spec.Name)
-		dst = appendStr(dst, e.Spec.Model)
-		dst = binary.AppendVarint(dst, e.Spec.Seed)
-		dst = binary.AppendVarint(dst, int64(e.Spec.Iterations))
-		dst = binary.AppendVarint(dst, int64(e.Spec.TotalBatch))
-		dst = binary.AppendVarint(dst, int64(e.Spec.TokenBatch))
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(e.Spec.LR))
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(e.Spec.Momentum))
-		dst = binary.AppendVarint(dst, int64(e.Spec.MinWorkers))
-		dst = binary.AppendVarint(dst, int64(e.Spec.MaxWorkers))
-		dst = binary.AppendVarint(dst, int64(e.Spec.Priority))
-	}
+	dst = transport.AppendString(dst, e.Detail)
+	dst = transport.AppendJobSpec(dst, &e.Spec)
 	dst, _ = finishRecord(dst, base) // entries cannot exceed the cap
 	return dst
 }
@@ -288,8 +249,8 @@ func AppendCheckpoint(dst []byte, c *Checkpoint) ([]byte, error) {
 	dst, base := beginRecord(dst, RecordCheckpoint)
 	dst = binary.AppendVarint(dst, int64(c.JobID))
 	dst = binary.AppendVarint(dst, int64(c.Iter))
-	dst = appendTensorGroup(dst, c.Params)
-	dst = appendTensorGroup(dst, c.Vel)
+	dst = transport.AppendFloatGroup(dst, c.Params)
+	dst = transport.AppendFloatGroup(dst, c.Vel)
 	dst = binary.AppendUvarint(dst, uint64(len(c.Losses)))
 	for _, l := range c.Losses {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(l))
@@ -332,196 +293,47 @@ func ScanRecord(data []byte) (RecordKind, []byte, int, error) {
 	return kind, data[recHeader:total], total, nil
 }
 
-// recReader walks one record payload with sticky error state, the
-// durable twin of the wire codec's payloadReader: every accessor
-// validates against the bytes remaining before allocating.
-type recReader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *recReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = &CorruptError{fmt.Errorf(format, args...)}
-	}
-}
-
-func (r *recReader) remaining() int { return len(r.data) - r.off }
-
-func (r *recReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.data[r.off:])
-	if n <= 0 {
-		r.fail("truncated or malformed varint at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *recReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		r.fail("truncated or malformed uvarint at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *recReader) bytes(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || n > r.remaining() {
-		r.fail("%d bytes requested with %d remaining", n, r.remaining())
-		return nil
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *recReader) u32() uint32 {
-	b := r.bytes(4)
-	if r.err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *recReader) u64() uint64 {
-	b := r.bytes(8)
-	if r.err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *recReader) str() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(r.remaining()) {
-		r.fail("string length %d with %d bytes remaining", n, r.remaining())
-		return ""
-	}
-	return string(r.bytes(int(n)))
-}
-
-func (r *recReader) tensorGroup() [][]float32 {
-	cnt := r.uvarint()
-	if r.err != nil || cnt == 0 {
-		return nil
-	}
-	if cnt > uint64(r.remaining()) {
-		r.fail("%d tensors declared with %d bytes remaining", cnt, r.remaining())
-		return nil
-	}
-	out := make([][]float32, cnt)
-	for i := range out {
-		ln := r.uvarint()
-		if r.err != nil {
-			return nil
-		}
-		if ln > uint64(r.remaining())/4 {
-			r.fail("tensor of %d floats with %d bytes remaining", ln, r.remaining())
-			return nil
-		}
-		src := r.bytes(int(ln) * 4)
-		t := make([]float32, ln)
-		for j := range t {
-			t[j] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*j:]))
-		}
-		out[i] = t
-	}
-	return out
-}
-
-func (r *recReader) finish() error {
-	if r.err == nil && r.remaining() != 0 {
-		r.fail("%d trailing payload bytes", r.remaining())
-	}
-	return r.err
-}
-
 // DecodeEntry decodes one ledger-entry payload (from ScanRecord).
 func DecodeEntry(payload []byte) (Entry, error) {
-	r := &recReader{data: payload}
+	r := transport.NewPayloadReader(payload)
 	var e Entry
-	e.Seq = r.uvarint()
-	e.TS = r.varint()
-	if op := r.bytes(1); r.err == nil {
-		e.Op = Op(op[0])
-		if !validOp(e.Op) {
-			r.fail("unknown ledger op %d", op[0])
+	e.Seq = r.Uvarint()
+	e.TS = r.Varint()
+	if op := r.Bytes(1); op != nil {
+		if e.Op = Op(op[0]); !validOp(e.Op) {
+			r.Fail("unknown ledger op %d", op[0])
 		}
 	}
-	e.JobID = int(r.varint())
-	e.WID = int(r.varint())
-	e.Iter = int(r.varint())
-	e.N = int(r.varint())
-	e.SLO = time.Duration(r.varint())
-	if ok := r.bytes(1); r.err == nil {
-		switch ok[0] {
-		case 0:
-		case 1:
-			e.OK = true
-		default:
-			r.fail("OK flag %d", ok[0])
-		}
-	}
-	e.Detail = r.str()
-	switch flag := r.bytes(1); {
-	case r.err != nil:
-	case flag[0] == 1:
-		e.Spec.Name = r.str()
-		e.Spec.Model = r.str()
-		e.Spec.Seed = r.varint()
-		e.Spec.Iterations = int(r.varint())
-		e.Spec.TotalBatch = int(r.varint())
-		e.Spec.TokenBatch = int(r.varint())
-		e.Spec.LR = math.Float32frombits(r.u32())
-		e.Spec.Momentum = math.Float32frombits(r.u32())
-		e.Spec.MinWorkers = int(r.varint())
-		e.Spec.MaxWorkers = int(r.varint())
-		e.Spec.Priority = int(r.varint())
-	case flag[0] != 0:
-		r.fail("job-spec presence flag %d", flag[0])
-	}
-	if err := r.finish(); err != nil {
-		return Entry{}, err
+	e.JobID = int(r.Varint())
+	e.WID = int(r.Varint())
+	e.Iter = int(r.Varint())
+	e.N = int(r.Varint())
+	e.SLO = time.Duration(r.Varint())
+	e.OK = r.Flag("OK")
+	e.Detail = r.Str()
+	e.Spec = r.JobSpec()
+	if err := r.Finish(); err != nil {
+		return Entry{}, &CorruptError{err}
 	}
 	return e, nil
 }
 
 // DecodeCheckpoint decodes one checkpoint payload (from ScanRecord).
 func DecodeCheckpoint(payload []byte) (*Checkpoint, error) {
-	r := &recReader{data: payload}
+	r := transport.NewPayloadReader(payload)
 	c := &Checkpoint{}
-	c.JobID = int(r.varint())
-	c.Iter = int(r.varint())
-	c.Params = r.tensorGroup()
-	c.Vel = r.tensorGroup()
-	cnt := r.uvarint()
-	if r.err == nil && cnt > uint64(r.remaining())/8 {
-		r.fail("%d losses declared with %d bytes remaining", cnt, r.remaining())
-	}
-	if r.err == nil && cnt > 0 {
-		c.Losses = make([]float64, cnt)
+	c.JobID = int(r.Varint())
+	c.Iter = int(r.Varint())
+	c.Params = r.FloatGroup()
+	c.Vel = r.FloatGroup()
+	if n := r.Count(8); n > 0 {
+		c.Losses = make([]float64, n)
 		for i := range c.Losses {
-			c.Losses[i] = math.Float64frombits(r.u64())
+			c.Losses[i] = math.Float64frombits(r.U64())
 		}
 	}
-	if err := r.finish(); err != nil {
-		return nil, err
+	if err := r.Finish(); err != nil {
+		return nil, &CorruptError{err}
 	}
 	return c, nil
 }

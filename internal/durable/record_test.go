@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"math"
@@ -256,5 +257,66 @@ func TestEntrySpecialFloats(t *testing.T) {
 	}
 	if !math.IsInf(dec.Losses[0], -1) || !math.IsNaN(dec.Losses[1]) {
 		t.Fatalf("special float64s mangled: %v", dec.Losses)
+	}
+}
+
+// TestDecodeRejectsMalformedPayloads: a record whose CRC is valid but
+// one of whose fields is not must fail as *CorruptError, never as a
+// transport codec error, and never panic. ScanRecord passes every case,
+// so each one reaches the field reader.
+func TestDecodeRejectsMalformedPayloads(t *testing.T) {
+	// entryHead is an entry payload up to and including its OK flag.
+	entryHead := func(op Op, ok byte) []byte {
+		p := binary.AppendUvarint(nil, 1) // Seq
+		p = binary.AppendVarint(p, 2)     // TS
+		p = append(p, byte(op))
+		for range 5 { // JobID, WID, Iter, N, SLO
+			p = binary.AppendVarint(p, 0)
+		}
+		return append(p, ok)
+	}
+	// ckptHead is a checkpoint payload up to its JobID and Iter.
+	ckptHead := binary.AppendVarint(binary.AppendVarint(nil, 3), 9)
+	cases := []struct {
+		name    string
+		kind    RecordKind
+		payload []byte
+	}{
+		{"tensor count past the end", RecordCheckpoint,
+			binary.AppendUvarint(bytes.Clone(ckptHead), 1000)},
+		{"tensor length past the end", RecordCheckpoint,
+			append(binary.AppendUvarint(binary.AppendUvarint(bytes.Clone(ckptHead), 1), 1000), 0, 0, 0, 0)},
+		{"loss count past the end", RecordCheckpoint,
+			append(binary.AppendUvarint(append(bytes.Clone(ckptHead), 0, 0), 5), make([]byte, 8)...)},
+		{"loss count overflowing a byte count", RecordCheckpoint,
+			append(binary.AppendUvarint(append(bytes.Clone(ckptHead), 0, 0), 1<<61+1), make([]byte, 8)...)},
+		{"checkpoint trailing bytes", RecordCheckpoint,
+			append(bytes.Clone(ckptHead), 0, 0, 0, 0xff)},
+		{"string length past the end", RecordEntry,
+			append(binary.AppendUvarint(entryHead(OpReject, 0), 50), "abc"...)},
+		{"job-spec flag 2", RecordEntry, append(entryHead(OpSubmit, 0), 0, 2)},
+		{"OK flag 2", RecordEntry, append(entryHead(OpJobDone, 2), 0, 0)},
+		{"unknown op", RecordEntry, append(entryHead(Op(len(opNames)), 0), 0, 0)},
+		{"entry trailing bytes", RecordEntry, append(entryHead(OpDrain, 0), 0, 0, 0xff)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			data, base := beginRecord(nil, tc.kind)
+			data, err := finishRecord(append(data, tc.payload...), base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, _, err := ScanRecord(data); err != nil {
+				t.Fatalf("scan refused the record before any field was read: %v", err)
+			}
+			v, _, err := DecodeRecord(data)
+			var ce *CorruptError
+			if !errors.As(err, &ce) {
+				t.Fatalf("decoded %+v, %v; want *CorruptError", v, err)
+			}
+			if transport.Classify(err) == transport.ClassCodec {
+				t.Fatalf("%v classifies as a transport codec error", err)
+			}
+		})
 	}
 }

@@ -12,9 +12,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -143,29 +141,6 @@ func (s *DiskStore) Load(jobID int) (*Checkpoint, error) {
 		return nil, &CorruptError{fmt.Errorf("checkpoint names job %d, file names job %d", c.JobID, jobID)}
 	}
 	return c, nil
-}
-
-// List returns the job ids with a committed checkpoint, ascending.
-// Stale .tmp files from an interrupted Save are ignored.
-func (s *DiskStore) List() ([]int, error) {
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("durable: list checkpoints: %w", err)
-	}
-	var ids []int
-	for _, de := range ents {
-		name := de.Name()
-		if !strings.HasPrefix(name, "job-") || !strings.HasSuffix(name, ".ckpt") {
-			continue
-		}
-		id, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "job-"), ".ckpt"))
-		if err != nil {
-			continue
-		}
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids, nil
 }
 
 // syncDir fsyncs a directory so a just-committed rename survives power

@@ -62,31 +62,6 @@ func TestStoreLatestWins(t *testing.T) {
 	}
 }
 
-func TestStoreList(t *testing.T) {
-	s, root := newTestStore(t)
-	for _, id := range []int{7, 2, 11} {
-		c := sampleCheckpoint()
-		c.JobID = id
-		if err := s.Save(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A stale .tmp from an interrupted Save and an unrelated file must
-	// both be ignored.
-	for _, junk := range []string{"job-9.ckpt.tmp", "notes.txt", "job-x.ckpt"} {
-		if err := os.WriteFile(filepath.Join(root, ckptDirName, junk), []byte("junk"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ids, err := s.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ids, []int{2, 7, 11}) {
-		t.Fatalf("List = %v, want [2 7 11]", ids)
-	}
-}
-
 func TestStoreCorruptFileDetected(t *testing.T) {
 	s, root := newTestStore(t)
 	c := sampleCheckpoint()

@@ -358,9 +358,35 @@ func cutBytes(cuts *[]floatCut) int {
 	return n
 }
 
-func appendString(dst []byte, s string) []byte {
+// AppendFloatGroup appends one [][]float32 group, every section in
+// place: the float-group encoding durable checkpoints share with frames.
+func AppendFloatGroup(dst []byte, ss [][]float32) []byte { return appendSlices(dst, ss, nil) }
+
+// AppendString appends s as a uvarint length and its bytes.
+func AppendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
+}
+
+// AppendJobSpec appends s as a presence flag — 0 for the zero spec,
+// else 1 and its fields in declaration order — the one job-spec layout
+// of frames and durable ledger entries.
+func AppendJobSpec(dst []byte, s *JobSpec) []byte {
+	if *s == (JobSpec{}) {
+		return append(dst, 0)
+	}
+	dst = append(dst, 1)
+	dst = AppendString(dst, s.Name)
+	dst = AppendString(dst, s.Model)
+	dst = binary.AppendVarint(dst, s.Seed)
+	dst = binary.AppendVarint(dst, int64(s.Iterations))
+	dst = binary.AppendVarint(dst, int64(s.TotalBatch))
+	dst = binary.AppendVarint(dst, int64(s.TokenBatch))
+	dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(s.LR))
+	dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(s.Momentum))
+	dst = binary.AppendVarint(dst, int64(s.MinWorkers))
+	dst = binary.AppendVarint(dst, int64(s.MaxWorkers))
+	return binary.AppendVarint(dst, int64(s.Priority))
 }
 
 // AppendFrame encodes m as one binary wire frame appended to dst
@@ -419,23 +445,8 @@ func appendFrameMeta(dst []byte, m *Message, cuts *[]floatCut) ([]byte, gradInfo
 	gi.wire = len(dst) - gradStart + cutBytes(cuts)
 	gi.raw = m.gradFloats() * 4
 	dst = appendSlices(dst, m.Params, cuts)
-	dst = appendString(dst, m.Err)
-	if m.Job == (JobSpec{}) {
-		dst = append(dst, 0)
-	} else {
-		dst = append(dst, 1)
-		dst = appendString(dst, m.Job.Name)
-		dst = appendString(dst, m.Job.Model)
-		dst = binary.AppendVarint(dst, m.Job.Seed)
-		dst = binary.AppendVarint(dst, int64(m.Job.Iterations))
-		dst = binary.AppendVarint(dst, int64(m.Job.TotalBatch))
-		dst = binary.AppendVarint(dst, int64(m.Job.TokenBatch))
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(m.Job.LR))
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(m.Job.Momentum))
-		dst = binary.AppendVarint(dst, int64(m.Job.MinWorkers))
-		dst = binary.AppendVarint(dst, int64(m.Job.MaxWorkers))
-		dst = binary.AppendVarint(dst, int64(m.Job.Priority))
-	}
+	dst = AppendString(dst, m.Err)
+	dst = AppendJobSpec(dst, &m.Job)
 	dst = binary.AppendVarint(dst, int64(m.JobID))
 	dst = binary.LittleEndian.AppendUint64(dst, m.Span.TraceID)
 	dst = binary.LittleEndian.AppendUint64(dst, m.Span.SpanID)
@@ -477,42 +488,62 @@ func ReleaseFrame(buf []byte) {
 	framePool.Put(&b)
 }
 
+// Short-header errors are made once: recvBinary meets the v2 one on
+// every compressed frame, and frameBuffered the other whenever the next
+// frame has not begun to arrive.
+var (
+	errShortHeader   = &CodecError{fmt.Errorf("frame shorter than %d-byte header", frameHeader)}
+	errShortHeaderV2 = &CodecError{fmt.Errorf("frame shorter than %d-byte v2 header", frameHeaderV2)}
+)
+
+// parseHeader is the one check of a frame header, at the front of hdr:
+// magic, version, the v2 codec id and reserved bytes, and the length
+// cap. It returns the header's size, the gradient codec and the payload
+// length. A version-2 header given only its first frameHeader bytes
+// fails with errShortHeaderV2, so a stream reader can read the rest and
+// call again.
+func parseHeader(hdr []byte) (size int, codec Compression, n int, err error) {
+	if len(hdr) < frameHeader {
+		return 0, 0, 0, errShortHeader
+	}
+	if hdr[0] != frameMagic0 || hdr[1] != frameMagic1 {
+		return 0, 0, 0, &CodecError{fmt.Errorf("bad magic %#02x %#02x", hdr[0], hdr[1])}
+	}
+	switch hdr[2] {
+	case frameVersion:
+		size, codec = frameHeader, CompressExact
+	case frameVersion2:
+		if len(hdr) < frameHeaderV2 {
+			return 0, 0, 0, errShortHeaderV2
+		}
+		size, codec = frameHeaderV2, Compression(hdr[8])
+		if codec == CompressExact || !codec.Valid() {
+			return 0, 0, 0, &CodecError{fmt.Errorf("bad gradient codec id %d in v2 header", hdr[8])}
+		}
+		if hdr[9] != 0 || hdr[10] != 0 || hdr[11] != 0 {
+			return 0, 0, 0, &CodecError{fmt.Errorf("nonzero reserved bytes in v2 header")}
+		}
+	default:
+		return 0, 0, 0, &CodecError{fmt.Errorf("unsupported frame version %d", hdr[2])}
+	}
+	ln := binary.LittleEndian.Uint32(hdr[4:8])
+	if ln > MaxFrameBytes {
+		return 0, 0, 0, &CodecError{fmt.Errorf("payload length %d exceeds MaxFrameBytes %d", ln, MaxFrameBytes)}
+	}
+	return size, codec, int(ln), nil
+}
+
 // DecodeBinary decodes one complete binary frame. Truncated, corrupted
 // or oversized-length input returns a *CodecError (never panics, never
 // allocates beyond the bytes actually present). The returned message's
 // float payloads are pooled, and a top-k one keeps a pooled copy of the
 // frame; see Message.Release.
 func DecodeBinary(data []byte) (*Message, error) {
-	if len(data) < frameHeader {
-		return nil, &CodecError{fmt.Errorf("frame shorter than %d-byte header", frameHeader)}
+	header, codec, n, err := parseHeader(data)
+	if err != nil {
+		return nil, err
 	}
-	if data[0] != frameMagic0 || data[1] != frameMagic1 {
-		return nil, &CodecError{fmt.Errorf("bad magic %#02x %#02x", data[0], data[1])}
-	}
-	header := frameHeader
-	codec := CompressExact
-	switch data[2] {
-	case frameVersion:
-	case frameVersion2:
-		header = frameHeaderV2
-		if len(data) < header {
-			return nil, &CodecError{fmt.Errorf("frame shorter than %d-byte v2 header", header)}
-		}
-		codec = Compression(data[8])
-		if codec == CompressExact || !codec.Valid() {
-			return nil, &CodecError{fmt.Errorf("bad gradient codec id %d in v2 header", data[8])}
-		}
-		if data[9] != 0 || data[10] != 0 || data[11] != 0 {
-			return nil, &CodecError{fmt.Errorf("nonzero reserved bytes in v2 header")}
-		}
-	default:
-		return nil, &CodecError{fmt.Errorf("unsupported frame version %d", data[2])}
-	}
-	n := binary.LittleEndian.Uint32(data[4:8])
-	if n > MaxFrameBytes {
-		return nil, &CodecError{fmt.Errorf("payload length %d exceeds MaxFrameBytes %d", n, MaxFrameBytes)}
-	}
-	if uint64(n) != uint64(len(data)-header) {
+	if n != len(data)-header {
 		return nil, &CodecError{fmt.Errorf("payload length %d does not match %d frame bytes", n, len(data)-header)}
 	}
 	var frame *[]byte
@@ -528,9 +559,12 @@ func DecodeBinary(data []byte) (*Message, error) {
 	return m, err
 }
 
-// payloadReader walks one frame payload with sticky error state; every
-// accessor validates against the bytes remaining before allocating.
-type payloadReader struct {
+// PayloadReader walks one payload with sticky error state: the field
+// decoder of wire frames and of durable records alike. Every accessor
+// validates against the bytes remaining before allocating. Its errors
+// carry no class; each caller wraps them as its own (*CodecError on the
+// wire).
+type PayloadReader struct {
 	data []byte
 	off  int
 	err  error
@@ -539,46 +573,63 @@ type payloadReader struct {
 	alias, viewed bool
 }
 
-func (r *payloadReader) fail(format string, args ...any) {
+// NewPayloadReader returns a reader at the start of data whose float
+// groups are always copied out of it.
+func NewPayloadReader(data []byte) *PayloadReader { return &PayloadReader{data: data} }
+
+// Fail records the reader's first error; later reads return zero values.
+func (r *PayloadReader) Fail(format string, args ...any) {
 	if r.err == nil {
-		r.err = &CodecError{fmt.Errorf(format, args...)}
+		r.err = fmt.Errorf(format, args...)
 	}
 }
 
-func (r *payloadReader) remaining() int { return len(r.data) - r.off }
+func (r *PayloadReader) remaining() int { return len(r.data) - r.off }
 
-func (r *payloadReader) varint() int64 {
+// Finish fails on unread payload bytes and returns the first error the
+// reader met.
+func (r *PayloadReader) Finish() error {
+	if r.err == nil && r.remaining() != 0 {
+		r.Fail("%d trailing payload bytes", r.remaining())
+	}
+	return r.err
+}
+
+// Varint reads a zig-zag signed varint.
+func (r *PayloadReader) Varint() int64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Varint(r.data[r.off:])
 	if n <= 0 {
-		r.fail("truncated or malformed varint at offset %d", r.off)
+		r.Fail("truncated or malformed varint at offset %d", r.off)
 		return 0
 	}
 	r.off += n
 	return v
 }
 
-func (r *payloadReader) uvarint() uint64 {
+// Uvarint reads an unsigned varint.
+func (r *PayloadReader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.data[r.off:])
 	if n <= 0 {
-		r.fail("truncated or malformed uvarint at offset %d", r.off)
+		r.Fail("truncated or malformed uvarint at offset %d", r.off)
 		return 0
 	}
 	r.off += n
 	return v
 }
 
-func (r *payloadReader) bytes(n int) []byte {
+// Bytes returns the next n bytes as a view of the payload, nil on error.
+func (r *PayloadReader) Bytes(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
 	if n < 0 || n > r.remaining() {
-		r.fail("%d bytes requested with %d remaining", n, r.remaining())
+		r.Fail("%d bytes requested with %d remaining", n, r.remaining())
 		return nil
 	}
 	b := r.data[r.off : r.off+n]
@@ -586,65 +637,62 @@ func (r *payloadReader) bytes(n int) []byte {
 	return b
 }
 
-func (r *payloadReader) u32() uint32 {
-	b := r.bytes(4)
+func (r *PayloadReader) u32() uint32 {
+	b := r.Bytes(4)
 	if r.err != nil {
 		return 0
 	}
 	return binary.LittleEndian.Uint32(b)
 }
 
-func (r *payloadReader) u64() uint64 {
-	b := r.bytes(8)
+// U64 reads 8 little-endian bytes.
+func (r *PayloadReader) U64() uint64 {
+	b := r.Bytes(8)
 	if r.err != nil {
 		return 0
 	}
 	return binary.LittleEndian.Uint64(b)
 }
 
-func (r *payloadReader) str() string {
-	n := r.uvarint()
+// Flag reads one byte that must be 0 or 1; name labels the failure.
+func (r *PayloadReader) Flag(name string) bool {
+	b := r.Bytes(1)
+	if b == nil {
+		return false
+	}
+	if b[0] > 1 {
+		r.Fail("%s flag %d", name, b[0])
+	}
+	return b[0] == 1
+}
+
+// Str reads a string as AppendString wrote it.
+func (r *PayloadReader) Str() string {
+	n := r.Count(1)
 	if r.err != nil {
 		return ""
 	}
-	if n > uint64(r.remaining()) {
-		r.fail("string length %d with %d bytes remaining", n, r.remaining())
-		return ""
-	}
-	return string(r.bytes(int(n)))
+	return string(r.Bytes(n))
 }
 
-// sliceLen reads the length of the group's next float section and
+// Count reads a uvarint count of items of at least size bytes each and
 // checks it against the bytes remaining.
-func (r *payloadReader) sliceLen() int {
-	ln := r.uvarint()
-	if r.err == nil && ln > uint64(r.remaining())/4 {
-		r.fail("slice of %d floats with %d bytes remaining", ln, r.remaining())
+func (r *PayloadReader) Count(size int) int {
+	n := r.Uvarint()
+	if r.err == nil && n > uint64(r.remaining()/size) {
+		r.Fail("count %d of %d-byte items with %d bytes remaining", n, size, r.remaining())
 	}
 	if r.err != nil {
 		return 0
 	}
-	return int(ln)
-}
-
-// groupLen reads a group's slice count and checks it against the bytes
-// remaining.
-func (r *payloadReader) groupLen() int {
-	cnt := r.uvarint()
-	if r.err == nil && cnt > uint64(r.remaining()) {
-		r.fail("%d slices declared with %d bytes remaining", cnt, r.remaining())
-	}
-	if r.err != nil {
-		return 0
-	}
-	return int(cnt)
+	return int(n)
 }
 
 // viewable reports whether the ln-float section at the reader's offset
 // is decoded as a view of the payload: the reader may alias it, the
 // section is at least viewFloats long, and it starts 4-aligned. The
 // length is already checked against the bytes remaining.
-func (r *payloadReader) viewable(ln int) bool {
+func (r *PayloadReader) viewable(ln int) bool {
 	return r.alias && nativeLittleEndian && ln >= viewFloats &&
 		uintptr(unsafe.Pointer(&r.data[r.off]))%4 == 0
 }
@@ -653,14 +701,14 @@ func (r *payloadReader) viewable(ln int) bool {
 // floats slicesInto will copy into the arena rather than view. It stops
 // at the first bad length; slicesInto then fails at the same place,
 // having copied no more than was counted.
-func (r *payloadReader) copiedFloats() int {
+func (r *PayloadReader) copiedFloats() int {
 	n := 0
-	for i := r.groupLen(); i > 0 && r.err == nil; i-- {
-		ln := r.sliceLen()
+	for i := r.Count(1); i > 0 && r.err == nil; i-- {
+		ln := r.Count(4)
 		if r.err == nil && !r.viewable(ln) {
 			n += ln
 		}
-		r.bytes(4 * ln)
+		r.Bytes(4 * ln)
 	}
 	return n
 }
@@ -670,14 +718,14 @@ func (r *payloadReader) copiedFloats() int {
 // copied into the shared arena, which copiedFloats has sized. Lengths
 // are checked against the remaining payload first, so hostile lengths
 // fail before anything is carved.
-func (r *payloadReader) slicesInto(arena *[]float32) [][]float32 {
-	cnt := r.groupLen()
+func (r *PayloadReader) slicesInto(arena *[]float32) [][]float32 {
+	cnt := r.Count(1)
 	if cnt == 0 {
 		return nil
 	}
 	out := make([][]float32, cnt)
 	for i := range out {
-		ln := r.sliceLen()
+		ln := r.Count(4)
 		if r.err != nil {
 			return nil
 		}
@@ -689,10 +737,10 @@ func (r *payloadReader) slicesInto(arena *[]float32) [][]float32 {
 		}
 		start := len(*arena)
 		if start+ln > cap(*arena) {
-			r.fail("slice of %d floats overflows the decode arena", ln)
+			r.Fail("slice of %d floats overflows the decode arena", ln)
 			return nil
 		}
-		src := r.bytes(4 * ln)
+		src := r.Bytes(4 * ln)
 		*arena = (*arena)[:start+ln]
 		dst := (*arena)[start : start+ln : start+ln]
 		if nativeLittleEndian {
@@ -703,6 +751,33 @@ func (r *payloadReader) slicesInto(arena *[]float32) [][]float32 {
 		out[i] = dst
 	}
 	return out
+}
+
+// FloatGroup decodes one [][]float32 group, as AppendFloatGroup wrote
+// it, into one arena of its own: copied, never a view or pooled.
+func (r *PayloadReader) FloatGroup() [][]float32 {
+	s := *r
+	arena := make([]float32, 0, s.copiedFloats())
+	return r.slicesInto(&arena)
+}
+
+// JobSpec reads a job spec as AppendJobSpec wrote it.
+func (r *PayloadReader) JobSpec() (s JobSpec) {
+	if !r.Flag("job-spec presence") {
+		return s
+	}
+	s.Name = r.Str()
+	s.Model = r.Str()
+	s.Seed = r.Varint()
+	s.Iterations = int(r.Varint())
+	s.TotalBatch = int(r.Varint())
+	s.TokenBatch = int(r.Varint())
+	s.LR = math.Float32frombits(r.u32())
+	s.Momentum = math.Float32frombits(r.u32())
+	s.MinWorkers = int(r.Varint())
+	s.MaxWorkers = int(r.Varint())
+	s.Priority = int(r.Varint())
+	return s
 }
 
 // decodePayloadMeta decodes a frame body whose header already
@@ -716,16 +791,16 @@ func (r *payloadReader) slicesInto(arena *[]float32) [][]float32 {
 // with its frame.
 func decodePayloadMeta(kind Kind, codec Compression, payload []byte, frame *[]byte) (*Message, gradInfo, error) {
 	var gi gradInfo
-	r := &payloadReader{data: payload, alias: frame != nil}
+	r := &PayloadReader{data: payload, alias: frame != nil}
 	m := &Message{Kind: kind, gradCodec: codec}
-	m.WID = int(r.varint())
-	m.Iter = int(r.varint())
-	m.Token.ID = int(r.varint())
-	m.Token.Seq = int(r.varint())
-	m.Token.Lo = int(r.varint())
-	m.Token.Hi = int(r.varint())
-	m.Token.Owner = int(r.varint())
-	m.Loss = math.Float64frombits(r.u64())
+	m.WID = int(r.Varint())
+	m.Iter = int(r.Varint())
+	m.Token.ID = int(r.Varint())
+	m.Token.Seq = int(r.Varint())
+	m.Token.Lo = int(r.Varint())
+	m.Token.Hi = int(r.Varint())
+	m.Token.Owner = int(r.Varint())
+	m.Loss = math.Float64frombits(r.U64())
 	gradStart := r.off
 	var arena *[]float32
 	if codec == CompressExact {
@@ -764,39 +839,21 @@ func decodePayloadMeta(kind Kind, codec Compression, payload []byte, frame *[]by
 	} else {
 		floatPool.Put(arena)
 	}
-	m.Err = r.str()
-	switch flag := r.bytes(1); {
-	case r.err != nil:
-	case flag[0] == 1:
-		m.Job.Name = r.str()
-		m.Job.Model = r.str()
-		m.Job.Seed = r.varint()
-		m.Job.Iterations = int(r.varint())
-		m.Job.TotalBatch = int(r.varint())
-		m.Job.TokenBatch = int(r.varint())
-		m.Job.LR = math.Float32frombits(r.u32())
-		m.Job.Momentum = math.Float32frombits(r.u32())
-		m.Job.MinWorkers = int(r.varint())
-		m.Job.MaxWorkers = int(r.varint())
-		m.Job.Priority = int(r.varint())
-	case flag[0] != 0:
-		r.fail("job-spec presence flag %d", flag[0])
-	}
-	m.JobID = int(r.varint())
-	m.Span.TraceID = r.u64()
-	m.Span.SpanID = r.u64()
-	if r.err == nil && r.remaining() != 0 {
-		r.fail("%d trailing payload bytes", r.remaining())
-	}
+	m.Err = r.Str()
+	m.Job = r.JobSpec()
+	m.JobID = int(r.Varint())
+	m.Span.TraceID = r.U64()
+	m.Span.SpanID = r.U64()
+	err := r.Finish()
 	// Every field is read: the frame is kept only if sections view it.
-	if r.viewed && r.err == nil {
+	if r.viewed && err == nil {
 		m.frame = frame
 	} else {
 		putRecvBuf(frame)
 	}
-	if r.err != nil {
+	if err != nil {
 		m.Release()
-		return nil, gi, r.err
+		return nil, gi, &CodecError{err}
 	}
 	return m, gi, nil
 }

@@ -412,11 +412,11 @@ func checkTopKFrame(t *testing.T, data []byte, m *Message, err error) {
 		binary.LittleEndian.Uint32(data[4:8]) != uint32(len(data)-frameHeaderV2) {
 		return
 	}
-	prefix := payloadReader{data: data[frameHeaderV2:]}
+	prefix := PayloadReader{data: data[frameHeaderV2:]}
 	for range 7 {
-		prefix.varint()
+		prefix.Varint()
 	}
-	prefix.bytes(8)
+	prefix.Bytes(8)
 	ref := prefix
 	want := refTopKDecode(&ref)
 	got := prefix

@@ -544,41 +544,41 @@ func appendCompressedSlices(dst []byte, ss [][]float32, codec Compression) []byt
 // against the dense length, so a section that passes the scan can be
 // folded without another check. The reader copy is discarded; the
 // caller's reader is untouched.
-func (r *payloadReader) scanCompressedSlices(codec Compression) (int, error) {
+func (r *PayloadReader) scanCompressedSlices(codec Compression) (int, error) {
 	s := *r // shallow copy: same payload, independent offset
 	total := int64(0)
-	cnt := s.uvarint()
+	cnt := s.Uvarint()
 	if cnt > uint64(s.remaining()) {
-		s.fail("%d compressed slices declared with %d bytes remaining", cnt, s.remaining())
+		s.Fail("%d compressed slices declared with %d bytes remaining", cnt, s.remaining())
 	}
 	for i := uint64(0); i < cnt && s.err == nil; i++ {
-		ln := s.uvarint()
+		ln := s.Uvarint()
 		if s.err != nil {
 			break
 		}
 		switch codec {
 		case CompressFP16:
 			if ln > uint64(s.remaining())/2 {
-				s.fail("fp16 slice of %d floats with %d bytes remaining", ln, s.remaining())
+				s.Fail("fp16 slice of %d floats with %d bytes remaining", ln, s.remaining())
 			}
-			s.bytes(int(ln) * 2)
+			s.Bytes(int(ln) * 2)
 		case CompressInt8:
 			if ln > uint64(s.remaining()) {
-				s.fail("int8 slice of %d floats with %d bytes remaining", ln, s.remaining())
+				s.Fail("int8 slice of %d floats with %d bytes remaining", ln, s.remaining())
 			}
-			s.bytes(4 + int(ln))
+			s.Bytes(4 + int(ln))
 		case CompressTopK:
-			k := s.uvarint()
+			k := s.Uvarint()
 			if s.err != nil {
 				break
 			}
 			switch {
 			case k > ln:
-				s.fail("top-k count %d exceeds dense length %d", k, ln)
+				s.Fail("top-k count %d exceeds dense length %d", k, ln)
 			case ln > topkMagLimit*k && ln > 0:
-				s.fail("top-k dense length %d too large for count %d", ln, k)
+				s.Fail("top-k dense length %d too large for count %d", ln, k)
 			case k > uint64(s.remaining()):
-				s.fail("top-k count %d with %d bytes remaining", k, s.remaining())
+				s.Fail("top-k count %d with %d bytes remaining", k, s.remaining())
 			}
 			// next is the lowest index the next entry may take.
 			next := uint64(0)
@@ -587,26 +587,26 @@ func (r *payloadReader) scanCompressedSlices(codec Compression) (int, error) {
 				if s.off < len(s.data) && s.data[s.off] < 0x80 {
 					d = uint64(s.data[s.off])
 					s.off++
-				} else if d = s.uvarint(); s.err != nil {
+				} else if d = s.Uvarint(); s.err != nil {
 					break
 				}
 				if d >= ln-next {
-					s.fail("top-k index %d out of range %d", next+d, ln)
+					s.Fail("top-k index %d out of range %d", next+d, ln)
 					break
 				}
 				next += d + 1
 			}
-			s.bytes(int(k) * 4)
+			s.Bytes(int(k) * 4)
 		default:
-			s.fail("unknown gradient codec %d", codec)
+			s.Fail("unknown gradient codec %d", codec)
 		}
 		total += int64(ln)
 		if total > MaxFrameBytes/4 {
-			s.fail("compressed grads expand to %d floats (limit %d)", total, MaxFrameBytes/4)
+			s.Fail("compressed grads expand to %d floats (limit %d)", total, MaxFrameBytes/4)
 		}
 	}
 	if s.err != nil {
-		return 0, s.err
+		return 0, &CodecError{s.err}
 	}
 	return int(total), nil
 }
@@ -614,14 +614,14 @@ func (r *payloadReader) scanCompressedSlices(codec Compression) (int, error) {
 // compressedSlicesInto decodes one fp16 or int8 grads section into dense
 // float32 slices carved from the arena, which scanCompressedSlices has
 // already sized and whose checks it has already made.
-func (r *payloadReader) compressedSlicesInto(arena *[]float32, codec Compression) [][]float32 {
-	cnt := r.uvarint()
+func (r *PayloadReader) compressedSlicesInto(arena *[]float32, codec Compression) [][]float32 {
+	cnt := r.Uvarint()
 	if r.err != nil || cnt == 0 {
 		return nil
 	}
 	out := make([][]float32, cnt)
 	for i := range out {
-		ln := int(r.uvarint())
+		ln := int(r.Uvarint())
 		if r.err != nil {
 			return nil
 		}
@@ -630,7 +630,7 @@ func (r *payloadReader) compressedSlicesInto(arena *[]float32, codec Compression
 		dst := (*arena)[start : start+ln : start+ln]
 		switch codec {
 		case CompressFP16:
-			src := r.bytes(ln * 2)
+			src := r.Bytes(ln * 2)
 			if r.err != nil {
 				return nil
 			}
@@ -639,7 +639,7 @@ func (r *payloadReader) compressedSlicesInto(arena *[]float32, codec Compression
 			}
 		case CompressInt8:
 			scale := math.Float32frombits(r.u32())
-			src := r.bytes(ln)
+			src := r.Bytes(ln)
 			if r.err != nil {
 				return nil
 			}
@@ -695,16 +695,16 @@ func (s *TopKSection) AddScaledTo(dst []float32, a float32) {
 // topKSections decodes one top-k grads section, which scanCompressedSlices
 // has validated, into sections that view the payload: it finds where
 // each index run ends and allocates nothing per float.
-func (r *payloadReader) topKSections() []TopKSection {
-	cnt := r.uvarint()
+func (r *PayloadReader) topKSections() []TopKSection {
+	cnt := r.Uvarint()
 	if r.err != nil || cnt == 0 {
 		return nil
 	}
 	out := make([]TopKSection, cnt)
 	for i := range out {
 		s := &out[i]
-		s.n = int(r.uvarint())
-		k := int(r.uvarint())
+		s.n = int(r.Uvarint())
+		k := int(r.Uvarint())
 		start := r.off
 		for n := 0; n < k; r.off++ {
 			if r.data[r.off] < 0x80 { // each delta ends in one such byte
@@ -712,7 +712,7 @@ func (r *payloadReader) topKSections() []TopKSection {
 			}
 		}
 		s.idx = r.data[start:r.off]
-		s.val = r.bytes(4 * k)
+		s.val = r.Bytes(4 * k)
 		if r.err != nil {
 			return nil
 		}

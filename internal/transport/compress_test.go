@@ -525,8 +525,8 @@ func TestCompressedHostileHeaders(t *testing.T) {
 // or delta-coded indices out of range, must fail in the pre-allocation
 // scan, as the reference decoder fails on them.
 func TestTopKHostileLengths(t *testing.T) {
-	build := func(section []byte) *payloadReader {
-		return &payloadReader{data: section}
+	build := func(section []byte) *PayloadReader {
+		return &PayloadReader{data: section}
 	}
 	appendUv := func(dst []byte, vs ...uint64) []byte {
 		for _, v := range vs {

@@ -84,14 +84,14 @@ func refTopKSection(s []float32) []byte {
 // indices back out of the section's delta-varints.
 func topKIndices(t testing.TB, s []float32) []int {
 	t.Helper()
-	r := &payloadReader{data: appendCompressedSlices(nil, [][]float32{s}, CompressTopK)}
-	if cnt, ln := r.uvarint(), r.uvarint(); cnt != 1 || ln != uint64(len(s)) {
+	r := &PayloadReader{data: appendCompressedSlices(nil, [][]float32{s}, CompressTopK)}
+	if cnt, ln := r.Uvarint(), r.Uvarint(); cnt != 1 || ln != uint64(len(s)) {
 		t.Fatalf("section header cnt=%d len=%d, want 1, %d", cnt, ln, len(s))
 	}
-	idx := make([]int, r.uvarint())
+	idx := make([]int, r.Uvarint())
 	prev := -1
 	for j := range idx {
-		prev += 1 + int(r.uvarint())
+		prev += 1 + int(r.Uvarint())
 		idx[j] = prev
 	}
 	if r.err != nil {
@@ -106,47 +106,47 @@ func topKIndices(t testing.TB, s []float32) []int {
 // index deltas, then a scatter into zeroed dense slices that checks each
 // index as it goes. It decodes one grads section at r and leaves r past
 // it, or fails with r.err set.
-func refTopKDecode(r *payloadReader) [][]float32 {
+func refTopKDecode(r *PayloadReader) [][]float32 {
 	s := *r
-	cnt := s.uvarint()
+	cnt := s.Uvarint()
 	if cnt > uint64(s.remaining()) {
-		s.fail("%d compressed slices declared with %d bytes remaining", cnt, s.remaining())
+		s.Fail("%d compressed slices declared with %d bytes remaining", cnt, s.remaining())
 	}
 	total := int64(0)
 	for i := uint64(0); i < cnt && s.err == nil; i++ {
-		ln := s.uvarint()
-		k := s.uvarint()
+		ln := s.Uvarint()
+		k := s.Uvarint()
 		if s.err != nil {
 			break
 		}
 		switch {
 		case k > ln:
-			s.fail("top-k count %d exceeds dense length %d", k, ln)
+			s.Fail("top-k count %d exceeds dense length %d", k, ln)
 		case ln > topkMagLimit*k && ln > 0:
-			s.fail("top-k dense length %d too large for count %d", ln, k)
+			s.Fail("top-k dense length %d too large for count %d", ln, k)
 		case k > uint64(s.remaining()):
-			s.fail("top-k count %d with %d bytes remaining", k, s.remaining())
+			s.Fail("top-k count %d with %d bytes remaining", k, s.remaining())
 		}
 		for j := uint64(0); j < k && s.err == nil; j++ {
-			s.uvarint()
+			s.Uvarint()
 		}
-		s.bytes(int(k) * 4)
+		s.Bytes(int(k) * 4)
 		if total += int64(ln); total > MaxFrameBytes/4 {
-			s.fail("compressed grads expand to %d floats (limit %d)", total, MaxFrameBytes/4)
+			s.Fail("compressed grads expand to %d floats (limit %d)", total, MaxFrameBytes/4)
 		}
 	}
 	if s.err != nil {
 		r.err = s.err
 		return nil
 	}
-	cnt = r.uvarint()
+	cnt = r.Uvarint()
 	if cnt == 0 {
 		return nil
 	}
 	out := make([][]float32, cnt)
 	for i := range out {
-		ln := int(r.uvarint())
-		k := int(r.uvarint())
+		ln := int(r.Uvarint())
+		k := int(r.Uvarint())
 		dst := make([]float32, ln)
 		// Two cursors: vr runs ahead to the values, which start after the
 		// k-th byte without a continuation bit, and r decodes each index
@@ -157,17 +157,17 @@ func refTopKDecode(r *payloadReader) [][]float32 {
 				n++
 			}
 		}
-		src := vr.bytes(k * 4)
+		src := vr.Bytes(k * 4)
 		if vr.err != nil {
 			r.err = vr.err
 			return nil
 		}
 		prev := -1
 		for j := 0; j < k; j++ {
-			d := r.uvarint()
+			d := r.Uvarint()
 			next := prev + 1 + int(d)
 			if r.err == nil && (d > uint64(ln) || next >= ln) {
-				r.fail("top-k index %d out of range %d", next, ln)
+				r.Fail("top-k index %d out of range %d", next, ln)
 			}
 			if r.err != nil {
 				return nil
@@ -185,10 +185,10 @@ func refTopKDecode(r *payloadReader) [][]float32 {
 // own, into dense floats: kept values bit for bit, +0 elsewhere.
 func expandTopK(s TopKSection) []float32 {
 	out := make([]float32, s.Len())
-	r := &payloadReader{data: s.idx}
+	r := &PayloadReader{data: s.idx}
 	at := -1
 	for j := range len(s.val) / 4 {
-		at += 1 + int(r.uvarint())
+		at += 1 + int(r.Uvarint())
 		out[at] = math.Float32frombits(binary.LittleEndian.Uint32(s.val[4*j:]))
 	}
 	return out
@@ -196,7 +196,7 @@ func expandTopK(s TopKSection) []float32 {
 
 // decodeTopKSection runs the codec's top-k decode — the scan, then the
 // sections — on one grads section at r.
-func decodeTopKSection(r *payloadReader) ([]TopKSection, error) {
+func decodeTopKSection(r *PayloadReader) ([]TopKSection, error) {
 	if _, err := r.scanCompressedSlices(CompressTopK); err != nil {
 		return nil, err
 	}
@@ -224,7 +224,7 @@ func checkTopKAgainstReference(t testing.TB, s []float32) {
 	if got[0] != 0xa5 || !bytes.Equal(got[1:], want) {
 		t.Fatalf("n=%d: top-k section differs from the sort-based reference (%d vs %d bytes)", len(s), len(got)-1, len(want))
 	}
-	r := &payloadReader{data: want}
+	r := &PayloadReader{data: want}
 	out, err := decodeTopKSection(r)
 	if err != nil || r.remaining() != 0 || len(out) != 1 || out[0].Len() != len(s) {
 		t.Fatalf("n=%d: decode err=%v, %d bytes left, %d slices", len(s), err, r.remaining(), len(out))
@@ -239,7 +239,7 @@ func checkTopKAgainstReference(t testing.TB, s []float32) {
 			t.Fatalf("n=%d: decoded[%d] = %#08x, want %#08x", len(s), i, math.Float32bits(v), wantBits[i])
 		}
 	}
-	if ref := refTopKDecode(&payloadReader{data: want}); !sameBits(ref, [][]float32{dense}) {
+	if ref := refTopKDecode(&PayloadReader{data: want}); !sameBits(ref, [][]float32{dense}) {
 		t.Fatalf("n=%d: sections expand to other floats than the reference decoder's", len(s))
 	}
 }
@@ -571,11 +571,11 @@ func TestTopKFoldMatchesDenseFold(t *testing.T) {
 						g = sparse(n)
 					}
 					section := appendCompressedSlices(nil, [][]float32{g}, CompressTopK)
-					secs, err := decodeTopKSection(&payloadReader{data: section})
+					secs, err := decodeTopKSection(&PayloadReader{data: section})
 					if err != nil {
 						t.Fatal(err)
 					}
-					ref := refTopKDecode(&payloadReader{data: section})
+					ref := refTopKDecode(&PayloadReader{data: section})
 					secs[0].AddScaledTo(acc, frac)
 					dense.AddScaled(&tensor.Tensor{Shape: []int{n}, Data: ref[0]}, frac)
 					for i := range acc {

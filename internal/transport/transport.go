@@ -763,15 +763,9 @@ func (c *tcpConn) Recv() (*Message, error) {
 // read buffer, so that decoding it cannot block.
 func (c *tcpConn) frameBuffered() bool {
 	n := c.br.Buffered()
-	if n < frameHeader {
-		return false
-	}
-	hdr, _ := c.br.Peek(frameHeader)
-	header := frameHeader
-	if hdr[2] == frameVersion2 {
-		header = frameHeaderV2
-	}
-	return n >= header+int(binary.LittleEndian.Uint32(hdr[4:8]))
+	hdr, _ := c.br.Peek(min(n, frameHeaderV2))
+	header, _, ln, err := parseHeader(hdr)
+	return err == nil && n >= header+ln
 }
 
 // recvBinary reads and decodes one binary frame. The header is
@@ -786,33 +780,17 @@ func (c *tcpConn) recvBinary() (*Message, error) {
 	if _, err := io.ReadFull(c.br, hdr[:frameHeader]); err != nil {
 		return nil, err
 	}
-	if hdr[0] != frameMagic0 || hdr[1] != frameMagic1 {
-		return nil, &CodecError{fmt.Errorf("bad magic %#02x %#02x", hdr[0], hdr[1])}
-	}
-	header := frameHeader
-	codec := CompressExact
-	switch hdr[2] {
-	case frameVersion:
-	case frameVersion2:
-		header = frameHeaderV2
+	header, codec, n, err := parseHeader(hdr[:frameHeader])
+	if err == errShortHeaderV2 { // the v2 codec id and reserved bytes follow
 		if _, err := io.ReadFull(c.br, hdr[frameHeader:]); err != nil {
 			return nil, err
 		}
-		codec = Compression(hdr[8])
-		if codec == CompressExact || !codec.Valid() {
-			return nil, &CodecError{fmt.Errorf("bad gradient codec id %d in v2 header", hdr[8])}
-		}
-		if hdr[9] != 0 || hdr[10] != 0 || hdr[11] != 0 {
-			return nil, &CodecError{fmt.Errorf("nonzero reserved bytes in v2 header")}
-		}
-	default:
-		return nil, &CodecError{fmt.Errorf("unsupported frame version %d", hdr[2])}
+		header, codec, n, err = parseHeader(hdr[:])
 	}
-	n := binary.LittleEndian.Uint32(hdr[4:8])
-	if n > MaxFrameBytes {
-		return nil, &CodecError{fmt.Errorf("payload length %d exceeds MaxFrameBytes %d", n, MaxFrameBytes)}
+	if err != nil {
+		return nil, err
 	}
-	bp, payload, err := c.readPayload(int(n), codec == CompressExact)
+	bp, payload, err := c.readPayload(n, codec == CompressExact)
 	if err != nil {
 		return nil, err
 	}
@@ -820,7 +798,7 @@ func (c *tcpConn) recvBinary() (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	st.decoded(m.Kind, header+int(n), start)
+	st.decoded(m.Kind, header+n, start)
 	st.compressed(1, gi)
 	return m, nil
 }
@@ -885,14 +863,14 @@ const prefixMax = 10*binary.MaxVarintLen64 + 8
 // not parse gives -1, and decode reports the error.
 func (c *tcpConn) firstSection(n int) int {
 	p, _ := c.br.Peek(min(n, prefixMax))
-	r := payloadReader{data: p}
+	r := PayloadReader{data: p}
 	for range 7 {
-		r.varint()
+		r.Varint()
 	}
-	r.bytes(8)
+	r.Bytes(8)
 	for range 2 { // Grads, then Params
-		if r.uvarint() > 0 {
-			if r.uvarint(); r.err != nil {
+		if r.Uvarint() > 0 {
+			if r.Uvarint(); r.err != nil {
 				return -1
 			}
 			return r.off

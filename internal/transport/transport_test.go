@@ -466,7 +466,7 @@ func TestFloatSectionBulkMatchesLoop(t *testing.T) {
 			// offset: a group of one slice of n floats.
 			payload := append([]byte(nil), head...)
 			payload = appendSlices(payload, [][]float32{fs}, nil)
-			r := &payloadReader{data: payload, off: prefix}
+			r := &PayloadReader{data: payload, off: prefix}
 			arena := getFloatArena(n)
 			dec := r.slicesInto(arena)
 			if r.err != nil {
