@@ -140,10 +140,11 @@ durable:
 # tile tails, special values and fan-out widths, on the AVX2 and the
 # portable path, the key compaction against its spec on both, the
 # tensor and minidnn suites once more built with GOAMD64=v3 (where the
-# compiler may use FMA), the tensor and transport suites built for 386
-# (the portable path alone: every top-k frame against the sort-based
-# reference without the AVX2 compaction), layer-buffer ownership
-# and two networks sharing the kernel pool (all of minidnn), the
+# compiler may use FMA), the tensor, minidnn and transport suites built
+# for 386 (the portable path alone: every layer and the deferred
+# weight-gradient zero on the Go loops, every top-k frame against the
+# sort-based reference without the AVX2 compaction), layer-buffer
+# ownership and two networks sharing the kernel pool (all of minidnn), the
 # fp16/int8/topk codec properties with their golden v2 frames and
 # hostile-header cases, top-k encoders sharing the scratch pool
 # (TestTopKConcurrentEncoders) and the FuzzTopKSelect corpus replayed,
@@ -154,7 +155,7 @@ kernels:
 	$(GO) test ./internal/tensor/ -race -count=1 -v
 	$(GO) test ./internal/minidnn/ -race -count=1 -v
 	GOAMD64=v3 $(GO) test ./internal/tensor/ ./internal/minidnn/ -count=1
-	GOARCH=386 $(GO) test ./internal/tensor/ ./internal/transport/ -count=1
+	GOARCH=386 $(GO) test ./internal/tensor/ ./internal/minidnn/ ./internal/transport/ -count=1
 	$(GO) test ./internal/transport/ -race -run 'TestFP16|TestInt8|TestTopK|FuzzTopKSelect|TestCompress|TestParamsStayExact|TestView|TestSendCapturesPayload|TestRecvHeaderAlone|FuzzRecvBinary' -count=1 -v
 	$(GO) test ./internal/rt/ -race -run 'TestCompress' -count=1 -v
 

@@ -342,6 +342,79 @@ func TestLayerBuffersCarryNothingOver(t *testing.T) {
 	}
 }
 
+// TestDenseZeroGradsDeferred: Dense.ZeroGrads marks gW zero instead of
+// clearing it, and the next backward pass stores its product. Every call
+// sequence must leave the bits a network that clears each gradient at
+// ZeroGrads leaves: a read through Grads, Loss after Loss with and
+// without a ZeroGrads first, a Forward with no Backward, and SGDStep.
+// Both networks start from gradients salted with NaN, -0 and finite
+// values that a missed clear or an add where a store belongs would carry
+// through; the wide MLP's rows take the AVX2 tile's vectors and tails.
+func TestDenseZeroGradsDeferred(t *testing.T) {
+	eager := func(n *Network) {
+		n.ZeroGrads()
+		for _, g := range n.Grads() {
+			g.Zero()
+		}
+	}
+	salt := func(n *Network) {
+		for _, g := range n.Grads() {
+			for i := range g.Data {
+				g.Data[i] = []float32{nan, negZero, 0.75, -3}[i%4]
+			}
+		}
+	}
+	cases := append(netCases(), netCase{"mlp-wide", func() *Network { return NewMLP(5, 12, 20, 9) }, SyntheticBlobs(6, 40, 12, 9)})
+	eachPath(func(path string) {
+		for _, tc := range cases {
+			x, labels := tc.ds.Batch(0, 16)
+			y, ylabels := tc.ds.Batch(16, 20)
+			seqs := []struct {
+				name string
+				run  func(n *Network, zero func(*Network))
+			}{
+				{"ZeroGrads-Grads", func(n *Network, zero func(*Network)) {
+					zero(n)
+				}},
+				{"ZeroGrads-Loss-Loss", func(n *Network, zero func(*Network)) {
+					zero(n)
+					n.Loss(x, labels)
+					n.Loss(y, ylabels)
+				}},
+				{"Loss-Grads-Loss", func(n *Network, zero func(*Network)) {
+					n.Loss(x, labels)
+					n.Grads()
+					n.Loss(y, ylabels)
+				}},
+				{"ZeroGrads-Forward-Grads", func(n *Network, zero func(*Network)) {
+					zero(n)
+					n.Loss(x, labels)
+					zero(n)
+					n.Forward(y)
+				}},
+				{"SGDStep", func(n *Network, zero func(*Network)) {
+					zero(n)
+					n.Loss(x, labels)
+					n.SGDStep(0.1)
+					n.Loss(y, ylabels)
+					n.SGDStep(0.1)
+					n.SGDStep(0.1)
+				}},
+			}
+			for _, s := range seqs {
+				got, want := tc.net(), tc.net()
+				salt(got)
+				salt(want)
+				s.run(got, (*Network).ZeroGrads)
+				s.run(want, eager)
+				name := fmt.Sprintf("%s/%s/%s", path, tc.name, s.name)
+				wantAllBits(t, name+" grads", got.Grads(), want.Grads())
+				wantAllBits(t, name+" params", got.Params(), want.Params())
+			}
+		}
+	})
+}
+
 // TestNetworksRunConcurrently: a Network is single-goroutine, but two
 // of them share nothing except the tensor kernel pool. Run under -race
 // (make kernels); the CNN is train-compute's, whose kernels fan out.

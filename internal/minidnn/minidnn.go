@@ -52,9 +52,16 @@ type paramGrader interface {
 }
 
 // Dense is a fully connected layer with bias: y = x·W + b.
+//
+// ZeroGrads clears gB but only marks gW, the parameter-sized one, as
+// zero (gWZero): the next backward pass stores its weight gradient
+// (tensor.MatMulATInto) instead of adding it to zeros, which gives the
+// same bits without the clearing pass, and Grads clears a gW that is
+// still marked, so every reader sees what eager zeroing gives.
 type Dense struct {
 	W, B   *tensor.Tensor
 	gW, gB *tensor.Tensor
+	gWZero bool
 	lastX  *tensor.Tensor
 
 	out, dx *tensor.Tensor // reused buffers
@@ -97,8 +104,16 @@ func (d *Dense) backwardParams(grad *tensor.Tensor) {
 	if d.lastX == nil {
 		panic("minidnn: Backward before Forward")
 	}
-	tensor.MatMulATAdd(d.gW, d.lastX, grad)
 	cols := d.B.Len()
+	if grad.Dims() != 2 || grad.Shape[1] != cols {
+		panic(fmt.Sprintf("minidnn: Dense output gradient %v for %d outputs", grad.Shape, cols))
+	}
+	if d.gWZero {
+		tensor.MatMulATInto(d.gW, d.lastX, grad)
+		d.gWZero = false
+	} else {
+		tensor.MatMulATAdd(d.gW, d.lastX, grad)
+	}
 	for i := 0; i < grad.Shape[0]; i++ {
 		for j := 0; j < cols; j++ {
 			d.gB.Data[j] += grad.Data[i*cols+j]
@@ -110,11 +125,17 @@ func (d *Dense) backwardParams(grad *tensor.Tensor) {
 func (d *Dense) Params() []*tensor.Tensor { return []*tensor.Tensor{d.W, d.B} }
 
 // Grads implements Layer.
-func (d *Dense) Grads() []*tensor.Tensor { return []*tensor.Tensor{d.gW, d.gB} }
+func (d *Dense) Grads() []*tensor.Tensor {
+	if d.gWZero {
+		d.gW.Zero()
+		d.gWZero = false
+	}
+	return []*tensor.Tensor{d.gW, d.gB}
+}
 
-// ZeroGrads implements Layer.
+// ZeroGrads implements Layer: gB now, gW at its next write or read.
 func (d *Dense) ZeroGrads() {
-	d.gW.Zero()
+	d.gWZero = true
 	d.gB.Zero()
 }
 

@@ -165,10 +165,15 @@ func axpy4(c, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
 	}
 }
 
+// axpy1 writes the product as the add's first operand, which the
+// compiler keeps as the add's destination — with the race detector on
+// as well — so where the product and c[j] are both NaN the product's is
+// returned, as on the AVX2 tile (oneRow) and in the top-k codec's
+// sparse fold: AddScaled matches that fold to the NaN payload.
 func axpy1(c, b []float32, a float32) {
 	b = b[:len(c)]
 	for j := range c {
-		c[j] += float32(a * b[j])
+		c[j] = float32(a*b[j]) + c[j]
 	}
 }
 

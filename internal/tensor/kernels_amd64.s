@@ -176,7 +176,9 @@ quadDone:
 	RET
 
 // oneRow adds Y0·R11[j] into c[j] = DI[j] for j < CX, the tail columns
-// through the mask in Y9. Clobbers AX, DX, Y4 and Y5.
+// through the mask in Y9. Clobbers AX, DX, Y4 and Y5. The product is
+// the add's first source, as in axpy1: where it and c[j] are both NaN,
+// the product's is the one returned.
 TEXT oneRow<>(SB), NOSPLIT|NOFRAME, $0-0
 	MOVQ CX, AX
 	ANDQ $-8, AX
@@ -185,9 +187,8 @@ TEXT oneRow<>(SB), NOSPLIT|NOFRAME, $0-0
 	JGE  oneTail
 
 oneVec:
-	VMOVUPS (DI)(DX*4), Y4
 	VMULPS  (R11)(DX*4), Y0, Y5
-	VADDPS  Y5, Y4, Y4
+	VADDPS  (DI)(DX*4), Y5, Y4
 	VMOVUPS Y4, (DI)(DX*4)
 	ADDQ    $8, DX
 	CMPQ    DX, AX
@@ -199,7 +200,7 @@ oneTail:
 	VMASKMOVPS (DI)(DX*4), Y9, Y4
 	VMASKMOVPS (R11)(DX*4), Y9, Y5
 	VMULPS     Y5, Y0, Y5
-	VADDPS     Y5, Y4, Y4
+	VADDPS     Y4, Y5, Y4
 	VMASKMOVPS Y4, Y9, (DI)(DX*4)
 
 oneDone:

@@ -76,6 +76,18 @@ func stale() *Tensor {
 	return t
 }
 
+// staleSalted is stale with the NaNs mixed with ±0 and ±Inf: a store
+// form that read its destination instead of overwriting it would turn
+// an element into a NaN or an infinity, or keep a -0 where the product
+// is +0.
+func staleSalted(rng *rand.Rand) *Tensor {
+	t := stale()
+	for i := range t.Data {
+		t.Data[i] = []float32{nan, 0, negZero, inf, -inf}[rng.Intn(5)]
+	}
+	return t
+}
+
 // eachPath runs f once per kernel path this CPU has — the AVX2 tile,
 // then the portable Go loops — and restores the path the process
 // started with.
@@ -102,8 +114,9 @@ var tileSizes = []int{1, 3, 4, 5, 11, 17}
 // k spanning several AccumRows chunks and matmul blocks, MatMulBT on
 // both sides of btLanesMin, operands salted with ±0, denormals, ±Inf
 // and NaN, at fan-out 1, 2 and 8 — through the …Into forms, into stale
-// oversized buffers, and through MatMulATAdd onto a non-zero
-// destination — on each kernel path.
+// oversized buffers (MatMulATInto's salted with ±0 and ±Inf too), and
+// through MatMulATAdd onto a non-zero destination — on each kernel
+// path.
 func TestKernelBitPatterns(t *testing.T) {
 	forceParallel(t)
 	t.Cleanup(func() { SetParallelism(0) })
@@ -122,6 +135,7 @@ func TestKernelBitPatterns(t *testing.T) {
 							wantBits(t, name+" MatMul", MatMulInto(stale(), a, b), matMulNaive(a, b))
 							at := specialTensor(rng, wild, k, m)
 							wantBits(t, name+" MatMulAT", MatMulAT(at, b), matMulATNaive(at, b))
+							wantBits(t, name+" MatMulATInto", MatMulATInto(staleSalted(rng), at, b), matMulATNaive(at, b))
 							// The accumulating form adds that product, whole,
 							// to whatever dst holds.
 							acc := specialTensor(rng, wild, m, n)
@@ -139,15 +153,24 @@ func TestKernelBitPatterns(t *testing.T) {
 	})
 }
 
-// TestMatMulATWideRows: a product row wider than matMulATAddRows'
-// on-stack tile takes the heap-row fallback; a row that just fits takes
-// one-row tiles.
+// TestMatMulATWideRows: a product row wider than matMulATRows' on-stack
+// tile takes the heap-row fallback in MatMulATAdd and one row at a time
+// in the store form; a row that just fits takes one-row tiles.
 func TestMatMulATWideRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
-	for _, n := range []int{1024, 1030} {
-		a, b := specialTensor(rng, 0, 3, 5), specialTensor(rng, 0, 3, n)
-		wantBits(t, fmt.Sprintf("n%d", n), MatMulAT(a, b), matMulATNaive(a, b))
-	}
+	eachPath(func(path string) {
+		for _, n := range []int{1024, 1030} {
+			name := fmt.Sprintf("%s/n%d", path, n)
+			a, b := specialTensor(rng, 0, 3, 5), specialTensor(rng, 0, 3, n)
+			want := matMulATNaive(a, b)
+			wantBits(t, name+" MatMulAT", MatMulAT(a, b), want)
+			acc := specialTensor(rng, 0, 5, n)
+			sum := acc.Clone()
+			sum.Add(want)
+			MatMulATAdd(acc, a, b)
+			wantBits(t, name+" MatMulATAdd", acc, sum)
+		}
+	})
 }
 
 // TestMatMulBTTallStrips: a C taller than matMulBTCols' on-stack tile
@@ -343,10 +366,10 @@ func addScaledNaive(t, x *Tensor, a float32) {
 	}
 }
 
-// TestAddScaledBitPatterns holds the unrolled AddScaled to the naive
-// loop, bit for bit, over lengths 0–9 (every tail of the 4-wide pass)
-// and one of 1 Mi+3, operands salted with ±0, denormals, ±Inf and NaN,
-// and a scale of 0, −0, 1 and −lr.
+// TestAddScaledBitPatterns holds AddScaled to the naive loop, bit for
+// bit, on each kernel path, over lengths 0–9 and 15–17 (just below, at
+// and just past one and two AVX2 vectors) and one of 1 Mi+3, operands salted with ±0, denormals, ±Inf and NaN, and a scale
+// of 0, −0, 1 and −lr.
 func TestAddScaledBitPatterns(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	special := append(append([]float32(nil), finiteSpecials...), nonFinite...)
@@ -361,15 +384,32 @@ func TestAddScaledBitPatterns(t *testing.T) {
 		}
 		return x
 	}
-	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1<<20 + 3} {
-		for _, a := range []float32{0, negZero, 1, -0.05} {
-			dst, x := operand(n), operand(n)
-			want := &Tensor{Shape: dst.Shape, Data: append([]float32(nil), dst.Data...)}
-			addScaledNaive(want, x, a)
-			dst.AddScaled(x, a)
-			wantBits(t, fmt.Sprintf("n=%d a=%v", n, a), dst, want)
+	eachPath(func(path string) {
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 1<<20 + 3} {
+			for _, a := range []float32{0, negZero, 1, -0.05} {
+				dst, x := operand(n), operand(n)
+				want := &Tensor{Shape: dst.Shape, Data: append([]float32(nil), dst.Data...)}
+				addScaledNaive(want, x, a)
+				dst.AddScaled(x, a)
+				wantBits(t, fmt.Sprintf("%s/n=%d a=%v", path, n, a), dst, want)
+			}
 		}
-	}
+		// Where dst and the product are both NaN, the product's NaN is the
+		// one kept, on the Go loop and on the tile alike, as the top-k
+		// codec's sparse fold keeps it.
+		for _, n := range []int{7, 19} {
+			dst, x := New(n), New(n)
+			for i := range dst.Data {
+				dst.Data[i], x.Data[i] = math.Float32frombits(0x7fc00001), math.Float32frombits(0xffc00002)
+			}
+			dst.AddScaled(x, 1)
+			for i, v := range dst.Data {
+				if math.Float32bits(v) != 0xffc00002 {
+					t.Fatalf("%s/n=%d: NaN + NaN product gave %#08x at %d, want the product's 0xffc00002", path, n, math.Float32bits(v), i)
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkAddScaled is the fold of one train-comm report: 1 Mi floats

@@ -92,28 +92,16 @@ func (t *Tensor) Randn(rng *rand.Rand, std float64) *Tensor {
 	return t
 }
 
-// AddScaled adds a*x element-wise into t (t += a*x). Each element is
-// the naive loop's d[i] += a*x[i], four to a pass over subslices the
-// compiler needs no bounds check for, so the sum runs at memory speed
-// and every caller (the fold, the optimizer step, Sequential) gets the
-// same bits.
+// AddScaled adds a*x element-wise into t (t += a*x): the row tile
+// with a one-entry list, so each element is the naive loop's
+// d[i] += a*x[i] — eight lanes per instruction on AVX2 — and every
+// caller (the fold, the optimizer step, Sequential) gets the same bits
+// at memory speed.
 func (t *Tensor) AddScaled(x *Tensor, a float32) {
 	if t.Len() != x.Len() {
 		panic("tensor: AddScaled size mismatch")
 	}
-	s := x.Data
-	d := t.Data[:len(s)]
-	for len(d) >= 4 && len(s) >= 4 {
-		d4, s4 := d[:4:4], s[:4:4]
-		d4[0] += float32(a * s4[0])
-		d4[1] += float32(a * s4[1])
-		d4[2] += float32(a * s4[2])
-		d4[3] += float32(a * s4[3])
-		d, s = d[4:], s[4:]
-	}
-	for i := range d {
-		d[i] += float32(a * s[i])
-	}
+	axpyList(t.Data[:len(x.Data)], x.Data, []float32{a}, []int{0})
 }
 
 // Add adds x element-wise into t.
@@ -205,9 +193,10 @@ const matmulBlock = 64
 //     assembly (VMULPS, then VADDPS), so the AVX2 and portable paths
 //     agree at any GOAMD64.
 //
-// MatMul and MatMulBT have an …Into form that fills a Reuse'd caller
-// buffer, MatMulAT an accumulating one (MatMulATAdd); the plain forms
-// are the same kernels on a fresh tensor.
+// Each matmul has an …Into form that fills a Reuse'd caller buffer
+// without reading it, and MatMulAT an accumulating one too
+// (MatMulATAdd); the plain forms are the …Into kernels on a fresh
+// tensor.
 
 // MatMul computes C = A·B for A (m×k) and B (k×n).
 func MatMul(a, b *Tensor) *Tensor { return MatMulInto(nil, a, b) }
@@ -262,14 +251,21 @@ func matMulNaive(a, b *Tensor) *Tensor {
 }
 
 // MatMulAT computes C = Aᵀ·B for A (k×m) and B (k×n).
-func MatMulAT(a, b *Tensor) *Tensor {
-	if a.Dims() != 2 || b.Dims() != 2 {
+func MatMulAT(a, b *Tensor) *Tensor { return MatMulATInto(nil, a, b) }
+
+// MatMulATInto computes C = Aᵀ·B into dst (see Reuse) and returns it,
+// for A (k×m) and B (k×n). It never reads what dst held: each element
+// is summed from +0 in ascending p and stored, which is the bits
+// MatMulATAdd gives on a zeroed dst — a sum that starts at +0 is never
+// -0, the one value +0 + x does not preserve.
+func MatMulATInto(dst, a, b *Tensor) *Tensor {
+	if a.Dims() != 2 || b.Dims() != 2 || a.Shape[0] != b.Shape[0] {
 		panic(fmt.Sprintf("tensor: MatMulAT shapes %v x %v", a.Shape, b.Shape))
 	}
-	// Adding the product to zeros leaves its bits alone: a sum that
-	// starts at +0 is never -0, the one value 0 + x does not preserve.
-	c := New(a.Shape[1], b.Shape[1])
-	MatMulATAdd(c, a, b)
+	k, m, n := a.Shape[0], a.Shape[1], b.Shape[1]
+	c := Reuse(dst, m, n)
+	flops := int64(k) * int64(m) * int64(n)
+	ParallelRows(m, flops, func(lo, hi int) { matMulATRows(a, b, c, lo, hi, false) })
 	return c
 }
 
@@ -286,29 +282,36 @@ func MatMulATAdd(dst, a, b *Tensor) {
 	}
 	k, m, n := a.Shape[0], a.Shape[1], b.Shape[1]
 	flops := int64(k) * int64(m) * int64(n)
-	ParallelRows(m, flops, func(lo, hi int) { matMulATAddRows(a, b, dst, lo, hi) })
+	ParallelRows(m, flops, func(lo, hi int) { matMulATRows(a, b, dst, lo, hi, true) })
 }
 
-// matMulATAddRows adds rows [lo, hi) of Aᵀ·B to c tile by tile: the
-// products of a few rows are summed in an on-stack scratch tile while
-// blocks of matmulBlock rows of B sweep it — instead of the naive
-// kernel's full re-walk of C per p — and the finished tile is added to
-// c. Row i's multipliers are column i of A (stride m); p ascends across
-// and within blocks, so each (i,j) still accumulates in ascending p
-// order. The tile is 4 KiB: zeroing more than that on entry shows in a
-// sub-cutoff matmul's time, and a row wider than the tile (no model here
-// has one) falls back to a heap row.
-func matMulATAddRows(a, b, c *Tensor, lo, hi int) {
+// matMulATRows computes rows [lo, hi) of Aᵀ·B tile by tile: the
+// products of a few rows are summed from +0 while blocks of matmulBlock
+// rows of B sweep them — instead of the naive kernel's full re-walk of
+// C per p. Row i's multipliers are column i of A (stride m); p ascends
+// across and within blocks, so each (i,j) still accumulates in ascending
+// p order. The store form (add false) sums in c's own rows. The adding
+// form sums in an on-stack scratch tile and then adds the finished tile
+// to c through the row tile with multiplier 1 — 1·v is v for every
+// value a tile holds, since a sum is never a signalling NaN. The tile is
+// 4 KiB: zeroing more than that on entry shows in a sub-cutoff matmul's
+// time, and a row wider than the tile (no model here has one) falls
+// back to a heap row.
+func matMulATRows(a, b, c *Tensor, lo, hi int, add bool) {
 	k, m, n := a.Shape[0], a.Shape[1], b.Shape[1]
 	var buf [1024]float32
 	tile := buf[:]
-	if n > len(tile) {
+	if add && n > len(tile) {
 		tile = make([]float32, n)
 	}
-	rows := len(tile) / n
+	rows := max(1, len(buf)/n)
 	for ib := lo; ib < hi; ib += rows {
 		ie := min(ib+rows, hi)
-		prod, crows := tile[:(ie-ib)*n], c.Data[ib*n:ie*n]
+		crows := c.Data[ib*n : ie*n]
+		prod := crows
+		if add {
+			prod = tile[:len(crows)]
+		}
 		clear(prod)
 		for pb := 0; pb < k; pb += matmulBlock {
 			pe := min(pb+matmulBlock, k)
@@ -317,8 +320,8 @@ func matMulATAddRows(a, b, c *Tensor, lo, hi int) {
 				AccumRows(prod[i*n:(i+1)*n], a.Data[pb*m+ib+i:], m, bblock)
 			}
 		}
-		for j, v := range prod {
-			crows[j] += v
+		if add {
+			axpyList(crows, prod, []float32{1}, []int{0})
 		}
 	}
 }

@@ -55,25 +55,6 @@ func (t *Trace) Span() time.Duration {
 	return t.Events[len(t.Events)-1].At
 }
 
-// OfferedTokens sums the work (tokens) of every arrival — divided by
-// Span it gives the offered load in tokens/sec.
-func (t *Trace) OfferedTokens() int {
-	total := 0
-	for _, e := range t.Events {
-		total += SpecTokens(e.Spec)
-	}
-	return total
-}
-
-// SpecTokens is the total token count a spec trains: iterations times
-// tokens per iteration.
-func SpecTokens(spec transport.JobSpec) int {
-	if spec.TokenBatch <= 0 {
-		return 0
-	}
-	return spec.Iterations * (spec.TotalBatch / spec.TokenBatch)
-}
-
 // Generator produces an inter-arrival process. Implementations draw
 // only from the supplied rand.Rand, so a fixed seed reproduces the
 // trace exactly.
