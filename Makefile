@@ -26,10 +26,12 @@ race:
 	$(GO) test -race ./...
 
 # chaos runs the fault-injection suite alone (worker faults, coordinator
-# kills, the fold-order sessions that park reports behind a gap, and the
-# sessions whose iter-start is delivered after the next barrier by a
-# stalled asyncConn forwarder) under the race detector, repeated to shake
-# out scheduling-dependent behaviour.
+# kills, the fold-order sessions that park reports behind a gap, the
+# one-row-token sessions whose reports carry rank-1 factors through a
+# dead window holder, a join and drain, a resume and malformed factors,
+# and the sessions whose iter-start is delivered after the next barrier
+# by a stalled asyncConn forwarder) under the race detector, repeated to
+# shake out scheduling-dependent behaviour.
 chaos:
 	$(GO) test ./internal/rt/ -run 'TestChaos' -race -count=3 -v
 	$(GO) test ./internal/jobs/ -run 'TestAsyncConnBroadcastSnapshotOutlivesBarrier|TestSlowPoolWorkerMatchesReference' -race -count=3 -v
@@ -58,7 +60,8 @@ jobs:
 	$(GO) test ./examples/multijob/ -race -count=1
 
 # fuzz runs the AVX2 row tile against the scalar loop, the key
-# compaction on both kernel paths against its spec, the binary frame
+# compaction on both kernel paths against its spec, the fused rank-1
+# fold on both kernel paths against the two steps it replaces, the binary frame
 # decoder and its round trip, the top-k selection against its
 # sort-based reference, a TCP conn's Recv against DecodeBinary, and the
 # durable record decoder, its round trip and ledger replay (which read
@@ -68,6 +71,7 @@ jobs:
 fuzz:
 	$(GO) test ./internal/tensor/ -run xxx -fuzz FuzzAxpyTile -fuzztime 10s
 	$(GO) test ./internal/tensor/ -run xxx -fuzz FuzzCompactKeys -fuzztime 10s
+	$(GO) test ./internal/tensor/ -run xxx -fuzz FuzzAddOuterScaled -fuzztime 10s
 	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzBinaryDecode -fuzztime 10s
 	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzBinaryRoundTrip -fuzztime 10s
 	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzTopKSelect -fuzztime 10s
@@ -78,7 +82,8 @@ fuzz:
 
 # bench smoke-runs the hot-path benchmarks (wire codecs, a 4 MB report
 # over loopback TCP, matmul and elementwise kernels, the row tile under
-# them, the key compaction under the top-k encoder, the fold's AddScaled, a token's forward/backward at the
+# them, the key compaction under the top-k encoder, the fold's AddScaled
+# and its rank-1 AddOuterScaled, a token's forward/backward at the
 # train-compute and train-comm shapes, the conv passes, a
 # train-sched-shaped session over loopback TCP, the coordinator's
 # receive-and-fold of an exact and a top-k train-comm report and its
@@ -88,7 +93,7 @@ fuzz:
 # without turning CI into a perf lab.
 bench:
 	$(GO) test ./internal/transport/ -run xxx -bench 'BenchmarkCodec|BenchmarkTCPReport' -benchtime 100x
-	$(GO) test ./internal/tensor/ -run xxx -bench 'BenchmarkMatMul|BenchmarkAccumRows|BenchmarkAddRows|BenchmarkCompactKeys|BenchmarkReLU|BenchmarkAddScaled' -benchtime 100x
+	$(GO) test ./internal/tensor/ -run xxx -bench 'BenchmarkMatMul|BenchmarkAccumRows|BenchmarkAddRows|BenchmarkCompactKeys|BenchmarkReLU|BenchmarkAddScaled|BenchmarkAddOuterScaled' -benchtime 100x
 	$(GO) test ./internal/minidnn/ -run xxx -bench 'BenchmarkToken|BenchmarkConv' -benchtime 100x
 	$(GO) test ./internal/rt/ -run xxx -bench 'BenchmarkSchedSession|BenchmarkFoldReport|BenchmarkIterStart' -benchtime 100x
 	$(GO) test ./internal/jobs/ -run xxx -bench 'BenchmarkPoolJob|BenchmarkNormalizeSpec' -benchtime 100x
@@ -138,11 +143,12 @@ durable:
 # kernels runs the compute-kernel and gradient-compression suites under
 # the race detector: bit-pattern identity with the naive kernels across
 # tile tails, special values and fan-out widths, on the AVX2 and the
-# portable path, the key compaction against its spec on both, the
-# tensor and minidnn suites once more built with GOAMD64=v3 (where the
+# portable path, the key compaction against its spec on both, the fused
+# rank-1 fold against its two steps on both, the tensor and minidnn suites once more built with GOAMD64=v3 (where the
 # compiler may use FMA), the tensor, minidnn and transport suites built
-# for 386 (the portable path alone: every layer and the deferred
-# weight-gradient zero on the Go loops, every top-k frame against the
+# for 386 (the portable path alone: every layer, the deferred
+# weight-gradient zero and rank-1 factors, and the fused rank-1 fold on
+# the Go loops, every top-k frame against the
 # sort-based reference without the AVX2 compaction), layer-buffer
 # ownership and two networks sharing the kernel pool (all of minidnn), the
 # fp16/int8/topk codec properties with their golden v2 frames and
@@ -150,13 +156,14 @@ durable:
 # (TestTopKConcurrentEncoders) and the FuzzTopKSelect corpus replayed,
 # the zero-copy float path (sections written from the sender's slice,
 # received as aligned views of the frame, checkptr-checked under -race),
-# and the negotiated end-to-end TCP sessions.
+# the rank-1 report sections (golden frame, hostile lengths, views of
+# the frame), and the negotiated end-to-end TCP sessions.
 kernels:
 	$(GO) test ./internal/tensor/ -race -count=1 -v
 	$(GO) test ./internal/minidnn/ -race -count=1 -v
 	GOAMD64=v3 $(GO) test ./internal/tensor/ ./internal/minidnn/ -count=1
 	GOARCH=386 $(GO) test ./internal/tensor/ ./internal/minidnn/ ./internal/transport/ -count=1
-	$(GO) test ./internal/transport/ -race -run 'TestFP16|TestInt8|TestTopK|FuzzTopKSelect|TestCompress|TestParamsStayExact|TestView|TestSendCapturesPayload|TestRecvHeaderAlone|FuzzRecvBinary' -count=1 -v
+	$(GO) test ./internal/transport/ -race -run 'TestFP16|TestInt8|TestTopK|FuzzTopKSelect|TestCompress|TestParamsStayExact|TestView|TestSendCapturesPayload|TestRecvHeaderAlone|FuzzRecvBinary|TestRank1|TestDecodeRejectsMalformedPayloads' -count=1 -v
 	$(GO) test ./internal/rt/ -race -run 'TestCompress' -count=1 -v
 
 # lint-metrics is the exposition-conformance gate: every e2e test that

@@ -461,6 +461,77 @@ func TestPoolJobWindowOverTCP(t *testing.T) {
 	stopAndWait(t, m, wg.Wait)
 }
 
+// TestPoolJobBatch1OverTCP: a plain-SGD pool job of one-sample tokens
+// over TCP, whose reports carry each dense weight gradient as its
+// rank-1 factors, is bit-identical to its solo reference.
+func TestPoolJobBatch1OverTCP(t *testing.T) {
+	m := NewManager(testConfig(FairShare{}))
+	ln, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			m.Admit(c)
+		}
+	}()
+	dial := func() (transport.Conn, error) { return transport.Dial(ln.Addr()) }
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := RunPoolWorker(dial, PoolWorkerOptions{}); err != nil {
+				t.Errorf("pool worker: %v", err)
+			}
+		}()
+	}
+	waitIdle(t, m, 2)
+
+	ch, err := m.Submit(transport.JobSpec{Name: "rank1", Iterations: 6, TotalBatch: 48, TokenBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustMatchReference(t, awaitResult(t, ch, "rank1"), "rank1")
+	stopAndWait(t, m, wg.Wait)
+}
+
+// TestManagerAdmitAllByName: the admit-all admission policy, selected by
+// name as felaserver -admission selects it, names itself in the pool
+// status and admits a submission, which runs to its reference.
+func TestManagerAdmitAllByName(t *testing.T) {
+	pol, ok := AdmissionByName("admit-all")
+	if !ok || pol.Name() != "admit-all" {
+		t.Fatalf("AdmissionByName(admit-all) = %v, %v", pol, ok)
+	}
+	cfg := testConfig(FairShare{})
+	cfg.Admission = pol
+	m := NewManager(cfg)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, err := RunPoolWorker(poolDial(m), PoolWorkerOptions{}); err != nil {
+			t.Errorf("pool worker: %v", err)
+		}
+	}()
+	waitIdle(t, m, 1)
+	ch, err := m.Submit(transport.JobSpec{Name: "open", Iterations: 3, TotalBatch: 32, TokenBatch: 8})
+	if err != nil {
+		t.Fatalf("admit-all refused a submission: %v", err)
+	}
+	mustMatchReference(t, awaitResult(t, ch, "open"), "open")
+	if st := m.Status(); st == nil || st.Admission != "admit-all" {
+		t.Fatalf("pool status names admission %+v, want admit-all", st)
+	}
+	stopAndWait(t, m, wg.Wait)
+}
+
 // TestManagerStopIdleWorkers: stopping an idle pool releases the
 // workers cleanly with zero jobs served.
 func TestManagerStopIdleWorkers(t *testing.T) {

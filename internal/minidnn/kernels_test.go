@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -447,4 +448,106 @@ func TestNetworksRunConcurrently(t *testing.T) {
 	for g := range want {
 		wantAllBits(t, fmt.Sprintf("network %d", g), got[g], want[g])
 	}
+}
+
+// TestDenseRank1Deferred: a one-row backward pass onto cleared gradients
+// leaves a Dense weight gradient as copies of its factors, x and δ. The
+// product Grads forms, and the one an accumulating pass forms before it
+// adds, must be the bits eager accumulation leaves; so must the product
+// of the factors GradsOrFactors hands out, beside every other gradient
+// as Grads gives it. In the MLP and the CNN the last Dense sits above a
+// ReLU, whose Backward overwrites the buffer that was that Dense's
+// input: factors kept by reference would read the input gradient there.
+func TestDenseRank1Deferred(t *testing.T) {
+	eager := func(n *Network) {
+		n.ZeroGrads()
+		for _, g := range n.Grads() {
+			g.Zero()
+		}
+	}
+	cases := append(netCases(), netCase{"mlp-wide", func() *Network { return NewMLP(5, 12, 20, 9) }, SyntheticBlobs(6, 40, 12, 9)})
+	eachPath(func(path string) {
+		for _, tc := range cases {
+			x, labels := tc.ds.Batch(3, 4)
+			y, ylabels := tc.ds.Batch(7, 8)
+			seqs := []struct {
+				name string
+				run  func(n *Network, zero func(*Network))
+			}{
+				{"ZeroGrads-Loss", func(n *Network, zero func(*Network)) {
+					zero(n)
+					n.Loss(x, labels)
+				}},
+				{"ZeroGrads-Loss-Loss", func(n *Network, zero func(*Network)) {
+					zero(n)
+					n.Loss(x, labels)
+					n.Loss(y, ylabels)
+				}},
+				{"Loss-ZeroGrads-Forward", func(n *Network, zero func(*Network)) {
+					zero(n)
+					n.Loss(x, labels)
+					zero(n)
+					n.Forward(y)
+				}},
+				{"SGDStep", func(n *Network, zero func(*Network)) {
+					zero(n)
+					n.Loss(x, labels)
+					n.SGDStep(0.1)
+					n.Loss(y, ylabels)
+					n.SGDStep(0.1)
+				}},
+			}
+			for _, s := range seqs {
+				name := fmt.Sprintf("%s/%s/%s", path, tc.name, s.name)
+				got, want, factored := tc.net(), tc.net(), tc.net()
+				s.run(got, (*Network).ZeroGrads)
+				s.run(want, eager)
+				s.run(factored, (*Network).ZeroGrads)
+				wantGrads := want.Grads()
+				grads, factors := factored.GradsOrFactors()
+				if len(grads) != len(wantGrads) || len(factors) != len(wantGrads) {
+					t.Fatalf("%s: GradsOrFactors gave %d grads and %d factors, want %d", name, len(grads), len(factors), len(wantGrads))
+				}
+				for i, g := range grads {
+					if f := factors[i]; f.X != nil {
+						if g != nil {
+							t.Fatalf("%s: gradient %d has both a tensor and factors", name, i)
+						}
+						g = tensor.MatMulATInto(nil, tensor.FromSlice(f.X, 1, len(f.X)), tensor.FromSlice(f.D, 1, len(f.D)))
+						g.Shape = wantGrads[i].Shape
+					}
+					wantBits(t, fmt.Sprintf("%s factored grad %d", name, i), g, wantGrads[i])
+				}
+				wantAllBits(t, name+" grads", got.Grads(), wantGrads)
+				wantAllBits(t, name+" params", got.Params(), want.Params())
+			}
+			// Only a one-row pass onto cleared gradients defers, and it
+			// defers every Dense weight gradient: after a 16-row pass every
+			// gradient is a tensor.
+			n := tc.net()
+			n.ZeroGrads()
+			n.Loss(x, labels)
+			dense, factored := 0, 0
+			for _, l := range n.Layers {
+				if _, ok := l.(*Dense); ok {
+					dense++
+				}
+			}
+			_, factors := n.GradsOrFactors()
+			for _, f := range factors {
+				if f.X != nil {
+					factored++
+				}
+			}
+			if factored != dense {
+				t.Fatalf("%s/%s: a one-row pass left %d weight gradients as factors, want %d", path, tc.name, factored, dense)
+			}
+			n = tc.net()
+			bx, blabels := tc.ds.Batch(0, 16)
+			n.Loss(bx, blabels)
+			if _, factors := n.GradsOrFactors(); slices.ContainsFunc(factors, func(f Rank1) bool { return f.X != nil }) {
+				t.Fatalf("%s/%s: a 16-row pass left factors", path, tc.name)
+			}
+		}
+	})
 }

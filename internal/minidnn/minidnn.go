@@ -58,11 +58,23 @@ type paramGrader interface {
 // (tensor.MatMulATInto) instead of adding it to zeros, which gives the
 // same bits without the clearing pass, and Grads clears a gW that is
 // still marked, so every reader sees what eager zeroing gives.
+//
+// A one-row backward pass onto a gW marked zero defers the product
+// altogether: its weight gradient is the outer product x⊗δ of the input
+// row and the output gradient, and the layer keeps copies of the two
+// (fx, fd; gWRank1) instead of forming in×out floats. The copies are
+// taken, not referenced, because the input row is another layer's
+// buffer — a ReLU's output, which its Backward overwrites with the
+// input gradient. Grads forms the product by the same MatMulATInto, and
+// so does an accumulating backward pass before it adds; GradsOrFactors
+// hands the factors out instead.
 type Dense struct {
-	W, B   *tensor.Tensor
-	gW, gB *tensor.Tensor
-	gWZero bool
-	lastX  *tensor.Tensor
+	W, B    *tensor.Tensor
+	gW, gB  *tensor.Tensor
+	gWZero  bool
+	gWRank1 bool
+	fx, fd  *tensor.Tensor // gW's factors while gWRank1: 1×in, 1×out
+	lastX   *tensor.Tensor
 
 	out, dx *tensor.Tensor // reused buffers
 }
@@ -108,10 +120,18 @@ func (d *Dense) backwardParams(grad *tensor.Tensor) {
 	if grad.Dims() != 2 || grad.Shape[1] != cols {
 		panic(fmt.Sprintf("minidnn: Dense output gradient %v for %d outputs", grad.Shape, cols))
 	}
-	if d.gWZero {
+	switch {
+	case d.gWZero && grad.Shape[0] == 1:
+		d.fx = tensor.Reuse(d.fx, d.lastX.Shape...)
+		copy(d.fx.Data, d.lastX.Data)
+		d.fd = tensor.Reuse(d.fd, grad.Shape...)
+		copy(d.fd.Data, grad.Data)
+		d.gWZero, d.gWRank1 = false, true
+	case d.gWZero:
 		tensor.MatMulATInto(d.gW, d.lastX, grad)
 		d.gWZero = false
-	} else {
+	default:
+		d.formGW()
 		tensor.MatMulATAdd(d.gW, d.lastX, grad)
 	}
 	for i := 0; i < grad.Shape[0]; i++ {
@@ -124,18 +144,27 @@ func (d *Dense) backwardParams(grad *tensor.Tensor) {
 // Params implements Layer.
 func (d *Dense) Params() []*tensor.Tensor { return []*tensor.Tensor{d.W, d.B} }
 
+// formGW turns a deferred gW into its bits: a marked zero into zeros,
+// factors into their product.
+func (d *Dense) formGW() {
+	switch {
+	case d.gWZero:
+		d.gW.Zero()
+	case d.gWRank1:
+		tensor.MatMulATInto(d.gW, d.fx, d.fd)
+	}
+	d.gWZero, d.gWRank1 = false, false
+}
+
 // Grads implements Layer.
 func (d *Dense) Grads() []*tensor.Tensor {
-	if d.gWZero {
-		d.gW.Zero()
-		d.gWZero = false
-	}
+	d.formGW()
 	return []*tensor.Tensor{d.gW, d.gB}
 }
 
 // ZeroGrads implements Layer: gB now, gW at its next write or read.
 func (d *Dense) ZeroGrads() {
-	d.gWZero = true
+	d.gWZero, d.gWRank1 = true, false
 	d.gB.Zero()
 }
 
@@ -239,6 +268,31 @@ func (n *Network) Grads() []*tensor.Tensor {
 		out = append(out, l.Grads()...)
 	}
 	return out
+}
+
+// Rank1 is a weight gradient held as the factors of its outer product:
+// the gradient is X⊗D, len(X)·len(D) floats, row i being X[i]·D.
+type Rank1 struct{ X, D []float32 }
+
+// GradsOrFactors is Grads for a reader that takes a rank-1 weight
+// gradient as its factors: where a Dense layer still holds gW as x⊗δ
+// (after a one-row backward pass on cleared gradients), the entry of
+// grads is nil and the aligned entry of factors holds x and δ; every
+// other gradient is in grads as Grads gives it, with a zero Rank1
+// beside it. The factors are the layer's buffers, valid until its next
+// backward pass or ZeroGrads.
+func (n *Network) GradsOrFactors() (grads []*tensor.Tensor, factors []Rank1) {
+	for _, l := range n.Layers {
+		if d, ok := l.(*Dense); ok && d.gWRank1 {
+			grads = append(grads, nil, d.gB)
+			factors = append(factors, Rank1{X: d.fx.Data, D: d.fd.Data}, Rank1{})
+			continue
+		}
+		gs := l.Grads()
+		grads = append(grads, gs...)
+		factors = append(factors, make([]Rank1, len(gs))...)
+	}
+	return grads, factors
 }
 
 // ZeroGrads clears all accumulated gradients.

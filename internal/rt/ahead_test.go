@@ -220,10 +220,13 @@ func TestChaosStragglerLastTokenStolen(t *testing.T) {
 type violation int
 
 const (
-	reportOthers violation = iota // reports another worker's token, with its own gradients
-	reportTwice                   // sends its report a second time
-	reportShape                   // leaves a gradient tensor out
-	reportCodec                   // reports under a codec nobody negotiated
+	reportOthers      violation = iota // reports another worker's token, with its own gradients
+	reportTwice                        // sends its report a second time
+	reportShape                        // leaves a gradient tensor out
+	reportCodec                        // reports under a codec nobody negotiated
+	reportRank1Rows                    // sends a weight gradient of a many-row token as factors
+	reportRank1Shape                   // swaps a weight gradient's factors: right length, wrong shape
+	reportRank1Length                  // cuts δ of a weight gradient's factors short
 )
 
 // runViolator speaks the worker protocol honestly except for v.
@@ -259,6 +262,18 @@ func runViolator(wid int, conn transport.Conn, cfg Config, v violation) {
 					report.Grads = report.Grads[:len(report.Grads)-1]
 				case reportCodec:
 					report.SetGradCodec(transport.CompressTopK)
+				case reportRank1Rows:
+					w0 := w.net.Params()[0]
+					r1 := make([]transport.Rank1Section, len(report.Grads))
+					r1[0] = transport.Rank1Section{X: make([]float32, w0.Shape[0]), D: make([]float32, w0.Shape[1])}
+					report.Grads[0] = nil
+					report.SetRank1(r1)
+				case reportRank1Shape:
+					r1 := report.Rank1()
+					r1[0].X, r1[0].D = r1[0].D, r1[0].X
+				case reportRank1Length:
+					r1 := report.Rank1()
+					r1[0].D = r1[0].D[:len(r1[0].D)-1]
 				}
 			}
 			for _, s := range sends {

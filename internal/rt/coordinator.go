@@ -743,14 +743,22 @@ func (co *Coordinator) broadcast() error {
 // through Sequential's own AddScaled. A top-k report adds frac·v at its
 // kept indices only: its other entries are +0, and acc, cleared to +0
 // and only added to, never holds −0 or a signalling NaN, so adding
-// frac·(+0) would change no bit of it (TopKSection.AddScaledTo).
+// frac·(+0) would change no bit of it (TopKSection.AddScaledTo). A
+// rank-1 section adds frac·(x⊗δ) in one pass, forming each product as
+// the worker's MatMulATInto would have and skipping the rows where x is
+// zero, by the same argument (Rank1Section.AddScaledTo).
 func (co *Coordinator) fold() {
 	for ; co.folded < len(co.tokens) && co.tokens[co.folded].done; co.folded++ {
 		tok := co.tokens[co.folded]
 		for i, s := range tok.report.TopK() {
 			s.AddScaledTo(co.acc[i].Data, co.frac)
 		}
+		rank1 := tok.report.Rank1()
 		for i, g := range tok.report.Grads {
+			if rank1 != nil && len(rank1[i].X) > 0 {
+				rank1[i].AddScaledTo(co.acc[i].Data, co.frac)
+				continue
+			}
 			view := tensor.Tensor{Shape: co.acc[i].Shape, Data: g}
 			co.acc[i].AddScaled(&view, co.frac)
 		}
@@ -762,8 +770,10 @@ func (co *Coordinator) fold() {
 // checkReport holds a report to the protocol: it must be for a token its
 // sender holds (which also rules out repeats and other workers' tokens),
 // under the negotiated codec or exact — codec-blind transports degrade to
-// exact losslessly — and in the model's shapes. Shapes are checked on
-// arrival because the report may be folded only after later ones.
+// exact losslessly — and in the model's shapes. A rank-1 section is only
+// a one-row token's, and its factors must be the rows and columns of a
+// 2-D gradient. Shapes are checked on arrival because the report may be
+// folded only after later ones.
 func (co *Coordinator) checkReport(ws *workerState, m *transport.Message) error {
 	seq := m.Token.Seq
 	if _, held := ws.outstanding[seq]; !held {
@@ -778,6 +788,18 @@ func (co *Coordinator) checkReport(ws *workerState, m *transport.Message) error 
 	for i, a := range co.acc {
 		if n := m.GradLen(i); n != len(a.Data) {
 			return fmt.Errorf("%w: worker %d reported gradient %d with %d elements, want %d", errProtocol, ws.wid, i, n, len(a.Data))
+		}
+	}
+	rank1 := m.Rank1()
+	if rank1 == nil {
+		return nil
+	}
+	if info := co.tokens[seq].info; info.Hi-info.Lo != 1 {
+		return fmt.Errorf("%w: worker %d reported rank-1 factors for token seq %d of %d rows", errProtocol, ws.wid, seq, info.Hi-info.Lo)
+	}
+	for i, f := range rank1 {
+		if a := co.acc[i]; len(f.X) > 0 && (a.Dims() != 2 || len(f.X) != a.Shape[0] || len(f.D) != a.Shape[1]) {
+			return fmt.Errorf("%w: worker %d reported gradient %d as factors of %d and %d floats, want shape %v", errProtocol, ws.wid, i, len(f.X), len(f.D), a.Shape)
 		}
 	}
 	return nil

@@ -69,21 +69,47 @@ type elasticHarness struct {
 // pre-connected join candidates; drain scripts ride on cfg.Drain.
 func newElasticHarness(t *testing.T, cfg Config, joiners int) *elasticHarness {
 	t.Helper()
+	return newElasticHarnessOn(t, cfg, joiners, false)
+}
+
+// newElasticHarnessOn is newElasticHarness over in-memory pairs, or
+// loopback TCP with the binary codec.
+func newElasticHarnessOn(t *testing.T, cfg Config, joiners int, tcp bool) *elasticHarness {
+	t.Helper()
 	dumpFlightOnFailure(t)
 	co, err := NewCoordinator(mlp(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pair := transport.Pair
+	if tcp {
+		l, err := transport.ListenCodec("127.0.0.1:0", transport.CodecBinary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		pair = func() (transport.Conn, transport.Conn) {
+			client, err := transport.DialCodec(l.Addr(), transport.CodecBinary)
+			if err != nil {
+				t.Fatal(err)
+			}
+			server, err := l.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return server, client
+		}
+	}
 	h := &elasticHarness{co: co, joinWID: make(chan int, joiners)}
 	h.conns = make([]transport.Conn, cfg.Workers)
 	for wid := 0; wid < cfg.Workers; wid++ {
-		server, client := transport.Pair()
+		server, client := pair()
 		h.conns[wid] = server
 		w := NewWorker(wid, mlp(), blobs(), cfg)
 		go func() { _ = w.Run(client) }()
 	}
 	for i := 0; i < joiners; i++ {
-		server, client := transport.Pair()
+		server, client := pair()
 		if err := co.Admit(server); err != nil {
 			t.Fatal(err)
 		}

@@ -25,8 +25,9 @@ import (
 // arrival is one report as the coordinator's side of the wire saw it.
 type arrival struct {
 	seq int
-	// arena is the report's first gradient element, which identifies the
-	// buffer the transport decoded it into.
+	// arena is the report's first gradient element, or the first float
+	// of its first section's factors, which identifies the buffer the
+	// transport decoded it into.
 	arena *float32
 	// viewed is set when the first two gradient sections are not
 	// back to back, as sections carved one after another from one arena
@@ -46,6 +47,8 @@ func (l *arrivalLog) add(m *transport.Message) {
 	a := arrival{seq: m.Token.Seq}
 	if len(m.Grads) > 0 && len(m.Grads[0]) > 0 {
 		a.arena = &m.Grads[0][0]
+	} else if r1 := m.Rank1(); r1 != nil && len(r1[0].X) > 0 {
+		a.arena = &r1[0].X[0] // a one-row token's first weight gradient, as factors
 	}
 	if len(m.Grads) > 1 && len(m.Grads[1]) > 0 {
 		a.viewed = unsafe.Pointer(&m.Grads[1][0]) != unsafe.Add(unsafe.Pointer(a.arena), 4*len(m.Grads[0]))

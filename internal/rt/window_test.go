@@ -343,9 +343,14 @@ func (c *killOnAssign) Recv() (*transport.Message, error) {
 // TestChaosWindowHolderDies: worker 1 dies holding a deep window, after
 // reporting the first token of it. Every token it held returns to the
 // pool and the survivor trains them.
-func TestChaosWindowHolderDies(t *testing.T) {
+func TestChaosWindowHolderDies(t *testing.T) { windowHolderDies(t, windowCfg().TokenBatch) }
+
+// windowHolderDies is TestChaosWindowHolderDies on tokens of tokenBatch
+// rows.
+func windowHolderDies(t *testing.T, tokenBatch int) {
 	transports(t, func(t *testing.T, tcp bool) {
 		cfg := windowCfg()
+		cfg.TokenBatch = tokenBatch
 		cfg.WorkerTimeout = 400 * time.Millisecond
 		throttleHealthy(&cfg, 1)
 		out := runWindowSession(t, cfg, windowOpts{tcp: tcp, fast: true, worker: func(wid int, c transport.Conn) {

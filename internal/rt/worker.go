@@ -318,22 +318,37 @@ func (w *Worker) train(tok transport.TokenInfo) (*transport.Message, error) {
 	x, labels := w.ds.Batch(tok.Lo, tok.Hi)
 	w.net.ZeroGrads()
 	loss := w.net.Loss(x, labels)
-	// The report carries views of the live gradient tensors, not a copy:
-	// Conn.Send captures the payload before it returns, and the next
-	// ZeroGrads comes after that.
-	grads := w.net.Grads()
-	views := make([][]float32, len(grads))
-	for i, g := range grads {
-		views[i] = g.Data
-	}
-	m := &transport.Message{
-		Kind:  transport.KindReport,
-		WID:   w.wid,
-		Token: tok,
-		Grads: views,
-		Loss:  loss,
-	}
+	m := &transport.Message{Kind: transport.KindReport, WID: w.wid, Token: tok, Loss: loss}
 	m.SetGradCodec(w.codec)
+	// The report carries views of the network's gradient buffers, not a
+	// copy: Conn.Send captures the payload before it returns, and the
+	// next ZeroGrads comes after that. A dense weight gradient the
+	// network still holds as x⊗δ (after a one-row pass) goes as its two
+	// factors under the exact codec, in+out floats for in·out, and the
+	// coordinator folds their outer product with the same bits; a lossy
+	// codec compresses the formed gradient.
+	if w.codec != transport.CompressExact {
+		grads := w.net.Grads()
+		m.Grads = make([][]float32, len(grads))
+		for i, g := range grads {
+			m.Grads[i] = g.Data
+		}
+		return m, nil
+	}
+	grads, factors := w.net.GradsOrFactors()
+	m.Grads = make([][]float32, len(grads))
+	var rank1 []transport.Rank1Section
+	for i, g := range grads {
+		if g != nil {
+			m.Grads[i] = g.Data
+			continue
+		}
+		if rank1 == nil {
+			rank1 = make([]transport.Rank1Section, len(grads))
+		}
+		rank1[i] = transport.Rank1Section{X: factors[i].X, D: factors[i].D}
+	}
+	m.SetRank1(rank1)
 	return m, nil
 }
 

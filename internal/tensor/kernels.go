@@ -177,6 +177,41 @@ func axpy1(c, b []float32, a float32) {
 	}
 }
 
+// AddOuterScaled adds a·(x⊗d) into c, for n = len(d) and c holding
+// len(x)·n floats: c[i·n+j] takes a·(x[i]·d[j]). It is the fold of a
+// weight gradient reported as its rank-1 factors, and gives the bits of
+// the two steps it replaces, MatMulATInto of the one-row x and d and
+// then AddScaled with a: each product x[i]·d[j] is rounded and added to
+// +0 (so a −0 product becomes +0), scaled by a and rounded, and added
+// to c[i·n+j] as the add's first operand, as axpy1 adds it. A row whose
+// x[i] is zero, of either sign, is skipped: the two steps add a·(+0)
+// there, which for a finite a changes no bit of an element that is not
+// −0 or a signalling NaN — and an accumulator cleared to +0 and only
+// added to holds neither (the argument of the top-k codec's sparse
+// fold). It allocates nothing.
+func AddOuterScaled(c, x, d []float32, a float32) {
+	n := len(d)
+	if len(c) != len(x)*n {
+		panic("tensor: AddOuterScaled needs len(c) = len(x)·len(d)")
+	}
+	if outerVec(c, x, d, a) {
+		return
+	}
+	for i, xi := range x {
+		if xi != 0 {
+			outer1(c[i*n:(i+1)*n], d, xi, a)
+		}
+	}
+}
+
+// outer1 is one row of AddOuterScaled on the Go loops.
+func outer1(c, d []float32, xi, a float32) {
+	d = d[:len(c)]
+	for j := range c {
+		c[j] = float32(a*(float32(xi*d[j])+0)) + c[j]
+	}
+}
+
 // ReLUInto writes max(0, x) element-wise into dst (see Reuse) and
 // returns it: dst[i] is 0 where x[i] < 0 and x[i] otherwise.
 //

@@ -39,6 +39,16 @@ func axpyStrideVec(c, a, b []float32, bs int) bool {
 	return true
 }
 
+// outerVec runs AddOuterScaled on the AVX2 tile when it is selected
+// and a row holds at least one full vector, and reports whether it did.
+func outerVec(c, x, d []float32, a float32) bool {
+	if !useAVX2 || len(d) < vecLen {
+		return false
+	}
+	outerAVX2(c, x, d, a)
+	return true
+}
+
 // compactPerm[m] lists the lanes set in the 8-bit mask m, lowest first:
 // the VPERMD indices that move a step's kept lanes to its front. The
 // lanes past the kept ones are don't-cares, left 0.
@@ -66,6 +76,9 @@ var compactPerm = func() (t [256][vecLen]uint8) {
 //
 //go:noescape
 func compactAVX2(idx []uint32, val []float32, src []float32, srcIdx []uint32, base, lo, hi uint32, ties, stop int) (read, n, above int)
+
+//go:noescape
+func outerAVX2(c, x, d []float32, a float32)
 
 //go:noescape
 func axpyListAVX2(c, b, av []float32, off []int)

@@ -206,6 +206,68 @@ oneTail:
 oneDone:
 	RET
 
+// func outerAVX2(c, x, d []float32, a float32)
+//
+// AddOuterScaled's rows: row i of c takes a·((x[i]·d[j]) + 0) at every
+// column j, each step rounded on its own — the multiplier first in each
+// multiply (Y0 = x[i], then Y1 = a) and the product first in each add,
+// as oneRow orders them — and a row whose x[i] is ±0 is skipped.
+TEXT ·outerAVX2(SB), NOSPLIT, $0-76
+	MOVQ c_base+0(FP), DI
+	MOVQ x_base+24(FP), R8
+	MOVQ x_len+32(FP), R9
+	MOVQ d_len+56(FP), CX
+	TAIL_MASK
+	MOVQ d_base+48(FP), R11
+	VBROADCASTSS a+72(FP), Y1
+	VXORPS Y2, Y2, Y2
+	MOVQ CX, R10
+	SHLQ $2, R10 // row stride in bytes
+
+outerRow:
+	TESTQ R9, R9
+	JEQ   outerDone
+	MOVL  (R8), AX
+	ANDL  $0x7fffffff, AX
+	JEQ   outerNext
+	VBROADCASTSS (R8), Y0
+	MOVQ  CX, AX
+	ANDQ  $-8, AX
+	XORQ  DX, DX
+	CMPQ  DX, AX
+	JGE   outerTail
+
+outerCols:
+	VMULPS  (R11)(DX*4), Y0, Y5
+	VADDPS  Y2, Y5, Y5
+	VMULPS  Y5, Y1, Y5
+	VADDPS  (DI)(DX*4), Y5, Y4
+	VMOVUPS Y4, (DI)(DX*4)
+	ADDQ    $8, DX
+	CMPQ    DX, AX
+	JLT     outerCols
+
+outerTail:
+	CMPQ DX, CX
+	JGE  outerNext
+	VMASKMOVPS (DI)(DX*4), Y9, Y4
+	VMASKMOVPS (R11)(DX*4), Y9, Y5
+	VMULPS     Y5, Y0, Y5
+	VADDPS     Y2, Y5, Y5
+	VMULPS     Y5, Y1, Y5
+	VADDPS     Y4, Y5, Y4
+	VMASKMOVPS Y4, Y9, (DI)(DX*4)
+
+outerNext:
+	ADDQ R10, DI
+	ADDQ $4, R8
+	DECQ R9
+	JMP  outerRow
+
+outerDone:
+	VZEROUPPER
+	RET
+
 // The compaction steps of CompactKeys. A step takes eight entries of
 // src: it clears their sign bits (VPAND), compares the keys with lo-1
 // and with hi (VPCMPGTD, signed: keys and bounds lie below 1<<31, and

@@ -10,6 +10,8 @@ func axpyListVec(c, b, av []float32, off []int) bool { return false }
 
 func axpyStrideVec(c, a, b []float32, bs int) bool { return false }
 
+func outerVec(c, x, d []float32, a float32) bool { return false }
+
 func compactAVX2(idx []uint32, val []float32, src []float32, srcIdx []uint32, base, lo, hi uint32, ties, stop int) (read, n, above int) {
 	return 0, 0, 0
 }

@@ -42,6 +42,20 @@ package transport
 //	varint   JobID
 //	8B + 8B  Span.TraceID, Span.SpanID (uint64, little-endian)
 //
+// A report whose weight gradients travel as rank-1 factors
+// (Rank1Section) is a version-3 frame: the header of version 1 with
+// version byte 3, and the payload of version 1 except for the Grads
+// group, each of whose sections is its dense length and a float group:
+//
+//	uvarint  len(Grads); per section: uvarint dense length n, then a
+//	         group as Params is encoded, of one slice (the n floats of
+//	         a dense section) or two (x and δ of a rank-1 section;
+//	         |x| ≥ 1, |δ| ≥ 1, |x|·|δ| = n)
+//
+// A decoder that predates version 3 refuses the version byte as a codec
+// error instead of misreading the group, and a report without rank-1
+// sections is still version 1, byte for byte.
+//
 // Decoding is strict: every length is validated against the bytes that
 // are actually present before anything is allocated, so a corrupted or
 // hostile length can never cause an oversized allocation — it returns a
@@ -80,6 +94,10 @@ const (
 	// wire format.
 	frameVersion2 = 2
 	frameHeaderV2 = 12
+
+	// Version-3 frames are exact version-1 frames whose grads group
+	// carries rank-1 sections (see the layout above).
+	frameVersionRank1 = 3
 )
 
 // MaxFrameBytes bounds one frame's payload. A length field beyond it is
@@ -225,21 +243,41 @@ func (s *codecStats) decoded(k Kind, n int, start time.Time) {
 	s.decSecs.Observe(time.Since(start).Seconds())
 }
 
-// framePool recycles encode scratch space, recvPool inbound frame
+// framePool recycles encode scratch space, recvPools inbound frame
 // buffers. They are kept apart because a Send that cuts its large
 // sections needs only small scratch, while a received frame is as large
 // as the frame: from one pool, Sends would take the large buffers and
-// Recv would allocate new ones.
+// Recv would allocate new ones. For the same reason inbound buffers come
+// in two classes, up to smallFrame bytes and above: a report of rank-1
+// factors or a control frame drawing a parameter-sized buffer would
+// leave the next iter-start to allocate its own.
 var (
 	framePool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
-	recvPool  = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+	recvPools = [2]sync.Pool{{New: newRecvBuf}, {New: newRecvBuf}}
 )
 
-// putRecvBuf returns an inbound frame buffer, if any, to recvPool.
+func newRecvBuf() any { b := make([]byte, 0, 4096); return &b }
+
+// smallFrame is the largest inbound frame buffer of the small class.
+const smallFrame = maxHeldBytes
+
+// recvClass is the recvPools class of an n-byte buffer.
+func recvClass(n int) int {
+	if n <= smallFrame {
+		return 0
+	}
+	return 1
+}
+
+// getRecvBuf returns a pooled inbound buffer of the class an n-byte
+// frame needs, empty and possibly smaller than n.
+func getRecvBuf(n int) *[]byte { return recvPools[recvClass(n)].Get().(*[]byte) }
+
+// putRecvBuf returns an inbound frame buffer, if any, to its class.
 func putRecvBuf(bp *[]byte) {
 	if bp != nil {
 		*bp = (*bp)[:0]
-		recvPool.Put(bp)
+		recvPools[recvClass(cap(*bp))].Put(bp)
 	}
 }
 
@@ -278,7 +316,7 @@ func (m *Message) Release() {
 	}
 	p, f := m.pooled, m.frame
 	m.pooled, m.frame = nil, nil
-	m.Grads, m.Params, m.topk = nil, nil, nil
+	m.Grads, m.Params, m.topk, m.rank1 = nil, nil, nil, nil
 	if p != nil {
 		floatPool.Put(p)
 	}
@@ -415,10 +453,17 @@ func appendFrameMeta(dst []byte, m *Message, cuts *[]floatCut) ([]byte, gradInfo
 	if !nativeLittleEndian {
 		cuts = nil
 	}
+	version := byte(frameVersion)
+	if m.rank1 != nil {
+		if err := m.checkRank1(); err != nil {
+			return dst, gi, err
+		}
+		version = frameVersionRank1
+	}
 	base := len(dst)
 	header := frameHeader
 	if m.gradCodec == CompressExact {
-		dst = append(dst, frameMagic0, frameMagic1, frameVersion, byte(m.Kind), 0, 0, 0, 0)
+		dst = append(dst, frameMagic0, frameMagic1, version, byte(m.Kind), 0, 0, 0, 0)
 	} else {
 		header = frameHeaderV2
 		dst = append(dst, frameMagic0, frameMagic1, frameVersion2, byte(m.Kind), 0, 0, 0, 0,
@@ -434,6 +479,8 @@ func appendFrameMeta(dst []byte, m *Message, cuts *[]floatCut) ([]byte, gradInfo
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(m.Loss))
 	gradStart := len(dst)
 	switch {
+	case m.rank1 != nil:
+		dst = appendRank1Slices(dst, m.Grads, *m.rank1, cuts)
 	case m.gradCodec == CompressExact:
 		dst = appendSlices(dst, m.Grads, cuts)
 	case m.topk != nil:
@@ -496,41 +543,51 @@ var (
 	errShortHeaderV2 = &CodecError{fmt.Errorf("frame shorter than %d-byte v2 header", frameHeaderV2)}
 )
 
+// frameHead is what a frame header says: its size, the gradient codec,
+// whether the grads group may carry rank-1 sections (version 3), and
+// the payload length.
+type frameHead struct {
+	size  int
+	codec Compression
+	rank1 bool
+	n     int
+}
+
 // parseHeader is the one check of a frame header, at the front of hdr:
 // magic, version, the v2 codec id and reserved bytes, and the length
-// cap. It returns the header's size, the gradient codec and the payload
-// length. A version-2 header given only its first frameHeader bytes
-// fails with errShortHeaderV2, so a stream reader can read the rest and
-// call again.
-func parseHeader(hdr []byte) (size int, codec Compression, n int, err error) {
+// cap. A version-2 header given only its first frameHeader bytes fails
+// with errShortHeaderV2, so a stream reader can read the rest and call
+// again.
+func parseHeader(hdr []byte) (h frameHead, err error) {
 	if len(hdr) < frameHeader {
-		return 0, 0, 0, errShortHeader
+		return h, errShortHeader
 	}
 	if hdr[0] != frameMagic0 || hdr[1] != frameMagic1 {
-		return 0, 0, 0, &CodecError{fmt.Errorf("bad magic %#02x %#02x", hdr[0], hdr[1])}
+		return h, &CodecError{fmt.Errorf("bad magic %#02x %#02x", hdr[0], hdr[1])}
 	}
 	switch hdr[2] {
-	case frameVersion:
-		size, codec = frameHeader, CompressExact
+	case frameVersion, frameVersionRank1:
+		h.size, h.codec, h.rank1 = frameHeader, CompressExact, hdr[2] == frameVersionRank1
 	case frameVersion2:
 		if len(hdr) < frameHeaderV2 {
-			return 0, 0, 0, errShortHeaderV2
+			return h, errShortHeaderV2
 		}
-		size, codec = frameHeaderV2, Compression(hdr[8])
-		if codec == CompressExact || !codec.Valid() {
-			return 0, 0, 0, &CodecError{fmt.Errorf("bad gradient codec id %d in v2 header", hdr[8])}
+		h.size, h.codec = frameHeaderV2, Compression(hdr[8])
+		if h.codec == CompressExact || !h.codec.Valid() {
+			return h, &CodecError{fmt.Errorf("bad gradient codec id %d in v2 header", hdr[8])}
 		}
 		if hdr[9] != 0 || hdr[10] != 0 || hdr[11] != 0 {
-			return 0, 0, 0, &CodecError{fmt.Errorf("nonzero reserved bytes in v2 header")}
+			return h, &CodecError{fmt.Errorf("nonzero reserved bytes in v2 header")}
 		}
 	default:
-		return 0, 0, 0, &CodecError{fmt.Errorf("unsupported frame version %d", hdr[2])}
+		return h, &CodecError{fmt.Errorf("unsupported frame version %d", hdr[2])}
 	}
 	ln := binary.LittleEndian.Uint32(hdr[4:8])
 	if ln > MaxFrameBytes {
-		return 0, 0, 0, &CodecError{fmt.Errorf("payload length %d exceeds MaxFrameBytes %d", ln, MaxFrameBytes)}
+		return h, &CodecError{fmt.Errorf("payload length %d exceeds MaxFrameBytes %d", ln, MaxFrameBytes)}
 	}
-	return size, codec, int(ln), nil
+	h.n = int(ln)
+	return h, nil
 }
 
 // DecodeBinary decodes one complete binary frame. Truncated, corrupted
@@ -539,23 +596,23 @@ func parseHeader(hdr []byte) (size int, codec Compression, n int, err error) {
 // float payloads are pooled, and a top-k one keeps a pooled copy of the
 // frame; see Message.Release.
 func DecodeBinary(data []byte) (*Message, error) {
-	header, codec, n, err := parseHeader(data)
+	h, err := parseHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	if n != len(data)-header {
-		return nil, &CodecError{fmt.Errorf("payload length %d does not match %d frame bytes", n, len(data)-header)}
+	if h.n != len(data)-h.size {
+		return nil, &CodecError{fmt.Errorf("payload length %d does not match %d frame bytes", h.n, len(data)-h.size)}
 	}
 	var frame *[]byte
-	payload := data[header:]
-	if codec == CompressTopK {
+	payload := data[h.size:]
+	if h.codec == CompressTopK {
 		// Top-k sections view the payload they arrived in, so they get a
 		// pooled copy: the message never aliases data.
-		frame = recvPool.Get().(*[]byte)
+		frame = getRecvBuf(len(payload))
 		*frame = append((*frame)[:0], payload...)
 		payload = *frame
 	}
-	m, _, err := decodePayloadMeta(Kind(data[3]), codec, payload, frame)
+	m, _, err := decodePayloadMeta(Kind(data[3]), h, payload, frame)
 	return m, err
 }
 
@@ -789,8 +846,9 @@ func (r *PayloadReader) JobSpec() (s JobSpec) {
 // message keeps it for Release, or, when nothing was viewed, it goes
 // back to the pool before decode returns. A top-k payload must come
 // with its frame.
-func decodePayloadMeta(kind Kind, codec Compression, payload []byte, frame *[]byte) (*Message, gradInfo, error) {
+func decodePayloadMeta(kind Kind, h frameHead, payload []byte, frame *[]byte) (*Message, gradInfo, error) {
 	var gi gradInfo
+	codec := h.codec
 	r := &PayloadReader{data: payload, alias: frame != nil}
 	m := &Message{Kind: kind, gradCodec: codec}
 	m.WID = int(r.Varint())
@@ -807,8 +865,15 @@ func decodePayloadMeta(kind Kind, codec Compression, payload []byte, frame *[]by
 		// A scan pass on a copy of the reader sizes the arena to exactly
 		// the floats both groups copy: views take none of it.
 		s := *r
-		arena = getFloatArena(s.copiedFloats() + s.copiedFloats())
-		m.Grads = r.slicesInto(arena)
+		if h.rank1 {
+			arena = getFloatArena(s.copiedRank1Floats() + s.copiedFloats())
+			grads, rank1 := r.rank1SlicesInto(arena)
+			m.Grads = grads
+			m.SetRank1(rank1)
+		} else {
+			arena = getFloatArena(s.copiedFloats() + s.copiedFloats())
+			m.Grads = r.slicesInto(arena)
+		}
 	} else if r.err == nil {
 		// Compressed floats cost less than 4 wire bytes each, so the
 		// payload no longer bounds the arena — a scan pass sizes the

@@ -587,19 +587,7 @@ func TestTopKHostileLengths(t *testing.T) {
 // first decodes once its index is in range, so the index is its only
 // fault.
 func TestTopKCorpusSeedsRejected(t *testing.T) {
-	seed := func(name string) []byte {
-		t.Helper()
-		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzBinaryDecode", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
-		data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
-		if !ok || err != nil {
-			t.Fatalf("%s: not a one-[]byte corpus file (%v)", name, err)
-		}
-		return []byte(data)
-	}
+	seed := func(name string) []byte { return corpusSeed(t, name) }
 	for _, name := range []string{"compressed-topk-index-past-end", "compressed-topk-missing-terminators"} {
 		if m, err := DecodeBinary(seed(name)); m != nil || Classify(err) != ClassCodec {
 			t.Fatalf("%s: decoded to %v, err %v; want a codec error", name, m, err)
@@ -612,6 +600,21 @@ func TestTopKCorpusSeedsRejected(t *testing.T) {
 		t.Fatalf("the past-end seed with its index in range: %v", err)
 	}
 	m.Release()
+}
+
+// corpusSeed reads the frame of the named FuzzBinaryDecode corpus file.
+func corpusSeed(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzBinaryDecode", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+	data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if !ok || err != nil {
+		t.Fatalf("%s: not a one-[]byte corpus file (%v)", name, err)
+	}
+	return []byte(data)
 }
 
 // TestCompressionTelemetry: a compressed exchange over a real TCP pair

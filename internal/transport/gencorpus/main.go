@@ -1,7 +1,8 @@
 // Command gencorpus regenerates the committed FuzzBinaryDecode corpus
 // under internal/transport/testdata/fuzz: one valid frame per protocol
-// kind, truncated and bit-flipped variants of each, and hostile headers
-// (oversized lengths, bad magic or version, bad compressed sections).
+// kind, truncated and bit-flipped variants of each, hostile headers
+// (oversized lengths, bad magic or version, bad compressed sections),
+// and a rank-1 report with hostile variants of its factor lengths.
 // Run from the repo root:
 //
 //	go run ./internal/transport/gencorpus
@@ -134,6 +135,32 @@ func main() {
 		16, 2, 3, // dense length 16, k = 2, index 3
 		0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, // no second terminator
 	)
+	// Version-3 (rank-1) seeds: a valid report whose weight gradients
+	// travel as factors, and four grads groups the decoder must refuse
+	// before it allocates, each in a report whose other fields are zero.
+	rank1 := &transport.Message{
+		Kind: transport.KindReport, WID: 2, Iter: 5,
+		Token: transport.TokenInfo{ID: 9, Seq: 1, Lo: 8, Hi: 9},
+		Grads: [][]float32{nil, {0.125, -1}},
+		Loss:  0.75,
+	}
+	rank1.SetRank1([]transport.Rank1Section{{X: []float32{1.5, -2.25, 0}, D: []float32{0.5, 4}}, {}})
+	if binExtra["rank1-valid"], err = transport.EncodeBinary(rank1); err != nil {
+		fatal(err)
+	}
+	rank1Report := func(section ...byte) []byte {
+		payload := append(make([]byte, 7+8), section...) // WID..Owner varints + loss
+		payload = append(payload, make([]byte, 4+16)...) // params..JobID, span
+		return append([]byte{0xFE, 0x7A, 3, 3, byte(len(payload)), 0, 0, 0}, payload...)
+	}
+	// One section each: its dense length, then a group of two slices,
+	// x and δ, each a length and its floats.
+	binExtra["rank1-zero-delta"] = rank1Report(append(append([]byte{1, 0, 2, 2}, make([]byte, 8)...), 0)...)
+	binExtra["rank1-overflowing-lengths"] = rank1Report(append([]byte{1, 6, 2,
+		0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40, // |x| = 1<<62
+	}, make([]byte, 20)...)...)
+	binExtra["rank1-length-mismatch"] = rank1Report(append(append(append([]byte{1, 7, 2, 2}, make([]byte, 8)...), 3), make([]byte, 12)...)...)
+	binExtra["rank1-truncated-delta"] = rank1Report(append(append([]byte{1, 6, 2, 2}, make([]byte, 8)...), 3, 0, 0, 0, 0)...)
 	writeCorpus(binExtra)
 }
 

@@ -183,8 +183,11 @@ type Message struct {
 	pooled *[]float32
 	frame  *[]byte
 	// topk holds a report decoded under CompressTopK in place of Grads;
-	// see TopK.
-	topk []TopKSection
+	// see TopK. rank1 holds a report's rank-1 sections beside Grads; see
+	// Rank1. It is a pointer, to keep every other message's allocation
+	// in the smaller size class.
+	topk  []TopKSection
+	rank1 *[]Rank1Section
 
 	// gradCodec selects the gradient compression applied to the Grads
 	// section on the binary wire (compress.go); zero is the exact
@@ -209,7 +212,8 @@ type Message struct {
 func (m *Message) SetMore(more bool) { m.more = more }
 
 // WireSize estimates the message's encoded size in bytes: the float
-// payloads dominate (4 bytes each), everything else is a small fixed
+// payloads dominate (4 bytes each; a rank-1 section's are its factors,
+// a top-k one's its dense length), everything else is a small fixed
 // overhead. The in-memory transport has no real frames, so byte-level
 // telemetry uses this estimate uniformly for both transports.
 func (m *Message) WireSize() int {
@@ -221,7 +225,14 @@ func (m *Message) WireSize() int {
 	if m.Job != (JobSpec{}) {
 		n += 48 + len(m.Job.Name) + len(m.Job.Model)
 	}
-	n += 4 * m.gradFloats()
+	for i := range m.NumGrads() {
+		if m.isRank1(i) {
+			f := m.Rank1()[i]
+			n += 4 * (len(f.X) + len(f.D))
+		} else {
+			n += 4 * m.GradLen(i)
+		}
+	}
 	for _, p := range m.Params {
 		n += 4 * len(p)
 	}
@@ -245,8 +256,11 @@ func (m *Message) NumGrads() int {
 
 // GradLen is the dense length of gradient section i.
 func (m *Message) GradLen(i int) int {
-	if m.topk != nil {
+	switch {
+	case m.topk != nil:
 		return m.topk[i].n
+	case m.isRank1(i):
+		return (*m.rank1)[i].Len()
 	}
 	return len(m.Grads[i])
 }
@@ -263,11 +277,12 @@ func (m *Message) gradFloats() int {
 // Conn is a bidirectional, ordered message pipe.
 type Conn interface {
 	// Send writes one message; it is safe for one concurrent sender.
-	// Send captures the message's float payload (Grads, Params) before
-	// it returns — written to the socket, or copied by the in-memory
-	// pair — so the caller may overwrite those slices as soon as it
-	// returns: workers report straight from their live gradient
-	// tensors. The TCP conn writes a section of 64 KiB or more
+	// Send captures the message's float payload (Grads, rank-1
+	// factors, Params) before it returns — written to the socket, or
+	// copied by the in-memory pair — so the caller may overwrite those
+	// slices as soon as it returns: workers report straight from their
+	// network's gradient buffers and factor copies, which the next
+	// token overwrites. The TCP conn writes a section of 64 KiB or more
 	// from the caller's slice itself, by writev, and returns only once
 	// that write is done. A wrapper that delivers later (jobs.asyncConn)
 	// must only ever be handed payloads nobody mutates again, such as a
@@ -461,13 +476,17 @@ func (c *memConn) deliver(m *Message) error {
 
 // payloadCopy gives the in-memory pair the wire's value semantics (the
 // Conn.Send contract): a message carrying floats is delivered as a copy
-// whose Grads and Params are carved from one fresh allocation. The copy
-// never carries the original's pooled arena, so releasing both is safe.
-// Messages without floats are delivered as they are.
+// whose Grads, rank-1 factors and Params are carved from one fresh
+// allocation. The copy never carries the original's pooled arena, so
+// releasing both is safe. Messages without floats are delivered as they
+// are.
 func (m *Message) payloadCopy() *Message {
 	total := 0
 	for _, s := range m.Grads {
 		total += len(s)
+	}
+	for _, f := range m.Rank1() {
+		total += len(f.X) + len(f.D)
 	}
 	for _, s := range m.Params {
 		total += len(s)
@@ -491,6 +510,16 @@ func (m *Message) payloadCopy() *Message {
 		return out
 	}
 	cp.Grads = carve(m.Grads)
+	if m.rank1 != nil {
+		rank1 := make([]Rank1Section, len(*m.rank1))
+		for i, f := range *m.rank1 {
+			if len(f.X) > 0 {
+				fs := carve([][]float32{f.X, f.D})
+				rank1[i] = Rank1Section{X: fs[0], D: fs[1]}
+			}
+		}
+		cp.rank1 = &rank1
+	}
 	cp.Params = carve(m.Params)
 	return &cp
 }
@@ -764,8 +793,8 @@ func (c *tcpConn) Recv() (*Message, error) {
 func (c *tcpConn) frameBuffered() bool {
 	n := c.br.Buffered()
 	hdr, _ := c.br.Peek(min(n, frameHeaderV2))
-	header, _, ln, err := parseHeader(hdr)
-	return err == nil && n >= header+ln
+	h, err := parseHeader(hdr)
+	return err == nil && n >= h.size+h.n
 }
 
 // recvBinary reads and decodes one binary frame. The header is
@@ -780,25 +809,25 @@ func (c *tcpConn) recvBinary() (*Message, error) {
 	if _, err := io.ReadFull(c.br, hdr[:frameHeader]); err != nil {
 		return nil, err
 	}
-	header, codec, n, err := parseHeader(hdr[:frameHeader])
+	h, err := parseHeader(hdr[:frameHeader])
 	if err == errShortHeaderV2 { // the v2 codec id and reserved bytes follow
 		if _, err := io.ReadFull(c.br, hdr[frameHeader:]); err != nil {
 			return nil, err
 		}
-		header, codec, n, err = parseHeader(hdr[:])
+		h, err = parseHeader(hdr[:])
 	}
 	if err != nil {
 		return nil, err
 	}
-	bp, payload, err := c.readPayload(n, codec == CompressExact)
+	bp, payload, err := c.readPayload(h)
 	if err != nil {
 		return nil, err
 	}
-	m, gi, err := decodePayloadMeta(Kind(hdr[3]), codec, payload, bp)
+	m, gi, err := decodePayloadMeta(Kind(hdr[3]), h, payload, bp)
 	if err != nil {
 		return nil, err
 	}
-	st.decoded(m.Kind, header+n, start)
+	st.decoded(m.Kind, h.size+h.n, start)
 	st.compressed(1, gi)
 	return m, nil
 }
@@ -808,19 +837,21 @@ func (c *tcpConn) recvBinary() (*Message, error) {
 // cannot make it reserve what the header claims.
 const firstChunk = 1 << 20
 
-// readPayload reads an n-byte payload into a pooled frame buffer, which
-// the caller then owns. A pooled buffer that is big enough is used as it
-// is. For an exact frame large enough to carry a section of viewFloats,
-// the payload starts 0–3 bytes into the buffer, so that its first float
-// section is 4-aligned and can be decoded as a view.
-func (c *tcpConn) readPayload(n int, exact bool) (*[]byte, []byte, error) {
+// readPayload reads the n-byte payload of the frame h heads into a
+// pooled frame buffer, which the caller then owns. A pooled buffer that
+// is big enough is used as it is. For an exact frame large enough to
+// carry a section of viewFloats, the payload starts 0–3 bytes into the
+// buffer, so that its first float section is 4-aligned and can be
+// decoded as a view.
+func (c *tcpConn) readPayload(h frameHead) (*[]byte, []byte, error) {
+	n := h.n
 	first, need := -1, n
-	if exact && n >= 4*viewFloats {
-		if first = c.firstSection(n); first >= 0 {
+	if h.codec == CompressExact && n >= 4*viewFloats {
+		if first = c.firstSection(n, h.rank1); first >= 0 {
 			need += 3
 		}
 	}
-	bp := recvPool.Get().(*[]byte)
+	bp := getRecvBuf(need)
 	var head []byte // payload bytes read before the buffer was allocated
 	if cap(*bp) < need {
 		if n > firstChunk {
@@ -853,23 +884,30 @@ func (c *tcpConn) readPayload(n int, exact bool) (*[]byte, []byte, error) {
 }
 
 // prefixMax bounds the payload bytes before the first float section:
-// seven varints, the loss, and three uvarints at most (the Grads count,
-// the Params count when Grads is empty, the first slice's length).
-const prefixMax = 10*binary.MaxVarintLen64 + 8
+// seven varints, the loss, and four uvarints at most (the Grads count,
+// the Params count when Grads is empty, the first slice's length, and
+// in a rank-1 frame the first section's dense length and slice count
+// before it).
+const prefixMax = 11*binary.MaxVarintLen64 + 8
 
 // firstSection returns the payload offset of an exact frame's first
-// float section, or -1 if it has none. It parses the payload's prefix
-// in bufio, waiting only for bytes of this frame; a prefix that does
-// not parse gives -1, and decode reports the error.
-func (c *tcpConn) firstSection(n int) int {
+// float section, or -1 if it has none; rank1 says the frame's Grads
+// sections each lead with a dense length and a slice count. It parses
+// the payload's prefix in bufio, waiting only for bytes of this frame;
+// a prefix that does not parse gives -1, and decode reports the error.
+func (c *tcpConn) firstSection(n int, rank1 bool) int {
 	p, _ := c.br.Peek(min(n, prefixMax))
 	r := PayloadReader{data: p}
 	for range 7 {
 		r.Varint()
 	}
 	r.Bytes(8)
-	for range 2 { // Grads, then Params
+	for g := range 2 { // Grads, then Params
 		if r.Uvarint() > 0 {
+			if g == 0 && rank1 {
+				r.Uvarint()
+				r.Uvarint()
+			}
 			if r.Uvarint(); r.err != nil {
 				return -1
 			}

@@ -120,7 +120,7 @@ func firstOffset(t *testing.T, frame []byte) int {
 	t.Helper()
 	payload := frame[frameHeader:]
 	c := &tcpConn{br: bufio.NewReader(bytes.NewReader(payload))}
-	off := c.firstSection(len(payload))
+	off := c.firstSection(len(payload), false)
 	if off < 0 {
 		t.Fatal("frame has no float section")
 	}
@@ -265,6 +265,10 @@ func FuzzRecvBinary(f *testing.F) {
 	c.SetGradCodec(CompressTopK)
 	f.Add(seed(c))
 	f.Add(seed(&Message{Kind: KindReport, Loss: math.NaN(), Grads: [][]float32{{float32(math.NaN())}}}))
+	f.Add(seed(rank1Sample()))
+	r1 := viewReport(64, 0, viewFloats+1)
+	r1.SetRank1([]Rank1Section{{X: fill(5, func(j int) float32 { return float32(j) }), D: []float32{1, -2}}, {}})
+	f.Add(seed(r1))
 	for _, wid := range []int{0, 64, 8192} {
 		data := seed(viewReport(wid, viewFloats+1, 3))
 		f.Add(data)
