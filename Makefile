@@ -29,11 +29,14 @@ race:
 # kills, the fold-order sessions that park reports behind a gap, the
 # one-row-token sessions whose reports carry rank-1 factors through a
 # dead window holder, a join and drain, a resume and malformed factors,
-# and the sessions whose iter-start is delivered after the next barrier
-# by a stalled asyncConn forwarder) under the race detector, repeated to
-# shake out scheduling-dependent behaviour.
+# the barrier fold's sessions — mixed factor and dense reporters, parked
+# reports, a reporter dying with its factors pending, momentum, a resume
+# — and its direct fold of mixed out-of-order reports, and the sessions
+# whose iter-start is delivered after the next barrier by a stalled
+# asyncConn forwarder) under the race detector, repeated to shake out
+# scheduling-dependent behaviour.
 chaos:
-	$(GO) test ./internal/rt/ -run 'TestChaos' -race -count=3 -v
+	$(GO) test ./internal/rt/ -run 'TestChaos|TestFoldBarrier' -race -count=3 -v
 	$(GO) test ./internal/jobs/ -run 'TestAsyncConnBroadcastSnapshotOutlivesBarrier|TestSlowPoolWorkerMatchesReference' -race -count=3 -v
 
 # elastic-chaos runs the live-membership suite (scripted joins, drains,
@@ -83,19 +86,22 @@ fuzz:
 # bench smoke-runs the hot-path benchmarks (wire codecs, a 4 MB report
 # over loopback TCP, matmul and elementwise kernels, the row tile under
 # them, the key compaction under the top-k encoder, the fold's AddScaled
-# and its rank-1 AddOuterScaled, a token's forward/backward at the
+# and its rank-1 AddOuterScaled, the barrier's band fold of 16 rank-1
+# terms against the per-token fold, a token's forward/backward at the
 # train-compute and train-comm shapes, the conv passes, a
 # train-sched-shaped session over loopback TCP, the coordinator's
-# receive-and-fold of an exact and a top-k train-comm report and its
-# iter-start fan-out to two conns, a small pooled job from submit to
-# settle and the spec validation in front of it) at -benchtime 100x:
+# receive-and-fold of an exact, a top-k and a rank-1 train-comm report,
+# an iteration's rank-1 reports through the event loop and the barrier,
+# and its iter-start fan-out to two conns, a small pooled job from
+# submit to settle and the spec validation in front of it) at
+# -benchtime 100x:
 # enough to catch a broken benchmark or a pathological regression
 # without turning CI into a perf lab.
 bench:
 	$(GO) test ./internal/transport/ -run xxx -bench 'BenchmarkCodec|BenchmarkTCPReport' -benchtime 100x
-	$(GO) test ./internal/tensor/ -run xxx -bench 'BenchmarkMatMul|BenchmarkAccumRows|BenchmarkAddRows|BenchmarkCompactKeys|BenchmarkReLU|BenchmarkAddScaled|BenchmarkAddOuterScaled' -benchtime 100x
+	$(GO) test ./internal/tensor/ -run xxx -bench 'BenchmarkMatMul|BenchmarkAccumRows|BenchmarkAddRows|BenchmarkCompactKeys|BenchmarkReLU|BenchmarkAddScaled|BenchmarkAddOuterScaled|BenchmarkAddOutersScaled' -benchtime 100x
 	$(GO) test ./internal/minidnn/ -run xxx -bench 'BenchmarkToken|BenchmarkConv' -benchtime 100x
-	$(GO) test ./internal/rt/ -run xxx -bench 'BenchmarkSchedSession|BenchmarkFoldReport|BenchmarkIterStart' -benchtime 100x
+	$(GO) test ./internal/rt/ -run xxx -bench 'BenchmarkSchedSession|BenchmarkFoldReport|BenchmarkBarrierFold|BenchmarkIterStart' -benchtime 100x
 	$(GO) test ./internal/jobs/ -run xxx -bench 'BenchmarkPoolJob|BenchmarkNormalizeSpec' -benchtime 100x
 
 # benchmod covers the regression benchmark, a module of its own under
@@ -144,11 +150,13 @@ durable:
 # the race detector: bit-pattern identity with the naive kernels across
 # tile tails, special values and fan-out widths, on the AVX2 and the
 # portable path, the key compaction against its spec on both, the fused
-# rank-1 fold against its two steps on both, the tensor and minidnn suites once more built with GOAMD64=v3 (where the
+# rank-1 fold against its two steps on both, the band fold of many
+# rank-1 terms (the AVX2 rank-k row) against the per-token fold on both,
+# the tensor and minidnn suites once more built with GOAMD64=v3 (where the
 # compiler may use FMA), the tensor, minidnn and transport suites built
 # for 386 (the portable path alone: every layer, the deferred
-# weight-gradient zero and rank-1 factors, and the fused rank-1 fold on
-# the Go loops, every top-k frame against the
+# weight-gradient zero and rank-1 factors, and the fused and band rank-1
+# folds on the Go loops, every top-k frame against the
 # sort-based reference without the AVX2 compaction), layer-buffer
 # ownership and two networks sharing the kernel pool (all of minidnn), the
 # fp16/int8/topk codec properties with their golden v2 frames and
@@ -157,14 +165,15 @@ durable:
 # the zero-copy float path (sections written from the sender's slice,
 # received as aligned views of the frame, checkptr-checked under -race),
 # the rank-1 report sections (golden frame, hostile lengths, views of
-# the frame), and the negotiated end-to-end TCP sessions.
+# the frame), the negotiated end-to-end TCP sessions, and the
+# coordinator's barrier fold against the per-token fold.
 kernels:
 	$(GO) test ./internal/tensor/ -race -count=1 -v
 	$(GO) test ./internal/minidnn/ -race -count=1 -v
 	GOAMD64=v3 $(GO) test ./internal/tensor/ ./internal/minidnn/ -count=1
 	GOARCH=386 $(GO) test ./internal/tensor/ ./internal/minidnn/ ./internal/transport/ -count=1
 	$(GO) test ./internal/transport/ -race -run 'TestFP16|TestInt8|TestTopK|FuzzTopKSelect|TestCompress|TestParamsStayExact|TestView|TestSendCapturesPayload|TestRecvHeaderAlone|FuzzRecvBinary|TestRank1|TestDecodeRejectsMalformedPayloads' -count=1 -v
-	$(GO) test ./internal/rt/ -race -run 'TestCompress' -count=1 -v
+	$(GO) test ./internal/rt/ -race -run 'TestCompress|TestFoldBarrier' -count=1 -v
 
 # lint-metrics is the exposition-conformance gate: every e2e test that
 # scrapes /metrics (felaserver observability, felastat live cluster)

@@ -225,16 +225,19 @@ func TestDurableBenchJSON(t *testing.T) {
 	if report.Name != "durable-plane" || !report.Quick {
 		t.Errorf("report header = %+v", report)
 	}
-	if report.BaselineSeconds <= 0 {
-		t.Errorf("baseline seconds = %v, want > 0", report.BaselineSeconds)
-	}
 	if len(report.Overheads) == 0 {
 		t.Fatal("no overhead entries")
 	}
 	sawDefault := false
 	for _, e := range report.Overheads {
-		if e.Checkpoints <= 0 || e.Seconds <= 0 {
+		if e.Checkpoints <= 0 || e.Seconds <= 0 || e.BaselineSeconds <= 0 {
 			t.Errorf("overhead entry %+v has empty measurements", e)
+		}
+		if e.Pairs != 1 {
+			t.Errorf("overhead entry %+v: -quick runs one pair", e)
+		}
+		if !(e.OverheadQ1Pct <= e.OverheadPct && e.OverheadPct <= e.OverheadQ3Pct) {
+			t.Errorf("overhead entry %+v: median outside its quartiles", e)
 		}
 		if e.Every == 10 {
 			sawDefault = true

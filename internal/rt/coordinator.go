@@ -78,8 +78,11 @@ type Coordinator struct {
 	iterTokens map[int]int    // tokens reported per worker this iteration
 
 	// acc is the iteration's gradient sum: tokens[:folded] have been
-	// added into it, each weighted by frac, in seq order (see fold).
+	// added into it, each weighted by frac, in seq order (see fold) —
+	// except the rank-1 sections still pending in runs, which the
+	// barrier adds (see step). The barrier leaves acc cleared to +0.
 	acc    []*tensor.Tensor
+	runs   []factorRun
 	frac   float32
 	folded int
 
@@ -284,6 +287,7 @@ func (co *Coordinator) Run(conns []transport.Conn) (*Result, error) {
 	co.frac = float32(co.cfg.TokenBatch) / float32(co.cfg.TotalBatch)
 	vel := zerosLike(co.net.Params())
 	co.acc = zerosLike(co.net.Params())
+	co.runs = make([]factorRun, len(co.acc))
 
 	// Restore a checkpointed session: install the barrier state, replay
 	// the loss history, and start the loop at the next iteration. The
@@ -308,14 +312,15 @@ func (co *Coordinator) Run(conns []transport.Conn) (*Result, error) {
 		if err := co.runIteration(nTok); err != nil {
 			return nil, err
 		}
-		// Every gradient is already in co.acc, folded in seq order as the
-		// reports arrived (see fold); the losses sum in the same order.
+		// Every gradient is in co.acc or pending in co.runs, in seq order
+		// (see fold); step adds the pending runs and takes the optimizer
+		// step. The losses sum in the same order.
 		barrierStart := time.Now()
 		var loss float64
 		for _, tok := range co.tokens {
 			loss += tok.loss / float64(nTok)
 		}
-		applyUpdate(co.net, vel, co.acc, co.cfg)
+		co.step(vel)
 		co.res.Losses = append(co.res.Losses, loss)
 		if co.cfg.checkpointDue(co.it) {
 			// The hook gets copies (flatten allocates): the checkpoint
@@ -543,7 +548,6 @@ func (co *Coordinator) runIteration(nTok int) error {
 			Owner: owners[seq],
 		}}
 	}
-	zeroAll(co.acc)
 	co.folded = 0
 	if len(co.backlog) != len(co.workers) {
 		co.backlog = make([]int, len(co.workers))
@@ -735,35 +739,115 @@ func (co *Coordinator) broadcast() error {
 	return nil
 }
 
-// fold adds every done token from the cursor upward into acc and
-// releases its report. It performs Sequential's arithmetic — acc +=
-// frac·g, one token at a time in seq order — so the sum is
-// bit-identical whatever order the reports arrive in; a report ahead of
-// a gap stays parked until a later call closes it. A dense report goes
-// through Sequential's own AddScaled. A top-k report adds frac·v at its
-// kept indices only: its other entries are +0, and acc, cleared to +0
-// and only added to, never holds −0 or a signalling NaN, so adding
-// frac·(+0) would change no bit of it (TopKSection.AddScaledTo). A
-// rank-1 section adds frac·(x⊗δ) in one pass, forming each product as
-// the worker's MatMulATInto would have and skipping the rows where x is
-// zero, by the same argument (Rank1Section.AddScaledTo).
+// fold takes every done token from the cursor upward into the
+// iteration's sum and releases its report. It performs Sequential's
+// arithmetic — acc += frac·g, one token at a time in seq order — so the
+// sum is bit-identical whatever order the reports arrive in; a report
+// ahead of a gap stays parked until a later call closes it. A dense
+// report goes through Sequential's own AddScaled. A top-k report adds
+// frac·v at its kept indices only: its other entries are +0, and acc,
+// cleared to +0 and only added to, never holds −0 or a signalling NaN,
+// so adding frac·(+0) would change no bit of it
+// (TopKSection.AddScaledTo). A rank-1 section is not added here: its x
+// and δ are copied onto the section's run, and the barrier adds the run
+// (step) with AddOuterScaled's bits, forming each product as the
+// worker's MatMulATInto would have and skipping the rows where x is
+// zero by the same argument. A dense or top-k add to a
+// section first adds its pending run, so the section's terms still go
+// in seq order. The event loop thus spends a copy of in+out floats on a
+// rank-1 section, not a pass over its in·out: a pull request queued
+// behind a report is answered at once.
 func (co *Coordinator) fold() {
 	for ; co.folded < len(co.tokens) && co.tokens[co.folded].done; co.folded++ {
 		tok := co.tokens[co.folded]
 		for i, s := range tok.report.TopK() {
+			co.flush(i)
 			s.AddScaledTo(co.acc[i].Data, co.frac)
 		}
 		rank1 := tok.report.Rank1()
 		for i, g := range tok.report.Grads {
 			if rank1 != nil && len(rank1[i].X) > 0 {
-				rank1[i].AddScaledTo(co.acc[i].Data, co.frac)
+				co.runs[i].add(rank1[i], len(co.tokens))
 				continue
 			}
+			co.flush(i)
 			view := tensor.Tensor{Shape: co.acc[i].Shape, Data: g}
 			co.acc[i].AddScaled(&view, co.frac)
 		}
 		tok.report.Release()
 		tok.report = nil
+	}
+}
+
+// factorRun is a section's pending rank-1 terms, in seq order: views of
+// arena, which holds each term's x and δ back to back and is allocated
+// at a run's first term, for an iteration's worth of them, and reused
+// from then on.
+type factorRun struct {
+	xs, ds [][]float32
+	arena  []float32
+}
+
+// add copies f onto the run; nTok bounds the terms of an iteration.
+func (r *factorRun) add(f transport.Rank1Section, nTok int) {
+	m, n := len(f.X), len(f.D)
+	if len(r.xs) == 0 && len(r.arena) < nTok*(m+n) {
+		r.arena = make([]float32, nTok*(m+n))
+	}
+	off := len(r.xs) * (m + n)
+	x, d := r.arena[off:off+m], r.arena[off+m:off+m+n]
+	copy(x, f.X)
+	copy(d, f.D)
+	r.xs, r.ds = append(r.xs, x), append(r.ds, d)
+}
+
+func (r *factorRun) reset() { r.xs, r.ds = r.xs[:0], r.ds[:0] }
+
+// flush adds section i's pending run into acc, serially: only a session
+// that mixes rank-1 reports with dense or top-k ones has a run to add
+// before the barrier.
+func (co *Coordinator) flush(i int) {
+	if r := &co.runs[i]; len(r.xs) > 0 {
+		tensor.AddOutersScaled(co.acc[i].Data, 0, r.xs, r.ds, co.frac)
+		r.reset()
+	}
+}
+
+// foldTileFloats is how much of a section the barrier folds at a time:
+// 16 KiB of the sum, which stays in a core's L1 with its parameters and
+// velocity while the run's terms go in and the step is taken.
+const foldTileFloats = 4096
+
+// step is the barrier's optimizer step, and it leaves acc cleared for
+// the next iteration. A section with a pending run is folded over the
+// kernel pool — every worker waits for the iter-start meanwhile — in
+// bands of rows, each band a tile of about foldTileFloats at a time: the
+// tile takes the run's terms in seq order (tensor.AddOutersScaled), then
+// its step (stepRange), then is cleared, while it is still in cache.
+// Every element sees the same operations in the same order as in a fold
+// of the whole section followed by applyUpdate, so the bits are the
+// same. Any other section takes applyUpdate's step and is cleared.
+func (co *Coordinator) step(vel []*tensor.Tensor) {
+	for i, p := range co.net.Params() {
+		g, v, r := co.acc[i].Data, vel[i].Data, &co.runs[i]
+		if len(r.xs) == 0 {
+			stepRange(p.Data, v, g, co.cfg)
+			clear(g)
+			continue
+		}
+		n := len(r.ds[0])
+		rows := len(g) / n
+		tile := max(1, foldTileFloats/n)
+		tensor.ParallelRows(rows, int64(len(r.xs))*int64(len(g)), func(lo, hi int) {
+			for r0 := lo; r0 < hi; r0 += tile {
+				r1 := min(r0+tile, hi)
+				c := g[r0*n : r1*n]
+				tensor.AddOutersScaled(c, r0, r.xs, r.ds, co.frac)
+				stepRange(p.Data[r0*n:r1*n], v[r0*n:r1*n], c, co.cfg)
+				clear(c)
+			}
+		})
+		r.reset()
 	}
 }
 

@@ -11,6 +11,7 @@ package rt
 
 import (
 	"errors"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -173,6 +174,14 @@ func runFoldSessionOn(t *testing.T, model func() *minidnn.Network, cfg Config, t
 		for seq, tok := range co.tokens {
 			if tok.report != nil {
 				t.Errorf("iteration %d barrier: report for seq %d still parked", iter, seq)
+			}
+		}
+		for i, a := range co.acc {
+			if k := len(co.runs[i].xs); k > 0 {
+				t.Errorf("iteration %d barrier: %d rank-1 terms of section %d still pending", iter, k, i)
+			}
+			if j := slices.IndexFunc(a.Data, func(v float32) bool { return math.Float32bits(v) != 0 }); j >= 0 {
+				t.Errorf("iteration %d barrier: sum %d not cleared to +0 at %d (%v)", iter, i, j, a.Data[j])
 			}
 		}
 		if inner != nil {

@@ -50,9 +50,11 @@ func countRank1(n *atomic.Int64) func(int, transport.Conn) transport.Conn {
 }
 
 // TestBatch1Equivalence: batch-1 sessions of an MLP, the same with
-// momentum, an MLP whose hidden rows take the AVX2 tile's vectors, and
-// a CNN whose dense layers sit above a ReLU and a pool, end bit-identical
-// to Sequential, every report carrying its weight gradients as factors.
+// momentum, an MLP whose hidden rows take the AVX2 tile's vectors, a
+// CNN whose dense layers sit above a ReLU and a pool, and an MLP whose
+// barrier folds a run over the kernel pool with momentum through the
+// tiled step, end bit-identical to Sequential, every report carrying
+// its weight gradients as factors.
 func TestBatch1Equivalence(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -63,6 +65,7 @@ func TestBatch1Equivalence(t *testing.T) {
 		{"mlp-momentum", mlp, 0.9},
 		{"wide-mlp", wideMLP, 0},
 		{"cnn", blobCNN, 0},
+		{"pool-mlp-momentum", poolMLP, 0.9},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			transports(t, func(t *testing.T, tcp bool) {
@@ -124,7 +127,10 @@ func TestChaosBatch1ElasticJoinDrain(t *testing.T) {
 // TestChaosBatch1Resume: a batch-1 session with momentum stops right
 // after the checkpoint of iteration 1, and a fresh coordinator and
 // fleet resume from it to Sequential's parameters and losses.
-func TestChaosBatch1Resume(t *testing.T) {
+func TestChaosBatch1Resume(t *testing.T) { batch1Resume(t, mlp) }
+
+// batch1Resume is TestChaosBatch1Resume on replicas built by model.
+func batch1Resume(t *testing.T, model func() *minidnn.Network) {
 	transports(t, func(t *testing.T, tcp bool) {
 		cfg := batch1Cfg()
 		cfg.Momentum = 0.9
@@ -138,18 +144,18 @@ func TestChaosBatch1Resume(t *testing.T) {
 			resume = &Resume{Iter: iter, Params: cloneFloats(params), Vel: cloneFloats(vel), Losses: slices.Clone(losses)}
 			return errStop
 		}
-		if _, _, err := runFoldSession(t, first, tcp, nil); !errors.Is(err, errStop) {
+		if _, _, err := runFoldSessionOn(t, model, first, tcp, nil); !errors.Is(err, errStop) {
 			t.Fatalf("first session ended with %v, want the stop after the checkpoint", err)
 		}
 		if resume == nil {
 			t.Fatal("no checkpoint was taken")
 		}
 		cfg.Resume = resume
-		res, _, err := runFoldSession(t, cfg, tcp, nil)
+		res, _, err := runFoldSessionOn(t, model, cfg, tcp, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertMatchesSequential(t, cfg, res)
+		assertMatchesSequentialOn(t, model, cfg, res)
 	})
 }
 

@@ -334,17 +334,29 @@ func Sequential(net *minidnn.Network, ds *minidnn.Dataset, cfg Config) (*Result,
 // coordinator: v = momentum*v + grad; params -= lr*v (plain SGD when
 // momentum is 0).
 func applyUpdate(net *minidnn.Network, vel, acc []*tensor.Tensor, cfg Config) {
-	params := net.Params()
-	for i := range params {
-		if cfg.Momentum != 0 {
-			vel[i].Scale(cfg.Momentum)
-			vel[i].Add(acc[i])
-			params[i].AddScaled(vel[i], -cfg.LR)
-		} else {
-			params[i].AddScaled(acc[i], -cfg.LR)
-		}
+	for i, p := range net.Params() {
+		stepRange(p.Data, vel[i].Data, acc[i].Data, cfg)
 	}
 }
+
+// stepRange is applyUpdate on one stretch of one tensor: p, v and g are
+// the same elements of a parameter, its velocity and its gradient sum.
+// Every operation is element-wise, so a tensor stepped a stretch at a
+// time — the barrier's tiled fold (Coordinator.step) — gets the bits of
+// one whole-tensor step.
+func stepRange(p, v, g []float32, cfg Config) {
+	pt, vt, gt := vector(p), vector(v), vector(g)
+	if cfg.Momentum != 0 {
+		vt.Scale(cfg.Momentum)
+		vt.Add(&gt)
+		pt.AddScaled(&vt, -cfg.LR)
+	} else {
+		pt.AddScaled(&gt, -cfg.LR)
+	}
+}
+
+// vector views s as a one-dimensional tensor.
+func vector(s []float32) tensor.Tensor { return tensor.Tensor{Shape: []int{len(s)}, Data: s} }
 
 func zerosLike(ts []*tensor.Tensor) []*tensor.Tensor {
 	out := make([]*tensor.Tensor, len(ts))

@@ -3,7 +3,9 @@ package rt
 import (
 	"io"
 	"net"
+	"slices"
 	"testing"
+	"time"
 
 	"fela/internal/minidnn"
 	"fela/internal/transport"
@@ -22,6 +24,31 @@ func commNet() (*minidnn.Network, [][]float32) {
 		grads = append(grads, g.Data)
 	}
 	return net, grads
+}
+
+// commReports returns the train-comm model and k of its one-row tokens'
+// reports, as a worker builds them under the exact codec — each weight
+// gradient as its rank-1 factors, x and δ, each bias dense — copied out
+// of the worker's buffers into messages built by hand, which own no
+// pooled buffer: Release leaves them whole, to be folded again.
+func commReports(k int) (*minidnn.Network, []*transport.Message) {
+	w := NewWorker(0, minidnn.NewMLP(3601, 1024, 1024, 16), minidnn.SyntheticBlobs(3602, k, 1024, 16), Config{Workers: 1, TotalBatch: k, TokenBatch: 1, Iterations: 1})
+	reports := make([]*transport.Message, k)
+	for seq := range reports {
+		m, err := w.train(transport.TokenInfo{Seq: seq, Lo: seq, Hi: seq + 1})
+		if err != nil {
+			panic(err)
+		}
+		r := &transport.Message{Kind: transport.KindReport, Token: m.Token, Loss: m.Loss, Grads: make([][]float32, len(m.Grads))}
+		rank1 := slices.Clone(m.Rank1())
+		for i, g := range m.Grads {
+			r.Grads[i] = slices.Clone(g)
+			rank1[i] = transport.Rank1Section{X: slices.Clone(rank1[i].X), D: slices.Clone(rank1[i].D)}
+		}
+		r.SetRank1(rank1)
+		reports[seq] = r
+	}
+	return minidnn.NewMLP(3601, 1024, 1024, 16), reports
 }
 
 // loopback returns a raw TCP socket and the binary-codec conn accepted
@@ -45,33 +72,43 @@ func loopback(b *testing.B) (net.Conn, transport.Conn) {
 }
 
 // BenchmarkFoldReport is the coordinator's share of one train-comm
-// report: Recv, which reads and decodes the frame, then fold, which adds
-// it into the accumulators and releases it. A goroutine writes the
-// report's frame, encoded once beforehand, to the socket all along, so
-// the worker's encode is not timed. exact decodes to views of the frame
-// and folds through AddScaled; topk decodes to sections that view the
-// frame and folds a scaled add at each kept index. MB/s counts the dense
-// gradient bytes a report stands for.
+// report in the event loop: Recv, which reads and decodes the frame,
+// then fold, which takes it into the iteration's sum and releases it. A
+// goroutine writes the report's frame, encoded once beforehand, to the
+// socket all along, so the worker's encode is not timed. exact decodes
+// to views of the frame and folds through AddScaled; topk decodes to
+// sections that view the frame and folds a scaled add at each kept
+// index; rank1 is a one-row token's report, whose weight gradients'
+// factors fold copies onto their runs for the barrier to add
+// (BenchmarkBarrierFold). MB/s counts the dense gradient bytes a report
+// stands for.
 func BenchmarkFoldReport(b *testing.B) {
-	for _, codec := range []transport.Compression{transport.CompressExact, transport.CompressTopK} {
-		b.Run(codec.String(), func(b *testing.B) {
+	for _, name := range []string{"exact", "topk", "rank1"} {
+		b.Run(name, func(b *testing.B) {
 			net, grads := commNet()
 			co, err := NewCoordinator(net, Config{Workers: 1, TotalBatch: 64, TokenBatch: 1, Iterations: 1, LR: 0.05})
 			if err != nil {
 				b.Fatal(err)
 			}
 			co.acc = zerosLike(net.Params())
+			co.runs = make([]factorRun, len(co.acc))
 			co.frac = 1.0 / 64
 			report := &transport.Message{Kind: transport.KindReport, Token: transport.TokenInfo{Hi: 1}, Grads: grads}
-			report.SetGradCodec(codec)
+			if name == "topk" {
+				report.SetGradCodec(transport.CompressTopK)
+			}
+			if name == "rank1" {
+				_, reports := commReports(1)
+				report = reports[0]
+			}
 			frame, err := transport.EncodeBinary(report)
 			if err != nil {
 				b.Fatal(err)
 			}
 			tx, rx := loopback(b)
 			raw := 0
-			for _, g := range grads {
-				raw += 4 * len(g)
+			for i := range report.NumGrads() {
+				raw += 4 * report.GradLen(i)
 			}
 			sent := make(chan error, 1)
 			b.SetBytes(int64(raw))
@@ -93,12 +130,53 @@ func BenchmarkFoldReport(b *testing.B) {
 				}
 				tok.report, co.folded = m, 0
 				co.fold()
+				for i := range co.runs {
+					co.runs[i].reset() // one token's run; the barrier is not timed
+				}
 			}
 			if err := <-sent; err != nil {
 				b.Fatal(err)
 			}
 		})
 	}
+}
+
+// BenchmarkBarrierFold is one train-comm iteration's rank-1 fold: 16
+// one-row tokens' reports taken into the sum by fold, in the event loop,
+// then the barrier's step, which adds the pending runs over the kernel
+// pool a tile at a time, takes the optimizer step (momentum 0.9, so the
+// velocity is read and written too) and clears the sum. It reports the
+// event loop's cost per report (report-µs) and the barrier's
+// (barrier-ms).
+func BenchmarkBarrierFold(b *testing.B) {
+	const k = 16
+	net, reports := commReports(k)
+	co, err := NewCoordinator(net, Config{Workers: 2, TotalBatch: k, TokenBatch: 1, Iterations: 1, LR: 1e-4, Momentum: 0.9})
+	if err != nil {
+		b.Fatal(err)
+	}
+	co.acc = zerosLike(net.Params())
+	co.runs = make([]factorRun, len(co.acc))
+	co.frac = 1.0 / k
+	vel := zerosLike(net.Params())
+	co.tokens = make([]*tokenState, k)
+	var inLoop, barrier time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for seq := range co.tokens {
+			co.tokens[seq] = &tokenState{done: true, report: reports[seq]}
+		}
+		co.folded = 0
+		t0 := time.Now()
+		co.fold()
+		t1 := time.Now()
+		co.step(vel)
+		inLoop += t1.Sub(t0)
+		barrier += time.Since(t1)
+	}
+	b.ReportMetric(float64(inLoop.Microseconds())/float64(b.N*k), "report-µs")
+	b.ReportMetric(float64(barrier.Microseconds())/1e3/float64(b.N), "barrier-ms")
 }
 
 // BenchmarkIterStart is the coordinator's iter-start fan-out of the

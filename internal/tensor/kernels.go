@@ -12,15 +12,15 @@ import "math"
 // accumulator per output column carried through four products
 // (AccumRows, AddRows) keep the adder busy.
 //
-// The row tile and the compaction have two implementations each. The
-// Go loops below are the portable path and the reference; on amd64 CPUs
-// with AVX2 the code in kernels_amd64.s takes eight lanes per
-// instruction instead. The tile multiplies and then adds, each product
-// rounded on its own — the Go loops convert every product to float32
-// explicitly, which forbids the compiler to fuse it into the add (Go
-// fuses a*b+c on arm64 and may on other targets) — so the two paths give
-// the same bits; the compaction does no arithmetic on values, and both
-// of its paths keep the same entries.
+// The row tile, the rank-k row and the compaction have two
+// implementations each. The Go loops below are the portable path and
+// the reference; on amd64 CPUs with AVX2 the code in kernels_amd64.s
+// takes eight lanes per instruction instead. The tile multiplies and
+// then adds, each product rounded on its own — the Go loops convert
+// every product to float32 explicitly, which forbids the compiler to
+// fuse it into the add (Go fuses a*b+c on arm64 and may on other
+// targets) — so the two paths give the same bits; the compaction does
+// no arithmetic on values, and both of its paths keep the same entries.
 
 // useAVX2 selects the AVX2 code. It is set once, from CPUID, and read
 // by every kernel call; tests flip it to run both paths.
@@ -203,6 +203,70 @@ func AddOuterScaled(c, x, d []float32, a float32) {
 		}
 	}
 }
+
+// AddOutersScaled adds a·(xs[t]⊗ds[t]) into c for t = 0, 1, … in that
+// order: the bits of the calls AddOuterScaled(c, xs[t], ds[t], a) one
+// after another, every element taking its terms one add at a time in
+// ascending t. c may be a band of the sum, so that a caller can fold one
+// cache-sized stretch of rows through all k terms before moving on: it
+// holds rows lo … lo+len(c)/n−1 of the m×n sum, n = len(ds[t]), and row
+// r of c takes xs[t][lo+r]. Every ds[t] has n floats and every xs[t] at
+// least lo+len(c)/n. It is the fold of the rank-1 weight gradients an
+// iteration's one-row tokens report, and allocates nothing.
+//
+// On the AVX2 tile a row of a vector or more keeps its columns in
+// registers across all its terms (outersAVX2), instead of loading and
+// storing them once per term; its non-zero multipliers are compacted
+// first, as AccumRows's are, up to outersChunk terms at a time. Each
+// operation keeps outerAVX2's operand order, so the bits, NaN payloads
+// included, are those of the per-term calls. Elsewhere the terms go
+// through AddOuterScaled one at a time.
+func AddOutersScaled(c []float32, lo int, xs, ds [][]float32, a float32) {
+	if len(xs) != len(ds) {
+		panic("tensor: AddOutersScaled needs one d per x")
+	}
+	if len(ds) == 0 || len(c) == 0 {
+		return
+	}
+	n := len(ds[0])
+	if n == 0 || len(c)%n != 0 {
+		panic("tensor: AddOutersScaled needs len(c) a multiple of len(d)")
+	}
+	hi := lo + len(c)/n
+	for _, d := range ds {
+		if len(d) != n {
+			panic("tensor: AddOutersScaled needs every d of one length")
+		}
+	}
+	if !useAVX2 || n < vecLen {
+		for t, x := range xs {
+			AddOuterScaled(c, x[lo:hi], ds[t], a)
+		}
+		return
+	}
+	var (
+		av [outersChunk]float32  // non-zero multipliers, ascending t
+		dp [outersChunk]*float32 // their terms' d
+	)
+	for r := lo; r < hi; r++ {
+		row := c[(r-lo)*n : (r-lo+1)*n]
+		for t0 := 0; t0 < len(xs); t0 += outersChunk {
+			cnt := 0
+			for t := t0; t < min(t0+outersChunk, len(xs)); t++ {
+				v := xs[t][r]
+				av[cnt], dp[cnt] = v, &ds[t][0]
+				cnt += nonZero(v)
+			}
+			if cnt > 0 {
+				outersAVX2(row, av[:cnt], dp[:cnt], a)
+			}
+		}
+	}
+}
+
+// outersChunk is how many terms AddOutersScaled's AVX2 row takes at a
+// time: twice an iteration's worth of train-comm's tokens.
+const outersChunk = 32
 
 // outer1 is one row of AddOuterScaled on the Go loops.
 func outer1(c, d []float32, xi, a float32) {

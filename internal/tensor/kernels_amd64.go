@@ -80,6 +80,13 @@ func compactAVX2(idx []uint32, val []float32, src []float32, srcIdx []uint32, ba
 //go:noescape
 func outerAVX2(c, x, d []float32, a float32)
 
+// outersAVX2 adds a·(av[t]·d_t) into the row c for t = 0, 1, … in
+// order, d_t being len(c) floats at dp[t], with outerAVX2's bits; c
+// holds at least one full vector and every av[t] is non-zero.
+//
+//go:noescape
+func outersAVX2(c, av []float32, dp []*float32, a float32)
+
 //go:noescape
 func axpyListAVX2(c, b, av []float32, off []int)
 

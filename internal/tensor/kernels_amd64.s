@@ -437,3 +437,119 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
 	RET
+
+// func outersAVX2(c, av []float32, dp []*float32, a float32)
+//
+// AddOutersScaled's row: c takes a·((av[t]·d_t[j]) + 0) at every column
+// j for t = 0, 1, … in order, d_t being the n floats at dp[t], each step
+// rounded on its own and ordered as outerAVX2 orders it. c stays in
+// registers across the terms: four vectors at a time, then one, then the
+// tail columns through the mask in Y9. Every av[t] is non-zero.
+TEXT ·outersAVX2(SB), NOSPLIT, $0-76
+	MOVQ c_base+0(FP), DI
+	MOVQ c_len+8(FP), CX
+	MOVQ av_base+24(FP), R8
+	MOVQ av_len+32(FP), R9
+	MOVQ dp_base+48(FP), R10
+	TAIL_MASK
+	VBROADCASTSS a+72(FP), Y1
+	VXORPS Y2, Y2, Y2
+	XORQ DX, DX
+	TESTQ R9, R9
+	JEQ   outersDone
+	MOVQ CX, BX
+	ANDQ $-32, BX // columns covered by groups of four vectors
+
+outers32:
+	CMPQ    DX, BX
+	JGE     outers8Start
+	VMOVUPS (DI)(DX*4), Y3
+	VMOVUPS 32(DI)(DX*4), Y4
+	VMOVUPS 64(DI)(DX*4), Y5
+	VMOVUPS 96(DI)(DX*4), Y6
+	MOVQ    R8, SI
+	MOVQ    R10, R12
+	MOVQ    R9, R13
+
+outers32Term:
+	VBROADCASTSS (SI), Y0
+	MOVQ         (R12), R11
+	VMULPS       (R11)(DX*4), Y0, Y7
+	VMULPS       32(R11)(DX*4), Y0, Y8
+	VMULPS       64(R11)(DX*4), Y0, Y10
+	VMULPS       96(R11)(DX*4), Y0, Y11
+	VADDPS       Y2, Y7, Y7
+	VADDPS       Y2, Y8, Y8
+	VADDPS       Y2, Y10, Y10
+	VADDPS       Y2, Y11, Y11
+	VMULPS       Y7, Y1, Y7
+	VMULPS       Y8, Y1, Y8
+	VMULPS       Y10, Y1, Y10
+	VMULPS       Y11, Y1, Y11
+	VADDPS       Y3, Y7, Y3
+	VADDPS       Y4, Y8, Y4
+	VADDPS       Y5, Y10, Y5
+	VADDPS       Y6, Y11, Y6
+	ADDQ         $4, SI
+	ADDQ         $8, R12
+	DECQ         R13
+	JNZ          outers32Term
+	VMOVUPS      Y3, (DI)(DX*4)
+	VMOVUPS      Y4, 32(DI)(DX*4)
+	VMOVUPS      Y5, 64(DI)(DX*4)
+	VMOVUPS      Y6, 96(DI)(DX*4)
+	ADDQ         $32, DX
+	JMP          outers32
+
+outers8Start:
+	MOVQ CX, BX
+	ANDQ $-8, BX // columns covered by full vectors
+
+outers8:
+	CMPQ    DX, BX
+	JGE     outersTail
+	VMOVUPS (DI)(DX*4), Y3
+	MOVQ    R8, SI
+	MOVQ    R10, R12
+	MOVQ    R9, R13
+
+outers8Term:
+	VBROADCASTSS (SI), Y0
+	MOVQ         (R12), R11
+	VMULPS       (R11)(DX*4), Y0, Y7
+	VADDPS       Y2, Y7, Y7
+	VMULPS       Y7, Y1, Y7
+	VADDPS       Y3, Y7, Y3
+	ADDQ         $4, SI
+	ADDQ         $8, R12
+	DECQ         R13
+	JNZ          outers8Term
+	VMOVUPS      Y3, (DI)(DX*4)
+	ADDQ         $8, DX
+	JMP          outers8
+
+outersTail:
+	CMPQ       DX, CX
+	JGE        outersDone
+	VMASKMOVPS (DI)(DX*4), Y9, Y3
+	MOVQ       R8, SI
+	MOVQ       R10, R12
+	MOVQ       R9, R13
+
+outersTailTerm:
+	VBROADCASTSS (SI), Y0
+	MOVQ         (R12), R11
+	VMASKMOVPS   (R11)(DX*4), Y9, Y7
+	VMULPS       Y7, Y0, Y7
+	VADDPS       Y2, Y7, Y7
+	VMULPS       Y7, Y1, Y7
+	VADDPS       Y3, Y7, Y3
+	ADDQ         $4, SI
+	ADDQ         $8, R12
+	DECQ         R13
+	JNZ          outersTailTerm
+	VMASKMOVPS   Y3, Y9, (DI)(DX*4)
+
+outersDone:
+	VZEROUPPER
+	RET

@@ -12,6 +12,8 @@ func axpyStrideVec(c, a, b []float32, bs int) bool { return false }
 
 func outerVec(c, x, d []float32, a float32) bool { return false }
 
+func outersAVX2(c, av []float32, dp []*float32, a float32) {}
+
 func compactAVX2(idx []uint32, val []float32, src []float32, srcIdx []uint32, base, lo, hi uint32, ties, stop int) (read, n, above int) {
 	return 0, 0, 0
 }

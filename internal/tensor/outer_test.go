@@ -164,6 +164,79 @@ func FuzzAddOuterScaled(f *testing.F) {
 	})
 }
 
+// TestAddOutersScaled holds the band fold to the per-token fold — k
+// calls of AddOuterScaled over the whole sum, in term order — bit for
+// bit, NaN payloads included (both run the same row kernel), on each
+// kernel path: widths around the 8-lane vector, the AVX2 row's group of
+// four vectors and below a vector, odd row counts, zero to five terms
+// and more than the AVX2 row takes at once, x rows of ±0, every operand
+// salted with outerSpecials (NaNs and ±Inf among them), and the sum
+// folded in bands of one row, of a height that does not divide the
+// rows, and whole — each band's edges at another row of x. A band
+// leaves every row outside it alone, and nothing past the end of c is
+// written.
+func TestAddOutersScaled(t *testing.T) {
+	const guard = 0x7fc0dead
+	rng := rand.New(rand.NewSource(89))
+	eachPath(func(path string) {
+		for _, n := range []int{1, 3, 7, 8, 9, 15, 16, 17, 33, 100} {
+			for _, m := range []int{1, 3, 5, 8, 13} {
+				for _, k := range []int{0, 1, 2, 3, 5, outersChunk + 3} {
+					xs, ds := make([][]float32, k), make([][]float32, k)
+					for t := range xs {
+						xs[t], ds[t] = outerOperand(rng, m), outerOperand(rng, n)
+						xs[t][rng.Intn(m)] = []float32{0, negZero}[rng.Intn(2)]
+					}
+					c0 := outerOperand(rng, m*n)
+					a := []float32{1.0 / 16, 1, -0.5, denorm}[rng.Intn(4)]
+					want := append([]float32(nil), c0...)
+					for t := range xs {
+						AddOuterScaled(want, xs[t], ds[t], a)
+					}
+					for _, h := range []int{1, 2, m} {
+						buf := append(append([]float32(nil), c0...), make([]float32, vecLen)...)
+						for j := m * n; j < len(buf); j++ {
+							buf[j] = math.Float32frombits(guard)
+						}
+						c := buf[: m*n : m*n]
+						for lo := 0; lo < m; lo += h {
+							hi := min(lo+h, m)
+							AddOutersScaled(c[lo*n:hi*n], lo, xs, ds, a)
+						}
+						for j := m * n; j < len(buf); j++ {
+							if math.Float32bits(buf[j]) != guard {
+								t.Fatalf("%s/n=%d m=%d k=%d band=%d: wrote past the end of c, at %d", path, n, m, k, h, j)
+							}
+						}
+						for j, w := range want {
+							if math.Float32bits(c[j]) != math.Float32bits(w) {
+								t.Fatalf("%s/n=%d m=%d k=%d band=%d: c[%d] = %#08x, want %#08x", path, n, m, k, h, j, math.Float32bits(c[j]), math.Float32bits(w))
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+	for _, bad := range []func(){
+		func() { AddOutersScaled(make([]float32, 6), 0, [][]float32{{1, 2}}, nil, 1) },
+		func() { AddOutersScaled(make([]float32, 5), 0, [][]float32{{1, 2}}, [][]float32{{1, 2, 3}}, 1) },
+		func() {
+			AddOutersScaled(make([]float32, 6), 0, [][]float32{{1, 2}, {1, 2}}, [][]float32{{1, 2, 3}, {1, 2}}, 1)
+		},
+		func() { AddOutersScaled(make([]float32, 6), 1, [][]float32{{1, 2}}, [][]float32{{1, 2, 3}}, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("expected a panic for factors that do not fit the sum")
+				}
+			}()
+			bad()
+		}()
+	}
+}
+
 // BenchmarkAddOuterScaled is the fold of the rank-1 factors of one
 // train-comm report's first weight gradient: a 1024×1024 sum updated
 // from 1024 + 1024 floats, about half of x zero (a ReLU-free input
@@ -176,5 +249,53 @@ func BenchmarkAddOuterScaled(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		AddOuterScaled(c.Data, x.Data, d.Data, 1.0/16)
+	}
+}
+
+// BenchmarkAddOutersScaled is the barrier fold of one train-comm
+// iteration's first weight gradient: 16 tokens' rank-1 factors summed
+// into a 1024×1024 accumulator. per-token adds each term over the whole
+// sum, as a fold at every report's arrival did; band-loop folds every
+// term into one band of four rows (the barrier's tile) before moving to
+// the next, each term by AddOuterScaled's row kernel; rank-k is
+// AddOutersScaled on the same bands, which holds a row's vectors in
+// registers across its terms.
+func BenchmarkAddOutersScaled(b *testing.B) {
+	const k, m, n, rows = 16, 1024, 1024, 4
+	rng := rand.New(rand.NewSource(6))
+	c := New(m * n)
+	xs, ds := make([][]float32, k), make([][]float32, k)
+	for t := range xs {
+		xs[t], ds[t] = New(m).Randn(rng, 1).Data, New(n).Randn(rng, 1).Data
+	}
+	for _, v := range []struct {
+		name string
+		fold func()
+	}{
+		{"per-token", func() {
+			for t := range xs {
+				AddOuterScaled(c.Data, xs[t], ds[t], 1.0/16)
+			}
+		}},
+		{"band-loop", func() {
+			for lo := 0; lo < m; lo += rows {
+				for t := range xs {
+					AddOuterScaled(c.Data[lo*n:(lo+rows)*n], xs[t][lo:lo+rows], ds[t], 1.0/16)
+				}
+			}
+		}},
+		{"rank-k", func() {
+			for lo := 0; lo < m; lo += rows {
+				AddOutersScaled(c.Data[lo*n:(lo+rows)*n], lo, xs, ds, 1.0/16)
+			}
+		}},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			b.SetBytes(k * 2 * 4 * m * n)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				v.fold()
+			}
+		})
 	}
 }
