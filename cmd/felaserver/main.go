@@ -82,79 +82,81 @@ import (
 	"fela/internal/workload"
 )
 
-// sessionConfig derives the shared session parameters both server and
-// workers must agree on (see cmd/felaworker).
-func sessionConfig(workers, iters int, workerTimeout time.Duration) (rt.Config, func() *minidnn.Network, *minidnn.Dataset) {
-	cfg := rt.Config{
-		Workers:       workers,
-		TotalBatch:    64,
-		TokenBatch:    8,
-		Iterations:    iters,
-		LR:            0.05,
-		WorkerTimeout: workerTimeout,
-	}
-	mk := func() *minidnn.Network { return minidnn.NewMLP(42, 16, 32, 4) }
-	ds := minidnn.SyntheticBlobs(7, 256, 16, 4)
-	return cfg, mk, ds
-}
+// defaultDrainTimeout bounds a signal-started drain when -drain-timeout
+// is not positive.
+const defaultDrainTimeout = 30 * time.Second
 
-// elasticOpts bundles the live-membership flags.
-type elasticOpts struct {
-	enabled    bool
+// sessionJobID is the checkpoint/ledger job id single-session mode
+// files its state under (jobs mode ids are 1-based, so 0 is free).
+const sessionJobID = 0
+
+// serverOpts bundles every flag so tests can drive serve directly.
+type serverOpts struct {
+	addr          string
+	workers       int
+	iters         int
+	workerTimeout time.Duration
+	compress      string
+	kernelPar     int
+	drainTimeout  time.Duration
+
+	elastic    bool
 	minWorkers int
 	maxWorkers int
-}
 
-// obsOpts bundles the telemetry flags. Both default to off, keeping the
-// uninstrumented fast path.
-type obsOpts struct {
-	// statusAddr, when set, serves /metrics, /statusz, /trace and
-	// /debug/pprof on that address for the whole session.
 	statusAddr string
-	// traceJSON, when set, writes the session's distributed spans as
-	// Chrome trace_event JSON to that file when the session ends.
-	traceJSON string
-}
+	traceJSON  string
 
-func (o obsOpts) enabled() bool { return o.statusAddr != "" || o.traceJSON != "" }
+	jobs         bool
+	alloc        string
+	admission    string
+	maxJobs      int
+	clusterTrace string
+	traceScale   float64
+
+	durableDir string
+	ckptEvery  int
+	standby    bool
+}
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7070", "address to listen on")
-	workers := flag.Int("workers", 4, "number of workers to wait for")
-	iters := flag.Int("iters", 20, "iterations to train")
-	workerTimeout := flag.Duration("worker-timeout", 0,
+	var o serverOpts
+	flag.StringVar(&o.addr, "addr", "127.0.0.1:7070", "address to listen on")
+	flag.IntVar(&o.workers, "workers", 4, "number of workers to wait for")
+	flag.IntVar(&o.iters, "iters", 20, "iterations to train")
+	flag.DurationVar(&o.workerTimeout, "worker-timeout", 0,
 		"fault tolerance: declare a worker dead after this long without progress (0 = strict mode, any fault aborts)")
-	elasticMode := flag.Bool("elastic", false,
+	flag.BoolVar(&o.elastic, "elastic", false,
 		"live membership: accept felaworker -join connections for the whole session and re-tune on scale events")
-	minWorkers := flag.Int("min-workers", 1, "elastic: never evict below this many live workers")
-	maxWorkers := flag.Int("max-workers", 0, "elastic: admission cap for joiners (0 = unbounded)")
-	statusAddr := flag.String("status-addr", "",
+	flag.IntVar(&o.minWorkers, "min-workers", 1, "elastic: never evict below this many live workers")
+	flag.IntVar(&o.maxWorkers, "max-workers", 0, "elastic: admission cap for joiners (0 = unbounded)")
+	flag.StringVar(&o.statusAddr, "status-addr", "",
 		"serve live telemetry (/metrics, /statusz, /trace, /debug/pprof) on this address (empty = off)")
-	traceJSON := flag.String("trace-json", "",
+	flag.StringVar(&o.traceJSON, "trace-json", "",
 		"write the session's spans as Chrome trace_event JSON to this file on exit (empty = off)")
-	jobsMode := flag.Bool("jobs", false,
+	flag.BoolVar(&o.jobs, "jobs", false,
 		"multi-tenant mode: run a job manager over a shared pool of felaworker -pool processes")
-	alloc := flag.String("alloc", "fair-share",
+	flag.StringVar(&o.alloc, "alloc", "fair-share",
 		"jobs: worker allocation policy (fair-share, priority, throughput-max, oasis)")
-	admission := flag.String("admission", "",
+	flag.StringVar(&o.admission, "admission", "",
 		"jobs: online admission policy gating arrivals (none, oasis; empty = admit everything)")
-	maxJobs := flag.Int("max-jobs", 0,
+	flag.IntVar(&o.maxJobs, "max-jobs", 0,
 		"jobs: shut down after this many jobs complete (0 = run until interrupted)")
-	clusterTrace := flag.String("cluster-trace", "",
+	flag.StringVar(&o.clusterTrace, "cluster-trace", "",
 		"jobs: replay this JSONL arrival trace against the pool, print a cluster summary, then drain")
-	traceScale := flag.Float64("trace-scale", 1,
+	flag.Float64Var(&o.traceScale, "trace-scale", 1,
 		"jobs: speed multiplier for -cluster-trace replay (2 = twice as fast)")
-	compressName := flag.String("compress", "",
+	flag.StringVar(&o.compress, "compress", "",
 		"gradient compression to permit on the report path (exact, fp16, int8, topk; empty = exact). A worker requesting the same codec gets it; everyone else degrades to lossless. Lossy codecs skip the bit-identity verification and report the convergence delta instead")
-	kernelPar := flag.Int("kernel-par", 0,
+	flag.IntVar(&o.kernelPar, "kernel-par", 0,
 		"compute-kernel fan-out: goroutines per matmul/conv (0 = GOMAXPROCS, 1 = serial)")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second,
+	flag.DurationVar(&o.drainTimeout, "drain-timeout", defaultDrainTimeout,
 		"on SIGINT/SIGTERM, how long to wait for in-flight work before exiting anyway")
-	durableDir := flag.String("durable-dir", "",
+	flag.StringVar(&o.durableDir, "durable-dir", "",
 		"durability root: write-ahead decision ledger plus iteration-boundary checkpoints; on boot the ledger is replayed and the session/jobs resume (empty = off)")
-	ckptEvery := flag.Int("ckpt-every", durable.DefaultEvery,
+	flag.IntVar(&o.ckptEvery, "ckpt-every", durable.DefaultEvery,
 		"checkpoint interval in iterations (with -durable-dir)")
-	standby := flag.Bool("standby", false,
+	flag.BoolVar(&o.standby, "standby", false,
 		"warm standby: tail -durable-dir behind the live primary and take over when its lock releases")
 	flag.Parse()
 
@@ -162,54 +164,131 @@ func main() {
 	// keeps running — the field-debugging hook every binary carries.
 	obs.FlightDumpOnSIGQUIT("felaserver")
 
-	tensor.SetParallelism(*kernelPar)
+	tensor.SetParallelism(o.kernelPar)
 	fmt.Printf("felaserver: compute kernels on the %s path, fan-out %d\n", tensor.KernelPath(), tensor.Parallelism())
 
-	oo := obsOpts{statusAddr: *statusAddr, traceJSON: *traceJSON}
-	var err error
-	compress, cerr := transport.ParseCompression(*compressName)
-	if cerr != nil {
-		err = cerr
-	} else {
-		var plane *durable.Plane
-		if plane, err = openDurable(*durableDir, *standby); err == nil {
-			du := durableOpts{plane: plane, every: *ckptEvery}
-			if *jobsMode {
-				jo := jobsOpts{
-					alloc:      *alloc,
-					admission:  *admission,
-					maxJobs:    *maxJobs,
-					trace:      *clusterTrace,
-					traceScale: *traceScale,
-					compress:   compress,
-				}
-				err = runJobs(*addr, jo, *workerTimeout, oo, du, nil, *drainTimeout)
-			} else {
-				opts := elasticOpts{enabled: *elasticMode, minWorkers: *minWorkers, maxWorkers: *maxWorkers}
-				err = run(*addr, *workers, *iters, *workerTimeout, opts, oo, du, nil, *drainTimeout, compress)
-			}
-			if plane != nil {
-				if cerr := plane.Close(); err == nil {
-					err = cerr
-				}
-			}
-		}
-	}
-	if err != nil {
+	if err := serve(o, nil); err != nil {
 		fmt.Fprintln(os.Stderr, "felaserver:", err)
 		os.Exit(1)
 	}
 }
 
-// durableOpts carries an opened durability plane into a serving mode.
-type durableOpts struct {
-	plane *durable.Plane
-	every int
+// server is the scaffold both serving modes share: the validated
+// options, the durability plane, the telemetry sinks and the /healthz
+// gate.
+type server struct {
+	o        serverOpts
+	compress transport.Compression
+	sig      <-chan os.Signal
+	plane    *durable.Plane
+	// Nil unless -status-addr or -trace-json asks for them, keeping the
+	// uninstrumented fast path.
+	metrics *obs.Registry
+	spans   *obs.Tracer
+	// draining flips when shutdown begins; restoring holds from a
+	// durable boot until the restored work has workers again. /healthz
+	// serves 503 while either is set.
+	draining, restoring atomic.Bool
+
+	spec    transport.JobSpec   // session mode: the preset's single session
+	ctrl    *elastic.Controller // session mode: -elastic membership
+	jobsCfg jobs.Config         // jobs mode: the manager's policies
+	trace   workload.Trace      // jobs mode: the -cluster-trace arrivals
 }
 
-// sessionJobID is the checkpoint/ledger job id single-session mode
-// files its state under (jobs mode ids are 1-based, so 0 is free).
-const sessionJobID = 0
+// serve validates o before anything is opened or listens, opens the
+// durability plane and runs the mode o selects. A signal on sig (nil =
+// real SIGINT/SIGTERM) drains the server, bounded by -drain-timeout,
+// and returns nil for a clean exit.
+func serve(o serverOpts, sig <-chan os.Signal) error {
+	s, err := newServer(o)
+	if err != nil {
+		return err
+	}
+	if s.sig = sig; sig == nil {
+		ch := make(chan os.Signal, 1)
+		signal.Notify(ch, syscall.SIGINT, syscall.SIGTERM)
+		defer signal.Stop(ch)
+		s.sig = ch
+	}
+	if s.plane, err = openDurable(o.durableDir, o.standby); err != nil {
+		return err
+	}
+	if o.jobs {
+		err = s.runJobs()
+	} else {
+		err = s.runSession()
+	}
+	if s.plane != nil {
+		if cerr := s.plane.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
+
+// newServer checks every option and resolves what the chosen mode
+// needs. The single session is the jobs preset — the default model at
+// seed 0, batch 64 in tokens of 8 — trained for -iters iterations. Jobs
+// train exact: a lossy -compress is refused rather than silently
+// dropped.
+func newServer(o serverOpts) (*server, error) {
+	s := &server{o: o}
+	var err error
+	if s.compress, err = transport.ParseCompression(o.compress); err != nil {
+		return nil, err
+	}
+	if o.workerTimeout < 0 {
+		return nil, fmt.Errorf("-worker-timeout %v must not be negative", o.workerTimeout)
+	}
+	if o.drainTimeout <= 0 {
+		s.o.drainTimeout = defaultDrainTimeout
+	}
+	if o.statusAddr != "" || o.traceJSON != "" {
+		s.metrics, s.spans = obs.NewRegistry(), obs.NewTracer("felaserver")
+	}
+	if !o.jobs {
+		if s.spec, err = jobs.NormalizeSpec(transport.JobSpec{Iterations: o.iters}); err != nil {
+			return nil, err
+		}
+		if !o.elastic {
+			return s, nil
+		}
+		if o.workerTimeout == 0 {
+			// Elastic membership rides on the fault-tolerant machinery (a
+			// drain is a planned death); give it a generous default deadline.
+			s.o.workerTimeout = 10 * time.Second
+		}
+		if s.ctrl, err = elastic.NewController(elastic.Config{MinWorkers: o.minWorkers, MaxWorkers: o.maxWorkers}); err != nil {
+			return nil, err
+		}
+		return s, nil
+	}
+	if s.compress != transport.CompressExact {
+		return nil, fmt.Errorf("-compress %v is single-session only: -jobs mode trains every job exact", s.compress)
+	}
+	pol, ok := jobs.PolicyByName(o.alloc)
+	if !ok {
+		return nil, fmt.Errorf("unknown allocation policy %q (want fair-share, priority, throughput-max or oasis)", o.alloc)
+	}
+	s.jobsCfg = jobs.Config{Policy: pol, WorkerTimeout: o.workerTimeout}
+	if o.admission != "" {
+		if s.jobsCfg.Admission, ok = jobs.AdmissionByName(o.admission); !ok {
+			return nil, fmt.Errorf("unknown admission policy %q (want none or oasis)", o.admission)
+		}
+	}
+	if o.clusterTrace != "" {
+		// Replay maps only non-positive scales to 1: a NaN would replay
+		// the trace with no pacing at all.
+		if sc := o.traceScale; math.IsNaN(sc) || math.IsInf(sc, 0) || sc <= 0 {
+			return nil, fmt.Errorf("trace scale %v must be finite and positive", sc)
+		}
+		if s.trace, err = workload.Load(o.clusterTrace); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
 
 // openDurable opens the durability plane at dir (nil plane when dir is
 // empty). In standby mode a locked directory is not an error: the
@@ -246,98 +325,111 @@ func openDurable(dir string, standby bool) (*durable.Plane, error) {
 	}
 }
 
-// ledgerAppend lands a decision in the ledger, best effort (session
-// mode keeps serving when the disk misbehaves; the loss is printed).
-func ledgerAppend(plane *durable.Plane, e durable.Entry) {
-	if plane == nil {
+// ledgerAppend lands a session decision in the ledger, best effort
+// (session mode keeps serving when the disk misbehaves; the loss is
+// printed).
+func (s *server) ledgerAppend(op durable.Op, wid int) {
+	if s.plane == nil {
 		return
 	}
-	if _, err := plane.Ledger.Append(e); err != nil {
+	if _, err := s.plane.Ledger.Append(durable.Entry{Op: op, JobID: sessionJobID, WID: wid}); err != nil {
 		fmt.Fprintf(os.Stderr, "felaserver: ledger append: %v\n", err)
 	}
 }
 
-// jobsOpts bundles the multi-tenant mode flags.
-type jobsOpts struct {
-	alloc      string
-	admission  string
-	maxJobs    int
-	trace      string
-	traceScale float64
-	compress   transport.Compression
+// listen serves telemetry on -status-addr, when set, and opens the
+// server's listener; the returned func closes both. /healthz reads the
+// shared gate: 503 while restoring or draining, and once stopped
+// closes.
+func (s *server) listen(what string, status func() any, stopped <-chan struct{}) (*transport.Listener, func(), error) {
+	stop := func() {}
+	if s.o.statusAddr != "" {
+		bound, stopObs, err := obs.Serve(s.o.statusAddr, obs.NewHandler(obs.HandlerOptions{
+			Registry: s.metrics,
+			Status:   status,
+			Health: func() error {
+				if s.restoring.Load() {
+					return errors.New("restoring")
+				}
+				if s.draining.Load() {
+					return fmt.Errorf("%s is draining", what)
+				}
+				select {
+				case <-stopped:
+					return fmt.Errorf("%s stopped", what)
+				default:
+					return nil
+				}
+			},
+			Tracers: []*obs.Tracer{s.spans},
+		}))
+		if err != nil {
+			return nil, nil, err
+		}
+		stop = stopObs
+		fmt.Printf("felaserver: telemetry on http://%s (/metrics /statusz /trace /debug/pprof)\n", bound)
+	}
+	l, err := transport.Listen(s.o.addr)
+	if err != nil {
+		stop()
+		return nil, nil, err
+	}
+	return l, func() { l.Close(); stop() }, nil
 }
 
-// signalChan returns sig as-is when tests inject their own channel,
-// otherwise installs the real SIGINT/SIGTERM handler. The returned stop
-// func must run before the process exits.
-func signalChan(sig <-chan os.Signal) (<-chan os.Signal, func()) {
-	if sig != nil {
-		return sig, func() {}
+// drain marks the server draining, runs begin, and waits up to
+// -drain-timeout for done; false means the deadline passed first.
+func (s *server) drain(begin func(), done <-chan struct{}) bool {
+	s.draining.Store(true)
+	begin()
+	select {
+	case <-done:
+		return true
+	case <-time.After(s.o.drainTimeout):
+		return false
 	}
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, syscall.SIGINT, syscall.SIGTERM)
-	return ch, func() { signal.Stop(ch) }
+}
+
+// writeTrace writes the spans as Chrome trace_event JSON to -trace-json
+// (nothing when the flag is empty).
+func (s *server) writeTrace() error {
+	if s.o.traceJSON == "" {
+		return nil
+	}
+	f, err := os.Create(s.o.traceJSON)
+	if err != nil {
+		return err
+	}
+	if err := obs.WriteChromeTrace(f, s.spans); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("felaserver: wrote span trace to %s (load in Perfetto / chrome://tracing)\n", s.o.traceJSON)
+	return nil
 }
 
 // runJobs serves the multi-tenant job manager: one TCP port accepts
 // both pool workers and job submissions (the manager classifies each
-// connection by its first message). With maxJobs > 0 the server drains
-// and exits after that many completions; with a trace it drains once
-// every replayed submission has settled. A signal on sig (nil = real
-// SIGINT/SIGTERM) drains the manager, bounded by drainTimeout, and
-// returns nil for a clean exit. With du.plane set, every scheduling
-// decision write-aheads through the ledger and open jobs from a prior
-// incarnation are restored before the listener opens. Jobs train exact:
-// a lossy -compress is refused rather than silently dropped.
-func runJobs(addr string, jo jobsOpts, workerTimeout time.Duration, oo obsOpts, du durableOpts, sig <-chan os.Signal, drainTimeout time.Duration) error {
-	if jo.compress != transport.CompressExact {
-		return fmt.Errorf("-compress %v is single-session only: -jobs mode trains every job exact", jo.compress)
-	}
-	if drainTimeout <= 0 {
-		drainTimeout = 30 * time.Second
-	}
-	pol, ok := jobs.PolicyByName(jo.alloc)
-	if !ok {
-		return fmt.Errorf("unknown allocation policy %q (want fair-share, priority, throughput-max or oasis)", jo.alloc)
-	}
-	cfg := jobs.Config{Policy: pol, WorkerTimeout: workerTimeout}
-	if jo.admission != "" {
-		adm, ok := jobs.AdmissionByName(jo.admission)
-		if !ok {
-			return fmt.Errorf("unknown admission policy %q (want none or oasis)", jo.admission)
-		}
-		cfg.Admission = adm
-	}
-	var tr workload.Trace
-	if jo.trace != "" {
-		if s := jo.traceScale; math.IsNaN(s) || math.IsInf(s, 0) || s <= 0 {
-			return fmt.Errorf("trace scale %v must be finite and positive", s)
-		}
-		var err error
-		if tr, err = workload.Load(jo.trace); err != nil {
-			return err
-		}
-	}
-	if oo.enabled() {
-		cfg.Metrics = obs.NewRegistry()
-		cfg.Spans = obs.NewTracer("felaserver")
-	}
-
-	// draining flips when shutdown begins (signal, -max-jobs, trace
-	// done); /healthz serves 503 from then on so orchestrators stop
-	// routing new work at the pool while it winds down. restoring is
-	// its boot-time mirror: 503 until the replayed jobs have workers
-	// again (or there is nothing to resume).
-	var draining, restoring atomic.Bool
-	if du.plane != nil {
-		cfg.Durable = du.plane
-		cfg.CheckpointEvery = du.every
+// connection by its first message). With -max-jobs the server drains
+// and exits after that many completions; with -cluster-trace it drains
+// once every replayed submission has settled. With a durability plane,
+// every scheduling decision write-aheads through the ledger and open
+// jobs from a prior incarnation are restored before the listener opens.
+func (s *server) runJobs() error {
+	cfg := s.jobsCfg
+	cfg.Metrics, cfg.Spans = s.metrics, s.spans
+	if s.plane != nil {
+		cfg.Durable = s.plane
+		cfg.CheckpointEvery = s.o.ckptEvery
 	}
 	// full closes once -max-jobs completions have settled. The callback
 	// does not touch mgr: settlements a restart found reach it as soon
 	// as the loop runs, which can be before NewManager has returned.
 	full := make(chan struct{})
-	completedJobs := 0
+	completed := 0
 	cfg.OnJobDone = func(r jobs.JobResult) {
 		// Runs on the manager's event loop: serialized.
 		if r.Err != nil {
@@ -352,10 +444,10 @@ func runJobs(addr string, jo jobsOpts, workerTimeout time.Duration, oo obsOpts, 
 				r.ID, r.Spec.Name, r.Spec.Iterations, r.Result.Losses[len(r.Result.Losses)-1],
 				r.QueueWait.Seconds(), r.Runtime.Seconds(), verified)
 		}
-		completedJobs++
-		if jo.maxJobs > 0 && completedJobs == jo.maxJobs {
-			fmt.Printf("felaserver: %d jobs complete, draining\n", completedJobs)
-			draining.Store(true)
+		completed++
+		if s.o.maxJobs > 0 && completed == s.o.maxJobs {
+			fmt.Printf("felaserver: %d jobs complete, draining\n", completed)
+			s.draining.Store(true)
 			close(full)
 		}
 	}
@@ -367,14 +459,14 @@ func runJobs(addr string, jo jobsOpts, workerTimeout time.Duration, oo obsOpts, 
 		case <-mgr.Done():
 		}
 	}()
-	if du.plane != nil {
+	if s.plane != nil {
 		st := mgr.Status()
 		open := st.Queued + st.Running
 		fmt.Printf("felaserver: durable: replayed %d ledger entries — %d open jobs to resume, %d settled\n",
-			len(du.plane.Entries), open, st.Completed)
-		restoring.Store(open > 0)
+			len(s.plane.Entries), open, st.Completed)
+		s.restoring.Store(open > 0)
 	}
-	if restoring.Load() {
+	if s.restoring.Load() {
 		// The replayed jobs sit queued until pool workers reconnect
 		// through their own retry loops; /healthz flips healthy once the
 		// pool has capacity again (or the restored work settles without
@@ -388,7 +480,7 @@ func runJobs(addr string, jo jobsOpts, workerTimeout time.Duration, oo obsOpts, 
 				}
 				st := mgr.Status()
 				if st.Workers > 0 || st.Queued+st.Running == 0 {
-					restoring.Store(false)
+					s.restoring.Store(false)
 					fmt.Println("felaserver: durable: restore complete, pool serving")
 					return
 				}
@@ -396,56 +488,28 @@ func runJobs(addr string, jo jobsOpts, workerTimeout time.Duration, oo obsOpts, 
 		}()
 	}
 
-	if oo.statusAddr != "" {
-		bound, stop, err := obs.Serve(oo.statusAddr, obs.NewHandler(obs.HandlerOptions{
-			Registry: cfg.Metrics,
-			Status:   mgr.StatusAny,
-			Health: func() error {
-				if restoring.Load() {
-					return errors.New("restoring")
-				}
-				if draining.Load() {
-					return errors.New("job manager is draining")
-				}
-				select {
-				case <-mgr.Done():
-					return errors.New("job manager stopped")
-				default:
-					return nil
-				}
-			},
-			Tracers: []*obs.Tracer{cfg.Spans},
-		}))
-		if err != nil {
-			mgr.Stop()
-			<-mgr.Done()
-			return err
-		}
-		defer stop()
-		fmt.Printf("felaserver: telemetry on http://%s (/metrics /statusz /trace /debug/pprof)\n", bound)
-	}
-
-	l, err := transport.Listen(addr)
+	l, closeL, err := s.listen("job manager", mgr.StatusAny, mgr.Done())
 	if err != nil {
 		mgr.Stop()
 		<-mgr.Done()
 		return err
 	}
-	defer l.Close()
+	defer closeL()
 	gate := "admit-all"
 	if cfg.Admission != nil {
 		gate = cfg.Admission.Name()
 	}
 	fmt.Printf("felaserver: job manager (policy %s, admission %s) listening on %s\n",
-		pol.Name(), gate, l.Addr())
+		cfg.Policy.Name(), gate, l.Addr())
 
-	if jo.trace != "" {
+	if s.o.clusterTrace != "" {
 		// Replay the trace on its own open-loop clock, wait for every
 		// submission to settle, print the cluster summary, then drain.
 		go func() {
+			tr := s.trace
 			results := make(chan jobs.JobResult, len(tr.Events))
 			start := time.Now()
-			submitted := workload.Replay(tr, jo.traceScale, mgr.Done(), func(e workload.Event) {
+			submitted := workload.Replay(tr, s.o.traceScale, mgr.Done(), func(e workload.Event) {
 				_, ch, err := mgr.SubmitJob(e.Spec, jobs.SubmitOptions{SLO: e.SLO})
 				if err != nil {
 					results <- jobs.JobResult{Spec: e.Spec, SLO: e.SLO, Err: err}
@@ -470,7 +534,7 @@ func runJobs(addr string, jo jobsOpts, workerTimeout time.Duration, oo obsOpts, 
 			fmt.Printf("felaserver: trace %q replayed in %.2fs: %d submitted, %d rejected, %d completed, %d failed, SLO attainment %.3f\n",
 				tr.Name, time.Since(start).Seconds(), submitted, rejected, completed, failed,
 				float64(met)/float64(max(submitted, 1)))
-			draining.Store(true)
+			s.draining.Store(true)
 			mgr.Stop()
 		}()
 	}
@@ -478,17 +542,11 @@ func runJobs(addr string, jo jobsOpts, workerTimeout time.Duration, oo obsOpts, 
 	// A signal starts the drain: the manager stops, which closes the
 	// listener below and unblocks Accept. The deadline closes the
 	// listener even if the pool never finishes draining.
-	sigCh, stopSig := signalChan(sig)
-	defer stopSig()
 	go func() {
 		select {
-		case s := <-sigCh:
-			fmt.Printf("felaserver: %v received, draining job manager (timeout %s)\n", s, drainTimeout)
-			draining.Store(true)
-			mgr.Stop()
-			select {
-			case <-mgr.Done():
-			case <-time.After(drainTimeout):
+		case sg := <-s.sig:
+			fmt.Printf("felaserver: %v received, draining job manager (timeout %s)\n", sg, s.o.drainTimeout)
+			if !s.drain(mgr.Stop, mgr.Done()) {
 				fmt.Println("felaserver: drain deadline passed, closing listener")
 				l.Close()
 			}
@@ -508,138 +566,68 @@ func runJobs(addr string, jo jobsOpts, workerTimeout time.Duration, oo obsOpts, 
 		}
 		mgr.Admit(c)
 	}
-	draining.Store(true)
-	mgr.Stop()
-	select {
-	case <-mgr.Done():
-	case <-time.After(drainTimeout):
+	if !s.drain(mgr.Stop, mgr.Done()) {
 		fmt.Println("felaserver: drain deadline passed with the pool still busy, exiting")
 		return nil
 	}
-
-	if oo.traceJSON != "" {
-		f, err := os.Create(oo.traceJSON)
-		if err != nil {
-			return err
-		}
-		if err := obs.WriteChromeTrace(f, cfg.Spans); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("felaserver: wrote span trace to %s\n", oo.traceJSON)
+	if err := s.writeTrace(); err != nil {
+		return err
 	}
-	fmt.Printf("felaserver: job manager drained (%d jobs served)\n", completedJobs)
+	fmt.Printf("felaserver: job manager drained (%d jobs served)\n", completed)
 	return nil
 }
 
-// run serves one synchronous training session. A signal on sig (nil =
-// real SIGINT/SIGTERM) stops accepting joiners and waits up to
-// drainTimeout for the in-flight session to finish before exiting 0.
-// With du.plane set the session checkpoints through the durability
-// plane and resumes from the latest checkpoint on boot; /healthz
-// serves 503 "restoring" until the initial worker set has rejoined.
-func run(addr string, workers, iters int, workerTimeout time.Duration, opts elasticOpts, oo obsOpts, du durableOpts, sig <-chan os.Signal, drainTimeout time.Duration, compress transport.Compression) error {
-	if drainTimeout <= 0 {
-		drainTimeout = 30 * time.Second
+// runSession serves one synchronous training session. A signal stops
+// accepting joiners and waits up to -drain-timeout for the in-flight
+// session to finish before exiting 0. With a durability plane the
+// session checkpoints through it and resumes from the latest checkpoint
+// on boot; /healthz serves 503 "restoring" until the initial worker set
+// has rejoined.
+func (s *server) runSession() error {
+	mk, _, err := jobs.BuildSession(s.spec)
+	if err != nil {
+		return err
 	}
-	if opts.enabled && workerTimeout == 0 {
-		// Elastic membership rides on the fault-tolerant machinery (a
-		// drain is a planned death); give it a generous default deadline.
-		workerTimeout = 10 * time.Second
-	}
-	cfg, mk, ds := sessionConfig(workers, iters, workerTimeout)
-	cfg.Compress = compress
-
-	var draining, restoring atomic.Bool
-	if du.plane != nil {
-		ckpt, err := du.plane.Store.Load(sessionJobID)
+	cfg := jobs.RTConfig(s.spec, s.o.workers)
+	cfg.WorkerTimeout = s.o.workerTimeout
+	cfg.Compress = s.compress
+	cfg.Metrics, cfg.Spans = s.metrics, s.spans
+	if s.plane != nil {
+		ckpt, err := s.plane.Store.Load(sessionJobID)
 		if err != nil {
 			return err
 		}
-		if ckpt != nil && ckpt.Iter+1 >= iters {
+		if ckpt != nil && ckpt.Iter+1 >= s.o.iters {
 			// The final checkpoint committed before the crash: the crash
 			// ate only the verification and exit, so no workers are needed.
-			return finishFromCheckpoint(cfg, mk, ds, ckpt)
+			return s.finishFromCheckpoint(mk(), ckpt)
 		}
 		if ckpt != nil {
 			cfg.Resume = &rt.Resume{Iter: ckpt.Iter, Params: ckpt.Params, Vel: ckpt.Vel, Losses: ckpt.Losses}
-			fmt.Printf("felaserver: durable: resuming from checkpoint at iteration %d/%d\n", ckpt.Iter, iters)
+			fmt.Printf("felaserver: durable: resuming from checkpoint at iteration %d/%d\n", ckpt.Iter, s.o.iters)
 		}
-		cfg.CheckpointEvery = du.every
-		// Store-before-ledger: the checkpoint frame commits, then the
-		// barrier lands in the ledger. A failure aborts the session — the
-		// coordinator must never run ahead of state it claims is durable.
-		cfg.Checkpoint = func(iter int, params, vel [][]float32, losses []float64) error {
-			c := &durable.Checkpoint{JobID: sessionJobID, Iter: iter, Params: params, Vel: vel, Losses: losses}
-			if err := du.plane.Store.Save(c); err != nil {
-				return err
-			}
-			_, err := du.plane.Ledger.Append(durable.Entry{Op: durable.OpBarrier, JobID: sessionJobID, WID: -1, Iter: iter})
-			return err
-		}
+		cfg.CheckpointEvery = s.o.ckptEvery
+		cfg.Checkpoint = jobs.CheckpointHook(s.plane, sessionJobID, nil)
 		// 503 until every initial worker has (re)connected.
-		restoring.Store(true)
+		s.restoring.Store(true)
 	}
-
-	if oo.enabled() {
-		cfg.Metrics = obs.NewRegistry()
-		cfg.Spans = obs.NewTracer("felaserver")
-	}
-
-	var ctrl *elastic.Controller
-	if opts.enabled {
-		var err error
-		ctrl, err = elastic.NewController(elastic.Config{
-			MinWorkers: opts.minWorkers,
-			MaxWorkers: opts.maxWorkers,
-		})
-		if err != nil {
-			return err
-		}
-		ctrl.SetObs(cfg.Metrics)
-		cfg.Elastic = ctrl
+	if s.ctrl != nil {
+		s.ctrl.SetObs(cfg.Metrics)
+		cfg.Elastic = s.ctrl
 	}
 
 	// Build the coordinator before listening so a bad configuration
-	// (e.g. a negative -worker-timeout) fails immediately instead of
-	// after all workers have connected.
+	// fails immediately instead of after all workers have connected.
 	co, err := rt.NewCoordinator(mk(), cfg)
 	if err != nil {
 		return err
 	}
-	if oo.statusAddr != "" {
-		bound, stop, err := obs.Serve(oo.statusAddr, obs.NewHandler(obs.HandlerOptions{
-			Registry: cfg.Metrics,
-			Status:   co.StatusAny,
-			Health: func() error {
-				if restoring.Load() {
-					return errors.New("restoring")
-				}
-				if draining.Load() {
-					return errors.New("session is draining")
-				}
-				return nil
-			},
-			Tracers: []*obs.Tracer{cfg.Spans},
-		}))
-		if err != nil {
-			return err
-		}
-		defer stop()
-		fmt.Printf("felaserver: telemetry on http://%s (/metrics /statusz /trace /debug/pprof)\n", bound)
-	}
-	l, err := transport.Listen(addr)
+	l, closeL, err := s.listen("session", co.StatusAny, nil)
 	if err != nil {
 		return err
 	}
-	defer l.Close()
-	fmt.Printf("felaserver: listening on %s, waiting for %d workers\n", l.Addr(), workers)
-
-	sigCh, stopSig := signalChan(sig)
-	defer stopSig()
+	defer closeL()
+	fmt.Printf("felaserver: listening on %s, waiting for %d workers\n", l.Addr(), s.o.workers)
 
 	// Accept on a channel so a signal during the wait-for-workers phase
 	// still exits cleanly instead of blocking in Accept forever.
@@ -655,18 +643,18 @@ func run(addr string, workers, iters int, workerTimeout time.Duration, opts elas
 			connCh <- c
 		}
 	}()
-	conns := make([]transport.Conn, 0, workers)
-	for len(conns) < workers {
+	conns := make([]transport.Conn, 0, s.o.workers)
+	for len(conns) < s.o.workers {
 		select {
 		case c := <-connCh:
 			conns = append(conns, c)
-			ledgerAppend(du.plane, durable.Entry{Op: durable.OpJoin, JobID: sessionJobID, WID: len(conns) - 1})
-			fmt.Printf("felaserver: worker connection %d/%d\n", len(conns), workers)
+			s.ledgerAppend(durable.OpJoin, len(conns)-1)
+			fmt.Printf("felaserver: worker connection %d/%d\n", len(conns), s.o.workers)
 		case <-acceptDone:
-			return fmt.Errorf("listener closed with %d/%d workers connected", len(conns), workers)
-		case s := <-sigCh:
-			fmt.Printf("felaserver: %v received with %d/%d workers connected, exiting\n", s, len(conns), workers)
-			ledgerAppend(du.plane, durable.Entry{Op: durable.OpDrain, JobID: sessionJobID, WID: -1})
+			return fmt.Errorf("listener closed with %d/%d workers connected", len(conns), s.o.workers)
+		case sg := <-s.sig:
+			fmt.Printf("felaserver: %v received with %d/%d workers connected, exiting\n", sg, len(conns), s.o.workers)
+			s.ledgerAppend(durable.OpDrain, -1)
 			for _, c := range conns {
 				c.Close()
 			}
@@ -674,10 +662,10 @@ func run(addr string, workers, iters int, workerTimeout time.Duration, opts elas
 		}
 	}
 	// Replay and rejoin are complete: the session is about to train.
-	restoring.Store(false)
-	if opts.enabled {
+	s.restoring.Store(false)
+	if s.ctrl != nil {
 		// Keep admitting joiners for the rest of the session; the loop
-		// ends when the deferred l.Close() unblocks Accept.
+		// ends when the deferred closeL unblocks Accept.
 		go func() {
 			for c := range connCh {
 				if err := co.Admit(c); err != nil {
@@ -690,39 +678,27 @@ func run(addr string, workers, iters int, workerTimeout time.Duration, opts elas
 	}
 
 	// Run the session racing the signal: on SIGINT/SIGTERM stop
-	// accepting joiners and give the in-flight session drainTimeout to
-	// reach its natural barrier-aligned end before exiting anyway.
-	type runOutcome struct {
-		res *rt.Result
-		err error
-	}
-	runCh := make(chan runOutcome, 1)
-	go func() {
-		res, err := co.Run(conns)
-		runCh <- runOutcome{res, err}
-	}()
+	// accepting joiners and give the in-flight session -drain-timeout
+	// to reach its natural barrier-aligned end before exiting anyway.
 	var res *rt.Result
+	var runErr error
+	ran := make(chan struct{})
+	go func() {
+		res, runErr = co.Run(conns)
+		close(ran)
+	}()
 	select {
-	case o := <-runCh:
-		if o.err != nil {
-			return o.err
-		}
-		res = o.res
-	case s := <-sigCh:
-		fmt.Printf("felaserver: %v received, draining session (timeout %s)\n", s, drainTimeout)
-		draining.Store(true)
-		ledgerAppend(du.plane, durable.Entry{Op: durable.OpDrain, JobID: sessionJobID, WID: -1})
-		l.Close() // no more joiners
-		select {
-		case o := <-runCh:
-			if o.err != nil {
-				return o.err
-			}
-			res = o.res
-		case <-time.After(drainTimeout):
+	case <-ran:
+	case sg := <-s.sig:
+		fmt.Printf("felaserver: %v received, draining session (timeout %s)\n", sg, s.o.drainTimeout)
+		s.ledgerAppend(durable.OpDrain, -1)
+		if !s.drain(func() { l.Close() }, ran) { // no more joiners
 			fmt.Println("felaserver: drain deadline passed with the session still running, exiting")
 			return nil
 		}
+	}
+	if runErr != nil {
+		return runErr
 	}
 	for i, loss := range res.Losses {
 		fmt.Printf("iteration %3d: loss %.6f\n", i, loss)
@@ -734,8 +710,8 @@ func run(addr string, workers, iters int, workerTimeout time.Duration, opts elas
 			fmt.Println("  " + ev.String())
 		}
 	}
-	if ctrl != nil && ctrl.Retuner().Retunes() > 0 {
-		fmt.Printf("re-tunes: %d; final shares: %v\n", ctrl.Retuner().Retunes(), ctrl.Retuner().Shares())
+	if s.ctrl != nil && s.ctrl.Retuner().Retunes() > 0 {
+		fmt.Printf("re-tunes: %d; final shares: %v\n", s.ctrl.Retuner().Retunes(), s.ctrl.Retuner().Shares())
 	}
 	if len(res.Faults) > 0 {
 		st := metrics.SummarizeFaults(res.Faults)
@@ -745,67 +721,45 @@ func run(addr string, workers, iters int, workerTimeout time.Duration, opts elas
 			fmt.Println("  " + ev.String())
 		}
 	}
-
-	if oo.traceJSON != "" {
-		f, err := os.Create(oo.traceJSON)
-		if err != nil {
-			return err
-		}
-		if err := obs.WriteChromeTrace(f, cfg.Spans); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("felaserver: wrote span trace to %s (load in Perfetto / chrome://tracing)\n", oo.traceJSON)
-	}
-
-	ref, err := rt.Sequential(mk(), ds, cfg)
-	if err != nil {
+	if err := s.writeTrace(); err != nil {
 		return err
 	}
-	if cfg.Compress != transport.CompressExact {
-		// Lossy gradient compression gives up the bit-identical guarantee
-		// by design; report how far the quantization moved the final loss
-		// instead of demanding equality.
-		refLoss := ref.Losses[len(ref.Losses)-1]
-		gotLoss := res.Losses[len(res.Losses)-1]
-		fmt.Printf("lossy compression (%v): final loss %.6f vs sequential %.6f (delta %+.6f)\n",
-			cfg.Compress, gotLoss, refLoss, gotLoss-refLoss)
-		return nil
-	}
-	if minidnn.ParamsEqual(ref.Params, res.Params) {
-		fmt.Println("verified: distributed result is bit-identical to sequential SGD")
-	} else {
-		return fmt.Errorf("distributed result diverged from sequential reference")
-	}
-	return nil
+	return s.verify("distributed", res.Losses, res.Params)
 }
 
 // finishFromCheckpoint settles a session whose final checkpoint
 // already covers every iteration: the crash ate only the verification
 // and exit, so the model is rebuilt from the frame and verified
-// against the sequential reference without waiting for any workers.
-func finishFromCheckpoint(cfg rt.Config, mk func() *minidnn.Network, ds *minidnn.Dataset, ckpt *durable.Checkpoint) error {
+// without waiting for any workers.
+func (s *server) finishFromCheckpoint(net *minidnn.Network, ckpt *durable.Checkpoint) error {
 	fmt.Printf("felaserver: durable: checkpoint at iteration %d already covers the session, verifying\n", ckpt.Iter)
-	net := mk()
 	if err := rt.InstallFlat(net.Params(), ckpt.Params); err != nil {
 		return err
 	}
 	for i, loss := range ckpt.Losses {
 		fmt.Printf("iteration %3d: loss %.6f\n", i, loss)
 	}
-	refCfg := cfg
-	refCfg.Resume = nil
-	refCfg.Checkpoint = nil
-	ref, err := rt.Sequential(mk(), ds, refCfg)
+	return s.verify("restored", ckpt.Losses, net.Params())
+}
+
+// verify checks a session's final model against the preset's
+// sequential reference. Lossy gradient compression gives up the
+// bit-identical guarantee by design, so under a lossy codec it reports
+// how far the quantization moved the final loss instead.
+func (s *server) verify(what string, losses []float64, params []*tensor.Tensor) error {
+	ref, err := jobs.Reference(s.spec)
 	if err != nil {
 		return err
 	}
-	if !minidnn.ParamsEqual(ref.Params, net.Params()) {
-		return fmt.Errorf("restored checkpoint diverged from sequential reference")
+	if s.compress != transport.CompressExact {
+		refLoss, gotLoss := ref.Losses[len(ref.Losses)-1], losses[len(losses)-1]
+		fmt.Printf("lossy compression (%v): final loss %.6f vs sequential %.6f (delta %+.6f)\n",
+			s.compress, gotLoss, refLoss, gotLoss-refLoss)
+		return nil
 	}
-	fmt.Println("verified: restored result is bit-identical to sequential SGD")
+	if !minidnn.ParamsEqual(ref.Params, params) {
+		return fmt.Errorf("%s result diverged from sequential reference", what)
+	}
+	fmt.Printf("verified: %s result is bit-identical to sequential SGD\n", what)
 	return nil
 }

@@ -38,10 +38,26 @@ func freeAddr(t *testing.T) string {
 	return addr
 }
 
-// startWorker launches a registered worker over TCP with the session
-// config felaworker would derive.
-func startWorker(t *testing.T, addr string, wid, workers, iters int, cfg rt.Config, wg *sync.WaitGroup) {
+// replica builds a worker's copy of the single session as felaworker
+// does: the jobs preset at seed 0.
+func replica(t *testing.T) (*minidnn.Network, *minidnn.Dataset) {
 	t.Helper()
+	spec, err := jobs.NormalizeSpec(transport.JobSpec{Iterations: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk, ds, err := jobs.BuildSession(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mk(), ds
+}
+
+// startWorker launches a registered worker over TCP on the replica
+// felaworker builds; cfg carries its delays and telemetry.
+func startWorker(t *testing.T, addr string, wid int, cfg rt.Config, wg *sync.WaitGroup) {
+	t.Helper()
+	net, ds := replica(t)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -51,8 +67,6 @@ func startWorker(t *testing.T, addr string, wid, workers, iters int, cfg rt.Conf
 			return
 		}
 		defer conn.Close()
-		net := minidnn.NewMLP(42, 16, 32, 4)
-		ds := minidnn.SyntheticBlobs(7, 256, 16, 4)
 		if err := rt.NewWorker(wid, net, ds, cfg).Run(conn); err != nil {
 			switch transport.Classify(err) {
 			case transport.ClassPeerGone, transport.ClassClosed:
@@ -68,13 +82,12 @@ func startWorker(t *testing.T, addr string, wid, workers, iters int, cfg rt.Conf
 func TestServerStrictSession(t *testing.T) {
 	addr := freeAddr(t)
 	const workers, iters = 2, 4
-	cfg, _, _ := sessionConfig(workers, iters, 0)
 
 	var wg sync.WaitGroup
 	for wid := 0; wid < workers; wid++ {
-		startWorker(t, addr, wid, workers, iters, cfg, &wg)
+		startWorker(t, addr, wid, rt.Config{}, &wg)
 	}
-	if err := run(addr, workers, iters, 0, elasticOpts{}, obsOpts{}, durableOpts{}, nil, 0, transport.CompressExact); err != nil {
+	if err := serve(serverOpts{addr: addr, workers: workers, iters: iters}, nil); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -87,22 +100,21 @@ func TestServerStrictSession(t *testing.T) {
 func TestServerElasticSession(t *testing.T) {
 	addr := freeAddr(t)
 	const workers, iters = 2, 12
-	cfg, _, _ := sessionConfig(workers, iters, 2*time.Second)
 	// Throttle registered workers so the session lasts long enough for
 	// the joiner to dial in, and so the joiner reliably gets to train
 	// once admitted.
-	slow := cfg
-	slow.Delay = func(int, int) time.Duration { return 15 * time.Millisecond }
+	slow := rt.Config{Delay: func(int, int) time.Duration { return 15 * time.Millisecond }}
 
 	var wg sync.WaitGroup
 	for wid := 0; wid < workers; wid++ {
-		startWorker(t, addr, wid, workers, iters, slow, &wg)
+		startWorker(t, addr, wid, slow, &wg)
 	}
 
 	// The joiner dials in once the session is already running and drains
 	// out again near the end — exercising join, re-tune, and drain in
 	// one process lifetime (felaworker -join -drain-after 10).
 	joined := make(chan int, 1)
+	net, ds := replica(t)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -114,10 +126,7 @@ func TestServerElasticSession(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		jcfg := cfg
-		jcfg.Drain = func(iter, _ int) bool { return iter >= 10 }
-		net := minidnn.NewMLP(42, 16, 32, 4)
-		ds := minidnn.SyntheticBlobs(7, 256, 16, 4)
+		jcfg := rt.Config{Drain: func(iter, _ int) bool { return iter >= 10 }}
 		assigned, err := rt.Join(conn, net, ds, jcfg)
 		if err != nil {
 			switch transport.Classify(err) {
@@ -129,7 +138,8 @@ func TestServerElasticSession(t *testing.T) {
 		joined <- assigned
 	}()
 
-	if err := run(addr, workers, iters, 2*time.Second, elasticOpts{enabled: true, minWorkers: 1}, obsOpts{}, durableOpts{}, nil, 0, transport.CompressExact); err != nil {
+	o := serverOpts{addr: addr, workers: workers, iters: iters, workerTimeout: 2 * time.Second, elastic: true, minWorkers: 1}
+	if err := serve(o, nil); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -140,12 +150,53 @@ func TestServerElasticSession(t *testing.T) {
 
 // TestServerElasticValidation: nonsensical elastic bounds fail fast.
 func TestServerElasticValidation(t *testing.T) {
-	err := run(freeAddr(t), 2, 4, time.Second, elasticOpts{enabled: true, minWorkers: 5, maxWorkers: 2}, obsOpts{}, durableOpts{}, nil, 0, transport.CompressExact)
+	err := serve(serverOpts{
+		addr: freeAddr(t), workers: 2, iters: 4, workerTimeout: time.Second,
+		elastic: true, minWorkers: 5, maxWorkers: 2,
+	}, nil)
 	if err == nil {
 		t.Fatal("min-workers > max-workers accepted")
 	}
 	if want := "min workers"; !strings.Contains(err.Error(), want) {
 		t.Errorf("error %q does not mention %q", err, want)
+	}
+}
+
+// TestServerRejectsBadOptions: a configuration error fails serve before
+// anything listens or the durability directory is opened. The test
+// holds the listen address itself, so a server that listened first
+// would fail on the port instead.
+func TestServerRejectsBadOptions(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	cases := []struct {
+		name string
+		o    serverOpts
+		want string
+	}{
+		{"unknown -alloc", serverOpts{jobs: true, alloc: "nope"}, "allocation policy"},
+		{"unknown -admission", serverOpts{jobs: true, alloc: "fair-share", admission: "nope"}, "admission policy"},
+		{"unknown -compress", serverOpts{workers: 1, iters: 1, compress: "nope"}, "nope"},
+		{"lossy -compress with -jobs", serverOpts{jobs: true, alloc: "fair-share", compress: "int8"}, "-jobs"},
+		{"NaN -trace-scale", serverOpts{jobs: true, alloc: "fair-share", clusterTrace: "t.jsonl", traceScale: math.NaN()}, "trace scale"},
+		{"-min-workers > -max-workers", serverOpts{workers: 2, iters: 4, elastic: true, minWorkers: 3, maxWorkers: 2}, "min workers"},
+		{"negative -worker-timeout", serverOpts{workers: 2, iters: 4, workerTimeout: -time.Second}, "-worker-timeout"},
+		{"negative -worker-timeout with -jobs", serverOpts{jobs: true, alloc: "fair-share", workerTimeout: -time.Second}, "-worker-timeout"},
+		{"zero -iters", serverOpts{workers: 2, iters: 0}, "iterations"},
+	}
+	for _, tc := range cases {
+		dir := t.TempDir()
+		tc.o.addr, tc.o.durableDir = l.Addr().String(), dir
+		err := serve(tc.o, make(chan os.Signal, 1))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: serve returned %v, want an error mentioning %q", tc.name, err, tc.want)
+		}
+		if ents, _ := os.ReadDir(dir); len(ents) > 0 {
+			t.Errorf("%s: durability directory opened before the options were checked", tc.name)
+		}
 	}
 }
 
@@ -162,15 +213,12 @@ func TestServerObservabilityE2E(t *testing.T) {
 	statusAddr := freeAddr(t)
 	traceJSON := filepath.Join(t.TempDir(), "trace.json")
 	const workers, iters = 2, 12
-	cfg, _, _ := sessionConfig(workers, iters, 2*time.Second)
 
 	// Workers share one registry and tracer, standing in for felaworker
 	// -status-addr processes. Worker 0 is the injected straggler; the
 	// delays also stretch the session so the joiner and the HTTP polls
 	// land mid-training.
-	wcfg := cfg
-	wcfg.Metrics = obs.NewRegistry()
-	wcfg.Spans = obs.NewTracer("felaworker")
+	wcfg := rt.Config{Metrics: obs.NewRegistry(), Spans: obs.NewTracer("felaworker")}
 	wcfg.Delay = func(_, wid int) time.Duration {
 		if wid == 0 {
 			return 25 * time.Millisecond
@@ -180,7 +228,7 @@ func TestServerObservabilityE2E(t *testing.T) {
 
 	var wg sync.WaitGroup
 	for wid := 0; wid < workers; wid++ {
-		startWorker(t, addr, wid, workers, iters, wcfg, &wg)
+		startWorker(t, addr, wid, wcfg, &wg)
 	}
 
 	// A joiner dials in mid-session (felaworker -join) so /statusz has a
@@ -188,6 +236,7 @@ func TestServerObservabilityE2E(t *testing.T) {
 	// the two-worker phase: on a timer it could be admitted before any
 	// poll landed there, as it was under `go test -race ./...`.
 	twoLive, polled := make(chan struct{}), make(chan struct{})
+	net, ds := replica(t)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -202,10 +251,7 @@ func TestServerObservabilityE2E(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		jcfg := wcfg
-		net := minidnn.NewMLP(42, 16, 32, 4)
-		ds := minidnn.SyntheticBlobs(7, 256, 16, 4)
-		if _, err := rt.Join(conn, net, ds, jcfg); err != nil {
+		if _, err := rt.Join(conn, net, ds, wcfg); err != nil {
 			switch transport.Classify(err) {
 			case transport.ClassPeerGone, transport.ClassClosed:
 			default:
@@ -216,9 +262,10 @@ func TestServerObservabilityE2E(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		done <- run(addr, workers, iters, 2*time.Second,
-			elasticOpts{enabled: true, minWorkers: 1},
-			obsOpts{statusAddr: statusAddr, traceJSON: traceJSON}, durableOpts{}, nil, 0, transport.CompressExact)
+		done <- serve(serverOpts{
+			addr: addr, workers: workers, iters: iters, workerTimeout: 2 * time.Second,
+			elastic: true, minWorkers: 1, statusAddr: statusAddr, traceJSON: traceJSON,
+		}, nil)
 	}()
 
 	// Scrape while the session runs. The obs server dies with run(), so
@@ -387,8 +434,7 @@ func TestServerJobsMode(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		done <- runJobs(addr,
-			jobsOpts{alloc: "throughput-max", maxJobs: 2}, 2*time.Second, obsOpts{}, durableOpts{}, nil, 0)
+		done <- serve(serverOpts{addr: addr, jobs: true, alloc: "throughput-max", maxJobs: 2, workerTimeout: 2 * time.Second}, nil)
 	}()
 
 	const poolWorkers = 3
@@ -459,7 +505,7 @@ func TestServerJobsMode(t *testing.T) {
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("runJobs: %v", err)
+			t.Fatalf("serve: %v", err)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("server did not drain after -max-jobs completions")
@@ -489,18 +535,20 @@ func TestJobsModeRejectsBadTraceScale(t *testing.T) {
 		sig := make(chan os.Signal, 1)
 		done := make(chan error, 1)
 		go func() {
-			done <- runJobs(freeAddr(t), jobsOpts{alloc: "fair-share", trace: path, traceScale: scale},
-				0, obsOpts{}, durableOpts{}, sig, 100*time.Millisecond)
+			done <- serve(serverOpts{
+				addr: freeAddr(t), jobs: true, alloc: "fair-share", clusterTrace: path, traceScale: scale,
+				drainTimeout: 100 * time.Millisecond,
+			}, sig)
 		}()
 		select {
 		case err := <-done:
 			if err == nil {
-				t.Errorf("trace scale %v: runJobs returned nil", scale)
+				t.Errorf("trace scale %v: serve returned nil", scale)
 			}
 		case <-time.After(2 * time.Second):
 			sig <- syscall.SIGTERM
 			<-done
-			t.Errorf("trace scale %v accepted: runJobs served the trace", scale)
+			t.Errorf("trace scale %v accepted: serve served the trace", scale)
 		}
 	}
 }
@@ -513,18 +561,20 @@ func TestJobsModeRefusesCompression(t *testing.T) {
 		sig := make(chan os.Signal, 1)
 		done := make(chan error, 1)
 		go func() {
-			done <- runJobs(freeAddr(t), jobsOpts{alloc: "fair-share", compress: c},
-				0, obsOpts{}, durableOpts{}, sig, 100*time.Millisecond)
+			done <- serve(serverOpts{
+				addr: freeAddr(t), jobs: true, alloc: "fair-share", compress: c.String(),
+				drainTimeout: 100 * time.Millisecond,
+			}, sig)
 		}()
 		select {
 		case err := <-done:
 			if err == nil || !strings.Contains(err.Error(), "-jobs") || !strings.Contains(err.Error(), c.String()) {
-				t.Errorf("-compress %v: runJobs returned %v, want an error naming -jobs and the codec", c, err)
+				t.Errorf("-compress %v: serve returned %v, want an error naming -jobs and the codec", c, err)
 			}
 		case <-time.After(2 * time.Second):
 			sig <- syscall.SIGTERM
 			<-done
-			t.Errorf("-compress %v accepted: runJobs served the pool", c)
+			t.Errorf("-compress %v accepted: serve served the pool", c)
 		}
 	}
 }
@@ -549,9 +599,10 @@ func TestServerClusterTrace(t *testing.T) {
 	addr := freeAddr(t)
 	done := make(chan error, 1)
 	go func() {
-		done <- runJobs(addr, jobsOpts{
-			alloc: "oasis", admission: "oasis", trace: path, traceScale: 4,
-		}, 2*time.Second, obsOpts{}, durableOpts{}, nil, 0)
+		done <- serve(serverOpts{
+			addr: addr, jobs: true, alloc: "oasis", admission: "oasis", clusterTrace: path, traceScale: 4,
+			workerTimeout: 2 * time.Second,
+		}, nil)
 	}()
 
 	const poolWorkers = 2
@@ -569,7 +620,7 @@ func TestServerClusterTrace(t *testing.T) {
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("runJobs: %v", err)
+			t.Fatalf("serve: %v", err)
 		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("server did not drain after the trace replay settled")
@@ -639,8 +690,10 @@ func TestJobsModeGracefulShutdown(t *testing.T) {
 	sig := make(chan os.Signal, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- runJobs(addr, jobsOpts{alloc: "fair-share"},
-			2*time.Second, obsOpts{}, durableOpts{}, sig, 10*time.Second)
+		done <- serve(serverOpts{
+			addr: addr, jobs: true, alloc: "fair-share", workerTimeout: 2 * time.Second,
+			drainTimeout: 10 * time.Second,
+		}, sig)
 	}()
 
 	workerDone := make(chan error, 1)
@@ -658,10 +711,10 @@ func TestJobsModeGracefulShutdown(t *testing.T) {
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("runJobs returned %v, want clean exit", err)
+			t.Fatalf("serve returned %v, want clean exit", err)
 		}
 	case <-time.After(15 * time.Second):
-		t.Fatal("runJobs did not exit after SIGTERM")
+		t.Fatal("serve did not exit after SIGTERM")
 	}
 	select {
 	case <-workerDone:
@@ -677,7 +730,7 @@ func TestSessionModeSignalBeforeWorkers(t *testing.T) {
 	sig := make(chan os.Signal, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- run(addr, 4, 4, 0, elasticOpts{}, obsOpts{}, durableOpts{}, sig, time.Second, transport.CompressExact)
+		done <- serve(serverOpts{addr: addr, workers: 4, iters: 4, drainTimeout: time.Second}, sig)
 	}()
 	// Wait until the listener is up so the signal lands mid-wait.
 	deadline := time.Now().Add(5 * time.Second)
@@ -696,10 +749,10 @@ func TestSessionModeSignalBeforeWorkers(t *testing.T) {
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("run returned %v, want clean exit", err)
+			t.Fatalf("serve returned %v, want clean exit", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("run did not exit after SIGINT")
+		t.Fatal("serve did not exit after SIGINT")
 	}
 }
 
@@ -708,47 +761,47 @@ func TestSessionModeSignalBeforeWorkers(t *testing.T) {
 // a ledger and checkpoints behind. Phase 2 reopens the same directory
 // for a longer 8-iteration session: /healthz must serve 503 "restoring"
 // until the workers reconnect, then the session resumes from the
-// iteration-3 checkpoint and run() itself verifies the result is
+// iteration-3 checkpoint and serve itself verifies the result is
 // bit-identical to an uninterrupted sequential run. Phase 3 restarts
 // once more — the final checkpoint already covers every iteration, so
 // the server settles and verifies without waiting for any workers.
 func TestServerDurableSessionResume(t *testing.T) {
 	dir := t.TempDir()
-	open := func() durableOpts {
+	opts := func(iters int) serverOpts {
+		return serverOpts{addr: freeAddr(t), workers: 2, iters: iters, durableDir: dir, ckptEvery: 2}
+	}
+	// entries replays the ledger the last phase left behind.
+	entries := func() []durable.Entry {
 		t.Helper()
 		plane, err := openDurable(dir, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return durableOpts{plane: plane, every: 2}
+		defer plane.Close()
+		return plane.Entries
 	}
 
 	// Phase 1: checkpointDue commits frames at iterations 1 and 3.
-	du := open()
-	addr := freeAddr(t)
-	cfg4, _, _ := sessionConfig(2, 4, 0)
+	o := opts(4)
 	var wg sync.WaitGroup
 	for wid := 0; wid < 2; wid++ {
-		startWorker(t, addr, wid, 2, 4, cfg4, &wg)
+		startWorker(t, o.addr, wid, rt.Config{}, &wg)
 	}
-	if err := run(addr, 2, 4, 0, elasticOpts{}, obsOpts{}, du, nil, 0, transport.CompressExact); err != nil {
+	if err := serve(o, nil); err != nil {
 		t.Fatalf("phase 1: %v", err)
 	}
 	wg.Wait()
-	if err := du.plane.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	// Phase 2: same directory, longer session — resume from iteration 3.
-	du = open()
-	if got := len(du.plane.Entries); got == 0 {
+	if got := len(entries()); got == 0 {
 		t.Fatal("phase 2: replayed ledger is empty")
 	}
-	addr = freeAddr(t)
-	statusAddr := freeAddr(t)
+	o = opts(8)
+	o.statusAddr = freeAddr(t)
+	statusAddr := o.statusAddr
 	done := make(chan error, 1)
 	go func() {
-		done <- run(addr, 2, 8, 0, elasticOpts{}, obsOpts{statusAddr: statusAddr}, du, nil, 0, transport.CompressExact)
+		done <- serve(o, nil)
 	}()
 
 	// Before any worker reconnects the health gate must hold: 503 with
@@ -774,26 +827,20 @@ func TestServerDurableSessionResume(t *testing.T) {
 		t.Fatal("healthz never answered before the rejoin window closed")
 	}
 
-	cfg8, _, _ := sessionConfig(2, 8, 0)
 	var wg2 sync.WaitGroup
 	for wid := 0; wid < 2; wid++ {
-		startWorker(t, addr, wid, 2, 8, cfg8, &wg2)
+		startWorker(t, o.addr, wid, rt.Config{}, &wg2)
 	}
-	// run() returns an error if the resumed result diverges from the
+	// serve returns an error if the resumed result diverges from the
 	// sequential reference, so a nil here is the bit-identity proof.
 	if err := <-done; err != nil {
 		t.Fatalf("phase 2: %v", err)
 	}
 	wg2.Wait()
-	if err := du.plane.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	// Phase 3: the covering checkpoint settles the session workerless.
-	du = open()
-	defer du.plane.Close()
 	var joins, barriers, lastBarrier int
-	for _, e := range du.plane.Entries {
+	for _, e := range entries() {
 		switch e.Op {
 		case durable.OpJoin:
 			joins++
@@ -806,7 +853,7 @@ func TestServerDurableSessionResume(t *testing.T) {
 		t.Fatalf("ledger history: joins=%d barriers=%d last=%d, want 4 joins, >=3 barriers ending at 7",
 			joins, barriers, lastBarrier)
 	}
-	if err := run(freeAddr(t), 2, 8, 0, elasticOpts{}, obsOpts{}, du, nil, 0, transport.CompressExact); err != nil {
+	if err := serve(opts(8), nil); err != nil {
 		t.Fatalf("phase 3: %v", err)
 	}
 }
@@ -853,11 +900,6 @@ func TestServerDurableJobsSettleOnRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plane, err = openDurable(dir, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plane.Close()
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
@@ -871,14 +913,16 @@ func TestServerDurableJobsSettleOnRestart(t *testing.T) {
 	}()
 	done := make(chan error, 1)
 	go func() {
-		done <- runJobs(freeAddr(t), jobsOpts{alloc: "fair-share", maxJobs: 1}, time.Second,
-			obsOpts{}, durableOpts{plane: plane, every: 2}, make(chan os.Signal, 1), 10*time.Second)
+		done <- serve(serverOpts{
+			addr: freeAddr(t), jobs: true, alloc: "fair-share", maxJobs: 1, workerTimeout: time.Second,
+			durableDir: dir, ckptEvery: 2, drainTimeout: 10 * time.Second,
+		}, make(chan os.Signal, 1))
 	}()
 	var runErr error
 	select {
 	case runErr = <-done:
 	case <-time.After(15 * time.Second):
-		runErr = fmt.Errorf("runJobs did not return")
+		runErr = fmt.Errorf("serve did not return")
 	}
 	os.Stdout = stdout
 	w.Close()

@@ -22,85 +22,101 @@ import (
 	"fela/internal/obs"
 )
 
+// simOpts bundles every flag so tests can drive run directly.
+type simOpts struct {
+	model      string
+	batch      int
+	iters      int
+	system     string
+	weights    string
+	subset     int
+	straggler  string
+	d          float64
+	p          float64
+	staleness  int
+	metricsOut string
+}
+
 func main() {
-	modelName := flag.String("model", "VGG19", "benchmark model (VGG19, GoogLeNet, AlexNet, LeNet-5)")
-	batch := flag.Int("batch", 256, "total batch size per iteration")
-	iters := flag.Int("iters", 100, "iterations to run")
-	system := flag.String("system", "fela", "system to run: fela, dp, mp, hp")
-	weightsFlag := flag.String("weights", "", "comma-separated parallelism weights (empty = tune)")
-	subset := flag.Int("subset", 0, "CTD conditional subset size (0 = tuner's choice)")
-	stragKind := flag.String("straggler", "none", "straggler scenario: none, rr, prob")
-	d := flag.Float64("d", 6, "straggler delay in seconds")
-	p := flag.Float64("p", 0.3, "straggler probability (prob scenario)")
-	staleness := flag.Int("staleness", 0, "SSP staleness bound for fela (0 = BSP)")
-	metricsOut := flag.String("metrics-out", "",
+	var o simOpts
+	flag.StringVar(&o.model, "model", "VGG19", "benchmark model (VGG19, GoogLeNet, AlexNet, LeNet-5)")
+	flag.IntVar(&o.batch, "batch", 256, "total batch size per iteration")
+	flag.IntVar(&o.iters, "iters", 100, "iterations to run")
+	flag.StringVar(&o.system, "system", "fela", "system to run: fela, dp, mp, hp")
+	flag.StringVar(&o.weights, "weights", "", "comma-separated parallelism weights (empty = tune)")
+	flag.IntVar(&o.subset, "subset", 0, "CTD conditional subset size (0 = tuner's choice)")
+	flag.StringVar(&o.straggler, "straggler", "none", "straggler scenario: none, rr, prob")
+	flag.Float64Var(&o.d, "d", 6, "straggler delay in seconds")
+	flag.Float64Var(&o.p, "p", 0.3, "straggler probability (prob scenario)")
+	flag.IntVar(&o.staleness, "staleness", 0, "SSP staleness bound for fela (0 = BSP)")
+	flag.StringVar(&o.metricsOut, "metrics-out", "",
 		"fela only: write the Token Server's final telemetry in Prometheus text format to this file (- = stdout)")
 	flag.Parse()
 
 	obs.FlightDumpOnSIGQUIT("felasim")
 
-	if err := run(*modelName, *system, *weightsFlag, *stragKind, *metricsOut, *batch, *iters, *subset, *staleness, *d, *p); err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "felasim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(modelName, system, weightsFlag, stragKind, metricsOut string, batch, iters, subset, staleness int, d, p float64) error {
-	m, err := fela.ModelByName(modelName)
+func run(o simOpts) error {
+	m, err := fela.ModelByName(o.model)
 	if err != nil {
 		return err
 	}
 	// A delay that is not a finite non-negative number of seconds, or a
 	// probability outside [0, 1], would not run the scenario asked for:
 	// the simulator would panic on a NaN time or silently run another.
-	badDelay := math.IsNaN(d) || math.IsInf(d, 0) || d < 0
+	badDelay := math.IsNaN(o.d) || math.IsInf(o.d, 0) || o.d < 0
 	var scen fela.Scenario
-	switch stragKind {
+	switch o.straggler {
 	case "none":
 		scen = nil
 	case "rr":
 		if badDelay {
-			return fmt.Errorf("straggler delay -d %v is not a finite, non-negative number of seconds", d)
+			return fmt.Errorf("straggler delay -d %v is not a finite, non-negative number of seconds", o.d)
 		}
-		scen = fela.RoundRobinStraggler(d, fela.Testbed8().N)
+		scen = fela.RoundRobinStraggler(o.d, fela.Testbed8().N)
 	case "prob":
 		if badDelay {
-			return fmt.Errorf("straggler delay -d %v is not a finite, non-negative number of seconds", d)
+			return fmt.Errorf("straggler delay -d %v is not a finite, non-negative number of seconds", o.d)
 		}
-		if !(p >= 0 && p <= 1) {
-			return fmt.Errorf("straggler probability -p %v is outside [0, 1]", p)
+		if !(o.p >= 0 && o.p <= 1) {
+			return fmt.Errorf("straggler probability -p %v is outside [0, 1]", o.p)
 		}
-		scen = fela.ProbabilityStraggler(p, d)
+		scen = fela.ProbabilityStraggler(o.p, o.d)
 	default:
-		return fmt.Errorf("unknown straggler scenario %q", stragKind)
+		return fmt.Errorf("unknown straggler scenario %q", o.straggler)
 	}
 
 	var res fela.RunResult
 	var reg *fela.Registry
-	switch system {
+	switch o.system {
 	case "fela":
 		var weights []int
-		if weightsFlag != "" {
-			for _, part := range strings.Split(weightsFlag, ",") {
+		if o.weights != "" {
+			for _, part := range strings.Split(o.weights, ",") {
 				w, err := strconv.Atoi(strings.TrimSpace(part))
 				if err != nil {
-					return fmt.Errorf("bad weights %q: %w", weightsFlag, err)
+					return fmt.Errorf("bad weights %q: %w", o.weights, err)
 				}
 				weights = append(weights, w)
 			}
 		}
-		if metricsOut != "" {
+		if o.metricsOut != "" {
 			reg = obs.NewRegistry()
 		}
 		res, err = fela.Simulate(fela.SimConfig{
-			Model: m, TotalBatch: batch, Iterations: iters,
-			Weights: weights, SubsetSize: subset, Scenario: scen,
-			Staleness: staleness, Metrics: reg,
+			Model: m, TotalBatch: o.batch, Iterations: o.iters,
+			Weights: weights, SubsetSize: o.subset, Scenario: scen,
+			Staleness: o.staleness, Metrics: reg,
 		})
 	case "dp", "mp", "hp":
-		cfg := baseline.Config{Model: m, TotalBatch: batch, Iterations: iters, Scenario: scen}
+		cfg := baseline.Config{Model: m, TotalBatch: o.batch, Iterations: o.iters, Scenario: scen}
 		c := cluster.New(fela.Testbed8())
-		switch system {
+		switch o.system {
 		case "dp":
 			res, err = baseline.RunDP(c, cfg)
 		case "mp":
@@ -109,7 +125,7 @@ func run(modelName, system, weightsFlag, stragKind, metricsOut string, batch, it
 			res, err = baseline.RunHP(c, cfg)
 		}
 	default:
-		return fmt.Errorf("unknown system %q", system)
+		return fmt.Errorf("unknown system %q", o.system)
 	}
 	if err != nil {
 		return err
@@ -121,14 +137,14 @@ func run(modelName, system, weightsFlag, stragKind, metricsOut string, batch, it
 	fmt.Printf("network payload:   %.1f MB/iteration\n", float64(res.BytesSent)/float64(res.Iterations)/1e6)
 	if reg != nil {
 		w := os.Stdout
-		if metricsOut != "-" {
-			f, err := os.Create(metricsOut)
+		if o.metricsOut != "-" {
+			f, err := os.Create(o.metricsOut)
 			if err != nil {
 				return err
 			}
 			defer f.Close()
 			w = f
-			fmt.Printf("token server metrics: %s\n", metricsOut)
+			fmt.Printf("token server metrics: %s\n", o.metricsOut)
 		}
 		if err := reg.WritePrometheus(w); err != nil {
 			return err

@@ -5,25 +5,38 @@ import (
 	"testing"
 )
 
+// opts is a GoogLeNet run of two 128-sample iterations on system with
+// the remaining flags at their defaults.
+func opts(system string) simOpts {
+	return simOpts{model: "GoogLeNet", system: system, straggler: "none", batch: 128, iters: 2, d: 6, p: 0.3}
+}
+
 func TestRunSystems(t *testing.T) {
 	for _, sys := range []string{"fela", "dp", "mp", "hp"} {
-		if err := run("GoogLeNet", sys, "1,1,4", "none", "", 128, 2, 1, 0, 6, 0.3); err != nil {
+		o := opts(sys)
+		o.weights, o.subset = "1,1,4", 1
+		if err := run(o); err != nil {
 			t.Errorf("%s: %v", sys, err)
 		}
 	}
 }
 
 func TestRunStragglers(t *testing.T) {
-	if err := run("GoogLeNet", "dp", "", "rr", "", 128, 2, 0, 0, 1, 0.3); err != nil {
+	o := opts("dp")
+	o.straggler, o.d = "rr", 1
+	if err := run(o); err != nil {
 		t.Error(err)
 	}
-	if err := run("GoogLeNet", "dp", "", "prob", "", 128, 2, 0, 0, 1, 0.2); err != nil {
+	o.straggler, o.p = "prob", 0.2
+	if err := run(o); err != nil {
 		t.Error(err)
 	}
 }
 
 func TestRunSSP(t *testing.T) {
-	if err := run("GoogLeNet", "fela", "1,1,4", "none", "", 128, 2, 2, 1, 6, 0.3); err != nil {
+	o := opts("fela")
+	o.weights, o.subset, o.staleness = "1,1,4", 2, 1
+	if err := run(o); err != nil {
 		t.Error(err)
 	}
 }
@@ -31,16 +44,18 @@ func TestRunSSP(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	cases := []struct {
 		name string
-		fn   func() error
+		edit func(*simOpts)
 	}{
-		{"bad model", func() error { return run("nope", "fela", "", "none", "", 128, 2, 0, 0, 6, 0.3) }},
-		{"bad system", func() error { return run("VGG19", "xp", "", "none", "", 128, 2, 0, 0, 6, 0.3) }},
-		{"bad straggler", func() error { return run("VGG19", "dp", "", "zz", "", 128, 2, 0, 0, 6, 0.3) }},
-		{"bad weights", func() error { return run("VGG19", "fela", "1,x", "none", "", 128, 2, 0, 0, 6, 0.3) }},
-		{"invalid weights", func() error { return run("VGG19", "fela", "2,2,2", "none", "", 128, 2, 0, 0, 6, 0.3) }},
+		{"bad model", func(o *simOpts) { o.model = "nope" }},
+		{"bad system", func(o *simOpts) { o.model, o.system = "VGG19", "xp" }},
+		{"bad straggler", func(o *simOpts) { o.model, o.system, o.straggler = "VGG19", "dp", "zz" }},
+		{"bad weights", func(o *simOpts) { o.model, o.weights = "VGG19", "1,x" }},
+		{"invalid weights", func(o *simOpts) { o.model, o.weights = "VGG19", "2,2,2" }},
 	}
 	for _, tc := range cases {
-		if err := tc.fn(); err == nil {
+		o := opts("fela")
+		tc.edit(&o)
+		if err := run(o); err == nil {
 			t.Errorf("%s: expected error", tc.name)
 		}
 	}
@@ -73,7 +88,9 @@ func TestRunStragglerParams(t *testing.T) {
 	}
 	for _, sys := range []string{"fela", "dp"} {
 		for _, tc := range cases {
-			err := run("GoogLeNet", sys, "", tc.straggler, "", 128, 2, 0, 0, tc.d, tc.p)
+			o := opts(sys)
+			o.straggler, o.d, o.p = tc.straggler, tc.d, tc.p
+			err := run(o)
 			if (err == nil) != tc.ok {
 				t.Errorf("%s -straggler %s -d %v -p %v: err %v, want ok=%v", sys, tc.straggler, tc.d, tc.p, err, tc.ok)
 			}

@@ -1,12 +1,11 @@
 // Command felaworker joins a felaserver session as one real-time worker:
 // it connects, registers its worker id, then pulls tokens and trains
-// them on its replica of the model and dataset (both reconstructed from
-// the shared deterministic seeds).
+// them on its replica of the model and dataset. The replica is the jobs
+// preset's single session, rebuilt from its deterministic seeds, so the
+// worker needs no session flags: each token names the rows to train,
+// and the iteration count is the server's alone.
 //
-//	felaworker -addr 127.0.0.1:7070 -wid 0 -workers 4 -iters 20
-//
-// The -workers/-iters flags must match the server's so that the derived
-// session configuration is identical on both sides.
+//	felaworker -addr 127.0.0.1:7070 -wid 0
 //
 // The worker connects with retry-and-backoff (-retries), so it can be
 // started before the server. If the coordinator disappears mid-session
@@ -43,6 +42,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"fela/internal/jobs"
@@ -52,6 +52,21 @@ import (
 	"fela/internal/tensor"
 	"fela/internal/transport"
 )
+
+// workerOpts bundles every flag so tests can drive run directly.
+type workerOpts struct {
+	addr       string
+	wid        int
+	straggle   int
+	retries    int
+	join       bool
+	drainAfter int
+	reconnect  bool
+	pool       bool
+	statusAddr string
+	compress   string
+	kernelPar  int
+}
 
 // healthFromStatus maps the worker's status snapshot to a liveness
 // verdict: healthy until the worker announces a drain, 503 after (a
@@ -66,22 +81,21 @@ func healthFromStatus(st *rt.WorkerStatus) error {
 }
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7070", "coordinator address")
-	wid := flag.Int("wid", 0, "this worker's id (0-based, unique per worker; ignored with -join)")
-	workers := flag.Int("workers", 4, "total workers in the session (must match server)")
-	iters := flag.Int("iters", 20, "iterations (must match server)")
-	sleepMS := flag.Int("straggle", 0, "artificial per-iteration sleep in ms (demo stragglers)")
-	retries := flag.Int("retries", 10, "connection attempts before giving up")
-	join := flag.Bool("join", false, "join an in-progress elastic session instead of registering a fixed wid")
-	drainAfter := flag.Int("drain-after", -1, "announce a graceful leave at this iteration (elastic sessions; -1 = never)")
-	reconnect := flag.Bool("reconnect", false,
+	var o workerOpts
+	flag.StringVar(&o.addr, "addr", "127.0.0.1:7070", "coordinator address")
+	flag.IntVar(&o.wid, "wid", 0, "this worker's id (0-based, unique per worker; ignored with -join)")
+	flag.IntVar(&o.straggle, "straggle", 0, "artificial per-iteration sleep in ms (demo stragglers)")
+	flag.IntVar(&o.retries, "retries", 10, "connection attempts before giving up")
+	flag.BoolVar(&o.join, "join", false, "join an in-progress elastic session instead of registering a fixed wid")
+	flag.IntVar(&o.drainAfter, "drain-after", -1, "announce a graceful leave at this iteration (elastic sessions; -1 = never)")
+	flag.BoolVar(&o.reconnect, "reconnect", false,
 		"survive coordinator restarts: when the server dies mid-session, re-dial and re-register instead of exiting (pairs with felaserver -durable-dir)")
-	pool := flag.Bool("pool", false, "register with a felaserver -jobs pool and serve assigned jobs until shutdown")
-	statusAddr := flag.String("status-addr", "",
+	flag.BoolVar(&o.pool, "pool", false, "register with a felaserver -jobs pool and serve assigned jobs until shutdown")
+	flag.StringVar(&o.statusAddr, "status-addr", "",
 		"serve worker-side telemetry (/metrics, /statusz, /trace, /debug/pprof) on this address (empty = off)")
-	compressName := flag.String("compress", "",
+	flag.StringVar(&o.compress, "compress", "",
 		"gradient compression to request for reports (exact, fp16, int8, topk; empty = exact). Engages only when the felaserver permits the same codec; lossy codecs trade the bit-identical guarantee for smaller reports")
-	kernelPar := flag.Int("kernel-par", 0,
+	flag.IntVar(&o.kernelPar, "kernel-par", 0,
 		"compute-kernel fan-out: goroutines per matmul/conv (0 = GOMAXPROCS, 1 = serial)")
 	flag.Parse()
 
@@ -89,167 +103,138 @@ func main() {
 	// keeps running — the field-debugging hook every binary carries.
 	obs.FlightDumpOnSIGQUIT("felaworker")
 
-	tensor.SetParallelism(*kernelPar)
+	tensor.SetParallelism(o.kernelPar)
 	fmt.Printf("felaworker: compute kernels on the %s path, fan-out %d\n", tensor.KernelPath(), tensor.Parallelism())
 
-	var err error
-	compress, cerr := transport.ParseCompression(*compressName)
-	if cerr != nil {
-		err = cerr
-	} else if *pool {
-		err = runPool(*addr, *sleepMS, *retries, *statusAddr, compress)
-	} else {
-		err = run(*addr, *wid, *workers, *iters, *sleepMS, *retries, *join, *drainAfter, *reconnect, *statusAddr, compress)
-	}
-	if err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "felaworker:", err)
 		os.Exit(1)
 	}
 }
 
-// runPool registers with a felaserver -jobs pool and serves assigned
-// jobs until the pool shuts down, reconnecting between jobs and after
-// migrations. The session parameters come from each assignment's
-// JobSpec, so no -workers/-iters agreement is needed. Pool jobs train
-// exact, so a lossy codec is refused rather than silently dropped.
-func runPool(addr string, sleepMS, retries int, statusAddr string, compress transport.Compression) error {
-	if compress != transport.CompressExact {
+// run validates o, then works in the mode it selects: a pool worker, a
+// joiner, or a fixed-wid worker.
+func run(o workerOpts) error {
+	compress, err := transport.ParseCompression(o.compress)
+	if err != nil {
+		return err
+	}
+	if o.pool && compress != transport.CompressExact {
+		// Pool jobs train exact: a lossy codec is refused rather than
+		// silently dropped.
 		return fmt.Errorf("-compress %v is single-session only: -pool mode trains every job exact", compress)
 	}
-	opts := jobs.PoolWorkerOptions{
-		Log: func(format string, args ...any) {
-			fmt.Printf("felaworker: "+format+"\n", args...)
-		},
+	if o.join && o.reconnect {
+		return fmt.Errorf("-reconnect applies to fixed-wid workers (a joiner's id dies with its session)")
 	}
-	if sleepMS > 0 {
-		opts.Delay = func(int, int) time.Duration { return time.Duration(sleepMS) * time.Millisecond }
-	}
-	if statusAddr != "" {
-		opts.Metrics = obs.NewRegistry()
-		opts.Spans = obs.NewTracer("felaworker")
-		// Pool workers serve many short sessions, so there is no single
-		// /statusz document; /metrics and /trace aggregate across jobs.
-		bound, stop, err := obs.Serve(statusAddr, obs.NewHandler(obs.HandlerOptions{
-			Registry: opts.Metrics,
-			Tracers:  []*obs.Tracer{opts.Spans},
+
+	// cur is the fixed-wid worker's live incarnation. A joiner's id is
+	// assigned mid-protocol and a pool worker serves many short
+	// sessions, so for them /statusz stays 503; /metrics, /trace and
+	// pprof work from the start.
+	var cur atomic.Pointer[rt.Worker]
+	var reg *obs.Registry
+	var spans *obs.Tracer
+	if o.statusAddr != "" {
+		reg, spans = obs.NewRegistry(), obs.NewTracer("felaworker")
+		bound, stop, err := obs.Serve(o.statusAddr, obs.NewHandler(obs.HandlerOptions{
+			Registry: reg,
+			Status:   func() any { return cur.Load().StatusAny() },
+			Health:   func() error { return healthFromStatus(cur.Load().Status()) },
+			Tracers:  []*obs.Tracer{spans},
 		}))
 		if err != nil {
 			return err
 		}
 		defer stop()
-		fmt.Printf("felaworker: telemetry on http://%s\n", bound)
+		fmt.Printf("felaworker: telemetry on http://%s (/metrics /statusz /trace /debug/pprof)\n", bound)
+	}
+	var delay func(int, int) time.Duration
+	if o.straggle > 0 {
+		delay = func(int, int) time.Duration { return time.Duration(o.straggle) * time.Millisecond }
 	}
 	dial := func() (transport.Conn, error) {
-		return transport.DialRetry(addr, retries, 100*time.Millisecond)
+		return transport.DialRetry(o.addr, o.retries, 100*time.Millisecond)
 	}
-	served, err := jobs.RunPoolWorker(dial, opts)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("felaworker: pool shut down after %d job assignments\n", served)
-	return nil
-}
 
-func run(addr string, wid, workers, iters, sleepMS, retries int, join bool, drainAfter int, reconnect bool, statusAddr string, compress transport.Compression) error {
-	cfg := rt.Config{
-		Workers:    workers,
-		TotalBatch: 64,
-		TokenBatch: 8,
-		Iterations: iters,
-		LR:         0.05,
-		Compress:   compress,
-	}
-	if statusAddr != "" {
-		cfg.Metrics = obs.NewRegistry()
-		cfg.Spans = obs.NewTracer("felaworker")
-	}
-	if sleepMS > 0 {
-		cfg.Delay = func(int, int) time.Duration { return time.Duration(sleepMS) * time.Millisecond }
-	}
-	if drainAfter >= 0 {
-		cfg.Drain = func(iter, _ int) bool { return iter >= drainAfter }
-	}
-	net := minidnn.NewMLP(42, 16, 32, 4)
-	ds := minidnn.SyntheticBlobs(7, 256, 16, 4)
-
-	conn, err := transport.DialRetry(addr, retries, 100*time.Millisecond)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	fmt.Printf("felaworker: connected to %s\n", addr)
-
-	if join {
-		if reconnect {
-			return fmt.Errorf("-reconnect applies to fixed-wid workers (a joiner's id dies with its session)")
-		}
-		// A joiner's worker id is assigned mid-protocol, so its /statusz
-		// stays 503; /metrics, /trace and pprof work from the start.
-		if statusAddr != "" {
-			bound, stop, err := obs.Serve(statusAddr, obs.NewHandler(obs.HandlerOptions{
-				Registry: cfg.Metrics,
-				Tracers:  []*obs.Tracer{cfg.Spans},
-			}))
-			if err != nil {
-				return err
-			}
-			defer stop()
-			fmt.Printf("felaworker: telemetry on http://%s\n", bound)
-		}
-		assigned, err := rt.Join(conn, net, ds, cfg)
+	if o.pool {
+		// Each assignment carries its job's spec: the session comes from
+		// there.
+		served, err := jobs.RunPoolWorker(dial, jobs.PoolWorkerOptions{
+			Delay: delay, Metrics: reg, Spans: spans,
+			Log: func(format string, args ...any) {
+				fmt.Printf("felaworker: "+format+"\n", args...)
+			},
+		})
 		if err != nil {
-			return workerExit(-1, err)
+			return err
 		}
-		if assigned < 0 {
-			fmt.Println("felaworker: session ended before this joiner was admitted")
-			return nil
-		}
-		fmt.Printf("felaworker: admitted as worker %d; session complete\n", assigned)
+		fmt.Printf("felaworker: pool shut down after %d job assignments\n", served)
 		return nil
 	}
 
-	w := rt.NewWorker(wid, net, ds, cfg)
-	if statusAddr != "" {
-		bound, stop, err := obs.Serve(statusAddr, obs.NewHandler(obs.HandlerOptions{
-			Registry: cfg.Metrics,
-			Status:   w.StatusAny,
-			Health:   func() error { return healthFromStatus(w.Status()) },
-			Tracers:  []*obs.Tracer{cfg.Spans},
-		}))
+	// The replica is felaserver's single session: the jobs preset at
+	// seed 0. The iteration count shapes neither model nor data, so any
+	// positive one builds it.
+	spec, err := jobs.NormalizeSpec(transport.JobSpec{Iterations: 1})
+	if err != nil {
+		return err
+	}
+	mk, ds, err := jobs.BuildSession(spec)
+	if err != nil {
+		return err
+	}
+	cfg := rt.Config{Delay: delay, Metrics: reg, Spans: spans, Compress: compress}
+	if o.drainAfter >= 0 {
+		cfg.Drain = func(iter, _ int) bool { return iter >= o.drainAfter }
+	}
+	for {
+		conn, err := dial()
 		if err != nil {
 			return err
 		}
-		defer stop()
-		fmt.Printf("felaworker %d: telemetry on http://%s (/metrics /statusz /trace /debug/pprof)\n", wid, bound)
-	}
-	for {
-		err := w.Run(conn)
+		fmt.Printf("felaworker: connected to %s\n", o.addr)
+		if o.join {
+			return join(conn, mk(), ds, cfg)
+		}
+		// Each registration trains a fresh replica: after a restart, the
+		// first iter-start delivers the resumed model snapshot.
+		w := rt.NewWorker(o.wid, mk(), ds, cfg)
+		cur.Store(w)
+		err = w.Run(conn)
+		conn.Close()
 		if err == nil {
-			fmt.Printf("felaworker %d: session complete\n", wid)
+			fmt.Printf("felaworker %d: session complete\n", o.wid)
 			return nil
+		}
+		if !o.reconnect {
+			return workerExit(o.wid, err)
 		}
 		switch transport.Classify(err) {
 		case transport.ClassPeerGone, transport.ClassClosed:
-			if !reconnect {
-				return workerExit(wid, err)
-			}
 		default:
 			return err
 		}
 		// The coordinator died (or evicted us). A durable server replays
-		// its ledger and resumes the session from the last checkpoint, so
-		// re-register with a fresh replica — the first iter-start after
-		// registration delivers the resumed model snapshot.
-		conn.Close()
-		fmt.Printf("felaworker %d: coordinator lost (%v), reconnecting\n", wid, err)
-		conn, err = transport.DialRetry(addr, retries, 100*time.Millisecond)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("felaworker %d: reconnected to %s\n", wid, addr)
-		net = minidnn.NewMLP(42, 16, 32, 4)
-		w = rt.NewWorker(wid, net, ds, cfg)
+		// its ledger and resumes the session from the last checkpoint.
+		fmt.Printf("felaworker %d: coordinator lost (%v), reconnecting\n", o.wid, err)
 	}
+}
+
+// join enters an in-progress elastic session on conn; the coordinator
+// assigns the worker id at the next iteration barrier.
+func join(conn transport.Conn, net *minidnn.Network, ds *minidnn.Dataset, cfg rt.Config) error {
+	defer conn.Close()
+	assigned, err := rt.Join(conn, net, ds, cfg)
+	if err != nil {
+		return workerExit(-1, err)
+	}
+	if assigned < 0 {
+		fmt.Println("felaworker: session ended before this joiner was admitted")
+		return nil
+	}
+	fmt.Printf("felaworker: admitted as worker %d; session complete\n", assigned)
+	return nil
 }
 
 // workerExit folds coordinator-side disconnects into a clean exit: a

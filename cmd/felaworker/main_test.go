@@ -5,10 +5,16 @@ import (
 	"testing"
 	"time"
 
+	"fela/internal/jobs"
 	"fela/internal/minidnn"
 	"fela/internal/rt"
 	"fela/internal/transport"
 )
+
+// fixedWorker is a fixed-wid worker on addr with the flags' defaults.
+func fixedWorker(addr string, wid int) workerOpts {
+	return workerOpts{addr: addr, wid: wid, retries: 50, drainAfter: -1}
+}
 
 // healthFromStatus backs the /healthz endpoint of a fixed-wid worker:
 // healthy while training, 503 once the worker announces a graceful
@@ -37,14 +43,16 @@ func TestPoolRefusesCompression(t *testing.T) {
 	defer l.Close()
 	for _, c := range []transport.Compression{transport.CompressFP16, transport.CompressInt8, transport.CompressTopK} {
 		done := make(chan error, 1)
-		go func() { done <- runPool(l.Addr(), 0, 1, "", c) }()
+		go func() {
+			done <- run(workerOpts{addr: l.Addr(), retries: 1, drainAfter: -1, pool: true, compress: c.String()})
+		}()
 		select {
 		case err := <-done:
 			if err == nil || !strings.Contains(err.Error(), "-pool") || !strings.Contains(err.Error(), c.String()) {
-				t.Errorf("-compress %v: runPool returned %v, want an error naming -pool and the codec", c, err)
+				t.Errorf("-compress %v: run returned %v, want an error naming -pool and the codec", c, err)
 			}
 		case <-time.After(2 * time.Second):
-			t.Fatalf("-compress %v accepted: runPool is serving the pool", c)
+			t.Fatalf("-compress %v accepted: run is serving the pool", c)
 		}
 	}
 }
@@ -64,7 +72,9 @@ func TestReconnectSurvivesCoordinatorRestart(t *testing.T) {
 
 	workerDone := make(chan error, 1)
 	go func() {
-		workerDone <- run(addr, 0, 1, 3, 0, 50, false, -1, true, "", transport.CompressExact)
+		o := fixedWorker(addr, 0)
+		o.reconnect = true
+		workerDone <- run(o)
 	}()
 
 	// Incarnation one: take the registration, then die.
@@ -84,10 +94,15 @@ func TestReconnectSurvivesCoordinatorRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := rt.Config{Workers: 1, TotalBatch: 64, TokenBatch: 8, Iterations: 3, LR: 0.05}
-	mk := func() *minidnn.Network { return minidnn.NewMLP(42, 16, 32, 4) }
-	ds := minidnn.SyntheticBlobs(7, 256, 16, 4)
-	co, err := rt.NewCoordinator(mk(), cfg)
+	spec, err := jobs.NormalizeSpec(transport.JobSpec{Iterations: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk, _, err := jobs.BuildSession(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := rt.NewCoordinator(mk(), jobs.RTConfig(spec, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +110,7 @@ func TestReconnectSurvivesCoordinatorRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second incarnation: %v", err)
 	}
-	ref, err := rt.Sequential(mk(), ds, cfg)
+	ref, err := jobs.Reference(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,5 +124,45 @@ func TestReconnectSurvivesCoordinatorRestart(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("worker did not exit after the session completed")
+	}
+}
+
+// TestWorkerExitsWhenServerGoes: without -reconnect, a fixed-wid worker
+// whose coordinator goes away mid-session exits cleanly (nil): a
+// fault-tolerant coordinator closes the connections of workers it has
+// declared dead, and that is not a worker-side error.
+func TestWorkerExitsWhenServerGoes(t *testing.T) {
+	l, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	done := make(chan error, 1)
+	go func() { done <- run(fixedWorker(l.Addr(), 2)) }()
+	c, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := c.Recv(); err != nil || m.Kind != transport.KindRegister || m.WID != 2 {
+		t.Fatalf("first contact: msg %v err %v, want register from wid 2", m, err)
+	}
+	c.Close()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("worker returned %v, want a clean exit", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker did not exit after its coordinator went away")
+	}
+}
+
+// TestJoinRefusesReconnect: -join with -reconnect is a configuration
+// error, refused before the worker dials.
+func TestJoinRefusesReconnect(t *testing.T) {
+	o := fixedWorker("127.0.0.1:1", 0)
+	o.join, o.reconnect, o.retries = true, true, 1
+	if err := run(o); err == nil || !strings.Contains(err.Error(), "-reconnect") {
+		t.Fatalf("run returned %v, want an error naming -reconnect", err)
 	}
 }

@@ -64,15 +64,6 @@ type Controller struct {
 	evictQ   []int
 	barriers int
 	reg      *obs.Registry
-	flight   *obs.FlightRecorder
-}
-
-// SetFlight routes the controller's retune events into a private flight
-// recorder (tests); nil keeps the process-global ring.
-func (c *Controller) SetFlight(f *obs.FlightRecorder) {
-	c.mu.Lock()
-	c.flight = f
-	c.mu.Unlock()
 }
 
 // NewController builds a membership controller.

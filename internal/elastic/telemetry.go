@@ -55,7 +55,7 @@ func (c *Controller) observeDecision(iter int, dec rtDecisionCounts) {
 		ev.Iter = iter
 		ev.Detail = fmt.Sprintf("admit=%d leave=%d evict=%d defer=%d",
 			dec.admits, dec.leaves, dec.evicts, dec.defers)
-		obs.FlightOr(c.flight).Record(ev)
+		obs.Flight().Record(ev)
 	}
 	if c.reg == nil {
 		return

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"fela/internal/metrics"
 	"fela/internal/model"
@@ -101,16 +100,4 @@ func (r *Table2Result) CheckTable2() error {
 		return fmt.Errorf("table2: %d solutions cover all dimensions, want exactly Fela", full)
 	}
 	return nil
-}
-
-// RenderAll renders every static table.
-func RenderAll(parts ...interface{ Render() string }) string {
-	var b strings.Builder
-	for i, p := range parts {
-		if i > 0 {
-			b.WriteString("\n")
-		}
-		b.WriteString(p.Render())
-	}
-	return b.String()
 }

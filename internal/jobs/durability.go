@@ -266,11 +266,8 @@ func (m *Manager) settleRestored(j *job, ckpt *durable.Checkpoint) {
 }
 
 // durableRTHooks attaches checkpoint persistence and resume state to
-// one job's session config. The checkpoint hook runs on the job
-// coordinator's goroutine: the store commits first, then the barrier
-// lands in the ledger, then the loop applies it (evCkpt). A failed
-// commit aborts the session — the coordinator must never run ahead of
-// state it claims is durable.
+// one job's session config. The loop applies each committed barrier
+// (evCkpt).
 func (m *Manager) durableRTHooks(j *job, cfg *rt.Config) {
 	cfg.Resume = j.resume
 	p := m.cfg.Durable
@@ -278,17 +275,26 @@ func (m *Manager) durableRTHooks(j *job, cfg *rt.Config) {
 		return
 	}
 	cfg.CheckpointEvery = m.cfg.CheckpointEvery
-	id := j.id
-	cfg.Checkpoint = func(iter int, params, vel [][]float32, losses []float64) error {
-		c := &durable.Checkpoint{JobID: id, Iter: iter, Params: params, Vel: vel, Losses: losses}
+	cfg.Checkpoint = CheckpointHook(p, j.id, func(e durable.Entry) { m.push(evCkpt{entry: e}) })
+}
+
+// CheckpointHook is the rt.Config.Checkpoint hook that commits job
+// jobID's checkpoints through p, store before ledger: the frame is
+// saved, then its OpBarrier lands in the ledger, so a replayed barrier
+// always finds its checkpoint on disk. committed, when non-nil, gets
+// each barrier entry the ledger took. The hook runs on the
+// coordinator's goroutine, and a failed commit aborts the session: the
+// coordinator must never run ahead of state it claims is durable.
+func CheckpointHook(p *durable.Plane, jobID int, committed func(durable.Entry)) func(int, [][]float32, [][]float32, []float64) error {
+	return func(iter int, params, vel [][]float32, losses []float64) error {
+		c := &durable.Checkpoint{JobID: jobID, Iter: iter, Params: params, Vel: vel, Losses: losses}
 		if err := p.Store.Save(c); err != nil {
 			return err
 		}
-		e, err := p.Ledger.Append(durable.Entry{Op: durable.OpBarrier, JobID: id, WID: -1, Iter: iter})
-		if err != nil {
-			return err
+		e, err := p.Ledger.Append(durable.Entry{Op: durable.OpBarrier, JobID: jobID, WID: -1, Iter: iter})
+		if err == nil && committed != nil {
+			committed(e)
 		}
-		m.push(evCkpt{entry: e})
-		return nil
+		return err
 	}
 }

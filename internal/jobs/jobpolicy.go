@@ -14,9 +14,8 @@ import (
 // barrier, and every barrier's live stats stream back to the manager's
 // event loop.
 //
-// AtBarrier runs on the coordinator goroutine; requestRelease and
-// pendingReleases run on the manager goroutine — the mutex covers the
-// handoff.
+// AtBarrier runs on the coordinator goroutine; requestRelease runs on
+// the manager goroutine — the mutex covers the handoff.
 type jobPolicy struct {
 	jobID int
 	min   int
@@ -86,12 +85,4 @@ func (p *jobPolicy) requestRelease(n int) {
 	p.mu.Lock()
 	p.release += n
 	p.mu.Unlock()
-}
-
-// pendingReleases is how many of the job's workers are already spoken
-// for: requested but not yet asked, plus asked but still draining.
-func (p *jobPolicy) pendingReleases() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.release + len(p.asked)
 }

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -418,6 +419,36 @@ func TestWireSubmission(t *testing.T) {
 		t.Fatal("manager did not drain")
 	}
 	wg.Wait()
+}
+
+// TestWireSubmissionRejected: a wire submission whose spec fails
+// NormalizeSpec gets a job-done carrying the error and a closed conn,
+// and counts as one rejection.
+func TestWireSubmissionRejected(t *testing.T) {
+	cfg := testConfig(FairShare{})
+	m := NewManager(cfg)
+	defer func() {
+		m.Stop()
+		<-m.Done()
+	}()
+	server, client := transport.Pair()
+	m.Admit(server)
+	if err := client.Send(&transport.Message{Kind: transport.KindSubmitJob, Job: transport.JobSpec{Name: "bad"}}); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := client.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply.Kind != transport.KindJobDone || !strings.Contains(reply.Err, "iterations must be positive") {
+		t.Fatalf("reply %v (err %q), want a job-done carrying the validation error", reply.Kind, reply.Err)
+	}
+	if extra, err := client.Recv(); err == nil {
+		t.Fatalf("conn still open after the rejection: received %v", extra.Kind)
+	}
+	if got := cfg.Metrics.Counter(MetricRejected).Value(); got != 1 {
+		t.Fatalf("%s = %d, want 1", MetricRejected, got)
+	}
 }
 
 // TestPoolJobWindowOverTCP: a pool job of many one-sample tokens over

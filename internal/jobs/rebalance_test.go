@@ -93,8 +93,8 @@ func benchInfos(n int) []JobInfo {
 }
 
 // oldStyleJob mimics the pre-refactor manager's per-job state: the
-// info fields behind a per-job mutex (the jobPolicy pendingReleases
-// lock the old eff() took during every pass).
+// info fields behind a per-job mutex (the jobPolicy lock the old
+// eff() took during every pass).
 type oldStyleJob struct {
 	mu      sync.Mutex
 	info    JobInfo

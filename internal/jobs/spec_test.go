@@ -59,6 +59,32 @@ func TestReferenceMatchesFullDataset(t *testing.T) {
 	}
 }
 
+// TestReferenceIsTheSingleSession pins the equivalence felaserver and
+// felaworker build on: the default preset at seed 0 is the single
+// session, an MLP 16-32-4 drawn from seed 42 trained in tokens of 8 on
+// the first 64 rows of the seed-7 blobs at LR 0.05. Its reference is
+// bit-identical to Sequential over that network and the 256-row
+// dataset the binaries hand-built before.
+func TestReferenceIsTheSingleSession(t *testing.T) {
+	ref, err := Reference(transport.JobSpec{Iterations: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := rt.Config{Workers: 1, TotalBatch: 64, TokenBatch: 8, Iterations: 4, LR: 0.05}
+	want, err := rt.Sequential(minidnn.NewMLP(42, 16, 32, 4), minidnn.SyntheticBlobs(7, 256, 16, 4), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !minidnn.ParamsEqual(ref.Params, want.Params) {
+		t.Fatal("the preset's reference diverged from the single session")
+	}
+	for i, l := range want.Losses {
+		if ref.Losses[i] != l {
+			t.Fatalf("loss[%d] = %v, want %v", i, ref.Losses[i], l)
+		}
+	}
+}
+
 // TestBuildSessionIsPresetPrefix: BuildSession's rows and labels are the
 // first TotalBatch rows of the full preset dataset, and an unnormalized
 // spec (TotalBatch 0) still gets all of it.

@@ -141,15 +141,6 @@ func (sm *SubModel) Params() int64 {
 // ParamBytes is the parameter footprint in bytes.
 func (sm *SubModel) ParamBytes() int64 { return sm.Params() * BytesPerElement }
 
-// FwdFLOPs is the per-sample forward cost.
-func (sm *SubModel) FwdFLOPs() int64 {
-	var n int64
-	for _, l := range sm.Layers {
-		n += l.FwdFLOPs
-	}
-	return n
-}
-
 // InBytes is the per-sample input activation size in bytes: what must be
 // fetched from the producer of the previous sub-model's output.
 func (sm *SubModel) InBytes() int64 {

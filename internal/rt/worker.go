@@ -104,9 +104,14 @@ func (w *Worker) observeKernels() {
 }
 
 // Status returns the most recently published worker snapshot, nil before
-// the first protocol event. Safe to call from any goroutine (the
-// felaworker /statusz feed).
-func (w *Worker) Status() *WorkerStatus { return w.status.Load() }
+// the first protocol event or on a nil worker. Safe to call from any
+// goroutine (the felaworker /statusz feed).
+func (w *Worker) Status() *WorkerStatus {
+	if w == nil {
+		return nil
+	}
+	return w.status.Load()
+}
 
 // StatusAny adapts Status to the obs.Handler statusFn signature without
 // handing out a typed nil.

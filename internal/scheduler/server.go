@@ -165,9 +165,6 @@ func NewServer(eng *sim.Engine, n int, levels []LevelSpec, pol Policy, tim Timin
 	return s
 }
 
-// Levels returns the level specs.
-func (s *Server) Levels() []LevelSpec { return s.levels }
-
 // Stats returns a copy of the accumulated counters.
 func (s *Server) Stats() Stats { return s.stats }
 

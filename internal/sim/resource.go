@@ -34,9 +34,6 @@ func (r *Resource) Name() string { return r.name }
 // InUse reports the number of currently granted units.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen reports the number of waiting acquirers.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
-
 func (r *Resource) account() {
 	now := r.eng.Now()
 	r.busy += float64(r.inUse) * (now - r.lastCheck)

@@ -57,7 +57,6 @@ type Engine struct {
 	now     float64
 	seq     uint64
 	stopped bool
-	steps   uint64
 }
 
 // New returns a fresh Engine with the clock at zero.
@@ -65,9 +64,6 @@ func New() *Engine { return &Engine{} }
 
 // Now reports the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
-
-// Steps reports how many events have been executed so far.
-func (e *Engine) Steps() uint64 { return e.steps }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the
 // past panics: it always indicates a model bug, and silently clamping
@@ -105,7 +101,6 @@ func (e *Engine) Run() float64 {
 	for len(e.pq) > 0 && !e.stopped {
 		ev := heap.Pop(&e.pq).(*event)
 		e.now = ev.at
-		e.steps++
 		ev.fn()
 	}
 	return e.now
@@ -119,7 +114,6 @@ func (e *Engine) RunUntil(deadline float64) float64 {
 	for len(e.pq) > 0 && !e.stopped && e.pq[0].at <= deadline {
 		ev := heap.Pop(&e.pq).(*event)
 		e.now = ev.at
-		e.steps++
 		ev.fn()
 	}
 	if e.now < deadline {

@@ -95,16 +95,6 @@ func (c Compression) String() string {
 	return fmt.Sprintf("compression(%d)", uint8(c))
 }
 
-// Compressions lists every codec, exact first (test and flag
-// enumeration).
-func Compressions() []Compression {
-	out := make([]Compression, compressCount)
-	for i := range out {
-		out[i] = Compression(i)
-	}
-	return out
-}
-
 // ParseCompression resolves a codec name from the -compress flags.
 // Empty means exact.
 func ParseCompression(name string) (Compression, error) {

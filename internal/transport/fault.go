@@ -163,10 +163,3 @@ func (f *FaultConn) Sends() int {
 	defer f.mu.Unlock()
 	return f.sends
 }
-
-// Recvs reports how many receives were attempted.
-func (f *FaultConn) Recvs() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.recvs
-}

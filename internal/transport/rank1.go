@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-
-	"fela/internal/tensor"
 )
 
 // Rank1Section is a gradient section sent as the factors of its outer
@@ -18,15 +16,6 @@ type Rank1Section struct{ X, D []float32 }
 
 // Len is the dense length the section stands for.
 func (s *Rank1Section) Len() int { return len(s.X) * len(s.D) }
-
-// AddScaledTo adds a·(X⊗D) into dst, which must hold Len floats, with
-// the bits of forming the product as a dense layer forms its weight
-// gradient and adding it by tensor's AddScaled (tensor.AddOuterScaled):
-// like TopKSection's, for a finite a and a dst holding no −0 and no
-// signalling NaN — the fold's accumulator — it is the dense fold.
-func (s *Rank1Section) AddScaledTo(dst []float32, a float32) {
-	tensor.AddOuterScaled(dst[:s.Len()], s.X, s.D, a)
-}
 
 // Rank1 returns the report's rank-1 sections, aligned with Grads: where
 // section i travels as factors, Grads[i] is nil and Rank1()[i] holds

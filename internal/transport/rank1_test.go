@@ -9,8 +9,6 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"fela/internal/tensor"
 )
 
 // rank1Sample is a report with two rank-1 sections around a dense one,
@@ -223,25 +221,6 @@ func TestRank1Conns(t *testing.T) {
 				got.Release()
 			}
 		})
-	}
-}
-
-// TestRank1FoldMatchesDenseFold: folding a rank-1 section gives the
-// bits of folding the gradient a dense layer forms from the same
-// factors, into an accumulator that has been cleared and added to.
-func TestRank1FoldMatchesDenseFold(t *testing.T) {
-	x := fill(37, func(j int) float32 { return []float32{0, -1.5, 2, float32(math.NaN()), 0.25}[j%5] })
-	d := fill(29, func(j int) float32 { return float32(j)*0.5 - 7 })
-	acc := fill(37*29, func(j int) float32 { return float32(j%11) - 5 })
-	want := append([]float32(nil), acc...)
-	g := tensor.MatMulATInto(nil, tensor.FromSlice(x, 1, len(x)), tensor.FromSlice(d, 1, len(d)))
-	tensor.FromSlice(want, len(want)).AddScaled(tensor.FromSlice(g.Data, len(g.Data)), 0.0625)
-	s := Rank1Section{X: x, D: d}
-	s.AddScaledTo(acc, 0.0625)
-	for i := range want {
-		if math.Float32bits(acc[i]) != math.Float32bits(want[i]) {
-			t.Fatalf("acc[%d] = %#08x, want %#08x", i, math.Float32bits(acc[i]), math.Float32bits(want[i]))
-		}
 	}
 }
 

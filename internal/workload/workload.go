@@ -46,15 +46,6 @@ type Trace struct {
 	Events []Event `json:"-"`
 }
 
-// Span is the offset of the last arrival (the trace's open-loop
-// duration).
-func (t *Trace) Span() time.Duration {
-	if len(t.Events) == 0 {
-		return 0
-	}
-	return t.Events[len(t.Events)-1].At
-}
-
 // Generator produces an inter-arrival process. Implementations draw
 // only from the supplied rand.Rand, so a fixed seed reproduces the
 // trace exactly.
