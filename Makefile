@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test tier1 vet race fuzz chaos elastic-chaos obs jobs bench benchmod cluster gate stat durable kernels lint-metrics ci
+.PHONY: build test tier1 vet race fuzz chaos elastic-chaos obs jobs bench benchmod cluster gate stat durable kernels lint-metrics uncovered ci
 
 build:
 	$(GO) build ./...
@@ -183,6 +183,14 @@ lint-metrics:
 	$(GO) test ./internal/obs/ -run 'TestLint|TestParse|TestExemplar' -count=1 -v
 	$(GO) test ./cmd/felaserver/ -run TestServerObservabilityE2E -count=1
 	$(GO) test ./cmd/felastat/ -run TestFelastatLiveTwoShardCluster -count=1
+
+# uncovered is informational, not part of ci: it runs tier-1 with
+# coverage of every package in the module and lists the functions no
+# test ever enters (0.0 % in `go tool cover -func`), then their count.
+UNCOVERED_PROFILE ?= uncovered.cover
+uncovered:
+	@out="$$($(GO) test -coverpkg=./... -coverprofile=$(UNCOVERED_PROFILE) ./... 2>&1)" || { echo "$$out"; exit 1; }
+	@$(GO) tool cover -func=$(UNCOVERED_PROFILE) | awk '$$NF == "0.0%" { print; n++ } END { print n + 0, "functions at 0.0%" }'
 
 # ci is the full gate: tier-1, static analysis, race detector, the
 # multi-tenant suite, the benchmark smoke pass, the regression-benchmark

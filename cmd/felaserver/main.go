@@ -663,19 +663,24 @@ func (s *server) runSession() error {
 	}
 	// Replay and rejoin are complete: the session is about to train.
 	s.restoring.Store(false)
-	if s.ctrl != nil {
-		// Keep admitting joiners for the rest of the session; the loop
-		// ends when the deferred closeL unblocks Accept.
-		go func() {
-			for c := range connCh {
-				if err := co.Admit(c); err != nil {
+	// Later connections are join candidates under -elastic; otherwise
+	// the session is full and each is closed at once, so its dialer
+	// sees EOF instead of waiting on an accept that never comes. The
+	// loop ends when the deferred closeL unblocks Accept.
+	go func() {
+		for {
+			select {
+			case c := <-connCh:
+				if s.ctrl == nil || co.Admit(c) != nil {
 					c.Close()
-					return
+					continue
 				}
 				fmt.Println("felaserver: admitted a join candidate (effective at the next barrier)")
+			case <-acceptDone:
+				return
 			}
-		}()
-	}
+		}
+	}()
 
 	// Run the session racing the signal: on SIGINT/SIGTERM stop
 	// accepting joiners and give the in-flight session -drain-timeout

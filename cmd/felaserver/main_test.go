@@ -93,6 +93,64 @@ func TestServerStrictSession(t *testing.T) {
 	wg.Wait()
 }
 
+// TestServerClosesSurplusConnection: a non-elastic session with its
+// -workers connected closes any further connection at once, and the
+// session still finishes verified bit-identical (serve fails
+// otherwise). The worker holds its first iteration until the surplus
+// dialer has its answer, so the session is running throughout.
+func TestServerClosesSurplusConnection(t *testing.T) {
+	addr := freeAddr(t)
+	checked := make(chan struct{})
+	release := sync.OnceFunc(func() { close(checked) })
+	defer release()
+	hold := rt.Config{Delay: func(iter, _ int) time.Duration {
+		if iter == 0 {
+			<-checked
+		}
+		return 0
+	}}
+	net, ds := replica(t)
+	served := make(chan error, 1)
+	go func() { served <- serve(serverOpts{addr: addr, workers: 1, iters: 4}, nil) }()
+
+	conn, err := transport.DialRetry(addr, 50, 20*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	worked := make(chan error, 1)
+	go func() { worked <- rt.NewWorker(0, net, ds, hold).Run(conn) }()
+
+	surplus, err := transport.DialRetry(addr, 50, 20*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer surplus.Close()
+	got := make(chan error, 1)
+	go func() {
+		_, err := surplus.Recv()
+		got <- err
+	}()
+	select {
+	case err := <-got:
+		if c := transport.Classify(err); c != transport.ClassPeerGone && c != transport.ClassClosed {
+			t.Errorf("surplus connection read %v (class %v), want it closed", err, c)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("surplus connection still open 5s after the session filled")
+	}
+	release()
+
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-worked; err != nil {
+		if c := transport.Classify(err); c != transport.ClassPeerGone && c != transport.ClassClosed {
+			t.Errorf("worker: %v", err)
+		}
+	}
+}
+
 // TestServerElasticSession drives the full CLI path over real TCP: two
 // registered workers, one late joiner (the felaworker -join path), and a
 // mid-session drain (-drain-after). The run must verify bit-identity

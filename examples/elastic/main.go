@@ -3,7 +3,7 @@
 // the first iteration barrier (admitted by the elastic controller); near
 // the end three workers drain out gracefully, leaving one survivor to
 // finish. The online re-tuner reshapes the token distribution from live
-// per-iteration timings after every scale event, and the final model is
+// per-iteration token rates after every scale event, and the final model is
 // verified bit-for-bit against sequential SGD — membership changes who
 // computes, never what is computed.
 package main
@@ -100,9 +100,9 @@ func run() error {
 		res.TokensByWorker, res.Steals, res.Reassigned)
 
 	ret := ctrl.Retuner()
-	fmt.Printf("\nonline re-tunes: %d (bounded two-phase search on live timings)\n", ret.Retunes())
-	for _, c := range ret.Cases() {
-		fmt.Println("  case " + c.String())
+	fmt.Printf("\nonline re-tunes: %d (token shares proportional to live rates)\n", ret.Retunes())
+	for wid := range res.TokensByWorker {
+		fmt.Printf("  worker %d: rate %.0f tokens/s\n", wid, ret.Rate(wid))
 	}
 	fmt.Printf("final shares: %v\n", ret.Shares())
 

@@ -8,16 +8,16 @@
 // reclamation). A Controller implements rt.MembershipPolicy: it bounds
 // admission with MaxWorkers, refuses to evict below MinWorkers, honors
 // every drain (a graceful leave is a planned death and can no more be
-// refused than a crash), and owns the Retuner that re-runs a bounded
-// incremental version of the §IV-B two-phase search against live
-// per-iteration timings on every scale event.
+// refused than a crash), and owns the Retuner that, on every scale
+// event, gives each live worker a share of the tokens proportional to
+// its measured token rate.
 //
 // This is the runtime half of the paper's elastic-tuning story: the
 // offline warm-up search (internal/tuning) finds a near-optimal
-// configuration for a fixed cluster; the Controller keeps the
-// configuration near-optimal while the cluster itself changes, the
-// direction explored by Chicle (Kaufmann et al.) and elastic deep
-// learning in multi-tenant GPU clusters (Wu et al.).
+// configuration for a fixed cluster; the Controller keeps the token
+// distribution matched to the cluster while the cluster itself
+// changes, the direction explored by Chicle (Kaufmann et al.) and
+// elastic deep learning in multi-tenant GPU clusters (Wu et al.).
 package elastic
 
 import (
@@ -38,8 +38,6 @@ type Config struct {
 	// MaxWorkers caps admission: pending joins beyond it stay pending
 	// (they are offered again at every barrier). 0 means unbounded.
 	MaxWorkers int
-	// Retune configures the online re-tuner.
-	Retune RetuneOptions
 }
 
 func (c Config) validate() error {
@@ -74,7 +72,7 @@ func NewController(cfg Config) (*Controller, error) {
 	if cfg.MinWorkers == 0 {
 		cfg.MinWorkers = 1
 	}
-	return &Controller{cfg: cfg, retuner: NewRetuner(cfg.Retune)}, nil
+	return &Controller{cfg: cfg, retuner: NewRetuner()}, nil
 }
 
 // RequestEvict queues a coordinator-initiated removal of wid, applied

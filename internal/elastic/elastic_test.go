@@ -1,6 +1,8 @@
 package elastic
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -16,7 +18,7 @@ func observe(r *Retuner, iter int, dur time.Duration, counts map[int]int) {
 // TestRetunerSilentBeforeSignal: with no timing signal the retuner must
 // defer to the engine's round-robin (nil distribution).
 func TestRetunerSilentBeforeSignal(t *testing.T) {
-	r := NewRetuner(RetuneOptions{})
+	r := NewRetuner()
 	if d := r.Distribution(8, []int{0, 1}); d != nil {
 		t.Fatalf("distribution before any signal = %v, want nil", d)
 	}
@@ -28,7 +30,7 @@ func TestRetunerSilentBeforeSignal(t *testing.T) {
 // TestRetunerProportional: a worker measured 3x faster owns ~3x the
 // tokens, and the full distribution covers every token exactly once.
 func TestRetunerProportional(t *testing.T) {
-	r := NewRetuner(RetuneOptions{})
+	r := NewRetuner()
 	r.Distribution(8, []int{0, 1}) // membership signal
 	observe(r, 0, 100*time.Millisecond, map[int]int{0: 6, 1: 2})
 	d := r.Distribution(8, []int{0, 1})
@@ -49,7 +51,7 @@ func TestRetunerProportional(t *testing.T) {
 // includes the joiners within three observed iterations, with no
 // fresh-cluster rebuild — the only input is the live timing feed.
 func TestRetunerReactsToScaleUp(t *testing.T) {
-	r := NewRetuner(RetuneOptions{})
+	r := NewRetuner()
 	two := []int{0, 1}
 	four := []int{0, 1, 2, 3}
 
@@ -97,42 +99,10 @@ func TestRetunerReactsToScaleUp(t *testing.T) {
 	}
 }
 
-// TestRetunerTwoPhaseCases: the search evaluates Phase-1 share-weight
-// cases and Phase-2 concentration cases, bounded by MaxCases.
-func TestRetunerTwoPhaseCases(t *testing.T) {
-	r := NewRetuner(RetuneOptions{MaxCases: 13})
-	live := []int{0, 1, 2, 3}
-	r.Distribution(16, live)
-	observe(r, 0, 100*time.Millisecond, map[int]int{0: 4, 1: 4, 2: 4, 3: 4})
-	r.Distribution(16, live)
-
-	cases := r.Cases()
-	if len(cases) == 0 || len(cases) > 13 {
-		t.Fatalf("evaluated %d cases, want 1..13", len(cases))
-	}
-	phases := map[int]int{}
-	for _, c := range cases {
-		phases[c.Phase]++
-		total := 0
-		for _, n := range c.Shares {
-			total += n
-		}
-		if total != 16 {
-			t.Errorf("case %v distributes %d tokens, want 16", c, total)
-		}
-		if c.Predicted <= 0 {
-			t.Errorf("case %v has no cost prediction", c)
-		}
-	}
-	if phases[1] == 0 || phases[2] == 0 {
-		t.Fatalf("phases covered %v, want both 1 and 2", phases)
-	}
-}
-
-// TestRetunerEWMA: the rate estimate tracks fresh measurements with the
-// configured smoothing.
+// TestRetunerEWMA: the rate estimate tracks fresh measurements with
+// rt.RateAlpha's smoothing.
 func TestRetunerEWMA(t *testing.T) {
-	r := NewRetuner(RetuneOptions{Alpha: 0.5})
+	r := NewRetuner()
 	r.Distribution(4, []int{0})
 	observe(r, 0, 1*time.Second, map[int]int{0: 4}) // 4 tok/s
 	observe(r, 1, 1*time.Second, map[int]int{0: 8}) // 8 tok/s
@@ -145,7 +115,7 @@ func TestRetunerEWMA(t *testing.T) {
 // departed worker's tokens immediately (the survivors have estimates, so
 // the search need not wait).
 func TestRetunerDrainShrink(t *testing.T) {
-	r := NewRetuner(RetuneOptions{})
+	r := NewRetuner()
 	r.Distribution(9, []int{0, 1, 2})
 	observe(r, 0, 100*time.Millisecond, map[int]int{0: 3, 1: 3, 2: 3})
 	r.Distribution(9, []int{0, 1, 2})
@@ -161,7 +131,7 @@ func TestRetunerDrainShrink(t *testing.T) {
 	}
 }
 
-// helperShares sums a share map's values.
+// sumShares sums a share map's values.
 func sumShares(m map[int]int) int {
 	total := 0
 	for _, n := range m {
@@ -170,31 +140,86 @@ func sumShares(m map[int]int) int {
 	return total
 }
 
-// TestShareHelpers: the share constructors are exact partitions with
-// deterministic tie-breaks.
+// TestShareHelpers: the largest-remainder split is an exact partition
+// with a deterministic tie-break.
 func TestShareHelpers(t *testing.T) {
-	if got := uniformShares(10, []int{4, 7, 9}); got[4] != 4 || got[7] != 3 || got[9] != 3 {
-		t.Errorf("uniformShares = %v", got)
-	}
 	speed := map[int]float64{1: 1, 2: 1, 3: 2}
 	got := proportionalShares(8, []int{1, 2, 3}, speed)
 	if sumShares(got) != 8 || got[3] != 4 || got[1] != 2 || got[2] != 2 {
 		t.Errorf("proportionalShares = %v", got)
 	}
-	// No measurable speeds: proportional degrades to uniform.
-	if got := proportionalShares(4, []int{5, 6}, map[int]float64{}); got[5] != 2 || got[6] != 2 {
-		t.Errorf("proportionalShares with no speeds = %v", got)
-	}
-	// Projection: keep surviving workers' prior shares, spread the rest.
-	prev := map[int]int{0: 4, 1: 2, 2: 2}
-	proj := projectShares(8, []int{0, 2}, prev)
-	if sumShares(proj) != 8 || proj[0] < 4 || proj[2] < 2 {
-		t.Errorf("projectShares = %v", proj)
-	}
-	// Projection can also shed tokens when the set shrinks the total.
-	shrink := projectShares(4, []int{0, 2}, prev)
-	if sumShares(shrink) != 4 {
-		t.Errorf("projectShares shrink = %v", shrink)
+}
+
+// TestRetunerClosedForm checks the re-tuner's distribution against its
+// definition on random live sets and rates: every worker with a rate
+// owns within one token of its exact fair share nTok·v/Σv, the shares
+// cover every token, equal rates leave the lower id no fewer tokens,
+// and workers with no rate yet own nothing.
+func TestRetunerClosedForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		r := NewRetuner()
+		var live []int
+		for wid := 0; wid < 10; wid++ {
+			if rng.Intn(2) == 0 {
+				live = append(live, wid)
+			}
+		}
+		if len(live) == 0 {
+			continue
+		}
+		nTok := 1 + rng.Intn(64)
+		r.Distribution(nTok, live)
+		// Each measured worker trains 1..4 tokens (so rates tie often)
+		// or a random amount in one second.
+		trained := map[int]int{}
+		for _, wid := range live {
+			if rng.Intn(4) == 0 {
+				continue // no rate yet
+			}
+			if trial%2 == 0 {
+				trained[wid] = 1 + rng.Intn(4)
+			} else {
+				trained[wid] = 1 + rng.Intn(1000)
+			}
+		}
+		r.Observe(0, time.Second, trained)
+		d := r.Distribution(nTok, live)
+		if len(trained) == 0 {
+			if d != nil {
+				t.Fatalf("distribution %v with no rate measured, want nil", d)
+			}
+			continue
+		}
+		if len(d) != nTok {
+			t.Fatalf("live %v, nTok %d, trained %v: distribution covers %d tokens", live, nTok, trained, len(d))
+		}
+		owned := map[int]int{}
+		for _, wid := range d {
+			owned[wid]++
+		}
+		var sum float64
+		for _, n := range trained {
+			sum += float64(n)
+		}
+		for _, wid := range live {
+			v, known := trained[wid]
+			if !known {
+				if owned[wid] != 0 {
+					t.Fatalf("worker %d has no rate but owns %d tokens (trained %v)", wid, owned[wid], trained)
+				}
+				continue
+			}
+			fair := float64(nTok) * float64(v) / sum
+			if math.Abs(float64(owned[wid])-fair) >= 1 {
+				t.Fatalf("worker %d owns %d, fair share %.3f (nTok %d, trained %v)", wid, owned[wid], fair, nTok, trained)
+			}
+			for _, hi := range live {
+				if hi > wid && trained[hi] == v && owned[hi] > owned[wid] {
+					t.Fatalf("equal rates: worker %d owns %d < worker %d's %d (trained %v)", wid, owned[wid], hi, owned[hi], trained)
+				}
+			}
+		}
 	}
 }
 

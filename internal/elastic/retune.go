@@ -1,93 +1,49 @@
 package elastic
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"fela/internal/obs"
+	"fela/internal/rt"
 )
 
-// RetuneOptions bounds the incremental search.
-type RetuneOptions struct {
-	// Alpha is the EWMA smoothing factor for per-worker token rates in
-	// (0, 1]; 1 trusts only the latest iteration. Default 0.5.
-	Alpha float64
-	// StealPenalty is the modeled relative cost of a stolen token — the
-	// sample-migration overhead a helper pays to train another worker's
-	// shard (the FlexRR-style cost Fela keeps small). Default 0.25.
-	StealPenalty float64
-	// MaxCases caps the candidate configurations evaluated per
-	// membership change. Default 13, mirroring the paper's warm-up
-	// search budget (§IV-B, 10 + 4 − 1 cases).
-	MaxCases int
-}
-
-func (o RetuneOptions) withDefaults() RetuneOptions {
-	if o.Alpha <= 0 || o.Alpha > 1 {
-		o.Alpha = 0.5
-	}
-	if o.StealPenalty <= 0 {
-		o.StealPenalty = 0.25
-	}
-	if o.MaxCases <= 0 {
-		o.MaxCases = 13
-	}
-	return o
-}
-
-// TuneCase is one candidate token distribution evaluated by a re-tune,
-// the online analog of tuning.Case.
-type TuneCase struct {
-	// Phase is 1 for the share-weight sweep, 2 for the concentration
-	// (conditional-subset analog) sweep.
-	Phase int
-	// Shares maps live worker id to the number of tokens it would own.
-	Shares map[int]int
-	// Predicted is the cost model's iteration-time estimate (relative
-	// units; only the ordering matters).
-	Predicted float64
-}
-
-// Retuner is the online re-tuner (§IV-B, made elastic): on every
-// membership change it re-runs a bounded, incremental version of the
-// offline two-phase search — Phase 1 sweeps candidate ownership-share
-// vectors, Phase 2 sweeps concentration subsets (the CTD analog at the
-// data-token level: the fastest 2^k workers own everything, the rest
-// start each iteration as pure helpers). Unlike the warm-up tuner, no
-// fresh cluster is built per case: candidates are scored against a cost
-// model fed by live per-iteration timings, so a re-tune costs
-// microseconds instead of warm-up iterations.
+// Retuner is the online re-tuner: it keeps an EWMA of each live
+// worker's token rate from per-iteration timings and, on every
+// membership change, gives each worker a share of the iteration's
+// tokens proportional to its rate (largest remainder, ties to the lower
+// id). That is the argmin of an iteration's modeled cost — every token
+// owned beyond a worker's fair compute share must migrate to a helper —
+// so no candidate search is needed; HF stealing absorbs whatever the
+// estimate gets wrong.
 //
-// A worker the re-tuner has no timing sample for (a fresh joiner) owns
-// zero tokens and helps by stealing; its first completed iteration
-// yields a rate estimate and triggers the deferred search, so the
+// A worker the re-tuner has no rate for (a fresh joiner) owns zero
+// tokens and helps by stealing; its first iteration with a trained
+// token yields a rate and triggers the deferred recomputation, so the
 // distribution adapts within a couple of iterations of any scale event.
 type Retuner struct {
-	opts RetuneOptions
-
 	mu    sync.Mutex
 	nTok  int
 	live  []int
 	speed map[int]float64 // EWMA tokens/sec per worker
-	dist  map[int]int     // chosen ownership counts
-	cases []TuneCase      // the most recent search's evaluated cases
-	// dirty marks a membership change whose search is still waiting for
-	// rate estimates of new workers.
+	dist  map[int]int     // current ownership counts
+	// dirty marks a membership change whose recomputation is still
+	// waiting for rate estimates of new workers.
 	dirty   bool
 	retunes int
 	reg     *obs.Registry
 }
 
 // NewRetuner builds an online re-tuner.
-func NewRetuner(opts RetuneOptions) *Retuner {
-	return &Retuner{opts: opts.withDefaults(), speed: map[int]float64{}}
+func NewRetuner() *Retuner {
+	return &Retuner{speed: map[int]float64{}}
 }
 
 // Observe feeds one live iteration's timing signal: its wall-clock
-// duration and the tokens each worker trained. A search deferred for
-// missing rate estimates re-runs as soon as the estimates exist.
+// duration and the tokens each worker trained. A recomputation deferred
+// for missing rate estimates runs as soon as the estimates exist.
 func (r *Retuner) Observe(iter int, dur time.Duration, tokens map[int]int) {
 	if dur <= 0 {
 		return
@@ -101,28 +57,28 @@ func (r *Retuner) Observe(iter int, dur time.Duration, tokens map[int]int) {
 		}
 		rate := float64(n) / secs
 		if old, ok := r.speed[wid]; ok {
-			r.speed[wid] = (1-r.opts.Alpha)*old + r.opts.Alpha*rate
+			r.speed[wid] = (1-rt.RateAlpha)*old + rt.RateAlpha*rate
 		} else {
 			r.speed[wid] = rate
 		}
 	}
 	if r.dirty {
-		r.search()
+		r.recompute()
 	}
 }
 
 // Distribution implements the ownership hook: it maps nTok tokens onto
 // the live worker ids. A membership change (any difference from the
-// last live set) triggers the bounded two-phase re-search. Returning nil
-// (before any timing signal exists) lets the engine round-robin.
+// last live set) recomputes the shares. Returning nil (before any
+// timing signal exists) lets the engine round-robin.
 func (r *Retuner) Distribution(nTok int, live []int) []int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.nTok = nTok
-	if !sameIDs(r.live, live) {
+	if !slices.Equal(r.live, live) {
 		r.live = append([]int(nil), live...)
 		r.dirty = true
-		r.search()
+		r.recompute()
 	}
 	if r.dist == nil {
 		return nil
@@ -141,11 +97,11 @@ func (r *Retuner) Distribution(nTok int, live []int) []int {
 	return out
 }
 
-// search runs the bounded two-phase candidate sweep under r.mu. Workers
-// without a rate estimate own zero (pure helpers); the search stays
-// dirty until every live worker has an estimate.
-func (r *Retuner) search() {
-	if r.nTok <= 0 || len(r.live) == 0 {
+// recompute sets the shares under r.mu: rate-proportional over the live
+// workers with a rate estimate, zero for the rest (pure helpers). It
+// stays dirty until every live worker has an estimate.
+func (r *Retuner) recompute() {
+	if r.nTok <= 0 {
 		return
 	}
 	var known []int
@@ -157,79 +113,16 @@ func (r *Retuner) search() {
 	if len(known) == 0 {
 		return // no signal yet; keep round-robin
 	}
-
-	// Phase 1: share-weight sweep — uniform, proportional-to-rate, and
-	// the previous distribution projected onto the known set.
-	cands := []TuneCase{
-		{Phase: 1, Shares: uniformShares(r.nTok, known)},
-		{Phase: 1, Shares: proportionalShares(r.nTok, known, r.speed)},
-	}
-	if r.dist != nil {
-		cands = append(cands, TuneCase{Phase: 1, Shares: projectShares(r.nTok, known, r.dist)})
-	}
-
-	// Phase 2: concentration sweep — halve the owner subset down to one,
-	// keeping the fastest workers as owners (conditional token
-	// distribution restated for data tokens).
-	byRate := append([]int(nil), known...)
-	sort.Slice(byRate, func(i, j int) bool {
-		if r.speed[byRate[i]] != r.speed[byRate[j]] {
-			return r.speed[byRate[i]] > r.speed[byRate[j]]
-		}
-		return byRate[i] < byRate[j]
-	})
-	for s := len(known) / 2; s >= 1; s /= 2 {
-		subset := append([]int(nil), byRate[:s]...)
-		sort.Ints(subset)
-		cands = append(cands, TuneCase{Phase: 2, Shares: proportionalShares(r.nTok, subset, r.speed)})
-	}
-	if len(cands) > r.opts.MaxCases {
-		cands = cands[:r.opts.MaxCases]
-	}
-
-	best := -1
-	for i := range cands {
-		cands[i].Predicted = r.predict(cands[i].Shares)
-		if best < 0 || cands[i].Predicted < cands[best].Predicted {
-			best = i
-		}
-	}
-	r.cases = cands
-	r.dist = cands[best].Shares
+	r.dist = proportionalShares(r.nTok, known, r.speed)
 	r.retunes++
-	r.observeSearch()
+	r.observeShares()
 	if len(known) == len(r.live) {
 		r.dirty = false
 	}
 }
 
-// predict is the live-timing cost model: an iteration's tokens are
-// processed at the cluster's aggregate rate, and every token owned
-// beyond a worker's fair compute share must migrate to a helper, paying
-// StealPenalty extra. Minimized by rate-proportional ownership; skewed
-// ownership (including the concentration cases) pays for its migrations.
-func (r *Retuner) predict(shares map[int]int) float64 {
-	var sum float64
-	for _, wid := range r.live {
-		if v := r.speed[wid]; v > 0 {
-			sum += v
-		}
-	}
-	if sum <= 0 {
-		return 0
-	}
-	var steals float64
-	for wid, n := range shares {
-		fair := float64(r.nTok) * r.speed[wid] / sum
-		if over := float64(n) - fair; over > 0 {
-			steals += over
-		}
-	}
-	return (float64(r.nTok) + r.opts.StealPenalty*steals) / sum
-}
-
 // Shares returns a copy of the current ownership counts (nil before the
-// first search).
+// first recomputation).
 func (r *Retuner) Shares() map[int]int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -243,14 +136,7 @@ func (r *Retuner) Shares() map[int]int {
 	return out
 }
 
-// Cases returns the most recent search's evaluated candidates.
-func (r *Retuner) Cases() []TuneCase {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]TuneCase(nil), r.cases...)
-}
-
-// Retunes counts completed searches.
+// Retunes counts distribution recomputations.
 func (r *Retuner) Retunes() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -265,44 +151,14 @@ func (r *Retuner) Rate(wid int) float64 {
 	return r.speed[wid]
 }
 
-// String renders a TuneCase for logs.
-func (c TuneCase) String() string {
-	wids := make([]int, 0, len(c.Shares))
-	for wid := range c.Shares {
-		wids = append(wids, wid)
-	}
-	sort.Ints(wids)
-	parts := make([]string, len(wids))
-	for i, wid := range wids {
-		parts[i] = fmt.Sprintf("w%d:%d", wid, c.Shares[wid])
-	}
-	return fmt.Sprintf("phase%d %v predicted=%.4g", c.Phase, parts, c.Predicted)
-}
-
-// uniformShares splits nTok evenly, earlier (lower-id) workers taking
-// the remainder.
-func uniformShares(nTok int, wids []int) map[int]int {
-	out := make(map[int]int, len(wids))
-	base, rem := nTok/len(wids), nTok%len(wids)
-	for i, wid := range wids {
-		out[wid] = base
-		if i < rem {
-			out[wid]++
-		}
-	}
-	return out
-}
-
-// proportionalShares splits nTok proportionally to the workers' rates
-// using the largest-remainder method (deterministic: ties go to the
-// lower id).
+// proportionalShares splits nTok over wids, whose rates must all be
+// positive, by the largest-remainder method: each worker gets the floor
+// of its exact share nTok·v/Σv, and the leftover tokens go to the
+// largest fractional parts, ties to the lower id.
 func proportionalShares(nTok int, wids []int, speed map[int]float64) map[int]int {
 	var sum float64
 	for _, wid := range wids {
 		sum += speed[wid]
-	}
-	if sum <= 0 {
-		return uniformShares(nTok, wids)
 	}
 	out := make(map[int]int, len(wids))
 	type frac struct {
@@ -329,39 +185,4 @@ func proportionalShares(nTok int, wids []int, speed map[int]float64) map[int]int
 		assigned++
 	}
 	return out
-}
-
-// projectShares maps a previous distribution onto the current worker
-// set, spreading tokens of departed workers uniformly.
-func projectShares(nTok int, wids []int, prev map[int]int) map[int]int {
-	out := make(map[int]int, len(wids))
-	assigned := 0
-	for _, wid := range wids {
-		out[wid] = prev[wid]
-		assigned += prev[wid]
-	}
-	for i := 0; assigned < nTok; i++ {
-		out[wids[i%len(wids)]]++
-		assigned++
-	}
-	for i := 0; assigned > nTok; i = (i + 1) % len(wids) {
-		if out[wids[i]] > 0 {
-			out[wids[i]]--
-			assigned--
-		}
-	}
-	return out
-}
-
-// sameIDs reports whether two ascending id slices are equal.
-func sameIDs(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

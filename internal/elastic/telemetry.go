@@ -9,19 +9,20 @@ import (
 
 // Metric names exported by an observed Controller. Together with the rt
 // engine's fela_rt_scale_total they make every elastic decision
-// scrapeable: how often barriers fired, how often the online search
-// re-ran, what it decided, and the resulting per-worker ownership.
+// scrapeable: how often barriers fired, how often the distribution was
+// recomputed, what the controller decided, and the resulting per-worker
+// ownership.
 const (
 	// MetricBarriers counts iteration barriers the controller observed.
 	MetricBarriers = "fela_elastic_barriers_total"
-	// MetricRetunes counts completed online re-tune searches.
+	// MetricRetunes counts distribution recomputations.
 	MetricRetunes = "fela_elastic_retunes_total"
 	// MetricDecisions counts membership verdicts by kind: "admit",
 	// "leave", "evict", and "defer" for joins/evictions held back by the
 	// worker bounds.
 	MetricDecisions = "fela_elastic_decisions_total"
 	// MetricShare gauges the re-tuner's current token ownership per
-	// worker (the Phase 1/2 search output, live).
+	// worker (its rate-proportional shares, live).
 	MetricShare = "fela_elastic_share"
 	// MetricRate gauges the re-tuner's EWMA tokens/sec estimate per
 	// worker (the Eq. 3 input signal).
@@ -33,7 +34,7 @@ const (
 func (c *Controller) SetObs(reg *obs.Registry) {
 	if reg != nil {
 		reg.Help(MetricBarriers, "Iteration barriers observed by the elastic controller.")
-		reg.Help(MetricRetunes, "Completed online re-tune searches.")
+		reg.Help(MetricRetunes, "Token distribution recomputations.")
 		reg.Help(MetricDecisions, "Elastic membership verdicts by kind (admit/leave/evict/defer).")
 		reg.Help(MetricShare, "Current re-tuned token ownership per worker.")
 		reg.Help(MetricRate, "Re-tuner EWMA token rate estimate per worker (tokens/s).")
@@ -72,8 +73,8 @@ type rtDecisionCounts struct {
 	admits, leaves, evicts, defers int
 }
 
-// observeSearch publishes the search output. Called with r.mu held.
-func (r *Retuner) observeSearch() {
+// observeShares publishes the recomputed shares. Called with r.mu held.
+func (r *Retuner) observeShares() {
 	if r.reg == nil {
 		return
 	}

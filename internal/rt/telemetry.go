@@ -45,9 +45,10 @@ const (
 	MetricStragglerScore = "fela_rt_straggler_score"
 )
 
-// rateAlpha is the EWMA smoothing for live per-worker token rates,
-// matching elastic.RetuneOptions' default.
-const rateAlpha = 0.5
+// RateAlpha is the EWMA smoothing for live per-worker token rates:
+// the coordinator's straggler signal and the elastic re-tuner's rate
+// estimate both weigh the latest iteration by it.
+const RateAlpha = 0.5
 
 // coTelemetry bundles the coordinator's hot-path instruments so the
 // event loop never does a registry lookup per message. Built once in
@@ -102,8 +103,10 @@ func (co *Coordinator) observeIteration(iterTime time.Duration) {
 	}
 	// Update every live worker's EWMA, including workers that reported
 	// nothing this iteration (stalled or starved by stealing): a zero
-	// observation is a real signal, and the re-tuner needs a complete
-	// per-worker feed.
+	// observation is a real straggler signal, and the queue budget and
+	// /statusz read these rates. (The elastic re-tuner keeps its own
+	// estimate and skips zero-token iterations, so a joiner stays a
+	// helper until it trains.)
 	live := map[int]bool{}
 	var max float64
 	for _, ws := range co.workers {
@@ -113,7 +116,7 @@ func (co *Coordinator) observeIteration(iterTime time.Duration) {
 		live[ws.wid] = true
 		rate := float64(co.iterTokens[ws.wid]) / secs
 		if old, ok := co.rates[ws.wid]; ok {
-			rate = (1-rateAlpha)*old + rateAlpha*rate
+			rate = (1-RateAlpha)*old + RateAlpha*rate
 		}
 		co.rates[ws.wid] = rate
 		if rate > max {

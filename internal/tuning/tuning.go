@@ -27,19 +27,10 @@ type Options struct {
 	// ClusterConfig builds a fresh cluster per case so measurements are
 	// independent.
 	ClusterConfig cluster.Config
-	// PaperStrict13 restricts the search to the paper's exact 13 cases.
-	// By default the tuner appends a small refinement (≤3 extra cases):
-	// for each strict conditional subset it also tries the maximal FC
-	// weight, because concentrating the FC sub-model on few workers
-	// changes which FC batch size is optimal — a coupling the strict
-	// greedy order (weights first, subset second) cannot see. See
-	// DESIGN.md §4 and EXPERIMENTS.md for the rationale.
-	PaperStrict13 bool
 }
 
 // DefaultOptions returns the paper's tuning setup: 5 warm-up iterations
-// per case on the 8-node testbed, plus the subset/FC-weight co-tuning
-// refinement.
+// per case on the 8-node testbed.
 func DefaultOptions() Options {
 	return Options{WarmupIters: 5, ClusterConfig: cluster.Testbed8()}
 }
@@ -50,7 +41,7 @@ type Case struct {
 	// in Fig. 6(a)).
 	Index int
 	// Phase is 1 or 2 (3 marks this implementation's subset/FC-weight
-	// co-tuning refinement cases, absent in paper-strict mode).
+	// co-tuning refinement cases).
 	Phase int
 	// Weights is the parallelism-degree vector of the case.
 	Weights []int
@@ -65,8 +56,9 @@ type Result struct {
 	// Model and TotalBatch identify the tuned workload.
 	Model      string
 	TotalBatch int
-	// Cases are all measured cases in order (Phase 1 then Phase 2,
-	// excluding the duplicated full-subset case).
+	// Cases are all measured cases in order: Phase 1 then Phase 2,
+	// excluding the duplicated full-subset case — the paper's 13 —
+	// then the refinement's phase-3 cases.
 	Cases []Case
 	// BestWeights and BestSubset are the chosen configuration.
 	BestWeights []int
@@ -172,33 +164,32 @@ func Tune(m *model.Model, subs []model.SubModel, totalBatch int, opts Options) (
 	r.Phase2Gap = gap(phase2)
 	r.OverallGap = gap(r.Cases)
 
-	// Refinement (ours, skipped in paper-strict mode): co-tune the FC
-	// weight with the conditional subset. Raising w_M to its maximum
-	// turns the comm-intensive sub-model into few large tokens, which
-	// only pays off once CTD concentrates them — a configuration the
-	// strict phase order can never reach.
-	if !opts.PaperStrict13 {
-		maxW := 1
-		for maxW*2 <= n {
-			maxW *= 2
-		}
-		if r.BestWeights[len(r.BestWeights)-1] < maxW {
-			alt := make([]int, len(r.BestWeights))
-			copy(alt, r.BestWeights)
-			alt[len(alt)-1] = maxW
-			bestTime := minTime(r.Cases)
-			for _, s := range scheduler.SubsetSizes(n)[1:] {
-				t, err := measure(m, subs, alt, s, totalBatch, opts)
-				if err != nil {
-					return nil, fmt.Errorf("tuning: refinement subset %d: %w", s, err)
-				}
-				c := Case{Index: len(r.Cases), Phase: 3, Weights: alt, SubsetSize: s, IterTime: t}
-				r.Cases = append(r.Cases, c)
-				if t < bestTime {
-					bestTime = t
-					r.BestWeights = alt
-					r.BestSubset = s
-				}
+	// Refinement (ours, ≤3 extra cases after the paper's 13): co-tune
+	// the FC weight with the conditional subset. Raising w_M to its
+	// maximum turns the comm-intensive sub-model into few large tokens,
+	// which only pays off once CTD concentrates them — a coupling the
+	// strict greedy order (weights first, subset second) can never reach.
+	// See DESIGN.md §5 and EXPERIMENTS.md.
+	maxW := 1
+	for maxW*2 <= n {
+		maxW *= 2
+	}
+	if r.BestWeights[len(r.BestWeights)-1] < maxW {
+		alt := make([]int, len(r.BestWeights))
+		copy(alt, r.BestWeights)
+		alt[len(alt)-1] = maxW
+		bestTime := minTime(r.Cases)
+		for _, s := range scheduler.SubsetSizes(n)[1:] {
+			t, err := measure(m, subs, alt, s, totalBatch, opts)
+			if err != nil {
+				return nil, fmt.Errorf("tuning: refinement subset %d: %w", s, err)
+			}
+			c := Case{Index: len(r.Cases), Phase: 3, Weights: alt, SubsetSize: s, IterTime: t}
+			r.Cases = append(r.Cases, c)
+			if t < bestTime {
+				bestTime = t
+				r.BestWeights = alt
+				r.BestSubset = s
 			}
 		}
 	}
