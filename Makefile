@@ -56,10 +56,12 @@ obs:
 # jobs runs the multi-tenant suite under the race detector: the manager
 # unit/integration tests (including the migration chaos tests and the
 # sessions whose iter-start outlives the next barrier in an asyncConn
-# queue), the felaserver -jobs TCP e2e path, and the multijob example.
+# queue), the felaserver -jobs TCP e2e paths repeated on one CPU (each
+# ends with the pool workers rejoining a draining manager), and the
+# multijob example.
 jobs:
 	$(GO) test ./internal/jobs/ -race -count=1 -v
-	$(GO) test ./cmd/felaserver/ -race -run TestServerJobsMode -v
+	GOMAXPROCS=1 $(GO) test ./cmd/felaserver/ -race -count=20 -run 'TestServerJobsMode|TestServerClusterTrace|TestJobsModeGracefulShutdown' -v
 	$(GO) test ./examples/multijob/ -race -count=1
 
 # fuzz runs the AVX2 row tile against the scalar loop, the key

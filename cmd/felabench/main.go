@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	felabench [-quick] [-experiment all|table1|...|extensions|jobs|wire|cluster|gate|durable]
+//	felabench [-quick] [-experiment all|table1|...|extensions|jobs|cluster|gate|durable]
 //	felabench -csvdir out/    # also write plotting-ready CSV series
 package main
 
@@ -25,8 +25,7 @@ import (
 // they run under "all".
 var experimentNames = []string{
 	"all", "table1", "fig1", "table2", "fig5", "fig6", "fig7", "fig8",
-	"fig9", "fig10", "extensions", "jobs", "wire", "cluster", "gate",
-	"durable",
+	"fig9", "fig10", "extensions", "jobs", "cluster", "gate", "durable",
 }
 
 func validExperiment(which string) bool {
@@ -42,7 +41,6 @@ func validExperiment(which string) bool {
 type benchPaths struct {
 	csvDir  string
 	jobs    string
-	wire    string
 	cluster string
 	gate    string
 	durable string
@@ -55,7 +53,6 @@ func main() {
 	var p benchPaths
 	flag.StringVar(&p.csvDir, "csvdir", "", "also write each figure's data series as CSV files into this directory")
 	flag.StringVar(&p.jobs, "jobsjson", "BENCH_jobs.json", "path for the jobs experiment's machine-readable report")
-	flag.StringVar(&p.wire, "wirejson", "BENCH_wire.json", "path for the wire experiment's machine-readable report")
 	flag.StringVar(&p.cluster, "clusterjson", "BENCH_cluster.json", "path for the cluster experiment's machine-readable report")
 	flag.StringVar(&p.gate, "gatejson", "BENCH_gate.json", "path for the gate experiment's machine-readable report")
 	flag.StringVar(&p.durable, "durablejson", "BENCH_durable.json", "path for the durable experiment's machine-readable report")
@@ -190,11 +187,6 @@ func run(ctx *experiments.Context, which string, p benchPaths, quick bool) error
 	}
 	if all || which == "jobs" {
 		if err := runJobsBench(quick, p.jobs, out); err != nil {
-			return err
-		}
-	}
-	if all || which == "wire" {
-		if err := runWireBench(quick, p.wire, out); err != nil {
 			return err
 		}
 	}

@@ -224,7 +224,9 @@ func run(o gateOpts, sig <-chan os.Signal) error {
 	if err := srv.Shutdown(shutCtx); err != nil {
 		fmt.Printf("felagate: http shutdown: %v\n", err)
 	}
-	poolL.Close()
+	// The pool listener stays open (deferred close) until the shards
+	// drain, so the workers the last jobs free can rejoin and be told
+	// to shut down.
 	stopManagers(o.drainTimeout)
 
 	st := gw.Status()

@@ -26,6 +26,13 @@ func startCluster(t *testing.T, poolWorkers int) (base, statusAddr string) {
 	spans := obs.NewTracer("felagate")
 	flight := obs.NewFlightRecorder(1 << 10)
 
+	// Closed last, after the shards drain, as in felagate.
+	poolL, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { poolL.Close() })
+
 	pol, ok := jobs.PolicyByName("fair-share")
 	if !ok {
 		t.Fatal("fair-share policy missing")
@@ -49,11 +56,6 @@ func startCluster(t *testing.T, poolWorkers int) (base, statusAddr string) {
 		}
 	})
 
-	poolL, err := transport.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { poolL.Close() })
 	go func() {
 		for i := 0; ; i++ {
 			c, err := poolL.Accept()

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"fela/internal/elastic"
 	"fela/internal/jobs"
 	"fela/internal/minidnn"
 	"fela/internal/rt"
@@ -14,6 +15,47 @@ import (
 // fixedWorker is a fixed-wid worker on addr with the flags' defaults.
 func fixedWorker(addr string, wid int) workerOpts {
 	return workerOpts{addr: addr, wid: wid, retries: 50, drainAfter: -1}
+}
+
+// serveSession coordinates felaserver's single session for iters
+// iterations over conns, elastic with joiner admitted first if one is
+// given, and checks it ends bit-identical to the sequential reference.
+func serveSession(t *testing.T, iters int, joiner transport.Conn, conns ...transport.Conn) *rt.Result {
+	t.Helper()
+	spec, err := jobs.NormalizeSpec(transport.JobSpec{Iterations: iters})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk, _, err := jobs.BuildSession(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := jobs.RTConfig(spec, len(conns))
+	if joiner != nil {
+		if cfg.Elastic, err = elastic.NewController(elastic.Config{MaxWorkers: len(conns) + 1}); err != nil {
+			t.Fatal(err)
+		}
+		cfg.WorkerTimeout = 5 * time.Second
+	}
+	co, err := rt.NewCoordinator(mk(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if joiner != nil && co.Admit(joiner) != nil {
+		t.Fatal("elastic session refused the joiner")
+	}
+	res, err := co.Run(conns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := jobs.Reference(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !minidnn.ParamsEqual(ref.Params, res.Params) {
+		t.Fatal("session diverged from the sequential reference")
+	}
+	return res
 }
 
 // healthFromStatus backs the /healthz endpoint of a fixed-wid worker:
@@ -94,29 +136,7 @@ func TestReconnectSurvivesCoordinatorRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := jobs.NormalizeSpec(transport.JobSpec{Iterations: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk, _, err := jobs.BuildSession(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	co, err := rt.NewCoordinator(mk(), jobs.RTConfig(spec, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := co.Run([]transport.Conn{c2})
-	if err != nil {
-		t.Fatalf("second incarnation: %v", err)
-	}
-	ref, err := jobs.Reference(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !minidnn.ParamsEqual(ref.Params, res.Params) {
-		t.Fatal("reconnected worker diverged from sequential reference")
-	}
+	serveSession(t, 3, nil, c2)
 	select {
 	case err := <-workerDone:
 		if err != nil {
@@ -154,6 +174,34 @@ func TestWorkerExitsWhenServerGoes(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("worker did not exit after its coordinator went away")
+	}
+}
+
+// TestJoinEntersElasticSession: -join dials an elastic session, is
+// admitted at a barrier, trains its share of the tokens and exits
+// cleanly when the session completes.
+func TestJoinEntersElasticSession(t *testing.T) {
+	l, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	exits := make(chan error, 2)
+	conns := make([]transport.Conn, 2)
+	for i, o := range []workerOpts{fixedWorker(l.Addr(), 0), {addr: l.Addr(), join: true, retries: 50, drainAfter: -1}} {
+		go func() { exits <- run(o) }()
+		if conns[i], err = l.Accept(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := serveSession(t, 6, conns[1], conns[0])
+	if len(res.TokensByWorker) != 2 || res.TokensByWorker[1] == 0 {
+		t.Fatalf("tokens by worker %v, want the joiner (wid 1) to have trained", res.TokensByWorker)
+	}
+	for range conns {
+		if err := <-exits; err != nil {
+			t.Fatalf("worker exit: %v", err)
+		}
 	}
 }
 

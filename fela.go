@@ -57,8 +57,6 @@ type (
 	Scenario = straggler.Scenario
 	// TuningResult is the outcome of the two-phase configuration tuner.
 	TuningResult = tuning.Result
-	// Cluster is the simulated testbed.
-	Cluster = cluster.Cluster
 	// ClusterConfig describes a testbed to simulate.
 	ClusterConfig = cluster.Config
 	// Network is a real trainable network for the real-time engine.
@@ -90,9 +88,6 @@ func ModelByName(name string) (*Model, error) { return model.ByName(name) }
 // Testbed8 returns the paper's evaluation cluster configuration: 8
 // nodes, one Tesla K40c each, 10 Gbps Ethernet.
 func Testbed8() ClusterConfig { return cluster.Testbed8() }
-
-// NewCluster builds a fresh simulated cluster.
-func NewCluster(cfg ClusterConfig) *Cluster { return cluster.New(cfg) }
 
 // Partition applies the offline bin-partitioned method (§IV-A) with the
 // paper's bin size, using the default profile repository for the

@@ -225,6 +225,9 @@ func TestScanRejectsHostileLength(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("hostile length: got %v, want CorruptError", err)
 	}
+	if msg := ce.Error(); msg != "durable: corrupt record: "+ce.Err.Error() {
+		t.Fatalf("CorruptError reads %q", msg)
+	}
 }
 
 func TestCheckpointOverCapRefused(t *testing.T) {

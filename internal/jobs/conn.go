@@ -3,7 +3,6 @@ package jobs
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"fela/internal/obs"
 	"fela/internal/transport"
@@ -37,12 +36,6 @@ func (q *queuedConn) Recv() (*transport.Message, error) {
 	}
 	q.mu.Unlock()
 	return q.Conn.Recv()
-}
-
-// SetTimeouts forwards deadline configuration to the wrapped conn so
-// transport.SetTimeouts works through the wrapper.
-func (q *queuedConn) SetTimeouts(send, recv time.Duration) {
-	transport.SetTimeouts(q.Conn, send, recv)
 }
 
 // SendBroadcast forwards the encode-once fast path to the wrapped conn
@@ -198,12 +191,6 @@ func (a *asyncConn) Recv() (*transport.Message, error) {
 func (a *asyncConn) Close() error {
 	a.once.Do(func() { close(a.stop) })
 	return a.inner.Close()
-}
-
-// SetTimeouts forwards deadline configuration to the inner conn; the
-// forwarding goroutine then inherits per-send deadlines.
-func (a *asyncConn) SetTimeouts(send, recv time.Duration) {
-	transport.SetTimeouts(a.inner, send, recv)
 }
 
 // SetMetrics forwards codec telemetry attachment to the inner conn.

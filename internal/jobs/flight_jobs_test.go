@@ -1,7 +1,9 @@
 package jobs
 
 import (
+	"encoding/json"
 	"errors"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -79,6 +81,13 @@ func TestManagerFlightAndBurn(t *testing.T) {
 	}
 	if g := cfg.Metrics.Gauge(MetricSLOBurn, "window", "5m").Value(); g != st.SLOBurn5m {
 		t.Fatalf("burn gauge = %v, status = %v", g, st.SLOBurn5m)
+	}
+	// The obs handler serves the snapshot through StatusAny.
+	rec := httptest.NewRecorder()
+	obs.NewHandler(obs.HandlerOptions{Status: m.StatusAny}).ServeHTTP(rec, httptest.NewRequest("GET", "/statusz", nil))
+	var served PoolStatus
+	if err := json.Unmarshal(rec.Body.Bytes(), &served); err != nil || served.Completed != 2 || served.SLOBurn5m <= 0 {
+		t.Fatalf("/statusz served %s (%v), want 2 completed and a burn", rec.Body.Bytes(), err)
 	}
 
 	stopAndWait(t, m, wait)

@@ -596,6 +596,40 @@ func TestManagerStopIdleWorkers(t *testing.T) {
 	}
 }
 
+// TestDrainBoundsAwayWorker: a drain waits for the workers it handed
+// to jobs to rejoin, but one that takes a lease and is not heard from
+// again holds Done for rejoinGrace and not much longer. When it does
+// rejoin, after the drain, it is told to shut down.
+func TestDrainBoundsAwayWorker(t *testing.T) {
+	m := NewManager(testConfig(FairShare{}))
+	join := func(jobID int) transport.Conn {
+		server, client := transport.Pair()
+		m.Admit(server)
+		if err := client.Send(&transport.Message{Kind: transport.KindJoin, JobID: jobID}); err != nil {
+			t.Fatal(err)
+		}
+		return client
+	}
+	client := join(0)
+	id, ch, err := m.SubmitJob(transport.JobSpec{Iterations: 1, MinWorkers: 1, MaxWorkers: 1}, SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := client.Recv(); err != nil || msg.Kind != transport.KindSubmitJob {
+		t.Fatalf("worker got %v, %v; want its assignment", msg, err)
+	}
+	m.Cancel(id)
+	awaitResult(t, ch, "leased")
+	start := time.Now()
+	stopAndWait(t, m, func() {})
+	if took := time.Since(start); took < rejoinGrace || took > rejoinGrace+5*time.Second {
+		t.Fatalf("Done closed %v after Stop, want just after the away worker's %v bound", took, rejoinGrace)
+	}
+	if msg, err := join(id).Recv(); err != nil || msg.Kind != transport.KindShutdown {
+		t.Fatalf("late rejoin got %v, %v; want a shutdown", msg, err)
+	}
+}
+
 // TestSubmitAfterStop: a stopped manager refuses new submissions.
 func TestSubmitAfterStop(t *testing.T) {
 	m := NewManager(testConfig(FairShare{}))

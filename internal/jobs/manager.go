@@ -230,6 +230,12 @@ type Manager struct {
 	// leaves the schedule before its coordinator exits, so a drain
 	// waits on this as well as on the schedule.
 	coordinators int
+	// away counts, per job ID, the workers handed to that job that
+	// have not yet rejoined the pool (a join naming the job). A drain
+	// waits for them too, up to rejoinGrace, so a worker freed by the
+	// last finishJob finds the manager still there to send it a
+	// shutdown, rather than redialing a closed listener.
+	away map[int]int
 	// restored holds the settlements the restart found (jobs whose
 	// final checkpoint had committed); the loop delivers them to
 	// OnJobDone before anything else.
@@ -295,6 +301,7 @@ func newManager(cfg Config, applied func(*Manager, durable.Entry)) *Manager {
 		led:       newLedger(),
 		idx:       map[int]int{},
 		dirtyJobs: map[int]struct{}{},
+		away:      map[int]int{},
 		tele:      newMgrTelemetry(cfg.Metrics),
 		flight:    obs.FlightOr(cfg.Flight),
 		sloWin:    obs.NewWindow(),
@@ -404,9 +411,18 @@ func discard(ev any) {
 	}
 }
 
+// rejoinGrace bounds how long a drain waits for away workers. A
+// worker freed by finishJob rejoins within milliseconds; the bound
+// only matters for one that died or rejoined another shard.
+const rejoinGrace = time.Second
+
 func (m *Manager) loop() {
 	tick := time.NewTicker(m.cfg.Tick)
 	defer tick.Stop()
+	// giveUp fires rejoinGrace after the drain has only away workers
+	// left to wait for; one that has not rejoined by then is taken as
+	// dead (or as rejoined elsewhere, where shards share a pool).
+	var giveUp <-chan time.Time
 	if m.cfg.OnJobDone != nil {
 		for _, r := range m.restored {
 			m.cfg.OnJobDone(r)
@@ -442,8 +458,14 @@ func (m *Manager) loop() {
 			m.closing = true
 			m.changed = true
 			m.decide(durable.Entry{Op: durable.OpDrain, WID: -1})
+		case <-giveUp:
+			clear(m.away)
 		}
-		if m.closing && len(m.order) == 0 && m.coordinators == 0 {
+		drained := m.closing && len(m.order) == 0 && m.coordinators == 0
+		if drained && len(m.away) > 0 && giveUp == nil {
+			giveUp = time.After(rejoinGrace)
+		}
+		if drained && len(m.away) == 0 {
 			for _, c := range m.idle {
 				_ = c.Send(&transport.Message{Kind: transport.KindShutdown})
 				c.Close()
@@ -523,6 +545,9 @@ func (m *Manager) classify(e evConn) {
 		// that job (a completed migration or a post-job rejoin).
 		if e.msg.JobID > 0 {
 			m.tele.returns.Inc()
+			if m.away[e.msg.JobID]--; m.away[e.msg.JobID] <= 0 {
+				delete(m.away, e.msg.JobID)
+			}
 		}
 		m.decide(durable.Entry{Op: durable.OpJoin, JobID: e.msg.JobID, WID: e.msg.WID})
 		m.idle = append(m.idle, e.conn)
@@ -816,6 +841,7 @@ func (m *Manager) startJob(j *job, n int) {
 			continue
 		}
 		conns = append(conns, c)
+		m.away[j.id]++
 	}
 	if len(conns) == 0 {
 		return
@@ -884,6 +910,7 @@ func (m *Manager) lease(j *job) bool {
 		c.Close()
 		return false
 	}
+	m.away[j.id]++
 	ac := newAsyncConn(c)
 	qc := newQueuedConn(ac, &transport.Message{Kind: transport.KindJoin})
 	if err := j.co.Admit(qc); err != nil {

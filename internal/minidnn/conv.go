@@ -377,7 +377,7 @@ func (c *Conv2D) Params() []*tensor.Tensor { return []*tensor.Tensor{c.W, c.B} }
 // Grads implements Layer.
 func (c *Conv2D) Grads() []*tensor.Tensor { return []*tensor.Tensor{c.gW, c.gB} }
 
-// ZeroGrads implements Layer.
+// ZeroGrads implements gradZeroer.
 func (c *Conv2D) ZeroGrads() {
 	c.gW.Zero()
 	c.gB.Zero()
@@ -467,9 +467,6 @@ func (p *MaxPool2D) Params() []*tensor.Tensor { return nil }
 
 // Grads implements Layer.
 func (p *MaxPool2D) Grads() []*tensor.Tensor { return nil }
-
-// ZeroGrads implements Layer.
-func (p *MaxPool2D) ZeroGrads() {}
 
 // NewCNN builds a small LeNet-style CNN for (c, h, w) image inputs:
 // Conv(k=3,pad=1,filters) → ReLU → MaxPool(2) → Dense(hidden) → ReLU →

@@ -40,7 +40,12 @@ type Layer interface {
 	// Grads returns the accumulated parameter gradients, aligned with
 	// Params.
 	Grads() []*tensor.Tensor
-	// ZeroGrads clears the accumulated gradients.
+}
+
+// gradZeroer is the Layer half that layers with parameters implement:
+// clear the accumulated gradients. Network.ZeroGrads calls it on every
+// layer that has it.
+type gradZeroer interface {
 	ZeroGrads()
 }
 
@@ -162,7 +167,7 @@ func (d *Dense) Grads() []*tensor.Tensor {
 	return []*tensor.Tensor{d.gW, d.gB}
 }
 
-// ZeroGrads implements Layer: gB now, gW at its next write or read.
+// ZeroGrads implements gradZeroer: gB now, gW at its next write or read.
 func (d *Dense) ZeroGrads() {
 	d.gWZero, d.gWRank1 = true, false
 	d.gB.Zero()
@@ -198,9 +203,6 @@ func (r *ReLU) Params() []*tensor.Tensor { return nil }
 
 // Grads implements Layer.
 func (r *ReLU) Grads() []*tensor.Tensor { return nil }
-
-// ZeroGrads implements Layer.
-func (r *ReLU) ZeroGrads() {}
 
 // Network is an ordered stack of layers trained with softmax
 // cross-entropy.
@@ -298,7 +300,9 @@ func (n *Network) GradsOrFactors() (grads []*tensor.Tensor, factors []Rank1) {
 // ZeroGrads clears all accumulated gradients.
 func (n *Network) ZeroGrads() {
 	for _, l := range n.Layers {
-		l.ZeroGrads()
+		if z, ok := l.(gradZeroer); ok {
+			z.ZeroGrads()
+		}
 	}
 }
 

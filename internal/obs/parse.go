@@ -33,9 +33,6 @@ type SampleExemplar struct {
 	TS     float64 // unix seconds, 0 when absent
 }
 
-// Label returns one label value ("" when absent).
-func (s Sample) Label(name string) string { return s.Labels[name] }
-
 // Exposition is a parsed scrape.
 type Exposition struct {
 	Samples []Sample

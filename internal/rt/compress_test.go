@@ -115,43 +115,65 @@ func compressedWireBytes(reg *obs.Registry, codec string) int64 {
 	return total
 }
 
-// TestCompressedSessionOverTCP runs a full session with int8 gradient
-// compression negotiated on both sides: reports must actually travel
-// compressed (wire-byte telemetry on the coordinator), training must
-// still converge, and the compression ratio must be ≈4×.
+// TestCompressedSessionOverTCP runs a full session with each dense
+// codec negotiated on both sides. Exact (the default) must stay
+// bit-identical to Sequential. A lossy codec's reports must actually
+// travel compressed (wire-byte telemetry on the coordinator) at its
+// ratio against raw float32 — ≈2× for fp16, ≈4× for int8 — and its
+// final loss must land within lossTol of the exact session's.
 func TestCompressedSessionOverTCP(t *testing.T) {
 	cfg := Config{
 		Workers: 3, TotalBatch: 30, TokenBatch: 5,
 		Iterations: 8, LR: 0.1,
-		Compress: transport.CompressInt8,
 	}
 	seed := func() *minidnn.Network { return minidnn.NewMLP(1, 8, 16, 3) }
 	ds := minidnn.SyntheticBlobs(2, 30, 8, 3)
+	exact, err := Sequential(seed(), ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exactLoss := exact.Losses[len(exact.Losses)-1]
 
-	res, reg := runTCPSession(t, cfg, cfg, seed, ds)
-	if len(res.Losses) != cfg.Iterations {
-		t.Fatalf("session recorded %d losses for %d iterations", len(res.Losses), cfg.Iterations)
-	}
-	for i, l := range res.Losses {
-		if math.IsNaN(l) || math.IsInf(l, 0) {
-			t.Fatalf("iteration %d loss is %v under int8 compression", i, l)
-		}
-	}
-	if last, first := res.Losses[len(res.Losses)-1], res.Losses[0]; last >= first {
-		t.Fatalf("loss did not decrease under int8 compression: %v -> %v", first, last)
-	}
-	wire := compressedWireBytes(reg, "int8")
-	if wire == 0 {
-		t.Fatal("no int8-compressed report bytes decoded: negotiation failed to engage")
-	}
-	var raw int64
-	for labels, v := range reg.CounterValues(transport.MetricCompressRawBytes) {
-		if strings.Contains(labels, "decode") && strings.Contains(labels, "int8") {
-			raw += v
-		}
-	}
-	if raw < 3*wire {
-		t.Fatalf("int8 ratio %.2f, want ≈4 (raw %d wire %d)", float64(raw)/float64(wire), raw, wire)
+	for _, tc := range []struct {
+		codec              transport.Compression
+		minRatio, maxRatio float64
+		lossTol            float64
+	}{
+		// Measured: 1.970× and 9.0e-7, 3.594× and 1.9e-5 (the int8 scale
+		// and each section's header weigh more on this small model).
+		{transport.CompressExact, 0, 0, 0},
+		{transport.CompressFP16, 1.95, 2, 1e-5},
+		{transport.CompressInt8, 3.5, 4, 1e-4},
+	} {
+		t.Run(tc.codec.String(), func(t *testing.T) {
+			cfg := cfg
+			cfg.Compress = tc.codec
+			res, reg := runTCPSession(t, cfg, cfg, seed, ds)
+			if tc.codec == transport.CompressExact {
+				if !minidnn.ParamsEqual(res.Params, exact.Params) {
+					t.Fatal("parameters differ from Sequential under negotiated-exact")
+				}
+				return
+			}
+			last := res.Losses[len(res.Losses)-1]
+			if d := math.Abs(last - exactLoss); !(d <= tc.lossTol) { // NaN fails too
+				t.Fatalf("final loss %v is %.3g from exact's %v, want within %g", last, d, exactLoss, tc.lossTol)
+			}
+			wire := compressedWireBytes(reg, tc.codec.String())
+			if wire == 0 {
+				t.Fatal("no compressed report bytes decoded: negotiation failed to engage")
+			}
+			var raw int64
+			for labels, v := range reg.CounterValues(transport.MetricCompressRawBytes) {
+				if strings.Contains(labels, "decode") && strings.Contains(labels, tc.codec.String()) {
+					raw += v
+				}
+			}
+			ratio := float64(raw) / float64(wire)
+			if ratio < tc.minRatio || ratio > tc.maxRatio {
+				t.Fatalf("report-byte ratio %.3f, want in [%g, %g] (raw %d wire %d)", ratio, tc.minRatio, tc.maxRatio, raw, wire)
+			}
+		})
 	}
 }
 
@@ -182,30 +204,6 @@ func TestCompressionNegotiationMismatch(t *testing.T) {
 	}
 	if wire := compressedWireBytes(reg, "topk"); wire != 0 {
 		t.Fatalf("%d top-k bytes decoded despite the coordinator denying compression", wire)
-	}
-}
-
-// TestCompressionNegotiatedExactStaysBitIdentical: both sides agreeing
-// on a lossy codec is opt-in; both sides agreeing on exact (the default)
-// must keep the existing bit-identical guarantee over the same wire.
-func TestCompressionNegotiatedExactStaysBitIdentical(t *testing.T) {
-	cfg := Config{
-		Workers: 2, TotalBatch: 16, TokenBatch: 4,
-		Iterations: 4, LR: 0.1,
-		Compress: transport.CompressExact,
-	}
-	seed := func() *minidnn.Network { return minidnn.NewMLP(1, 8, 16, 3) }
-	ds := minidnn.SyntheticBlobs(2, 16, 8, 3)
-
-	res, _ := runTCPSession(t, cfg, cfg, seed, ds)
-	want, err := Sequential(seed(), ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Params {
-		if !res.Params[i].Equal(want.Params[i]) {
-			t.Fatalf("parameter tensor %d differs from Sequential under negotiated-exact", i)
-		}
 	}
 }
 

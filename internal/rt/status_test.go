@@ -2,6 +2,8 @@ package rt
 
 import (
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 	"time"
@@ -150,6 +152,17 @@ func TestSessionTelemetry(t *testing.T) {
 		t.Error("status uptime must be positive")
 	}
 
+	// /statusz serves a worker's snapshot, and 503 for a nil worker
+	// (felaworker before registration).
+	if code, _ := statusz((*Worker)(nil).StatusAny); code != http.StatusServiceUnavailable {
+		t.Errorf("/statusz of a nil worker = %d, want 503", code)
+	}
+	var served WorkerStatus
+	if code, body := statusz(workers[0].StatusAny); code != http.StatusOK || json.Unmarshal(body, &served) != nil ||
+		!reflect.DeepEqual(&served, workers[0].Status()) {
+		t.Errorf("/statusz = %d %s, want worker 0's snapshot %+v", code, body, workers[0].Status())
+	}
+
 	// Worker snapshots.
 	for wid, w := range workers {
 		ws := w.Status()
@@ -197,6 +210,13 @@ func TestSessionTelemetry(t *testing.T) {
 	if !minidnn.ParamsEqual(seq.Params, res.Params) {
 		t.Fatal("instrumented run diverged from sequential reference")
 	}
+}
+
+// statusz returns the obs handler's /statusz response code and body.
+func statusz(status func() any) (int, []byte) {
+	rec := httptest.NewRecorder()
+	obs.NewHandler(obs.HandlerOptions{Status: status}).ServeHTTP(rec, httptest.NewRequest("GET", "/statusz", nil))
+	return rec.Code, rec.Body.Bytes()
 }
 
 // TestTelemetryOffIsHarmless: the default config (no registry, no

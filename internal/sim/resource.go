@@ -28,9 +28,6 @@ func NewResource(eng *Engine, name string, capacity int) *Resource {
 	return &Resource{eng: eng, name: name, capacity: capacity}
 }
 
-// Name returns the diagnostic name given at construction.
-func (r *Resource) Name() string { return r.name }
-
 // InUse reports the number of currently granted units.
 func (r *Resource) InUse() int { return r.inUse }
 

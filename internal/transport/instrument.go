@@ -19,9 +19,7 @@ const (
 )
 
 // instrumentedConn wraps a Conn and records per-kind traffic counters,
-// operation latency and deadline expiries into an obs.Registry. It
-// forwards SetTimeouts so fault tolerance keeps working through the
-// wrapper.
+// operation latency and deadline expiries into an obs.Registry.
 type instrumentedConn struct {
 	inner Conn
 	reg   *obs.Registry
@@ -88,16 +86,4 @@ func (ic *instrumentedConn) SendBroadcast(b *Broadcast) error {
 	return err
 }
 
-// SetMetrics forwards codec telemetry attachment to the wrapped
-// connection when it has a codec.
-func (ic *instrumentedConn) SetMetrics(reg *obs.Registry) {
-	SetConnMetrics(ic.inner, reg)
-}
-
 func (ic *instrumentedConn) Close() error { return ic.inner.Close() }
-
-// SetTimeouts forwards per-message deadlines to the wrapped connection
-// when it supports them.
-func (ic *instrumentedConn) SetTimeouts(send, recv time.Duration) {
-	SetTimeouts(ic.inner, send, recv)
-}

@@ -137,6 +137,10 @@ func TestDiurnalShape(t *testing.T) {
 	if peak < trough*2 {
 		t.Fatalf("diurnal peak/trough split %d/%d, want peak ≥ 2× trough", peak, trough)
 	}
+	tr, err := Synthesize(d, testMix(), 8, 5)
+	if err != nil || tr.Generator != "diurnal" || tr.Name != "diurnal-8" {
+		t.Fatalf("diurnal trace named %q by generator %q (%v)", tr.Name, tr.Generator, err)
+	}
 }
 
 // TestTraceRoundTrip: encode→decode must reproduce the trace exactly,
