@@ -25,8 +25,9 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# chaos runs the fault-injection suite alone (worker faults, coordinator
-# kills, the fold-order sessions that park reports behind a gap, the
+# chaos runs the fault-injection suite alone (worker faults, each a death
+# verdict with or without a hang deadline, coordinator kills, protocol
+# violations, the fold-order sessions that park reports behind a gap, the
 # one-row-token sessions whose reports carry rank-1 factors through a
 # dead window holder, a join and drain, a resume and malformed factors,
 # the barrier fold's sessions — mixed factor and dense reporters, parked
@@ -122,10 +123,12 @@ cluster:
 
 # gate runs the serving-gateway suite under the race detector (unit
 # tests, the 64-tenant hammer, the felagate binary's serve/drain e2e
-# tests) and then smoke-runs the million-request edge benchmark,
-# writing BENCH_gate.json.
+# tests), repeats the metrics-and-spans test that reads a settlement's
+# side effects once Inflight() reaches 0, and then smoke-runs the
+# million-request edge benchmark, writing BENCH_gate.json.
 gate:
 	$(GO) test ./internal/gate/ -race -count=1 -v
+	$(GO) test ./internal/gate/ -race -run TestGatewayMetricsAndSpans -count=200
 	$(GO) test ./cmd/felagate/ -race -count=1 -v
 	$(GO) run ./cmd/felabench -quick -experiment gate
 

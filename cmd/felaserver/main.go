@@ -12,12 +12,13 @@
 // workers, and verifies the result bit-for-bit against the sequential
 // reference.
 //
-// With -worker-timeout set, the session is fault tolerant: workers that
-// crash, hang or corrupt the wire are declared dead, their outstanding
-// tokens are retrained by the survivors, the run completes on whoever
-// is left, and a fault summary is printed at the end. The result stays
-// bit-identical to the sequential reference regardless of which workers
-// died.
+// The session is fault tolerant: workers that crash, corrupt the wire or
+// break the protocol are declared dead, their outstanding tokens are
+// retrained by the survivors, the run completes on whoever is left, and
+// a fault summary is printed at the end. -worker-timeout adds a hang
+// deadline: a worker that sits on a token longer is declared dead too.
+// The result stays bit-identical to the sequential reference regardless
+// of which workers died.
 //
 // With -elastic, membership is live: the server keeps accepting
 // connections for the whole session, so additional `felaworker -join`
@@ -25,8 +26,9 @@
 // drain out gracefully (`felaworker -drain-after N`), and the online
 // re-tuner reshapes the token distribution from live per-iteration
 // timings after every scale event. -min-workers bounds eviction,
-// -max-workers bounds admission. Elastic mode implies fault tolerance
-// (a default -worker-timeout is applied if none is set).
+// -max-workers bounds admission. Elastic mode applies a 10 s
+// -worker-timeout if none is set: a session that runs on as workers come
+// and go should not wait forever on one that hangs.
 //
 // With -jobs, the server becomes a multi-tenant job manager instead of
 // a single session: `felaworker -pool` processes register once into a
@@ -125,7 +127,7 @@ func main() {
 	flag.IntVar(&o.workers, "workers", 4, "number of workers to wait for")
 	flag.IntVar(&o.iters, "iters", 20, "iterations to train")
 	flag.DurationVar(&o.workerTimeout, "worker-timeout", 0,
-		"fault tolerance: declare a worker dead after this long without progress (0 = strict mode, any fault aborts)")
+		"hang deadline: declare a worker dead after this long without progress on a token (0 = none; a crashed or misbehaving worker is declared dead either way)")
 	flag.BoolVar(&o.elastic, "elastic", false,
 		"live membership: accept felaworker -join connections for the whole session and re-tune on scale events")
 	flag.IntVar(&o.minWorkers, "min-workers", 1, "elastic: never evict below this many live workers")
@@ -255,8 +257,8 @@ func newServer(o serverOpts) (*server, error) {
 			return s, nil
 		}
 		if o.workerTimeout == 0 {
-			// Elastic membership rides on the fault-tolerant machinery (a
-			// drain is a planned death); give it a generous default deadline.
+			// A session that runs on as workers come and go should not
+			// wait forever on one that hangs: give it a generous deadline.
 			s.o.workerTimeout = 10 * time.Second
 		}
 		if s.ctrl, err = elastic.NewController(elastic.Config{MinWorkers: o.minWorkers, MaxWorkers: o.maxWorkers}); err != nil {

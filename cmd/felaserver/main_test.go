@@ -77,20 +77,35 @@ func startWorker(t *testing.T, addr string, wid int, cfg rt.Config, wg *sync.Wai
 	}()
 }
 
-// TestServerStrictSession: the pre-elastic path still works end to end
-// over TCP.
-func TestServerStrictSession(t *testing.T) {
+// TestServerSession: a single non-elastic session without
+// -worker-timeout works end to end over TCP, with no fault: a worker the
+// session declared dead would see its conn closed, while in a clean
+// session every worker ends on the shutdown without an error.
+func TestServerSession(t *testing.T) {
 	addr := freeAddr(t)
 	const workers, iters = 2, 4
 
-	var wg sync.WaitGroup
+	errs := make(chan error, workers)
 	for wid := 0; wid < workers; wid++ {
-		startWorker(t, addr, wid, rt.Config{}, &wg)
+		net, ds := replica(t)
+		go func() {
+			conn, err := transport.DialRetry(addr, 50, 20*time.Millisecond)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer conn.Close()
+			errs <- rt.NewWorker(wid, net, ds, rt.Config{}).Run(conn)
+		}()
 	}
 	if err := serve(serverOpts{addr: addr, workers: workers, iters: iters}, nil); err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
+	for range workers {
+		if err := <-errs; err != nil {
+			t.Errorf("worker: %v", err)
+		}
+	}
 }
 
 // TestServerClosesSurplusConnection: a non-elastic session with its

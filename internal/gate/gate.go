@@ -478,7 +478,10 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // settle consumes the job's single terminal result and releases every
 // resource the submission reserved. It is the only writer of
-// rec.result and the only closer of rec.done.
+// rec.result and the only closer of rec.done. The in-flight count drops
+// last, once the span has ended, so Inflight() == 0 (what Drain waits
+// for) means every settlement's counters, SLO burn, flight event and
+// span are in place.
 func (g *Gateway) settle(rec *gateJob, ch <-chan jobs.JobResult) {
 	res := <-ch
 	rec.result = res
@@ -486,7 +489,6 @@ func (g *Gateway) settle(rec *gateJob, ch <-chan jobs.JobResult) {
 	close(rec.done)
 	g.router.dec(rec.shard)
 	g.tenants.release(rec.tenant)
-	g.inflight.Add(-1)
 	g.settledCount.Add(1)
 	outcome := "ok"
 	switch {
@@ -528,6 +530,7 @@ func (g *Gateway) settle(rec *gateJob, ch <-chan jobs.JobResult) {
 	ev.Detail = fmt.Sprintf("id=%s outcome=%s", rec.id, outcome)
 	g.flight.Record(ev)
 	rec.span.End()
+	g.inflight.Add(-1)
 }
 
 // ---------------------------------------------------------------------

@@ -21,9 +21,10 @@ type Config struct {
 	// queue (nil = admit everything). Rejected submissions settle
 	// immediately with an error wrapping ErrRejected.
 	Admission AdmissionPolicy
-	// WorkerTimeout is each job coordinator's fault-tolerance deadline
-	// (default 10s). Multi-tenant sessions always run fault-tolerant:
-	// a worker dying mid-migration must not sink the donor job.
+	// WorkerTimeout is each job coordinator's hang deadline (default
+	// 10s). A pool worker that hangs holding a token is declared dead
+	// and its tokens go to the job's other workers; without a deadline
+	// the job would wait on it forever.
 	WorkerTimeout time.Duration
 	// Tick is the periodic rebalance interval (default 1s). Clean ticks
 	// — no allocation-relevant state change since the last pass — skip

@@ -240,6 +240,7 @@ func TestChaosBarrierFoldSessions(t *testing.T) {
 				return c
 			},
 			check: func(t *testing.T, res *Result, _ *arrivalLog, rank1 int64) {
+				requireClean(t, res, nil)
 				if dense := int64(res.TokensByWorker[1]); rank1 == 0 || dense == 0 {
 					t.Fatalf("%d rank-1 and %d dense reports: the session is not mixed", rank1, dense)
 				}
@@ -248,7 +249,8 @@ func TestChaosBarrierFoldSessions(t *testing.T) {
 		{
 			name:  "parked",
 			setup: slowWorker0,
-			check: func(t *testing.T, _ *Result, log *arrivalLog, _ int64) {
+			check: func(t *testing.T, res *Result, log *arrivalLog, _ int64) {
+				requireClean(t, res, nil)
 				if log.parked() == 0 {
 					t.Fatal("every report arrived in seq order: nothing was parked, the test proves nothing")
 				}

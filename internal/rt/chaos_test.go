@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -299,73 +300,55 @@ func TestChaosFaultsAreTraced(t *testing.T) {
 }
 
 // TestChaosAllWorkersDie: losing every worker must surface an error,
-// not a hang.
+// not a hang — with no deadline too, where no tick comes to notice that
+// the death verdicts left nobody to train.
 func TestChaosAllWorkersDie(t *testing.T) {
-	dumpFlightOnFailure(t)
-	cfg := chaosCfg()
-	cfg.Workers = 2
-	hang := make(chan struct{})
-	t.Cleanup(func() { close(hang) })
-	serverConns := make([]transport.Conn, cfg.Workers)
-	for wid := 0; wid < cfg.Workers; wid++ {
-		server, client := transport.Pair()
-		serverConns[wid] = server
-		go runScripted(wid, client, cfg, script{killOnAssign: true}, hang)
-	}
-	co, err := NewCoordinator(mlp(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := co.Run(serverConns)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("coordinator succeeded with every worker dead")
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("coordinator hung with every worker dead")
+	for _, timeout := range []time.Duration{chaosCfg().WorkerTimeout, 0} {
+		t.Run(fmt.Sprintf("timeout=%v", timeout), func(t *testing.T) {
+			dumpFlightOnFailure(t)
+			cfg := chaosCfg()
+			cfg.Workers = 2
+			cfg.WorkerTimeout = timeout
+			hang := make(chan struct{})
+			t.Cleanup(func() { close(hang) })
+			serverConns := make([]transport.Conn, cfg.Workers)
+			for wid := 0; wid < cfg.Workers; wid++ {
+				server, client := transport.Pair()
+				serverConns[wid] = server
+				go runScripted(wid, client, cfg, script{killOnAssign: true}, hang)
+			}
+			co, err := NewCoordinator(mlp(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := co.Run(serverConns)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("coordinator succeeded with every worker dead")
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("coordinator hung with every worker dead")
+			}
+		})
 	}
 }
 
-// TestChaosStrictModeStillAborts: without WorkerTimeout the old
-// fail-fast contract holds — a dead worker aborts the session.
-func TestChaosStrictModeStillAborts(t *testing.T) {
-	dumpFlightOnFailure(t)
+// TestChaosDeathWithoutDeadline: with no WorkerTimeout, a worker that
+// dies holding an assigned token is still a death verdict — the deadline
+// only catches hangs — so the session completes on the survivors,
+// bit-identical to Sequential, with that one fault recorded.
+func TestChaosDeathWithoutDeadline(t *testing.T) {
 	cfg := chaosCfg()
 	cfg.WorkerTimeout = 0
-	throttleHealthy(&cfg, 1)
-	hang := make(chan struct{})
-	t.Cleanup(func() { close(hang) })
-	serverConns := make([]transport.Conn, cfg.Workers)
-	for wid := 0; wid < cfg.Workers; wid++ {
-		server, client := transport.Pair()
-		serverConns[wid] = server
-		if wid == 1 {
-			go runScripted(wid, client, cfg, script{killOnAssign: true}, hang)
-			continue
-		}
-		go func(wid int) { _ = NewWorker(wid, mlp(), blobs(), cfg).Run(client) }(wid)
-	}
-	co, err := NewCoordinator(mlp(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := co.Run(serverConns)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("strict-mode coordinator tolerated a dead worker")
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("strict-mode coordinator hung")
+	res := runChaosSession(t, cfg, 1, script{killOnAssign: true}, nil)
+	assertChaosOutcome(t, cfg, res, 1)
+	if len(res.Faults) != 1 {
+		t.Fatalf("faults %v, want worker 1's death alone", res.Faults)
 	}
 }
 

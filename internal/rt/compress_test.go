@@ -18,14 +18,13 @@ import (
 )
 
 // runTCPSession drives a full binary-codec TCP session with the given
-// coordinator and worker configs and returns the result plus the
-// coordinator-side registry.
+// coordinator and worker configs, which must run clean (see
+// requireClean), and returns the result plus the coordinator-side
+// registry.
 func runTCPSession(t *testing.T, coCfg, wCfg Config, seed func() *minidnn.Network, ds *minidnn.Dataset) (*Result, *obs.Registry) {
 	t.Helper()
 	res, reg, workerErrs, err := runFaultyTCPSession(t, coCfg, wCfg, seed, ds, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	requireClean(t, res, err)
 	for _, err := range workerErrs {
 		if err != nil {
 			t.Fatal(err)

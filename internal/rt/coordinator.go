@@ -25,14 +25,16 @@ import (
 // time), and applies the canonical-order gradient aggregation that makes
 // the run bit-equal to Sequential.
 //
-// With Config.WorkerTimeout set, the coordinator is fault tolerant: a
-// worker whose connection errors, or that sits on an assigned token past
-// the deadline, is declared dead. Its unreported tokens return to the
-// pool, parked pull requests are re-served, and the iteration completes
-// on the survivors — the paper's reactive straggler mitigation (§III-A)
-// extended from slowness to outright crashes. Because aggregation stays
-// in canonical token order, the result remains bit-identical to
-// Sequential no matter which workers die or when.
+// Every worker fault is a death verdict: a worker whose connection
+// errors, that violates the protocol, whose send fails, or that sits on
+// an assigned token past Config.WorkerTimeout (when set) is declared
+// dead. Its unreported tokens return to the pool, parked pull requests
+// are re-served, and the iteration completes on the survivors — the
+// paper's reactive straggler mitigation (§III-A) extended from slowness
+// to outright crashes. The session fails only when no worker is left to
+// train. Because aggregation stays in canonical token order, the result
+// remains bit-identical to Sequential no matter which workers die or
+// when.
 //
 // With Config.Elastic set, membership is live: connections handed to
 // Admit may join mid-session, workers may drain out gracefully, and the
@@ -214,9 +216,6 @@ func (co *Coordinator) negotiate(wid int, req transport.Compression) transport.C
 	return neg
 }
 
-// faultTolerant reports whether fault handling is enabled.
-func (co *Coordinator) faultTolerant() bool { return co.cfg.WorkerTimeout > 0 }
-
 // elastic reports whether live membership is enabled.
 func (co *Coordinator) elastic() bool { return co.cfg.Elastic != nil }
 
@@ -345,9 +344,6 @@ func (co *Coordinator) Run(conns []transport.Conn) (*Result, error) {
 			continue
 		}
 		if err := ws.conn.Send(&transport.Message{Kind: transport.KindShutdown}); err != nil {
-			if !co.faultTolerant() {
-				return nil, fmt.Errorf("rt: shutdown to worker %d: %w", ws.wid, err)
-			}
 			co.markDead(ws, "shutdown", err)
 		}
 	}
@@ -379,14 +375,14 @@ func (co *Coordinator) closeLeftoverAdmitted() {
 	co.pendingJoinReq = map[transport.Conn]transport.Compression{}
 }
 
-// register pairs worker ids with connections. In fault-tolerant mode a
-// connection that dies, stays silent past WorkerTimeout, or violates the
-// protocol forfeits its slot without taking the session down; the
-// session proceeds if at least one worker registered.
+// register pairs worker ids with connections. A connection that dies,
+// stays silent past WorkerTimeout (when set), or violates the protocol
+// forfeits its slot without taking the session down; the session
+// proceeds if at least one worker registered.
 func (co *Coordinator) register(conns []transport.Conn) error {
 	resolved := 0
 	var deadline <-chan time.Time
-	if co.faultTolerant() {
+	if co.cfg.WorkerTimeout > 0 {
 		tm := time.NewTimer(co.cfg.WorkerTimeout)
 		defer tm.Stop()
 		deadline = tm.C
@@ -401,9 +397,6 @@ wait:
 				}
 				if ws, known := co.byConn[ev.conn]; known {
 					// Registered, then died before the first iteration.
-					if !co.faultTolerant() {
-						return fmt.Errorf("rt: worker %d lost during registration: %w", ws.wid, ev.err)
-					}
 					co.markDead(ws, "register", ev.err)
 					continue
 				}
@@ -412,25 +405,18 @@ wait:
 					continue
 				}
 				resolved++
-				if !co.faultTolerant() {
-					return fmt.Errorf("rt: worker lost during registration: %w", ev.err)
-				}
 				co.recordFault(-1, "register", transport.Classify(ev.err).String(), ev.err.Error())
 				continue
 			}
 			if ws, known := co.byConn[ev.conn]; known {
 				// A registered worker must stay quiet until iter-start.
-				detail := fmt.Errorf("%w: worker %d sent %v during registration", errProtocol, ws.wid, ev.msg.Kind)
-				if !co.faultTolerant() {
-					return detail
-				}
-				co.markDead(ws, "register", detail)
+				co.markDead(ws, "register", fmt.Errorf("%w: worker %d sent %v during registration", errProtocol, ws.wid, ev.msg.Kind))
 				continue
 			}
 			if co.elastic() && ev.msg.Kind == transport.KindJoin {
 				// An early joiner: park it for the first barrier. If it
 				// arrived on one of the initial connections it consumed a
-				// registration slot, which fault tolerance absorbs.
+				// registration slot, which the session absorbs.
 				co.pendingJoins = append(co.pendingJoins, ev.conn)
 				co.pendingJoinReq[ev.conn] = ev.msg.GradCodec()
 				if co.initial[ev.conn] {
@@ -438,51 +424,28 @@ wait:
 				}
 				continue
 			}
-			if ev.msg.Kind != transport.KindRegister {
-				// Identify the offending connection by its slot index so
-				// the operator knows which peer misbehaved; in
-				// fault-tolerant mode only that connection is shot.
-				idx := co.connIndex(conns, ev.conn)
-				detail := fmt.Sprintf("conn %d: expected register, got %v (wid field %d)", idx, ev.msg.Kind, ev.msg.WID)
-				if !co.faultTolerant() {
-					return fmt.Errorf("rt: %s", detail)
-				}
-				co.rejected[ev.conn] = true
-				ev.conn.Close()
-				co.recordFault(-1, "register", "protocol", detail)
-				if co.initial[ev.conn] {
-					resolved++
-				}
-				continue
-			}
 			wid := ev.msg.WID
-			if wid < 0 || wid >= co.cfg.Workers {
-				detail := fmt.Sprintf("conn %d: worker id %d out of range [0,%d)", co.connIndex(conns, ev.conn), wid, co.cfg.Workers)
-				if !co.faultTolerant() {
-					return fmt.Errorf("rt: %s", detail)
-				}
+			var detail string
+			switch {
+			case ev.msg.Kind != transport.KindRegister:
+				detail, wid = fmt.Sprintf("expected register, got %v (wid field %d)", ev.msg.Kind, wid), -1
+			case wid < 0 || wid >= co.cfg.Workers:
+				detail, wid = fmt.Sprintf("worker id %d out of range [0,%d)", wid, co.cfg.Workers), -1
+			case co.workers[wid].conn != nil:
+				detail = fmt.Sprintf("duplicate worker id %d", wid)
+			}
+			if detail != "" {
+				// Shoot only the offending connection, named by its slot
+				// index so the operator knows which peer misbehaved.
 				co.rejected[ev.conn] = true
 				ev.conn.Close()
-				co.recordFault(-1, "register", "protocol", detail)
+				co.recordFault(wid, "register", "protocol", fmt.Sprintf("conn %d: %s", co.connIndex(conns, ev.conn), detail))
 				if co.initial[ev.conn] {
 					resolved++
 				}
 				continue
 			}
 			ws := co.workers[wid]
-			if ws.conn != nil {
-				detail := fmt.Sprintf("conn %d: duplicate worker id %d", co.connIndex(conns, ev.conn), wid)
-				if !co.faultTolerant() {
-					return fmt.Errorf("rt: %s", detail)
-				}
-				co.rejected[ev.conn] = true
-				ev.conn.Close()
-				co.recordFault(wid, "register", "protocol", detail)
-				if co.initial[ev.conn] {
-					resolved++
-				}
-				continue
-			}
 			ws.conn = ev.conn
 			ws.alive = true
 			ws.codec = co.negotiate(wid, ev.msg.GradCodec())
@@ -526,7 +489,7 @@ func (co *Coordinator) connIndex(conns []transport.Conn, c transport.Conn) int {
 
 // runIteration seeds this iteration's tokens, broadcasts parameters, and
 // collects every token's gradients, surviving worker deaths along the
-// way in fault-tolerant mode.
+// way. It fails only when no trainable worker is left.
 func (co *Coordinator) runIteration(nTok int) error {
 	// Seed tokens. Without elasticity a token seq's shard owner is seq
 	// mod workers, so every worker starts with its own STB (Eq. 2's
@@ -557,15 +520,10 @@ func (co *Coordinator) runIteration(nTok int) error {
 	// One root span per iteration; its context rides in the iter-start
 	// broadcast so worker-side fetch/compute spans join the same trace.
 	co.iterSpan = co.cfg.Spans.StartRoot("iteration", 0)
-	if err := co.broadcast(); err != nil {
-		return err
-	}
-	if co.trainableCount() == 0 {
-		return fmt.Errorf("rt: all workers lost at iteration %d start", co.it)
-	}
+	co.broadcast()
 
 	var tick <-chan time.Time
-	if co.faultTolerant() {
+	if co.cfg.WorkerTimeout > 0 {
 		period := co.cfg.WorkerTimeout / 4
 		if period < time.Millisecond {
 			period = time.Millisecond
@@ -577,13 +535,16 @@ func (co *Coordinator) runIteration(nTok int) error {
 
 	remaining := nTok
 	for remaining > 0 {
+		// Checked before every wait, so no death verdict leaves the loop
+		// blocked on workers that are all gone.
+		if co.trainableCount() == 0 {
+			return fmt.Errorf("rt: all workers lost at iteration %d with %d tokens unreported", co.it, remaining)
+		}
 		select {
 		case ev := <-co.events:
 			ws := co.byConn[ev.conn]
 			if ws == nil {
-				if err := co.strayEvent(ev); err != nil {
-					return err
-				}
+				co.strayEvent(ev)
 				continue
 			}
 			if ev.err != nil {
@@ -600,13 +561,7 @@ func (co *Coordinator) runIteration(nTok int) error {
 					ws.conn.Close()
 					continue
 				}
-				if !co.faultTolerant() {
-					return fmt.Errorf("rt: worker connection failed: %w", ev.err)
-				}
-				co.markDead(ws, "iteration", ev.err)
-				if err := co.serveWaiting(); err != nil {
-					return err
-				}
+				co.kill(ws, ev.err)
 				continue
 			}
 			if !ws.alive {
@@ -618,23 +573,13 @@ func (co *Coordinator) runIteration(nTok int) error {
 				if ws.draining {
 					continue // request in flight raced the leave announcement
 				}
-				if _, failed, err := co.serve(ws); err != nil {
-					return err
-				} else if failed {
-					if err := co.serveWaiting(); err != nil {
-						return err
-					}
+				if _, failed := co.serve(ws); failed {
+					co.serveWaiting()
 				}
 			case transport.KindReport:
 				if err := co.checkReport(ws, m); err != nil {
-					if !co.faultTolerant() {
-						return err
-					}
 					m.Release()
-					co.markDead(ws, "iteration", err)
-					if err := co.serveWaiting(); err != nil {
-						return err
-					}
+					co.kill(ws, err)
 					continue
 				}
 				seq := m.Token.Seq
@@ -663,29 +608,13 @@ func (co *Coordinator) runIteration(nTok int) error {
 				co.fold()
 			case transport.KindLeave:
 				if !co.elastic() {
-					detail := fmt.Errorf("%w: worker %d sent leave without elastic mode", errProtocol, ws.wid)
-					if !co.faultTolerant() {
-						return detail
-					}
-					co.markDead(ws, "iteration", detail)
-					if err := co.serveWaiting(); err != nil {
-						return err
-					}
+					co.kill(ws, fmt.Errorf("%w: worker %d sent leave without elastic mode", errProtocol, ws.wid))
 					continue
 				}
 				co.announceDrain(ws)
-				if err := co.serveWaiting(); err != nil {
-					return err
-				}
+				co.serveWaiting()
 			default:
-				detail := fmt.Errorf("%w: worker %d sent unexpected %v mid-iteration", errProtocol, ws.wid, m.Kind)
-				if !co.faultTolerant() {
-					return detail
-				}
-				co.markDead(ws, "iteration", detail)
-				if err := co.serveWaiting(); err != nil {
-					return err
-				}
+				co.kill(ws, fmt.Errorf("%w: worker %d sent unexpected %v mid-iteration", errProtocol, ws.wid, m.Kind))
 			}
 		case <-tick:
 			now := time.Now()
@@ -697,15 +626,17 @@ func (co *Coordinator) runIteration(nTok int) error {
 					co.markDead(ws, "iteration", errWorkerHung)
 				}
 			}
-			if err := co.serveWaiting(); err != nil {
-				return err
-			}
-		}
-		if co.trainableCount() == 0 {
-			return fmt.Errorf("rt: all workers lost at iteration %d with %d tokens unreported", co.it, remaining)
+			co.serveWaiting()
 		}
 	}
 	return nil
+}
+
+// kill declares ws dead mid-iteration and re-serves the parked pull
+// requests its returned tokens can answer.
+func (co *Coordinator) kill(ws *workerState, cause error) {
+	co.markDead(ws, "iteration", cause)
+	co.serveWaiting()
 }
 
 // broadcast sends the iteration's parameters to every trainable worker,
@@ -716,7 +647,7 @@ func (co *Coordinator) runIteration(nTok int) error {
 // tensors by writev; a conn that sends later, or that copies instead
 // (jobs.asyncConn, the in-memory pair), sends the Broadcast's one
 // snapshot, which it takes here, during the fan-out.
-func (co *Coordinator) broadcast() error {
+func (co *Coordinator) broadcast() {
 	ps := co.net.Params()
 	params := make([][]float32, len(ps))
 	for i, p := range ps {
@@ -730,13 +661,9 @@ func (co *Coordinator) broadcast() error {
 			continue
 		}
 		if err := transport.SendBroadcast(ws.conn, bc); err != nil {
-			if !co.faultTolerant() {
-				return fmt.Errorf("rt: iter-start to worker %d: %w", ws.wid, err)
-			}
 			co.markDead(ws, "iteration", err)
 		}
 	}
-	return nil
 }
 
 // fold takes every done token from the cursor upward into the
@@ -891,22 +818,22 @@ func (co *Coordinator) checkReport(ws *workerState, m *transport.Message) error 
 
 // strayEvent handles traffic from connections that are not (yet)
 // workers: join requests and the deaths of would-be joiners.
-func (co *Coordinator) strayEvent(ev event) error {
+func (co *Coordinator) strayEvent(ev event) {
 	if ev.err != nil {
 		if !co.rejected[ev.conn] {
 			co.dropPendingJoin(ev.conn, "join", ev.err)
 		}
-		return nil
+		return
 	}
 	if co.elastic() && ev.msg.Kind == transport.KindJoin {
 		for _, c := range co.pendingJoins {
 			if c == ev.conn {
-				return nil // duplicate join request
+				return // duplicate join request
 			}
 		}
 		co.pendingJoins = append(co.pendingJoins, ev.conn)
 		co.pendingJoinReq[ev.conn] = ev.msg.GradCodec()
-		return nil
+		return
 	}
 	// Anything else from a non-worker connection is a protocol
 	// violation: shoot just that connection.
@@ -915,7 +842,6 @@ func (co *Coordinator) strayEvent(ev event) error {
 		ev.conn.Close()
 		co.recordFault(-1, "join", "protocol", fmt.Sprintf("non-worker connection sent %v", ev.msg.Kind))
 	}
-	return nil
 }
 
 // dropPendingJoin forgets a would-be joiner whose connection died before
@@ -1174,7 +1100,7 @@ func (co *Coordinator) markDead(ws *workerState, phase string, cause error) {
 // serveWaiting re-serves parked pull requests after tokens return to
 // the pool, in arrival order. A send failure kills that worker and may
 // free more tokens, so it loops until a full pass makes no progress.
-func (co *Coordinator) serveWaiting() error {
+func (co *Coordinator) serveWaiting() {
 	for {
 		progress := false
 		pend := co.waiting
@@ -1183,14 +1109,11 @@ func (co *Coordinator) serveWaiting() error {
 			if !ws.alive || ws.draining {
 				continue
 			}
-			parked, _, err := co.serve(ws)
-			if err != nil {
-				return err
-			}
+			parked, _ := co.serve(ws)
 			progress = progress || !parked
 		}
 		if !progress {
-			return nil
+			return
 		}
 	}
 }
@@ -1217,36 +1140,35 @@ func (co *Coordinator) depth(wid int) int {
 // next iter-start and re-requests itself). failed reports a batch that
 // could not be sent (see assign); the caller then re-serves parked
 // requests.
-func (co *Coordinator) serve(ws *workerState) (parked, failed bool, err error) {
+func (co *Coordinator) serve(ws *workerState) (parked, failed bool) {
 	held, depth := len(ws.outstanding), co.depth(ws.wid)
 	if held > depth/2 {
-		return false, false, nil
+		return false, false
 	}
 	co.batch = selectBatch(co.tokens, ws.wid, held, depth, co.backlog, co.batch)
 	if len(co.batch) == 0 {
 		if held == 0 {
 			co.waiting = append(co.waiting, ws)
-			return true, false, nil
+			return true, false
 		}
-		return false, false, nil
+		return false, false
 	}
-	ok, err := co.assign(ws, co.batch)
+	ok := co.assign(ws, co.batch)
 	clear(co.batch)
-	return false, !ok, err
+	return false, !ok
 }
 
 // assign ships batch to ws, every assign but the last marked SetMore so
 // the batch leaves in one write, and reports whether it went out. A
 // failed send fails the whole batch, and no token of it stays assigned:
 // the assigns before the failed one may be held frames that went down
-// with the failed write, or may have reached the worker already. In
-// strict mode a failure is an error. In fault-tolerant mode it kills the
-// worker, which returns the batch to the pool, except under elasticity:
-// the conn may have closed because a leave is in flight, so the earlier
-// assigns are reclaimed as a leaver's would be, the failed one is
-// reverted, and the recv pump delivers the real verdict (leave or death)
-// in message order.
-func (co *Coordinator) assign(ws *workerState, batch []*tokenState) (bool, error) {
+// with the failed write, or may have reached the worker already. A
+// failure kills the worker, which returns the batch to the pool, except
+// under elasticity: the conn may have closed because a leave is in
+// flight, so the earlier assigns are reclaimed as a leaver's would be,
+// the failed one is reverted, and the recv pump delivers the real
+// verdict (leave or death) in message order.
+func (co *Coordinator) assign(ws *workerState, batch []*tokenState) bool {
 	if len(ws.outstanding) == 0 {
 		ws.progress = time.Now()
 	}
@@ -1257,10 +1179,7 @@ func (co *Coordinator) assign(ws *workerState, batch []*tokenState) (bool, error
 		sent++
 	}
 	if err == nil {
-		return true, nil
-	}
-	if !co.faultTolerant() {
-		return false, fmt.Errorf("rt: assign to worker %d: %w", ws.wid, err)
+		return true
 	}
 	if co.elastic() {
 		for _, tok := range batch[:sent-1] {
@@ -1270,7 +1189,7 @@ func (co *Coordinator) assign(ws *workerState, batch []*tokenState) (bool, error
 	} else {
 		co.markDead(ws, "iteration", err)
 	}
-	return false, nil
+	return false
 }
 
 // trainableCount reports how many workers can still train tokens (alive

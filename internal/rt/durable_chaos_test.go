@@ -276,9 +276,7 @@ func TestChaosCoordinatorKillEveryProtocolState(t *testing.T) {
 				}
 			}
 			res2, err := runPhase(t, cfg, plane2, nil, resume)
-			if err != nil {
-				t.Fatalf("resumed run failed: %v", err)
-			}
+			requireClean(t, res2, err)
 			if !minidnn.ParamsEqual(seq.Params, res2.Params) {
 				t.Fatal("resumed run diverged from uninterrupted sequential reference")
 			}
@@ -325,9 +323,7 @@ func TestChaosKillAtEveryIteration(t *testing.T) {
 			}
 			defer plane2.Close()
 			res2, err := runPhase(t, cfg, plane2, nil, resumeFrom(t, plane2))
-			if err != nil {
-				t.Fatalf("resumed run failed: %v", err)
-			}
+			requireClean(t, res2, err)
 			if !minidnn.ParamsEqual(seq.Params, res2.Params) {
 				t.Fatal("resumed run diverged from uninterrupted sequential reference")
 			}

@@ -29,9 +29,8 @@ func TestSessionFlightRecorder(t *testing.T) {
 		w := NewWorker(wid, mlp(), blobs(), cfg)
 		go func() { errs <- w.Run(client) }()
 	}
-	if _, err := co.Run(serverConns); err != nil {
-		t.Fatal(err)
-	}
+	res, err := co.Run(serverConns)
+	requireClean(t, res, err)
 	for i := 0; i < cfg.Workers; i++ {
 		if werr := <-errs; werr != nil {
 			t.Fatal(werr)

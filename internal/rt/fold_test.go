@@ -310,9 +310,7 @@ func TestChaosFoldOutOfOrder(t *testing.T) {
 	cfg.Iterations = 4
 	slowWorker0(&cfg)
 	res, log, err := runFoldSession(t, cfg, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	requireClean(t, res, err)
 	assertMatchesSequential(t, cfg, res)
 	if log.parked() == 0 {
 		t.Fatal("every report arrived in seq order: nothing was parked, the test proves nothing")
@@ -402,9 +400,7 @@ func TestChaosFoldTopKRepeats(t *testing.T) {
 	cfg.Iterations = 4
 	cfg.Compress = transport.CompressTopK
 	want, _, err := runFoldSession(t, cfg, true, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	requireClean(t, want, err)
 	seq, err := Sequential(mlp(), blobs(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -414,9 +410,7 @@ func TestChaosFoldTopKRepeats(t *testing.T) {
 	}
 	slowWorker0(&cfg)
 	got, log, err := runFoldSession(t, cfg, true, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	requireClean(t, got, err)
 	assertSameSession(t, got, want)
 	if log.parked() == 0 {
 		t.Fatal("every report arrived in seq order: nothing was parked, the test proves nothing")
@@ -432,9 +426,7 @@ func TestChaosFoldTCPParkedArena(t *testing.T) {
 	cfg.Iterations = 4
 	slowWorker0(&cfg)
 	res, log, err := runFoldSession(t, cfg, true, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	requireClean(t, res, err)
 	assertMatchesSequential(t, cfg, res)
 	if log.parked() == 0 {
 		t.Fatal("every report arrived in seq order: nothing was parked, the test proves nothing")
@@ -458,9 +450,7 @@ func TestChaosFoldTCPParkedView(t *testing.T) {
 	cfg.Iterations = 4
 	slowWorker0(&cfg)
 	res, log, err := runFoldSessionOn(t, wideMLP, cfg, true, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	requireClean(t, res, err)
 	assertMatchesSequentialOn(t, wideMLP, cfg, res)
 	if log.parked() == 0 {
 		t.Fatal("every report arrived in seq order: nothing was parked, the test proves nothing")

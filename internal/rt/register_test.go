@@ -3,7 +3,6 @@ package rt
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"fela/internal/minidnn"
 	"fela/internal/transport"
@@ -28,10 +27,9 @@ func (c *pumpedConn) Recv() (*transport.Message, error) {
 // TestRegistrationRejections: a first message that is not a register,
 // a worker id out of range, and a duplicate worker id each reject the
 // offending connection. Conn 0 is a real worker 0; conn 1 misbehaves
-// (for the duplicate, only after worker 0's register is queued). In
-// strict mode Run fails naming conn 1; in fault-tolerant mode conn 1 is
-// closed with a protocol fault and the session finishes on worker 0,
-// bit-identical to Sequential.
+// (for the duplicate, only after worker 0's register is queued). Conn 1
+// is closed with a protocol fault naming it, and the session finishes on
+// worker 0, bit-identical to Sequential — no deadline needed.
 func TestRegistrationRejections(t *testing.T) {
 	cases := []struct {
 		name string
@@ -43,53 +41,40 @@ func TestRegistrationRejections(t *testing.T) {
 		{"duplicate wid", transport.Message{Kind: transport.KindRegister, WID: 0}, "conn 1: duplicate worker id 0"},
 	}
 	for _, tc := range cases {
-		for _, tolerant := range []bool{false, true} {
-			cfg := baseCfg()
-			cfg.Workers = 2
-			if tolerant {
-				cfg.WorkerTimeout = 5 * time.Second
-			}
-			co, err := NewCoordinator(mlp(), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s0, c0 := transport.Pair()
-			s1, c1 := transport.Pair()
-			p0 := &pumpedConn{Conn: s0, pumped: make(chan struct{})}
-			go NewWorker(0, mlp(), blobs(), cfg).Run(c0)
-			go func() {
-				<-p0.pumped
-				c1.Send(&tc.msg)
-			}()
-			res, err := co.Run([]transport.Conn{p0, s1})
-			if !tolerant {
-				if err == nil || !strings.Contains(err.Error(), tc.want) {
-					t.Errorf("%s, strict: Run returned %v, want an error containing %q", tc.name, err, tc.want)
-				}
-				c0.Close()
-				c1.Close()
-				continue
-			}
-			if err != nil {
-				t.Fatalf("%s, fault tolerant: %v", tc.name, err)
-			}
-			if _, err := c1.Recv(); err == nil {
-				t.Errorf("%s: the offending conn is still open", tc.name)
-			}
-			protocol := false
-			for _, f := range res.Faults {
-				protocol = protocol || f.Phase == "register" && f.Class == "protocol" && strings.Contains(f.Detail, tc.want)
-			}
-			if !protocol {
-				t.Errorf("%s: faults %v, want a register protocol fault containing %q", tc.name, res.Faults, tc.want)
-			}
-			seq, err := Sequential(mlp(), blobs(), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !minidnn.ParamsEqual(seq.Params, res.Params) {
-				t.Errorf("%s: the session on the remaining worker diverged from Sequential", tc.name)
-			}
+		cfg := baseCfg()
+		cfg.Workers = 2
+		co, err := NewCoordinator(mlp(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s0, c0 := transport.Pair()
+		s1, c1 := transport.Pair()
+		p0 := &pumpedConn{Conn: s0, pumped: make(chan struct{})}
+		go NewWorker(0, mlp(), blobs(), cfg).Run(c0)
+		go func() {
+			<-p0.pumped
+			c1.Send(&tc.msg)
+		}()
+		res, err := co.Run([]transport.Conn{p0, s1})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if _, err := c1.Recv(); err == nil {
+			t.Errorf("%s: the offending conn is still open", tc.name)
+		}
+		protocol := false
+		for _, f := range res.Faults {
+			protocol = protocol || f.Phase == "register" && f.Class == "protocol" && strings.Contains(f.Detail, tc.want)
+		}
+		if !protocol {
+			t.Errorf("%s: faults %v, want a register protocol fault containing %q", tc.name, res.Faults, tc.want)
+		}
+		seq, err := Sequential(mlp(), blobs(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !minidnn.ParamsEqual(seq.Params, res.Params) {
+			t.Errorf("%s: the session on the remaining worker diverged from Sequential", tc.name)
 		}
 	}
 }

@@ -93,15 +93,15 @@ type Config struct {
 	// (CompressExact) preserves the bit-identical-to-Sequential
 	// guarantee end to end.
 	Compress transport.Compression
-	// WorkerTimeout, when positive, enables fault tolerance: a worker
-	// that has not registered, or has sat on an assigned token, for
-	// longer than this is declared dead; its tokens return to the pool
-	// and surviving workers finish the iteration. Zero keeps the
-	// strict mode where any worker fault aborts the session. The
-	// timeout must comfortably exceed the slowest single-token compute
-	// time plus the coordinator's 1 ms queue budget (a worker with short
-	// tokens may hold a report that long before it leaves), plus any
-	// injected Delay, or healthy stragglers will be shot.
+	// WorkerTimeout is the hang deadline: a worker that has not
+	// registered, or has sat on an assigned token, for longer than this
+	// is declared dead like any other faulty worker — its tokens return
+	// to the pool and surviving workers finish the iteration. Zero sets
+	// no deadline: a silent worker is waited for. The timeout must
+	// comfortably exceed the slowest single-token compute time plus the
+	// coordinator's 1 ms queue budget (a worker with short tokens may
+	// hold a report that long before it leaves), plus any injected
+	// Delay, or healthy stragglers will be shot.
 	WorkerTimeout time.Duration
 	// Trace, when set, receives a Fault point event per detected
 	// worker fault (wall-clock seconds since session start).
@@ -282,8 +282,8 @@ type Result struct {
 	TokensByWorker []int
 	// Steals counts tokens trained away from their shard owner.
 	Steals int
-	// Faults records every worker fault the coordinator detected
-	// (empty in a clean run or in strict mode, which aborts instead).
+	// Faults records every worker fault the coordinator detected, each
+	// a death verdict (empty in a clean run).
 	Faults []metrics.FaultEvent
 	// DeadWorkers lists the workers lost during the session, ascending.
 	// Planned departures (drains, evictions) are not deaths and appear

@@ -2,6 +2,8 @@ package rt
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,6 +17,19 @@ func blobs() *minidnn.Dataset { return minidnn.SyntheticBlobs(7, 128, 8, 4) }
 
 func baseCfg() Config {
 	return Config{Workers: 4, TotalBatch: 64, TokenBatch: 8, Iterations: 6, LR: 0.05}
+}
+
+// requireClean fails the test unless a session that injects no fault
+// ran clean: no error and no recorded fault. A worker fault is a death
+// verdict, not an error from Run, so only the result shows it.
+func requireClean(t testing.TB, res *Result, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Faults) > 0 || len(res.DeadWorkers) > 0 {
+		t.Fatalf("a session that injects no fault recorded faults %v, dead workers %v", res.Faults, res.DeadWorkers)
+	}
 }
 
 // TestBitwiseEquivalence is the reproducibility claim (Table II): the
@@ -183,9 +198,7 @@ func TestTrainOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := co.Run(conns)
-	if err != nil {
-		t.Fatal(err)
-	}
+	requireClean(t, res, err)
 	seq, err := Sequential(mlp(), blobs(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -280,8 +293,9 @@ func TestCNNEquivalence(t *testing.T) {
 	}
 }
 
-// TestWorkerFailureSurfaces: a worker connection dying mid-session makes
-// the coordinator return an error instead of hanging.
+// TestWorkerFailureSurfaces: a worker connection dying mid-session
+// with no deadline set is a death verdict, not a hang: the session ends
+// on the survivor and the result names the dead worker.
 func TestWorkerFailureSurfaces(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Workers = 2
@@ -291,26 +305,63 @@ func TestWorkerFailureSurfaces(t *testing.T) {
 	}
 	s0, c0 := transport.Pair()
 	s1, c1 := transport.Pair()
-	go NewWorker(0, mlp(), blobs(), cfg).Run(c0)
+	// Worker 0 starts training only once worker 1 is dead, so the session
+	// cannot end before the coordinator sees the death: iteration 1's
+	// iter-start to worker 1 fails at the latest.
+	dead := make(chan struct{})
+	w0 := cfg
+	w0.Delay = func(iter, _ int) time.Duration {
+		if iter == 0 {
+			<-dead
+		}
+		return 0
+	}
+	go NewWorker(0, mlp(), blobs(), w0).Run(c0)
 	go func() {
 		// Worker 1 registers, then dies.
 		c1.Send(&transport.Message{Kind: transport.KindRegister, WID: 1})
 		m, _ := c1.Recv() // iter-start
 		_ = m
 		c1.Close()
+		close(dead)
 	}()
-	done := make(chan error, 1)
+	done := make(chan sessionOutcome, 1)
 	go func() {
-		_, err := co.Run([]transport.Conn{s0, s1})
-		done <- err
+		res, err := co.Run([]transport.Conn{s0, s1})
+		done <- sessionOutcome{res, err}
 	}()
 	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("coordinator succeeded despite dead worker")
+	case out := <-done:
+		if out.err != nil {
+			t.Fatal(out.err)
+		}
+		if !slices.Equal(out.res.DeadWorkers, []int{1}) || len(out.res.Faults) != 1 {
+			t.Fatalf("DeadWorkers %v, faults %v: want worker 1's death alone", out.res.DeadWorkers, out.res.Faults)
 		}
 	case <-timeAfter(5):
 		t.Fatal("coordinator hung on dead worker")
+	}
+}
+
+// TestTrainFailsLoudOnFault: Train's in-process workers never fail
+// legitimately, so a straggler shot by a WorkerTimeout shorter than its
+// token makes Train return an error naming the fault, not the result.
+func TestTrainFailsLoudOnFault(t *testing.T) {
+	cfg := baseCfg()
+	cfg.Workers = 2
+	cfg.WorkerTimeout = 100 * time.Millisecond
+	cfg.TokenDelay = func(iter, wid int) time.Duration {
+		if wid == 1 {
+			return time.Second
+		}
+		return 0
+	}
+	res, err := Train(mlp, blobs(), cfg)
+	if err == nil {
+		t.Fatalf("Train returned a result with faults %v", res.Faults)
+	}
+	if !strings.Contains(err.Error(), "worker 1: timeout") {
+		t.Fatalf("Train error %q does not name worker 1's timeout", err)
 	}
 }
 

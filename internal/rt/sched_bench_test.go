@@ -46,11 +46,10 @@ func BenchmarkSchedSession(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := time.Now()
-	if _, err := co.Run(conns); err != nil {
-		b.Fatal(err)
-	}
+	res, err := co.Run(conns)
 	elapsed := time.Since(start)
 	b.StopTimer()
+	requireClean(b, res, err)
 	for range conns {
 		if err := <-errs; err != nil {
 			b.Fatal(err)

@@ -93,9 +93,7 @@ func TestSessionTelemetry(t *testing.T) {
 		go func() { errs <- w.Run(client) }()
 	}
 	res, err := co.Run(serverConns)
-	if err != nil {
-		t.Fatal(err)
-	}
+	requireClean(t, res, err)
 	for range workers {
 		if werr := <-errs; werr != nil {
 			t.Fatal(werr)
@@ -263,9 +261,8 @@ func TestStatusReflectsStraggler(t *testing.T) {
 		w := NewWorker(wid, mlp(), blobs(), cfg)
 		go func() { errs <- w.Run(client) }()
 	}
-	if _, err := co.Run(serverConns); err != nil {
-		t.Fatal(err)
-	}
+	res, err := co.Run(serverConns)
+	requireClean(t, res, err)
 	for i := 0; i < cfg.Workers; i++ {
 		if werr := <-errs; werr != nil {
 			t.Fatal(werr)

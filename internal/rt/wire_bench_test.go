@@ -215,10 +215,9 @@ func BenchmarkIterStart(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := co.broadcast(); err != nil {
-			b.Fatal(err)
-		}
+		co.broadcast()
 	}
+	requireClean(b, co.res, nil)
 	for range 2 {
 		if err := <-received; err != nil {
 			b.Fatal(err)

@@ -69,9 +69,7 @@ func TestBroadcastEncodesOncePerIteration(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := co.Run(serverConns)
-	if err != nil {
-		t.Fatal(err)
-	}
+	requireClean(t, res, err)
 	for i := 0; i < workers; i++ {
 		if err := <-workerErrs; err != nil {
 			t.Fatal(err)

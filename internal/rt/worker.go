@@ -360,7 +360,9 @@ func (w *Worker) train(tok transport.TokenInfo) (*transport.Message, error) {
 // Train runs a complete in-process session: a coordinator plus
 // cfg.Workers goroutine workers over in-memory transports, each holding
 // a replica of the seed network and the dataset. It returns the
-// coordinator's result.
+// coordinator's result. In-process workers never fail legitimately, so
+// Train fails loud: any fault the result records — a straggler shot by
+// WorkerTimeout, say — or any worker's error is returned as an error.
 func Train(seedNet func() *minidnn.Network, ds *minidnn.Dataset, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -381,12 +383,11 @@ func Train(seedNet func() *minidnn.Network, ds *minidnn.Dataset, cfg Config) (*R
 	if err != nil {
 		return nil, err
 	}
+	if len(res.Faults) > 0 {
+		return nil, fmt.Errorf("rt: in-process session recorded %d fault(s), first: %v", len(res.Faults), res.Faults[0])
+	}
 	for i := 0; i < cfg.Workers; i++ {
-		werr := <-errs
-		// With fault tolerance on, a worker the coordinator declared
-		// dead exits with a connection error by design; the
-		// coordinator's result is authoritative.
-		if werr != nil && cfg.WorkerTimeout == 0 {
+		if werr := <-errs; werr != nil {
 			return nil, werr
 		}
 	}
