@@ -65,9 +65,11 @@ jobs:
 	GOMAXPROCS=1 $(GO) test ./cmd/felaserver/ -race -count=20 -run 'TestServerJobsMode|TestServerClusterTrace|TestJobsModeGracefulShutdown' -v
 	$(GO) test ./examples/multijob/ -race -count=1
 
-# fuzz runs the AVX2 row tile against the scalar loop, the key
-# compaction on both kernel paths against its spec, the fused rank-1
-# fold on both kernel paths against the two steps it replaces, the binary frame
+# fuzz runs the AVX2 row tile against the scalar loop, the AVX2 plane
+# pass of the conv parameter gradient against the two steps it replaces
+# (AccumRows and the bias sum), the key compaction on both kernel paths
+# against its spec, the fused rank-1 fold on both kernel paths against
+# the two steps it replaces, the binary frame
 # decoder and its round trip, the top-k selection against its
 # sort-based reference, a TCP conn's Recv against DecodeBinary, and the
 # durable record decoder, its round trip and ledger replay (which read
@@ -76,6 +78,7 @@ jobs:
 # replays).
 fuzz:
 	$(GO) test ./internal/tensor/ -run xxx -fuzz FuzzAxpyTile -fuzztime 10s
+	$(GO) test ./internal/tensor/ -run xxx -fuzz FuzzAccumPlane -fuzztime 10s
 	$(GO) test ./internal/tensor/ -run xxx -fuzz FuzzCompactKeys -fuzztime 10s
 	$(GO) test ./internal/tensor/ -run xxx -fuzz FuzzAddOuterScaled -fuzztime 10s
 	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzBinaryDecode -fuzztime 10s
@@ -91,7 +94,9 @@ fuzz:
 # them, the key compaction under the top-k encoder, the fold's AddScaled
 # and its rank-1 AddOuterScaled, the barrier's band fold of 16 rank-1
 # terms against the per-token fold, a token's forward/backward at the
-# train-compute and train-comm shapes, the conv passes, a
+# train-compute and train-comm shapes, the conv passes (the layer-0
+# parameter pass on a max-pool-routed gradient among them), the
+# max-pool's forward and backward at train-compute's shape, a
 # train-sched-shaped session over loopback TCP, the coordinator's
 # receive-and-fold of an exact, a top-k and a rank-1 train-comm report,
 # an iteration's rank-1 reports through the event loop and the barrier,
@@ -103,7 +108,7 @@ fuzz:
 bench:
 	$(GO) test ./internal/transport/ -run xxx -bench 'BenchmarkCodec|BenchmarkTCPReport' -benchtime 100x
 	$(GO) test ./internal/tensor/ -run xxx -bench 'BenchmarkMatMul|BenchmarkAccumRows|BenchmarkAddRows|BenchmarkCompactKeys|BenchmarkReLU|BenchmarkAddScaled|BenchmarkAddOuterScaled|BenchmarkAddOutersScaled' -benchtime 100x
-	$(GO) test ./internal/minidnn/ -run xxx -bench 'BenchmarkToken|BenchmarkConv' -benchtime 100x
+	$(GO) test ./internal/minidnn/ -run xxx -bench 'BenchmarkToken|BenchmarkConv|BenchmarkMaxPool' -benchtime 100x
 	$(GO) test ./internal/rt/ -run xxx -bench 'BenchmarkSchedSession|BenchmarkFoldReport|BenchmarkBarrierFold|BenchmarkIterStart' -benchtime 100x
 	$(GO) test ./internal/jobs/ -run xxx -bench 'BenchmarkPoolJob|BenchmarkNormalizeSpec' -benchtime 100x
 
@@ -154,12 +159,16 @@ durable:
 # kernels runs the compute-kernel and gradient-compression suites under
 # the race detector: bit-pattern identity with the naive kernels across
 # tile tails, special values and fan-out widths, on the AVX2 and the
-# portable path, the key compaction against its spec on both, the fused
+# portable path — the conv's plane pass, 2×2 max-pool (forward and
+# backward, tails of the eight-window step) and im2col transpose among
+# them, with the FuzzAccumPlane corpus replayed — the key compaction
+# against its spec on both, the fused
 # rank-1 fold against its two steps on both, the band fold of many
 # rank-1 terms (the AVX2 rank-k row) against the per-token fold on both,
 # the tensor and minidnn suites once more built with GOAMD64=v3 (where the
 # compiler may use FMA), the tensor, minidnn and transport suites built
-# for 386 (the portable path alone: every layer, the deferred
+# for 386 (the portable path alone, the AVX2 entry points stubbed by
+# kernels_other.go: every layer, the deferred
 # weight-gradient zero and rank-1 factors, and the fused and band rank-1
 # folds on the Go loops, every top-k frame against the
 # sort-based reference without the AVX2 compaction), layer-buffer

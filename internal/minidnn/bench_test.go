@@ -58,7 +58,9 @@ func BenchmarkConvForward(b *testing.B) {
 }
 
 // BenchmarkConvBackward is the full Backward, input gradient included:
-// the cost Network.Loss avoids when the conv is layer 0.
+// the cost Network.Loss avoids when the conv is layer 0. Its gradient
+// is half zeros, not the sparser one a max-pool routes (see
+// BenchmarkConvBackwardParams).
 func BenchmarkConvBackward(b *testing.B) {
 	c, x, grad := benchConv()
 	c.Forward(x)
@@ -67,5 +69,51 @@ func BenchmarkConvBackward(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Backward(grad)
+	}
+}
+
+// benchPool is train-compute's conv → ReLU → max-pool front on a token,
+// run forward once, and a dense gradient for the pool's output.
+func benchPool() (c *Conv2D, relu *ReLU, pool *MaxPool2D, up *tensor.Tensor) {
+	c, x, _ := benchConv()
+	relu = &ReLU{}
+	pool = NewMaxPool2D(16, 32, 32, 2)
+	pool.Forward(relu.Forward(c.Forward(x)))
+	up = tensor.New(16, 16*16*16).Randn(rand.New(rand.NewSource(4)), 1)
+	return c, relu, pool, up
+}
+
+// BenchmarkConvBackwardParams is the layer-0 pass Network.Loss takes,
+// gW and gB alone, on the gradient the CNN's first layer really gets: a
+// 2×2 max-pool routes one gradient in four, and the ReLU then masks
+// the windows whose maximum was not positive.
+func BenchmarkConvBackwardParams(b *testing.B) {
+	c, relu, pool, up := benchPool()
+	grad := relu.Backward(pool.Backward(up))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.ZeroGrads()
+		c.backwardParams(grad)
+	}
+}
+
+func BenchmarkMaxPoolForward(b *testing.B) {
+	_, relu, pool, _ := benchPool()
+	act := relu.out
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pool.Forward(act)
+	}
+}
+
+func BenchmarkMaxPoolBackward(b *testing.B) {
+	_, _, pool, up := benchPool()
+	pool.Backward(up) // grow dx before timing
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pool.Backward(up)
 	}
 }

@@ -124,7 +124,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 				c.fillPanel(p, span, s, xn, i, j, seg)
 				s += seg
 			}
-			transpose(c.cols[r*rf:(r+span)*rf], p, rf, span)
+			tensor.Transpose(c.cols[r*rf:(r+span)*rf], p, rf, span)
 			o := out[n*c.OutC*hw+ij:] // o[oc·hw+s] is output pixel (n,oc,ij+s)
 			for oc, b := range bias {
 				orow := o[oc*hw:][:span]
@@ -137,25 +137,6 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 		}
 	})
 	return c.out
-}
-
-// transpose writes the rows×cols matrix src into dst as cols×rows.
-func transpose(dst, src []float32, rows, cols int) {
-	dst = dst[:rows*cols]
-	i := 0
-	for ; i+4 <= rows; i += 4 { // four source rows per pass: four adjacent stores
-		s0, s1 := src[i*cols:][:cols], src[(i+1)*cols:][:cols]
-		s2, s3 := src[(i+2)*cols:][:cols], src[(i+3)*cols:][:cols]
-		for j, v := range s0 {
-			d := dst[j*rows+i:][:4:4]
-			d[0], d[1], d[2], d[3] = v, s1[j], s2[j], s3[j]
-		}
-	}
-	for ; i < rows; i++ {
-		for j, v := range src[i*cols : (i+1)*cols] {
-			dst[j*rows+i] = v
-		}
-	}
 }
 
 // panelLen is the size in floats of Forward's per-band panel, 16 KiB on
@@ -248,11 +229,12 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // backward pass of a first layer. It is parallel over output channels —
 // channel oc owns gW row oc and gB[oc] alone, and for a fixed oc the
 // naive kernel visits contributions in ascending (n,i,j) order,
-// skipping zero gradients, which is exactly the order of the two loops
+// skipping zero gradients, which is exactly the order of the loop
 // below. The weight gradient rides the im2col rows cached by Forward
 // (identical values to the strided gathers, including the padding
-// zeros): per sample it is gW[oc] += Σ g(n,oc,i,j)·cols[(n,i,j)], the
-// zero-skipping row accumulation of tensor.AccumRows.
+// zeros): per sample it is gW[oc] += Σ g(n,oc,i,j)·cols[(n,i,j)] and
+// gB[oc] += Σ g(n,oc,i,j) over the non-zero g, one tensor.AccumPlane
+// pass over the plane.
 func (c *Conv2D) backwardParams(grad *tensor.Tensor) {
 	if c.lastX == nil {
 		panic("minidnn: conv Backward before Forward")
@@ -267,41 +249,11 @@ func (c *Conv2D) backwardParams(grad *tensor.Tensor) {
 			gb := c.gB.Data[oc]
 			for n := 0; n < batch; n++ {
 				plane := grad.Data[(n*c.OutC+oc)*hw:][:hw]
-				gb = sumNonZero(gb, plane)
-				tensor.AccumRows(gw, plane, 1, c.cols[n*hw*rf:(n+1)*hw*rf])
+				gb = tensor.AccumPlane(gw, plane, c.cols[n*hw*rf:(n+1)*hw*rf], gb)
 			}
 			c.gB.Data[oc] = gb
 		}
 	})
-}
-
-// sumNonZero returns sum advanced by the non-zero elements of g, one
-// add at a time in order. The elements are compacted first — an
-// unconditional store, only the count depends on the value — because a
-// post-ReLU gradient is zero or not at the toss of a coin, which a
-// branch around the add would mispredict.
-func sumNonZero(sum float32, g []float32) float32 {
-	var nz [256]float32
-	for len(g) > 0 {
-		chunk := g[:min(len(g), len(nz))]
-		g = g[len(chunk):]
-		cnt := 0
-		for _, v := range chunk {
-			nz[cnt&(len(nz)-1)] = v
-			cnt += nonZero(v)
-		}
-		for _, v := range nz[:cnt] {
-			sum += v
-		}
-	}
-	return sum
-}
-
-// nonZero is 1 when v != 0 and 0 otherwise, from the bits: the
-// compiler turns `if v != 0 { cnt++ }` into the very branch the
-// compaction exists to avoid.
-func nonZero(v float32) int {
-	return int((uint64(math.Float32bits(v)&0x7fffffff) + 0x7fffffff) >> 31)
 }
 
 // forwardNaive and backwardNaive are the original direct-loop kernels,
@@ -415,7 +367,11 @@ func (p *MaxPool2D) OutW() int { return p.InW / p.K }
 // larger is a coin toss to a branch predictor. A row of windows goes
 // tap by tap, every window of the row taking its tap t before any takes
 // tap t+1, so the running maxima of a row are independent chains in
-// flight together instead of one chain at a time.
+// flight together instead of one chain at a time. A 2×2 window — the
+// CNN's — goes eight windows at a time on the AVX2 tile
+// (tensor.MaxPool2) with the same compare and select; the loop here
+// takes what is left of each row, and every window on the portable
+// path.
 func (p *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if x.Dims() != 2 || x.Shape[1] != p.C*p.InH*p.InW {
 		panic(fmt.Sprintf("minidnn: pool input shape %v, want (*,%d)", x.Shape, p.C*p.InH*p.InW))
@@ -426,9 +382,13 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	p.out = tensor.Reuse(p.out, x.Shape[0], p.C*oh*ow)
 	p.argmax = grow(p.argmax, p.out.Len())
 	in, k, inW := x.Data, p.K, p.InW
+	j0 := 0 // the windows of every row the tile took
+	if k == 2 {
+		j0 = tensor.MaxPool2(p.out.Data, p.argmax, in, inW)
+	}
 	for r := 0; r < planes*oh; r++ { // r = plane·OutH + i: one row of windows
-		base := (r/oh*p.InH + r%oh*k) * inW // the row's first tap
-		o, arg := p.out.Data[r*ow:][:ow], p.argmax[r*ow:][:ow]
+		base := (r/oh*p.InH+r%oh*k)*inW + j0*k // the row's first tap from window j0 on
+		o, arg := p.out.Data[r*ow+j0:(r+1)*ow], p.argmax[r*ow+j0:(r+1)*ow]
 		for j := range o {
 			o[j], arg[j] = in[base+j*k], int32(base+j*k)
 		}
@@ -449,15 +409,28 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return p.out
 }
 
-// Backward implements Layer: the gradient routes to each window's argmax.
+// Backward implements Layer: the gradient routes to each window's
+// argmax, onto a cleared dx. A 2×2 window goes eight windows at a time
+// on the AVX2 tile (tensor.MaxPool2Grad), which writes all four of a
+// window's taps; the loop here clears and routes what is left of each
+// row of windows, and every window on the portable path.
 func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if p.lastX == nil {
 		panic("minidnn: pool Backward before Forward")
 	}
 	p.dx = tensor.Reuse(p.dx, p.lastX.Shape...)
-	clear(p.dx.Data)
-	for oIdx, inIdx := range p.argmax {
-		p.dx.Data[inIdx] += grad.Data[oIdx]
+	dx, k, inW, ow := p.dx.Data, p.K, p.InW, p.OutW()
+	j0 := 0 // the windows of every row the tile took
+	if k == 2 {
+		j0 = tensor.MaxPool2Grad(dx, grad.Data, p.argmax, inW)
+	}
+	for r := 0; r*ow < len(p.argmax); r++ { // one row of windows: input rows r·K … r·K+K-1
+		for i := r * k; i < (r+1)*k; i++ {
+			clear(dx[i*inW+j0*k : (i+1)*inW])
+		}
+		for o := r*ow + j0; o < (r+1)*ow; o++ {
+			dx[p.argmax[o]] += grad.Data[o]
+		}
 	}
 	return p.dx
 }

@@ -141,34 +141,45 @@ func TestConvParallelBitIdentical(t *testing.T) {
 	})
 }
 
+// TestMaxPool: on a 4×20 plane that grows left to right and top to
+// bottom, each window's maximum is its bottom-right tap, and Backward
+// routes each gradient there and nowhere else — ten windows a row, eight
+// of them on the AVX2 tile and two on the Go loop, on each kernel path.
 func TestMaxPool(t *testing.T) {
-	p := NewMaxPool2D(1, 4, 4, 2)
-	x := tensor.FromSlice([]float32{
-		1, 2, 3, 4,
-		5, 6, 7, 8,
-		9, 10, 11, 12,
-		13, 14, 15, 16,
-	}, 1, 16)
-	out := p.Forward(x)
-	want := []float32{6, 8, 14, 16}
-	for i, w := range want {
-		if out.Data[i] != w {
-			t.Fatalf("pool out = %v, want %v", out.Data, want)
+	const h, w = 4, 20
+	eachPath(func(path string) {
+		p := NewMaxPool2D(1, h, w, 2)
+		x := tensor.New(1, h*w)
+		for i := range x.Data {
+			x.Data[i] = float32(i + 1)
 		}
-	}
-	// Backward routes gradient to the argmax positions only.
-	grad := tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 4)
-	dx := p.Backward(grad)
-	if dx.Data[5] != 1 || dx.Data[7] != 2 || dx.Data[13] != 3 || dx.Data[15] != 4 {
-		t.Fatalf("pool backward wrong: %v", dx.Data)
-	}
-	var sum float32
-	for _, v := range dx.Data {
-		sum += v
-	}
-	if sum != 10 {
-		t.Fatalf("pool backward not conservative: %v", sum)
-	}
+		out := p.Forward(x)
+		grad := tensor.New(1, h/2*w/2)
+		for o := range out.Data {
+			i, j := o/(w/2), o%(w/2)
+			at := (2*i+1)*w + 2*j + 1
+			if out.Data[o] != float32(at+1) || p.argmax[o] != int32(at) {
+				t.Fatalf("%s: window %d is %v at %d, want %v at %d", path, o, out.Data[o], p.argmax[o], at+1, at)
+			}
+			grad.Data[o] = float32(o + 1)
+		}
+		dx := p.Backward(grad)
+		var sum float32
+		for in, v := range dx.Data {
+			i, j := in/w, in%w
+			want := float32(0)
+			if i%2 == 1 && j%2 == 1 {
+				want = float32(i/2*(w/2) + j/2 + 1)
+			}
+			if v != want {
+				t.Fatalf("%s: dx[%d] = %v, want %v", path, in, v, want)
+			}
+			sum += v
+		}
+		if want := float32(len(grad.Data) * (len(grad.Data) + 1) / 2); sum != want {
+			t.Fatalf("%s: pool backward not conservative: %v, want %v", path, sum, want)
+		}
+	})
 }
 
 func TestMaxPoolValidation(t *testing.T) {

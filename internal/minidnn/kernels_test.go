@@ -70,7 +70,9 @@ func salted(rng *rand.Rand, wild int, rows, cols int) *tensor.Tensor {
 // what is there. About a quarter of the weights are ±0 and of the biases
 // -0: the forward pass adds a zero weight's product like any other (0·Inf
 // is NaN, and -0 + 0·x is +0), so a kernel that skipped it would show.
-func checkConv(t *testing.T, name string, rng *rand.Rand, wild, batch, inC, outC, k, pad, h, w int) {
+// A routed gradient is one a 2×2 max-pool and a ReLU leave: at most one
+// entry in four non-zero.
+func checkConv(t *testing.T, name string, rng *rand.Rand, wild int, routed bool, batch, inC, outC, k, pad, h, w int) {
 	t.Helper()
 	newLayer := func() *Conv2D {
 		c := NewConv2D(rand.New(rand.NewSource(9)), inC, outC, k, pad, h, w)
@@ -94,6 +96,16 @@ func checkConv(t *testing.T, name string, rng *rand.Rand, wild, batch, inC, outC
 	ref := newLayer()
 	wantOut := ref.forwardNaive(x)
 	grad := salted(rng, wild, batch, wantOut.Shape[1])
+	if routed {
+		for i := range grad.Data {
+			if i%4 != 3 || rng.Intn(2) == 0 { // the window's one tap, then the ReLU
+				grad.Data[i] = []float32{0, negZero}[rng.Intn(2)]
+			}
+		}
+		for ; wild > 0 && len(grad.Data) >= 4; wild-- { // ±Inf and NaN on surviving taps
+			grad.Data[rng.Intn(len(grad.Data)/4)*4+3] = []float32{-negInf, negInf, nan}[rng.Intn(3)]
+		}
+	}
 	wantDx := ref.backwardNaive(grad)
 
 	full := newLayer()
@@ -110,12 +122,14 @@ func checkConv(t *testing.T, name string, rng *rand.Rand, wild, batch, inC, outC
 }
 
 // TestConvBitPatterns covers what TestConvParallelBitIdentical's one
-// geometry does not: several output-channel counts, windows that hang
-// over (or miss) the image on every side, planes longer than
-// sumNonZero's chunk and than one panel of the forward pass, operands
-// salted with ±0, denormals, ±Inf and NaN — and, sized to clear the
-// parallel cutoff, fan-out 1, 2 and 8 for every channel count — on each
-// kernel path.
+// geometry does not: output-channel counts around the AVX2 vector and
+// the CNN's 16, windows that hang over (or miss) the image on every
+// side, fields of one vector and a tail, of more than one 32-float block
+// of the plane pass and larger than one panel of the forward pass,
+// planes with a tail of fewer than eight pixels, operands salted with
+// ±0, denormals, ±Inf and NaN, output gradients as dense as a ReLU's and
+// as sparse as a max-pool's — and, sized to clear the parallel cutoff,
+// fan-out 1, 2 and 8 for every channel count — on each kernel path.
 func TestConvBitPatterns(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	geoms := []struct{ inC, k, pad, h, w int }{
@@ -125,26 +139,30 @@ func TestConvBitPatterns(t *testing.T) {
 		{2, 3, 3, 4, 5},   // pad ≥ k: windows that miss the image
 		{1, 3, 1, 1, 1},   // kernel wider than the image
 		{1, 1, 0, 20, 20}, // 400-pixel planes: two sumNonZero chunks
+		{4, 3, 1, 5, 7},   // 36 taps: two blocks of the plane pass
 		{460, 3, 1, 2, 2}, // 4140 taps: a field larger than the forward panel
 	}
+	outCs := []int{1, 3, 4, 5, 8, 11, 16, 17}
 	t.Cleanup(func() { tensor.SetParallelism(0) })
 	eachPath(func(path string) {
 		tensor.SetParallelism(0)
 		for _, g := range geoms {
-			for _, outC := range []int{1, 3, 4, 5, 11} {
+			for _, outC := range outCs {
 				for _, wild := range []int{0, 3} {
-					name := fmt.Sprintf("%s/c%dk%dp%d_%dx%d/outC%d/wild%d", path, g.inC, g.k, g.pad, g.h, g.w, outC, wild)
-					checkConv(t, name, rng, wild, 3, g.inC, outC, g.k, g.pad, g.h, g.w)
+					for _, routed := range []bool{false, true} {
+						name := fmt.Sprintf("%s/c%dk%dp%d_%dx%d/outC%d/wild%d/routed=%v", path, g.inC, g.k, g.pad, g.h, g.w, outC, wild, routed)
+						checkConv(t, name, rng, wild, routed, 3, g.inC, outC, g.k, g.pad, g.h, g.w)
+					}
 				}
 			}
 		}
 		for _, par := range []int{1, 2, 8} {
 			tensor.SetParallelism(par)
-			for _, outC := range []int{1, 3, 4, 5, 11} {
+			for _, outC := range outCs {
 				// 15×17 output pixels × 27 taps per sample: enough samples
 				// that batch·hw·rf·outC clears the 2²⁰-MAC parallel cutoff.
 				batch := (1<<20)/(15*17*27*outC) + 2
-				checkConv(t, fmt.Sprintf("%s/par%d/outC%d", path, par, outC), rng, 2, batch, 3, outC, 3, 1, 15, 17)
+				checkConv(t, fmt.Sprintf("%s/par%d/outC%d", path, par, outC), rng, 2, outC%2 == 0, batch, 3, outC, 3, 1, 15, 17)
 			}
 		}
 	})
@@ -152,28 +170,33 @@ func TestConvBitPatterns(t *testing.T) {
 
 // TestConvZeroGradientIsSkippedNotAdded: a zero output gradient adds
 // nothing — not even +0, which would turn a -0 accumulator into +0. The
-// one way to see the difference is to start gW and gB at -0.
+// one way to see the difference is to start gW and gB at -0. The
+// geometries take the plane pass through whole vectors (a 48-pixel
+// plane), a tail of three pixels and two 32-float blocks of a 36-tap
+// field, over the CNN's 16 channels.
 func TestConvZeroGradientIsSkippedNotAdded(t *testing.T) {
+	geoms := []struct{ inC, outC, h, w int }{{1, 5, 4, 12}, {4, 16, 5, 7}}
 	eachPath(func(path string) {
-		// 4×12 images: a 48-pixel plane fills whole vectors of the tile.
-		c := NewConv2D(rand.New(rand.NewSource(1)), 1, 5, 3, 1, 4, 12)
-		for _, g := range c.Grads() {
-			for i := range g.Data {
-				g.Data[i] = negZero
+		for _, g := range geoms {
+			c := NewConv2D(rand.New(rand.NewSource(1)), g.inC, g.outC, 3, 1, g.h, g.w)
+			for _, gr := range c.Grads() {
+				for i := range gr.Data {
+					gr.Data[i] = negZero
+				}
 			}
-		}
-		out := c.Forward(tensor.New(2, 48).Randn(rand.New(rand.NewSource(2)), 1))
-		grad := tensor.New(out.Shape...)
-		for i := range grad.Data {
-			if i%3 == 0 {
-				grad.Data[i] = negZero
+			out := c.Forward(tensor.New(2, g.inC*g.h*g.w).Randn(rand.New(rand.NewSource(2)), 1))
+			grad := tensor.New(out.Shape...)
+			for i := range grad.Data {
+				if i%3 == 0 {
+					grad.Data[i] = negZero
+				}
 			}
-		}
-		c.Backward(grad)
-		for _, g := range c.Grads() {
-			for i, v := range g.Data {
-				if math.Float32bits(v) != math.Float32bits(negZero) {
-					t.Fatalf("%s: gradient element %d is %v (%#08x) after an all-zero backward pass, want -0", path, i, v, math.Float32bits(v))
+			c.Backward(grad)
+			for _, gr := range c.Grads() {
+				for i, v := range gr.Data {
+					if math.Float32bits(v) != math.Float32bits(negZero) {
+						t.Fatalf("%s %+v: gradient element %d is %v (%#08x) after an all-zero backward pass, want -0", path, g, i, v, math.Float32bits(v))
+					}
 				}
 			}
 		}
@@ -212,57 +235,92 @@ func poolNaive(p *MaxPool2D, x *tensor.Tensor) (out *tensor.Tensor, argmax []int
 // then indexed dx[-1]. Seeded from its first tap, such a window routes
 // its gradient to that tap and the divergence shows in the loss instead
 // of as a crash; a NaN in first place holds it, a later NaN never wins.
+// The 4×4 block of windows below repeats nine times across the plane,
+// so that each kind of window lands on the AVX2 tile's lanes and on the
+// Go loop's tail, on each kernel path.
 func TestMaxPoolDivergedWindow(t *testing.T) {
-	p := NewMaxPool2D(1, 4, 4, 2)
-	x := tensor.FromSlice([]float32{
+	block := []float32{
 		negInf, negInf, nan, nan,
 		negInf, negInf, nan, nan,
 		nan, 5, 1, nan,
 		7, 9, 3, 2,
-	}, 1, 16)
-	out := p.Forward(x)
-	wantArg := []int32{0, 2, 8, 14}
-	for o, want := range wantArg {
-		if p.argmax[o] != want {
-			t.Errorf("window %d: argmax %d, want %d", o, p.argmax[o], want)
+	}
+	blockArg := []int32{0, 2, 8, 14} // the windows' argmax inside the block
+	const reps, w = 9, 9 * 4
+	x := tensor.New(1, 4*w)
+	for i := range x.Data {
+		x.Data[i] = block[i/w*4+i%4]
+	}
+	eachPath(func(path string) {
+		p := NewMaxPool2D(1, 4, w, 2)
+		out := p.Forward(x)
+		grad := tensor.New(1, 2*reps*2)
+		for o := range grad.Data {
+			grad.Data[o] = float32(o + 1)
 		}
-	}
-	if out.Data[0] != negInf || out.Data[1] == out.Data[1] || out.Data[2] == out.Data[2] || out.Data[3] != 3 {
-		t.Errorf("pooled values %v, want [-Inf NaN NaN 3]", out.Data)
-	}
-	dx := p.Backward(tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 4))
-	for o, in := range wantArg {
-		if dx.Data[in] != float32(o+1) {
-			t.Errorf("gradient of window %d not at input %d: %v", o, in, dx.Data)
+		dx := p.Backward(grad)
+		for o := range out.Data {
+			i, j := o/(2*reps), o%(2*reps) // window (i, j) is window (i, j%2) of block j/2
+			local := blockArg[2*i+j%2]
+			want := int32(int(local)/4*w + j/2*4 + int(local)%4)
+			if p.argmax[o] != want {
+				t.Errorf("%s window %d: argmax %d, want %d", path, o, p.argmax[o], want)
+			}
+			if got, wantV := out.Data[o], x.Data[want]; math.Float32bits(got) != math.Float32bits(wantV) && !(got != got && wantV != wantV) {
+				t.Errorf("%s window %d: pooled %v, want %v", path, o, got, wantV)
+			}
+			if dx.Data[want] != grad.Data[o] {
+				t.Errorf("%s: gradient of window %d not at input %d: %v", path, o, want, dx.Data[want])
+			}
 		}
-	}
+	})
 }
 
 // TestMaxPoolEarliestMaximum: on ordinary windows — ties, ReLU zeros,
 // signed zeros included — the branch-free select picks the tap the
-// branching loop picks, for square windows of several sizes.
+// branching loop picks, for square windows of several sizes and rows of
+// windows that fill the AVX2 tile's eight lanes, leave a tail, or are
+// too short for it; and Backward gives the bits of clearing dx and
+// adding each gradient at that tap into a buffer the last pass left
+// NaNs in, on each kernel path.
 func TestMaxPoolEarliestMaximum(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
-	for _, k := range []int{1, 2, 3} {
-		p := NewMaxPool2D(3, 6*k, 4*k, k)
-		x := tensor.New(5, 3*6*k*4*k)
-		for i := range x.Data {
-			// Small integers tie often; half are clipped to ±0 as a
-			// ReLU would.
-			if v := float32(rng.Intn(7) - 3); v > 0 {
-				x.Data[i] = v
-			} else if rng.Intn(2) == 0 {
-				x.Data[i] = negZero
+	eachPath(func(path string) {
+		for _, k := range []int{1, 2, 3} {
+			for _, ow := range []int{4, 8, 13, 21} {
+				name := fmt.Sprintf("%s/k%d/ow%d", path, k, ow)
+				p := NewMaxPool2D(3, 6*k, ow*k, k)
+				x := tensor.New(5, 3*6*k*ow*k)
+				for i := range x.Data {
+					// Small integers tie often; half are clipped to ±0 as a
+					// ReLU would.
+					if v := float32(rng.Intn(7) - 3); v > 0 {
+						x.Data[i] = v
+					} else if rng.Intn(2) == 0 {
+						x.Data[i] = negZero
+					}
+				}
+				wantOut, wantArg := poolNaive(p, x)
+				wantBits(t, name+" out", p.Forward(x), wantOut)
+				for o, want := range wantArg {
+					if p.argmax[o] != want {
+						t.Fatalf("%s window %d: argmax %d, want %d", name, o, p.argmax[o], want)
+					}
+				}
+				grad := salted(rng, 3, 5, wantOut.Shape[1])
+				wantDx := tensor.New(x.Shape...)
+				for o, in := range wantArg {
+					wantDx.Data[in] += grad.Data[o]
+				}
+				stale := tensor.New(grad.Shape...)
+				for i := range stale.Data {
+					stale.Data[i] = nan
+				}
+				p.Backward(stale) // NaNs at every argmax for the next pass to overwrite
+				wantBits(t, name+" dx", p.Backward(grad), wantDx)
 			}
 		}
-		wantOut, wantArg := poolNaive(p, x)
-		wantBits(t, fmt.Sprintf("k%d out", k), p.Forward(x), wantOut)
-		for o, want := range wantArg {
-			if p.argmax[o] != want {
-				t.Fatalf("k%d window %d: argmax %d, want %d", k, o, p.argmax[o], want)
-			}
-		}
-	}
+	})
 }
 
 // netCases are the two network families at sizes whose kernels cross

@@ -77,6 +77,32 @@ var compactPerm = func() (t [256][vecLen]uint8) {
 //go:noescape
 func compactAVX2(idx []uint32, val []float32, src []float32, srcIdx []uint32, base, lo, hi uint32, ties, stop int) (read, n, above int)
 
+// accumPlaneAVX2 is AccumPlane on the AVX2 tile, for len(c) ≥ 1 and b
+// holding len(g) rows of len(c) floats.
+//
+//go:noescape
+func accumPlaneAVX2(c, g, b []float32, sum float32) float32
+
+// maxPool2AVX2 takes windows 0 … done-1 of every row of MaxPool2's
+// windows, done a positive multiple of eight and at most inW/2, with
+// len(out) = len(arg) = len(in)/4.
+//
+//go:noescape
+func maxPool2AVX2(out []float32, arg []int32, in []float32, inW, done int)
+
+// maxPool2GradAVX2 writes the taps of windows 0 … done-1 of every row
+// of MaxPool2Grad's windows, done as in maxPool2AVX2, with len(grad) =
+// len(arg) = len(dx)/4.
+//
+//go:noescape
+func maxPool2GradAVX2(dx, grad []float32, arg []int32, inW, done int)
+
+// transposeAVX2 transposes the first cols&^7 columns of src into dst,
+// rows ≥ 1 and cols ≥ 8.
+//
+//go:noescape
+func transposeAVX2(dst, src []float32, rows, cols int)
+
 //go:noescape
 func outerAVX2(c, x, d []float32, a float32)
 

@@ -553,3 +553,494 @@ outersTailTerm:
 outersDone:
 	VZEROUPPER
 	RET
+
+// func accumPlaneAVX2(c, g, b []float32, sum float32) float32
+//
+// AccumPlane's pass. c goes a block of up to 32 columns at a time, held
+// in Y0–Y3 for the whole of g, each vector loaded and stored through
+// its lane mask (Y11–Y14: lanes past the block's last column are
+// neither read nor written). For the block, g goes 32 entries at a
+// time, then eight: VCMPPS not-equal against zero (unordered, so a NaN
+// counts and ±0 does not) and VMOVMSKPS give the non-zero lanes as
+// bits, and the walk takes the set bits lowest first. For each one it
+// adds the product g[p]·b[p][j] into every column j of the block —
+// VMULPS then VADDPS, the running value first, as quadRows adds — and
+// g[p] into the sum in X10. The last 1–7 entries of g are loaded
+// through the tail mask (masked-out lanes read as +0 and are skipped).
+// Every block walks the same entries; the sum after the first is the
+// one returned.
+//
+// Registers: DI the block of c, R14 the columns of c from it on, SI g,
+// R8 len(g), BX b at the block's first column, R9 a row of b in bytes,
+// R10 the group's first entry p0, R13 its size, R11 row p0 of b at the
+// block, AX the group's non-zero lanes, Y9 zero.
+TEXT ·accumPlaneAVX2(SB), NOSPLIT, $0-84
+	MOVQ   c_base+0(FP), DI
+	MOVQ   c_len+8(FP), R14
+	MOVQ   g_base+24(FP), SI
+	MOVQ   g_len+32(FP), R8
+	MOVQ   b_base+48(FP), BX
+	MOVQ   R14, R9
+	SHLQ   $2, R9
+	VMOVSS sum+72(FP), X10
+	VXORPS Y9, Y9, Y9
+
+planeBlock:
+	// The block's width w = min(R14, 32) sets the lane masks: lane l
+	// of vector v is on when 8v+l < w.
+	MOVQ         R14, AX
+	CMPQ         AX, $32
+	JLE          planeMasks
+	MOVQ         $32, AX
+
+planeMasks:
+	VMOVD        AX, X4
+	VPBROADCASTD X4, Y4
+	VMOVDQU      lanes<>(SB), Y5
+	VPBROADCASTD eight<>(SB), Y6
+	VPCMPGTD     Y5, Y4, Y11
+	VPADDD       Y6, Y5, Y5
+	VPCMPGTD     Y5, Y4, Y12
+	VPADDD       Y6, Y5, Y5
+	VPCMPGTD     Y5, Y4, Y13
+	VPADDD       Y6, Y5, Y5
+	VPCMPGTD     Y5, Y4, Y14
+	VMASKMOVPS   (DI), Y11, Y0
+	VMASKMOVPS   32(DI), Y12, Y1
+	VMASKMOVPS   64(DI), Y13, Y2
+	VMASKMOVPS   96(DI), Y14, Y3
+	XORQ         R10, R10
+	MOVQ         BX, R11
+
+planeGroup:
+	MOVQ      R8, AX
+	SUBQ      R10, AX // entries of g left
+	JLE       planeStore
+	MOVQ      $8, R13
+	CMPQ      AX, $32
+	JLT       planeEight
+	MOVQ      $32, R13
+	VCMPPS    $4, (SI)(R10*4), Y9, Y15
+	VMOVMSKPS Y15, AX
+	VCMPPS    $4, 32(SI)(R10*4), Y9, Y15
+	VMOVMSKPS Y15, DX
+	SHLL      $8, DX
+	ORL       DX, AX
+	VCMPPS    $4, 64(SI)(R10*4), Y9, Y15
+	VMOVMSKPS Y15, DX
+	SHLL      $16, DX
+	ORL       DX, AX
+	VCMPPS    $4, 96(SI)(R10*4), Y9, Y15
+	VMOVMSKPS Y15, DX
+	SHLL      $24, DX
+	ORL       DX, AX
+	JMP       planeLanes
+
+planeEight:
+	CMPQ      AX, $8
+	JLT       planePartial
+	VCMPPS    $4, (SI)(R10*4), Y9, Y15
+	VMOVMSKPS Y15, AX
+	JMP       planeLanes
+
+planePartial:
+	SHLQ       $2, AX
+	LEAQ       tailMask<>+32(SB), DX
+	SUBQ       AX, DX
+	VMOVDQU    (DX), Y15
+	VMASKMOVPS (SI)(R10*4), Y15, Y15
+	VCMPPS     $4, Y15, Y9, Y15
+	VMOVMSKPS  Y15, AX
+
+planeLanes:
+	TESTL AX, AX
+	JEQ   planeNext
+
+planeWalk:
+	BSFL         AX, DX
+	LEAL         -1(AX), R12
+	ANDL         R12, AX
+	LEAQ         (R10)(DX*1), R12
+	VBROADCASTSS (SI)(R12*4), Y4
+	VADDSS       (SI)(R12*4), X10, X10
+	IMULQ        R9, DX
+	ADDQ         R11, DX
+	VMASKMOVPS   (DX), Y11, Y5
+	VMULPS       Y5, Y4, Y5
+	VADDPS       Y5, Y0, Y0
+	VMASKMOVPS   32(DX), Y12, Y6
+	VMULPS       Y6, Y4, Y6
+	VADDPS       Y6, Y1, Y1
+	VMASKMOVPS   64(DX), Y13, Y7
+	VMULPS       Y7, Y4, Y7
+	VADDPS       Y7, Y2, Y2
+	VMASKMOVPS   96(DX), Y14, Y8
+	VMULPS       Y8, Y4, Y8
+	VADDPS       Y8, Y3, Y3
+	TESTL        AX, AX
+	JNE          planeWalk
+
+planeNext:
+	ADDQ  R13, R10
+	MOVQ  R13, R12
+	IMULQ R9, R12
+	ADDQ  R12, R11
+	JMP   planeGroup
+
+planeStore:
+	VMASKMOVPS Y0, Y11, (DI)
+	VMASKMOVPS Y1, Y12, 32(DI)
+	VMASKMOVPS Y2, Y13, 64(DI)
+	VMASKMOVPS Y3, Y14, 96(DI)
+	CMPQ       R14, c_len+8(FP)
+	JNE        planeLater
+	VMOVSS     X10, ret+80(FP)
+
+planeLater:
+	ADDQ $128, DI
+	ADDQ $128, BX
+	SUBQ $32, R14
+	JGT  planeBlock
+	VZEROUPPER
+	RET
+
+// func maxPool2AVX2(out []float32, arg []int32, in []float32, inW, done int)
+//
+// MaxPool2's windows, eight per step. A step loads 16 floats of each of
+// the row pair's two input rows and de-interleaves them (VSHUFPS, then
+// VPERMPD to restore the order across the 128-bit halves) into the
+// windows' four taps in (ki,kj) order: row 0 even, row 0 odd, row 1
+// even, row 1 odd. The running maximum Y4 starts at the first tap and
+// its index Y8 at the tap's flat input index; each later tap that
+// compares greater (VCMPPS GT_OQ: false on a NaN either side, and on a
+// tie) replaces both, by VBLENDVPS on the comparison's lanes.
+//
+// Registers: DI, R8 and SI the row of out, of arg and of the input row
+// pair, R13 the end of out, R9 inW, R10 done, BX the row's first input
+// index; Y10 the step's first-tap indices, Y15 0, 2, …, 14, Y14, Y13
+// and Y12 the later taps' index offsets 1, inW and inW+1, Y11 16.
+TEXT ·maxPool2AVX2(SB), NOSPLIT, $0-88
+	MOVQ         out_base+0(FP), DI
+	MOVQ         out_len+8(FP), R13
+	LEAQ         (DI)(R13*4), R13
+	MOVQ         arg_base+24(FP), R8
+	MOVQ         in_base+48(FP), SI
+	MOVQ         inW+72(FP), R9
+	MOVQ         done+80(FP), R10
+	VMOVDQU      lanes<>(SB), Y15
+	VPADDD       Y15, Y15, Y15
+	VPCMPEQD     Y14, Y14, Y14
+	VPSRLD       $31, Y14, Y14
+	VMOVD        R9, X13
+	VPBROADCASTD X13, Y13
+	VPADDD       Y14, Y13, Y12
+	VPBROADCASTD eight<>(SB), Y11
+	VPADDD       Y11, Y11, Y11
+	XORQ         BX, BX
+
+poolRow:
+	CMPQ         DI, R13
+	JGE          poolDone
+	VMOVD        BX, X10
+	VPBROADCASTD X10, Y10
+	VPADDD       Y15, Y10, Y10
+	MOVQ         SI, AX
+	MOVQ         DI, DX
+	MOVQ         R8, R12
+	XORQ         CX, CX
+
+poolStep:
+	VMOVUPS   (AX), Y0
+	VMOVUPS   32(AX), Y1
+	VMOVUPS   (AX)(R9*4), Y2
+	VMOVUPS   32(AX)(R9*4), Y3
+	VSHUFPS   $0x88, Y1, Y0, Y4
+	VSHUFPS   $0xDD, Y1, Y0, Y5
+	VSHUFPS   $0x88, Y3, Y2, Y6
+	VSHUFPS   $0xDD, Y3, Y2, Y7
+	VPERMPD   $0xD8, Y4, Y4
+	VPERMPD   $0xD8, Y5, Y5
+	VPERMPD   $0xD8, Y6, Y6
+	VPERMPD   $0xD8, Y7, Y7
+	VMOVDQU   Y10, Y8
+	VCMPPS    $0x1e, Y4, Y5, Y9
+	VBLENDVPS Y9, Y5, Y4, Y4
+	VPADDD    Y14, Y10, Y0
+	VBLENDVPS Y9, Y0, Y8, Y8
+	VCMPPS    $0x1e, Y4, Y6, Y9
+	VBLENDVPS Y9, Y6, Y4, Y4
+	VPADDD    Y13, Y10, Y0
+	VBLENDVPS Y9, Y0, Y8, Y8
+	VCMPPS    $0x1e, Y4, Y7, Y9
+	VBLENDVPS Y9, Y7, Y4, Y4
+	VPADDD    Y12, Y10, Y0
+	VBLENDVPS Y9, Y0, Y8, Y8
+	VMOVUPS   Y4, (DX)
+	VMOVDQU   Y8, (R12)
+	VPADDD    Y11, Y10, Y10
+	ADDQ      $64, AX
+	ADDQ      $32, DX
+	ADDQ      $32, R12
+	ADDQ      $8, CX
+	CMPQ      CX, R10
+	JLT       poolStep
+	LEAQ      (SI)(R9*8), SI // two input rows on
+	LEAQ      (DI)(R9*2), DI // one row of windows on: inW/2 floats
+	LEAQ      (R8)(R9*2), R8
+	LEAQ      (BX)(R9*2), BX
+	JMP       poolRow
+
+poolDone:
+	VZEROUPPER
+	RET
+
+// func transposeAVX2(dst, src []float32, rows, cols int)
+//
+// Transpose's 8×8 blocks: eight source rows of eight floats are
+// loaded, transposed in registers (TRANSPOSE_8X8) and stored as eight
+// rows of dst. The last rows%8 source rows go the same way with the
+// missing rows zero, each destination row taking their rows%8 floats
+// through a lane mask. Only data moves.
+//
+// Registers: SI and DI the block row's first source row and first
+// destination column, R8 and R9 the source and destination row strides
+// in bytes, R12 and R10 three of each, R11 the block rows left, R13 the
+// blocks in a block row, AX and BX the block in src and in dst.
+
+// TRANSPOSE_8X8 transposes the rows in Y0–Y7 into the columns in Y8–Y15:
+// rows interleaved pairwise (VUNPCKLPS/VUNPCKHPS), combined four at a
+// time (VSHUFPS), and their 128-bit halves swapped into place
+// (VPERM2F128). Clobbers Y0–Y7.
+#define TRANSPOSE_8X8 \
+	VUNPCKLPS  Y1, Y0, Y8 \
+	VUNPCKHPS  Y1, Y0, Y9 \
+	VUNPCKLPS  Y3, Y2, Y10 \
+	VUNPCKHPS  Y3, Y2, Y11 \
+	VUNPCKLPS  Y5, Y4, Y12 \
+	VUNPCKHPS  Y5, Y4, Y13 \
+	VUNPCKLPS  Y7, Y6, Y14 \
+	VUNPCKHPS  Y7, Y6, Y15 \
+	VSHUFPS    $0x44, Y10, Y8, Y0 \
+	VSHUFPS    $0xee, Y10, Y8, Y1 \
+	VSHUFPS    $0x44, Y11, Y9, Y2 \
+	VSHUFPS    $0xee, Y11, Y9, Y3 \
+	VSHUFPS    $0x44, Y14, Y12, Y4 \
+	VSHUFPS    $0xee, Y14, Y12, Y5 \
+	VSHUFPS    $0x44, Y15, Y13, Y6 \
+	VSHUFPS    $0xee, Y15, Y13, Y7 \
+	VPERM2F128 $0x20, Y4, Y0, Y8 \
+	VPERM2F128 $0x20, Y5, Y1, Y9 \
+	VPERM2F128 $0x20, Y6, Y2, Y10 \
+	VPERM2F128 $0x20, Y7, Y3, Y11 \
+	VPERM2F128 $0x31, Y4, Y0, Y12 \
+	VPERM2F128 $0x31, Y5, Y1, Y13 \
+	VPERM2F128 $0x31, Y6, Y2, Y14 \
+	VPERM2F128 $0x31, Y7, Y3, Y15
+
+TEXT ·transposeAVX2(SB), NOSPLIT, $0-64
+	MOVQ  dst_base+0(FP), DI
+	MOVQ  src_base+24(FP), SI
+	MOVQ  rows+48(FP), R9
+	MOVQ  cols+56(FP), R8
+	MOVQ  R9, R11
+	SHRQ  $3, R11
+	MOVQ  R8, R13
+	SHRQ  $3, R13
+	SHLQ  $2, R8
+	SHLQ  $2, R9
+	LEAQ  (R8)(R8*2), R12
+	LEAQ  (R9)(R9*2), R10
+	TESTQ R11, R11
+	JEQ   trTail
+
+trRow:
+	MOVQ SI, AX
+	MOVQ DI, BX
+	MOVQ R13, CX
+
+trBlock:
+	VMOVUPS (AX), Y0
+	VMOVUPS (AX)(R8*1), Y1
+	VMOVUPS (AX)(R8*2), Y2
+	VMOVUPS (AX)(R12*1), Y3
+	LEAQ    (AX)(R8*4), DX
+	VMOVUPS (DX), Y4
+	VMOVUPS (DX)(R8*1), Y5
+	VMOVUPS (DX)(R8*2), Y6
+	VMOVUPS (DX)(R12*1), Y7
+	TRANSPOSE_8X8
+	VMOVUPS Y8, (BX)
+	VMOVUPS Y9, (BX)(R9*1)
+	VMOVUPS Y10, (BX)(R9*2)
+	VMOVUPS Y11, (BX)(R10*1)
+	LEAQ    (BX)(R9*4), DX
+	VMOVUPS Y12, (DX)
+	VMOVUPS Y13, (DX)(R9*1)
+	VMOVUPS Y14, (DX)(R9*2)
+	VMOVUPS Y15, (DX)(R10*1)
+	ADDQ    $32, AX
+	LEAQ    (DX)(R9*4), BX
+	DECQ    CX
+	JNZ     trBlock
+	LEAQ    (SI)(R8*8), SI
+	ADDQ    $32, DI
+	DECQ    R11
+	JNZ     trRow
+
+trTail:
+	// The last rows%8 source rows, R11 of them: R14 points at their
+	// lane mask.
+	MOVQ rows+48(FP), R11
+	ANDQ $7, R11
+	JEQ  trDone
+	MOVQ R11, AX
+	SHLQ $2, AX
+	LEAQ tailMask<>+32(SB), R14
+	SUBQ AX, R14
+	MOVQ SI, AX
+	MOVQ DI, BX
+	MOVQ R13, CX
+
+trTailBlock:
+	VMOVUPS (AX), Y0
+	VXORPS  Y1, Y1, Y1
+	VXORPS  Y2, Y2, Y2
+	VXORPS  Y3, Y3, Y3
+	VXORPS  Y4, Y4, Y4
+	VXORPS  Y5, Y5, Y5
+	VXORPS  Y6, Y6, Y6
+	VXORPS  Y7, Y7, Y7
+	LEAQ    (AX)(R8*4), DX
+	CMPQ    R11, $2
+	JLT     trTailRows
+	VMOVUPS (AX)(R8*1), Y1
+	CMPQ    R11, $3
+	JLT     trTailRows
+	VMOVUPS (AX)(R8*2), Y2
+	CMPQ    R11, $4
+	JLT     trTailRows
+	VMOVUPS (AX)(R12*1), Y3
+	CMPQ    R11, $5
+	JLT     trTailRows
+	VMOVUPS (DX), Y4
+	CMPQ    R11, $6
+	JLT     trTailRows
+	VMOVUPS (DX)(R8*1), Y5
+	CMPQ    R11, $7
+	JLT     trTailRows
+	VMOVUPS (DX)(R8*2), Y6
+
+trTailRows:
+	TRANSPOSE_8X8
+	VMOVDQU    (R14), Y0
+	VMASKMOVPS Y8, Y0, (BX)
+	VMASKMOVPS Y9, Y0, (BX)(R9*1)
+	VMASKMOVPS Y10, Y0, (BX)(R9*2)
+	VMASKMOVPS Y11, Y0, (BX)(R10*1)
+	LEAQ       (BX)(R9*4), DX
+	VMASKMOVPS Y12, Y0, (DX)
+	VMASKMOVPS Y13, Y0, (DX)(R9*1)
+	VMASKMOVPS Y14, Y0, (DX)(R9*2)
+	VMASKMOVPS Y15, Y0, (DX)(R10*1)
+	ADDQ       $32, AX
+	LEAQ       (DX)(R9*4), BX
+	DECQ       CX
+	JNZ        trTailBlock
+
+trDone:
+	VZEROUPPER
+	RET
+
+// func maxPool2GradAVX2(dx, grad []float32, arg []int32, inW, done int)
+//
+// MaxPool2Grad's windows, eight per step. Each of a window's four taps
+// compares its flat input index with the window's argmax (VPCMPEQD);
+// the tap takes +0 + the window's gradient where they are equal and
+// +0 + +0 elsewhere (VANDPS, then VADDPS onto zero: a -0 gradient
+// lands as +0, as it does added to a cleared dx). The taps are then
+// interleaved back into input order, row 0's even and odd taps and row
+// 1's (VUNPCKLPS/VUNPCKHPS, VPERM2F128), and stored as 16 floats of
+// each input row.
+//
+// Registers as in maxPool2AVX2: DI, R8 and SI the row of grad, of arg
+// and of dx's input row pair, R13 the end of grad, R9 inW, R10 done,
+// BX the row's first input index; Y10 the step's first-tap indices,
+// Y15 0, 2, …, 14, Y14, Y13 and Y12 the later taps' index offsets 1,
+// inW and inW+1, Y11 16, Y9 zero.
+TEXT ·maxPool2GradAVX2(SB), NOSPLIT, $0-88
+	MOVQ         dx_base+0(FP), SI
+	MOVQ         grad_base+24(FP), DI
+	MOVQ         grad_len+32(FP), R13
+	LEAQ         (DI)(R13*4), R13
+	MOVQ         arg_base+48(FP), R8
+	MOVQ         inW+72(FP), R9
+	MOVQ         done+80(FP), R10
+	VMOVDQU      lanes<>(SB), Y15
+	VPADDD       Y15, Y15, Y15
+	VPCMPEQD     Y14, Y14, Y14
+	VPSRLD       $31, Y14, Y14
+	VMOVD        R9, X13
+	VPBROADCASTD X13, Y13
+	VPADDD       Y14, Y13, Y12
+	VPBROADCASTD eight<>(SB), Y11
+	VPADDD       Y11, Y11, Y11
+	VXORPS       Y9, Y9, Y9
+	XORQ         BX, BX
+
+gradRow:
+	CMPQ         DI, R13
+	JGE          gradDone
+	VMOVD        BX, X10
+	VPBROADCASTD X10, Y10
+	VPADDD       Y15, Y10, Y10
+	MOVQ         SI, AX
+	MOVQ         DI, DX
+	MOVQ         R8, R12
+	XORQ         CX, CX
+
+gradStep:
+	VMOVUPS    (DX), Y0
+	VMOVDQU    (R12), Y1
+	VPCMPEQD   Y10, Y1, Y2
+	VPADDD     Y14, Y10, Y3
+	VPCMPEQD   Y3, Y1, Y3
+	VPADDD     Y13, Y10, Y4
+	VPCMPEQD   Y4, Y1, Y4
+	VPADDD     Y12, Y10, Y5
+	VPCMPEQD   Y5, Y1, Y5
+	VANDPS     Y0, Y2, Y2
+	VANDPS     Y0, Y3, Y3
+	VANDPS     Y0, Y4, Y4
+	VANDPS     Y0, Y5, Y5
+	VADDPS     Y2, Y9, Y2
+	VADDPS     Y3, Y9, Y3
+	VADDPS     Y4, Y9, Y4
+	VADDPS     Y5, Y9, Y5
+	VUNPCKLPS  Y3, Y2, Y6
+	VUNPCKHPS  Y3, Y2, Y7
+	VPERM2F128 $0x20, Y7, Y6, Y0
+	VPERM2F128 $0x31, Y7, Y6, Y1
+	VMOVUPS    Y0, (AX)
+	VMOVUPS    Y1, 32(AX)
+	VUNPCKLPS  Y5, Y4, Y6
+	VUNPCKHPS  Y5, Y4, Y7
+	VPERM2F128 $0x20, Y7, Y6, Y0
+	VPERM2F128 $0x31, Y7, Y6, Y1
+	VMOVUPS    Y0, (AX)(R9*4)
+	VMOVUPS    Y1, 32(AX)(R9*4)
+	VPADDD     Y11, Y10, Y10
+	ADDQ       $64, AX
+	ADDQ       $32, DX
+	ADDQ       $32, R12
+	ADDQ       $8, CX
+	CMPQ       CX, R10
+	JLT        gradStep
+	LEAQ       (SI)(R9*8), SI // two input rows on
+	LEAQ       (DI)(R9*2), DI // one row of windows on: inW/2 floats
+	LEAQ       (R8)(R9*2), R8
+	LEAQ       (BX)(R9*2), BX
+	JMP        gradRow
+
+gradDone:
+	VZEROUPPER
+	RET

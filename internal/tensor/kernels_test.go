@@ -439,7 +439,8 @@ func BenchmarkReLU(b *testing.B) {
 // BenchmarkAccumRows and BenchmarkAddRows are the owner benchmarks of
 // the row tile, at the rows train-compute's CNN token gives it: the
 // conv weight gradient's 27-tap rows under 1024 ReLU-sparse
-// multipliers, the dense layer's 64-wide rows under a matmul block, the
+// multipliers (the portable path's; AVX2 takes AccumPlane), the dense
+// layer's 64-wide rows under a matmul block, the
 // conv forward's 144-pixel panel rows under 27 taps, and the dense
 // input gradient's 16-lane rows of Cᵀ under 64 multipliers.
 func BenchmarkAccumRows(b *testing.B) {
