@@ -32,12 +32,15 @@ race:
 # dead window holder, a join and drain, a resume and malformed factors,
 # the barrier fold's sessions — mixed factor and dense reporters, parked
 # reports, a reporter dying with its factors pending, momentum, a resume
-# — and its direct fold of mixed out-of-order reports, and the sessions
-# whose iter-start is delivered after the next barrier by a stalled
-# asyncConn forwarder) under the race detector, repeated to shake out
-# scheduling-dependent behaviour.
+# — and its direct fold of mixed out-of-order reports, the one-row
+# sessions whose weight gradients are folded on the barrier's own tiles
+# with no dense sum or velocity held, a worker refusing a malformed
+# iter-start, the checkpoint bytes with and without momentum, and the
+# sessions whose iter-start is delivered after the next barrier by a
+# stalled asyncConn forwarder) under the race detector, repeated to
+# shake out scheduling-dependent behaviour.
 chaos:
-	$(GO) test ./internal/rt/ -run 'TestChaos|TestFoldBarrier' -race -count=3 -v
+	$(GO) test ./internal/rt/ -run 'TestChaos|TestFoldBarrier|TestFactorOnlySectionsHoldNoSum|TestWorkerRefusesMalformedIterStart|TestCheckpointBytesUnchanged' -race -count=3 -v
 	$(GO) test ./internal/jobs/ -run 'TestAsyncConnBroadcastSnapshotOutlivesBarrier|TestSlowPoolWorkerMatchesReference' -race -count=3 -v
 
 # elastic-chaos runs the live-membership suite (scripted joins, drains,
@@ -90,7 +93,8 @@ fuzz:
 	$(GO) test ./internal/durable/ -run xxx -fuzz FuzzLedgerReplay -fuzztime 10s
 
 # bench smoke-runs the hot-path benchmarks (wire codecs, a 4 MB report
-# over loopback TCP, matmul and elementwise kernels, the row tile under
+# and train-comm's 4.26 MB iter-start over loopback TCP, with the
+# receive buffer's size, matmul and elementwise kernels, the row tile under
 # them, the key compaction under the top-k encoder, the fold's AddScaled
 # and its rank-1 AddOuterScaled, the barrier's band fold of 16 rank-1
 # terms against the per-token fold, a token's forward/backward at the
@@ -99,17 +103,18 @@ fuzz:
 # max-pool's forward and backward at train-compute's shape, a
 # train-sched-shaped session over loopback TCP, the coordinator's
 # receive-and-fold of an exact, a top-k and a rank-1 train-comm report,
-# an iteration's rank-1 reports through the event loop and the barrier,
+# an iteration's rank-1 reports through the event loop and the barrier
+# (momentum 0, train-comm's own step, and 0.9),
 # and its iter-start fan-out to two conns, a small pooled job from
 # submit to settle and the spec validation in front of it) at
 # -benchtime 100x:
 # enough to catch a broken benchmark or a pathological regression
 # without turning CI into a perf lab.
 bench:
-	$(GO) test ./internal/transport/ -run xxx -bench 'BenchmarkCodec|BenchmarkTCPReport' -benchtime 100x
+	$(GO) test ./internal/transport/ -run xxx -bench 'BenchmarkCodec|BenchmarkTCPReport|BenchmarkTCPIterStart' -benchtime 100x -benchmem
 	$(GO) test ./internal/tensor/ -run xxx -bench 'BenchmarkMatMul|BenchmarkAccumRows|BenchmarkAddRows|BenchmarkCompactKeys|BenchmarkReLU|BenchmarkAddScaled|BenchmarkAddOuterScaled|BenchmarkAddOutersScaled' -benchtime 100x
 	$(GO) test ./internal/minidnn/ -run xxx -bench 'BenchmarkToken|BenchmarkConv|BenchmarkMaxPool' -benchtime 100x
-	$(GO) test ./internal/rt/ -run xxx -bench 'BenchmarkSchedSession|BenchmarkFoldReport|BenchmarkBarrierFold|BenchmarkIterStart' -benchtime 100x
+	$(GO) test ./internal/rt/ -run xxx -bench 'BenchmarkSchedSession|BenchmarkFoldReport|BenchmarkBarrierFold|BenchmarkIterStart' -benchtime 100x -benchmem
 	$(GO) test ./internal/jobs/ -run xxx -bench 'BenchmarkPoolJob|BenchmarkNormalizeSpec' -benchtime 100x
 
 # benchmod covers the regression benchmark, a module of its own under
@@ -179,15 +184,17 @@ durable:
 # the zero-copy float path (sections written from the sender's slice,
 # received as aligned views of the frame, checkptr-checked under -race),
 # the rank-1 report sections (golden frame, hostile lengths, views of
-# the frame), the negotiated end-to-end TCP sessions, and the
-# coordinator's barrier fold against the per-token fold.
+# the frame), the negotiated end-to-end TCP sessions, receive buffers
+# that fit their frames, the coordinator's barrier fold against the
+# per-token fold, and the one-row sessions folded on the barrier's own
+# tiles.
 kernels:
 	$(GO) test ./internal/tensor/ -race -count=1 -v
 	$(GO) test ./internal/minidnn/ -race -count=1 -v
 	GOAMD64=v3 $(GO) test ./internal/tensor/ ./internal/minidnn/ -count=1
 	GOARCH=386 $(GO) test ./internal/tensor/ ./internal/minidnn/ ./internal/transport/ -count=1
-	$(GO) test ./internal/transport/ -race -run 'TestFP16|TestInt8|TestTopK|FuzzTopKSelect|TestCompress|TestParamsStayExact|TestView|TestSendCapturesPayload|TestRecvHeaderAlone|FuzzRecvBinary|TestRank1|TestDecodeRejectsMalformedPayloads' -count=1 -v
-	$(GO) test ./internal/rt/ -race -run 'TestCompress|TestFoldBarrier' -count=1 -v
+	$(GO) test ./internal/transport/ -race -run 'TestFP16|TestInt8|TestTopK|FuzzTopKSelect|TestCompress|TestParamsStayExact|TestView|TestSendCapturesPayload|TestRecvHeaderAlone|FuzzRecvBinary|TestRank1|TestDecodeRejectsMalformedPayloads|TestRecvBufferFitsFrame' -count=1 -v
+	$(GO) test ./internal/rt/ -race -run 'TestCompress|TestFoldBarrier|TestFactorOnlySectionsHoldNoSum|TestWorkerRefusesMalformedIterStart' -count=1 -v
 
 # lint-metrics is the exposition-conformance gate: every e2e test that
 # scrapes /metrics (felaserver observability, felastat live cluster)

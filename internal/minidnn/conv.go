@@ -30,6 +30,9 @@ type Conv2D struct {
 	// weight gradient's row accumulations over it therefore replay the
 	// naive addition sequence.
 	cols []float32
+	// seed is Forward's grow-only row of each filter's bias, repeated
+	// for a chunk of pixels: a chunk's output rows start as a copy of it.
+	seed []float32
 
 	out, dx *tensor.Tensor // reused buffers
 }
@@ -99,19 +102,27 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	rows := batch * hw
 	c.cols = grow(c.cols, rows*rf)
 	c.out = tensor.Reuse(c.out, batch, c.OutC*hw)
-	out, w, bias := c.out.Data, c.W.Data, c.B.Data
+	// A chunk is as many pixels as the panel holds fields, a whole
+	// number of 8-float vectors when it holds one, and one pixel when a
+	// field is wider than the panel.
+	maxSpan := max(1, panelLen/rf)
+	if maxSpan >= 8 {
+		maxSpan &^= 7
+	}
+	c.seed = grow(c.seed, c.OutC*maxSpan)
+	for oc, b := range c.B.Data {
+		row := c.seed[oc*maxSpan : (oc+1)*maxSpan]
+		for s := range row {
+			row[s] = b
+		}
+	}
+	out, w, seed := c.out.Data, c.W.Data, c.seed
 	flops := int64(rows) * int64(rf) * int64(c.OutC)
 	tensor.ParallelRows(rows, flops, func(lo, hi int) {
 		var buf [panelLen]float32
 		panel := buf[:]
 		if rf > len(buf) { // a field wider than the panel: one pixel at a time
 			panel = make([]float32, rf)
-		}
-		// A chunk is a whole number of 8-float vectors when the panel
-		// holds one.
-		maxSpan := len(panel) / rf
-		if maxSpan >= 8 {
-			maxSpan &^= 7
 		}
 		for r := lo; r < hi; {
 			n, ij := r/hw, r%hw
@@ -126,11 +137,9 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 			}
 			tensor.Transpose(c.cols[r*rf:(r+span)*rf], p, rf, span)
 			o := out[n*c.OutC*hw+ij:] // o[oc·hw+s] is output pixel (n,oc,ij+s)
-			for oc, b := range bias {
+			for oc := range c.OutC {
 				orow := o[oc*hw:][:span]
-				for s := range orow {
-					orow[s] = b
-				}
+				copy(orow, seed[oc*maxSpan:])
 				tensor.AddRows(orow, w[oc*rf:(oc+1)*rf], p, span)
 			}
 			r += span

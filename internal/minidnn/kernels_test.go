@@ -609,3 +609,57 @@ func TestDenseRank1Deferred(t *testing.T) {
 		}
 	})
 }
+
+// TestDenseWeightGradientOnDemand: a Dense layer holds no in×out weight
+// gradient until something forms one. A network that only runs Forward
+// (the coordinator's copy of the model) and one that only takes one-row
+// tokens (whose weight gradients leave as factors) hold none, built
+// fresh or after ZeroGrads. Grads then forms it with the bits eager
+// accumulation gives, and a multi-row pass forms it too.
+func TestDenseWeightGradientOnDemand(t *testing.T) {
+	eager := func(n *Network) {
+		n.ZeroGrads()
+		for _, g := range n.Grads() {
+			g.Zero()
+		}
+	}
+	held := func(n *Network) (k int) {
+		for _, l := range n.Layers {
+			if d, ok := l.(*Dense); ok && d.gW != nil {
+				k++
+			}
+		}
+		return k
+	}
+	cases := append(netCases(), netCase{"mlp-wide", func() *Network { return NewMLP(5, 12, 20, 9) }, SyntheticBlobs(6, 40, 12, 9)})
+	for _, tc := range cases {
+		x, labels := tc.ds.Batch(3, 4)
+		y, ylabels := tc.ds.Batch(7, 8)
+		fwd := tc.net()
+		fwd.Forward(x)
+		if k := held(fwd); k != 0 {
+			t.Fatalf("%s: a network that only ran Forward holds %d weight gradients", tc.name, k)
+		}
+		got, want := tc.net(), tc.net()
+		eager(want)
+		got.Loss(x, labels) // fresh: no ZeroGrads first
+		want.Loss(x, labels)
+		got.ZeroGrads()
+		eager(want)
+		got.Loss(y, ylabels)
+		want.Loss(y, ylabels)
+		if k := held(got); k != 0 {
+			t.Fatalf("%s: one-row tokens left %d weight gradients allocated", tc.name, k)
+		}
+		wantAllBits(t, tc.name+" grads", got.Grads(), want.Grads())
+		if k, dense := held(got), held(want); k != dense {
+			t.Fatalf("%s: Grads formed %d of %d weight gradients", tc.name, k, dense)
+		}
+		batch := tc.net()
+		bx, blabels := tc.ds.Batch(0, 16)
+		batch.Loss(bx, blabels)
+		if k := held(batch); k != held(want) {
+			t.Fatalf("%s: a 16-row pass formed %d weight gradients, want %d", tc.name, k, held(want))
+		}
+	}
+}

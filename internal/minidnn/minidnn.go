@@ -58,11 +58,18 @@ type paramGrader interface {
 
 // Dense is a fully connected layer with bias: y = x·W + b.
 //
-// ZeroGrads clears gB but only marks gW, the parameter-sized one, as
-// zero (gWZero): the next backward pass stores its weight gradient
-// (tensor.MatMulATInto) instead of adding it to zeros, which gives the
-// same bits without the clearing pass, and Grads clears a gW that is
-// still marked, so every reader sees what eager zeroing gives.
+// gW, the parameter-sized gradient, exists only once something forms
+// it: a layer is built with gW marked zero (gWZero) and unallocated,
+// and the first multi-row backward pass or Grads allocates it. A layer
+// that only ever takes one-row tokens (their gradients leave as
+// factors, GradsOrFactors) or never runs backward (the coordinator's
+// copy of the model) holds none.
+//
+// ZeroGrads clears gB but only marks gW as zero: the next backward pass
+// stores its weight gradient (tensor.MatMulATInto) instead of adding it
+// to zeros, which gives the same bits without the clearing pass, and
+// Grads clears a gW that is still marked, so every reader sees what
+// eager zeroing gives.
 //
 // A one-row backward pass onto a gW marked zero defers the product
 // altogether: its weight gradient is the outer product x⊗δ of the input
@@ -88,10 +95,10 @@ type Dense struct {
 // initialization from the rng.
 func NewDense(rng *rand.Rand, in, out int) *Dense {
 	return &Dense{
-		W:  tensor.New(in, out).Randn(rng, 1/math.Sqrt(float64(in))),
-		B:  tensor.New(out),
-		gW: tensor.New(in, out),
-		gB: tensor.New(out),
+		W:      tensor.New(in, out).Randn(rng, 1/math.Sqrt(float64(in))),
+		B:      tensor.New(out),
+		gB:     tensor.New(out),
+		gWZero: true,
 	}
 }
 
@@ -133,7 +140,7 @@ func (d *Dense) backwardParams(grad *tensor.Tensor) {
 		copy(d.fd.Data, grad.Data)
 		d.gWZero, d.gWRank1 = false, true
 	case d.gWZero:
-		tensor.MatMulATInto(d.gW, d.lastX, grad)
+		d.gW = tensor.MatMulATInto(d.gW, d.lastX, grad)
 		d.gWZero = false
 	default:
 		d.formGW()
@@ -149,14 +156,15 @@ func (d *Dense) backwardParams(grad *tensor.Tensor) {
 // Params implements Layer.
 func (d *Dense) Params() []*tensor.Tensor { return []*tensor.Tensor{d.W, d.B} }
 
-// formGW turns a deferred gW into its bits: a marked zero into zeros,
-// factors into their product.
+// formGW turns a deferred gW into its bits, allocating it the first
+// time: a marked zero into zeros, factors into their product.
 func (d *Dense) formGW() {
 	switch {
 	case d.gWZero:
+		d.gW = tensor.Reuse(d.gW, d.W.Shape...)
 		d.gW.Zero()
 	case d.gWRank1:
-		tensor.MatMulATInto(d.gW, d.fx, d.fd)
+		d.gW = tensor.MatMulATInto(d.gW, d.fx, d.fd)
 	}
 	d.gWZero, d.gWRank1 = false, false
 }

@@ -143,9 +143,8 @@ func TestFoldBarrierMatchesPerToken(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co.acc, co.runs, co.frac = zerosLike(net.Params()), make([]factorRun, len(shapes)), frac
-	vel := zerosLike(net.Params())
-	if err := InstallFlat(vel, vel0); err != nil {
+	co.initFold()
+	if err := InstallFlat(co.vel, vel0); err != nil {
 		t.Fatal(err)
 	}
 	co.tokens = make([]*tokenState, len(kinds))
@@ -173,10 +172,10 @@ func TestFoldBarrierMatchesPerToken(t *testing.T) {
 	if k := len(co.runs[0].xs); k != 4 {
 		t.Fatalf("the first weight gradient's run holds %d terms at the barrier, want seqs 5–8", k)
 	}
-	co.step(vel)
+	co.step()
 	for i, p := range net.Params() {
 		sameBits(t, fmt.Sprintf("param %d", i), p.Data, ref.Params()[i].Data)
-		sameBits(t, fmt.Sprintf("velocity %d", i), vel[i].Data, refVel[i].Data)
+		sameBits(t, fmt.Sprintf("velocity %d", i), co.vel[i].Data, refVel[i].Data)
 		sameBits(t, fmt.Sprintf("sum %d after the barrier", i), co.acc[i].Data, make([]float32, p.Len()))
 		if len(co.runs[i].xs) != 0 {
 			t.Fatalf("section %d: %d terms left pending after the barrier", i, len(co.runs[i].xs))

@@ -82,7 +82,13 @@ type Coordinator struct {
 	// acc is the iteration's gradient sum: tokens[:folded] have been
 	// added into it, each weighted by frac, in seq order (see fold) —
 	// except the rank-1 sections still pending in runs, which the
-	// barrier adds (see step). The barrier leaves acc cleared to +0.
+	// barrier adds (see step). A section's sum is allocated at its first
+	// dense or top-k add and kept (sum); a section that has only ever
+	// been folded from runs has none. The barrier leaves acc cleared to
+	// +0. params is the model's parameter tensors, in the same order,
+	// and vel the optimizer's velocity, nil without momentum (velocity).
+	params []*tensor.Tensor
+	vel    []*tensor.Tensor
 	acc    []*tensor.Tensor
 	runs   []factorRun
 	frac   float32
@@ -283,10 +289,7 @@ func (co *Coordinator) Run(conns []transport.Conn) (*Result, error) {
 	co.tele.live.Set(float64(co.trainableCount()))
 
 	nTok := co.cfg.tokensPerIter()
-	co.frac = float32(co.cfg.TokenBatch) / float32(co.cfg.TotalBatch)
-	vel := zerosLike(co.net.Params())
-	co.acc = zerosLike(co.net.Params())
-	co.runs = make([]factorRun, len(co.acc))
+	co.initFold()
 
 	// Restore a checkpointed session: install the barrier state, replay
 	// the loss history, and start the loop at the next iteration. The
@@ -294,10 +297,10 @@ func (co *Coordinator) Run(conns []transport.Conn) (*Result, error) {
 	// tail exactly as an uninterrupted run would have.
 	startIter := 0
 	if r := co.cfg.Resume; r != nil {
-		if err := InstallFlat(co.net.Params(), r.Params); err != nil {
+		if err := InstallFlat(co.params, r.Params); err != nil {
 			return nil, fmt.Errorf("rt: resume params: %w", err)
 		}
-		if err := InstallFlat(vel, r.Vel); err != nil {
+		if err := installVel(co.vel, co.params, r.Vel); err != nil {
 			return nil, fmt.Errorf("rt: resume velocity: %w", err)
 		}
 		co.res.Losses = append(co.res.Losses, r.Losses...)
@@ -319,12 +322,12 @@ func (co *Coordinator) Run(conns []transport.Conn) (*Result, error) {
 		for _, tok := range co.tokens {
 			loss += tok.loss / float64(nTok)
 		}
-		co.step(vel)
+		co.step()
 		co.res.Losses = append(co.res.Losses, loss)
 		if co.cfg.checkpointDue(co.it) {
 			// The hook gets copies (flatten allocates): the checkpoint
 			// must not alias live state the next iteration mutates.
-			if err := co.cfg.Checkpoint(co.it, flatten(co.net.Params()), flatten(vel), slices.Clone(co.res.Losses)); err != nil {
+			if err := co.cfg.Checkpoint(co.it, flatten(co.params), flatVel(co.vel, co.params), slices.Clone(co.res.Losses)); err != nil {
 				return nil, fmt.Errorf("rt: checkpoint at iteration %d: %w", co.it, err)
 			}
 		}
@@ -666,6 +669,25 @@ func (co *Coordinator) broadcast() {
 	}
 }
 
+// initFold sets up the session's fold and step state: the parameters,
+// the velocity, the weight of a token, and no sum and no run for any
+// section yet.
+func (co *Coordinator) initFold() {
+	co.params = co.net.Params()
+	co.vel = velocity(co.params, co.cfg)
+	co.acc = make([]*tensor.Tensor, len(co.params))
+	co.runs = make([]factorRun, len(co.params))
+	co.frac = float32(co.cfg.TokenBatch) / float32(co.cfg.TotalBatch)
+}
+
+// sum is section i's dense sum, allocated (+0) at its first use.
+func (co *Coordinator) sum(i int) *tensor.Tensor {
+	if co.acc[i] == nil {
+		co.acc[i] = tensor.New(co.params[i].Shape...)
+	}
+	return co.acc[i]
+}
+
 // fold takes every done token from the cursor upward into the
 // iteration's sum and releases its report. It performs Sequential's
 // arithmetic — acc += frac·g, one token at a time in seq order — so the
@@ -689,7 +711,7 @@ func (co *Coordinator) fold() {
 		tok := co.tokens[co.folded]
 		for i, s := range tok.report.TopK() {
 			co.flush(i)
-			s.AddScaledTo(co.acc[i].Data, co.frac)
+			s.AddScaledTo(co.sum(i).Data, co.frac)
 		}
 		rank1 := tok.report.Rank1()
 		for i, g := range tok.report.Grads {
@@ -698,8 +720,9 @@ func (co *Coordinator) fold() {
 				continue
 			}
 			co.flush(i)
-			view := tensor.Tensor{Shape: co.acc[i].Shape, Data: g}
-			co.acc[i].AddScaled(&view, co.frac)
+			acc := co.sum(i)
+			view := tensor.Tensor{Shape: acc.Shape, Data: g}
+			acc.AddScaled(&view, co.frac)
 		}
 		tok.report.Release()
 		tok.report = nil
@@ -735,7 +758,7 @@ func (r *factorRun) reset() { r.xs, r.ds = r.xs[:0], r.ds[:0] }
 // before the barrier.
 func (co *Coordinator) flush(i int) {
 	if r := &co.runs[i]; len(r.xs) > 0 {
-		tensor.AddOutersScaled(co.acc[i].Data, 0, r.xs, r.ds, co.frac)
+		tensor.AddOutersScaled(co.sum(i).Data, 0, r.xs, r.ds, co.frac)
 		r.reset()
 	}
 }
@@ -749,28 +772,48 @@ const foldTileFloats = 4096
 // the next iteration. A section with a pending run is folded over the
 // kernel pool — every worker waits for the iter-start meanwhile — in
 // bands of rows, each band a tile of about foldTileFloats at a time: the
-// tile takes the run's terms in seq order (tensor.AddOutersScaled), then
-// its step (stepRange), then is cleared, while it is still in cache.
-// Every element sees the same operations in the same order as in a fold
-// of the whole section followed by applyUpdate, so the bits are the
-// same. Any other section takes applyUpdate's step and is cleared.
-func (co *Coordinator) step(vel []*tensor.Tensor) {
-	for i, p := range co.net.Params() {
-		g, v, r := co.acc[i].Data, vel[i].Data, &co.runs[i]
+// tile starts at +0, takes the run's terms in seq order
+// (tensor.AddOutersScaled), then its step (stepRange), then is cleared,
+// while it is still in cache. Every element sees the same operations in
+// the same order as in a fold of the whole section followed by
+// applyUpdate, so the bits are the same. The tile is a stretch of the
+// section's sum if it has one; a section every term of which has come
+// as factors has none, and its tile is the band's own, on the band's
+// stack, so its gradient never exists whole (rows wider than that tile
+// take a sum). Any other section takes applyUpdate's step and is
+// cleared.
+func (co *Coordinator) step() {
+	for i, p := range co.params {
+		v, r := velOf(co.vel, i), &co.runs[i]
 		if len(r.xs) == 0 {
+			g := co.acc[i].Data
 			stepRange(p.Data, v, g, co.cfg)
 			clear(g)
 			continue
 		}
 		n := len(r.ds[0])
-		rows := len(g) / n
+		rows := p.Len() / n
 		tile := max(1, foldTileFloats/n)
-		tensor.ParallelRows(rows, int64(len(r.xs))*int64(len(g)), func(lo, hi int) {
+		var g []float32
+		if co.acc[i] != nil || n > foldTileFloats {
+			g = co.sum(i).Data
+		}
+		tensor.ParallelRows(rows, int64(len(r.xs))*int64(p.Len()), func(lo, hi int) {
+			var own [foldTileFloats]float32
 			for r0 := lo; r0 < hi; r0 += tile {
 				r1 := min(r0+tile, hi)
-				c := g[r0*n : r1*n]
+				var c []float32
+				if g != nil {
+					c = g[r0*n : r1*n]
+				} else {
+					c = own[:(r1-r0)*n]
+				}
+				vb := v
+				if v != nil {
+					vb = v[r0*n : r1*n]
+				}
 				tensor.AddOutersScaled(c, r0, r.xs, r.ds, co.frac)
-				stepRange(p.Data[r0*n:r1*n], v[r0*n:r1*n], c, co.cfg)
+				stepRange(p.Data[r0*n:r1*n], vb, c, co.cfg)
 				clear(c)
 			}
 		})
@@ -793,12 +836,12 @@ func (co *Coordinator) checkReport(ws *workerState, m *transport.Message) error 
 	if rc := m.GradCodec(); rc != transport.CompressExact && rc != ws.codec {
 		return fmt.Errorf("%w: worker %d reported with codec %v, negotiated %v", errProtocol, ws.wid, rc, ws.codec)
 	}
-	if n := m.NumGrads(); n != len(co.acc) {
-		return fmt.Errorf("%w: worker %d reported %d gradient tensors for token seq %d, want %d", errProtocol, ws.wid, n, seq, len(co.acc))
+	if n := m.NumGrads(); n != len(co.params) {
+		return fmt.Errorf("%w: worker %d reported %d gradient tensors for token seq %d, want %d", errProtocol, ws.wid, n, seq, len(co.params))
 	}
-	for i, a := range co.acc {
-		if n := m.GradLen(i); n != len(a.Data) {
-			return fmt.Errorf("%w: worker %d reported gradient %d with %d elements, want %d", errProtocol, ws.wid, i, n, len(a.Data))
+	for i, p := range co.params {
+		if n := m.GradLen(i); n != p.Len() {
+			return fmt.Errorf("%w: worker %d reported gradient %d with %d elements, want %d", errProtocol, ws.wid, i, n, p.Len())
 		}
 	}
 	rank1 := m.Rank1()
@@ -809,8 +852,8 @@ func (co *Coordinator) checkReport(ws *workerState, m *transport.Message) error 
 		return fmt.Errorf("%w: worker %d reported rank-1 factors for token seq %d of %d rows", errProtocol, ws.wid, seq, info.Hi-info.Lo)
 	}
 	for i, f := range rank1 {
-		if a := co.acc[i]; len(f.X) > 0 && (a.Dims() != 2 || len(f.X) != a.Shape[0] || len(f.D) != a.Shape[1]) {
-			return fmt.Errorf("%w: worker %d reported gradient %d as factors of %d and %d floats, want shape %v", errProtocol, ws.wid, i, len(f.X), len(f.D), a.Shape)
+		if p := co.params[i]; len(f.X) > 0 && (p.Dims() != 2 || len(f.X) != p.Shape[0] || len(f.D) != p.Shape[1]) {
+			return fmt.Errorf("%w: worker %d reported gradient %d as factors of %d and %d floats, want shape %v", errProtocol, ws.wid, i, len(f.X), len(f.D), p.Shape)
 		}
 	}
 	return nil

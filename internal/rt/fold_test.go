@@ -180,6 +180,9 @@ func runFoldSessionOn(t *testing.T, model func() *minidnn.Network, cfg Config, t
 			if k := len(co.runs[i].xs); k > 0 {
 				t.Errorf("iteration %d barrier: %d rank-1 terms of section %d still pending", iter, k, i)
 			}
+			if a == nil {
+				continue // no dense sum: the section was folded on the barrier's tiles
+			}
 			if j := slices.IndexFunc(a.Data, func(v float32) bool { return math.Float32bits(v) != 0 }); j >= 0 {
 				t.Errorf("iteration %d barrier: sum %d not cleared to +0 at %d (%v)", iter, i, j, a.Data[j])
 			}

@@ -55,7 +55,8 @@ type Config struct {
 	LR float32
 	// Momentum is the optional SGD momentum coefficient (0 = plain
 	// SGD). The coordinator owns the velocity state, so momentum does
-	// not affect the bitwise-reproducibility guarantee.
+	// not affect the bitwise-reproducibility guarantee; with 0 there is
+	// no velocity state at all.
 	Momentum float32
 	// Delay optionally injects straggler sleeps: the worker sleeps
 	// Delay(iter, wid) at the start of each iteration before requesting
@@ -308,7 +309,7 @@ func Sequential(net *minidnn.Network, ds *minidnn.Dataset, cfg Config) (*Result,
 	res := &Result{TokensByWorker: make([]int, cfg.Workers)}
 	nTok := cfg.tokensPerIter()
 	frac := float32(cfg.TokenBatch) / float32(cfg.TotalBatch)
-	vel := zerosLike(net.Params())
+	vel := velocity(net.Params(), cfg)
 	acc := zerosLike(net.Params())
 	for it := 0; it < cfg.Iterations; it++ {
 		zeroAll(acc)
@@ -332,18 +333,35 @@ func Sequential(net *minidnn.Network, ds *minidnn.Dataset, cfg Config) (*Result,
 
 // applyUpdate performs the optimizer step shared by Sequential and the
 // coordinator: v = momentum*v + grad; params -= lr*v (plain SGD when
-// momentum is 0).
+// momentum is 0, and vel nil; see velocity).
 func applyUpdate(net *minidnn.Network, vel, acc []*tensor.Tensor, cfg Config) {
 	for i, p := range net.Params() {
-		stepRange(p.Data, vel[i].Data, acc[i].Data, cfg)
+		stepRange(p.Data, velOf(vel, i), acc[i].Data, cfg)
 	}
 }
 
+// velocity is the optimizer's momentum state for params: zeros in their
+// shapes with momentum, and nil without, where stepRange never reads it.
+func velocity(params []*tensor.Tensor, cfg Config) []*tensor.Tensor {
+	if cfg.Momentum == 0 {
+		return nil
+	}
+	return zerosLike(params)
+}
+
+// velOf is tensor i of a velocity, nil for the nil one.
+func velOf(vel []*tensor.Tensor, i int) []float32 {
+	if vel == nil {
+		return nil
+	}
+	return vel[i].Data
+}
+
 // stepRange is applyUpdate on one stretch of one tensor: p, v and g are
-// the same elements of a parameter, its velocity and its gradient sum.
-// Every operation is element-wise, so a tensor stepped a stretch at a
-// time — the barrier's tiled fold (Coordinator.step) — gets the bits of
-// one whole-tensor step.
+// the same elements of a parameter, its velocity (nil without momentum)
+// and its gradient sum. Every operation is element-wise, so a tensor
+// stepped a stretch at a time — the barrier's tiled fold
+// (Coordinator.step) — gets the bits of one whole-tensor step.
 func stepRange(p, v, g []float32, cfg Config) {
 	pt, vt, gt := vector(p), vector(v), vector(g)
 	if cfg.Momentum != 0 {
@@ -378,6 +396,17 @@ func zeroAll(ts []*tensor.Tensor) {
 // or Vel, or an rt.Resume) back into live tensors, validating every
 // shape first.
 func InstallFlat(ts []*tensor.Tensor, flat [][]float32) error {
+	if err := checkFlat(ts, flat); err != nil {
+		return err
+	}
+	for i, t := range ts {
+		copy(t.Data, flat[i])
+	}
+	return nil
+}
+
+// checkFlat holds flattened per-tensor data to the tensors' sizes.
+func checkFlat(ts []*tensor.Tensor, flat [][]float32) error {
 	if len(ts) != len(flat) {
 		return fmt.Errorf("rt: install %d flat tensors into %d", len(flat), len(ts))
 	}
@@ -385,9 +414,18 @@ func InstallFlat(ts []*tensor.Tensor, flat [][]float32) error {
 		if t.Len() != len(flat[i]) {
 			return fmt.Errorf("rt: flat tensor %d has %d elements, model wants %d", i, len(flat[i]), t.Len())
 		}
-		copy(t.Data, flat[i])
 	}
 	return nil
+}
+
+// installVel installs a checkpoint's velocity into vel. Without
+// momentum there is no velocity to install into, and the checkpoint's
+// is only held to the parameters' sizes.
+func installVel(vel, params []*tensor.Tensor, flat [][]float32) error {
+	if vel == nil {
+		return checkFlat(params, flat)
+	}
+	return InstallFlat(vel, flat)
 }
 
 // flatten copies the tensors' data into per-tensor slices carved from
@@ -396,6 +434,25 @@ func InstallFlat(ts []*tensor.Tensor, flat [][]float32) error {
 // copies, because it may keep what it is handed and must not alias live
 // state the next iteration mutates.
 func flatten(ts []*tensor.Tensor) [][]float32 {
+	out := carve(ts)
+	for i, t := range ts {
+		copy(out[i], t.Data)
+	}
+	return out
+}
+
+// flatVel is the velocity a checkpoint records: flatten(vel), or
+// without momentum the zero velocity, in the parameters' sizes.
+func flatVel(vel, params []*tensor.Tensor) [][]float32 {
+	if vel == nil {
+		return carve(params)
+	}
+	return flatten(vel)
+}
+
+// carve returns zeroed per-tensor slices of the tensors' sizes, carved
+// from one backing array.
+func carve(ts []*tensor.Tensor) [][]float32 {
 	total := 0
 	for _, t := range ts {
 		total += t.Len()
@@ -405,9 +462,7 @@ func flatten(ts []*tensor.Tensor) [][]float32 {
 	off := 0
 	for i, t := range ts {
 		n := t.Len()
-		dst := backing[off : off+n : off+n]
-		copy(dst, t.Data)
-		out[i] = dst
+		out[i] = backing[off : off+n : off+n]
 		off += n
 	}
 	return out

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"fmt"
 	"io"
 	"net"
 	"slices"
@@ -90,9 +91,7 @@ func BenchmarkFoldReport(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			co.acc = zerosLike(net.Params())
-			co.runs = make([]factorRun, len(co.acc))
-			co.frac = 1.0 / 64
+			co.initFold()
 			report := &transport.Message{Kind: transport.KindReport, Token: transport.TokenInfo{Hi: 1}, Grads: grads}
 			if name == "topk" {
 				report.SetGradCodec(transport.CompressTopK)
@@ -144,39 +143,42 @@ func BenchmarkFoldReport(b *testing.B) {
 // BenchmarkBarrierFold is one train-comm iteration's rank-1 fold: 16
 // one-row tokens' reports taken into the sum by fold, in the event loop,
 // then the barrier's step, which adds the pending runs over the kernel
-// pool a tile at a time, takes the optimizer step (momentum 0.9, so the
-// velocity is read and written too) and clears the sum. It reports the
-// event loop's cost per report (report-µs) and the barrier's
-// (barrier-ms).
+// pool a tile at a time, takes the optimizer step and clears the tile.
+// momentum-0 is train-comm's own step: no velocity, and the weight
+// gradients, which only ever arrive as factors, are folded on the
+// bands' own tiles; with momentum 0.9 the velocity is read and written
+// too. It reports the event loop's cost per report (report-µs) and the
+// barrier's (barrier-ms).
 func BenchmarkBarrierFold(b *testing.B) {
-	const k = 16
-	net, reports := commReports(k)
-	co, err := NewCoordinator(net, Config{Workers: 2, TotalBatch: k, TokenBatch: 1, Iterations: 1, LR: 1e-4, Momentum: 0.9})
-	if err != nil {
-		b.Fatal(err)
+	for _, momentum := range []float32{0, 0.9} {
+		b.Run(fmt.Sprintf("momentum-%v", momentum), func(b *testing.B) {
+			const k = 16
+			net, reports := commReports(k)
+			co, err := NewCoordinator(net, Config{Workers: 2, TotalBatch: k, TokenBatch: 1, Iterations: 1, LR: 1e-4, Momentum: momentum})
+			if err != nil {
+				b.Fatal(err)
+			}
+			co.initFold()
+			co.tokens = make([]*tokenState, k)
+			var inLoop, barrier time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for seq := range co.tokens {
+					co.tokens[seq] = &tokenState{done: true, report: reports[seq]}
+				}
+				co.folded = 0
+				t0 := time.Now()
+				co.fold()
+				t1 := time.Now()
+				co.step()
+				inLoop += t1.Sub(t0)
+				barrier += time.Since(t1)
+			}
+			b.ReportMetric(float64(inLoop.Microseconds())/float64(b.N*k), "report-µs")
+			b.ReportMetric(float64(barrier.Microseconds())/1e3/float64(b.N), "barrier-ms")
+		})
 	}
-	co.acc = zerosLike(net.Params())
-	co.runs = make([]factorRun, len(co.acc))
-	co.frac = 1.0 / k
-	vel := zerosLike(net.Params())
-	co.tokens = make([]*tokenState, k)
-	var inLoop, barrier time.Duration
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for seq := range co.tokens {
-			co.tokens[seq] = &tokenState{done: true, report: reports[seq]}
-		}
-		co.folded = 0
-		t0 := time.Now()
-		co.fold()
-		t1 := time.Now()
-		co.step(vel)
-		inLoop += t1.Sub(t0)
-		barrier += time.Since(t1)
-	}
-	b.ReportMetric(float64(inLoop.Microseconds())/float64(b.N*k), "report-µs")
-	b.ReportMetric(float64(barrier.Microseconds())/1e3/float64(b.N), "barrier-ms")
 }
 
 // BenchmarkIterStart is the coordinator's iter-start fan-out of the

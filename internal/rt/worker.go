@@ -209,8 +209,11 @@ func (w *Worker) loop(conn transport.Conn) error {
 			w.iter = m.Iter
 			sp := w.cfg.Spans.StartChild("install-params", w.wid, m.Span)
 			fetchStart := time.Now()
-			w.setParams(m.Params)
+			err := w.setParams(m.Params)
 			m.Release() // parameters are installed; recycle the codec arena
+			if err != nil {
+				return err
+			}
 			w.lastFetch = time.Since(fetchStart).Seconds()
 			sp.End()
 			w.fetch.Observe(w.lastFetch)
@@ -302,18 +305,14 @@ func (w *Worker) loop(conn transport.Conn) error {
 // setParams installs a parameter broadcast by copying straight into the
 // network's live tensors — one copy, no intermediate clone. The payload
 // may be a pooled codec arena or a message shared with other in-process
-// workers, so it is read-only here and unreferenced after the copy.
-func (w *Worker) setParams(flat [][]float32) {
-	params := w.net.Params()
-	if len(flat) != len(params) {
-		panic(fmt.Sprintf("rt: worker %d got %d parameter tensors, want %d", w.wid, len(flat), len(params)))
+// workers, so it is read-only here and unreferenced after the copy. A
+// broadcast not in the model's shapes is a protocol violation, and
+// nothing of it is installed.
+func (w *Worker) setParams(flat [][]float32) error {
+	if err := InstallFlat(w.net.Params(), flat); err != nil {
+		return fmt.Errorf("%w: worker %d iter-start: %w", errProtocol, w.wid, err)
 	}
-	for i, data := range flat {
-		if len(data) != params[i].Len() {
-			panic(fmt.Sprintf("rt: worker %d parameter %d has %d elements, want %d", w.wid, i, len(data), params[i].Len()))
-		}
-		copy(params[i].Data, data)
-	}
+	return nil
 }
 
 func (w *Worker) train(tok transport.TokenInfo) (*transport.Message, error) {

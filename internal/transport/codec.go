@@ -269,6 +269,20 @@ func recvClass(n int) int {
 	return 1
 }
 
+// recvCap is the capacity of a new inbound buffer for an n-byte need.
+// A small one is rounded up to a power of two. A large one — up to an
+// iter-start, a whole model — fits the frame with an eighth to spare,
+// not the up to twice the frame of a power of two: a stream of frames
+// of one size reuses it, and top-k reports, whose size varies by a few
+// per cent from token to token, outgrow it rarely, each time by at
+// least an eighth.
+func recvCap(n int) int {
+	if n <= smallFrame {
+		return 1 << bits.Len(uint(n-1))
+	}
+	return n + n/8
+}
+
 // getRecvBuf returns a pooled inbound buffer of the class an n-byte
 // frame needs, empty and possibly smaller than n.
 func getRecvBuf(n int) *[]byte { return recvPools[recvClass(n)].Get().(*[]byte) }

@@ -183,14 +183,30 @@ func BenchmarkCodecReport(b *testing.B) {
 	}
 }
 
-// BenchmarkTCPReport is one exact train-comm report over loopback TCP:
-// Send on one end, Recv and Release on the other. MB/s counts the
-// report's float bytes, and allocs/op covers both ends.
+// BenchmarkTCPReport is one exact train-comm report over loopback TCP
+// (benchTCP).
 func BenchmarkTCPReport(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	m := benchReport(CompressExact, func(int) float32 { return float32(rng.NormFloat64() * 1e-3) })
+	benchTCP(b, m, m.Grads)
+}
+
+// BenchmarkTCPIterStart is train-comm's iter-start over loopback TCP
+// (benchTCP): the model's four parameter tensors, 4.26 MB, the frame
+// every worker receives every iteration.
+func BenchmarkTCPIterStart(b *testing.B) {
+	m := &Message{Kind: KindIterStart, Iter: 5}
+	m.Params = benchReport(CompressExact, func(i int) float32 { return float32(i%113) * 0.25 }).Grads
+	benchTCP(b, m, m.Params)
+}
+
+// benchTCP sends m, whose float sections are floats, over loopback TCP:
+// Send on one end, Recv and Release on the other. MB/s counts the float
+// bytes, allocs/op and B/op cover both ends, and rxbuf-MB is the
+// capacity of the frame buffer a received message is read into.
+func benchTCP(b *testing.B, m *Message, floats [][]float32) {
 	raw := 0
-	for _, g := range m.Grads {
+	for _, g := range floats {
 		raw += 4 * len(g)
 	}
 	tx, rx := tcpPair(b)
@@ -205,16 +221,21 @@ func BenchmarkTCPReport(b *testing.B) {
 		}
 		sent <- err
 	}()
+	rxbuf := 0
 	for i := 0; i < b.N; i++ {
 		got, err := rx.Recv()
 		if err != nil {
 			b.Fatal(err)
+		}
+		if got.frame != nil {
+			rxbuf = cap(*got.frame)
 		}
 		got.Release()
 	}
 	if err := <-sent; err != nil {
 		b.Fatal(err)
 	}
+	b.ReportMetric(float64(rxbuf)/1e6, "rxbuf-MB")
 }
 
 // TestBenchHelpersShape sanity-checks the benchmark payload builder so a

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -866,7 +865,7 @@ func (c *tcpConn) readPayload(h frameHead) (*[]byte, []byte, error) {
 			}
 		}
 		// The buffer too small is dropped, so the pool keeps the large.
-		*bp = make([]byte, 0, 1<<bits.Len(uint(need-1)))
+		*bp = make([]byte, 0, recvCap(need))
 	}
 	buf := (*bp)[:need]
 	shift := 0

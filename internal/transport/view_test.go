@@ -243,6 +243,67 @@ func TestRecvHeaderAloneAllocatesLittle(t *testing.T) {
 	}
 }
 
+// TestRecvBufferFitsFrame: a frame above smallFrame is read into a
+// buffer that fits the largest frame so far with at most an eighth to
+// spare, not one rounded up to a power of two. Iter-starts of one size, and then reports whose
+// size wanders by a few per cent from frame to frame, as top-k reports
+// do, reuse the buffer: twenty of each allocate less than three
+// frames' worth, where a fresh buffer per frame would be twenty. (The
+// race detector drops pooled buffers at random, so under it only the
+// fit is checked.)
+func TestRecvBufferFitsFrame(t *testing.T) {
+	// Two collections empty the pools of buffers other frames left.
+	runtime.GC()
+	runtime.GC()
+	tx, rx := tcpPair(t)
+	const floats = 300_000
+	sizes := make([]int, 20)
+	for i := range sizes {
+		sizes[i] = floats
+	}
+	for i := 0; i < 20; i++ {
+		sizes = append(sizes, floats+[]int{0, 6000, 2500, 9000, 4000}[i%5])
+	}
+	msgs := make([]*Message, len(sizes))
+	for i, n := range sizes {
+		msgs[i] = &Message{Kind: KindIterStart, Iter: i, Params: [][]float32{make([]float32, n)}}
+		if i >= 20 {
+			msgs[i] = &Message{Kind: KindReport, Token: TokenInfo{Hi: 1}, Grads: [][]float32{make([]float32, n)}}
+		}
+	}
+	var before, after runtime.MemStats
+	largest := 0 // the largest payload so far: a buffer is reused for any frame it fits
+	for i, n := range sizes {
+		if i == 1 || i == 21 {
+			runtime.ReadMemStats(&before)
+		}
+		m := msgs[i]
+		go func() {
+			if err := tx.Send(m); err != nil {
+				t.Error(err)
+			}
+		}()
+		got, err := rx.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.frame == nil {
+			t.Fatalf("frame %d: %d floats were copied, not viewed", i, n)
+		}
+		largest = max(largest, 4*n)
+		if c := cap(*got.frame); c < 4*n || c > largest+largest/8+64 {
+			t.Fatalf("frame %d of %d floats read into a buffer of %d bytes, want %d to %d", i, n, c, 4*n, largest+largest/8+64)
+		}
+		got.Release()
+		if i == 19 || i == 39 {
+			runtime.ReadMemStats(&after)
+			if alloc := after.TotalAlloc - before.TotalAlloc; !raceEnabled && alloc > 3*4*floats {
+				t.Fatalf("frames %d–%d allocated %d bytes, want under %d", i-18, i, alloc, 3*4*floats)
+			}
+		}
+	}
+}
+
 // FuzzRecvBinary feeds bytes through a pipe into a binary conn's Recv,
 // which must reach DecodeBinary's verdict on the same frame: a frame
 // Recv accepts decodes to the same message, and a frame DecodeBinary
