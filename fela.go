@@ -269,13 +269,16 @@ func SyntheticDataset(seed int64, n, dim, classes int) *Dataset {
 }
 
 // RTTrain runs real token-scheduled BSP training in-process: a
-// coordinator plus cfg.Workers goroutine workers.
+// coordinator plus cfg.Workers goroutine workers, whose conns carry the
+// same binary frames as TCP, so a lossy cfg.Compress compresses here
+// too.
 func RTTrain(seedNet func() *Network, ds *Dataset, cfg RTConfig) (*RTResult, error) {
 	return rt.Train(seedNet, ds, cfg)
 }
 
-// RTSequential runs the sequential reference computation; RTTrain
-// produces bit-identical parameters.
+// RTSequential runs the sequential reference computation; RTTrain with
+// exact gradients (the default Compress) produces bit-identical
+// parameters.
 func RTSequential(net *Network, ds *Dataset, cfg RTConfig) (*RTResult, error) {
 	return rt.Sequential(net, ds, cfg)
 }

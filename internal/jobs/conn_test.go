@@ -354,7 +354,7 @@ func sameBits(a, b []float32) bool {
 	return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
 }
 
-// TestSlowPoolWorkerMatchesReference: a job over in-memory pairs in
+// TestSlowPoolWorkerMatchesReference: a job over in-process pairs in
 // which one pool worker's conn delays every message the manager's side
 // sends it, so that the others train the tokens while its asyncConn
 // forwarder still sleeps on iteration i's iter-start, past the barrier

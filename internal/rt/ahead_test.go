@@ -57,7 +57,7 @@ func (c *aheadConn) Recv() (*transport.Message, error) {
 	return m, err
 }
 
-// runAheadSession runs cfg over in-memory pairs with every
+// runAheadSession runs cfg over in-process pairs with every
 // coordinator-side conn wrapped in an aheadConn, indexed by worker id.
 // The session must run clean (see requireClean).
 func runAheadSession(t *testing.T, cfg Config) (*Result, []*aheadConn) {
@@ -111,40 +111,31 @@ func runCoordinator(t *testing.T, co *Coordinator, conns []transport.Conn) sessi
 
 // TestChaosQueuedTokenHolderDies: worker 1 dies holding its first token
 // and the own token queued behind it. Both return to the pool and the
-// survivor trains them. In memory the report's send closes the conn;
-// over TCP the report is held for the request, whose send closes the
-// conn and discards it.
+// survivor trains them. The report is held for the request, whose send
+// closes the conn and discards it.
 func TestChaosQueuedTokenHolderDies(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		tcp     bool
-		closeAt int // worker 1's sends: register, request, report, request
-	}{
-		{"mem", false, 2},
-		{"tcp", true, 3},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := chaosCfg()
-			cfg.Workers = 2 // four tokens per shard: the first request queues one
-			throttleHealthy(&cfg, 1)
-			res, _, err := runFoldSession(t, cfg, tc.tcp, func(wid int, c transport.Conn) transport.Conn {
-				if wid == 1 {
-					return transport.NewFaultConn(c, 1).CloseAfterSends(tc.closeAt)
-				}
-				return c
-			})
-			if err != nil {
-				t.Fatal(err)
+	transports(t, func(t *testing.T, pair pairFunc) {
+		cfg := chaosCfg()
+		cfg.Workers = 2 // four tokens per shard: the first request queues one
+		throttleHealthy(&cfg, 1)
+		// Worker 1's sends: register, request, report, request.
+		res, _, err := runFoldSession(t, cfg, pair, func(wid int, c transport.Conn) transport.Conn {
+			if wid == 1 {
+				return transport.NewFaultConn(c, 1).CloseAfterSends(3)
 			}
-			assertMatchesSequential(t, cfg, res)
-			if !slices.Equal(res.DeadWorkers, []int{1}) {
-				t.Fatalf("DeadWorkers = %v, want [1]", res.DeadWorkers)
-			}
-			if res.Reassigned != 2 {
-				t.Fatalf("Reassigned = %d, want 2: the token in hand and the queued one", res.Reassigned)
-			}
+			return c
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertMatchesSequential(t, cfg, res)
+		if !slices.Equal(res.DeadWorkers, []int{1}) {
+			t.Fatalf("DeadWorkers = %v, want [1]", res.DeadWorkers)
+		}
+		if res.Reassigned != 2 {
+			t.Fatalf("Reassigned = %d, want 2: the token in hand and the queued one", res.Reassigned)
+		}
+	})
 }
 
 // TestChaosQueuedTokenClockStartsAtStart: with WorkerTimeout between one

@@ -212,7 +212,7 @@ func (c unheld) Send(m *transport.Message) error {
 }
 
 // TestChaosBarrierFoldSessions runs one-row sessions of poolMLP, whose
-// barrier folds a run over the kernel pool, over the in-memory pair and
+// barrier folds a run over the kernel pool, in process and over
 // loopback TCP, and holds each to Sequential bit for bit:
 //   - mixed: worker 1 reports dense, so its reports add the pending runs
 //     of worker 0's factors mid-iteration;
@@ -282,7 +282,7 @@ func TestChaosBarrierFoldSessions(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			transports(t, func(t *testing.T, tcp bool) {
+			transports(t, func(t *testing.T, pair pairFunc) {
 				cfg := batch1Cfg()
 				if tc.setup != nil {
 					tc.setup(&cfg)
@@ -295,7 +295,7 @@ func TestChaosBarrierFoldSessions(t *testing.T) {
 					}
 					return c
 				}
-				res, log, err := runFoldSessionOn(t, poolMLP, cfg, tcp, wrap)
+				res, log, err := runFoldSessionOn(t, poolMLP, cfg, pair, wrap)
 				if err != nil {
 					t.Fatal(err)
 				}

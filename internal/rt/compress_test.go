@@ -44,7 +44,7 @@ func runFaultyTCPSession(t *testing.T, coCfg, wCfg Config, seed func() *minidnn.
 	reg := obs.NewRegistry()
 	coCfg.Metrics = reg
 
-	l, err := transport.ListenCodec("127.0.0.1:0", transport.CodecBinary)
+	l, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func runFaultyTCPSession(t *testing.T, coCfg, wCfg Config, seed func() *minidnn.
 	for wid := 0; wid < coCfg.Workers; wid++ {
 		wid := wid
 		go func() {
-			c, err := transport.DialCodec(l.Addr(), transport.CodecBinary)
+			c, err := transport.Dial(l.Addr())
 			if err != nil {
 				workerErrs <- err
 				return
@@ -102,11 +102,12 @@ func runFaultyTCPSession(t *testing.T, coCfg, wCfg Config, seed func() *minidnn.
 	return res, reg, errs, runErr
 }
 
-// compressedWireBytes sums the coordinator-side decoded wire bytes for
-// one codec label — nonzero iff reports actually arrived compressed.
-func compressedWireBytes(reg *obs.Registry, codec string) int64 {
+// decodedBytes sums the coordinator's decoded report bytes of one
+// compression metric (wire or raw) under one codec label: the wire bytes
+// are nonzero iff reports actually arrived compressed.
+func decodedBytes(reg *obs.Registry, metric, codec string) int64 {
 	var total int64
-	for labels, v := range reg.CounterValues(transport.MetricCompressWireBytes) {
+	for labels, v := range reg.CounterValues(metric) {
 		if strings.Contains(labels, "decode") && strings.Contains(labels, codec) {
 			total += v
 		}
@@ -115,11 +116,14 @@ func compressedWireBytes(reg *obs.Registry, codec string) int64 {
 }
 
 // TestCompressedSessionOverTCP runs a full session with each dense
-// codec negotiated on both sides. Exact (the default) must stay
-// bit-identical to Sequential. A lossy codec's reports must actually
-// travel compressed (wire-byte telemetry on the coordinator) at its
-// ratio against raw float32 — ≈2× for fp16, ≈4× for int8 — and its
-// final loss must land within lossTol of the exact session's.
+// codec negotiated on both sides, over TCP and in process (Train over
+// transport.Pair), which cross the same codec. Exact (the default) must
+// stay bit-identical to Sequential. A lossy codec's reports must
+// actually travel compressed (wire-byte telemetry on the coordinator)
+// at its ratio against raw float32 — ≈2× for fp16, ≈4× for int8 — and
+// its final loss must land within lossTol of the exact session's. The
+// in-process session decodes the same bytes and ends on the same bits
+// as the TCP one.
 func TestCompressedSessionOverTCP(t *testing.T) {
 	cfg := Config{
 		Workers: 3, TotalBatch: 30, TokenBatch: 5,
@@ -148,6 +152,19 @@ func TestCompressedSessionOverTCP(t *testing.T) {
 			cfg := cfg
 			cfg.Compress = tc.codec
 			res, reg := runTCPSession(t, cfg, cfg, seed, ds)
+			inCfg := cfg
+			inCfg.Metrics = obs.NewRegistry()
+			inRes, err := Train(seed, ds, inCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameSession(t, inRes, res)
+			name := tc.codec.String()
+			for _, metric := range []string{transport.MetricCompressWireBytes, transport.MetricCompressRawBytes} {
+				if got, want := decodedBytes(inCfg.Metrics, metric, name), decodedBytes(reg, metric, name); got != want {
+					t.Fatalf("in process %s is %d, over TCP %d", metric, got, want)
+				}
+			}
 			if tc.codec == transport.CompressExact {
 				if !minidnn.ParamsEqual(res.Params, exact.Params) {
 					t.Fatal("parameters differ from Sequential under negotiated-exact")
@@ -158,19 +175,13 @@ func TestCompressedSessionOverTCP(t *testing.T) {
 			if d := math.Abs(last - exactLoss); !(d <= tc.lossTol) { // NaN fails too
 				t.Fatalf("final loss %v is %.3g from exact's %v, want within %g", last, d, exactLoss, tc.lossTol)
 			}
-			wire := compressedWireBytes(reg, tc.codec.String())
+			wire := decodedBytes(reg, transport.MetricCompressWireBytes, name)
 			if wire == 0 {
 				t.Fatal("no compressed report bytes decoded: negotiation failed to engage")
 			}
-			var raw int64
-			for labels, v := range reg.CounterValues(transport.MetricCompressRawBytes) {
-				if strings.Contains(labels, "decode") && strings.Contains(labels, tc.codec.String()) {
-					raw += v
-				}
-			}
-			ratio := float64(raw) / float64(wire)
+			ratio := float64(decodedBytes(reg, transport.MetricCompressRawBytes, name)) / float64(wire)
 			if ratio < tc.minRatio || ratio > tc.maxRatio {
-				t.Fatalf("report-byte ratio %.3f, want in [%g, %g] (raw %d wire %d)", ratio, tc.minRatio, tc.maxRatio, raw, wire)
+				t.Fatalf("report-byte ratio %.3f, want in [%g, %g] (wire %d)", ratio, tc.minRatio, tc.maxRatio, wire)
 			}
 		})
 	}
@@ -201,7 +212,7 @@ func TestCompressionNegotiationMismatch(t *testing.T) {
 			t.Fatalf("parameter tensor %d differs from Sequential after a denied compression request", i)
 		}
 	}
-	if wire := compressedWireBytes(reg, "topk"); wire != 0 {
+	if wire := decodedBytes(reg, transport.MetricCompressWireBytes, "topk"); wire != 0 {
 		t.Fatalf("%d top-k bytes decoded despite the coordinator denying compression", wire)
 	}
 }
@@ -233,7 +244,7 @@ func TestCompressTopKWorkerKillMatchesUndisturbed(t *testing.T) {
 	throttleHealthy(&cfg, bad)
 
 	want, reg := runTCPSession(t, cfg, cfg, mlp, blobs())
-	if compressedWireBytes(reg, "topk") == 0 {
+	if decodedBytes(reg, transport.MetricCompressWireBytes, "topk") == 0 {
 		t.Fatal("no top-k report bytes decoded: negotiation failed to engage")
 	}
 	seq, err := Sequential(mlp(), blobs(), cfg)
@@ -276,7 +287,7 @@ func TestCompressTopKResumeMatchesUndisturbed(t *testing.T) {
 	cfg.Compress = transport.CompressTopK
 
 	want, reg := runTCPSession(t, cfg, cfg, mlp, blobs())
-	if compressedWireBytes(reg, "topk") == 0 {
+	if decodedBytes(reg, transport.MetricCompressWireBytes, "topk") == 0 {
 		t.Fatal("no top-k report bytes decoded: negotiation failed to engage")
 	}
 
@@ -341,7 +352,7 @@ func TestCompressTopKGoldenSession(t *testing.T) {
 	}
 	seed := func() *minidnn.Network { return minidnn.NewMLP(11, 64, 512, 4) }
 	res, reg := runTCPSession(t, cfg, cfg, seed, minidnn.SyntheticBlobs(13, 48, 64, 4))
-	if compressedWireBytes(reg, "topk") == 0 {
+	if decodedBytes(reg, transport.MetricCompressWireBytes, "topk") == 0 {
 		t.Fatal("no top-k report bytes decoded: negotiation failed to engage")
 	}
 	const (

@@ -646,10 +646,9 @@ func (co *Coordinator) kill(ws *workerState, cause error) {
 // joiners admitted at this barrier included. The iter-start message
 // carries the live parameter tensors themselves: nothing changes them
 // until the next barrier's optimizer step, and the fan-out is over by
-// then. Over TCP the frame is encoded once and each conn writes the
-// tensors by writev; a conn that sends later, or that copies instead
-// (jobs.asyncConn, the in-memory pair), sends the Broadcast's one
-// snapshot, which it takes here, during the fan-out.
+// then. The frame is encoded once and each conn writes the tensors by
+// writev; a conn that sends later (jobs.asyncConn) sends the
+// Broadcast's one snapshot, which it takes here, during the fan-out.
 func (co *Coordinator) broadcast() {
 	ps := co.net.Params()
 	params := make([][]float32, len(ps))

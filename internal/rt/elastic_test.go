@@ -7,6 +7,7 @@ import (
 
 	"fela/internal/metrics"
 	"fela/internal/minidnn"
+	"fela/internal/obs"
 	"fela/internal/trace"
 	"fela/internal/transport"
 )
@@ -60,59 +61,35 @@ func (p *scriptedPolicy) Distribution(nTok int, live []int) []int {
 // plus joiners pre-connected (their join requests are pending before the
 // first barrier; the scripted policy decides when each is admitted).
 type elasticHarness struct {
-	co      *Coordinator
-	conns   []transport.Conn
-	joinWID chan int
+	co    *Coordinator
+	conns []transport.Conn
+	// admitted are the coordinator's ends of the join candidates' conns.
+	// run closes them with conns once the session ends, so that no pump
+	// outlives it.
+	admitted []transport.Conn
+	joinWID  chan int
 }
 
-// newElasticHarness builds the session. joiners is the number of
-// pre-connected join candidates; drain scripts ride on cfg.Drain.
-func newElasticHarness(t *testing.T, cfg Config, joiners int) *elasticHarness {
-	t.Helper()
-	return newElasticHarnessOn(t, cfg, joiners, false)
-}
-
-// newElasticHarnessOn is newElasticHarness over in-memory pairs, or
-// loopback TCP with the binary codec.
-func newElasticHarnessOn(t *testing.T, cfg Config, joiners int, tcp bool) *elasticHarness {
+// newElasticHarness builds the session over conns made by pair. joiners
+// is the number of pre-connected join candidates; drain scripts ride on
+// cfg.Drain.
+func newElasticHarness(t *testing.T, cfg Config, joiners int, pair pairFunc) *elasticHarness {
 	t.Helper()
 	dumpFlightOnFailure(t)
 	co, err := NewCoordinator(mlp(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair := transport.Pair
-	if tcp {
-		l, err := transport.ListenCodec("127.0.0.1:0", transport.CodecBinary)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { l.Close() })
-		pair = func() (transport.Conn, transport.Conn) {
-			client, err := transport.DialCodec(l.Addr(), transport.CodecBinary)
-			if err != nil {
-				t.Fatal(err)
-			}
-			server, err := l.Accept()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return server, client
-		}
-	}
 	h := &elasticHarness{co: co, joinWID: make(chan int, joiners)}
 	h.conns = make([]transport.Conn, cfg.Workers)
-	for wid := 0; wid < cfg.Workers; wid++ {
-		server, client := pair()
-		h.conns[wid] = server
+	for wid := range h.conns {
+		var client transport.Conn
+		h.conns[wid], client = pair(t)
 		w := NewWorker(wid, mlp(), blobs(), cfg)
 		go func() { _ = w.Run(client) }()
 	}
 	for i := 0; i < joiners; i++ {
-		server, client := pair()
-		if err := co.Admit(server); err != nil {
-			t.Fatal(err)
-		}
+		client := h.admit(t, pair)
 		go func() {
 			wid, _ := Join(client, mlp(), blobs(), cfg)
 			h.joinWID <- wid
@@ -129,6 +106,18 @@ func newElasticHarnessOn(t *testing.T, cfg Config, joiners int, tcp bool) *elast
 	return h
 }
 
+// admit makes a pair, hands its coordinator end to the session as a join
+// candidate and returns the candidate's end.
+func (h *elasticHarness) admit(t *testing.T, pair pairFunc) transport.Conn {
+	t.Helper()
+	server, client := pair(t)
+	if err := h.co.Admit(server); err != nil {
+		t.Fatal(err)
+	}
+	h.admitted = append(h.admitted, server)
+	return client
+}
+
 func (h *elasticHarness) run(t *testing.T) *Result {
 	t.Helper()
 	type outcome struct {
@@ -142,6 +131,9 @@ func (h *elasticHarness) run(t *testing.T) *Result {
 	}()
 	select {
 	case out := <-done:
+		for _, c := range append(h.conns, h.admitted...) {
+			c.Close()
+		}
 		if out.err != nil {
 			t.Fatalf("coordinator failed: %v", out.err)
 		}
@@ -149,6 +141,38 @@ func (h *elasticHarness) run(t *testing.T) *Result {
 	case <-time.After(30 * time.Second):
 		t.Fatal("coordinator hung")
 		return nil
+	}
+}
+
+// awaitLeave makes every worker but wid start the session's last
+// iteration only once the coordinator has taken in wid's leave (its
+// "drain" flight event), so that the leave completes at a barrier
+// however the goroutines are scheduled. cfg.Drain must make wid leave.
+func awaitLeave(t *testing.T, cfg *Config, wid int) {
+	flight := obs.NewFlightRecorder(1024)
+	cfg.Flight = flight
+	inner, last := cfg.Delay, cfg.Iterations-1
+	drained := func() bool {
+		for _, ev := range flight.Snapshot(0) {
+			if ev.Event == "drain" && ev.Worker == wid {
+				return true
+			}
+		}
+		return false
+	}
+	cfg.Delay = func(iter, w int) time.Duration {
+		if w != wid && iter == last {
+			for deadline := time.Now().Add(10 * time.Second); !drained(); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Errorf("worker %d's leave never reached the coordinator", wid)
+					break
+				}
+			}
+		}
+		if inner != nil {
+			return inner(iter, w)
+		}
+		return 0
 	}
 }
 
@@ -199,7 +223,7 @@ func TestElasticJoinMidTraining(t *testing.T) {
 	pol := &scriptedPolicy{inner: admitAllPolicy{}, admitAt: map[int]int{1: 1}}
 	cfg := elasticCfg(pol, 6)
 	delayWIDs(&cfg, 0, 1)
-	h := newElasticHarness(t, cfg, 1)
+	h := newElasticHarness(t, cfg, 1, pipePair)
 	res := h.run(t)
 	assertElasticOutcome(t, cfg, res, []string{"join:2"})
 	if res.Scales[0].Iter != 2 {
@@ -225,7 +249,7 @@ func TestElasticDrain(t *testing.T) {
 	cfg.Workers = 3
 	cfg.Drain = func(iter, wid int) bool { return wid == 1 && iter >= 3 }
 	delayWIDs(&cfg, 0, 2)
-	h := newElasticHarness(t, cfg, 0)
+	h := newElasticHarness(t, cfg, 0, pipePair)
 	res := h.run(t)
 	assertElasticOutcome(t, cfg, res, []string{"leave:1"})
 	if res.Scales[0].Iter != 4 {
@@ -244,7 +268,7 @@ func TestElasticJoinAndLeaveSameBarrier(t *testing.T) {
 	cfg := elasticCfg(pol, 6)
 	cfg.Drain = func(iter, wid int) bool { return wid == 0 && iter >= 1 }
 	delayWIDs(&cfg, 1)
-	h := newElasticHarness(t, cfg, 1)
+	h := newElasticHarness(t, cfg, 1, pipePair)
 	res := h.run(t)
 	assertElasticOutcome(t, cfg, res, []string{"join:2", "leave:0"})
 	for _, ev := range res.Scales {
@@ -272,8 +296,8 @@ func TestElasticDrainRacingDeath(t *testing.T) {
 	h.co = co
 	h.conns = make([]transport.Conn, cfg.Workers)
 	for wid := 0; wid < cfg.Workers; wid++ {
-		server, client := transport.Pair()
-		h.conns[wid] = server
+		var client transport.Conn
+		h.conns[wid], client = pipePair(t)
 		if wid == 1 {
 			// Scripted: behave until iteration 2, then announce the
 			// leave with an assigned token outstanding and drop dead.
@@ -339,7 +363,7 @@ func TestElasticFullScaleStory(t *testing.T) {
 	// Every token sleeps a moment, so neither joiner can train whole
 	// iterations while the other's goroutine waits to be scheduled.
 	cfg.TokenDelay = func(iter, wid int) time.Duration { return time.Millisecond }
-	h := newElasticHarness(t, cfg, 2)
+	h := newElasticHarness(t, cfg, 2, pipePair)
 	res := h.run(t)
 	assertElasticOutcome(t, cfg, res,
 		[]string{"join:2", "join:3", "leave:0", "leave:2", "leave:3"})
@@ -359,7 +383,7 @@ func TestElasticEviction(t *testing.T) {
 	pol := &scriptedPolicy{inner: admitAllPolicy{}, evictAt: map[int][]int{2: {0}}}
 	cfg := elasticCfg(pol, 6)
 	cfg.Workers = 3
-	h := newElasticHarness(t, cfg, 0)
+	h := newElasticHarness(t, cfg, 0, pipePair)
 	res := h.run(t)
 	assertElasticOutcome(t, cfg, res, []string{"evict:0"})
 	if res.Scales[0].Iter != 3 {
@@ -377,11 +401,8 @@ func TestElasticJoinRacingDeath(t *testing.T) {
 	pol := &scriptedPolicy{inner: admitAllPolicy{}, admitAt: map[int]int{3: 1}}
 	cfg := elasticCfg(pol, 5)
 	delayWIDs(&cfg, 0, 1) // keep iterations slow enough to outlast the joiner
-	h := newElasticHarness(t, cfg, 0)
-	server, client := transport.Pair()
-	if err := h.co.Admit(server); err != nil {
-		t.Fatal(err)
-	}
+	h := newElasticHarness(t, cfg, 0, pipePair)
+	client := h.admit(t, pipePair)
 	if err := client.Send(&transport.Message{Kind: transport.KindJoin}); err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +418,9 @@ func TestElasticJoinRacingDeath(t *testing.T) {
 }
 
 // TestElasticScalesAreTraced: join and leave marks land in the trace
-// alongside fault marks and render in the timeline legend.
+// alongside fault marks and render in the timeline legend. Worker 0's
+// leave is taken in before the last iteration (awaitLeave), so both
+// scale events happen in every run.
 func TestElasticScalesAreTraced(t *testing.T) {
 	pol := &scriptedPolicy{inner: admitAllPolicy{}, admitAt: map[int]int{1: 1}}
 	cfg := elasticCfg(pol, 6)
@@ -405,7 +428,8 @@ func TestElasticScalesAreTraced(t *testing.T) {
 	tr := &trace.Trace{}
 	cfg.Trace = tr
 	delayWIDs(&cfg, 1)
-	h := newElasticHarness(t, cfg, 1)
+	awaitLeave(t, &cfg, 0)
+	h := newElasticHarness(t, cfg, 1, pipePair)
 	res := h.run(t)
 	assertElasticOutcome(t, cfg, res, []string{"join:2", "leave:0"})
 	joins, leaves := tr.ByKind(trace.Join), tr.ByKind(trace.Leave)
@@ -424,7 +448,7 @@ func TestElasticAdmitRequiresElastic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	server, _ := transport.Pair()
+	server, _ := pipePair(t)
 	if err := co.Admit(server); err == nil {
 		t.Fatal("Admit succeeded on a non-elastic session")
 	}
@@ -440,7 +464,7 @@ func TestElasticDistributionChangesAfterScaleUp(t *testing.T) {
 	pol := &scriptedPolicy{inner: &timingPolicy{}, admitAt: map[int]int{1: 2}}
 	cfg := elasticCfg(pol, 8)
 	delayWIDs(&cfg, 0, 1)
-	h := newElasticHarness(t, cfg, 2)
+	h := newElasticHarness(t, cfg, 2, pipePair)
 	res := h.run(t)
 	assertElasticOutcome(t, cfg, res, []string{"join:2", "join:3"})
 

@@ -8,7 +8,7 @@ import (
 	"fela/internal/transport"
 )
 
-// TestSessionFlightRecorder runs a real in-memory session with a private
+// TestSessionFlightRecorder runs a real in-process session with a private
 // flight ring and checks the protocol history is recorded with trace ids
 // that intersect the span tracer's traces — the property that makes a
 // JSONL flight dump navigable from a trace export and vice versa.

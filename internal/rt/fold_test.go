@@ -148,19 +148,18 @@ func (c logConn) Recv() (*transport.Message, error) {
 	return m, err
 }
 
-// runFoldSession runs cfg over in-memory pairs, or loopback TCP with the
-// binary codec, logging report arrivals and checking at every barrier
-// (through the checkpoint hook, on the coordinator's goroutine) that
-// every report of the iteration was folded and released. wrap, when set,
-// sits between a worker and its conn. The coordinator's error is
-// returned, not asserted.
-func runFoldSession(t *testing.T, cfg Config, tcp bool, wrap func(wid int, c transport.Conn) transport.Conn) (*Result, *arrivalLog, error) {
+// runFoldSession runs cfg over conns made by pair, logging report
+// arrivals and checking at every barrier (through the checkpoint hook,
+// on the coordinator's goroutine) that every report of the iteration
+// was folded and released. wrap, when set, sits between a worker and
+// its conn. The coordinator's error is returned, not asserted.
+func runFoldSession(t *testing.T, cfg Config, pair pairFunc, wrap func(wid int, c transport.Conn) transport.Conn) (*Result, *arrivalLog, error) {
 	t.Helper()
-	return runFoldSessionOn(t, mlp, cfg, tcp, wrap)
+	return runFoldSessionOn(t, mlp, cfg, pair, wrap)
 }
 
 // runFoldSessionOn is runFoldSession on replicas built by model.
-func runFoldSessionOn(t *testing.T, model func() *minidnn.Network, cfg Config, tcp bool, wrap func(wid int, c transport.Conn) transport.Conn) (*Result, *arrivalLog, error) {
+func runFoldSessionOn(t *testing.T, model func() *minidnn.Network, cfg Config, pair pairFunc, wrap func(wid int, c transport.Conn) transport.Conn) (*Result, *arrivalLog, error) {
 	t.Helper()
 	dumpFlightOnFailure(t)
 	log := &arrivalLog{nTok: cfg.tokensPerIter()}
@@ -193,44 +192,18 @@ func runFoldSessionOn(t *testing.T, model func() *minidnn.Network, cfg Config, t
 		return nil
 	}
 
-	var l *transport.Listener
-	if tcp {
-		var err error
-		if l, err = transport.ListenCodec("127.0.0.1:0", transport.CodecBinary); err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-	}
 	serverConns := make([]transport.Conn, cfg.Workers)
 	workerErrs := make(chan error, cfg.Workers)
-	for wid := 0; wid < cfg.Workers; wid++ {
-		var client transport.Conn
-		if !tcp {
-			serverConns[wid], client = transport.Pair()
-		}
-		go func(wid int, c transport.Conn) {
-			if c == nil {
-				var err error
-				if c, err = transport.DialCodec(l.Addr(), transport.CodecBinary); err != nil {
-					workerErrs <- err
-					return
-				}
-			}
+	for wid := range serverConns {
+		var c transport.Conn
+		serverConns[wid], c = pair(t)
+		go func() {
 			defer c.Close()
 			if wrap != nil {
 				c = wrap(wid, c)
 			}
 			workerErrs <- NewWorker(wid, model(), blobs(), cfg).Run(c)
-		}(wid, client)
-	}
-	if tcp {
-		for i := range serverConns {
-			c, err := l.Accept()
-			if err != nil {
-				t.Fatal(err)
-			}
-			serverConns[i] = c
-		}
+		}()
 	}
 	conns := make([]transport.Conn, len(serverConns))
 	for i, c := range serverConns {
@@ -312,7 +285,7 @@ func TestChaosFoldOutOfOrder(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Iterations = 4
 	slowWorker0(&cfg)
-	res, log, err := runFoldSession(t, cfg, false, nil)
+	res, log, err := runFoldSession(t, cfg, pipePair, nil)
 	requireClean(t, res, err)
 	assertMatchesSequential(t, cfg, res)
 	if log.parked() == 0 {
@@ -328,7 +301,7 @@ func TestChaosFoldWorkerDiesHoldingLowestSeq(t *testing.T) {
 	cfg := chaosCfg()
 	slowWorker0(&cfg)
 	// Worker 0's sends: register, request, then the report of seq 0.
-	res, log, err := runFoldSession(t, cfg, false, func(wid int, c transport.Conn) transport.Conn {
+	res, log, err := runFoldSession(t, cfg, pipePair, func(wid int, c transport.Conn) transport.Conn {
 		if wid == 0 {
 			return transport.NewFaultConn(c, 1).CloseAfterSends(2)
 		}
@@ -372,7 +345,7 @@ func TestChaosFoldDrainAndResume(t *testing.T) {
 		}
 		return nil
 	}
-	_, log1, err := runFoldSession(t, phase1, false, nil)
+	_, log1, err := runFoldSession(t, phase1, pipePair, nil)
 	if !errors.Is(err, crashed) {
 		t.Fatalf("phase 1 ended with %v, want the scripted crash", err)
 	}
@@ -381,7 +354,7 @@ func TestChaosFoldDrainAndResume(t *testing.T) {
 	}
 	phase2 := cfg
 	phase2.Resume = saved
-	res, log2, err := runFoldSession(t, phase2, false, nil)
+	res, log2, err := runFoldSession(t, phase2, pipePair, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +375,7 @@ func TestChaosFoldTopKRepeats(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Iterations = 4
 	cfg.Compress = transport.CompressTopK
-	want, _, err := runFoldSession(t, cfg, true, nil)
+	want, _, err := runFoldSession(t, cfg, tcpPair, nil)
 	requireClean(t, want, err)
 	seq, err := Sequential(mlp(), blobs(), cfg)
 	if err != nil {
@@ -412,7 +385,7 @@ func TestChaosFoldTopKRepeats(t *testing.T) {
 		t.Fatal("top-k session is bit-identical to Sequential: nothing was dropped, the repeat proves nothing")
 	}
 	slowWorker0(&cfg)
-	got, log, err := runFoldSession(t, cfg, true, nil)
+	got, log, err := runFoldSession(t, cfg, tcpPair, nil)
 	requireClean(t, got, err)
 	assertSameSession(t, got, want)
 	if log.parked() == 0 {
@@ -428,7 +401,7 @@ func TestChaosFoldTCPParkedArena(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Iterations = 4
 	slowWorker0(&cfg)
-	res, log, err := runFoldSession(t, cfg, true, nil)
+	res, log, err := runFoldSession(t, cfg, tcpPair, nil)
 	requireClean(t, res, err)
 	assertMatchesSequential(t, cfg, res)
 	if log.parked() == 0 {
@@ -452,7 +425,7 @@ func TestChaosFoldTCPParkedView(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Iterations = 4
 	slowWorker0(&cfg)
-	res, log, err := runFoldSessionOn(t, wideMLP, cfg, true, nil)
+	res, log, err := runFoldSessionOn(t, wideMLP, cfg, tcpPair, nil)
 	requireClean(t, res, err)
 	assertMatchesSequentialOn(t, wideMLP, cfg, res)
 	if log.parked() == 0 {

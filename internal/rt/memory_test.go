@@ -78,8 +78,8 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 // the barrier's tile: its factor runs are folded into a dense sum.
 func wideRowMLP() *minidnn.Network { return minidnn.NewMLP(42, 8, 2, 4100) }
 
-// TestFactorOnlySectionsHoldNoSum runs one-row sessions over the
-// in-memory pair and loopback TCP and checks at every barrier what the
+// TestFactorOnlySectionsHoldNoSum runs one-row sessions in process and
+// over loopback TCP and checks at every barrier what the
 // coordinator holds: a dense sum for the bias sections, which arrive
 // dense, none for the weight gradients, which arrive as factors only,
 // except where a row is wider than the barrier's tile; a velocity only
@@ -96,7 +96,7 @@ func TestFactorOnlySectionsHoldNoSum(t *testing.T) {
 		{"wide-rows", wideRowMLP, 0, []bool{false, true, true, true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			transports(t, func(t *testing.T, tcp bool) {
+			transports(t, func(t *testing.T, pair pairFunc) {
 				cfg := batch1Cfg()
 				cfg.Momentum = tc.momentum
 				cfg.Iterations = 2
@@ -124,7 +124,7 @@ func TestFactorOnlySectionsHoldNoSum(t *testing.T) {
 				if co, err = NewCoordinator(tc.model(), cfg); err != nil {
 					t.Fatal(err)
 				}
-				res, err := co.Run(workerConns(t, tc.model, cfg, tcp))
+				res, err := co.Run(workerConns(t, tc.model, cfg, pair))
 				requireClean(t, res, err)
 				if barriers != cfg.Iterations {
 					t.Fatalf("%d barriers checked, want %d", barriers, cfg.Iterations)
@@ -136,39 +136,16 @@ func TestFactorOnlySectionsHoldNoSum(t *testing.T) {
 }
 
 // workerConns starts cfg.Workers workers on replicas built by model,
-// over in-memory pairs or loopback TCP, and returns the coordinator's
-// ends.
-func workerConns(t *testing.T, model func() *minidnn.Network, cfg Config, tcp bool) []transport.Conn {
+// over conns made by pair, and returns the coordinator's ends.
+func workerConns(t *testing.T, model func() *minidnn.Network, cfg Config, pair pairFunc) []transport.Conn {
 	t.Helper()
 	conns := make([]transport.Conn, cfg.Workers)
 	for wid := range conns {
-		co, w := connPair(t, tcp)
+		co, w := pair(t)
 		conns[wid] = co
 		go func() { _ = NewWorker(wid, model(), blobs(), cfg).Run(w) }()
 	}
 	return conns
-}
-
-// connPair is a coordinator end and a worker end, over an in-memory
-// pair or loopback TCP with the binary codec.
-func connPair(t *testing.T, tcp bool) (co, w transport.Conn) {
-	t.Helper()
-	if !tcp {
-		return transport.Pair()
-	}
-	l, err := transport.ListenCodec("127.0.0.1:0", transport.CodecBinary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if w, err = transport.DialCodec(l.Addr(), transport.CodecBinary); err != nil {
-		t.Fatal(err)
-	}
-	if co, err = l.Accept(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { co.Close(); w.Close() })
-	return co, w
 }
 
 // TestWorkerRefusesMalformedIterStart sends a registered worker an
@@ -188,8 +165,8 @@ func TestWorkerRefusesMalformedIterStart(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			transports(t, func(t *testing.T, tcp bool) {
-				co, wc := connPair(t, tcp)
+			transports(t, func(t *testing.T, pair pairFunc) {
+				co, wc := pair(t)
 				cfg := baseCfg()
 				w := NewWorker(0, mlp(), blobs(), cfg)
 				done := make(chan error, 1)

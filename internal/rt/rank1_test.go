@@ -6,7 +6,7 @@ package rt
 // fold. These sessions hold that path to Sequential across the features
 // a session combines — momentum, a dead window holder, an elastic join
 // and drain, a resume from a checkpoint, reports parked behind a gap —
-// over the in-memory pair and loopback TCP, and hold the coordinator to
+// in process and over loopback TCP, and hold the coordinator to
 // refusing factors that do not fit.
 
 import (
@@ -67,11 +67,11 @@ func TestBatch1Equivalence(t *testing.T) {
 		{"pool-mlp-momentum", poolMLP, 0.9},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			transports(t, func(t *testing.T, tcp bool) {
+			transports(t, func(t *testing.T, pair pairFunc) {
 				cfg := batch1Cfg()
 				cfg.Momentum = tc.momentum
 				var n atomic.Int64
-				res, _, err := runFoldSessionOn(t, tc.model, cfg, tcp, countRank1(&n))
+				res, _, err := runFoldSessionOn(t, tc.model, cfg, pair, countRank1(&n))
 				requireClean(t, res, err)
 				assertMatchesSequentialOn(t, tc.model, cfg, res)
 				if want := int64(cfg.Iterations * cfg.tokensPerIter()); n.Load() != want {
@@ -87,10 +87,10 @@ func TestBatch1Equivalence(t *testing.T) {
 // factors, and no report received meanwhile is decoded into a parked
 // one's buffer.
 func TestChaosBatch1FoldParked(t *testing.T) {
-	transports(t, func(t *testing.T, tcp bool) {
+	transports(t, func(t *testing.T, pair pairFunc) {
 		cfg := batch1Cfg()
 		slowWorker0(&cfg)
-		res, log, err := runFoldSession(t, cfg, tcp, nil)
+		res, log, err := runFoldSession(t, cfg, pair, nil)
 		requireClean(t, res, err)
 		assertMatchesSequential(t, cfg, res)
 		if log.parked() == 0 {
@@ -105,16 +105,17 @@ func TestChaosBatch1FoldParked(t *testing.T) {
 func TestChaosBatch1WindowHolderDies(t *testing.T) { windowHolderDies(t, 1) }
 
 // TestChaosBatch1ElasticJoinDrain: one-row tokens through a barrier
-// that admits a joiner and completes a drain, over both transports.
+// that admits a joiner and completes a drain, in process and over TCP.
 func TestChaosBatch1ElasticJoinDrain(t *testing.T) {
-	transports(t, func(t *testing.T, tcp bool) {
+	transports(t, func(t *testing.T, pair pairFunc) {
 		pol := &scriptedPolicy{inner: admitAllPolicy{}, admitAt: map[int]int{1: 1}}
 		cfg := elasticCfg(pol, 4)
 		cfg.TokenBatch = 1
 		cfg.TotalBatch = 24
 		cfg.Drain = func(iter, wid int) bool { return wid == 0 && iter >= 1 }
 		delayWIDs(&cfg, 1)
-		res := newElasticHarnessOn(t, cfg, 1, tcp).run(t)
+		awaitLeave(t, &cfg, 0)
+		res := newElasticHarness(t, cfg, 1, pair).run(t)
 		assertElasticOutcome(t, cfg, res, []string{"join:2", "leave:0"})
 	})
 }
@@ -126,7 +127,7 @@ func TestChaosBatch1Resume(t *testing.T) { batch1Resume(t, mlp) }
 
 // batch1Resume is TestChaosBatch1Resume on replicas built by model.
 func batch1Resume(t *testing.T, model func() *minidnn.Network) {
-	transports(t, func(t *testing.T, tcp bool) {
+	transports(t, func(t *testing.T, pair pairFunc) {
 		cfg := batch1Cfg()
 		cfg.Momentum = 0.9
 		errStop := errors.New("stopped after the checkpoint")
@@ -139,14 +140,14 @@ func batch1Resume(t *testing.T, model func() *minidnn.Network) {
 			resume = &Resume{Iter: iter, Params: cloneFloats(params), Vel: cloneFloats(vel), Losses: slices.Clone(losses)}
 			return errStop
 		}
-		if _, _, err := runFoldSessionOn(t, model, first, tcp, nil); !errors.Is(err, errStop) {
+		if _, _, err := runFoldSessionOn(t, model, first, pair, nil); !errors.Is(err, errStop) {
 			t.Fatalf("first session ended with %v, want the stop after the checkpoint", err)
 		}
 		if resume == nil {
 			t.Fatal("no checkpoint was taken")
 		}
 		cfg.Resume = resume
-		res, _, err := runFoldSessionOn(t, model, cfg, tcp, nil)
+		res, _, err := runFoldSessionOn(t, model, cfg, pair, nil)
 		requireClean(t, res, err)
 		assertMatchesSequentialOn(t, model, cfg, res)
 	})

@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -346,13 +347,27 @@ func TestWorkerFailureSurfaces(t *testing.T) {
 // TestTrainFailsLoudOnFault: Train's in-process workers never fail
 // legitimately, so a straggler shot by a WorkerTimeout shorter than its
 // token makes Train return an error naming the fault, not the result.
+// Worker 0 requests its first token only once worker 1 holds one, so
+// worker 1 is certain to hold a token past WorkerTimeout.
 func TestTrainFailsLoudOnFault(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Workers = 2
 	cfg.WorkerTimeout = 100 * time.Millisecond
+	holding := make(chan struct{})
+	var once sync.Once
 	cfg.TokenDelay = func(iter, wid int) time.Duration {
 		if wid == 1 {
+			once.Do(func() { close(holding) })
 			return time.Second
+		}
+		return 0
+	}
+	cfg.Delay = func(iter, wid int) time.Duration {
+		if wid == 0 && iter == 0 {
+			select {
+			case <-holding:
+			case <-time.After(10 * time.Second):
+			}
 		}
 		return 0
 	}

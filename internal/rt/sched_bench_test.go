@@ -19,7 +19,7 @@ func BenchmarkSchedSession(b *testing.B) {
 	net := func() *minidnn.Network { return minidnn.NewMLP(5051, 16, 32, 4) }
 	ds := minidnn.SyntheticBlobs(5052, 256, 16, 4)
 	cfg := Config{Workers: 2, TotalBatch: 64, TokenBatch: 2, Iterations: b.N, LR: 0.05}
-	l, err := transport.ListenCodec("127.0.0.1:0", transport.CodecBinary)
+	l, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func BenchmarkSchedSession(b *testing.B) {
 	errs := make(chan error, cfg.Workers)
 	conns := make([]transport.Conn, cfg.Workers)
 	for wid := range conns {
-		client, err := transport.DialCodec(l.Addr(), transport.CodecBinary)
+		client, err := transport.Dial(l.Addr())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -66,7 +66,7 @@ func TestWorkerStatusJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSessionTelemetry runs a real in-memory session with telemetry on
+// TestSessionTelemetry runs a real in-process session with telemetry on
 // and checks the registry, the status snapshots, and the span buffer all
 // reflect what actually happened.
 func TestSessionTelemetry(t *testing.T) {

@@ -173,7 +173,7 @@ const fastRate = 1e9
 
 // windowOpts shapes runWindowSession.
 type windowOpts struct {
-	tcp bool
+	pair pairFunc
 	// fast gives every worker fastRate before the first iteration, so
 	// windows are deep from the start instead of from iteration 1.
 	fast bool
@@ -183,35 +183,16 @@ type windowOpts struct {
 	worker func(wid int, c transport.Conn)
 }
 
-// runWindowSession runs cfg over in-memory pairs or loopback TCP with
-// the binary codec. Conns are paired with worker ids in order, so coord
-// sees each worker's own conn.
+// runWindowSession runs cfg over conns made by o.pair. Conns are paired
+// with worker ids in order, so coord sees each worker's own conn.
 func runWindowSession(t *testing.T, cfg Config, o windowOpts) sessionOutcome {
 	t.Helper()
 	dumpFlightOnFailure(t)
-	var l *transport.Listener
-	if o.tcp {
-		var err error
-		if l, err = transport.ListenCodec("127.0.0.1:0", transport.CodecBinary); err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-	}
 	conns := make([]transport.Conn, cfg.Workers)
 	var wg sync.WaitGroup
 	for wid := range conns {
 		var client transport.Conn
-		if o.tcp {
-			var err error
-			if client, err = transport.DialCodec(l.Addr(), transport.CodecBinary); err != nil {
-				t.Fatal(err)
-			}
-			if conns[wid], err = l.Accept(); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			conns[wid], client = transport.Pair()
-		}
+		conns[wid], client = o.pair(t)
 		wg.Add(1)
 		go func(wid int) {
 			defer wg.Done()
@@ -255,14 +236,40 @@ func windowCfg() Config {
 	return cfg
 }
 
-// transports runs a case over the in-memory pair and over TCP.
-func transports(t *testing.T, run func(t *testing.T, tcp bool)) {
-	for _, tc := range []struct {
-		name string
-		tcp  bool
-	}{{"mem", false}, {"tcp", true}} {
-		t.Run(tc.name, func(t *testing.T) { run(t, tc.tcp) })
+// pairFunc makes one conn pair: the coordinator's end and the worker's.
+// The test closes both when it ends.
+type pairFunc func(t *testing.T) (co, w transport.Conn)
+
+// pipePair is a pair of in-process conns (transport.Pair).
+func pipePair(t *testing.T) (co, w transport.Conn) {
+	co, w = transport.Pair()
+	t.Cleanup(func() { co.Close(); w.Close() })
+	return co, w
+}
+
+// tcpPair is a pair of conns over loopback TCP.
+func tcpPair(t *testing.T) (co, w transport.Conn) {
+	t.Helper()
+	l, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer l.Close()
+	if w, err = transport.Dial(l.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if co, err = l.Accept(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { co.Close(); w.Close() })
+	return co, w
+}
+
+// transports runs a case on in-process pairs and on loopback TCP: the
+// same frames through a pipe and through a socket.
+func transports(t *testing.T, run func(t *testing.T, pair pairFunc)) {
+	t.Run("mem", func(t *testing.T) { run(t, pipePair) })
+	t.Run("tcp", func(t *testing.T) { run(t, tcpPair) })
 }
 
 // TestWindowLongTokensRideOneAhead: with tokens of a millisecond, no
@@ -284,39 +291,45 @@ func TestWindowLongTokensRideOneAhead(t *testing.T) {
 
 // TestWindowShortTokensQueueDeeper: with tiny tokens, once the workers
 // have a rate some worker holds more than two tokens, and no shard's last
-// token is ever queued. In memory the rate comes from the session itself,
-// so a session slowed to under three tokens a millisecond is run again;
-// over TCP, where a loaded machine under the race detector can take that
-// long, the workers start with fastRate.
+// token is ever queued. In process the rate comes from the session
+// itself, so a session slowed to under three tokens a millisecond is run
+// again; over TCP, where a loaded machine under the race detector can
+// take that long, the workers start with fastRate.
 func TestWindowShortTokensQueueDeeper(t *testing.T) {
-	transports(t, func(t *testing.T, tcp bool) {
-		cfg := windowCfg()
-		cfg.TotalBatch = 128 // 64 tokens, 32 a shard
-		cfg.Iterations = 8
-		for attempt := 1; ; attempt++ {
-			watched := make([]*aheadConn, cfg.Workers)
-			out := runWindowSession(t, cfg, windowOpts{tcp: tcp, fast: tcp, coord: func(wid int, c transport.Conn) transport.Conn {
-				watched[wid] = &aheadConn{Conn: c}
-				return watched[wid]
-			}})
-			requireClean(t, out.res, out.err)
-			assertMatchesSequential(t, cfg, out.res)
-			peak := 0
-			for wid, c := range watched {
-				last := cfg.tokensPerIter() - cfg.Workers + wid
-				if slices.Contains(c.queued, last) {
-					t.Fatalf("worker %d's last token %d was queued: queued seqs %v", wid, last, c.queued)
+	for _, tc := range []struct {
+		name string
+		pair pairFunc
+		fast bool
+	}{{"mem", pipePair, false}, {"tcp", tcpPair, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := windowCfg()
+			cfg.TotalBatch = 128 // 64 tokens, 32 a shard
+			cfg.Iterations = 8
+			for attempt := 1; ; attempt++ {
+				watched := make([]*aheadConn, cfg.Workers)
+				out := runWindowSession(t, cfg, windowOpts{pair: tc.pair, fast: tc.fast, coord: func(wid int, c transport.Conn) transport.Conn {
+					watched[wid] = &aheadConn{Conn: c}
+					return watched[wid]
+				}})
+				requireClean(t, out.res, out.err)
+				assertMatchesSequential(t, cfg, out.res)
+				peak := 0
+				for wid, c := range watched {
+					last := cfg.tokensPerIter() - cfg.Workers + wid
+					if slices.Contains(c.queued, last) {
+						t.Fatalf("worker %d's last token %d was queued: queued seqs %v", wid, last, c.queued)
+					}
+					peak = max(peak, c.peak)
 				}
-				peak = max(peak, c.peak)
+				if peak > 2 {
+					return
+				}
+				if attempt == 3 {
+					t.Fatalf("no worker held more than %d tokens in %d sessions", peak, attempt)
+				}
 			}
-			if peak > 2 {
-				return
-			}
-			if attempt == 3 {
-				t.Fatalf("no worker held more than %d tokens in %d sessions", peak, attempt)
-			}
-		}
-	})
+		})
+	}
 }
 
 // killOnAssign closes a worker's conn when it receives assign number
@@ -345,12 +358,12 @@ func TestChaosWindowHolderDies(t *testing.T) { windowHolderDies(t, windowCfg().T
 // windowHolderDies is TestChaosWindowHolderDies on tokens of tokenBatch
 // rows.
 func windowHolderDies(t *testing.T, tokenBatch int) {
-	transports(t, func(t *testing.T, tcp bool) {
+	transports(t, func(t *testing.T, pair pairFunc) {
 		cfg := windowCfg()
 		cfg.TokenBatch = tokenBatch
 		cfg.WorkerTimeout = 400 * time.Millisecond
 		throttleHealthy(&cfg, 1)
-		out := runWindowSession(t, cfg, windowOpts{tcp: tcp, fast: true, worker: func(wid int, c transport.Conn) {
+		out := runWindowSession(t, cfg, windowOpts{pair: pair, fast: true, worker: func(wid int, c transport.Conn) {
 			if wid == 1 {
 				c = &killOnAssign{Conn: c, iter: 1, kill: 2}
 			}
@@ -412,12 +425,12 @@ func leaveMidWindow(wid int, conn transport.Conn, cfg Config) {
 // a deep window. The tokens it holds flow back through the reclaim path,
 // the leave completes at the barrier, and nothing counts as a fault.
 func TestChaosWindowLeaveMidWindow(t *testing.T) {
-	transports(t, func(t *testing.T, tcp bool) {
+	transports(t, func(t *testing.T, pair pairFunc) {
 		cfg := windowCfg()
 		cfg.WorkerTimeout = 400 * time.Millisecond
 		cfg.Elastic = admitAllPolicy{}
 		delayWIDs(&cfg, 0)
-		out := runWindowSession(t, cfg, windowOpts{tcp: tcp, fast: true, worker: func(wid int, c transport.Conn) {
+		out := runWindowSession(t, cfg, windowOpts{pair: pair, fast: true, worker: func(wid int, c transport.Conn) {
 			if wid == 1 {
 				leaveMidWindow(wid, c, cfg)
 				return
@@ -459,15 +472,14 @@ func (c *countAssigns) Recv() (*transport.Message, error) {
 
 // TestChaosWindowAssignFailsMidBatch: the second assign of worker 1's
 // first window fails to send, which closes its conn. The first assign of
-// the batch went down with it: over TCP it was held and never reached the
-// wire. Without elasticity ("tolerant") the worker dies and both tokens
+// the batch went down with it: it was held and never reached the wire. Without elasticity ("tolerant") the worker dies and both tokens
 // return to the pool. Elastic, the first is reclaimed and the failed one
 // reverted, as if never handed out, before the conn's close kills the
 // worker.
 func TestChaosWindowAssignFailsMidBatch(t *testing.T) {
 	for _, mode := range []string{"tolerant", "elastic"} {
 		t.Run(mode, func(t *testing.T) {
-			transports(t, func(t *testing.T, tcp bool) {
+			transports(t, func(t *testing.T, pair pairFunc) {
 				cfg := windowCfg()
 				cfg.WorkerTimeout = 400 * time.Millisecond
 				if mode == "elastic" {
@@ -475,7 +487,7 @@ func TestChaosWindowAssignFailsMidBatch(t *testing.T) {
 				}
 				throttleHealthy(&cfg, 1)
 				received := &countAssigns{}
-				out := runWindowSession(t, cfg, windowOpts{tcp: tcp, fast: true,
+				out := runWindowSession(t, cfg, windowOpts{pair: pair, fast: true,
 					// Worker 1's sends: the iter-start, then its batch.
 					coord: func(wid int, c transport.Conn) transport.Conn {
 						if wid == 1 {
@@ -507,7 +519,7 @@ func TestChaosWindowAssignFailsMidBatch(t *testing.T) {
 				}
 				received.mu.Lock()
 				defer received.mu.Unlock()
-				if tcp && received.n != 0 {
+				if received.n != 0 {
 					t.Fatalf("worker 1 received %d assigns; the held one must not leave", received.n)
 				}
 			})

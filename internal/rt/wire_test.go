@@ -27,7 +27,7 @@ func TestBroadcastEncodesOncePerIteration(t *testing.T) {
 	coCfg := cfg
 	coCfg.Metrics = reg
 
-	l, err := transport.ListenCodec("127.0.0.1:0", transport.CodecBinary)
+	l, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestBroadcastEncodesOncePerIteration(t *testing.T) {
 	for wid := 0; wid < workers; wid++ {
 		wid := wid
 		go func() {
-			c, err := transport.DialCodec(l.Addr(), transport.CodecBinary)
+			c, err := transport.Dial(l.Addr())
 			if err != nil {
 				workerErrs <- err
 				return

@@ -304,8 +304,8 @@ func (w *Worker) loop(conn transport.Conn) error {
 
 // setParams installs a parameter broadcast by copying straight into the
 // network's live tensors — one copy, no intermediate clone. The payload
-// may be a pooled codec arena or a message shared with other in-process
-// workers, so it is read-only here and unreferenced after the copy. A
+// lives in the codec's pooled buffers, which the caller releases, so it
+// is read-only here and unreferenced after the copy. A
 // broadcast not in the model's shapes is a protocol violation, and
 // nothing of it is installed.
 func (w *Worker) setParams(flat [][]float32) error {
@@ -357,11 +357,13 @@ func (w *Worker) train(tok transport.TokenInfo) (*transport.Message, error) {
 }
 
 // Train runs a complete in-process session: a coordinator plus
-// cfg.Workers goroutine workers over in-memory transports, each holding
-// a replica of the seed network and the dataset. It returns the
-// coordinator's result. In-process workers never fail legitimately, so
-// Train fails loud: any fault the result records — a straggler shot by
-// WorkerTimeout, say — or any worker's error is returned as an error.
+// cfg.Workers goroutine workers over transport.Pair conns, which carry
+// the same frames as TCP (negotiated gradient compression included),
+// each worker holding a replica of the seed network and the dataset. It
+// returns the coordinator's result. In-process workers never fail
+// legitimately, so Train fails loud: any fault the result records — a
+// straggler shot by WorkerTimeout, say — or any worker's error is
+// returned as an error.
 func Train(seedNet func() *minidnn.Network, ds *minidnn.Dataset, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -378,6 +380,12 @@ func Train(seedNet func() *minidnn.Network, ds *minidnn.Dataset, cfg Config) (*R
 		w := NewWorker(wid, seedNet(), ds, cfg)
 		go func() { errs <- w.Run(client) }()
 	}
+	// Closing the coordinator's ends on return ends their receive pumps.
+	defer func() {
+		for _, c := range serverConns {
+			c.Close()
+		}
+	}()
 	res, err := co.Run(serverConns)
 	if err != nil {
 		return nil, err

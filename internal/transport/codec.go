@@ -313,17 +313,17 @@ func getFloatArena(n int) *[]float32 {
 // Release returns the message's pooled float backing to the codec pools
 // and clears Grads, Params and TopK. That backing is the arena the
 // copied float sections were carved from and, for a message received on
-// a tcpConn or a top-k one from DecodeBinary, the frame buffer its large
+// a conn or a top-k one from DecodeBinary, the frame buffer its large
 // sections and its top-k sections are views of. Only the decoder
 // attaches pooled backing, so Release is a safe no-op on messages built
-// by hand, copied by the in-memory transport, or shared by a Broadcast
-// snapshot. Ownership rule: the goroutine that consumed the payload —
-// the coordinator after folding a report into its accumulator (late,
-// for a report parked behind a lower seq), the worker after installing
-// broadcast parameters — calls Release exactly once; the Grads, Params
-// and TopK sections must not be used afterwards, because the next frame
-// may be read into the same buffer. Messages that are never released
-// are simply garbage collected.
+// by hand or shared by a Broadcast snapshot. Ownership rule: the
+// goroutine that consumed the payload — the coordinator after folding a
+// report into its accumulator (late, for a report parked behind a lower
+// seq), the worker after installing broadcast parameters — calls
+// Release exactly once; the Grads, Params and TopK sections must not be
+// used afterwards, because the next frame may be read into the same
+// buffer. Messages that are never released are simply garbage
+// collected.
 func (m *Message) Release() {
 	if m == nil || (m.pooled == nil && m.frame == nil) {
 		return
@@ -943,15 +943,14 @@ func decodePayloadMeta(kind Kind, h frameHead, payload []byte, frame *[]byte) (*
 // returns, and may change after it, because a sender that writes later
 // works from Snapshot.
 //
-// The frame is encoded once, by whichever TCP conn sends first, with
-// every exact section of viewFloats or more cut out as tcpConn.Send cuts
-// it. Each TCP conn then writes that small header by writev with the
-// sections spliced back in straight from Msg, and returns once the write
-// is done. So every recipient (elastic joiners admitted at the same
+// The frame is encoded once, by whichever conn sends first, with every
+// exact section of viewFloats or more cut out as tcpConn.Send cuts it.
+// Each conn then writes that small header by writev with the sections
+// spliced back in straight from Msg, and returns once the write is
+// done. So every recipient (elastic joiners admitted at the same
 // barrier included) receives identical bytes, and no per-iteration copy
 // of the parameters is made. A sender that delivers after the fan-out
-// returns (jobs.asyncConn), or that never writes a frame (the in-memory
-// pair), sends Snapshot instead.
+// returns (jobs.asyncConn) sends Snapshot instead.
 type Broadcast struct {
 	// Msg is the underlying message; it must not be mutated after the
 	// first send.

@@ -112,8 +112,7 @@ func ParseCompression(name string) (Compression, error) {
 // SetGradCodec selects the codec the message's Grads section is encoded
 // with on the binary wire. It also rides otherwise-gradient-free
 // handshake frames (register, join, assign) as the codec negotiation
-// field. Gob and in-memory transports ignore it for encoding; the
-// in-memory pair still delivers it by reference.
+// field, on TCP and in-process conns alike.
 func (m *Message) SetGradCodec(c Compression) { m.gradCodec = c }
 
 // GradCodec returns the message's gradient codec (CompressExact for

@@ -4,10 +4,13 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"testing"
 	"time"
 )
 
+// TestMemConnRecvTimeout: a Recv on a Pair end with nothing to read
+// times out at its deadline.
 func TestMemConnRecvTimeout(t *testing.T) {
 	a, _ := Pair()
 	defer a.Close()
@@ -22,20 +25,52 @@ func TestMemConnRecvTimeout(t *testing.T) {
 	}
 }
 
+// TestMemConnSendTimeout: pipe back-pressure times out a Send. With no
+// reader, a Send past the pipe's bound waits for room, as on a full TCP
+// window, until its deadline. Once the peer reads, a Send with room
+// goes through again.
 func TestMemConnSendTimeout(t *testing.T) {
-	a, _ := Pair()
+	a, b := Pair()
 	defer a.Close()
+	defer b.Close()
 	SetTimeouts(a, 20*time.Millisecond, 0)
-	// Fill the buffer; with no receiver the overflow send must time out.
-	var err error
-	for i := 0; i < 1000; i++ {
-		if err = a.Send(&Message{Iter: i}); err != nil {
-			break
-		}
-	}
-	if Classify(err) != ClassTimeout {
+	big := &Message{Kind: KindIterStart, Params: [][]float32{make([]float32, pipeBound/4)}}
+	if err := a.Send(big); Classify(err) != ClassTimeout {
 		t.Fatalf("send err = %v (class %v), want timeout", err, Classify(err))
 	}
+	drained := make(chan error, 1)
+	go func() {
+		_, err := io.Copy(io.Discard, b.(*tcpConn).conn)
+		drained <- err
+	}()
+	SetTimeouts(a, 5*time.Second, 0)
+	if err := a.Send(big); err != nil {
+		t.Fatalf("send with a reader: %v", err)
+	}
+	a.Close()
+	if err := <-drained; err != nil {
+		t.Fatalf("the reader ended with %v, want EOF", err)
+	}
+}
+
+// TestPairPipeEnds: a Pair end is a net.Conn of its own: it names its
+// addresses, SetDeadline bounds both directions, and a write to a peer
+// that has closed fails at once as peer-gone.
+func TestPairPipeEnds(t *testing.T) {
+	a, b := Pair()
+	pa := a.(*tcpConn).conn
+	if addr := pa.LocalAddr(); addr.Network() != "pipe" || pa.RemoteAddr().String() != "pipe" {
+		t.Fatalf("addresses %v %v", addr, pa.RemoteAddr())
+	}
+	pa.SetDeadline(time.Now().Add(-time.Second))
+	if _, err := pa.Read(make([]byte, 1)); Classify(err) != ClassTimeout {
+		t.Fatalf("read past the deadline: %v", err)
+	}
+	b.Close()
+	if err := a.Send(&Message{Kind: KindRequest}); Classify(err) != ClassPeerGone {
+		t.Fatalf("send to a closed peer: %v (class %v), want peer-gone", err, Classify(err))
+	}
+	a.Close()
 }
 
 func TestTCPConnRecvTimeout(t *testing.T) {
@@ -72,6 +107,7 @@ func TestClassify(t *testing.T) {
 		{nil, ClassUnknown},
 		{ErrClosed, ClassClosed},
 		{ErrTimeout, ClassTimeout},
+		{&net.OpError{Op: "read", Err: os.ErrDeadlineExceeded}, ClassTimeout},
 		{io.EOF, ClassPeerGone},
 		{io.ErrUnexpectedEOF, ClassPeerGone},
 		{net.ErrClosed, ClassPeerGone},
@@ -124,12 +160,13 @@ func TestFaultConnCloseAfterSends(t *testing.T) {
 	if err := f.Send(&Message{Iter: 1}); Classify(err) != ClassClosed {
 		t.Fatalf("second send err = %v, want closed", err)
 	}
-	// The peer drains the delivered message, then sees closure.
+	// The peer drains the delivered message, then finds its peer gone,
+	// as over TCP.
 	if _, err := b.Recv(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Recv(); Classify(err) != ClassClosed {
-		t.Fatalf("peer recv err = %v, want closed", err)
+	if _, err := b.Recv(); Classify(err) != ClassPeerGone {
+		t.Fatalf("peer recv err = %v, want peer-gone", err)
 	}
 }
 

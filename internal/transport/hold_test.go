@@ -220,26 +220,6 @@ func TestHeldFrameBeforeBroadcast(t *testing.T) {
 	readExactly(t, raw, want)
 }
 
-// TestHeldFrameIgnoredElsewhere: a conn that does not hold frames (the
-// in-memory pair) delivers a marked message without waiting for another
-// Send.
-func TestHeldFrameIgnoredElsewhere(t *testing.T) {
-	t.Run("mem", func(t *testing.T) {
-		a, b := Pair()
-		SetTimeouts(b, 0, 5*time.Second)
-		if err := a.Send(heldReport()); err != nil {
-			t.Fatal(err)
-		}
-		m, err := b.Recv()
-		if err != nil {
-			t.Fatalf("marked message not delivered on its own: %v", err)
-		}
-		if m.Kind != KindReport || m.Token.Seq != 3 {
-			t.Fatalf("got %+v", m)
-		}
-	})
-}
-
 // viaWrappers runs a held-frame case on a bare binary conn and through
 // Instrument and FaultConn, which forward Send and Recv to it.
 func viaWrappers(t *testing.T, run func(t *testing.T, tc *tcpConn, c Conn, raw net.Conn)) {

@@ -176,8 +176,9 @@ func TestDecodeRejectsMalformedPayloads(t *testing.T) {
 
 // TestRank1Conns: every conn captures the factors when Send returns —
 // the worker's factor buffers are overwritten at its next token — and
-// delivers them bit for bit. Over TCP a factor is a float section like
-// any other: an x of viewFloats or more, the frame's first section, is
+// delivers them bit for bit. On the pipe and over TCP alike a factor is
+// a float section like any other: an x of viewFloats or more, the
+// frame's first section, is
 // written from the sender's slice and received as a view of the frame,
 // and a short δ is copied.
 func TestRank1Conns(t *testing.T) {
@@ -215,7 +216,7 @@ func TestRank1Conns(t *testing.T) {
 				if again, err := EncodeBinary(got); err != nil || !bytes.Equal(again, want) {
 					t.Fatalf("wid %d: received another report than the one sent (%v)", wid, err)
 				}
-				if f := got.Rank1()[0]; name == "tcp" && (!inFrame(got, f.X) || inFrame(got, f.D)) {
+				if f := got.Rank1()[0]; !inFrame(got, f.X) || inFrame(got, f.D) {
 					t.Fatalf("wid %d: want the long x viewed and the short δ copied", wid)
 				}
 				got.Release()

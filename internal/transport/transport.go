@@ -1,9 +1,9 @@
 // Package transport carries the Fela token protocol between the
 // coordinator (Token Server) and workers in the real-time engine
-// (internal/rt). Two transports are provided: an in-memory pair for
-// single-process training and tests, and TCP for genuinely distributed
-// runs (cmd/felaserver, cmd/felaworker). TCP connections speak the
-// length-prefixed binary frame format of codec.go.
+// (internal/rt). Every connection speaks the length-prefixed binary
+// frame format of codec.go, over one of two byte streams: TCP for
+// distributed runs (cmd/felaserver, cmd/felaworker), and an in-process
+// pipe (Pair) for single-process training and tests.
 //
 // Fault model: connections can time out (per-message send/receive
 // deadlines via SetTimeouts), lose their peer (process crash, network
@@ -200,21 +200,21 @@ type Message struct {
 }
 
 // SetMore marks the message as one the conn may hold, like MSG_MORE: the
-// TCP conn keeps it until the next Send or until this conn's Recv
-// would block, and then writes every held frame in one write. The bytes
-// on the wire are those of separate Sends. A frame that would take the
+// conn keeps it until the next Send or until this conn's Recv would
+// block, and then writes every held frame in one write. The bytes on
+// the wire are those of separate Sends. A frame that would take the
 // held bytes to 64 KiB or beyond is written at once, with those held
-// before it. Other transports ignore the mark. The coordinator marks all
-// but the last assign of a batch, so the batch leaves in one write; a
-// worker marks its report, and its request after a short token, so they
-// leave together when it next waits for an assign.
+// before it. The coordinator marks all but the last assign of a batch,
+// so the batch leaves in one write; a worker marks its report, and its
+// request after a short token, so they leave together when it next
+// waits for an assign.
 func (m *Message) SetMore(more bool) { m.more = more }
 
 // WireSize estimates the message's encoded size in bytes: the float
 // payloads dominate (4 bytes each; a rank-1 section's are its factors,
 // a top-k one's its dense length), everything else is a small fixed
-// overhead. The in-memory transport has no real frames, so byte-level
-// telemetry uses this estimate uniformly for both transports.
+// overhead. Instrument counts bytes per message kind with this
+// estimate; the codec's own counters record the real frame sizes.
 func (m *Message) WireSize() int {
 	if m == nil {
 		return 0
@@ -277,11 +277,11 @@ func (m *Message) gradFloats() int {
 type Conn interface {
 	// Send writes one message; it is safe for one concurrent sender.
 	// Send captures the message's float payload (Grads, rank-1
-	// factors, Params) before it returns — written to the socket, or
-	// copied by the in-memory pair — so the caller may overwrite those
-	// slices as soon as it returns: workers report straight from their
+	// factors, Params) before it returns — written to the socket or
+	// copied into the pipe — so the caller may overwrite those slices
+	// as soon as it returns: workers report straight from their
 	// network's gradient buffers and factor copies, which the next
-	// token overwrites. The TCP conn writes a section of 64 KiB or more
+	// token overwrites. The conn writes a section of 64 KiB or more
 	// from the caller's slice itself, by writev, and returns only once
 	// that write is done. A wrapper that delivers later (jobs.asyncConn)
 	// must only ever be handed payloads nobody mutates again, such as a
@@ -318,7 +318,9 @@ func SetTimeouts(c Conn, send, recv time.Duration) bool {
 // ErrClosed is returned for operations on a closed connection.
 var ErrClosed = errors.New("transport: connection closed")
 
-// ErrTimeout is returned when a per-message deadline expires.
+// ErrTimeout marks a per-message deadline expiry that a caller reports
+// on its own. Classify buckets it, like the deadline errors the conns
+// return (os.ErrDeadlineExceeded), as ClassTimeout.
 var ErrTimeout = errors.New("transport: deadline exceeded")
 
 // CodecError wraps a wire-format failure: a frame that could not be
@@ -394,91 +396,11 @@ func Classify(err error) Class {
 	return ClassUnknown
 }
 
-// memConn is one end of an in-memory pair. The once guarding the shared
-// done channel is shared too: closing either end (or both) is safe.
-type memConn struct {
-	in, out chan *Message
-	once    *sync.Once
-	done    chan struct{}
-
-	mu          sync.Mutex
-	sendTimeout time.Duration
-	recvTimeout time.Duration
-}
-
-// Pair returns two connected in-memory endpoints. Messages sent on one
-// are received on the other, in order. Buffered so senders rarely block.
-func Pair() (Conn, Conn) {
-	ab := make(chan *Message, 64)
-	ba := make(chan *Message, 64)
-	done := make(chan struct{})
-	once := new(sync.Once)
-	a := &memConn{in: ba, out: ab, done: done, once: once}
-	b := &memConn{in: ab, out: ba, done: done, once: once}
-	return a, b
-}
-
-// SetTimeouts bounds each subsequent Send and Recv.
-func (c *memConn) SetTimeouts(send, recv time.Duration) {
-	c.mu.Lock()
-	c.sendTimeout, c.recvTimeout = send, recv
-	c.mu.Unlock()
-}
-
-func (c *memConn) timeouts() (send, recv time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sendTimeout, c.recvTimeout
-}
-
-func (c *memConn) Send(m *Message) error {
-	return c.deliver(m.payloadCopy())
-}
-
-// SendBroadcast delivers the broadcast's snapshot: one immutable copy of
-// the floats, shared by every in-memory recipient instead of a copy
-// each. Recipients only read a broadcast's Params.
-func (c *memConn) SendBroadcast(b *Broadcast) error {
-	m := *b.Snapshot().Msg
-	return c.deliver(&m)
-}
-
-// deliver puts m, which the receiver may keep, into the peer's inbox.
-func (c *memConn) deliver(m *Message) error {
-	// Check closure first: with a buffered channel the select below
-	// could otherwise accept a message after Close.
-	select {
-	case <-c.done:
-		return ErrClosed
-	default:
-	}
-	send, _ := c.timeouts()
-	if send <= 0 {
-		select {
-		case <-c.done:
-			return ErrClosed
-		case c.out <- m:
-			return nil
-		}
-	}
-	tm := time.NewTimer(send)
-	defer tm.Stop()
-	select {
-	case <-c.done:
-		return ErrClosed
-	case c.out <- m:
-		return nil
-	case <-tm.C:
-		return fmt.Errorf("transport: send: %w", ErrTimeout)
-	}
-}
-
-// payloadCopy gives the in-memory pair the wire's value semantics (the
-// Conn.Send contract): a message carrying floats is delivered as a copy
-// whose Grads, rank-1 factors and Params are carved from one fresh
-// allocation. The copy never carries the original's pooled arena, so
-// releasing both is safe. Messages without floats are delivered as they
-// are.
+// payloadCopy is m with its floats copied: Grads, rank-1 factors and
+// Params are carved from one fresh allocation, so the copy stays as it
+// is whatever happens to m's slices. It never carries the original's
+// pooled arena, so releasing both is safe. A message without floats is
+// returned as it is.
 func (m *Message) payloadCopy() *Message {
 	total := 0
 	for _, s := range m.Grads {
@@ -523,54 +445,8 @@ func (m *Message) payloadCopy() *Message {
 	return &cp
 }
 
-func (c *memConn) Recv() (*Message, error) {
-	// Like TCP, deliver data buffered before closure: drain the inbox
-	// first so a queued message is never lost to the done/in select
-	// race after Close.
-	select {
-	case m := <-c.in:
-		return m, nil
-	default:
-	}
-	_, recv := c.timeouts()
-	if recv <= 0 {
-		select {
-		case <-c.done:
-			return c.drainOnClose()
-		case m := <-c.in:
-			return m, nil
-		}
-	}
-	tm := time.NewTimer(recv)
-	defer tm.Stop()
-	select {
-	case <-c.done:
-		return c.drainOnClose()
-	case m := <-c.in:
-		return m, nil
-	case <-tm.C:
-		return nil, fmt.Errorf("transport: recv: %w", ErrTimeout)
-	}
-}
-
-// drainOnClose resolves the race where closure and a buffered message
-// become ready in the same select: like TCP delivering data sent before
-// the FIN, a message already in the inbox wins over the closed verdict.
-func (c *memConn) drainOnClose() (*Message, error) {
-	select {
-	case m := <-c.in:
-		return m, nil
-	default:
-		return nil, ErrClosed
-	}
-}
-
-func (c *memConn) Close() error {
-	c.once.Do(func() { close(c.done) })
-	return nil
-}
-
-// tcpConn wraps a net.Conn with the binary frame format (codec.go).
+// tcpConn wraps a net.Conn, a TCP socket or one end of a Pair, with the
+// binary frame format (codec.go).
 //
 // The field order is measured, not arbitrary. It sets how many bytes of
 // machine code this package's methods take, and with that the 64-byte
@@ -728,7 +604,8 @@ func (c *tcpConn) write(buf []byte) error {
 	return err
 }
 
-// writev writes c.iov in one writev on a TCP socket and empties it.
+// writev writes c.iov, in one writev on a TCP socket and one write per
+// buffer on a pipe, and empties it.
 func (c *tcpConn) writev() error {
 	c.wv = c.iov // WriteTo consumes its receiver; iov keeps the array
 	_, err := c.wv.WriteTo(c.conn)

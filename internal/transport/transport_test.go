@@ -56,18 +56,39 @@ func TestPairOrdering(t *testing.T) {
 	}
 }
 
+// TestPairClose: a Pair end fails as a TCP conn does. After a local
+// Close, Send and Recv on that end fail, and the peer reads the message
+// sent before the Close and then finds its peer gone: every one of
+// these errors is ClassPeerGone on both streams. Closing a Pair end
+// twice is safe.
 func TestPairClose(t *testing.T) {
-	a, b := Pair()
-	a.Close()
-	if err := a.Send(&Message{}); err != ErrClosed {
-		t.Fatalf("send on closed = %v", err)
-	}
-	if _, err := b.Recv(); err != ErrClosed {
-		t.Fatalf("recv on closed pair = %v", err)
-	}
-	// Double close is safe.
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		pair func(t testing.TB) (Conn, Conn)
+	}{
+		{"pipe", func(testing.TB) (Conn, Conn) { return Pair() }},
+		{"tcp", tcpPair},
+	} {
+		a, b := tc.pair(t)
+		if err := a.Send(&Message{Kind: KindShutdown}); err != nil {
+			t.Fatal(err)
+		}
+		a.Close()
+		_, recvErr := a.Recv()
+		if m, err := b.Recv(); err != nil || m.Kind != KindShutdown {
+			t.Fatalf("%s: the message sent before Close: %v, %v", tc.name, m, err)
+		}
+		_, peerErr := b.Recv()
+		for _, err := range []error{a.Send(&Message{}), recvErr, peerErr} {
+			if Classify(err) != ClassPeerGone {
+				t.Fatalf("%s: %v is %v, want peer-gone", tc.name, err, Classify(err))
+			}
+		}
+		if tc.name == "pipe" {
+			if err := a.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 
@@ -368,55 +389,6 @@ func TestSendCapturesPayload(t *testing.T) {
 				reset()
 			}
 		})
-	}
-}
-
-// TestMemConnCopyReleases: the in-memory pair's copy of a pooled
-// message owns its payload — it carries no arena, releasing it is a
-// no-op, and releasing the original (whose arena the next decode then
-// reuses) leaves the copy intact.
-func TestMemConnCopyReleases(t *testing.T) {
-	data, err := EncodeBinary(&Message{Kind: KindReport, Grads: [][]float32{{1, 2, 3}}, Params: [][]float32{{4}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig, err := DecodeBinary(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := Pair()
-	defer a.Close()
-	if err := a.Send(orig); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := b.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp == orig || cp.pooled != nil {
-		t.Fatal("memConn delivered the pooled original instead of a copy")
-	}
-	orig.Release()
-	for i := 0; i < 4; i++ { // recycle the original's arena
-		m, err := DecodeBinary(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Grads[0][0] = -1
-		m.Release()
-	}
-	cp.Release()
-	cp.Release()
-	if !equalSlices(cp.Grads, [][]float32{{1, 2, 3}}) || !equalSlices(cp.Params, [][]float32{{4}}) {
-		t.Fatalf("copy changed after the original was released: %v %v", cp.Grads, cp.Params)
-	}
-	// A payload-free message has nothing to copy.
-	ctl := &Message{Kind: KindRequest, WID: 1}
-	if err := a.Send(ctl); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := b.Recv(); got.WID != 1 || got.Grads != nil || got.Params != nil {
-		t.Fatalf("control message mangled: %+v", got)
 	}
 }
 
