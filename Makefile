@@ -68,7 +68,10 @@ jobs:
 	GOMAXPROCS=1 $(GO) test ./cmd/felaserver/ -race -count=20 -run 'TestServerJobsMode|TestServerClusterTrace|TestJobsModeGracefulShutdown' -v
 	$(GO) test ./examples/multijob/ -race -count=1
 
-# fuzz runs the AVX2 row tile against the scalar loop, the AVX2 plane
+# fuzz runs the AVX2 row tile against the scalar loop, the AVX2
+# AccumRows (its multiplier compaction) against the row tile fed the
+# whole list, ReLU and its gradient on both kernel paths against the
+# branching originals, the AVX2 plane
 # pass of the conv parameter gradient against the two steps it replaces
 # (AccumRows and the bias sum), the key compaction on both kernel paths
 # against its spec, the fused rank-1 fold on both kernel paths against
@@ -81,6 +84,8 @@ jobs:
 # replays).
 fuzz:
 	$(GO) test ./internal/tensor/ -run xxx -fuzz FuzzAxpyTile -fuzztime 10s
+	$(GO) test ./internal/tensor/ -run xxx -fuzz FuzzAccumRows -fuzztime 10s
+	$(GO) test ./internal/tensor/ -run xxx -fuzz FuzzReLU -fuzztime 10s
 	$(GO) test ./internal/tensor/ -run xxx -fuzz FuzzAccumPlane -fuzztime 10s
 	$(GO) test ./internal/tensor/ -run xxx -fuzz FuzzCompactKeys -fuzztime 10s
 	$(GO) test ./internal/tensor/ -run xxx -fuzz FuzzAddOuterScaled -fuzztime 10s
@@ -165,8 +170,10 @@ durable:
 # the race detector: bit-pattern identity with the naive kernels across
 # tile tails, special values and fan-out widths, on the AVX2 and the
 # portable path — the conv's plane pass, 2×2 max-pool (forward and
-# backward, tails of the eight-window step) and im2col transpose among
-# them, with the FuzzAccumPlane corpus replayed — the key compaction
+# backward, tails of the eight-window step), im2col transpose, ReLU both
+# ways (every length to 33 at unaligned starts) and AccumRows's
+# multiplier compaction among them, with the FuzzAccumPlane and FuzzReLU
+# corpora replayed — the key compaction
 # against its spec on both, the fused
 # rank-1 fold against its two steps on both, the band fold of many
 # rank-1 terms (the AVX2 rank-k row) against the per-token fold on both,

@@ -3,6 +3,7 @@ package jobs
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"fela/internal/obs"
 	"fela/internal/transport"
@@ -191,6 +192,12 @@ func (a *asyncConn) Recv() (*transport.Message, error) {
 func (a *asyncConn) Close() error {
 	a.once.Do(func() { close(a.stop) })
 	return a.inner.Close()
+}
+
+// SetTimeouts forwards per-message deadlines to the inner conn: they
+// bind its Recv and the forwarder's sends.
+func (a *asyncConn) SetTimeouts(send, recv time.Duration) {
+	transport.SetTimeouts(a.inner, send, recv)
 }
 
 // SetMetrics forwards codec telemetry attachment to the inner conn.

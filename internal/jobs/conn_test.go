@@ -174,6 +174,21 @@ func TestAsyncConnSendAfterClose(t *testing.T) {
 	}
 }
 
+// TestAsyncConnForwardsTimeouts: SetTimeouts on an asyncConn reaches
+// the conn it wraps, so a Recv from a silent peer times out.
+func TestAsyncConnForwardsTimeouts(t *testing.T) {
+	inner, peer := transport.Pair()
+	defer peer.Close()
+	a := newAsyncConn(inner)
+	defer a.Close()
+	if !transport.SetTimeouts(a, 0, 20*time.Millisecond) {
+		t.Fatal("SetTimeouts reported no deadlines")
+	}
+	if _, err := a.Recv(); transport.Classify(err) != transport.ClassTimeout {
+		t.Fatalf("recv from a silent peer: %v (class %v), want timeout", err, transport.Classify(err))
+	}
+}
+
 // TestAsyncConnSendsRaceClose: concurrent senders racing Close neither
 // panic nor strand the forwarder — the goroutine count returns to where
 // it started once every conn is closed.

@@ -183,12 +183,14 @@ func TestFoldBarrierMatchesPerToken(t *testing.T) {
 	}
 }
 
-// denseSent wraps a worker's conn and sends every rank-1 section of its
-// reports as the dense product a worker without factors would send.
-type denseSent struct{ transport.Conn }
+// oddSeqDense wraps a worker's conn and sends every rank-1 section of
+// its reports of odd-seq tokens as the dense product a worker without
+// factors would send: whichever worker trains a token, an iteration's
+// reports are half factors and half dense.
+type oddSeqDense struct{ transport.Conn }
 
-func (c denseSent) Send(m *transport.Message) error {
-	if r1 := m.Rank1(); m.Kind == transport.KindReport && r1 != nil {
+func (c oddSeqDense) Send(m *transport.Message) error {
+	if r1 := m.Rank1(); m.Kind == transport.KindReport && r1 != nil && m.Token.Seq%2 == 1 {
 		d := *m
 		d.Grads = slices.Clone(m.Grads)
 		for i, f := range r1 {
@@ -214,8 +216,9 @@ func (c unheld) Send(m *transport.Message) error {
 // TestChaosBarrierFoldSessions runs one-row sessions of poolMLP, whose
 // barrier folds a run over the kernel pool, in process and over
 // loopback TCP, and holds each to Sequential bit for bit:
-//   - mixed: worker 1 reports dense, so its reports add the pending runs
-//     of worker 0's factors mid-iteration;
+//   - mixed: every worker reports its odd-seq tokens dense, so those
+//     reports add the pending runs of the even-seq tokens' factors
+//     mid-iteration;
 //   - parked: reports arrive out of seq order behind a slow worker 0;
 //   - dies-pending: worker 2 dies sending its third report, the factors
 //     of its first two pending in the runs, and its held tokens are
@@ -232,16 +235,16 @@ func TestChaosBarrierFoldSessions(t *testing.T) {
 	}{
 		{
 			name: "mixed",
-			wrap: func(wid int, c transport.Conn) transport.Conn {
-				if wid == 1 {
-					return denseSent{c}
-				}
-				return c
-			},
+			wrap: func(_ int, c transport.Conn) transport.Conn { return oddSeqDense{c} },
 			check: func(t *testing.T, res *Result, _ *arrivalLog, rank1 int64) {
 				requireClean(t, res, nil)
-				if dense := int64(res.TokensByWorker[1]); rank1 == 0 || dense == 0 {
-					t.Fatalf("%d rank-1 and %d dense reports: the session is not mixed", rank1, dense)
+				var reports int64
+				for _, n := range res.TokensByWorker {
+					reports += int64(n)
+				}
+				// 24 tokens an iteration, seq 0–23: half of each kind.
+				if dense := reports - rank1; rank1 != reports/2 || dense != reports/2 || rank1 == 0 {
+					t.Fatalf("%d rank-1 and %d dense reports of %d, want half of each", rank1, dense, reports)
 				}
 			},
 		},

@@ -12,15 +12,16 @@ import "math"
 // accumulator per output column carried through four products
 // (AccumRows, AddRows) keep the adder busy.
 //
-// The row tile, the rank-k row and the compaction have two
-// implementations each. The Go loops below are the portable path and
-// the reference; on amd64 CPUs with AVX2 the code in kernels_amd64.s
-// takes eight lanes per instruction instead. The tile multiplies and
-// then adds, each product rounded on its own — the Go loops convert
-// every product to float32 explicitly, which forbids the compiler to
-// fuse it into the add (Go fuses a*b+c on arm64 and may on other
-// targets) — so the two paths give the same bits; the compaction does
-// no arithmetic on values, and both of its paths keep the same entries.
+// The row tile, the rank-k row, ReLU and the compactions (AccumRows's
+// multipliers, CompactKeys's keys) have two implementations each. The Go
+// loops below are the portable path and the reference; on amd64 CPUs
+// with AVX2 the code in kernels_amd64.s takes eight lanes per
+// instruction instead. The tile multiplies and then adds, each product
+// rounded on its own — the Go loops convert every product to float32
+// explicitly, which forbids the compiler to fuse it into the add (Go
+// fuses a*b+c on arm64 and may on other targets) — so the two paths give
+// the same bits; ReLU and the compactions do no arithmetic on values,
+// and both paths of each keep the same bits.
 
 // useAVX2 selects the AVX2 code. It is set once, from CPUID, and read
 // by every kernel call; tests flip it to run both paths.
@@ -70,9 +71,16 @@ func Dot4(x, w []float32, stride int, s0, s1, s2, s3 float32) (float32, float32,
 // value, so there is no branch for a ReLU-sparse operand to mispredict),
 // then taken four at a time, in order, with c[j] held in a register
 // across the four adds instead of stored and reloaded after each.
+//
+// On the AVX2 tile the whole of it is one call (accumVec): eight
+// multipliers are compacted a step, and the list goes through the row
+// tile in the same fours, so the bits are the Go loop's.
 func AccumRows(c, a []float32, as int, b []float32) {
 	n := len(c)
 	np := len(b) / n
+	if accumVec(c, a, as, b, np) {
+		return
+	}
 	// Up to three multipliers left over from one chunk are carried into
 	// the next, so only the last chunk's remainder goes one at a time.
 	var (
@@ -284,10 +292,14 @@ func outer1(c, d []float32, xi, a float32) {
 // which a branch predictor cannot learn). x < 0 holds exactly for the
 // patterns 0x80000001 … 0xff800000: sign set, not -0, not a NaN. -0 and
 // NaNs of either sign pass through unchanged, as `x < 0` being false
-// lets them.
+// lets them. On the AVX2 tile (reluVec) an ordered compare and a mask
+// give the same bits eight elements at a time.
 func ReLUInto(dst, x *Tensor) *Tensor {
 	out := Reuse(dst, x.Shape...)
 	o := out.Data[:len(x.Data)]
+	if reluVec(o, x.Data, x.Data, 0) {
+		return out
+	}
 	for i, v := range x.Data {
 		b := math.Float32bits(v)
 		o[i] = math.Float32frombits(b & keepUnless(isNegative(b)))
@@ -299,13 +311,17 @@ func ReLUInto(dst, x *Tensor) *Tensor {
 // input's sign into dst (see Reuse) and returns it: dst[i] is 0 where
 // x[i] <= 0 and grad[i] otherwise. Branch-free like ReLUInto; x <= 0
 // adds the two zeros to the x < 0 patterns, and a NaN input still lets
-// the gradient through.
+// the gradient through. On the AVX2 tile x <= 0 is x below the smallest
+// positive denormal, 0x1p-149: no float lies between.
 func ReLUGradInto(dst, x, grad *Tensor) *Tensor {
 	if x.Len() != grad.Len() {
 		panic("tensor: ReLUGrad size mismatch")
 	}
 	out := Reuse(dst, grad.Shape...)
 	g, o := grad.Data[:len(x.Data)], out.Data[:len(x.Data)]
+	if reluVec(o, x.Data, g, 0x1p-149) {
+		return out
+	}
 	for i, v := range x.Data {
 		b := math.Float32bits(v)
 		zero := (uint64(b&0x7fffffff) - 1) >> 63 // 1 for ±0

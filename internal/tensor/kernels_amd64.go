@@ -98,10 +98,23 @@ func maxPool2AVX2(out []float32, arg []int32, in []float32, inW, done int)
 func maxPool2GradAVX2(dx, grad []float32, arg []int32, inW, done int)
 
 // transposeAVX2 transposes the first cols&^7 columns of src into dst,
-// rows ≥ 1 and cols ≥ 8.
+// whose rows start ds floats apart: rows ≥ 1 and cols ≥ 8.
 //
 //go:noescape
-func transposeAVX2(dst, src []float32, rows, cols int)
+func transposeAVX2(dst []float32, ds int, src []float32, rows, cols int)
+
+// reluAVX2 writes +0 into dst[i] where x[i] < below (an ordered
+// compare) and g[i] elsewhere, for dst, x and g of one length.
+//
+//go:noescape
+func reluAVX2(dst, x, g []float32, below float32)
+
+// accumRowsAVX2 is AccumRows on the AVX2 tile with its multipliers
+// compacted eight at a time, for len(c) ≥ 8, 1 ≤ np < 1<<28 rows of b,
+// 0 ≤ as < 1<<28 and (np-1)·as < len(a).
+//
+//go:noescape
+func accumRowsAVX2(c, a, b []float32, as, np int)
 
 //go:noescape
 func outerAVX2(c, x, d []float32, a float32)

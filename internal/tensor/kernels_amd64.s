@@ -794,13 +794,14 @@ poolDone:
 	VZEROUPPER
 	RET
 
-// func transposeAVX2(dst, src []float32, rows, cols int)
+// func transposeAVX2(dst []float32, ds int, src []float32, rows, cols int)
 //
-// Transpose's 8×8 blocks: eight source rows of eight floats are
+// transposeTo's 8×8 blocks: eight source rows of eight floats are
 // loaded, transposed in registers (TRANSPOSE_8X8) and stored as eight
-// rows of dst. The last rows%8 source rows go the same way with the
-// missing rows zero, each destination row taking their rows%8 floats
-// through a lane mask. Only data moves.
+// rows of dst, ds floats apart. The last rows%8 source rows go the same
+// way with the missing rows zero, each destination row taking their
+// rows%8 floats through a lane mask, so nothing past a destination
+// row's rows floats is written. Only data moves.
 //
 // Registers: SI and DI the block row's first source row and first
 // destination column, R8 and R9 the source and destination row strides
@@ -837,12 +838,12 @@ poolDone:
 	VPERM2F128 $0x31, Y6, Y2, Y14 \
 	VPERM2F128 $0x31, Y7, Y3, Y15
 
-TEXT ·transposeAVX2(SB), NOSPLIT, $0-64
+TEXT ·transposeAVX2(SB), NOSPLIT, $0-72
 	MOVQ  dst_base+0(FP), DI
-	MOVQ  src_base+24(FP), SI
-	MOVQ  rows+48(FP), R9
-	MOVQ  cols+56(FP), R8
-	MOVQ  R9, R11
+	MOVQ  src_base+32(FP), SI
+	MOVQ  ds+24(FP), R9
+	MOVQ  cols+64(FP), R8
+	MOVQ  rows+56(FP), R11
 	SHRQ  $3, R11
 	MOVQ  R8, R13
 	SHRQ  $3, R13
@@ -890,7 +891,7 @@ trBlock:
 trTail:
 	// The last rows%8 source rows, R11 of them: R14 points at their
 	// lane mask.
-	MOVQ rows+48(FP), R11
+	MOVQ rows+56(FP), R11
 	ANDQ $7, R11
 	JEQ  trDone
 	MOVQ R11, AX
@@ -1042,5 +1043,229 @@ gradStep:
 	JMP        gradRow
 
 gradDone:
+	VZEROUPPER
+	RET
+
+// func reluAVX2(dst, x, g []float32, below float32)
+//
+// ReLU's mask, both ways: dst[i] is +0 where x[i] < below and g[i]
+// elsewhere. A lane is one element: VCMPPS LT_OQ is an ordered compare,
+// false on a NaN, and VANDNPS keeps g where it is false. Forward (g = x,
+// below = 0) that is ReLUInto's bit mask lane for lane: -0 and NaNs of
+// either sign, payloads included, pass, -Inf becomes +0. For the
+// gradient below is the smallest positive denormal, and x < below is
+// x <= 0: no float lies between. Four vectors a step, then one, then
+// the last 1–7 elements through the tail mask in Y9.
+TEXT ·reluAVX2(SB), NOSPLIT, $0-76
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         x_base+24(FP), SI
+	MOVQ         x_len+32(FP), CX
+	MOVQ         g_base+48(FP), R8
+	TAIL_MASK
+	VBROADCASTSS below+72(FP), Y8
+	XORQ         DX, DX
+	MOVQ         CX, BX
+	ANDQ         $-32, BX
+
+relu32:
+	CMPQ    DX, BX
+	JGE     relu8Start
+	VMOVUPS (SI)(DX*4), Y0
+	VMOVUPS 32(SI)(DX*4), Y1
+	VMOVUPS 64(SI)(DX*4), Y2
+	VMOVUPS 96(SI)(DX*4), Y3
+	VCMPPS  $0x11, Y8, Y0, Y4
+	VCMPPS  $0x11, Y8, Y1, Y5
+	VCMPPS  $0x11, Y8, Y2, Y6
+	VCMPPS  $0x11, Y8, Y3, Y7
+	VANDNPS (R8)(DX*4), Y4, Y4
+	VANDNPS 32(R8)(DX*4), Y5, Y5
+	VANDNPS 64(R8)(DX*4), Y6, Y6
+	VANDNPS 96(R8)(DX*4), Y7, Y7
+	VMOVUPS Y4, (DI)(DX*4)
+	VMOVUPS Y5, 32(DI)(DX*4)
+	VMOVUPS Y6, 64(DI)(DX*4)
+	VMOVUPS Y7, 96(DI)(DX*4)
+	ADDQ    $32, DX
+	JMP     relu32
+
+relu8Start:
+	MOVQ CX, BX
+	ANDQ $-8, BX
+
+relu8:
+	CMPQ    DX, BX
+	JGE     reluTail
+	VMOVUPS (SI)(DX*4), Y0
+	VCMPPS  $0x11, Y8, Y0, Y4
+	VANDNPS (R8)(DX*4), Y4, Y4
+	VMOVUPS Y4, (DI)(DX*4)
+	ADDQ    $8, DX
+	JMP     relu8
+
+reluTail:
+	CMPQ       DX, CX
+	JGE        reluDone
+	VMASKMOVPS (SI)(DX*4), Y9, Y0
+	VMASKMOVPS (R8)(DX*4), Y9, Y1
+	VCMPPS     $0x11, Y8, Y0, Y4
+	VANDNPS    Y1, Y4, Y4
+	VMASKMOVPS Y4, Y9, (DI)(DX*4)
+
+reluDone:
+	VZEROUPPER
+	RET
+
+// func accumRowsAVX2(c, a, b []float32, as, np int)
+//
+// AccumRows on the row tile, multipliers compacted eight a step. A step
+// loads multipliers p … p+7 (a[p·as], …): one VMOVUPS when as is 1,
+// else eight scalar loads into the lanes (VINSERTPS, then VINSERTF128;
+// cheaper than a gather here), and the last 1–7 through a VGATHERDPS at
+// lane offsets 0, as, …, 7·as with the tail's lane mask (a masked-out
+// lane is not read, and reads as +0). VCMPPS NEQ_UQ against zero marks
+// the lanes to keep — a NaN is unordered, so kept, and ±0 is not —
+// exactly nonZero's. VMOVMSKPS turns the marks into a byte, compactPerm
+// (VPERMD) moves the kept multipliers and their row numbers to the
+// front, and all eight lanes of each are stored at the list's write
+// cursor on the frame, which moves on by the kept count (POPCNT). After
+// four steps, or the last, the list goes through quadRows four at a
+// time from the front, and the 0–3 left over move to the front for the
+// next steps; the 1–3 left at the end go through oneRow one at a time.
+// That is AccumRows's grouping — quads from the front of the non-zero
+// list, the remainder singly — so every c[j] takes the same adds with
+// the same operand order.
+//
+// Frame: the multipliers at 0(SP) and their row numbers (int32) at
+// 160(SP), 40 of each — the cursor is at most 3 + 24 before a step's
+// eight-lane store — and the multipliers left at 320(SP) while the
+// quads run.
+//
+// Registers: DI c, CX len(c), SI b, R8 a at the step's first
+// multiplier, R9 as in bytes, R10 the multipliers left (the list's read
+// cursor while the quads run), R11 the steps left before the quads, R14
+// the list's length; Y9 c's tail mask, Y10 the step's row numbers, Y11
+// eight in every lane, Y12 the gather's lane offsets, Y13 zero.
+TEXT ·accumRowsAVX2(SB), NOSPLIT, $328-88
+	MOVQ         c_base+0(FP), DI
+	MOVQ         c_len+8(FP), CX
+	MOVQ         a_base+24(FP), R8
+	MOVQ         b_base+48(FP), SI
+	MOVQ         as+72(FP), R9
+	MOVQ         np+80(FP), R10
+	TAIL_MASK
+	VMOVDQU      lanes<>(SB), Y10
+	VPBROADCASTD eight<>(SB), Y11
+	VMOVD        R9, X12
+	VPBROADCASTD X12, Y12
+	VPMULLD      Y10, Y12, Y12
+	VXORPS       Y13, Y13, Y13
+	SHLQ         $2, R9
+	XORQ         R14, R14
+
+accChunk:
+	MOVQ $4, R11
+
+accStep:
+	CMPQ    R10, $8
+	JLT     accPart
+	CMPQ    R9, $4
+	JNE     accStrided
+	VMOVUPS (R8), Y0
+	JMP     accCompact
+
+accStrided:
+	LEAQ        (R9)(R9*2), DX
+	LEAQ        (R8)(R9*4), AX
+	VMOVSS      (R8), X0
+	VINSERTPS   $0x10, (R8)(R9*1), X0, X0
+	VINSERTPS   $0x20, (R8)(R9*2), X0, X0
+	VINSERTPS   $0x30, (R8)(DX*1), X0, X0
+	VMOVSS      (AX), X1
+	VINSERTPS   $0x10, (AX)(R9*1), X1, X1
+	VINSERTPS   $0x20, (AX)(R9*2), X1, X1
+	VINSERTPS   $0x30, (AX)(DX*1), X1, X1
+	VINSERTF128 $1, X1, Y0, Y0
+	JMP         accCompact
+
+accPart:
+	TESTQ      R10, R10
+	JEQ        accQuads
+	MOVQ       R10, AX
+	SHLQ       $2, AX
+	LEAQ       tailMask<>+32(SB), DX
+	SUBQ       AX, DX
+	VMOVDQU    (DX), Y1
+	VXORPS     Y0, Y0, Y0
+	VGATHERDPS Y1, (R8)(Y12*4), Y0
+	MOVQ       $8, R10
+
+accCompact:
+	VCMPPS    $4, Y13, Y0, Y1
+	VMOVMSKPS Y1, AX
+	LEAQ      ·compactPerm(SB), DX
+	VPMOVZXBD (DX)(AX*8), Y2
+	VPERMD    Y0, Y2, Y0
+	VPERMD    Y10, Y2, Y3
+	VMOVUPS   Y0, (SP)(R14*4)
+	VMOVDQU   Y3, 160(SP)(R14*4)
+	POPCNTL   AX, AX
+	ADDQ      AX, R14
+	VPADDD    Y11, Y10, Y10
+	LEAQ      (R8)(R9*8), R8
+	SUBQ      $8, R10
+	DECQ      R11
+	JNZ       accStep
+
+accQuads:
+	MOVQ R10, 320(SP)
+	XORQ R10, R10
+
+accQuad:
+	LEAQ         4(R10), AX
+	CMPQ         AX, R14
+	JGT          accCarry
+	MOVL         160(SP)(R10*4), AX
+	IMULQ        CX, AX
+	LEAQ         (SI)(AX*4), R11
+	MOVL         164(SP)(R10*4), AX
+	IMULQ        CX, AX
+	LEAQ         (SI)(AX*4), R12
+	MOVL         168(SP)(R10*4), AX
+	IMULQ        CX, AX
+	LEAQ         (SI)(AX*4), R13
+	MOVL         172(SP)(R10*4), AX
+	IMULQ        CX, AX
+	LEAQ         (SI)(AX*4), BX
+	VBROADCASTSS (SP)(R10*4), Y0
+	VBROADCASTSS 4(SP)(R10*4), Y1
+	VBROADCASTSS 8(SP)(R10*4), Y2
+	VBROADCASTSS 12(SP)(R10*4), Y3
+	CALL         quadRows<>(SB)
+	ADDQ         $4, R10
+	JMP          accQuad
+
+accCarry:
+	VMOVUPS (SP)(R10*4), X4
+	VMOVUPS X4, (SP)
+	VMOVDQU 160(SP)(R10*4), X4
+	VMOVDQU X4, 160(SP)
+	SUBQ    R10, R14
+	MOVQ    320(SP), R10
+	TESTQ   R10, R10
+	JNE     accChunk
+
+accOnes:
+	CMPQ         R10, R14
+	JGE          accDone
+	MOVL         160(SP)(R10*4), AX
+	IMULQ        CX, AX
+	LEAQ         (SI)(AX*4), R11
+	VBROADCASTSS (SP)(R10*4), Y0
+	CALL         oneRow<>(SB)
+	INCQ         R10
+	JMP          accOnes
+
+accDone:
 	VZEROUPPER
 	RET

@@ -92,3 +92,80 @@ func FuzzAxpyTile(f *testing.F) {
 		run("stride", func(c []float32) { axpyStrideAVX2(c, a, b, stride) })
 	})
 }
+
+// FuzzAccumRows holds the AVX2 AccumRows (accumRowsAVX2, the compaction
+// of eight multipliers a step feeding the row tile) to accumList, bit
+// for bit and NaN payloads included: 0–79 rows — whole steps, every
+// tail of one, and the 1–3 multipliers left for oneRow — multipliers 1–9
+// floats apart (1 is a plain load, more a gather), rows of c 8–67
+// floats wide, and the arrays of a, b and c starting at any float
+// offset; nothing past the end of c may be written. The values are
+// drawn from ±0, denormals, ±Inf, NaNs and normal numbers, or taken bit
+// for bit from the fuzzer's bytes, and the multipliers have runs of
+// zeros as long as zeroRun.
+func FuzzAccumRows(f *testing.F) {
+	if !cpuHasAVX2() {
+		f.Skip("the CPU has no AVX2 tile to check")
+	}
+	f.Add(uint8(64), uint8(16), uint8(1), uint8(0), uint8(3), uint8(8), int64(1), []byte(nil))
+	f.Add(uint8(56), uint8(16), uint8(8), uint8(5), uint8(1), uint8(0), int64(2), []byte(nil))
+	f.Add(uint8(27), uint8(75), uint8(3), uint8(2), uint8(7), uint8(16), int64(3), []byte{0, 0, 0xc0, 0x7f, 1, 0, 0xc0, 0xff, 0, 0, 0, 0x80})
+	f.Add(uint8(9), uint8(3), uint8(2), uint8(7), uint8(2), uint8(0), int64(4), []byte(nil))
+	f.Add(uint8(13), uint8(0), uint8(1), uint8(1), uint8(1), uint8(1), int64(5), []byte(nil))
+	special := []float32{0, negZero, denorm, -denorm, math.Float32frombits(0x007fffff), inf, -inf, nan,
+		math.Float32frombits(0xffc00001), math.Float32frombits(0x7f800001)}
+	f.Fuzz(func(t *testing.T, width, rows, stride, shift, cShift, zeroRun uint8, seed int64, raw []byte) {
+		n, np, as := 8+int(width)%60, int(rows)%80, 1+int(stride)%9
+		rng := rand.New(rand.NewSource(seed))
+		value := func() float32 {
+			if len(raw) >= 4 {
+				v := math.Float32frombits(binary.LittleEndian.Uint32(raw))
+				raw = raw[4:]
+				return v
+			}
+			if rng.Intn(4) == 0 {
+				return special[rng.Intn(len(special))]
+			}
+			return float32(rng.NormFloat64())
+		}
+		a := make([]float32, int(shift)%8+max(0, (np-1)*as+1))[int(shift)%8:]
+		for p := 0; p < np; {
+			if run := int(zeroRun); run > 0 && rng.Intn(3) == 0 {
+				p += min(run, np-p) // left zero
+				continue
+			}
+			a[p*as] = value()
+			p++
+		}
+		b := make([]float32, int(shift)%5+np*n)[int(shift)%5:]
+		for i := range b {
+			b[i] = value()
+		}
+		c0 := make([]float32, n)
+		for j := range c0 {
+			c0[j] = value()
+		}
+		want := append([]float32(nil), c0...)
+		accumList(want, a, as, b)
+
+		const guard = 0x7fc0dead
+		buf := make([]float32, int(cShift)%8+n+vecLen)[int(cShift)%8:]
+		copy(buf, c0)
+		for j := n; j < len(buf); j++ {
+			buf[j] = math.Float32frombits(guard)
+		}
+		if np > 0 {
+			accumRowsAVX2(buf[:n:n], a, b, as, np)
+		}
+		for j, w := range want {
+			if g := buf[j]; math.Float32bits(g) != math.Float32bits(w) {
+				t.Fatalf("n=%d rows=%d as=%d: c[%d] = %#08x, want %#08x", n, np, as, j, math.Float32bits(g), math.Float32bits(w))
+			}
+		}
+		for j := n; j < len(buf); j++ {
+			if math.Float32bits(buf[j]) != guard {
+				t.Fatalf("n=%d rows=%d as=%d: wrote past the end of c, at c[%d]", n, np, as, j)
+			}
+		}
+	})
+}

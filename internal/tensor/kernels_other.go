@@ -18,7 +18,11 @@ func maxPool2AVX2(out []float32, arg []int32, in []float32, inW, done int) {}
 
 func maxPool2GradAVX2(dx, grad []float32, arg []int32, inW, done int) {}
 
-func transposeAVX2(dst, src []float32, rows, cols int) {}
+func transposeAVX2(dst []float32, ds int, src []float32, rows, cols int) {}
+
+func reluAVX2(dst, x, g []float32, below float32) {}
+
+func accumRowsAVX2(c, a, b []float32, as, np int) {}
 
 func outersAVX2(c, av []float32, dp []*float32, a float32) {}
 

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -223,6 +224,103 @@ func TestKernelZeroRuns(t *testing.T) {
 	})
 }
 
+// accumList is AccumRows's arithmetic as one list: every non-zero
+// multiplier — NaNs included, ±0 not — in ascending p, handed to
+// axpyList whole, which takes them in fours from the front and the last
+// 1–3 one at a time. That is the grouping AccumRows keeps across its
+// chunks with its carry, and the list goes through the row tile
+// AccumRows reaches on either path, so the two agree bit for bit, NaN
+// payloads included.
+func accumList(c, a []float32, as int, b []float32) {
+	n := len(c)
+	var av []float32
+	var off []int
+	for p := range len(b) / n {
+		if v := a[p*as]; v != 0 {
+			av, off = append(av, v), append(off, p*n)
+		}
+	}
+	if len(av) > 0 {
+		axpyList(c, b, av, off)
+	}
+}
+
+// TestAccumRowsCompaction holds AccumRows to accumList on each kernel
+// path, bit for bit: multipliers contiguous (as = 1, a row of A) and
+// strided (as > 1, a column of Aᵀ), 0–33 rows around the eight-entry
+// step and 64 and 100 across the Go loop's chunks, rows of c narrower
+// than a vector and wider, with the multipliers' array starting
+// anywhere in a vector. The multipliers mix ±0, NaNs of either sign
+// with payloads, ±Inf, denormals and normal numbers, with whole
+// eight-entry steps of zeros, one in eight non-zero, or none; the rows
+// of b hold ±Inf and NaN that a wrongly added zero multiplier would
+// spread, and c starts with -0s, which an added +0 would flip. Nothing
+// past the end of c may be written, and too few multipliers for the
+// rows are refused.
+func TestAccumRowsCompaction(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	eachPath(func(path string) {
+		for _, as := range []int{1, 3, 67} {
+			for _, n := range []int{5, 8, 13, 64} {
+				for np := 0; np <= 100; np++ {
+					if np > 33 && np != 64 && np != 100 {
+						continue
+					}
+					for mode := range 4 {
+						aOff := rng.Intn(vecLen)
+						a := make([]float32, aOff+max(0, (np-1)*as+1))[aOff:]
+						for p := range np {
+							v := reluSpecials[rng.Intn(len(reluSpecials))]
+							if rng.Intn(2) == 0 {
+								v = float32(rng.NormFloat64())
+							}
+							switch {
+							case mode == 1 && p/vecLen%2 == 0, mode == 2 && rng.Intn(8) != 0, mode == 3:
+								v = []float32{0, negZero}[rng.Intn(2)]
+							}
+							a[p*as] = v
+						}
+						b := specialTensor(rng, np, np*n+1).Data[:np*n]
+						c := specialTensor(rng, 0, n).Data
+						for j := range c {
+							if j%3 == 0 {
+								c[j] = negZero
+							}
+						}
+						want := append([]float32(nil), c...)
+						accumList(want, a, as, b)
+						buf := make([]float32, n+vecLen)
+						copy(buf, c)
+						for j := n; j < len(buf); j++ {
+							buf[j] = math.Float32frombits(canary)
+						}
+						AccumRows(buf[:n:n], a, as, b)
+						name := fmt.Sprintf("%s/as%d/n%d/np%d/mode%d", path, as, n, np, mode)
+						for j, w := range want {
+							if g := buf[j]; math.Float32bits(g) != math.Float32bits(w) {
+								t.Fatalf("%s: c[%d] = %#08x, want %#08x", name, j, math.Float32bits(g), math.Float32bits(w))
+							}
+						}
+						for j := n; j < len(buf); j++ {
+							if math.Float32bits(buf[j]) != canary {
+								t.Fatalf("%s: wrote past the end of c, at c[%d]", name, j)
+							}
+						}
+					}
+				}
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected a panic for fewer multipliers than rows", path)
+				}
+			}()
+			AccumRows(make([]float32, 8), make([]float32, 2*3), 3, make([]float32, 3*8))
+		}()
+	})
+}
+
 // TestDot4SeedsAndStride checks the tile primitive on its own: seeds are
 // the first addend of each chain (the convolution's bias), rows are
 // taken at the given stride, and the result is the scalar loop's.
@@ -307,11 +405,76 @@ func reluGradNaive(x, grad *Tensor) *Tensor {
 	return out
 }
 
+// reluSpecials are the inputs the masks decide on their own: ±0, the
+// smallest denormals, ±Inf, and NaNs of either sign, quiet and
+// signalling, with payloads at both ends.
+var reluSpecials = []float32{
+	0, negZero, denorm, -denorm, inf, -inf, nan,
+	math.Float32frombits(0xffc00000), math.Float32frombits(0x7f800001),
+	math.Float32frombits(0xff800001), math.Float32frombits(0x7fffffff),
+	math.Float32frombits(0xffffffff), math.Float32frombits(0x7fc00001),
+}
+
+// checkReLU runs ReLUInto and ReLUGradInto, on the path selected now,
+// over x and the upstream gradient g (one length), with the inputs and
+// the destination starting off floats into their arrays, and holds them
+// to reluNaive and reluGradNaive bit for bit — there is no arithmetic
+// here, so NaNs keep their payloads too. Nothing in front of the
+// destination or past its end may be written. A length of 0, which a
+// Tensor cannot have, goes to the kernels' entry points directly.
+func checkReLU(t *testing.T, what string, x, g []float32, off int) {
+	t.Helper()
+	n := len(x)
+	at := func(v []float32) *Tensor {
+		buf := make([]float32, off+n)
+		copy(buf[off:], v)
+		return &Tensor{Shape: []int{n}, Data: buf[off:]}
+	}
+	xt, gt := at(x), at(g)
+	buf := make([]float32, off+n+vecLen)
+	guarded := func(pass string, run func(dst []float32)) {
+		t.Helper()
+		for i := range buf {
+			buf[i] = math.Float32frombits(canary)
+		}
+		run(buf[off : off+n : off+n])
+		for i, v := range buf {
+			if (i < off || i >= off+n) && math.Float32bits(v) != canary {
+				t.Fatalf("%s %s n=%d: wrote outside the destination, at %d of %d", what, pass, n, i-off, n)
+			}
+		}
+	}
+	if n == 0 {
+		guarded("ReLU", func(dst []float32) { reluVec(dst, xt.Data, xt.Data, 0) })
+		guarded("ReLUGrad", func(dst []float32) { reluVec(dst, xt.Data, gt.Data, denorm) })
+		return
+	}
+	exact := func(pass string, got []float32, want *Tensor) {
+		t.Helper()
+		for i, w := range want.Data {
+			if g, w := math.Float32bits(got[i]), math.Float32bits(w); g != w {
+				t.Fatalf("%s %s n=%d: input %#08x gave %#08x at %d, want %#08x", what, pass, n, math.Float32bits(x[i]), g, i, w)
+			}
+		}
+	}
+	guarded("ReLU", func(dst []float32) {
+		ReLUInto(&Tensor{Shape: []int{n}, Data: dst}, xt)
+		exact("ReLU", dst, reluNaive(xt))
+	})
+	guarded("ReLUGrad", func(dst []float32) {
+		ReLUGradInto(&Tensor{Shape: []int{n}, Data: dst}, xt, gt)
+		exact("ReLUGrad", dst, reluGradNaive(xt, gt))
+	})
+}
+
 // TestReLUBitPatterns sweeps every sign/exponent/top-mantissa
 // combination of the input, with the mantissa's low bits all clear, all
 // set and 1 — so ±0, the denormal edge, ±Inf and quiet, signalling,
 // positive and negative NaNs are all in — against the `v < 0` and
-// `x <= 0` originals.
+// `x <= 0` originals, on each kernel path. Then every length 0–33 at
+// every start within a vector: each tail of the eight-float step and of
+// the 32-float one, no load or store aligned on purpose, the inputs
+// drawn from the sweep and reluSpecials.
 func TestReLUBitPatterns(t *testing.T) {
 	var in []float32
 	for hi := uint32(0); hi < 1<<16; hi++ {
@@ -319,20 +482,62 @@ func TestReLUBitPatterns(t *testing.T) {
 			in = append(in, math.Float32frombits(hi<<16|lo))
 		}
 	}
-	x := FromSlice(in, len(in))
 	// The gradient carries special values too: a masked element is +0
 	// whatever it was, a kept one keeps every bit.
-	grad := specialTensor(rand.New(rand.NewSource(53)), len(in)/8, len(in))
-	// No arithmetic here, so NaNs must keep their payloads too.
-	exact := func(what string, got, want *Tensor) {
-		for i := range want.Data {
-			if g, w := math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]); g != w {
-				t.Fatalf("%s: input %#08x gave %#08x, want %#08x", what, math.Float32bits(in[i]), g, w)
+	grad := specialTensor(rand.New(rand.NewSource(53)), len(in)/8, len(in)).Data
+	eachPath(func(path string) {
+		checkReLU(t, path+"/sweep", in, grad, 0)
+		rng := rand.New(rand.NewSource(57))
+		draw := func() float32 {
+			if rng.Intn(2) == 0 {
+				return reluSpecials[rng.Intn(len(reluSpecials))]
+			}
+			return in[rng.Intn(len(in))]
+		}
+		for n := 0; n <= 33; n++ {
+			for off := 0; off < vecLen; off++ {
+				x, g := make([]float32, n), make([]float32, n)
+				for i := range x {
+					x[i], g[i] = draw(), draw()
+				}
+				checkReLU(t, fmt.Sprintf("%s/n%d/off%d", path, n, off), x, g, off)
 			}
 		}
-	}
-	exact("ReLU", ReLU(x), reluNaive(x))
-	exact("ReLUGrad", ReLUGrad(x, grad), reluGradNaive(x, grad))
+	})
+}
+
+// FuzzReLU holds ReLUInto and ReLUGradInto to reluNaive and
+// reluGradNaive on both kernel paths (checkReLU) over 0–67 elements at
+// any offset into their arrays. The input and the gradient are taken
+// bit for bit from the fuzzer's bytes, then drawn from reluSpecials and
+// normal numbers of either sign.
+func FuzzReLU(f *testing.F) {
+	f.Add(uint8(33), uint8(1), int64(1), []byte(nil))
+	f.Add(uint8(8), uint8(0), int64(2), []byte{0, 0, 0x80, 0xff, 0, 0, 0, 0x80, 1, 0, 0xc0, 0xff, 1, 0, 0x80, 0x7f})
+	f.Add(uint8(0), uint8(5), int64(3), []byte(nil))
+	f.Add(uint8(67), uint8(7), int64(4), []byte{0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, n, off uint8, seed int64, raw []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		value := func() float32 {
+			if len(raw) >= 4 {
+				v := math.Float32frombits(binary.LittleEndian.Uint32(raw))
+				raw = raw[4:]
+				return v
+			}
+			if rng.Intn(3) == 0 {
+				return reluSpecials[rng.Intn(len(reluSpecials))]
+			}
+			return float32(rng.NormFloat64())
+		}
+		x, g := make([]float32, int(n)%68), make([]float32, int(n)%68)
+		for i := range x {
+			x[i] = value()
+		}
+		for i := range g {
+			g[i] = value()
+		}
+		eachPath(func(path string) { checkReLU(t, path, x, g, int(off)%vecLen) })
+	})
 }
 
 // TestReuse: a large enough buffer is reshaped in place, anything else
@@ -440,17 +645,19 @@ func BenchmarkReLU(b *testing.B) {
 // the row tile, at the rows train-compute's CNN token gives it: the
 // conv weight gradient's 27-tap rows under 1024 ReLU-sparse
 // multipliers (the portable path's; AVX2 takes AccumPlane), the dense
-// layer's 64-wide rows under a matmul block, the
+// layer's 64-wide rows under a matmul block, its weight gradient's
+// 64-wide rows under the 16 samples of a token, the multipliers a
+// column of the 4096-wide activation (MatMulAT's stride), the
 // conv forward's 144-pixel panel rows under 27 taps, and the dense
 // input gradient's 16-lane rows of Cᵀ under 64 multipliers.
 func BenchmarkAccumRows(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	for _, s := range []struct {
-		name    string
-		n, rows int
-		sparse  bool
-	}{{"conv-grad", 27, 1024, true}, {"dense-fwd", 64, matmulBlock, false}} {
-		a := New(s.rows).Randn(rng, 1)
+		name        string
+		n, rows, as int
+		sparse      bool
+	}{{"conv-grad", 27, 1024, 1, true}, {"dense-fwd", 64, matmulBlock, 1, false}, {"dense-gw", 64, 16, 4096, true}} {
+		a := New((s.rows-1)*s.as+1).Randn(rng, 1)
 		if s.sparse {
 			for i := range a.Data {
 				if rng.Intn(2) == 0 {
@@ -462,7 +669,7 @@ func BenchmarkAccumRows(b *testing.B) {
 		b.Run(s.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				AccumRows(c.Data, a.Data, 1, rows.Data)
+				AccumRows(c.Data, a.Data, s.as, rows.Data)
 			}
 		})
 	}

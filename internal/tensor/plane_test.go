@@ -166,29 +166,36 @@ func FuzzAccumPlane(f *testing.F) {
 // src[i·cols+j] on each kernel path, around the 8×8 block in both
 // dimensions — 27 rows are the CNN's receptive field, 144 columns a
 // panel's pixels — into a stale destination whose floats past the
-// matrix must stay as they are.
+// matrix must stay as they are; and transposeTo, MatMulBT's write of a
+// Cᵀ tile, the same way into destination rows ds = rows+5 floats
+// apart, whose five floats between rows must stay as they are too.
 func TestTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	eachPath(func(path string) {
 		for _, rows := range []int{1, 3, 7, 8, 9, 16, 27, 33} {
 			for _, cols := range []int{1, 7, 8, 9, 16, 144, 145} {
 				src := specialTensor(rng, 3, rows, cols)
-				dst := New(rows*cols + 2*vecLen)
-				for k := range dst.Data {
-					dst.Data[k] = nan
-				}
-				Transpose(dst.Data, src.Data, rows, cols)
-				for i := 0; i < rows; i++ {
-					for j := 0; j < cols; j++ {
-						g, w := dst.Data[j*rows+i], src.Data[i*cols+j]
-						if math.Float32bits(g) != math.Float32bits(w) {
-							t.Fatalf("%s %dx%d: dst[%d][%d] = %#08x, want %#08x", path, rows, cols, j, i, math.Float32bits(g), math.Float32bits(w))
-						}
+				for _, ds := range []int{rows, rows + 5} {
+					dst := New(cols*ds + 2*vecLen)
+					for k := range dst.Data {
+						dst.Data[k] = nan
 					}
-				}
-				for k := rows * cols; k < len(dst.Data); k++ {
-					if g := dst.Data[k]; g == g {
-						t.Fatalf("%s %dx%d: wrote past the matrix, at %d", path, rows, cols, k)
+					if ds == rows {
+						Transpose(dst.Data, src.Data, rows, cols)
+					} else {
+						transposeTo(dst.Data, ds, src.Data, rows, cols)
+					}
+					for k, g := range dst.Data {
+						j, i := k/ds, k%ds
+						if j >= cols || i >= rows {
+							if g == g {
+								t.Fatalf("%s %dx%d ds=%d: wrote outside the matrix, at %d", path, rows, cols, ds, k)
+							}
+							continue
+						}
+						if w := src.Data[i*cols+j]; math.Float32bits(g) != math.Float32bits(w) {
+							t.Fatalf("%s %dx%d ds=%d: dst[%d][%d] = %#08x, want %#08x", path, rows, cols, ds, j, i, math.Float32bits(g), math.Float32bits(w))
+						}
 					}
 				}
 			}

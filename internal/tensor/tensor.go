@@ -414,12 +414,7 @@ func matMulBTCols(at []float32, b, c *Tensor, lo, hi int) {
 			for j := jb; j < je; j++ {
 				AddRows(tile[(j-jb)*h:][:h], b.Data[j*k:(j+1)*k], at[i0:], m)
 			}
-			for i := 0; i < h; i++ {
-				crow := c.Data[(i0+i)*n:][jb:je]
-				for jj := range crow {
-					crow[jj] = tile[jj*h+i]
-				}
-			}
+			transposeTo(c.Data[i0*n+jb:], n, tile, je-jb, h)
 		}
 	}
 }

@@ -1,17 +1,22 @@
 package tensor
 
-// This file holds the sliding-window passes of a CNN token that cost
-// per pixel rather than per multiply-add: the convolution's
-// parameter-gradient pass over one output plane, 2×2 max-pool forward
-// and backward, and the im2col panel transpose. Like the row tile of
-// kernels.go each has two implementations: the Go loops (the pool's in
-// internal/minidnn) are the portable path and the reference, and on
-// amd64 CPUs with AVX2 the code in kernels_amd64.s takes eight lanes per
-// instruction. The plane pass multiplies and then adds, each product
-// rounded on its own; the pool compares and selects, and the transpose
-// only moves data. A file of its own, after the matmul kernels, leaves
-// their code where it was: the MLP workloads' speed moves with the
-// alignment of their inner loops.
+import "math"
+
+// This file holds the passes of a CNN token that cost per pixel rather
+// than per multiply-add: the convolution's parameter-gradient pass over
+// one output plane, 2×2 max-pool forward and backward, the im2col panel
+// transpose (which also writes MatMulBT's tiles out as columns of C),
+// and ReLU both ways; and the AVX2 entry of AccumRows, whose multiplier
+// compaction costs per multiplier. Like the row tile of kernels.go each
+// has two implementations: the Go loops (the pool's in internal/minidnn,
+// ReLU's and AccumRows's in kernels.go) are the portable path and the
+// reference, and on amd64 CPUs with AVX2 the code in kernels_amd64.s
+// takes eight lanes per instruction. The plane pass multiplies and then
+// adds, each product rounded on its own; the pool compares and selects,
+// ReLU compares and masks, and the transpose only moves data. A file of
+// its own, after the matmul kernels, leaves their code where it was:
+// the MLP workloads' speed moves with the alignment of their inner
+// loops.
 
 // AccumPlane adds Σ_p g[p] · b[p·n : (p+1)·n] into c, for n = len(c)
 // and p over every index of g, and returns sum advanced by the same
@@ -108,36 +113,82 @@ func MaxPool2Grad(dx, grad []float32, arg []int32, inW int) (done int) {
 	return done
 }
 
-// Transpose writes the rows×cols matrix src into dst as cols×rows. On
-// the AVX2 tile the columns up to the last multiple of eight go as 8×8
-// blocks held in registers, the last rows%8 rows as one more block with
-// the missing rows zero and stored through a lane mask; the last
-// cols%8 columns, and every other build, go through the Go loop.
+// Transpose writes the rows×cols matrix src into dst as cols×rows; src
+// and dst must hold rows·cols floats each.
 func Transpose(dst, src []float32, rows, cols int) {
-	dst, src = dst[:rows*cols], src[:rows*cols]
-	c8 := 0
-	if useAVX2 && rows > 0 && cols >= vecLen {
-		c8 = cols &^ (vecLen - 1)
-		transposeAVX2(dst, src, rows, cols)
+	if rows < 0 || cols < 0 || len(dst) < rows*cols || len(src) < rows*cols {
+		panic("tensor: Transpose needs rows·cols floats in src and in dst")
 	}
-	transposeGo(dst, src, rows, cols, c8)
+	transposeTo(dst, rows, src, rows, cols)
+}
+
+// transposeTo writes the rows×cols matrix src into the cols×rows block
+// of dst whose rows start ds floats apart: dst[j·ds+i] = src[i·cols+j],
+// and no other element of dst. On the AVX2 tile the columns up to the
+// last multiple of eight go as 8×8 blocks held in registers, the last
+// rows%8 rows as one more block with the missing rows zero and stored
+// through a lane mask; the last cols%8 columns, and every other build,
+// go through the Go loop.
+func transposeTo(dst []float32, ds int, src []float32, rows, cols int) {
+	if rows == 0 || cols == 0 {
+		return
+	}
+	dst, src = dst[:(cols-1)*ds+rows], src[:rows*cols]
+	c8 := 0
+	if useAVX2 && cols >= vecLen {
+		c8 = cols &^ (vecLen - 1)
+		transposeAVX2(dst, ds, src, rows, cols)
+	}
+	if c8 < cols {
+		transposeGo(dst, ds, src, rows, cols, c8)
+	}
 }
 
 // transposeGo writes columns j0 … cols-1 of src into their places in
 // dst.
-func transposeGo(dst, src []float32, rows, cols, j0 int) {
+func transposeGo(dst []float32, ds int, src []float32, rows, cols, j0 int) {
 	i := 0
 	for ; i+4 <= rows; i += 4 { // four source rows per pass: four adjacent stores
 		s0, s1 := src[i*cols+j0:(i+1)*cols], src[(i+1)*cols+j0:(i+2)*cols]
 		s2, s3 := src[(i+2)*cols+j0:(i+3)*cols], src[(i+3)*cols+j0:(i+4)*cols]
 		for j, v := range s0 {
-			d := dst[(j0+j)*rows+i:][:4:4]
+			d := dst[(j0+j)*ds+i:][:4:4]
 			d[0], d[1], d[2], d[3] = v, s1[j], s2[j], s3[j]
 		}
 	}
 	for ; i < rows; i++ {
 		for j, v := range src[i*cols+j0 : (i+1)*cols] {
-			dst[(j0+j)*rows+i] = v
+			dst[(j0+j)*ds+i] = v
 		}
 	}
+}
+
+// reluVec runs ReLU's mask on the AVX2 tile when it is selected
+// (reluAVX2), and reports whether it did: dst[i] is +0 where x[i] <
+// below and g[i] elsewhere. ReLUInto passes g = x and below = 0;
+// ReLUGradInto passes the smallest positive denormal, below which lie
+// exactly the x <= 0. dst, x and g have one length.
+func reluVec(dst, x, g []float32, below float32) bool {
+	if !useAVX2 {
+		return false
+	}
+	reluAVX2(dst, x, g, below)
+	return true
+}
+
+// accumVec runs AccumRows, for np rows of b, on the AVX2 tile
+// (accumRowsAVX2) when it is selected and a row holds at least one full
+// vector, and reports whether it did. The tile holds the row numbers
+// and the gather's lane offsets (up to 7·as) in 32-bit lanes, so an as
+// or an np of 1<<28 or more — or a negative as, which the Go loop
+// refuses — stays on the Go loop. Too few multipliers for the rows
+// panic on the slice bound, as they do on the Go loop's index.
+func accumVec(c, a []float32, as int, b []float32, np int) bool {
+	if !useAVX2 || len(c) < vecLen || uint(as|np) > math.MaxInt32/vecLen {
+		return false
+	}
+	if np > 0 {
+		accumRowsAVX2(c, a[:(np-1)*as+1], b, as, np)
+	}
+	return true
 }

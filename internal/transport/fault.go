@@ -157,6 +157,10 @@ func (f *FaultConn) Close() error {
 	return f.inner.Close()
 }
 
+// SetTimeouts forwards per-message deadlines to the inner connection,
+// so that they bind when it has them.
+func (f *FaultConn) SetTimeouts(send, recv time.Duration) { SetTimeouts(f.inner, send, recv) }
+
 // Sends reports how many sends were attempted (including dropped ones).
 func (f *FaultConn) Sends() int {
 	f.mu.Lock()

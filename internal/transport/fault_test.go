@@ -7,6 +7,8 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"fela/internal/obs"
 )
 
 // TestMemConnRecvTimeout: a Recv on a Pair end with nothing to read
@@ -73,6 +75,30 @@ func TestPairPipeEnds(t *testing.T) {
 	a.Close()
 }
 
+// TestWrappersForwardTimeouts: SetTimeouts on Instrument's and
+// FaultConn's wrappers reaches the conn they wrap, so a Recv from a
+// silent peer times out.
+func TestWrappersForwardTimeouts(t *testing.T) {
+	for _, w := range []struct {
+		name string
+		wrap func(Conn) Conn
+	}{
+		{"instrument", func(c Conn) Conn { return Instrument(c, obs.NewRegistry()) }},
+		{"fault", func(c Conn) Conn { return NewFaultConn(c, 1) }},
+	} {
+		a, b := Pair()
+		c := w.wrap(a)
+		if !SetTimeouts(c, 0, 20*time.Millisecond) {
+			t.Fatalf("%s: SetTimeouts reported no deadlines", w.name)
+		}
+		if _, err := c.Recv(); Classify(err) != ClassTimeout {
+			t.Fatalf("%s: recv from a silent peer: %v (class %v), want timeout", w.name, err, Classify(err))
+		}
+		c.Close()
+		b.Close()
+	}
+}
+
 func TestTCPConnRecvTimeout(t *testing.T) {
 	l, err := Listen("127.0.0.1:0")
 	if err != nil {
@@ -110,7 +136,8 @@ func TestClassify(t *testing.T) {
 		{&net.OpError{Op: "read", Err: os.ErrDeadlineExceeded}, ClassTimeout},
 		{io.EOF, ClassPeerGone},
 		{io.ErrUnexpectedEOF, ClassPeerGone},
-		{net.ErrClosed, ClassPeerGone},
+		{net.ErrClosed, ClassClosed},
+		{&net.OpError{Op: "write", Net: "pipe", Err: net.ErrClosed}, ClassClosed},
 		{&CodecError{errors.New("bad frame")}, ClassCodec},
 		{errors.New("mystery"), ClassUnknown},
 	}

@@ -87,3 +87,7 @@ func (ic *instrumentedConn) SendBroadcast(b *Broadcast) error {
 }
 
 func (ic *instrumentedConn) Close() error { return ic.inner.Close() }
+
+// SetTimeouts forwards per-message deadlines to the wrapped conn, so
+// that they bind when that conn has them.
+func (ic *instrumentedConn) SetTimeouts(send, recv time.Duration) { SetTimeouts(ic.inner, send, recv) }

@@ -347,7 +347,9 @@ const (
 	// ClassCodec means the stream delivered bytes that do not decode:
 	// the connection is unusable even though the peer may live.
 	ClassCodec
-	// ClassClosed means this end was closed locally.
+	// ClassClosed means this end was closed locally: ErrClosed, or the
+	// net.ErrClosed a TCP or Pair end fails with after its own Close
+	// (its peer reads io.EOF, which is ClassPeerGone).
 	ClassClosed
 )
 
@@ -372,7 +374,7 @@ func Classify(err error) Class {
 	if err == nil {
 		return ClassUnknown
 	}
-	if errors.Is(err, ErrClosed) {
+	if errors.Is(err, ErrClosed) || errors.Is(err, net.ErrClosed) {
 		return ClassClosed
 	}
 	if errors.Is(err, ErrTimeout) {
@@ -386,7 +388,7 @@ func Classify(err error) Class {
 	if errors.As(err, &ce) {
 		return ClassCodec
 	}
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 		return ClassPeerGone
 	}
 	var oe *net.OpError

@@ -57,10 +57,9 @@ func TestPairOrdering(t *testing.T) {
 }
 
 // TestPairClose: a Pair end fails as a TCP conn does. After a local
-// Close, Send and Recv on that end fail, and the peer reads the message
-// sent before the Close and then finds its peer gone: every one of
-// these errors is ClassPeerGone on both streams. Closing a Pair end
-// twice is safe.
+// Close, Send and Recv on that end fail as ClassClosed, and the peer
+// reads the message sent before the Close and then finds its peer gone,
+// ClassPeerGone, on both streams. Closing a Pair end twice is safe.
 func TestPairClose(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -79,9 +78,12 @@ func TestPairClose(t *testing.T) {
 			t.Fatalf("%s: the message sent before Close: %v, %v", tc.name, m, err)
 		}
 		_, peerErr := b.Recv()
-		for _, err := range []error{a.Send(&Message{}), recvErr, peerErr} {
-			if Classify(err) != ClassPeerGone {
-				t.Fatalf("%s: %v is %v, want peer-gone", tc.name, err, Classify(err))
+		for _, c := range []struct {
+			err  error
+			want Class
+		}{{a.Send(&Message{}), ClassClosed}, {recvErr, ClassClosed}, {peerErr, ClassPeerGone}} {
+			if Classify(c.err) != c.want {
+				t.Fatalf("%s: %v is %v, want %v", tc.name, c.err, Classify(c.err), c.want)
 			}
 		}
 		if tc.name == "pipe" {
