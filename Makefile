@@ -77,7 +77,8 @@ jobs:
 # against its spec, the fused rank-1 fold on both kernel paths against
 # the two steps it replaces, the binary frame
 # decoder and its round trip, the top-k selection against its
-# sort-based reference, a TCP conn's Recv against DecodeBinary, and the
+# sort-based reference, a TCP conn's Recv (with and without a
+# destination for iter-start parameters) against DecodeBinary, and the
 # durable record decoder, its round trip and ledger replay (which read
 # their fields with the wire codec's PayloadReader), for a short budget
 # on top of the committed corpus (which plain `go test` already
@@ -99,7 +100,8 @@ fuzz:
 
 # bench smoke-runs the hot-path benchmarks (wire codecs, a 4 MB report
 # and train-comm's 4.26 MB iter-start over loopback TCP, with the
-# receive buffer's size, matmul and elementwise kernels, the row tile under
+# receive buffer's size, the iter-start both into a frame buffer and in
+# place into live tensors with none, matmul and elementwise kernels, the row tile under
 # them, the key compaction under the top-k encoder, the fold's AddScaled
 # and its rank-1 AddOuterScaled, the barrier's band fold of 16 rank-1
 # terms against the per-token fold, a token's forward/backward at the

@@ -11,6 +11,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -196,4 +197,56 @@ func TestWorkerRefusesMalformedIterStart(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestWorkerIterStartAllocs: a worker on a train-comm-shaped replica
+// (NewMLP(·,1024,1024,16), 4.26 MB of parameters) receives each
+// iter-start over loopback TCP into its own tensors, so once the pools
+// are emptied twenty iter-starts, each answered with a request, allocate
+// less than 64 KiB in all, where a frame buffer would be 4.8 MB. (Over
+// Pair the pipe's own buffer regrows now and then, on the sending side
+// of the stream. The race detector drops pooled buffers at random, so
+// under it the bound is not checked.)
+func TestWorkerIterStartAllocs(t *testing.T) {
+	model := func() *minidnn.Network { return minidnn.NewMLP(3, 1024, 1024, 16) }
+	func() {
+		co, wc := tcpPair(t)
+		w := NewWorker(0, minidnn.NewMLP(5, 1024, 1024, 16), minidnn.SyntheticBlobs(7, 8, 1024, 16), baseCfg())
+		done := make(chan error, 1)
+		go func() { done <- w.Run(wc) }()
+		if m, err := co.Recv(); err != nil || m.Kind != transport.KindRegister {
+			t.Fatalf("first message %v (%v), want a register", m, err)
+		}
+		var ps [][]float32
+		for _, p := range model().Params() {
+			ps = append(ps, p.Data)
+		}
+		var before, after runtime.MemStats
+		for i := 0; i < 25; i++ {
+			if i == 5 {
+				runtime.GC()
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+			}
+			if err := co.Send(&transport.Message{Kind: transport.KindIterStart, Iter: i, Params: ps}); err != nil {
+				t.Fatal(err)
+			}
+			if m, err := co.Recv(); err != nil || m.Kind != transport.KindRequest {
+				t.Fatalf("iter-start %d answered with %v (%v), want a request", i, m, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; !raceEnabled && alloc >= 64<<10 {
+			t.Fatalf("20 iter-starts allocated %d bytes, want under %d", alloc, 64<<10)
+		}
+		for i, p := range w.net.Params() {
+			if !slices.Equal(p.Data, ps[i]) {
+				t.Fatalf("parameter tensor %d differs from the last iter-start's", i)
+			}
+		}
+		co.Close()
+		if err := <-done; transport.Classify(err) != transport.ClassPeerGone {
+			t.Fatalf("worker returned %v after the coordinator closed, want peer-gone", err)
+		}
+	}()
 }

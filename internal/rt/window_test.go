@@ -9,7 +9,9 @@ package rt
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -242,6 +244,7 @@ type pairFunc func(t *testing.T) (co, w transport.Conn)
 
 // pipePair is a pair of in-process conns (transport.Pair).
 func pipePair(t *testing.T) (co, w transport.Conn) {
+	checkGoroutines(t)
 	co, w = transport.Pair()
 	t.Cleanup(func() { co.Close(); w.Close() })
 	return co, w
@@ -250,6 +253,7 @@ func pipePair(t *testing.T) (co, w transport.Conn) {
 // tcpPair is a pair of conns over loopback TCP.
 func tcpPair(t *testing.T) (co, w transport.Conn) {
 	t.Helper()
+	checkGoroutines(t)
 	l, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -263,6 +267,63 @@ func tcpPair(t *testing.T) (co, w transport.Conn) {
 	}
 	t.Cleanup(func() { co.Close(); w.Close() })
 	return co, w
+}
+
+// checked holds the tests checkGoroutines already watches.
+var checked sync.Map
+
+// checkGoroutines fails t unless, once its cleanups have closed every
+// conn it made, each goroutine started since its first conn exits
+// within a second; the failure lists their stacks. The kernel pool's
+// helpers (tensor.parallelBands) live for the process and are not
+// counted. The check is registered before the first pair's own
+// cleanup, so it runs after every pair is closed.
+func checkGoroutines(t *testing.T) {
+	if _, seen := checked.LoadOrStore(t, true); seen {
+		return
+	}
+	start := runtime.NumGoroutine()
+	before := goroutines()
+	t.Cleanup(func() {
+		checked.Delete(t)
+		var extra []string
+		for deadline := time.Now().Add(time.Second); ; time.Sleep(10 * time.Millisecond) {
+			if runtime.NumGoroutine() <= start {
+				return
+			}
+			extra = extra[:0]
+			for id, stack := range goroutines() {
+				if _, ok := before[id]; !ok && !strings.Contains(stack, "tensor.poolHelper") {
+					extra = append(extra, stack)
+				}
+			}
+			if len(extra) == 0 || time.Now().After(deadline) {
+				break
+			}
+		}
+		if len(extra) > 0 {
+			t.Errorf("%d goroutines outlived the test's conns:\n\n%s", len(extra), strings.Join(extra, "\n\n"))
+		}
+	})
+}
+
+// goroutines maps the id of every live goroutine to its stack.
+func goroutines() map[string]string {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	out := map[string]string{}
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		id, _, _ := strings.Cut(strings.TrimPrefix(g, "goroutine "), " ")
+		out[id] = g
+	}
+	return out
 }
 
 // transports runs a case on in-process pairs and on loopback TCP: the

@@ -39,6 +39,8 @@ type Worker struct {
 	net *minidnn.Network
 	ds  *minidnn.Dataset
 	cfg Config
+	// params are net's parameter tensors, which iter-starts overwrite.
+	params []*tensor.Tensor
 
 	// Hot-path instruments, nil (no-op) when cfg.Metrics is nil.
 	compute    *obs.Histogram
@@ -68,7 +70,7 @@ type Worker struct {
 // The replica's initial parameters are irrelevant: the coordinator
 // broadcasts authoritative parameters every iteration.
 func NewWorker(wid int, net *minidnn.Network, ds *minidnn.Dataset, cfg Config) *Worker {
-	w := &Worker{wid: wid, net: net, ds: ds, cfg: cfg, start: time.Now(), iter: -1}
+	w := &Worker{wid: wid, net: net, ds: ds, cfg: cfg, params: net.Params(), start: time.Now(), iter: -1}
 	reg := cfg.Metrics
 	reg.Help(MetricWorkerComputeSeconds, "Forward+backward time per token in seconds.")
 	reg.Help(MetricWorkerFetchSeconds, "Parameter install time per iteration in seconds.")
@@ -194,6 +196,14 @@ func Join(conn transport.Conn, net *minidnn.Network, ds *minidnn.Dataset, cfg Co
 // loop is the post-registration protocol loop shared by registered and
 // joined workers.
 func (w *Worker) loop(conn transport.Conn) error {
+	// Iter-starts land in the replica's own tensors while this loop runs;
+	// after it, a pool worker's conn may serve a job of another model.
+	dest := make([][]float32, len(w.params))
+	for i, p := range w.params {
+		dest[i] = p.Data
+	}
+	transport.SetParamsDest(conn, dest)
+	defer transport.SetParamsDest(conn, nil)
 	draining := false
 	for {
 		m, err := conn.Recv()
@@ -210,7 +220,7 @@ func (w *Worker) loop(conn transport.Conn) error {
 			sp := w.cfg.Spans.StartChild("install-params", w.wid, m.Span)
 			fetchStart := time.Now()
 			err := w.setParams(m.Params)
-			m.Release() // parameters are installed; recycle the codec arena
+			m.Release() // parameters are installed; recycle any codec buffers
 			if err != nil {
 				return err
 			}
@@ -302,17 +312,33 @@ func (w *Worker) loop(conn transport.Conn) error {
 	}
 }
 
-// setParams installs a parameter broadcast by copying straight into the
-// network's live tensors — one copy, no intermediate clone. The payload
-// lives in the codec's pooled buffers, which the caller releases, so it
-// is read-only here and unreferenced after the copy. A
-// broadcast not in the model's shapes is a protocol violation, and
-// nothing of it is installed.
+// setParams installs a parameter broadcast. A frame that landed in the
+// replica (transport.SetParamsDest) carries the network's own tensors,
+// and nothing is copied; one from a conn that takes no destination is
+// copied in from the codec's buffers, which the caller releases. A
+// broadcast not in the model's shapes is a protocol violation.
 func (w *Worker) setParams(flat [][]float32) error {
-	if err := InstallFlat(w.net.Params(), flat); err != nil {
+	if landed(w.params, flat) {
+		return nil
+	}
+	if err := InstallFlat(w.params, flat); err != nil {
 		return fmt.Errorf("%w: worker %d iter-start: %w", errProtocol, w.wid, err)
 	}
 	return nil
+}
+
+// landed reports whether flat is the tensors' own data, section for
+// section.
+func landed(ts []*tensor.Tensor, flat [][]float32) bool {
+	if len(ts) != len(flat) {
+		return false
+	}
+	for i, t := range ts {
+		if len(flat[i]) != t.Len() || len(flat[i]) > 0 && &flat[i][0] != &t.Data[0] {
+			return false
+		}
+	}
+	return true
 }
 
 func (w *Worker) train(tok transport.TokenInfo) (*transport.Message, error) {

@@ -772,9 +772,13 @@ func (r *PayloadReader) viewable(ln int) bool {
 // floats slicesInto will copy into the arena rather than view. It stops
 // at the first bad length; slicesInto then fails at the same place,
 // having copied no more than was counted.
-func (r *PayloadReader) copiedFloats() int {
+func (r *PayloadReader) copiedFloats() int { return r.copiedSections(r.Count(1)) }
+
+// copiedSections is copiedFloats for the next k sections of a group
+// whose count was already read.
+func (r *PayloadReader) copiedSections(k int) int {
 	n := 0
-	for i := r.Count(1); i > 0 && r.err == nil; i-- {
+	for i := k; i > 0 && r.err == nil; i-- {
 		ln := r.Count(4)
 		if r.err == nil && !r.viewable(ln) {
 			n += ln
@@ -794,7 +798,12 @@ func (r *PayloadReader) slicesInto(arena *[]float32) [][]float32 {
 	if cnt == 0 {
 		return nil
 	}
-	out := make([][]float32, cnt)
+	return r.sectionsInto(make([][]float32, cnt), arena)
+}
+
+// sectionsInto is slicesInto for the next len(out) sections of a group
+// whose count was already read: it fills out, or returns nil on error.
+func (r *PayloadReader) sectionsInto(out [][]float32, arena *[]float32) [][]float32 {
 	for i := range out {
 		ln := r.Count(4)
 		if r.err != nil {
@@ -851,6 +860,27 @@ func (r *PayloadReader) JobSpec() (s JobSpec) {
 	return s
 }
 
+// head reads the payload fields before the grads group into m.
+func (r *PayloadReader) head(m *Message) {
+	m.WID = int(r.Varint())
+	m.Iter = int(r.Varint())
+	m.Token.ID = int(r.Varint())
+	m.Token.Seq = int(r.Varint())
+	m.Token.Lo = int(r.Varint())
+	m.Token.Hi = int(r.Varint())
+	m.Token.Owner = int(r.Varint())
+	m.Loss = math.Float64frombits(r.U64())
+}
+
+// tail reads the payload fields after the params group into m.
+func (r *PayloadReader) tail(m *Message) {
+	m.Err = r.Str()
+	m.Job = r.JobSpec()
+	m.JobID = int(r.Varint())
+	m.Span.TraceID = r.U64()
+	m.Span.SpanID = r.U64()
+}
+
 // decodePayloadMeta decodes a frame body whose header already
 // validated: an fp16 or int8 grads section expands to dense floats, and
 // a top-k one becomes TopKSections viewing the payload. The returned
@@ -865,14 +895,7 @@ func decodePayloadMeta(kind Kind, h frameHead, payload []byte, frame *[]byte) (*
 	codec := h.codec
 	r := &PayloadReader{data: payload, alias: frame != nil}
 	m := &Message{Kind: kind, gradCodec: codec}
-	m.WID = int(r.Varint())
-	m.Iter = int(r.Varint())
-	m.Token.ID = int(r.Varint())
-	m.Token.Seq = int(r.Varint())
-	m.Token.Lo = int(r.Varint())
-	m.Token.Hi = int(r.Varint())
-	m.Token.Owner = int(r.Varint())
-	m.Loss = math.Float64frombits(r.U64())
+	r.head(m)
 	gradStart := r.off
 	var arena *[]float32
 	if codec == CompressExact {
@@ -918,11 +941,7 @@ func decodePayloadMeta(kind Kind, h frameHead, payload []byte, frame *[]byte) (*
 	} else {
 		floatPool.Put(arena)
 	}
-	m.Err = r.Str()
-	m.Job = r.JobSpec()
-	m.JobID = int(r.Varint())
-	m.Span.TraceID = r.U64()
-	m.Span.SpanID = r.U64()
+	r.tail(m)
 	err := r.Finish()
 	// Every field is read: the frame is kept only if sections view it.
 	if r.viewed && err == nil {

@@ -188,28 +188,34 @@ func BenchmarkCodecReport(b *testing.B) {
 func BenchmarkTCPReport(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	m := benchReport(CompressExact, func(int) float32 { return float32(rng.NormFloat64() * 1e-3) })
-	benchTCP(b, m, m.Grads)
+	benchTCP(b, m, m.Grads, nil)
 }
 
 // BenchmarkTCPIterStart is train-comm's iter-start over loopback TCP
 // (benchTCP): the model's four parameter tensors, 4.26 MB, the frame
-// every worker receives every iteration.
+// every worker receives every iteration. buffered receives it into a
+// frame buffer, as a conn without a destination does; in-place into
+// live tensors of the model's shape (SetParamsDest), as a worker does,
+// with no frame buffer.
 func BenchmarkTCPIterStart(b *testing.B) {
 	m := &Message{Kind: KindIterStart, Iter: 5}
 	m.Params = benchReport(CompressExact, func(i int) float32 { return float32(i%113) * 0.25 }).Grads
-	benchTCP(b, m, m.Params)
+	b.Run("buffered", func(b *testing.B) { benchTCP(b, m, m.Params, nil) })
+	b.Run("in-place", func(b *testing.B) { benchTCP(b, m, m.Params, zeros(lensOf(m.Params)...)) })
 }
 
 // benchTCP sends m, whose float sections are floats, over loopback TCP:
-// Send on one end, Recv and Release on the other. MB/s counts the float
-// bytes, allocs/op and B/op cover both ends, and rxbuf-MB is the
-// capacity of the frame buffer a received message is read into.
-func benchTCP(b *testing.B, m *Message, floats [][]float32) {
+// Send on one end, Recv and Release on the other, into dest when it is
+// not nil. MB/s counts the float bytes, allocs/op and B/op cover both
+// ends, and rxbuf-MB is the capacity of the frame buffer a received
+// message is read into.
+func benchTCP(b *testing.B, m *Message, floats [][]float32, dest [][]float32) {
 	raw := 0
 	for _, g := range floats {
 		raw += 4 * len(g)
 	}
 	tx, rx := tcpPair(b)
+	SetParamsDest(rx, dest)
 	sent := make(chan error, 1)
 	b.SetBytes(int64(raw))
 	b.ReportAllocs()
@@ -229,6 +235,9 @@ func benchTCP(b *testing.B, m *Message, floats [][]float32) {
 		}
 		if got.frame != nil {
 			rxbuf = cap(*got.frame)
+		}
+		if dest != nil && landedIn(got, dest) != len(dest) {
+			b.Fatal("the iter-start did not land in its destination")
 		}
 		got.Release()
 	}

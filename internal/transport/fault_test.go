@@ -132,7 +132,6 @@ func TestClassify(t *testing.T) {
 	}{
 		{nil, ClassUnknown},
 		{ErrClosed, ClassClosed},
-		{ErrTimeout, ClassTimeout},
 		{&net.OpError{Op: "read", Err: os.ErrDeadlineExceeded}, ClassTimeout},
 		{io.EOF, ClassPeerGone},
 		{io.ErrUnexpectedEOF, ClassPeerGone},

@@ -1,8 +1,9 @@
-// Command gencorpus regenerates the committed FuzzBinaryDecode corpus
-// under internal/transport/testdata/fuzz: one valid frame per protocol
-// kind, truncated and bit-flipped variants of each, hostile headers
-// (oversized lengths, bad magic or version, bad compressed sections),
-// and a rank-1 report with hostile variants of its factor lengths.
+// Command gencorpus regenerates the committed FuzzBinaryDecode and
+// FuzzRecvBinary corpora under internal/transport/testdata/fuzz: one
+// valid frame per protocol kind, truncated and bit-flipped variants of
+// each, hostile headers (oversized lengths, bad magic or version, bad
+// compressed sections), a rank-1 report with hostile variants of its
+// factor lengths, and iter-starts for a receive into a destination.
 // Run from the repo root:
 //
 //	go run ./internal/transport/gencorpus
@@ -27,46 +28,41 @@ func main() {
 		{Kind: transport.KindIterStart, Iter: 7, Params: [][]float32{{3, 1, 4}, {1, 5}}},
 		{Kind: transport.KindShutdown},
 	}
-	writeCorpus := func(extra map[string][]byte) {
-		dir := filepath.Join("internal", "transport", "testdata", "fuzz", "FuzzBinaryDecode")
+	writeCorpus := func(fuzz string, corpus map[string][]byte) {
+		dir := filepath.Join("internal", "transport", "testdata", "fuzz", fuzz)
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			fatal(err)
 		}
-		n := 0
-		emit := func(name string, data []byte) {
+		for name, data := range corpus {
 			body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n"
 			if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
 				fatal(err)
 			}
-			n++
 		}
-		for _, m := range msgs {
-			data, err := transport.EncodeBinary(m)
-			if err != nil {
-				fatal(err)
-			}
-			kind := m.Kind.String()
-			emit("valid-"+kind, data)
-			emit("truncated-"+kind, data[:len(data)/2])
-			garbled := append([]byte(nil), data...)
-			garbled[len(garbled)/3] ^= 0xff
-			emit("garbled-"+kind, garbled)
-		}
-		emit("empty", nil)
-		emit("noise", []byte{0xff, 0x00, 0xde, 0xad, 0xbe, 0xef, 0x7f})
-		for name, data := range extra {
-			emit(name, data)
-		}
-		fmt.Printf("gencorpus: wrote %d corpus entries to %s\n", n, dir)
+		fmt.Printf("gencorpus: wrote %d corpus entries to %s\n", len(corpus), dir)
 	}
 	binExtra := map[string][]byte{
-		// A header whose declared payload length is far beyond the bytes
-		// present: must be rejected before any allocation.
-		"oversized-length": {0xFE, 0x7A, 1, 3, 0xff, 0xff, 0xff, 0x0f},
-		// Wrong magic and an unsupported version.
-		"bad-magic":   {0x00, 0x7A, 1, 0, 0, 0, 0, 0},
-		"bad-version": {0xFE, 0x7A, 9, 0, 0, 0, 0, 0},
+		"empty": nil,
+		"noise": {0xff, 0x00, 0xde, 0xad, 0xbe, 0xef, 0x7f},
 	}
+	for _, m := range msgs {
+		data, err := transport.EncodeBinary(m)
+		if err != nil {
+			fatal(err)
+		}
+		kind := m.Kind.String()
+		binExtra["valid-"+kind] = data
+		binExtra["truncated-"+kind] = data[:len(data)/2]
+		garbled := append([]byte(nil), data...)
+		garbled[len(garbled)/3] ^= 0xff
+		binExtra["garbled-"+kind] = garbled
+	}
+	// A header whose declared payload length is far beyond the bytes
+	// present: must be rejected before any allocation.
+	binExtra["oversized-length"] = []byte{0xFE, 0x7A, 1, 3, 0xff, 0xff, 0xff, 0x0f}
+	// Wrong magic and an unsupported version.
+	binExtra["bad-magic"] = []byte{0x00, 0x7A, 1, 0, 0, 0, 0, 0}
+	binExtra["bad-version"] = []byte{0xFE, 0x7A, 9, 0, 0, 0, 0, 0}
 	// Version-2 (compressed-gradient) seeds: a valid and a truncated
 	// frame per lossy codec, plus hostile header variants.
 	report := &transport.Message{
@@ -161,7 +157,33 @@ func main() {
 	}, make([]byte, 20)...)...)
 	binExtra["rank1-length-mismatch"] = rank1Report(append(append(append([]byte{1, 7, 2, 2}, make([]byte, 8)...), 3), make([]byte, 12)...)...)
 	binExtra["rank1-truncated-delta"] = rank1Report(append(append([]byte{1, 6, 2, 2}, make([]byte, 8)...), 3, 0, 0, 0, 0)...)
-	writeCorpus(binExtra)
+	writeCorpus("FuzzBinaryDecode", binExtra)
+	// FuzzRecvBinary seeds: iter-starts shaped like the fixed destination
+	// that fuzz target receives into (fuzzDest in dest_test.go:
+	// train-comm's four tensors with 32 for its 1024-unit widths), one
+	// whose third section is a float short of it, and the first cut
+	// inside its first section.
+	iterStart := func(lens ...int) []byte {
+		m := &transport.Message{Kind: transport.KindIterStart, Iter: 7}
+		for i, n := range lens {
+			p := make([]float32, n)
+			for j := range p {
+				p[j] = float32(i*131+j%977) * 0.25
+			}
+			m.Params = append(m.Params, p)
+		}
+		data, err := transport.EncodeBinary(m)
+		if err != nil {
+			fatal(err)
+		}
+		return data
+	}
+	shaped := iterStart(32*32, 32, 32*16, 16)
+	writeCorpus("FuzzRecvBinary", map[string][]byte{
+		"iter-start-train-comm-shape": shaped,
+		"iter-start-mismatched-shape": iterStart(32*32, 32, 32*16-1, 16),
+		"iter-start-torn-in-section":  shaped[:len(shaped)/3],
+	})
 }
 
 func fatal(err error) {

@@ -318,11 +318,6 @@ func SetTimeouts(c Conn, send, recv time.Duration) bool {
 // ErrClosed is returned for operations on a closed connection.
 var ErrClosed = errors.New("transport: connection closed")
 
-// ErrTimeout marks a per-message deadline expiry that a caller reports
-// on its own. Classify buckets it, like the deadline errors the conns
-// return (os.ErrDeadlineExceeded), as ClassTimeout.
-var ErrTimeout = errors.New("transport: deadline exceeded")
-
 // CodecError wraps a wire-format failure: a frame that could not be
 // decoded (truncated, corrupted, or type-mismatched).
 type CodecError struct{ Err error }
@@ -376,9 +371,6 @@ func Classify(err error) Class {
 	}
 	if errors.Is(err, ErrClosed) || errors.Is(err, net.ErrClosed) {
 		return ClassClosed
-	}
-	if errors.Is(err, ErrTimeout) {
-		return ClassTimeout
 	}
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
@@ -483,6 +475,10 @@ type tcpConn struct {
 	// holding mirrors held != nil so that Recv can look without taking
 	// mu.
 	holding atomic.Bool
+
+	// dest, when set, is where an exact iter-start's parameter sections
+	// land (recvParams). Only the goroutine that calls Recv sets it.
+	dest [][]float32
 }
 
 func newTCPConn(c net.Conn) *tcpConn {
@@ -697,6 +693,14 @@ func (c *tcpConn) recvBinary() (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
+	if c.dest != nil && Kind(hdr[3]) == KindIterStart && h.codec == CompressExact && !h.rank1 {
+		if m, err := c.recvParams(h); m != nil || err != nil {
+			if err == nil {
+				st.decoded(m.Kind, h.size+h.n, start)
+			}
+			return m, err
+		}
+	}
 	bp, payload, err := c.readPayload(h)
 	if err != nil {
 		return nil, err
@@ -715,19 +719,26 @@ func (c *tcpConn) recvBinary() (*Message, error) {
 // cannot make it reserve what the header claims.
 const firstChunk = 1 << 20
 
-// readPayload reads the n-byte payload of the frame h heads into a
-// pooled frame buffer, which the caller then owns. A pooled buffer that
-// is big enough is used as it is. For an exact frame large enough to
-// carry a section of viewFloats, the payload starts 0–3 bytes into the
-// buffer, so that its first float section is 4-aligned and can be
-// decoded as a view.
+// readPayload reads the payload of the frame h heads by readBytes. For
+// an exact frame large enough to carry a section of viewFloats, the
+// payload starts 0–3 bytes into the buffer, so that its first float
+// section is 4-aligned and can be decoded as a view.
 func (c *tcpConn) readPayload(h frameHead) (*[]byte, []byte, error) {
-	n := h.n
-	first, need := -1, n
-	if h.codec == CompressExact && n >= 4*viewFloats {
-		if first = c.firstSection(n, h.rank1); first >= 0 {
-			need += 3
-		}
+	first := -1
+	if h.codec == CompressExact && h.n >= 4*viewFloats {
+		first = c.firstSection(h.n, h.rank1)
+	}
+	return c.readBytes(h.n, first)
+}
+
+// readBytes reads the next n bytes into a pooled frame buffer, which the
+// caller then owns. A pooled buffer that is big enough is used as it
+// is. When first ≥ 0 the bytes start 0–3 bytes into the buffer, so that
+// the byte at offset first of them is 4-aligned.
+func (c *tcpConn) readBytes(n, first int) (*[]byte, []byte, error) {
+	need := n
+	if first >= 0 {
+		need += 3
 	}
 	bp := getRecvBuf(need)
 	var head []byte // payload bytes read before the buffer was allocated
@@ -776,10 +787,8 @@ const prefixMax = 11*binary.MaxVarintLen64 + 8
 func (c *tcpConn) firstSection(n int, rank1 bool) int {
 	p, _ := c.br.Peek(min(n, prefixMax))
 	r := PayloadReader{data: p}
-	for range 7 {
-		r.Varint()
-	}
-	r.Bytes(8)
+	var skip Message
+	r.head(&skip)
 	for g := range 2 { // Grads, then Params
 		if r.Uvarint() > 0 {
 			if g == 0 && rank1 {

@@ -307,7 +307,12 @@ func TestRecvBufferFitsFrame(t *testing.T) {
 // FuzzRecvBinary feeds bytes through a pipe into a binary conn's Recv,
 // which must reach DecodeBinary's verdict on the same frame: a frame
 // Recv accepts decodes to the same message, and a frame DecodeBinary
-// accepts is received. Seeds include frames large enough to be viewed.
+// accepts is received. The same bytes are also received on a conn whose
+// destination (SetParamsDest) has fuzzDest's shape, and on one whose
+// destination has the shape of the frame's params when it has any: each
+// must give the message Recv gave without one, or an error of the same
+// class, and an exact iter-start lands in a destination of its own
+// shape. Seeds include frames large enough to be viewed.
 func FuzzRecvBinary(f *testing.F) {
 	seed := func(m *Message) []byte {
 		data, err := EncodeBinary(m)
@@ -338,17 +343,30 @@ func FuzzRecvBinary(f *testing.F) {
 		mut[len(mut)-20] ^= 0xff // in the span ids: still a valid frame
 		f.Add(mut)
 	}
+	f.Add(seed(iterStartOf(viewFloats+1, 3)))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		a, b := net.Pipe()
-		conn := newTCPConn(a)
-		defer conn.Close()
-		go func() {
-			b.Write(data)
-			b.Close()
-		}()
-		got, rerr := conn.Recv()
+		got, rerr := recvOn(data, nil)
+		defer got.Release()
 		want, derr := DecodeBinary(data)
 		defer want.Release()
+		shapes := [][]int{fuzzDest}
+		if got != nil && len(got.Params) > 0 {
+			shapes = append(shapes, lensOf(got.Params))
+		}
+		for i, shape := range shapes {
+			dest := zeros(shape...)
+			in, err := recvOn(data, dest)
+			if (err == nil) != (rerr == nil) || Classify(err) != Classify(rerr) {
+				t.Fatalf("destination %v: Recv gave %v, %v without one", shape, err, rerr)
+			}
+			if err == nil && !sameMessage(t, in, got) {
+				t.Fatalf("destination %v: received %+v, %+v without one", shape, in, got)
+			}
+			if i == 1 && got.Kind == KindIterStart && data[2] == frameVersion && len(got.Grads) == 0 && landedIn(in, dest) != len(dest) {
+				t.Fatalf("an exact iter-start did not land in a destination of its own shape %v", shape)
+			}
+			in.Release()
+		}
 		if rerr != nil {
 			if derr == nil {
 				t.Fatalf("Recv refused a frame DecodeBinary accepts: %v", rerr)
@@ -358,7 +376,6 @@ func FuzzRecvBinary(f *testing.F) {
 			}
 			return
 		}
-		defer got.Release()
 		header := frameHeader
 		if data[2] == frameVersion2 {
 			header = frameHeaderV2
@@ -373,4 +390,19 @@ func FuzzRecvBinary(f *testing.F) {
 			t.Fatalf("Recv and DecodeBinary disagree:\n got %+v\nwant %+v", got, one)
 		}
 	})
+}
+
+// recvOn writes data into a pipe and closes it, and returns the first
+// message a binary conn on its far end receives with dest as its
+// destination (nil for none).
+func recvOn(data []byte, dest [][]float32) (*Message, error) {
+	a, b := net.Pipe()
+	conn := newTCPConn(a)
+	defer conn.Close()
+	SetParamsDest(conn, dest)
+	go func() {
+		b.Write(data)
+		b.Close()
+	}()
+	return conn.Recv()
 }
