@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test tier1 vet race fuzz chaos elastic-chaos obs jobs bench benchmod cluster gate stat durable kernels lint-metrics uncovered ci
+.PHONY: build test tier1 vet race fuzz chaos elastic-chaos obs jobs bench benchmod gate stat durable kernels lint-metrics uncovered ci
 
 build:
 	$(GO) build ./...
@@ -131,23 +131,15 @@ bench:
 benchmod:
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 
-# cluster smoke-runs the cluster-mode experiment (100-job Poisson trace
-# against a TokenDelay pool, one pass per scheduling configuration) and
-# writes BENCH_cluster.json. The full 1000-job run is `go run
-# ./cmd/felabench -experiment cluster` without -quick.
-cluster:
-	$(GO) run ./cmd/felabench -quick -experiment cluster
-
 # gate runs the serving-gateway suite under the race detector (unit
-# tests, the 64-tenant hammer, the felagate binary's serve/drain e2e
-# tests), repeats the metrics-and-spans test that reads a settlement's
-# side effects once Inflight() reaches 0, and then smoke-runs the
-# million-request edge benchmark, writing BENCH_gate.json.
+# tests, the 64-tenant hammer, the two real-manager shards under a
+# paced load and a token-bucket overload, the felagate binary's
+# serve/drain e2e tests) and repeats the metrics-and-spans test that
+# reads a settlement's side effects once Inflight() reaches 0.
 gate:
 	$(GO) test ./internal/gate/ -race -count=1 -v
 	$(GO) test ./internal/gate/ -race -run TestGatewayMetricsAndSpans -count=200
 	$(GO) test ./cmd/felagate/ -race -count=1 -v
-	$(GO) run ./cmd/felabench -quick -experiment gate
 
 # stat runs the cluster observability aggregator suite under the race
 # detector: felastat -json against a live two-shard gateway (tenant
@@ -224,7 +216,6 @@ uncovered:
 
 # ci is the full gate: tier-1, static analysis, race detector, the
 # multi-tenant suite, the benchmark smoke pass, the regression-benchmark
-# module, the cluster-mode smoke run, the serving-gateway suite, the
-# observability aggregator, the durability plane, and the
-# compute-kernel/compression suite.
-ci: tier1 vet race jobs bench benchmod cluster gate stat durable kernels
+# module, the serving-gateway suite, the observability aggregator, the
+# durability plane, and the compute-kernel/compression suite.
+ci: tier1 vet race jobs bench benchmod gate stat durable kernels

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	felabench [-quick] [-experiment all|table1|...|extensions|jobs|cluster|gate|durable]
+//	felabench [-quick] [-experiment all|table1|...|extensions]
 //	felabench -csvdir out/    # also write plotting-ready CSV series
 package main
 
@@ -25,7 +25,7 @@ import (
 // they run under "all".
 var experimentNames = []string{
 	"all", "table1", "fig1", "table2", "fig5", "fig6", "fig7", "fig8",
-	"fig9", "fig10", "extensions", "jobs", "cluster", "gate", "durable",
+	"fig9", "fig10", "extensions",
 }
 
 func validExperiment(which string) bool {
@@ -37,25 +37,11 @@ func validExperiment(which string) bool {
 	return false
 }
 
-// benchPaths collects every output location the suite can write to.
-type benchPaths struct {
-	csvDir  string
-	jobs    string
-	cluster string
-	gate    string
-	durable string
-}
-
 func main() {
 	quick := flag.Bool("quick", false, "run with reduced iteration counts")
 	which := flag.String("experiment", "all",
 		"experiment to run ("+strings.Join(experimentNames, ", ")+")")
-	var p benchPaths
-	flag.StringVar(&p.csvDir, "csvdir", "", "also write each figure's data series as CSV files into this directory")
-	flag.StringVar(&p.jobs, "jobsjson", "BENCH_jobs.json", "path for the jobs experiment's machine-readable report")
-	flag.StringVar(&p.cluster, "clusterjson", "BENCH_cluster.json", "path for the cluster experiment's machine-readable report")
-	flag.StringVar(&p.gate, "gatejson", "BENCH_gate.json", "path for the gate experiment's machine-readable report")
-	flag.StringVar(&p.durable, "durablejson", "BENCH_durable.json", "path for the durable experiment's machine-readable report")
+	csvDir := flag.String("csvdir", "", "also write each figure's data series as CSV files into this directory")
 	flag.Parse()
 
 	obs.FlightDumpOnSIGQUIT("felabench")
@@ -64,26 +50,28 @@ func main() {
 	if *quick {
 		ctx = experiments.Quick()
 	}
-	if err := run(ctx, *which, p, *quick); err != nil {
+	if err := run(ctx, *which, *csvDir); err != nil {
 		fmt.Fprintln(os.Stderr, "felabench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx *experiments.Context, which string, p benchPaths, quick bool) error {
+// run prints the experiment which names (or all of them) and, when
+// csvDir is not empty, writes each figure's data series there.
+func run(ctx *experiments.Context, which, csvDir string) error {
 	if !validExperiment(which) {
 		return fmt.Errorf("unknown experiment %q (valid: %s)", which, strings.Join(experimentNames, ", "))
 	}
 	all := which == "all"
 	out := func(s string) { fmt.Println(s) }
 	writeCSV := func(name, data string) error {
-		if p.csvDir == "" {
+		if csvDir == "" {
 			return nil
 		}
-		if err := os.MkdirAll(p.csvDir, 0o755); err != nil {
+		if err := os.MkdirAll(csvDir, 0o755); err != nil {
 			return err
 		}
-		return os.WriteFile(filepath.Join(p.csvDir, name), []byte(data), 0o644)
+		return os.WriteFile(filepath.Join(csvDir, name), []byte(data), 0o644)
 	}
 
 	if all || which == "table1" {
@@ -184,26 +172,6 @@ func run(ctx *experiments.Context, which string, p benchPaths, quick bool) error
 			return err
 		}
 		out(cb.Render())
-	}
-	if all || which == "jobs" {
-		if err := runJobsBench(quick, p.jobs, out); err != nil {
-			return err
-		}
-	}
-	if all || which == "cluster" {
-		if err := runClusterBench(quick, p.cluster, out); err != nil {
-			return err
-		}
-	}
-	if all || which == "gate" {
-		if err := runGateBench(quick, p.gate, out); err != nil {
-			return err
-		}
-	}
-	if all || which == "durable" {
-		if err := runDurableBench(quick, p.durable, out); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -587,94 +588,170 @@ func TestGatewayMetricsAndSpans(t *testing.T) {
 }
 
 // TestGatewayAgainstManagers runs the real stack: two Manager shards
-// with in-proc pool workers, jobs flowing through HTTP end to end.
+// with in-proc pool workers, jobs flowing through HTTP end to end, under
+// two loads. "paced": three tenants submit two jobs each with no edge
+// limit, and every submission is admitted. "overload": four tenants
+// each submit twenty jobs at twice their TenantRate of 40/s, so the
+// edge sheds. Under either, every submission is admitted or shed
+// and the gateway's ledger says which; the token bucket admits a tenant
+// at most burst + rate × elapsed and at least its first submission;
+// every admitted job settles done, nothing stays in flight, and both
+// shards complete jobs.
 func TestGatewayAgainstManagers(t *testing.T) {
-	const shards = 2
-	var backends []Shard
-	for i := 0; i < shards; i++ {
-		mgr := jobs.NewManager(jobs.Config{Tick: 10 * time.Millisecond})
-		t.Cleanup(func() { mgr.Stop(); <-mgr.Done() })
-		for w := 0; w < 2; w++ {
-			go func() {
-				dial := func() (transport.Conn, error) {
-					select {
-					case <-mgr.Done():
-						return nil, fmt.Errorf("pool stopped")
-					default:
-					}
-					a, b := transport.Pair()
-					mgr.Admit(b)
-					return a, nil
+	for _, in := range []struct {
+		name               string
+		rate               float64
+		burst              int
+		tenants, perTenant int
+	}{
+		{name: "paced", tenants: 3, perTenant: 2},
+		{name: "overload", rate: 40, burst: 2, tenants: 4, perTenant: 20},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			const shards = 2
+			var backends []Shard
+			for i := 0; i < shards; i++ {
+				mgr := jobs.NewManager(jobs.Config{Tick: 10 * time.Millisecond})
+				t.Cleanup(func() { mgr.Stop(); <-mgr.Done() })
+				for w := 0; w < 2; w++ {
+					go func() {
+						dial := func() (transport.Conn, error) {
+							select {
+							case <-mgr.Done():
+								return nil, fmt.Errorf("pool stopped")
+							default:
+							}
+							a, b := transport.Pair()
+							mgr.Admit(b)
+							return a, nil
+						}
+						_, _ = jobs.RunPoolWorker(dial, jobs.PoolWorkerOptions{})
+					}()
 				}
-				_, _ = jobs.RunPoolWorker(dial, jobs.PoolWorkerOptions{})
-			}()
-		}
-		backends = append(backends, mgr)
-	}
-	g := newTestGateway(t, Config{Shards: backends, AdmitWait: time.Millisecond})
-	srv := httptest.NewServer(g)
-	defer srv.Close()
-
-	const njobs = 6
-	var ids []string
-	for i := 0; i < njobs; i++ {
-		body := fmt.Sprintf(`{"name": "it-%d", "iterations": 2, "total_batch": 16, "token_batch": 8, "max_workers": 2}`, i)
-		req, _ := http.NewRequest("POST", srv.URL+"/v1/jobs", strings.NewReader(body))
-		req.Header.Set("X-Fela-Tenant", fmt.Sprintf("tenant-%d", i%3))
-		resp, err := srv.Client().Do(req)
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		// A fast job may settle inside AdmitWait and come back as a 200
-		// JobView ("id") instead of a 202 SubmitResponse ("job").
-		var ack struct {
-			Job string `json:"job"`
-			ID  string `json:"id"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
-			t.Fatalf("submit %d: decode: %v", i, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
-			t.Fatalf("submit %d: code %d", i, resp.StatusCode)
-		}
-		id := ack.Job
-		if id == "" {
-			id = ack.ID
-		}
-		if id == "" {
-			t.Fatalf("submit %d: no job id in response", i)
-		}
-		ids = append(ids, id)
-	}
-	waitInflight(t, g, 0)
-	for i, id := range ids {
-		var jv JobView
-		w := do(t, g, "GET", "/v1/jobs/"+id, fmt.Sprintf("tenant-%d", i%3), "", &jv)
-		if w.Code != http.StatusOK || jv.State != "done" || jv.FinalLoss == nil {
-			t.Fatalf("job %s: code %d view %+v", id, w.Code, jv)
-		}
-	}
-	// Both shards saw work: the gateway's own status reports shard views.
-	st := g.Status()
-	if st.JobsOK != njobs {
-		t.Fatalf("status = %+v", st)
-	}
-	// The shards' snapshots are publish-throttled; poll briefly.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		total := 0
-		for _, b := range backends {
-			if ps := b.Status(); ps != nil {
-				total += ps.Completed
+				backends = append(backends, mgr)
 			}
-		}
-		if total == njobs {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("shards completed %d jobs, want %d", total, njobs)
-		}
-		time.Sleep(5 * time.Millisecond)
+			g := newTestGateway(t, Config{Shards: backends, AdmitWait: time.Millisecond, TenantRate: in.rate, TenantBurst: in.burst})
+			srv := httptest.NewServer(g)
+			defer srv.Close()
+
+			// The tenants' home shards must cover both shards, or one of
+			// them might complete nothing.
+			homes := map[int]bool{}
+			for tn := 0; tn < in.tenants; tn++ {
+				homes[g.router.affinity(fmt.Sprintf("acme-%d", tn))] = true
+			}
+			if len(homes) != shards {
+				t.Fatalf("the tenants' home shards are %v, want all %d", homes, shards)
+			}
+
+			type tenantLoad struct {
+				ids     []string // admitted jobs
+				shed    int
+				elapsed time.Duration // first submission sent to last answer read
+			}
+			loads := make([]tenantLoad, in.tenants)
+			var wg sync.WaitGroup
+			for tn := range loads {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					tenant, l := fmt.Sprintf("acme-%d", tn), &loads[tn]
+					start := time.Now()
+					defer func() { l.elapsed = time.Since(start) }()
+					for i := 0; i < in.perTenant; i++ {
+						if in.rate > 0 && i > 0 {
+							time.Sleep(time.Duration(float64(time.Second) / (2 * in.rate)))
+						}
+						body := fmt.Sprintf(`{"name": "it-%d-%d", "iterations": 2, "total_batch": 16, "token_batch": 8, "max_workers": 2}`, tn, i)
+						req, _ := http.NewRequest("POST", srv.URL+"/v1/jobs", strings.NewReader(body))
+						req.Header.Set("X-Fela-Tenant", tenant)
+						resp, err := srv.Client().Do(req)
+						if err != nil {
+							t.Errorf("%s submit %d: %v", tenant, i, err)
+							return
+						}
+						// A fast job may settle inside AdmitWait and come back as a 200
+						// JobView ("id") instead of a 202 SubmitResponse ("job").
+						var ack struct {
+							Job string `json:"job"`
+							ID  string `json:"id"`
+						}
+						err = json.NewDecoder(resp.Body).Decode(&ack)
+						resp.Body.Close()
+						switch {
+						case resp.StatusCode == http.StatusTooManyRequests:
+							l.shed++
+						case resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK:
+							t.Errorf("%s submit %d: code %d", tenant, i, resp.StatusCode)
+						case err != nil || ack.Job+ack.ID == "":
+							t.Errorf("%s submit %d: no job id in the response (%v)", tenant, i, err)
+						default:
+							l.ids = append(l.ids, ack.Job+ack.ID)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			waitInflight(t, g, 0)
+
+			st := g.Status()
+			admitted, shed := 0, 0
+			for tn, l := range loads {
+				tenant := fmt.Sprintf("acme-%d", tn)
+				admitted += len(l.ids)
+				shed += l.shed
+				if len(l.ids) == 0 {
+					t.Errorf("%s: nothing admitted of %d submissions", tenant, in.perTenant)
+				}
+				if in.rate == 0 && l.shed != 0 {
+					t.Errorf("%s: %d submissions shed with no edge limit", tenant, l.shed)
+				}
+				if bound := float64(in.burst) + in.rate*l.elapsed.Seconds(); in.rate > 0 && float64(len(l.ids)) > bound {
+					t.Errorf("%s: %d admitted in %v, over the bucket's %.1f", tenant, len(l.ids), l.elapsed, bound)
+				}
+				for _, ts := range st.Tenants {
+					if ts.Tenant == tenant && (ts.Admitted != int64(len(l.ids)) || ts.Shed != int64(l.shed)) {
+						t.Errorf("%s: gateway counts %d admitted and %d shed, the client %d and %d",
+							tenant, ts.Admitted, ts.Shed, len(l.ids), l.shed)
+					}
+				}
+				for _, id := range l.ids {
+					var jv JobView
+					w := do(t, g, "GET", "/v1/jobs/"+id, tenant, "", &jv)
+					if w.Code != http.StatusOK || jv.State != "done" || jv.FinalLoss == nil {
+						t.Fatalf("job %s: code %d view %+v", id, w.Code, jv)
+					}
+				}
+			}
+			if admitted+shed != in.tenants*in.perTenant || st.Submitted != int64(admitted) ||
+				st.ShedRateLimited+st.ShedQuotaExceeded+st.ShedQueueFull+st.ShedDraining != int64(shed) {
+				t.Errorf("%d offered, %d admitted and %d shed; gateway status %+v", in.tenants*in.perTenant, admitted, shed, st)
+			}
+			if st.Settled != st.Submitted || st.JobsOK != int64(admitted) {
+				t.Fatalf("status = %+v, want all %d admitted jobs settled ok", st, admitted)
+			}
+			t.Logf("%d admitted, %d shed", admitted, shed)
+			// The shards' snapshots are publish-throttled; poll briefly.
+			deadline := time.Now().Add(2 * time.Second)
+			for {
+				var completed []int
+				total := 0
+				for _, b := range backends {
+					c := 0
+					if ps := b.Status(); ps != nil {
+						c = ps.Completed
+					}
+					completed = append(completed, c)
+					total += c
+				}
+				if total == admitted && !slices.Contains(completed, 0) {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("shards completed %v jobs, want %d in all, each shard some", completed, admitted)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
 	}
 }

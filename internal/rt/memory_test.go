@@ -201,16 +201,15 @@ func TestWorkerRefusesMalformedIterStart(t *testing.T) {
 
 // TestWorkerIterStartAllocs: a worker on a train-comm-shaped replica
 // (NewMLP(·,1024,1024,16), 4.26 MB of parameters) receives each
-// iter-start over loopback TCP into its own tensors, so once the pools
-// are emptied twenty iter-starts, each answered with a request, allocate
-// less than 64 KiB in all, where a frame buffer would be 4.8 MB. (Over
-// Pair the pipe's own buffer regrows now and then, on the sending side
-// of the stream. The race detector drops pooled buffers at random, so
-// under it the bound is not checked.)
+// iter-start, over Pair's pipe and over loopback TCP, into its own
+// tensors, so once the pools are emptied twenty iter-starts, each
+// answered with a request, allocate less than 64 KiB in all, where a
+// frame buffer would be 4.8 MB. (The race detector drops pooled
+// buffers at random, so under it the bound is not checked.)
 func TestWorkerIterStartAllocs(t *testing.T) {
 	model := func() *minidnn.Network { return minidnn.NewMLP(3, 1024, 1024, 16) }
-	func() {
-		co, wc := tcpPair(t)
+	transports(t, func(t *testing.T, pair pairFunc) {
+		co, wc := pair(t)
 		w := NewWorker(0, minidnn.NewMLP(5, 1024, 1024, 16), minidnn.SyntheticBlobs(7, 8, 1024, 16), baseCfg())
 		done := make(chan error, 1)
 		go func() { done <- w.Run(wc) }()
@@ -248,5 +247,5 @@ func TestWorkerIterStartAllocs(t *testing.T) {
 		if err := <-done; transport.Classify(err) != transport.ClassPeerGone {
 			t.Fatalf("worker returned %v after the coordinator closed, want peer-gone", err)
 		}
-	}()
+	})
 }

@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"io"
+	"math/rand"
 	"net"
 	"os"
 	"testing"
@@ -73,6 +75,39 @@ func TestPairPipeEnds(t *testing.T) {
 		t.Fatalf("send to a closed peer: %v (class %v), want peer-gone", err, Classify(err))
 	}
 	a.Close()
+}
+
+// TestPipeRingWraps: 8 MiB written and read in interleaved pieces of
+// seeded random sizes, writes larger on average, so the pipe's ring
+// wraps at many offsets, grows while its contents wrap, and then runs
+// full at pipeBound, come out intact and in order.
+func TestPipeRingWraps(t *testing.T) {
+	c, raw := RawPipe()
+	defer c.Close()
+	rd := c.(*tcpConn).conn
+	rng := rand.New(rand.NewSource(1))
+	var sent, got []byte
+	buf := make([]byte, 32<<10)
+	for len(sent) < 8<<20 || len(got) < len(sent) {
+		if room := pipeBound - (len(sent) - len(got)); room > 0 && len(sent) < 8<<20 {
+			w := make([]byte, 1+rng.Intn(min(48<<10, room)))
+			rng.Read(w)
+			if _, err := raw.Write(w); err != nil {
+				t.Fatal(err)
+			}
+			sent = append(sent, w...)
+		}
+		if len(got) < len(sent) {
+			n, err := rd.Read(buf[:1+rng.Intn(len(buf))])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, buf[:n]...)
+		}
+	}
+	if !bytes.Equal(got, sent) {
+		t.Fatalf("read %d bytes that differ from the %d written", len(got), len(sent))
+	}
 }
 
 // TestWrappersForwardTimeouts: SetTimeouts on Instrument's and

@@ -12,6 +12,7 @@ import (
 	"math"
 	"net"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 	"unsafe"
@@ -252,9 +253,12 @@ func TestRecvHeaderAloneAllocatesLittle(t *testing.T) {
 // race detector drops pooled buffers at random, so under it only the
 // fit is checked.)
 func TestRecvBufferFitsFrame(t *testing.T) {
-	// Two collections empty the pools of buffers other frames left.
+	// Two collections empty the pools of buffers other frames left, and
+	// none runs after them: one inside a measured window would empty the
+	// pools again, and the window would pay for fresh buffers.
 	runtime.GC()
 	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	tx, rx := tcpPair(t)
 	const floats = 300_000
 	sizes := make([]int, 20)
